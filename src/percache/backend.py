@@ -29,7 +29,6 @@ class ToyModelConfig:
     head_dim: int = 8
     vocab_size: int = 512
     seed: int = 0x7031
-    max_positions: int = 8192
 
     def __post_init__(self):
         if min(self.layers, self.heads, self.head_dim, self.vocab_size) < 1:
@@ -67,12 +66,6 @@ class QkvTensors:
     def token_count(self) -> int:
         return int(self.q[0].shape[0]) if self.q else 0
 
-    @classmethod
-    def empty(cls, cfg: ToyModelConfig) -> "QkvTensors":
-        shape = (0, cfg.heads, cfg.head_dim)
-        mk = lambda: [np.zeros(shape, dtype=np.float32) for _ in range(cfg.layers)]
-        return cls(mk(), mk(), mk())
-
     def slice_tokens(self, start: int, end: int) -> "QkvTensors":
         return QkvTensors(
             [a[start:end].copy() for a in self.q],
@@ -101,10 +94,6 @@ class QkvPrefix:
     def __post_init__(self):
         if self.prefix_token_count != self.tensors.token_count:
             raise ValueError("prefix_token_count must equal stored token count")
-
-    @classmethod
-    def empty(cls, cfg: ToyModelConfig) -> "QkvPrefix":
-        return cls(QkvTensors.empty(cfg), 0)
 
 
 @dataclass
@@ -363,7 +352,6 @@ class CostParams:
     qkv_match_ms: float = 15.0
     qkv_load_ms: float = 1030.0
     embed_ms: float = 40.0
-    qa_entry_bytes: int = 4096
 
 
 @dataclass
@@ -417,8 +405,10 @@ def projection_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
 
 def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
     """Exact multiply-add count of ToyModel.prefill (projection, attention,
-    output projection, MLP); matches the instrumented counter."""
-    suffix = l_total - l_pre
+    output projection, MLP); matches the instrumented counter. Prefill
+    always recomputes the last token, so a prefix covering the whole
+    prompt still costs one token."""
+    suffix = l_total - min(l_pre, max(l_total - 1, 0))
     d = cfg.dim
     per_layer = 12 * suffix * d * d + 2 * suffix * l_total * d
     return cfg.layers * per_layer

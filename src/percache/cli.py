@@ -14,9 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, EngineConfig
-from .engine import DEFAULT_VOCAB_TOKENS, Engine, TraceError
-from .knowledge import KnowledgeBank
-from .textcore import TokenizerVocab
+from .engine import Engine, TraceError, open_bank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,23 +58,7 @@ def cmd_ingest(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_DATA
-    bank_dir = Path(args.bank)
-    if config.vocab_file:
-        vocab = TokenizerVocab.from_file(config.vocab_file)
-    elif (bank_dir / "vocab.txt").exists():
-        vocab = TokenizerVocab.from_file(bank_dir / "vocab.txt")
-    else:
-        vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
-    if (bank_dir / "manifest.jsonl").exists():
-        bank = KnowledgeBank.load(
-            bank_dir, vocab, limit_bytes=config.qkv_limit_bytes,
-            k_boundary=config.k_boundary, chunk_words_count=config.chunk_words,
-        )
-    else:
-        bank = KnowledgeBank(
-            bank_dir, vocab, limit_bytes=config.qkv_limit_bytes,
-            k_boundary=config.k_boundary, chunk_words_count=config.chunk_words,
-        )
+    bank = open_bank(config, args.bank)
     chunks = bank.ingest_text(corpus.read_text(encoding="utf-8"))
     bank.persist()
     print(f"{len(chunks)} chunks")
@@ -116,7 +98,7 @@ def cmd_replay(args) -> int:
             lineno = event.pop("_line")
             try:
                 engine.apply_event(event)
-            except (TraceError, KeyError) as exc:
+            except (TraceError, ConfigError, KeyError) as exc:
                 print(f"{trace_path}:{lineno}: {exc}", file=sys.stderr)
                 return EXIT_DATA
     finally:

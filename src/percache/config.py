@@ -92,6 +92,8 @@ class EngineConfig:
         for key in ("qkv_limit_bytes", "qa_limit_bytes", "abstract_cap_bytes"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
+        if not self.flops_per_ms > 0.0:
+            raise ConfigError("flops_per_ms must be positive")
         if self.backend not in ("scripted", "toy"):
             raise ConfigError("backend must be 'scripted' or 'toy'")
 
@@ -119,8 +121,13 @@ class EngineConfig:
                 value = raw.replace("\\n", "\n")
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        old = getattr(self, key)
         setattr(self, key, value)
-        self.validate()
+        try:
+            self.validate()
+        except ConfigError:
+            setattr(self, key, old)
+            raise
 
     @classmethod
     def from_file(cls, path) -> "EngineConfig":

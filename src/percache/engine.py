@@ -21,6 +21,7 @@ from .backend import (
     CostModel,
     CostParams,
     CostReport,
+    InferenceEvent,
     QkvTensors,
     ScriptedBackend,
     ToyModel,
@@ -60,6 +61,27 @@ DEFAULT_VOCAB_TOKENS = [
 
 class TraceError(ValueError):
     """Malformed or out-of-order trace event."""
+
+
+def open_bank(config: EngineConfig, bank_dir, embedder: HashEmbedder | None = None) -> KnowledgeBank:
+    """Open the bank in bank_dir, or start an empty one there. The
+    vocabulary is config.vocab_file if set, else the bank's own vocab.txt,
+    else the default."""
+    bank_dir = Path(bank_dir)
+    if config.vocab_file:
+        vocab = TokenizerVocab.from_file(config.vocab_file)
+    elif (bank_dir / "vocab.txt").exists():
+        vocab = TokenizerVocab.from_file(bank_dir / "vocab.txt")
+    else:
+        vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
+    return KnowledgeBank.load(
+        bank_dir,
+        vocab,
+        embedder,
+        config.qkv_limit_bytes,
+        k_boundary=config.k_boundary,
+        chunk_words_count=config.chunk_words,
+    )
 
 
 @dataclass(frozen=True)
@@ -107,42 +129,11 @@ class ToyTextBackend:
 
 
 class Engine:
-    def __init__(
-        self,
-        config: EngineConfig,
-        bank_dir,
-        vocab: TokenizerVocab | None = None,
-        text_backend=None,
-    ):
+    def __init__(self, config: EngineConfig, bank_dir, text_backend=None):
         self.config = config
-        bank_dir = Path(bank_dir)
-        if vocab is None:
-            if config.vocab_file:
-                vocab = TokenizerVocab.from_file(config.vocab_file)
-            elif (bank_dir / "vocab.txt").exists():
-                vocab = TokenizerVocab.from_file(bank_dir / "vocab.txt")
-            else:
-                vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
-        self.vocab = vocab
         self.embedder = HashEmbedder()
-        if (bank_dir / "manifest.jsonl").exists():
-            self.bank = KnowledgeBank.load(
-                bank_dir,
-                vocab,
-                self.embedder,
-                config.qkv_limit_bytes,
-                k_boundary=config.k_boundary,
-                chunk_words_count=config.chunk_words,
-            )
-        else:
-            self.bank = KnowledgeBank(
-                bank_dir,
-                vocab,
-                self.embedder,
-                config.qkv_limit_bytes,
-                k_boundary=config.k_boundary,
-                chunk_words_count=config.chunk_words,
-            )
+        self.bank = open_bank(config, bank_dir, self.embedder)
+        self.vocab = vocab = self.bank.vocab
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
         for chunk in self.bank.chunks.values():
             self.retriever.add_chunk(chunk.chunk_id, chunk.text, chunk.embedding)
@@ -159,7 +150,7 @@ class Engine:
             model_cfg,
             CostParams(flops_per_ms=config.flops_per_ms, latency_scale=config.latency_scale),
         )
-        qa_path = bank_dir / "qa.jsonl"
+        qa_path = self.bank.directory / "qa.jsonl"
         if qa_path.exists():
             self.qa = QaBank.load(qa_path, config.qa_limit_bytes, self.embedder)
         else:
@@ -185,7 +176,6 @@ class Engine:
         self.deferred_queries: list[str] = []
         self.abstract_dirty = False
         self.metrics: list[dict] = []
-        self.phase = "idle"
         self.qa_hits = 0
         self.qkv_hits = 0
         self.flops_cum = 0.0
@@ -205,7 +195,7 @@ class Engine:
         segments.append(Segment("query", query))
         return segments
 
-    def _infer(self, query: str, decode: bool, use_prefix: bool = True) -> InferResult:
+    def _infer(self, query: str, decode: bool) -> InferResult:
         """Retrieve, prefill (reusing the longest cached prefix), and
         optionally decode. Never mutates the caches."""
         ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k)
@@ -214,34 +204,27 @@ class Engine:
         full_text = "".join(s.text for s in segments)
         tokens = tokenize(full_text, self.vocab)
         prefix, matched, discarded = (None, 0, 0)
-        if use_prefix and self.config.reuse_enabled:
+        if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, self._seq())
         l_pre = prefix.prefix_token_count if prefix is not None else 0
-        macs0 = self.model.mac_count
         suffix, state = self.model.prefill(tokens.tokens, prefix)
-        prefill_flops = float(self.model.mac_count - macs0)
         answer = None
-        decode_flops = 0.0
+        ids: list[int] = []
         if decode:
-            macs0 = self.model.mac_count
             ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id)
-            decode_flops = float(self.model.mac_count - macs0)
             answer = detokenize([i for i in ids if i != self.eos_id], self.vocab)
         parts = ([prefix.tensors] if prefix is not None and prefix.prefix_token_count else []) + (
             [suffix] if suffix.token_count else []
         )
         full = QkvTensors.concat(parts) if parts else suffix
-        p = self.cost_model.params
-        loaded = (matched + 1) if prefix is not None else 0
-        cost = CostReport(
-            prefill_flops=prefill_flops,
-            decode_flops=decode_flops,
-            prefill_ms=prefill_flops / p.flops_per_ms,
-            decode_ms=decode_flops / p.flops_per_ms,
-            match_ms=p.latency_scale * (p.qkv_match_ms if use_prefix and self.config.reuse_enabled else 0.0),
-            load_ms=p.latency_scale * p.qkv_load_ms * loaded,
-            embed_ms=p.latency_scale * p.embed_ms,
-        )
+        cost = self.cost_model.estimate_cost(InferenceEvent(
+            l_total=len(tokens),
+            l_pre=l_pre,
+            decode_tokens=len(ids),
+            loaded_slices=matched + 1 if prefix is not None else 0,
+            qkv_match=self.config.reuse_enabled,
+            embeds=1,
+        ))
         return InferResult(
             answer, cost, matched, discarded, len(tokens), l_pre,
             segments, tokens, full, tuple(chunk_ids),
@@ -259,10 +242,8 @@ class Engine:
     # -- serving path ---------------------------------------------------------
 
     def handle_query(self, text: str, now: float) -> QueryOutcome:
-        self.phase = "serve"
         self.predictor.phase = "serve"
         try:
-            p = self.cost_model.params
             embedding = self.embedder.embed(text)
             entry, best_sim = (None, -1.0)
             if self.config.qa_enabled:
@@ -272,15 +253,14 @@ class Engine:
                 if self.qa.get(text) is None and text not in self.deferred_queries:
                     self.deferred_queries.append(text)
                 self.predictor.note_user_query(text, now)
-                cost = CostReport(
-                    match_ms=p.latency_scale * p.question_match_ms,
-                    embed_ms=p.latency_scale * p.embed_ms,
+                cost = self.cost_model.estimate_cost(
+                    InferenceEvent(l_total=0, qa_match=True, embeds=1)
                 )
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
             result = self._infer(text, decode=True)
-            cost = result.cost.add(
-                CostReport(match_ms=p.latency_scale * p.question_match_ms if self.config.qa_enabled else 0.0)
-            )
+            cost = result.cost.add(self.cost_model.estimate_cost(
+                InferenceEvent(l_total=0, qa_match=self.config.qa_enabled)
+            ))
             if self.config.reuse_enabled:
                 self._populate_qkv(result)
             if self.config.qa_enabled:
@@ -296,7 +276,6 @@ class Engine:
                 result.l_total, result.l_pre, result.discarded,
             )
         finally:
-            self.phase = "idle"
             self.predictor.phase = "idle"
 
     # -- ingestion -------------------------------------------------------------
@@ -426,7 +405,11 @@ class Engine:
                 ]
             record.update(field=field, value=value)
         elif kind == "idle_tick":
-            report = self.scheduler.idle_tick(float(event.get("budget", 0.0)), at)
+            try:
+                budget = float(event.get("budget", 0.0))
+            except (TypeError, ValueError) as exc:
+                raise TraceError(f"idle_tick budget must be a number: {event['budget']!r}") from exc
+            report = self.scheduler.idle_tick(budget, at)
             self.flops_cum += report.flops_spent
             record.update(report.as_dict())
         else:

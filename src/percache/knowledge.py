@@ -152,8 +152,9 @@ class StorageLedger:
 class KnowledgeBank:
     """Chunk store + QKV cache tree bound to a bank directory.
 
-    Single-writer, multi-reader: match_prefix may run concurrently with
-    other reads; insert/evict/persist need exclusive access.
+    Not safe for concurrent use: besides insert/evict/persist, match_prefix
+    also writes (it bumps retrieval_count and last_used on every matched
+    node), so every tree operation needs exclusive access.
     """
 
     def __init__(
@@ -163,7 +164,6 @@ class KnowledgeBank:
         embedder: HashEmbedder | None = None,
         limit_bytes: int = 1 << 34,
         k_boundary: int = DEFAULT_K_BOUNDARY,
-        discard_at_system_node: bool = False,
         chunk_words_count: int = DEFAULT_CHUNK_WORDS,
     ):
         self.directory = Path(directory)
@@ -172,7 +172,6 @@ class KnowledgeBank:
         self.vocab = vocab
         self.embedder = embedder or HashEmbedder()
         self.k_boundary = k_boundary
-        self.discard_at_system_node = discard_at_system_node
         self.chunk_words_count = chunk_words_count
         self.ledger = StorageLedger(0, limit_bytes)
         self.chunks: dict[str, KnowledgeChunk] = {}
@@ -377,7 +376,7 @@ class KnowledgeBank:
             node.last_used = now
         final = matched_nodes[-1]
         discarded = 0
-        if final is not self.root or self.discard_at_system_node:
+        if final is not self.root:
             discarded = min(self.k_boundary, parts[-1].token_count)
             if discarded:
                 parts[-1] = parts[-1].slice_tokens(0, parts[-1].token_count - discarded)
@@ -420,13 +419,6 @@ class KnowledgeBank:
         if self.ledger.used_bytes > limit_bytes:
             return self.evict_to_fit(0, now)
         return []
-
-    def read_slice(self, node_id: int) -> QkvTensors:
-        node = self.nodes[node_id]
-        if not node.present:
-            raise KeyError(f"slice absent for node {node_id}")
-        tensors, _ = deserialize_slice(self._slice_path(node).read_bytes())
-        return tensors
 
     # -- persistence --------------------------------------------------------
 

@@ -104,7 +104,9 @@ class Predictor:
     """Owns the abstract, the query buffer, and the two prediction views.
 
     Mutating operations run only while the engine is in its background
-    phase (single writer); the phase flag is asserted on every call.
+    phase (single writer). `phase` is the engine's only serve/idle flag:
+    handle_query sets it to "serve" for the length of a query, and the
+    summarization and prediction calls assert it is "idle".
     """
 
     def __init__(

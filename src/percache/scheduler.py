@@ -20,27 +20,9 @@ class PopulationStrategy(Enum):
     PREFILL_AND_DECODE = "prefill_and_decode"
 
 
-@dataclass
-class SchedulerConfig:
-    tau_query: float = 0.85
-    tau_scheduler: float = 0.88
-    prediction_stride: int = 5
-    qkv_limit_bytes: int = 1 << 34
-    qa_limit_bytes: int = 1 << 22
-    convert_qkv_to_qa: bool = True
-    convert_qa_to_qkv: bool = True
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau_query <= 1.0 or not 0.0 <= self.tau_scheduler <= 1.0:
-            raise ValueError("thresholds must be in [0, 1]")
-        if self.qkv_limit_bytes < 0 or self.qa_limit_bytes < 0:
-            raise ValueError("limits must be non-negative")
-
-
-def choose_strategy(cfg: SchedulerConfig) -> PopulationStrategy:
-    """Pure in cfg; the tau_query == tau_scheduler boundary picks the
-    cheaper strategy."""
-    if cfg.tau_query >= cfg.tau_scheduler:
+def choose_strategy(tau_query: float, tau_scheduler: float) -> PopulationStrategy:
+    """The tau_query == tau_scheduler boundary picks the cheaper strategy."""
+    if tau_query >= tau_scheduler:
         return PopulationStrategy.PREFILL_ONLY
     return PopulationStrategy.PREFILL_AND_DECODE
 
@@ -76,20 +58,10 @@ class TickReport:
 
 class Scheduler:
     """Cooperative background steps between queries; never interleaves
-    with query serving (the engine's phase flag enforces this)."""
+    with query serving (the predictor's phase flag enforces this)."""
 
     def __init__(self, engine):
         self.engine = engine
-
-    def scheduler_config(self) -> SchedulerConfig:
-        cfg = self.engine.config
-        return SchedulerConfig(
-            tau_query=cfg.tau_query,
-            tau_scheduler=cfg.tau_scheduler,
-            prediction_stride=cfg.prediction_stride,
-            qkv_limit_bytes=cfg.qkv_limit_bytes,
-            qa_limit_bytes=cfg.qa_limit_bytes,
-        )
 
     def idle_tick(self, work_budget: float, now: float) -> TickReport:
         """Spend up to work_budget cost-model FLOPs on background work,
@@ -99,7 +71,7 @@ class Scheduler:
         engine = self.engine
         report = TickReport(at=now)
         if engine.config.scheduler_enabled:
-            strategy = choose_strategy(self.scheduler_config())
+            strategy = choose_strategy(engine.config.tau_query, engine.config.tau_scheduler)
         else:
             # no adaptive scheduling: population always decodes
             strategy = PopulationStrategy.PREFILL_AND_DECODE

@@ -50,6 +50,8 @@ def test_seed_changes_weights():
 def test_prefill_empty_prompt_rejected():
     with pytest.raises(ValueError):
         ToyModel(CFG).prefill([])
+    # the cost of no inference at all, as charged on a QA hit
+    assert prefill_macs(CFG, 0, 0) == 0
 
 
 def test_prefix_longer_than_prompt_rejected():
@@ -107,7 +109,7 @@ def test_decode_eos_stops():
     assert model.decode_ids(state2, 8, eos_id=first) == [first]
 
 
-@pytest.mark.parametrize("l_total,l_pre", [(1, 0), (6, 0), (6, 3), (10, 9)])
+@pytest.mark.parametrize("l_total,l_pre", [(1, 0), (6, 0), (6, 3), (10, 9), (10, 10)])
 def test_prefill_macs_match_instrumented(l_total, l_pre):
     model = ToyModel(CFG)
     toks = _tokens(l_total, seed=l_total)
@@ -142,7 +144,6 @@ def test_cost_params_reference_defaults():
     assert p.question_match_ms == 1610.0
     assert p.qkv_match_ms == 15.0
     assert p.qkv_load_ms == 1030.0
-    assert p.qa_entry_bytes == 4096
 
 
 def test_estimate_cost_totals_and_projection_reduction():
@@ -218,7 +219,8 @@ def test_qkv_tensors_validation_and_concat():
         QkvTensors([bad], [bad], [bad])
     with pytest.raises(ValueError):
         QkvTensors.concat([])
-    t = QkvTensors.empty(CFG)
+    none = [np.zeros((0, CFG.heads, CFG.head_dim), dtype=np.float32)] * CFG.layers
+    t = QkvTensors(none, none, none)
     assert t.token_count == 0 and t.layers == CFG.layers
     with pytest.raises(ValueError):
         QkvPrefix(t, 3)

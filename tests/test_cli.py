@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from percache.cli import CSV_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 from conftest import DATA
@@ -71,6 +73,19 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     trace = _write(
         tmp_path / "bad.trace",
         '{"at": 0, "kind": "idle_tick"}\n{"at": 1, "kind": "wat"}\n',
+    )
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA
+    assert f"{trace}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event", [
+    {"at": 1, "kind": "config_change", "field": "tau_query", "value": 7},
+    {"at": 1, "kind": "idle_tick", "budget": "lots"},
+])
+def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
+    trace = _write(
+        tmp_path / "bad.trace", '{"at": 0, "kind": "idle_tick"}\n' + json.dumps(event) + "\n"
     )
     out = tmp_path / "out.csv"
     assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA

@@ -21,6 +21,12 @@ def test_validation():
     with pytest.raises(ConfigError):
         EngineConfig(tau_query=1.5)
     with pytest.raises(ConfigError):
+        EngineConfig(tau_scheduler=-0.1)
+    with pytest.raises(ConfigError):
+        EngineConfig(qkv_limit_bytes=0)
+    with pytest.raises(ConfigError):
+        EngineConfig(flops_per_ms=0.0)
+    with pytest.raises(ConfigError):
         EngineConfig(retrieval_k=0)
     with pytest.raises(ConfigError):
         EngineConfig(k_boundary=-1)
@@ -48,6 +54,7 @@ def test_apply_rejects_bad_input():
         cfg.apply("qa_enabled", "maybe")
     with pytest.raises(ConfigError):
         cfg.apply("tau_query", "2.0")  # valid float, fails validation
+    assert cfg == EngineConfig()  # a rejected value leaves the config unchanged
 
 
 def test_from_file(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.predictor import PhaseError
 
@@ -136,8 +137,6 @@ def test_trace_replay_deterministic(tmp_path):
     events = load_trace("threshold_drop.trace")
     outputs = []
     for run in ("a", "b"):
-        from percache.config import EngineConfig
-
         eng = Engine(
             EngineConfig.from_file(DATA / "configs" / "scenario.cfg"), tmp_path / run
         )
@@ -156,18 +155,33 @@ def test_phase_flag_set_during_serving(tmp_path):
 
     class Spy:
         def embed(self, text):
-            seen.append((eng.phase, eng.predictor.phase))
+            seen.append(eng.predictor.phase)
             return real_embed(text)
 
     eng.embedder = Spy()
     eng.handle_query("what is the budget review plan?", 1)
-    assert seen and seen[0] == ("serve", "serve")
-    assert eng.phase == "idle" and eng.predictor.phase == "idle"
+    assert seen and seen[0] == "serve"
+    assert eng.predictor.phase == "idle"
     # while serving, prediction work is rejected
     eng.predictor.phase = "serve"
     with pytest.raises(PhaseError):
         eng.predictor.predict_from_history(lambda q: False)
     eng.predictor.phase = "idle"
+
+
+def test_recorded_flops_equal_instrumented_macs(tmp_path):
+    # the cost model's formulas must charge exactly the multiply-adds the
+    # model performs on every query path (the scripted backend runs no model)
+    eng = Engine(EngineConfig.from_file(DATA / "configs" / "default.cfg"), tmp_path)
+    paths = set()
+    for event in load_trace("monotonicity.trace"):
+        macs0 = eng.model.mac_count
+        record = eng.apply_event(event)
+        if record["kind"] == "query_arrival":
+            paths.add(record["path"])
+            measured = eng.model.mac_count - macs0
+            assert record["prefill_flops"] + record["decode_flops"] == measured
+    assert paths == {QA_HIT, QKV_PARTIAL, COLD_MISS}
 
 
 def test_persist_and_reload_serves_hits(tmp_path):

@@ -160,16 +160,9 @@ def test_match_prefix_k_boundary_discard(tmp_path):
     full0, _, d0 = bank0.match_prefix(["c1", "c2"], now=2)
     assert d0 == 0
     assert full.prefix_token_count == full0.prefix_token_count - 2
-    # root-only match is exempt from the discard by default
+    # a root-only match is exempt from the discard
     _, m, d = bank.match_prefix(["zz"], now=3)
     assert m == 0 and d == 0
-
-
-def test_match_prefix_discard_at_system_node(tmp_path):
-    bank = fake_bank(tmp_path, k_boundary=1, discard_at_system_node=True)
-    insert_path(bank, ["c1"], now=1)
-    _, matched, discarded = bank.match_prefix(["zz"], now=2)
-    assert matched == 0 and discarded == 1
 
 
 def test_match_skips_absent_nodes(tmp_path):

@@ -2,7 +2,6 @@ import pytest
 
 from percache.scheduler import (
     PopulationStrategy,
-    SchedulerConfig,
     TickReport,
     choose_strategy,
 )
@@ -21,25 +20,7 @@ from conftest import DATA, make_engine
     ],
 )
 def test_choose_strategy_table(tau_q, tau_s, expected):
-    cfg = SchedulerConfig(tau_query=tau_q, tau_scheduler=tau_s)
-    assert choose_strategy(cfg) is expected
-
-
-def test_choose_strategy_pure():
-    cfg = SchedulerConfig(tau_query=0.5, tau_scheduler=0.9)
-    snapshot = repr(cfg)
-    for _ in range(3):
-        assert choose_strategy(cfg) is PopulationStrategy.PREFILL_AND_DECODE
-    assert repr(cfg) == snapshot
-
-
-def test_scheduler_config_validation():
-    with pytest.raises(ValueError):
-        SchedulerConfig(tau_query=1.5)
-    with pytest.raises(ValueError):
-        SchedulerConfig(tau_scheduler=-0.1)
-    with pytest.raises(ValueError):
-        SchedulerConfig(qkv_limit_bytes=-1)
+    assert choose_strategy(tau_q, tau_s) is expected
 
 
 def test_tick_report_as_dict_keys():
