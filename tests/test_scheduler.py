@@ -1,5 +1,6 @@
 import pytest
 
+from percache.config import EngineConfig
 from percache.scheduler import (
     PopulationStrategy,
     TickReport,
@@ -21,6 +22,16 @@ from conftest import DATA, make_engine
 )
 def test_choose_strategy_table(tau_q, tau_s, expected):
     assert choose_strategy(tau_q, tau_s) is expected
+
+
+def test_scheduler_config_validation():
+    # The scheduler's thresholds and QKV budget are validated where they live.
+    with pytest.raises(ValueError):
+        EngineConfig(tau_query=1.5)
+    with pytest.raises(ValueError):
+        EngineConfig(tau_scheduler=-0.1)
+    with pytest.raises(ValueError):
+        EngineConfig(qkv_limit_bytes=-1)
 
 
 def test_tick_report_as_dict_keys():
