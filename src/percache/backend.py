@@ -100,7 +100,6 @@ class QkvPrefix:
 class PrefillState:
     """Decode-ready state: per-layer K/V over the full prompt, single-owner."""
 
-    config: ToyModelConfig
     k: list[np.ndarray]
     v: list[np.ndarray]
     total_len: int
@@ -252,7 +251,7 @@ class ToyModel:
             [k[pre:].copy() for k in ks],
             [v[pre:].copy() for v in vs],
         )
-        state = PrefillState(cfg, ks, vs, total, final[-1:].copy())
+        state = PrefillState(ks, vs, total, final[-1:].copy())
         return suffix, state
 
     def decode_ids(self, state: PrefillState, max_tokens: int,

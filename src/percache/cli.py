@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import ConfigError, EngineConfig
 from .engine import Engine, TraceError, open_bank
+from .knowledge import BankError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,10 +56,10 @@ def cmd_ingest(args) -> int:
         return EXIT_DATA
     try:
         config = _load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
+        bank = open_bank(config, args.bank)
+    except (BankError, ConfigError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_DATA
-    bank = open_bank(config, args.bank)
     chunks = bank.ingest_text(corpus.read_text(encoding="utf-8"))
     bank.persist()
     print(f"{len(chunks)} chunks")
@@ -89,10 +90,10 @@ def cmd_replay(args) -> int:
     try:
         config = _load_config(args.config)
         events = _read_trace(trace_path)
-    except (ConfigError, TraceError, OSError) as exc:
+        engine = Engine(config, args.bank)
+    except (BankError, ConfigError, TraceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
-    engine = Engine(config, args.bank)
     try:
         for event in events:
             lineno = event.pop("_line")

@@ -63,6 +63,14 @@ class TraceError(ValueError):
     """Malformed or out-of-order trace event."""
 
 
+# keys Engine copies only at construction: a config_change of one is rejected
+FIXED_CONFIG_KEYS = frozenset({
+    "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "backend",
+    "script_file", "chunk_words", "k_boundary", "alpha_fusion", "prediction_stride",
+    "buffer_size", "t_batch", "t_quiet", "abstract_cap_bytes",
+})
+
+
 def open_bank(config: EngineConfig, bank_dir, embedder: HashEmbedder | None = None) -> KnowledgeBank:
     """Open the bank in bank_dir, or start an empty one there. The
     vocabulary is config.vocab_file if set, else the bank's own vocab.txt,
@@ -71,7 +79,7 @@ def open_bank(config: EngineConfig, bank_dir, embedder: HashEmbedder | None = No
     if config.vocab_file:
         vocab = TokenizerVocab.from_file(config.vocab_file)
     elif (bank_dir / "vocab.txt").exists():
-        vocab = TokenizerVocab.from_file(bank_dir / "vocab.txt")
+        vocab = None  # KnowledgeBank.load reads the bank's own
     else:
         vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
     return KnowledgeBank.load(
@@ -107,7 +115,6 @@ class InferResult:
     segments: list
     tokens: object
     full_tensors: QkvTensors
-    chunk_ids: tuple[str, ...]
 
 
 class ToyTextBackend:
@@ -226,8 +233,7 @@ class Engine:
             embeds=1,
         ))
         return InferResult(
-            answer, cost, matched, discarded, len(tokens), l_pre,
-            segments, tokens, full, tuple(chunk_ids),
+            answer, cost, matched, discarded, len(tokens), l_pre, segments, tokens, full,
         )
 
     def _populate_qkv(self, result: InferResult, allow_evict: bool = True) -> list[int]:
@@ -373,6 +379,12 @@ class Engine:
             raise TraceError("event needs numeric 'at' and 'kind'")
         if self._last_at is not None and at < self._last_at:
             raise TraceError(f"out-of-order event at {at} after {self._last_at}")
+        if kind in ("query_arrival", "chunk_arrival") and not isinstance(event.get("text"), str):
+            raise TraceError(f"{kind} needs a string 'text'")
+        if kind == "config_change" and (
+            not isinstance(event.get("field"), str) or event["field"] in FIXED_CONFIG_KEYS
+        ):
+            raise TraceError(f"config key {event.get('field')!r} cannot change mid-trace")
         self._last_at = at
         record: dict = {"at": at, "kind": kind}
         if kind == "query_arrival":
@@ -403,6 +415,8 @@ class Engine:
                 record["evicted_entries"] = [
                     e.query for e in self.qa.set_limit(self.config.qa_limit_bytes)
                 ]
+            elif field in ("latency_scale", "flops_per_ms"):
+                setattr(self.cost_model.params, field, getattr(self.config, field))
             record.update(field=field, value=value)
         elif kind == "idle_tick":
             try:

@@ -13,6 +13,9 @@ last shared chunk differently. Two measures keep reuse safe:
 Eviction is LFU over per-node retrieval counts under a byte budget; an
 evicted node keeps its metadata (and a payload digest) so a later
 restoration can be verified bit-for-bit.
+
+Slice payloads live on their tree nodes. The bank directory is a snapshot
+that only persist writes and only load reads; serving touches no file.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +48,39 @@ class StorageError(RuntimeError):
 
 class LayoutError(ValueError):
     """Prompt layout does not tile the token sequence."""
+
+
+class BankError(ValueError):
+    """A bank file is damaged; the message names file:line."""
+
+
+def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a bank file; a line
+    that is not a JSON object with every required field raises BankError."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise BankError(f"{path}:{lineno}: malformed line: {exc}") from exc
+            if not isinstance(rec, dict) or not all(key in rec for key in required):
+                raise BankError(f"{path}:{lineno}: need a JSON object with {', '.join(required)}")
+            out.append((lineno, rec))
+    return out
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace path with data: write a temporary file beside it, then rename
+    it into place, so readers see the old bytes or the new, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def chunk_words(text: str, words_per_chunk: int = DEFAULT_CHUNK_WORDS) -> list[str]:
@@ -125,7 +162,7 @@ class CacheTreeNode:
     chunk_id: str
     parent: "CacheTreeNode | None"
     children: list = field(default_factory=list)
-    slice_file: str | None = None
+    payload: bytes | None = field(default=None, repr=False)  # serialized slice
     byte_size: int = 0
     token_count: int = 0
     retrieval_count: int = 0
@@ -134,7 +171,7 @@ class CacheTreeNode:
 
     @property
     def present(self) -> bool:
-        return self.slice_file is not None
+        return self.payload is not None
 
 
 @dataclass
@@ -150,7 +187,7 @@ class StorageLedger:
 
 
 class KnowledgeBank:
-    """Chunk store + QKV cache tree bound to a bank directory.
+    """Chunk store + QKV cache tree, persisted to a bank directory.
 
     Not safe for concurrent use: besides insert/evict/persist, match_prefix
     also writes (it bumps retrieval_count and last_used on every matched
@@ -168,7 +205,6 @@ class KnowledgeBank:
     ):
         self.directory = Path(directory)
         self.slice_dir = self.directory / "slices"
-        self.slice_dir.mkdir(parents=True, exist_ok=True)
         self.vocab = vocab
         self.embedder = embedder or HashEmbedder()
         self.k_boundary = k_boundary
@@ -260,13 +296,8 @@ class KnowledgeBank:
         self.nodes[node.node_id] = node
         return node
 
-    def _slice_path(self, node: CacheTreeNode) -> Path:
-        return self.slice_dir / f"node{node.node_id}.qkv"
-
     def _write_slice(self, node: CacheTreeNode, payload: bytes, token_count: int) -> None:
-        path = self._slice_path(node)
-        path.write_bytes(payload)
-        node.slice_file = path.name
+        node.payload = payload
         node.byte_size = len(payload)
         node.token_count = token_count
         node.payload_sha = hashlib.sha256(payload).hexdigest()
@@ -286,6 +317,8 @@ class KnowledgeBank:
         is written. Returns node ids whose slices were written."""
         if qkv.token_count != len(tokens):
             raise LayoutError("qkv token count does not match the token sequence")
+        if [s.kind for s in segments] != ["system"] + ["chunk"] * (len(segments) - 2) + ["query"]:
+            raise LayoutError("layout must be the system prompt, the chunks, then the query")
         spans = self.segment_token_spans(segments, tokens)
 
         chunk_ids = [s.chunk_id for s in segments if s.kind == "chunk"]
@@ -295,66 +328,35 @@ class KnowledgeBank:
             # the last common node is duplicated for the new path
             chain = chain[: max(len(chain) - 1, 0)]
 
-        # serialize all payloads and plan writes before touching disk
-        payloads: dict[int, tuple[bytes, int]] = {}  # segment index -> (payload, tokens)
-        for seg_index, (seg, span) in enumerate(zip(segments, spans)):
-            if seg.kind == "query":
+        # plan every write before changing anything; None stands for a new
+        # node, and the query, the last segment, gets no slot
+        slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
+        plan: list[tuple[CacheTreeNode | None, str | None, bytes, int]] = []
+        for node, seg, (start, end) in zip(slots, segments, spans):
+            if node is not None and node.present:
                 continue
-            sliced = qkv.slice_tokens(span[0], span[1])
-            payloads[seg_index] = (
-                serialize_slice(sliced, content_hash(seg.text)),
-                span[1] - span[0],
-            )
+            payload = serialize_slice(qkv.slice_tokens(start, end), content_hash(seg.text))
+            # refill an absent slice only when bit-identical to the original
+            # payload (context may differ otherwise); the root may also be
+            # filled while it has no digest yet
+            if node is None or node.payload_sha == hashlib.sha256(payload).hexdigest() or (
+                node is self.root and node.payload_sha is None
+            ):
+                plan.append((node, seg.chunk_id, payload, end - start))
 
-        incoming = 0
-        written_ids: list[int] = []
-        to_write: list[tuple[str, bytes, int]] = []  # ("existing:<id>"|"new:<pos>", ...)
-
-        seg_chunk_pos = -1
-        for seg_index, seg in enumerate(segments):
-            if seg.kind == "system":
-                payload, tc = payloads[seg_index]
-                if not self.root.present and (
-                    self.root.payload_sha is None
-                    or self.root.payload_sha == hashlib.sha256(payload).hexdigest()
-                ):
-                    to_write.append(("existing:0", payload, tc))
-                    incoming += len(payload)
-            elif seg.kind == "chunk":
-                seg_chunk_pos += 1
-                payload, tc = payloads[seg_index]
-                if seg_chunk_pos < len(chain):
-                    node = chain[seg_chunk_pos]
-                    # refill an evicted slice only when bit-identical to the
-                    # original payload (context may differ otherwise)
-                    if not node.present and node.payload_sha == hashlib.sha256(payload).hexdigest():
-                        to_write.append((f"existing:{node.node_id}", payload, tc))
-                        incoming += len(payload)
-                else:
-                    to_write.append((f"new:{seg_chunk_pos}", payload, tc))
-                    incoming += len(payload)
-
+        incoming = sum(len(payload) for _, _, payload, _ in plan)
         if incoming > self.ledger.limit_bytes:
             raise StorageError("prompt slices exceed the whole cache budget")
         if not allow_evict and self.ledger.used_bytes + incoming > self.ledger.limit_bytes:
             raise StorageError("insufficient free space without eviction")
         self.evict_to_fit(incoming, now)
 
-        # apply the plan
-        new_nodes: dict[int, CacheTreeNode] = {}
+        written_ids: list[int] = []
         parent = chain[-1] if chain else self.root
-        for pos in range(len(chain), len(chunk_ids)):
-            node = self._new_node(parent, chunk_ids[pos])
-            node.last_used = now
-            new_nodes[pos] = node
-            parent = node
-        for key, payload, tc in to_write:
-            kind, _, ident = key.partition(":")
-            if kind == "existing":
-                node = self.nodes[int(ident)]
-            else:
-                node = new_nodes[int(ident)]
-            self._write_slice(node, payload, tc)
+        for node, chunk_id, payload, token_count in plan:
+            if node is None:
+                node = parent = self._new_node(parent, chunk_id)
+            self._write_slice(node, payload, token_count)
             node.last_used = now
             written_ids.append(node.node_id)
         return written_ids
@@ -370,7 +372,7 @@ class KnowledgeBank:
         matched_nodes = [self.root] + chain
         parts: list[QkvTensors] = []
         for node in matched_nodes:
-            tensors, _ = deserialize_slice(self._slice_path(node).read_bytes())
+            tensors, _ = deserialize_slice(node.payload)
             parts.append(tensors)
             node.retrieval_count += 1
             node.last_used = now
@@ -407,11 +409,8 @@ class KnowledgeBank:
         return evicted
 
     def _evict_node(self, node: CacheTreeNode) -> None:
-        path = self._slice_path(node)
-        if path.exists():
-            path.unlink()
         self.ledger.used_bytes -= node.byte_size
-        node.slice_file = None
+        node.payload = None
 
     def set_limit(self, limit_bytes: int, now: int) -> list[int]:
         """Change the byte budget; shrinking triggers immediate eviction."""
@@ -423,38 +422,36 @@ class KnowledgeBank:
     # -- persistence --------------------------------------------------------
 
     def persist(self) -> None:
-        manifest = self.directory / "manifest.jsonl"
-        with open(manifest, "w", encoding="utf-8") as fh:
-            for node_id in sorted(self.nodes):
-                n = self.nodes[node_id]
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": n.node_id,
-                            "parent": n.parent.node_id if n.parent else None,
-                            "chunk_id": n.chunk_id,
-                            "retrieval_count": n.retrieval_count,
-                            "last_used": n.last_used,
-                            "slice_file": n.slice_file,
-                            "byte_size": n.byte_size,
-                            "token_count": n.token_count,
-                            "payload_sha": n.payload_sha,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        with open(self.directory / "chunks.jsonl", "w", encoding="utf-8") as fh:
-            for chunk_id in sorted(self.chunks):
-                c = self.chunks[chunk_id]
-                fh.write(
-                    json.dumps(
-                        {"chunk_id": c.chunk_id, "text": c.text, "token_count": c.token_count},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        self.vocab.to_file(self.directory / "vocab.txt")
+        """Write this bank to its directory, each file atomically: slices,
+        then manifest.jsonl as the commit point, then unlink stale slices. A
+        slice never changes once written (a refill must match its digest),
+        so the old manifest stays valid until the new one replaces it."""
+        self.slice_dir.mkdir(parents=True, exist_ok=True)
+        present = {_slice_name(n.node_id): n.payload for n in self.nodes.values() if n.present}
+        for name, payload in present.items():
+            write_atomic(self.slice_dir / name, payload)
+        write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
+            {"chunk_id": c.chunk_id, "text": c.text, "token_count": c.token_count}
+            for _, c in sorted(self.chunks.items())
+        ))
+        write_atomic(self.directory / "vocab.txt", self.vocab.to_text().encode("utf-8"))
+        write_atomic(self.directory / "manifest.jsonl", jsonl_bytes(
+            {
+                "id": n.node_id,
+                "parent": n.parent.node_id if n.parent else None,
+                "chunk_id": n.chunk_id,
+                "retrieval_count": n.retrieval_count,
+                "last_used": n.last_used,
+                "slice_file": _slice_name(n.node_id) if n.present else None,
+                "byte_size": n.byte_size,
+                "token_count": n.token_count,
+                "payload_sha": n.payload_sha,
+            }
+            for _, n in sorted(self.nodes.items())
+        ))
+        for path in self.slice_dir.glob("*.qkv"):
+            if path.name not in present:
+                path.unlink()
 
     @classmethod
     def load(
@@ -465,68 +462,69 @@ class KnowledgeBank:
         limit_bytes: int = 1 << 34,
         **kwargs,
     ) -> "KnowledgeBank":
+        """Open the bank persisted in directory (an empty bank if there is
+        none). A damaged manifest.jsonl or chunks.jsonl raises BankError; a
+        missing or corrupt slice degrades to evicted."""
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_file(directory / "vocab.txt")
         bank = cls(directory, vocab, embedder, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
-            with open(chunks_file, encoding="utf-8") as fh:
-                for line in fh:
-                    rec = json.loads(line)
-                    chunk = KnowledgeChunk(
-                        rec["chunk_id"],
-                        rec["text"],
-                        bank.embedder.embed(rec["text"]),
-                        rec["token_count"],
-                    )
-                    bank.chunks[chunk.chunk_id] = chunk
-                    bank._text_to_id[chunk.text] = chunk.chunk_id
+            for _, rec in read_jsonl(chunks_file, ("chunk_id", "text", "token_count")):
+                chunk = KnowledgeChunk(
+                    rec["chunk_id"],
+                    rec["text"],
+                    bank.embedder.embed(rec["text"]),
+                    rec["token_count"],
+                )
+                bank.chunks[chunk.chunk_id] = chunk
+                bank._text_to_id[chunk.text] = chunk.chunk_id
         manifest = directory / "manifest.jsonl"
-        if manifest.exists():
-            records = []
-            with open(manifest, encoding="utf-8") as fh:
-                for line in fh:
-                    records.append(json.loads(line))
-            records.sort(key=lambda r: r["id"])
-            bank.nodes.clear()
-            for rec in records:
-                if rec["parent"] is None:
-                    node = bank.root
-                    node.retrieval_count = rec["retrieval_count"]
-                    node.last_used = rec["last_used"]
-                else:
-                    parent = bank.nodes[rec["parent"]]
-                    node = CacheTreeNode(rec["id"], rec["chunk_id"], parent)
-                    parent.children.append(node)
-                node.byte_size = rec["byte_size"]
-                node.token_count = rec.get("token_count", 0)
-                node.retrieval_count = rec["retrieval_count"]
-                node.last_used = rec["last_used"]
-                node.payload_sha = rec.get("payload_sha")
-                node.slice_file = rec["slice_file"]
-                bank.nodes[node.node_id] = node
-            bank._next_node_id = max(bank.nodes) + 1
-            # validate slice files; corrupt or missing slices degrade to evicted
-            used = 0
-            for node in bank.nodes.values():
-                if node.slice_file is None:
-                    continue
-                path = bank.slice_dir / node.slice_file
-                ok = False
-                if path.exists():
-                    try:
-                        data = path.read_bytes()
-                        deserialize_slice(data)
-                        ok = len(data) == node.byte_size
-                    except ValueError:
-                        ok = False
-                if ok:
-                    used += node.byte_size
-                else:
-                    log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
-                    node.slice_file = None
-                    if path.exists():
-                        path.unlink()
-            bank.ledger.used_bytes = used
+        if not manifest.exists():
+            return bank
+        records = read_jsonl(manifest, (
+            "id", "parent", "chunk_id", "retrieval_count", "last_used", "slice_file", "byte_size",
+        ))
+        records.sort(key=lambda r: r[1]["id"])
+        for lineno, rec in records:
+            if rec["parent"] is None:
+                node = bank.root
+            elif rec["parent"] in bank.nodes:
+                parent = bank.nodes[rec["parent"]]
+                node = CacheTreeNode(rec["id"], rec["chunk_id"], parent)
+                parent.children.append(node)
+            else:
+                raise BankError(f"{manifest}:{lineno}: unknown parent {rec['parent']!r}")
+            node.byte_size = rec["byte_size"]
+            node.token_count = rec.get("token_count", 0)
+            node.retrieval_count = rec["retrieval_count"]
+            node.last_used = rec["last_used"]
+            node.payload_sha = rec.get("payload_sha")
+            bank.nodes[node.node_id] = node
+            if rec["slice_file"] is None:
+                continue
+            # a missing or corrupt slice degrades to evicted; the next
+            # persist removes its file
+            path = bank.slice_dir / _slice_name(node.node_id)
+            try:
+                payload = path.read_bytes()
+                deserialize_slice(payload)
+            except (OSError, ValueError):
+                payload = None
+            if payload is None or len(payload) != node.byte_size:
+                log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
+                continue
+            node.payload = payload
+            bank.ledger.used_bytes += node.byte_size
+        bank._next_node_id = max(bank.nodes) + 1
         return bank
+
+
+def _slice_name(node_id: int) -> str:
+    return f"node{node_id}.qkv"
+
+
+def jsonl_bytes(records) -> bytes:
+    """One sorted-key JSON object per line, as the bank files hold them."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")

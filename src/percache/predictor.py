@@ -65,34 +65,27 @@ class KnowledgeAbstract:
         return len(self.text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class BufferedQuery:
-    text: str
-    at: float
-
-
 class QueryBuffer:
     """Ring of the most recent user queries (predicted queries excluded)."""
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("buffer size must be positive")
-        self._ring: deque[BufferedQuery] = deque(maxlen=size)
+        self._ring: deque[str] = deque(maxlen=size)
 
     def add(self, text: str, at: float) -> None:
-        self._ring.append(BufferedQuery(text, at))
+        self._ring.append(text)
 
     def __len__(self) -> int:
         return len(self._ring)
 
     def texts(self) -> list[str]:
-        return [q.text for q in self._ring]
+        return list(self._ring)
 
 
 @dataclass(frozen=True)
 class PredictionBatch:
     queries: tuple[str, ...]
-    stride: int
     view: str  # "knowledge" | "history"
 
 
@@ -215,7 +208,7 @@ class Predictor:
         queries = parse_numbered_list(response)[:stride]
         if response and not queries:
             self.parse_failures += 1
-        return PredictionBatch(tuple(queries), stride, "knowledge")
+        return PredictionBatch(tuple(queries), "knowledge")
 
     def predict_from_history(
         self, known_query: "callable", stride: int | None = None
@@ -235,4 +228,4 @@ class Predictor:
             self.parse_failures += 1
         self._history_dirty = False
         kept = tuple(q for q in queries if not known_query(q))
-        return PredictionBatch(kept, stride, "history")
+        return PredictionBatch(kept, "history")

@@ -12,10 +12,10 @@ and eviction is LFU over per-entry use counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .knowledge import jsonl_bytes, read_jsonl, write_atomic
 from .textcore import Embedding, HashEmbedder, cosine_similarity
 
 DEFAULT_ENTRY_BYTES = 4096
@@ -151,23 +151,18 @@ class QaBank:
     # -- persistence --------------------------------------------------------
 
     def persist(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(
-                    json.dumps(
-                        {
-                            "query": e.query,
-                            "answer": e.answer,
-                            "decoded": e.answer is not None,
-                            "created_at": e.created_at,
-                            "last_used": e.last_used,
-                            "use_count": e.use_count,
-                            "stale": e.stale,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_atomic(Path(path), jsonl_bytes(
+            {
+                "query": e.query,
+                "answer": e.answer,
+                "decoded": e.answer is not None,
+                "created_at": e.created_at,
+                "last_used": e.last_used,
+                "use_count": e.use_count,
+                "stale": e.stale,
+            }
+            for e in self.entries
+        ))
 
     @classmethod
     def load(
@@ -179,11 +174,8 @@ class QaBank:
     ) -> "QaBank":
         embedder = embedder or HashEmbedder()
         bank = cls(limit_bytes, entry_bytes)
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+        fields = ("query", "answer", "created_at", "last_used", "use_count", "stale")
+        for _, rec in read_jsonl(Path(path), fields):
             entry = QaEntry(
                 rec["query"],
                 embedder.embed(rec["query"]),

@@ -70,7 +70,6 @@ class TokenizerVocab:
         for b, i in self._id_by_bytes.items():
             self._by_length.setdefault(len(b), {})[b] = i
         self._lengths = sorted(self._by_length, reverse=True)
-        self.max_token_len = self._lengths[0] if self._lengths else 1
 
     @property
     def size(self) -> int:
@@ -82,10 +81,13 @@ class TokenizerVocab:
             tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
         return cls(tokens)
 
+    def to_text(self) -> str:
+        """The explicit tokens, one per line, as from_file reads them."""
+        return "".join(b.decode("utf-8") + "\n" for b in self._bytes_by_id[: self._byte_base])
+
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for b in self._bytes_by_id[: self._byte_base]:
-                fh.write(b.decode("utf-8") + "\n")
+            fh.write(self.to_text())
 
     def token_bytes(self, token_id: int) -> bytes:
         return self._bytes_by_id[token_id]

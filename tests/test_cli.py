@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,11 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
 @pytest.mark.parametrize("event", [
     {"at": 1, "kind": "config_change", "field": "tau_query", "value": 7},
     {"at": 1, "kind": "idle_tick", "budget": "lots"},
+    {"at": 1, "kind": "query_arrival", "text": 5},
+    {"at": 1, "kind": "chunk_arrival", "text": 5},
+    {"at": 1, "kind": "config_change", "field": "model_layers", "value": 3},
+    {"at": 1, "kind": "config_change", "field": "chunk_words", "value": 50},
+    {"at": 1, "kind": "config_change", "field": ["tau_query"], "value": 0.5},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(
@@ -139,6 +145,74 @@ def test_replay_persist_then_reuse(tmp_path, capsys):
     with open(out2, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["path"] == "qa_hit"
+
+
+def _persisted_bank(tmp_path) -> Path:
+    """A bank from ingesting the corpus and a persisted scenario replay."""
+    bank = tmp_path / "bank"
+    cfg = DATA / "configs" / "scenario.cfg"
+    assert run(["ingest", "--corpus", DATA / "corpus.txt", "--bank", bank, "--config", cfg]) == EXIT_OK
+    assert run([
+        "replay", "--trace", DATA / "traces" / "threshold_raise.trace", "--bank", bank,
+        "--config", cfg, "--out", tmp_path / "persist.csv", "--persist",
+    ]) == EXIT_OK
+    return bank
+
+
+def _snapshot(directory: Path) -> dict:
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_replay_without_persist_leaves_bank_untouched(tmp_path, capsys, caplog):
+    bank = _persisted_bank(tmp_path)
+    before = _snapshot(bank)
+    assert any(p.suffix == ".qkv" for p in before)
+    trace = _write(
+        tmp_path / "shrink.trace",
+        json.dumps({"at": 0, "kind": "config_change", "field": "qkv_limit_bytes", "value": 1})
+        + "\n" + json.dumps({"at": 1, "kind": "query_arrival", "text": "who runs the budget review?"})
+        + "\n" + json.dumps({"at": 2, "kind": "chunk_arrival", "text": "the team meets at noon"})
+        + "\n" + json.dumps({"at": 3, "kind": "query_arrival", "text": "when does the team meet?"})
+        + "\n",
+    )
+    cfg = DATA / "configs" / "scenario.cfg"
+    assert run(["replay", "--trace", trace, "--bank", bank, "--config", cfg,
+                "--out", tmp_path / "shrink.csv"]) == EXIT_OK
+    assert _snapshot(bank) == before
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        assert run(["replay", "--trace", _write(tmp_path / "e.trace", ""), "--bank", bank,
+                    "--config", cfg, "--out", tmp_path / "e.csv"]) == EXIT_OK
+    assert not caplog.records
+    fresh = tmp_path / "fresh"
+    assert run(["replay", "--trace", trace, "--bank", fresh, "--config", cfg,
+                "--out", tmp_path / "fresh.csv"]) == EXIT_OK
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("name", ["manifest.jsonl", "chunks.jsonl", "qa.jsonl"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_field"])
+def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
+    bank = _persisted_bank(tmp_path)
+    path = bank / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if damage == "truncate":
+        path.write_text("".join(lines)[:50], encoding="utf-8")
+        lineno = 1
+    else:
+        rec = json.loads(lines[1])
+        del rec[{"manifest.jsonl": "id", "chunks.jsonl": "text", "qa.jsonl": "query"}[name]]
+        lines[1] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        lineno = 2
+    capsys.readouterr()
+    trace = _write(tmp_path / "e.trace", "")
+    assert run(["replay", "--trace", trace, "--bank", bank, "--out", tmp_path / "o.csv"]) == EXIT_DATA
+    assert f"{path}:{lineno}" in capsys.readouterr().err
+    if name != "qa.jsonl":  # ingest does not read the QA bank
+        corpus = _write(tmp_path / "c.txt", "alpha beta")
+        assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
+        assert f"{path}:{lineno}" in capsys.readouterr().err
 
 
 def _hand_metrics(tmp_path):

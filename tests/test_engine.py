@@ -116,6 +116,26 @@ def test_config_change_shrink_evicts_immediately(tmp_path):
     assert eng.bank.ledger.used_bytes <= 1024
 
 
+@pytest.mark.parametrize("field,value", [("latency_scale", 0.5), ("flops_per_ms", 2e6)])
+def test_config_change_cost_params_take_effect(tmp_path, field, value):
+    records = []
+    for name, events in (("base", []), ("changed", [(field, value)])):
+        eng = make_engine(tmp_path / name)
+        eng.apply_event({"at": 0, "kind": "chunk_arrival", "text": CORPUS})
+        for f, v in events:
+            eng.apply_event({"at": 1, "kind": "config_change", "field": f, "value": v})
+        records.append(eng.apply_event(
+            {"at": 2, "kind": "query_arrival", "text": "what is the budget review plan?"}
+        ))
+    base, changed = records
+    assert getattr(eng.cost_model.params, field) == value
+    flops_ms = (base["prefill_flops"] + base["decode_flops"]) / EngineConfig().flops_per_ms
+    fixed_ms = base["total_ms"] - flops_ms
+    expected = flops_ms + 0.5 * fixed_ms if field == "latency_scale" else flops_ms / 2 + fixed_ms
+    assert changed["prefill_flops"] == base["prefill_flops"]
+    assert changed["total_ms"] == pytest.approx(expected)
+
+
 def test_config_change_tau_applies_immediately(tmp_path):
     eng = make_engine(tmp_path)
     eng.ingest_chunks([CORPUS], 0)

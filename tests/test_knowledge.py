@@ -1,4 +1,7 @@
 import hashlib
+import logging
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,8 +236,7 @@ def test_refill_requires_identical_payload(tmp_path):
     bank._evict_node(c2)
     written = insert_path(bank, ["c1", "c2"], now=3, query="different")
     assert written == [c2.node_id]
-    payload = (bank.slice_dir / c2.slice_file).read_bytes()
-    assert hashlib.sha256(payload).hexdigest() == sha
+    assert hashlib.sha256(c2.payload).hexdigest() == sha
 
 
 def test_ledger_never_breached(tmp_path):
@@ -267,9 +269,7 @@ def test_persist_load_round_trip(tmp_path):
             other.chunk_id, other.retrieval_count, other.last_used,
             other.payload_sha, other.present)
         if node.present:
-            a = (bank.slice_dir / node.slice_file).read_bytes()
-            b = (loaded.slice_dir / other.slice_file).read_bytes()
-            assert a == b
+            assert node.payload == other.payload
     loaded.persist()
     assert (tmp_path / "manifest.jsonl").read_bytes() == manifest_1
 
@@ -279,7 +279,7 @@ def test_load_degrades_corrupt_slice(tmp_path):
     insert_path(bank, ["c1", "c2"], now=1)
     bank.persist()
     c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
-    (bank.slice_dir / c2.slice_file).write_bytes(b"garbage")
+    (bank.slice_dir / f"node{c2.node_id}.qkv").write_bytes(b"garbage")
     loaded = KnowledgeBank.load(tmp_path)
     assert not loaded.nodes[c2.node_id].present
     assert loaded.nodes[c2.node_id].payload_sha == c2.payload_sha
@@ -293,10 +293,39 @@ def test_load_degrades_missing_slice(tmp_path):
     insert_path(bank, ["c1"], now=1)
     bank.persist()
     c1 = next(n for n in bank.nodes.values() if n.chunk_id == "c1")
-    (bank.slice_dir / c1.slice_file).unlink()
+    (bank.slice_dir / f"node{c1.node_id}.qkv").unlink()
     loaded = KnowledgeBank.load(tmp_path)
     assert not loaded.nodes[c1.node_id].present
     assert loaded.root.present
+
+
+def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatch, caplog):
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1", "c2"], now=1)
+    insert_path(bank, ["c3"], now=2)
+    bank.persist()
+    listed = {n.node_id for n in bank.nodes.values() if n.present}
+    manifest = (tmp_path / "manifest.jsonl").read_bytes()
+    # evict, insert new slices, then fail the manifest rename
+    assert bank.set_limit(bank.ledger.used_bytes // 2, now=3)
+    insert_path(bank, ["c4"], now=4)
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "manifest.jsonl":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        bank.persist()
+    monkeypatch.undo()
+    assert (tmp_path / "manifest.jsonl").read_bytes() == manifest
+    assert not list(tmp_path.rglob("*.tmp"))
+    with caplog.at_level(logging.WARNING):
+        loaded = KnowledgeBank.load(tmp_path)
+    assert not caplog.records
+    assert {n.node_id for n in loaded.nodes.values() if n.present} == listed
 
 
 def test_set_limit_grow_no_eviction(tmp_path):
