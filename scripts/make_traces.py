@@ -71,6 +71,34 @@ C_QUERIES = [
 ]
 C_PARAPHRASE = "what is the budget review outcome?"
 
+# idle work: every idle-tick branch of the scheduler runs at least once.
+# A paraphrase QA-hits the first user query (deferred answer), a new chunk
+# displaces that query's grounding (stale re-answer), a tight then relaxed
+# QKV budget leaves slices to restore, and tau_query crosses tau_scheduler
+# twice, so predictions populate under both strategies and the answer-less
+# entries of the prefill-only round are converted to QA afterwards.
+IDLE_USERS = [
+    "what is the budget review plan?",
+    "where is the project report stored?",
+    "when is the training workshop at noon?",
+]
+IDLE_PARAPHRASE = "what is the budget review plan now?"
+IDLE_LATE_USER = "who wrote the agenda for monday?"
+IDLE_STALE_CHUNK = "the budget review plan moved to next month so finance can check"
+IDLE_SECOND_CHUNK = "the vendor contract renewal needs legal sign off before the quarter ends"
+IDLE_KNOWLEDGE = [
+    PREDICTED,
+    ["Who signs off the vendor contract?", "When does the contract renewal end?"],
+]
+IDLE_HISTORY = [
+    ["Where are the finance numbers kept?", "Who runs the monday meeting?"],
+    ["Which room hosts the agenda review?"],
+]
+IDLE_COUNTERS = (
+    "deferred_answered", "stale_reanswered", "converted_to_qa", "restored_nodes",
+    "predicted_knowledge", "predicted_history", "populated", "abstract_updates",
+)
+
 
 def write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -119,6 +147,67 @@ def check_similarities() -> None:
         assert sim(q, C_PARAPHRASE) < 0.60
 
 
+def numbered(queries: list[str]) -> str:
+    return "; ".join(f"{i}. {q}" for i, q in enumerate(queries, 1))
+
+
+def check_idle_work_inputs() -> None:
+    """Only the paraphrase may QA-hit a user query; the stale chunk must
+    enter the first user query's top k_refresh cosine ranking and be a
+    single chunk; the second chunk must displace no answered query."""
+    import tempfile
+
+    emb = HashEmbedder()
+
+    def sim(a, b):
+        return cosine_similarity(emb.embed(a), emb.embed(b))
+
+    tau = EngineConfig().tau_query
+    predicted = [q for batch in IDLE_KNOWLEDGE + IDLE_HISTORY for q in batch]
+    pool = IDLE_USERS + [IDLE_LATE_USER] + predicted
+    assert len(set(pool)) == len(pool)
+    for i, a in enumerate(pool):
+        for b in pool[i + 1 :]:
+            s = sim(a, b)
+            assert s < tau, f"idle work cross-talk: {s:.3f} {a!r} vs {b!r}"
+    s = sim(IDLE_USERS[0], IDLE_PARAPHRASE)
+    assert s > tau, f"idle work paraphrase similarity {s:.3f} not above {tau}"
+    for q in pool[1:]:
+        s = sim(q, IDLE_PARAPHRASE)
+        assert s < tau, f"idle work paraphrase cross-talk: {s:.3f} {q!r}"
+
+    cfg = EngineConfig(chunk_words=12, max_decode_tokens=6, t_batch=1e9)
+    eng = Engine(cfg, tempfile.mkdtemp())
+    eng.ingest_chunks([CORPUS], 0)
+    (stale_id,), _ = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
+    assert stale_id in eng._cosine_rank(IDLE_USERS[0])[: cfg.k_refresh]
+    (second_id,), _ = eng.ingest_chunks([IDLE_SECOND_CHUNK], 2)
+    assert second_id not in eng._cosine_rank(IDLE_USERS[0])[: cfg.k_refresh]
+
+
+def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:
+    """Replaying the written idle_work files after `percache ingest` drives
+    every idle-tick counter above zero, and populates under both strategies."""
+    import contextlib
+    import io
+    import tempfile
+
+    from percache.cli import main as cli_main
+
+    bank = Path(tempfile.mkdtemp()) / "bank"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["ingest", "--corpus", str(corpus), "--bank", str(bank),
+                         "--config", str(config)])
+    assert code == 0
+    eng = Engine(EngineConfig.from_file(config), bank)
+    events = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    ticks = [r for r in eng.run_trace(events) if r["kind"] == "idle_tick"]
+    for counter in IDLE_COUNTERS:
+        assert any(t[counter] > 0 for t in ticks), f"idle work: {counter} never above zero"
+    assert any(t["populated"] and t["predicted_decode_flops"] > 0 for t in ticks)
+    assert any(t["populated"] and t["predicted_decode_flops"] == 0 for t in ticks)
+
+
 def check_retrieval_paths() -> None:
     """Scenario C needs q0/q1/q2 to retrieve different top-3 paths and the
     paraphrase to retrieve exactly q0's path."""
@@ -141,6 +230,7 @@ def check_retrieval_paths() -> None:
 def main() -> int:
     check_similarities()
     check_retrieval_paths()
+    check_idle_work_inputs()
 
     write(DATA / "corpus.txt", CORPUS + "\n")
 
@@ -245,6 +335,54 @@ def main() -> int:
         events.append({"at": at, "kind": "query_arrival", "text": follow})
         at += 1
     write_trace(DATA / "traces" / "monotonicity.trace", events)
+
+    # idle work: every scheduler branch of an idle tick does work
+    write(
+        DATA / "configs" / "idle_work.cfg",
+        base_cfg + "t_batch=2\nt_quiet=2\nscript_file=../scripts/idle_work.json\n",
+    )
+    responses = [("summarize", "Weekly work covers budget review, meetings, reports, and training."),
+                 ("summarize", "A vendor contract renewal awaits legal sign off.")]
+    responses += [("knowledge_prediction", numbered(batch)) for batch in IDLE_KNOWLEDGE]
+    responses += [("history_prediction", numbered(batch)) for batch in IDLE_HISTORY]
+    write(
+        DATA / "scripts" / "idle_work.json",
+        json.dumps(
+            {
+                "fallback": "",
+                "entries": [
+                    {"template": t, "slots_digest": "*", "response": r} for t, r in responses
+                ],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n",
+    )
+    events = [
+        {"at": 0, "kind": "config_change", "field": "qkv_limit_bytes", "value": 70000},
+        {"at": 1, "kind": "chunk_arrival", "text": CORPUS},
+    ]
+    events += [
+        {"at": 2 + i, "kind": "query_arrival", "text": q}
+        for i, q in enumerate(IDLE_USERS + [IDLE_PARAPHRASE])
+    ]
+    events += [
+        {"at": 6, "kind": "config_change", "field": "qkv_limit_bytes", "value": 400000},
+        {"at": 7, "kind": "chunk_arrival", "text": IDLE_STALE_CHUNK},
+        {"at": 10, "kind": "idle_tick", "budget": 1e15},
+        {"at": 11, "kind": "config_change", "field": "tau_query", "value": 0.90},
+        {"at": 12, "kind": "chunk_arrival", "text": IDLE_SECOND_CHUNK},
+        {"at": 13, "kind": "query_arrival", "text": IDLE_LATE_USER},
+        {"at": 16, "kind": "idle_tick", "budget": 1e15},
+        {"at": 17, "kind": "config_change", "field": "tau_query", "value": 0.85},
+        {"at": 18, "kind": "idle_tick", "budget": 1e15},
+        {"at": 19, "kind": "query_arrival", "text": IDLE_KNOWLEDGE[1][0]},
+    ]
+    write_trace(DATA / "traces" / "idle_work.trace", events)
+    check_idle_work_replay(
+        DATA / "traces" / "idle_work.trace", DATA / "configs" / "idle_work.cfg", DATA / "corpus.txt"
+    )
 
     print("data assets written under", DATA)
     return 0

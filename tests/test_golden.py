@@ -29,6 +29,7 @@ PAIRS = [
     ("threshold_drop", "scenario"),
     ("limit_relax", "scenario_c"),
     ("monotonicity", "default"),
+    ("idle_work", "idle_work"),
 ]
 
 
