@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .qa import DEFAULT_ENTRY_BYTES
+
 PERCACHE_SEED_ENV = "PERCACHE_SEED"
 
 
@@ -89,9 +91,11 @@ class EngineConfig:
                 raise ConfigError(f"{key} must be a positive integer")
         if self.k_boundary < 0:
             raise ConfigError("k_boundary must be non-negative")
-        for key in ("qkv_limit_bytes", "qa_limit_bytes", "abstract_cap_bytes"):
+        for key in ("qkv_limit_bytes", "abstract_cap_bytes"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
+        if self.qa_limit_bytes < DEFAULT_ENTRY_BYTES:
+            raise ConfigError(f"qa_limit_bytes must hold one entry ({DEFAULT_ENTRY_BYTES} bytes)")
         if not self.flops_per_ms > 0.0:
             raise ConfigError("flops_per_ms must be positive")
         if self.backend not in ("scripted", "toy"):
@@ -140,7 +144,10 @@ class EngineConfig:
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, raw = stripped.partition("=")
-            cfg.apply(key.strip(), raw.strip())
+            try:
+                cfg.apply(key.strip(), raw.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         # file paths in a config are relative to the config's directory
         for key in ("script_file", "vocab_file"):
             value = getattr(cfg, key)

@@ -14,7 +14,7 @@ byte-identical metrics streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .backend import (
@@ -30,10 +30,11 @@ from .backend import (
 from .config import EngineConfig
 from .knowledge import KnowledgeBank, Segment, StorageError
 from .predictor import Predictor, render_template
-from .qa import QaBank, QaEntry
+from .qa import QaBank
 from .retrieval import Retriever
 from .scheduler import Scheduler
 from .textcore import (
+    Embedding,
     HashEmbedder,
     TokenizerVocab,
     cosine_similarity,
@@ -245,6 +246,23 @@ class Engine:
         except StorageError:
             return []
 
+    def answer(
+        self, text: str, decode: bool = True, embedding: Embedding | None = None,
+        store_qa: bool = True,
+    ) -> InferResult:
+        """Infer text, then store its slices in the QKV tree (when reuse is
+        enabled) and its answer in the QA bank (when store_qa). An existing
+        entry for text takes a decoded answer in place and is no longer
+        stale; an answer-less result never replaces a decoded answer."""
+        result = self._infer(text, decode)
+        if self.config.reuse_enabled:
+            self._populate_qkv(result)
+        if store_qa:
+            if embedding is None:
+                embedding = self.embedder.embed(text)
+            self.qa.insert(text, embedding, result.answer, self._seq())
+        return result
+
     # -- serving path ---------------------------------------------------------
 
     def handle_query(self, text: str, now: float) -> QueryOutcome:
@@ -263,14 +281,10 @@ class Engine:
                     InferenceEvent(l_total=0, qa_match=True, embeds=1)
                 )
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
-            result = self._infer(text, decode=True)
+            result = self.answer(text, embedding=embedding, store_qa=self.config.qa_enabled)
             cost = result.cost.add(self.cost_model.estimate_cost(
                 InferenceEvent(l_total=0, qa_match=self.config.qa_enabled)
             ))
-            if self.config.reuse_enabled:
-                self._populate_qkv(result)
-            if self.config.qa_enabled:
-                self.qa.insert(text, embedding, result.answer, self._seq())
             self.predictor.note_user_query(text, now)
             if result.l_pre > 0:
                 self.qkv_hits += 1
@@ -318,36 +332,13 @@ class Engine:
 
     # -- scheduler hooks ---------------------------------------------------------
 
-    def answer_and_store(self, text: str) -> CostReport:
-        """Decode the true answer for a deferred QA-hit query and store it
-        as a new entry (the matched entry is left untouched)."""
-        result = self._infer(text, decode=True)
-        if self.config.reuse_enabled:
-            self._populate_qkv(result)
-        self.qa.insert(text, self.embedder.embed(text), result.answer, self._seq())
-        return result.cost
-
-    def reanswer_entry(self, entry: QaEntry) -> CostReport:
-        """Fill or regenerate the answer of an existing entry in place."""
-        result = self._infer(entry.query, decode=True)
-        if self.config.reuse_enabled:
-            self._populate_qkv(result)
-        entry.answer = result.answer
-        entry.stale = False
-        entry.last_used = self._seq()
-        return result.cost
-
     def populate_predicted(self, query: str, decode: bool) -> CostReport | None:
         """Cache population for one predicted query under the active
         strategy; skipped when an answered entry already exists."""
         existing = self.qa.get(query)
         if existing is not None and (existing.answer is not None or not decode):
             return None
-        result = self._infer(query, decode=decode)
-        if self.config.reuse_enabled:
-            self._populate_qkv(result)
-        self.qa.insert(query, self.embedder.embed(query), result.answer, self._seq())
-        return result.cost
+        return self.answer(query, decode).cost
 
     def restore_evicted_slices(self, budget_ok) -> tuple[list[int], CostReport]:
         """QA->QKV conversion: for entries whose retrieval path has evicted
@@ -425,7 +416,7 @@ class Engine:
                 raise TraceError(f"idle_tick budget must be a number: {event['budget']!r}") from exc
             report = self.scheduler.idle_tick(budget, at)
             self.flops_cum += report.flops_spent
-            record.update(report.as_dict())
+            record.update(asdict(report))
         else:
             raise TraceError(f"unknown event kind: {kind}")
         record.update(

@@ -464,7 +464,8 @@ class KnowledgeBank:
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
         none). A damaged manifest.jsonl or chunks.jsonl raises BankError; a
-        missing or corrupt slice degrades to evicted."""
+        missing or corrupt slice degrades to evicted, and slices beyond
+        limit_bytes are evicted as set_limit would."""
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_file(directory / "vocab.txt")
@@ -518,6 +519,7 @@ class KnowledgeBank:
             node.payload = payload
             bank.ledger.used_bytes += node.byte_size
         bank._next_node_id = max(bank.nodes) + 1
+        bank.set_limit(limit_bytes, 0)  # a smaller budget than the bank holds evicts LFU
         return bank
 
 

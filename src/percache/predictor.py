@@ -54,7 +54,6 @@ class KnowledgeAbstract:
 
     cap_bytes: int = 4096
     sentences: list[str] = field(default_factory=list)
-    source_chunk_ids: set[str] = field(default_factory=set)
 
     @property
     def text(self) -> str:
@@ -63,30 +62,6 @@ class KnowledgeAbstract:
     @property
     def byte_len(self) -> int:
         return len(self.text.encode("utf-8"))
-
-
-class QueryBuffer:
-    """Ring of the most recent user queries (predicted queries excluded)."""
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("buffer size must be positive")
-        self._ring: deque[str] = deque(maxlen=size)
-
-    def add(self, text: str, at: float) -> None:
-        self._ring.append(text)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def texts(self) -> list[str]:
-        return list(self._ring)
-
-
-@dataclass(frozen=True)
-class PredictionBatch:
-    queries: tuple[str, ...]
-    view: str  # "knowledge" | "history"
 
 
 class PhaseError(AssertionError):
@@ -105,20 +80,20 @@ class Predictor:
     def __init__(
         self,
         backend,
-        kb_kind: str = DEFAULT_KB_KIND,
         stride: int = 5,
         abstract_cap_bytes: int = 4096,
         buffer_size: int = 20,
         t_batch: float = 600.0,
         t_quiet: float = 300.0,
     ):
+        if buffer_size < 1:
+            raise ValueError("buffer size must be positive")
         self.backend = backend
-        self.kb_kind = kb_kind
         self.stride = stride
         self.t_batch = t_batch
         self.t_quiet = t_quiet
         self.abstract = KnowledgeAbstract(abstract_cap_bytes)
-        self.buffer = QueryBuffer(buffer_size)
+        self.buffer: deque[str] = deque(maxlen=buffer_size)  # recent user queries
         self.phase = "idle"
         self.parse_failures = 0
         self._pending: list = []  # chunks awaiting summarization
@@ -138,7 +113,7 @@ class Predictor:
         self._last_chunk_at = at
 
     def note_user_query(self, text: str, at: float) -> None:
-        self.buffer.add(text, at)
+        self.buffer.append(text)
         self._last_query_at = at
         self._history_dirty = True
 
@@ -153,7 +128,7 @@ class Predictor:
         """New user queries arrived and then t_quiet passed with none."""
         return (
             self._history_dirty
-            and len(self.buffer) > 0
+            and bool(self.buffer)
             and self._last_query_at is not None
             and now - self._last_query_at >= self.t_quiet
         )
@@ -179,7 +154,6 @@ class Predictor:
             self._retry = batch
             return False
         self.abstract.sentences.append(response)
-        self.abstract.source_chunk_ids.update(c.chunk_id for c in batch)
         if self.abstract.byte_len > self.abstract.cap_bytes:
             merged = self.backend.generate(
                 TEMPLATE_SUMMARIZE, {"chunks": self.abstract.text}
@@ -196,36 +170,27 @@ class Predictor:
 
     # -- prediction views ------------------------------------------------------
 
-    def predict_from_knowledge(self, stride: int | None = None) -> PredictionBatch:
+    def _predict(self, template: str, slots: dict) -> tuple[str, ...]:
+        """Up to stride questions from one prompt; a non-empty response
+        that yields none counts as a parse failure."""
+        slots = {"kb_kind": DEFAULT_KB_KIND, **slots, "stride": str(self.stride)}
+        response = self.backend.generate(template, slots)
+        queries = parse_numbered_list(response)[: self.stride]
+        if response and not queries:
+            self.parse_failures += 1
+        return tuple(queries)
+
+    def predict_from_knowledge(self) -> tuple[str, ...]:
         self._assert_idle()
-        stride = stride or self.stride
         if not self.abstract.sentences:
             raise ValueError("abstract is empty")
-        response = self.backend.generate(
-            TEMPLATE_KNOWLEDGE,
-            {"kb_kind": self.kb_kind, "abstract": self.abstract.text, "stride": str(stride)},
-        )
-        queries = parse_numbered_list(response)[:stride]
-        if response and not queries:
-            self.parse_failures += 1
-        return PredictionBatch(tuple(queries), "knowledge")
+        return self._predict(TEMPLATE_KNOWLEDGE, {"abstract": self.abstract.text})
 
-    def predict_from_history(
-        self, known_query: "callable", stride: int | None = None
-    ) -> PredictionBatch:
+    def predict_from_history(self, known_query: "callable") -> tuple[str, ...]:
         """known_query(text) -> bool filters predictions already in the QA bank."""
         self._assert_idle()
-        stride = stride or self.stride
-        if len(self.buffer) == 0:
+        if not self.buffer:
             raise ValueError("query buffer is empty")
-        history = "; ".join(self.buffer.texts())
-        response = self.backend.generate(
-            TEMPLATE_HISTORY,
-            {"kb_kind": self.kb_kind, "history": history, "stride": str(stride)},
-        )
-        queries = parse_numbered_list(response)[:stride]
-        if response and not queries:
-            self.parse_failures += 1
+        queries = self._predict(TEMPLATE_HISTORY, {"history": "; ".join(self.buffer)})
         self._history_dirty = False
-        kept = tuple(q for q in queries if not known_query(q))
-        return PredictionBatch(kept, "history")
+        return tuple(q for q in queries if not known_query(q))

@@ -29,7 +29,6 @@ def choose_strategy(tau_query: float, tau_scheduler: float) -> PopulationStrateg
 
 @dataclass
 class TickReport:
-    at: float = 0.0
     deferred_answered: int = 0
     stale_reanswered: int = 0
     converted_to_qa: int = 0
@@ -40,20 +39,6 @@ class TickReport:
     abstract_updates: int = 0
     flops_spent: float = 0.0
     predicted_decode_flops: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "deferred_answered": self.deferred_answered,
-            "stale_reanswered": self.stale_reanswered,
-            "converted_to_qa": self.converted_to_qa,
-            "restored_nodes": self.restored_nodes,
-            "predicted_knowledge": self.predicted_knowledge,
-            "predicted_history": self.predicted_history,
-            "populated": self.populated,
-            "abstract_updates": self.abstract_updates,
-            "flops_spent": self.flops_spent,
-            "predicted_decode_flops": self.predicted_decode_flops,
-        }
 
 
 class Scheduler:
@@ -69,7 +54,7 @@ class Scheduler:
         QA to QKV), then predictions and population. Unfinished work
         carries to the next tick."""
         engine = self.engine
-        report = TickReport(at=now)
+        report = TickReport()
         if engine.config.scheduler_enabled:
             strategy = choose_strategy(engine.config.tau_query, engine.config.tau_scheduler)
         else:
@@ -79,72 +64,68 @@ class Scheduler:
         def budget_left() -> bool:
             return report.flops_spent < work_budget
 
-        # (1) deferred true answers for QA hits, then stale re-answers
-        while budget_left() and engine.deferred_queries:
-            text = engine.deferred_queries[0]
-            cost = engine.answer_and_store(text)
-            engine.deferred_queries.pop(0)
-            report.flops_spent += cost.total_flops
-            report.deferred_answered += 1
-        if budget_left():
+        def reanswer(wanted) -> int:
+            """Answer in place each pending entry that wanted(entry) picks,
+            oldest first, while the budget lasts; returns how many."""
+            done = 0
             for entry in engine.qa.pending():
                 if not budget_left():
                     break
-                if entry.answer is None or not entry.stale:
-                    continue
-                cost = engine.reanswer_entry(entry)
-                report.flops_spent += cost.total_flops
-                report.stale_reanswered += 1
+                if wanted(entry):
+                    result = engine.answer(entry.query, embedding=entry.embedding)
+                    report.flops_spent += result.cost.total_flops
+                    done += 1
+            return done
+
+        def metered(step):
+            """Run a prediction step and charge the model MACs it spent."""
+            macs0 = engine.model.mac_count
+            out = step()
+            report.flops_spent += float(engine.model.mac_count - macs0)
+            return out
+
+        # (1) deferred true answers for QA hits, then stale re-answers
+        while budget_left() and engine.deferred_queries:
+            report.flops_spent += engine.answer(engine.deferred_queries[0]).cost.total_flops
+            engine.deferred_queries.pop(0)
+            report.deferred_answered += 1
+        report.stale_reanswered += reanswer(lambda e: e.answer is not None and e.stale)
 
         # (2) conversions: QKV->QA first (answer availability beats prefix depth)
         if engine.config.scheduler_enabled:
             if strategy is PopulationStrategy.PREFILL_AND_DECODE:
-                for entry in engine.qa.pending():
-                    if not budget_left():
-                        break
-                    if entry.answer is not None:
-                        continue
-                    cost = engine.reanswer_entry(entry)
-                    report.flops_spent += cost.total_flops
-                    report.converted_to_qa += 1
+                report.converted_to_qa += reanswer(lambda e: e.answer is None)
             if budget_left():
-                restored, cost = engine.restore_evicted_slices(
-                    lambda: report.flops_spent < work_budget
-                )
+                restored, cost = engine.restore_evicted_slices(budget_left)
                 report.restored_nodes += len(restored)
                 report.flops_spent += cost.total_flops
 
         # (3) predictions and cache population
         predictor = engine.predictor
-        if budget_left() and predictor.batch_ready(now):
-            macs0 = engine.model.mac_count
-            if predictor.update_abstract(now):
-                report.abstract_updates += 1
-                engine.abstract_dirty = True
-            report.flops_spent += float(engine.model.mac_count - macs0)
-        batches = []
+        if (budget_left() and predictor.batch_ready(now)
+                and metered(lambda: predictor.update_abstract(now))):
+            report.abstract_updates += 1
+            engine.abstract_dirty = True
+        predicted: list[str] = []
         if budget_left() and engine.abstract_dirty and predictor.abstract.sentences:
-            macs0 = engine.model.mac_count
-            batches.append(predictor.predict_from_knowledge())
-            report.flops_spent += float(engine.model.mac_count - macs0)
-            report.predicted_knowledge += len(batches[-1].queries)
+            queries = metered(predictor.predict_from_knowledge)
+            report.predicted_knowledge += len(queries)
+            predicted += queries
             engine.abstract_dirty = False
         if budget_left() and predictor.history_ready(now):
-            macs0 = engine.model.mac_count
-            batches.append(
-                predictor.predict_from_history(lambda q: engine.qa.get(q) is not None)
+            queries = metered(
+                lambda: predictor.predict_from_history(lambda q: engine.qa.get(q) is not None)
             )
-            report.flops_spent += float(engine.model.mac_count - macs0)
-            report.predicted_history += len(batches[-1].queries)
+            report.predicted_history += len(queries)
+            predicted += queries
         decode = strategy is PopulationStrategy.PREFILL_AND_DECODE
-        for batch in batches:
-            for query in batch.queries:
-                if not budget_left():
-                    break
-                cost = engine.populate_predicted(query, decode=decode)
-                if cost is None:
-                    continue
-                report.flops_spent += cost.total_flops
-                report.predicted_decode_flops += cost.decode_flops
-                report.populated += 1
+        for query in predicted:
+            if not budget_left():
+                break
+            cost = engine.populate_predicted(query, decode=decode)
+            if cost is None:
+                continue
+            report.flops_spent += cost.total_flops
+            report.predicted_decode_flops += cost.decode_flops
+            report.populated += 1
         return report

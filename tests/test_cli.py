@@ -88,6 +88,7 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "model_layers", "value": 3},
     {"at": 1, "kind": "config_change", "field": "chunk_words", "value": 50},
     {"at": 1, "kind": "config_change", "field": ["tau_query"], "value": 0.5},
+    {"at": 1, "kind": "config_change", "field": "qa_limit_bytes", "value": 100},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(
@@ -100,11 +101,14 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
 
 def test_replay_bad_config_exit_2(tmp_path, capsys):
     trace = _write(tmp_path / "t.trace", "")
-    cfg = _write(tmp_path / "c.cfg", "unknown_key=1\n")
-    assert run([
-        "replay", "--trace", trace, "--bank", tmp_path / "b",
-        "--config", cfg, "--out", tmp_path / "o.csv",
-    ]) == EXIT_DATA
+    # an unknown key, an out-of-range value, a QA budget below one entry
+    for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100"):
+        cfg = _write(tmp_path / "c.cfg", line + "\n")
+        assert run([
+            "replay", "--trace", trace, "--bank", tmp_path / "b",
+            "--config", cfg, "--out", tmp_path / "o.csv",
+        ]) == EXIT_DATA
+        assert f"{cfg}:1: " in capsys.readouterr().err
 
 
 def test_replay_reruns_byte_identical(tmp_path, capsys):

@@ -27,6 +27,8 @@ def test_validation():
     with pytest.raises(ConfigError):
         EngineConfig(flops_per_ms=0.0)
     with pytest.raises(ConfigError):
+        EngineConfig(qa_limit_bytes=100)  # below one QA entry
+    with pytest.raises(ConfigError):
         EngineConfig(retrieval_k=0)
     with pytest.raises(ConfigError):
         EngineConfig(k_boundary=-1)

@@ -274,6 +274,29 @@ def test_persist_load_round_trip(tmp_path):
     assert (tmp_path / "manifest.jsonl").read_bytes() == manifest_1
 
 
+def test_load_holds_slices_to_limit(tmp_path):
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1", "c2"], now=1)
+    insert_path(bank, ["c1", "c9"], now=2)
+    bank.persist()
+    limit = bank.ledger.used_bytes // 2
+
+    loaded = KnowledgeBank.load(tmp_path, limit_bytes=limit)
+    assert loaded.ledger.limit_bytes == limit
+    assert 0 < loaded.ledger.used_bytes <= limit
+    assert loaded.ledger.used_bytes == sum(n.byte_size for n in loaded.nodes.values() if n.present)
+    evicted = [n for n in loaded.nodes.values() if not n.present]
+    assert evicted
+    # an evicted node keeps the digest a later restoration is checked against
+    for node in evicted:
+        assert node.payload_sha is not None
+        assert node.payload_sha == bank.nodes[node.node_id].payload_sha
+    loaded.persist()
+    assert {p.name for p in loaded.slice_dir.glob("*.qkv")} == {
+        f"node{n.node_id}.qkv" for n in loaded.nodes.values() if n.present
+    }
+
+
 def test_load_degrades_corrupt_slice(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)

@@ -1,0 +1,50 @@
+"""perfbench/layers.py wraps percache functions by name; a rename here
+would silently drop their spans from `perfbench/run.py --trace 1`. Replay
+one bundled trace with the instrumentation on and check the spans that
+the per-layer metrics read, and that tracing leaves the metrics stream
+unchanged."""
+
+import contextlib
+import io
+import sys
+
+from percache.cli import EXIT_OK, main
+
+from conftest import DATA, REPO
+
+sys.path.insert(0, str(REPO / "perfbench"))
+import layers  # noqa: E402
+import tracer  # noqa: E402
+
+TRACE, CONFIG = "idle_work", "idle_work"
+
+
+def replay(workdir) -> bytes:
+    config = str(DATA / "configs" / f"{CONFIG}.cfg")
+    bank, metrics = workdir / "bank", workdir / "metrics.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--corpus", str(DATA / "corpus.txt"), "--bank", str(bank),
+                     "--config", config]) == EXIT_OK
+        assert main(["replay", "--trace", str(DATA / "traces" / f"{TRACE}.trace"),
+                     "--bank", str(bank), "--config", config, "--out", str(workdir / "out.csv"),
+                     "--metrics", str(metrics)]) == EXIT_OK
+    return metrics.read_bytes()
+
+
+def test_instrumented_names_record_spans(tmp_path):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "traced").mkdir()
+    plain = replay(tmp_path / "plain")
+    t = tracer.Tracer()
+    try:
+        layers.instrument(t)
+        traced = replay(tmp_path / "traced")
+    finally:
+        t.unpatch()
+    names = {span.name for span in t.spans}
+    for name in ("scheduler.idle_tick", "scheduler.populate", "scheduler.restore",
+                 "backend.prefill"):
+        assert name in names, f"no {name} span: perfbench patches a name that moved"
+    assert any(s.name == "scheduler.populate" and s.attrs["populated"] for s in t.spans)
+    assert any(s.name == "scheduler.restore" and s.attrs["restored"] for s in t.spans)
+    assert traced == plain

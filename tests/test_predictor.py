@@ -7,7 +7,6 @@ from percache.predictor import (
     KnowledgeAbstract,
     PhaseError,
     Predictor,
-    QueryBuffer,
     load_template,
     parse_numbered_list,
     render_template,
@@ -77,22 +76,25 @@ def test_templates_load_and_render():
 # -- buffer -------------------------------------------------------------------
 
 
-def test_query_buffer_ring():
-    buf = QueryBuffer(3)
-    for i in range(5):
-        buf.add(f"q{i}", i)
-    assert buf.texts() == ["q2", "q3", "q4"]
-    with pytest.raises(ValueError):
-        QueryBuffer(0)
-
-
-# -- abstract maintenance ------------------------------------------------------
-
-
 def _predictor(backend, **kw):
     defaults = dict(stride=3, abstract_cap_bytes=4096, buffer_size=5, t_batch=10, t_quiet=10)
     defaults.update(kw)
     return Predictor(backend, **defaults)
+
+
+def test_query_buffer_ring():
+    be = FakeBackend({TEMPLATE_HISTORY: ["1. next?"]})
+    p = _predictor(be, buffer_size=3)
+    for i in range(5):
+        p.note_user_query(f"q{i}", i)
+    assert list(p.buffer) == ["q2", "q3", "q4"]
+    p.predict_from_history(lambda q: False)
+    assert be.calls[0][1]["history"] == "q2; q3; q4"
+    with pytest.raises(ValueError):
+        _predictor(FakeBackend(), buffer_size=0)
+
+
+# -- abstract maintenance ------------------------------------------------------
 
 
 def test_update_abstract_no_chunks_noop():
@@ -107,11 +109,11 @@ def test_update_abstract_appends_with_sources():
     p.note_chunks([FakeChunk("c1", "t1"), FakeChunk("c2", "t2")], at=0)
     assert p.update_abstract(100)
     assert p.abstract.sentences == ["Summary one."]
-    assert p.abstract.source_chunk_ids == {"c1", "c2"}
     p.note_chunks([FakeChunk("c3", "t3")], at=100)
     assert p.update_abstract(200)
     assert p.abstract.text == "Summary one. Summary two."
-    assert p.abstract.source_chunk_ids == {"c1", "c2", "c3"}
+    # each batch summarizes only the chunks noted since the last one
+    assert [slots["chunks"] for _, slots in be.calls] == ["t1 t2", "t3"]
 
 
 def test_update_abstract_miss_requeues():
@@ -174,8 +176,7 @@ def test_predict_from_knowledge_stride_cap():
     be = FakeBackend({TEMPLATE_KNOWLEDGE: [resp]})
     p = _predictor(be, stride=3)
     p.abstract.sentences = ["summary."]
-    batch = p.predict_from_knowledge()
-    assert batch.view == "knowledge" and len(batch.queries) == 3
+    assert p.predict_from_knowledge() == ("Question 1?", "Question 2?", "Question 3?")
     assert be.calls[0][1]["stride"] == "3"
 
 
@@ -189,8 +190,7 @@ def test_predict_parse_failure_counted():
     be = FakeBackend({TEMPLATE_KNOWLEDGE: ["no questions in this response"]})
     p = _predictor(be)
     p.abstract.sentences = ["summary."]
-    batch = p.predict_from_knowledge()
-    assert batch.queries == () and p.parse_failures == 1
+    assert p.predict_from_knowledge() == () and p.parse_failures == 1
 
 
 def test_predict_from_history_filters_known():
@@ -198,8 +198,7 @@ def test_predict_from_history_filters_known():
     be = FakeBackend({TEMPLATE_HISTORY: [resp]})
     p = _predictor(be, stride=5)
     p.note_user_query("earlier question", at=0)
-    batch = p.predict_from_history(known_query=lambda q: q == "B?")
-    assert batch.queries == ("A?", "C?", "D?", "E?")
+    assert p.predict_from_history(known_query=lambda q: q == "B?") == ("A?", "C?", "D?", "E?")
     assert not p._history_dirty
 
 

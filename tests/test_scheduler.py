@@ -3,7 +3,6 @@ import pytest
 from percache.config import EngineConfig
 from percache.scheduler import (
     PopulationStrategy,
-    TickReport,
     choose_strategy,
 )
 
@@ -34,13 +33,18 @@ def test_scheduler_config_validation():
         EngineConfig(qkv_limit_bytes=-1)
 
 
-def test_tick_report_as_dict_keys():
-    d = TickReport(at=3.0).as_dict()
-    assert set(d) == {
+def test_tick_report_as_dict_keys(tmp_path):
+    # an idle_tick metrics record holds the event, every TickReport field
+    # and the common tail, nothing else
+    record = make_engine(tmp_path).apply_event({"at": 3.0, "kind": "idle_tick", "budget": 0})
+    assert set(record) == {
+        "at", "kind",
         "deferred_answered", "stale_reanswered", "converted_to_qa",
         "restored_nodes", "predicted_knowledge", "predicted_history",
         "populated", "abstract_updates", "flops_spent", "predicted_decode_flops",
+        "qa_entries", "qa_used_bytes", "qkv_used_bytes", "qa_hits", "qkv_hits", "flops_cum",
     }
+    assert record["at"] == 3.0
 
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
