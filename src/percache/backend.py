@@ -98,11 +98,9 @@ class QkvPrefix:
 
 @dataclass
 class PrefillState:
-    """Decode-ready state: per-layer K/V over the full prompt, single-owner."""
+    """Decode-ready state: per-layer Q/K/V over the full prompt, single-owner."""
 
-    k: list[np.ndarray]
-    v: list[np.ndarray]
-    total_len: int
+    tensors: QkvTensors
     last_hidden: np.ndarray  # (1, dim), final-norm output of the last token
 
 
@@ -208,14 +206,33 @@ class ToyModel:
         return x + self._mm(np.maximum(self._mm(h, self.w1[layer]), np.float32(0.0)),
                             self.w2[layer])
 
-    def prefill(self, tokens, prefix: QkvPrefix | None = None):
+    def _layers(self, token_ids: np.ndarray, past_k: list | None, past_v: list | None):
+        """The one layer loop of prefill and decode. Runs token_ids, which
+        follow the past_k/past_v positions (None: none), through every
+        layer; returns (new Q, past+new K, past+new V) per layer and the
+        final-norm hidden state of the last token."""
+        start = 0 if past_k is None else int(past_k[0].shape[0])
+        positions = np.arange(start, start + token_ids.shape[0])
+        x = self.emb[token_ids]
+        qs, ks, vs = [], [], []
+        for layer in range(self.config.layers):
+            q, k, v = self._block_qkv(layer, x, positions)
+            if start:
+                k = np.concatenate([past_k[layer], k], axis=0)
+                v = np.concatenate([past_v[layer], v], axis=0)
+            x = self._block_tail(layer, x, self._attention(q, k, v, positions))
+            qs.append(q)
+            ks.append(k)
+            vs.append(v)
+        return qs, ks, vs, self._rmsnorm(x[-1:], self.gf)
+
+    def prefill(self, tokens, prefix: QkvPrefix | None = None) -> PrefillState:
         """Run prefill, skipping projection/RoPE for cached prefix tokens.
 
-        Returns (suffix QkvTensors covering tokens[prefix_len:], PrefillState).
-        Suffix rotary positions are offset by the prefix length so they match
-        the token's position in the full sequence.
+        The returned state holds the whole prompt's Q/K/V: the prefix's
+        cached rows followed by the recomputed ones, whose rotary positions
+        are their positions in the full sequence.
         """
-        cfg = self.config
         token_ids = np.asarray(tokens, dtype=np.int64)
         total = int(token_ids.shape[0])
         if total == 0:
@@ -223,63 +240,34 @@ class ToyModel:
         pre = 0 if prefix is None else prefix.prefix_token_count
         if pre > total:
             raise ValueError("prefix longer than the prompt")
-        if prefix is not None and pre > 0 and prefix.tensors.layers != cfg.layers:
+        if prefix is not None and pre > 0 and prefix.tensors.layers != self.config.layers:
             raise ValueError("prefix layer count does not match the model")
         # always recompute at least the last token so the decode-ready hidden
-        # state exists; its recomputed K/V are bitwise-equal to cached values
-        pre_eff = min(pre, total - 1)
-        positions = np.arange(pre_eff, total)
-        x = self.emb[token_ids[pre_eff:]].copy()
-        s = total - pre_eff
-        ks, vs, qs = [], [], []
-        for layer in range(cfg.layers):
-            q, k, v = self._block_qkv(layer, x, positions)
-            if pre_eff > 0:
-                k_full = np.concatenate([prefix.tensors.k[layer][:pre_eff], k], axis=0)
-                v_full = np.concatenate([prefix.tensors.v[layer][:pre_eff], v], axis=0)
-            else:
-                k_full, v_full = k, v
-            attn = self._attention(q, k_full, v_full, positions)
-            x = self._block_tail(layer, x, attn)
-            qs.append(q)
-            ks.append(k_full)
-            vs.append(v_full)
-        final = self._rmsnorm(x, self.gf)
-        cut = pre - pre_eff  # 1 only when the prefix covered the whole prompt
-        suffix = QkvTensors(
-            [q[cut:].copy() for q in qs],
-            [k[pre:].copy() for k in ks],
-            [v[pre:].copy() for v in vs],
+        # state exists; its recomputed Q/K/V are bitwise-equal to cached values
+        start = min(pre, total - 1)
+        if start == 0:
+            q, k, v, hidden = self._layers(token_ids, None, None)
+            return PrefillState(QkvTensors(q, k, v), hidden)
+        cached = prefix.tensors
+        q, k, v, hidden = self._layers(
+            token_ids[start:], [a[:start] for a in cached.k], [a[:start] for a in cached.v]
         )
-        state = PrefillState(ks, vs, total, final[-1:].copy())
-        return suffix, state
+        q = [np.concatenate([c[:start], n], axis=0) for c, n in zip(cached.q, q)]
+        return PrefillState(QkvTensors(q, k, v), hidden)
 
     def decode_ids(self, state: PrefillState, max_tokens: int,
                    eos_id: int | None = None) -> list[int]:
         """Greedy argmax decoding; stops at eos_id or max_tokens."""
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        k_cache = [a for a in state.k]
-        v_cache = [a for a in state.v]
-        cur_len = state.total_len
-        hidden = state.last_hidden
+        k, v, hidden = state.tensors.k, state.tensors.v, state.last_hidden
         generated: list[int] = []
         for step in range(max_tokens):
-            logits = self._mm(hidden, self.w_out)
-            tok = int(np.argmax(logits[0]))
+            tok = int(np.argmax(self._mm(hidden, self.w_out)[0]))
             generated.append(tok)
             if tok == eos_id or step == max_tokens - 1:
                 break
-            positions = np.array([cur_len])
-            x = self.emb[np.array([tok])].copy()
-            for layer in range(self.config.layers):
-                q, k, v = self._block_qkv(layer, x, positions)
-                k_cache[layer] = np.concatenate([k_cache[layer], k], axis=0)
-                v_cache[layer] = np.concatenate([v_cache[layer], v], axis=0)
-                attn = self._attention(q, k_cache[layer], v_cache[layer], positions)
-                x = self._block_tail(layer, x, attn)
-            hidden = self._rmsnorm(x, self.gf)
-            cur_len += 1
+            _, k, v, hidden = self._layers(np.array([tok]), k, v)
         return generated
 
 

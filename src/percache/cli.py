@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
 from .config import ConfigError, EngineConfig
 from .engine import Engine, TraceError, open_bank
-from .knowledge import BankError
+from .knowledge import BankError, read_jsonl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,22 +65,6 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _read_trace(path: Path) -> list[dict]:
-    events = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{path}:{lineno}: malformed trace line: {exc}") from exc
-        if not isinstance(event, dict):
-            raise TraceError(f"{path}:{lineno}: trace line must be a JSON object")
-        event["_line"] = lineno
-        events.append(event)
-    return events
-
-
 def cmd_replay(args) -> int:
     trace_path = Path(args.trace)
     if not trace_path.is_file():
@@ -89,14 +72,13 @@ def cmd_replay(args) -> int:
         return EXIT_DATA
     try:
         config = _load_config(args.config)
-        events = _read_trace(trace_path)
+        events = read_jsonl(trace_path, ())
         engine = Engine(config, args.bank)
     except (BankError, ConfigError, TraceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     try:
-        for event in events:
-            lineno = event.pop("_line")
+        for lineno, event in events:
             try:
                 engine.apply_event(event)
             except (TraceError, ConfigError, KeyError) as exc:
@@ -125,13 +107,10 @@ def cmd_report(args) -> int:
     if not path.is_file():
         print(f"metrics file not readable: {path}", file=sys.stderr)
         return EXIT_DATA
-    records = []
     try:
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if line.strip():
-                records.append(json.loads(line))
-    except json.JSONDecodeError as exc:
-        print(f"{path}:{lineno}: malformed metrics line: {exc}", file=sys.stderr)
+        records = [record for _, record in read_jsonl(path, ())]
+    except (BankError, OSError) as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_DATA
     queries = [r for r in records if r.get("kind") == "query_arrival"]
     by_path: dict[str, list[dict]] = {}

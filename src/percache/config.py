@@ -45,8 +45,7 @@ class EngineConfig:
     qa_enabled: bool = True
     reuse_enabled: bool = True
     scheduler_enabled: bool = True
-    # backend selection for predictor/summarizer text generation
-    backend: str = "scripted"
+    # canned predictor/summarizer responses (empty: none)
     script_file: str = ""
     vocab_file: str = ""
     system_prompt: str = "Answer from personal notes:\n"
@@ -98,8 +97,6 @@ class EngineConfig:
             raise ConfigError(f"qa_limit_bytes must hold one entry ({DEFAULT_ENTRY_BYTES} bytes)")
         if not self.flops_per_ms > 0.0:
             raise ConfigError("flops_per_ms must be positive")
-        if self.backend not in ("scripted", "toy"):
-            raise ConfigError("backend must be 'scripted' or 'toy'")
 
     def apply(self, key: str, raw: str) -> None:
         """Set one field from its textual form; used for config_change events."""

@@ -29,7 +29,7 @@ from .backend import (
 )
 from .config import EngineConfig
 from .knowledge import KnowledgeBank, Segment, StorageError
-from .predictor import Predictor, render_template
+from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
 from .scheduler import Scheduler
@@ -66,9 +66,9 @@ class TraceError(ValueError):
 
 # keys Engine copies only at construction: a config_change of one is rejected
 FIXED_CONFIG_KEYS = frozenset({
-    "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "backend",
-    "script_file", "chunk_words", "k_boundary", "alpha_fusion", "prediction_stride",
-    "buffer_size", "t_batch", "t_quiet", "abstract_cap_bytes",
+    "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
+    "chunk_words", "k_boundary", "alpha_fusion", "prediction_stride", "buffer_size",
+    "t_batch", "t_quiet", "abstract_cap_bytes",
 })
 
 
@@ -115,25 +115,7 @@ class InferResult:
     l_pre: int
     segments: list
     tokens: object
-    full_tensors: QkvTensors
-
-
-class ToyTextBackend:
-    """Text backend that renders a prompt template and decodes with the
-    toy model; used when config.backend == 'toy'."""
-
-    def __init__(self, model: ToyModel, vocab: TokenizerVocab, eos_id: int, max_tokens: int = 16):
-        self.model = model
-        self.vocab = vocab
-        self.eos_id = eos_id
-        self.max_tokens = max_tokens
-
-    def generate(self, template: str, slots: dict) -> str:
-        prompt = render_template(template, slots)
-        toks = tokenize(prompt, self.vocab)
-        _, state = self.model.prefill(toks.tokens)
-        ids = self.model.decode_ids(state, self.max_tokens, self.eos_id)
-        return detokenize([i for i in ids if i != self.eos_id], self.vocab)
+    tensors: QkvTensors
 
 
 class Engine:
@@ -164,13 +146,8 @@ class Engine:
         else:
             self.qa = QaBank(config.qa_limit_bytes)
         if text_backend is None:
-            if config.backend == "scripted":
-                if config.script_file:
-                    text_backend = ScriptedBackend.from_file(config.script_file)
-                else:
-                    text_backend = ScriptedBackend()
-            else:
-                text_backend = ToyTextBackend(self.model, vocab, self.eos_id)
+            text_backend = (ScriptedBackend.from_file(config.script_file)
+                            if config.script_file else ScriptedBackend())
         self.text_backend = text_backend
         self.predictor = Predictor(
             text_backend,
@@ -215,16 +192,12 @@ class Engine:
         if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, self._seq())
         l_pre = prefix.prefix_token_count if prefix is not None else 0
-        suffix, state = self.model.prefill(tokens.tokens, prefix)
+        state = self.model.prefill(tokens.tokens, prefix)
         answer = None
         ids: list[int] = []
         if decode:
             ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id)
             answer = detokenize([i for i in ids if i != self.eos_id], self.vocab)
-        parts = ([prefix.tensors] if prefix is not None and prefix.prefix_token_count else []) + (
-            [suffix] if suffix.token_count else []
-        )
-        full = QkvTensors.concat(parts) if parts else suffix
         cost = self.cost_model.estimate_cost(InferenceEvent(
             l_total=len(tokens),
             l_pre=l_pre,
@@ -234,30 +207,28 @@ class Engine:
             embeds=1,
         ))
         return InferResult(
-            answer, cost, matched, discarded, len(tokens), l_pre, segments, tokens, full,
+            answer, cost, matched, discarded, len(tokens), l_pre, segments, tokens, state.tensors,
         )
 
     def _populate_qkv(self, result: InferResult, allow_evict: bool = True) -> list[int]:
         try:
             return self.bank.slice_and_insert(
-                result.segments, result.tokens, result.full_tensors, self._seq(),
+                result.segments, result.tokens, result.tensors, self._seq(),
                 allow_evict=allow_evict,
             )
         except StorageError:
             return []
 
-    def answer(
-        self, text: str, decode: bool = True, embedding: Embedding | None = None,
-        store_qa: bool = True,
-    ) -> InferResult:
+    def answer(self, text: str, decode: bool = True,
+               embedding: Embedding | None = None) -> InferResult:
         """Infer text, then store its slices in the QKV tree (when reuse is
-        enabled) and its answer in the QA bank (when store_qa). An existing
-        entry for text takes a decoded answer in place and is no longer
-        stale; an answer-less result never replaces a decoded answer."""
+        enabled) and its answer in the QA bank (when QA is enabled). An
+        existing entry for text takes a decoded answer in place and is no
+        longer stale; an answer-less result never replaces a decoded answer."""
         result = self._infer(text, decode)
         if self.config.reuse_enabled:
             self._populate_qkv(result)
-        if store_qa:
+        if self.config.qa_enabled:
             if embedding is None:
                 embedding = self.embedder.embed(text)
             self.qa.insert(text, embedding, result.answer, self._seq())
@@ -281,7 +252,7 @@ class Engine:
                     InferenceEvent(l_total=0, qa_match=True, embeds=1)
                 )
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
-            result = self.answer(text, embedding=embedding, store_qa=self.config.qa_enabled)
+            result = self.answer(text, embedding=embedding)
             cost = result.cost.add(self.cost_model.estimate_cost(
                 InferenceEvent(l_total=0, qa_match=self.config.qa_enabled)
             ))

@@ -55,8 +55,9 @@ class BankError(ValueError):
 
 
 def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a bank file; a line
-    that is not a JSON object with every required field raises BankError."""
+    """(line number, record) for each non-blank line of a JSONL file; a line
+    that is not a JSON object with every required field raises BankError
+    naming file:line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -67,7 +68,8 @@ def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise BankError(f"{path}:{lineno}: malformed line: {exc}") from exc
             if not isinstance(rec, dict) or not all(key in rec for key in required):
-                raise BankError(f"{path}:{lineno}: need a JSON object with {', '.join(required)}")
+                need = f" with {', '.join(required)}" if required else ""
+                raise BankError(f"{path}:{lineno}: need a JSON object{need}")
             out.append((lineno, rec))
     return out
 

@@ -52,9 +52,11 @@ class Scheduler:
         """Spend up to work_budget cost-model FLOPs on background work,
         in order: deferred/stale answers, conversions (QKV to QA before
         QA to QKV), then predictions and population. Unfinished work
-        carries to the next tick."""
+        carries to the next tick. With QA off nothing can be stored as an
+        answer, so answering waits and population never decodes."""
         engine = self.engine
         report = TickReport()
+        qa_on = engine.config.qa_enabled
         if engine.config.scheduler_enabled:
             strategy = choose_strategy(engine.config.tau_query, engine.config.tau_scheduler)
         else:
@@ -68,7 +70,7 @@ class Scheduler:
             """Answer in place each pending entry that wanted(entry) picks,
             oldest first, while the budget lasts; returns how many."""
             done = 0
-            for entry in engine.qa.pending():
+            for entry in engine.qa.pending() if qa_on else ():
                 if not budget_left():
                     break
                 if wanted(entry):
@@ -85,7 +87,7 @@ class Scheduler:
             return out
 
         # (1) deferred true answers for QA hits, then stale re-answers
-        while budget_left() and engine.deferred_queries:
+        while qa_on and budget_left() and engine.deferred_queries:
             report.flops_spent += engine.answer(engine.deferred_queries[0]).cost.total_flops
             engine.deferred_queries.pop(0)
             report.deferred_answered += 1
@@ -118,7 +120,7 @@ class Scheduler:
             )
             report.predicted_history += len(queries)
             predicted += queries
-        decode = strategy is PopulationStrategy.PREFILL_AND_DECODE
+        decode = qa_on and strategy is PopulationStrategy.PREFILL_AND_DECODE
         for query in predicted:
             if not budget_left():
                 break

@@ -58,8 +58,8 @@ def _check_prompt(model, vocab, text, chunk_joins):
     every chunk-boundary split; everything must agree bit for bit.
     Returns the number of boundary-dependent splits encountered."""
     toks = tokenize(text, vocab)
-    full_suffix, full_state = model.prefill(toks.tokens)
-    full_decode = model.decode_ids(full_state, 4)
+    full = model.prefill(toks.tokens)
+    full_decode = model.decode_ids(full, 4)
     boundary_cases = 0
     for join_byte in chunk_joins:
         # the split token index: tokens fully inside the prefix bytes
@@ -69,12 +69,13 @@ def _check_prompt(model, vocab, text, chunk_joins):
         prefix_text = text[:join_byte]
         if tokenize(prefix_text, vocab).tokens != toks.tokens[:split]:
             boundary_cases += 1  # a token straddles this chunk boundary
-        prefix = QkvPrefix(full_suffix.slice_tokens(0, split), split)
-        suffix, state = model.prefill(toks.tokens, prefix)
+        prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
+        state = model.prefill(toks.tokens, prefix)
         for layer in range(model.config.layers):
-            assert np.array_equal(state.k[layer], full_state.k[layer])
-            assert np.array_equal(state.v[layer], full_state.v[layer])
-        assert np.array_equal(state.last_hidden, full_state.last_hidden)
+            assert np.array_equal(state.tensors.q[layer], full.tensors.q[layer])
+            assert np.array_equal(state.tensors.k[layer], full.tensors.k[layer])
+            assert np.array_equal(state.tensors.v[layer], full.tensors.v[layer])
+        assert np.array_equal(state.last_hidden, full.last_hidden)
         assert model.decode_ids(state, 4) == full_decode
     return boundary_cases
 
@@ -129,14 +130,15 @@ def test_acceptance_1_cached_prefill_equivalence():
                 ]
                 text = "".join(s.text for s in segments)
                 toks = tokenize(text, BOUNDARY_VOCAB)
-                suffix, state = small_model.prefill(toks.tokens)
-                bank.slice_and_insert(segments, toks, suffix, now=1)
+                state = small_model.prefill(toks.tokens)
+                bank.slice_and_insert(segments, toks, state.tensors, now=1)
                 prefix, matched, discarded = bank.match_prefix(["c1"], now=2)
                 assert matched == 1 and discarded == k_boundary
-                _, cached_state = small_model.prefill(toks.tokens, prefix)
+                cached_state = small_model.prefill(toks.tokens, prefix)
                 for layer in range(small_model.config.layers):
-                    assert np.array_equal(cached_state.k[layer], state.k[layer])
-                    assert np.array_equal(cached_state.v[layer], state.v[layer])
+                    assert np.array_equal(cached_state.tensors.q[layer], state.tensors.q[layer])
+                    assert np.array_equal(cached_state.tensors.k[layer], state.tensors.k[layer])
+                    assert np.array_equal(cached_state.tensors.v[layer], state.tensors.v[layer])
                 assert np.array_equal(cached_state.last_hidden, state.last_hidden)
                 prompts += 1
                 bank_dir_checked += 1
@@ -384,7 +386,7 @@ def test_acceptance_7_cost_model_fidelity():
         l_total = int(rng.integers(2, 64))
         l_pre = int(rng.integers(0, l_total))
         toks = rng.integers(0, cfg.vocab_size, size=l_total).tolist()
-        full, _ = model.prefill(toks)
+        full = model.prefill(toks).tensors
         prefix = QkvPrefix(full.slice_tokens(0, l_pre), l_pre) if l_pre else None
         model.mac_count = 0
         model.prefill(toks, prefix)

@@ -36,9 +36,8 @@ def test_identical_config_identical_weights_and_outputs():
     a, b = ToyModel(CFG), ToyModel(CFG)
     assert np.array_equal(a.emb, b.emb)
     toks = _tokens(9)
-    sa, _ = a.prefill(toks)
-    sb, _ = b.prefill(toks)
-    for la, lb in zip(sa.q, sb.q):
+    sa, sb = a.prefill(toks), b.prefill(toks)
+    for la, lb in zip(sa.tensors.q, sb.tensors.q):
         assert np.array_equal(la, lb)
 
 
@@ -56,7 +55,7 @@ def test_prefill_empty_prompt_rejected():
 
 def test_prefix_longer_than_prompt_rejected():
     model = ToyModel(CFG)
-    full, _ = model.prefill(_tokens(6))
+    full = model.prefill(_tokens(6)).tensors
     with pytest.raises(ValueError):
         model.prefill(_tokens(4), QkvPrefix(full, 6))
 
@@ -64,38 +63,38 @@ def test_prefix_longer_than_prompt_rejected():
 @pytest.mark.parametrize("split", [1, 3, 7, 9, 10])
 def test_split_prefill_bitwise_equal(split):
     # prefill with a cached prefix of every length (including the full
-    # prompt) must reproduce the full recompute bit for bit
+    # prompt) must reproduce the full recompute bit for bit, and so must
+    # decoding from it
     model = ToyModel(CFG)
     toks = _tokens(10, seed=split)
-    full_suffix, full_state = model.prefill(toks)
-    prefix = QkvPrefix(full_suffix.slice_tokens(0, split), split)
-    suffix, state = model.prefill(toks, prefix)
-    rebuilt = QkvTensors.concat([prefix.tensors, suffix]) if split < 10 else None
+    full = model.prefill(toks)
+    prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
+    state = model.prefill(toks, prefix)
+    assert state.tensors.token_count == full.tensors.token_count == 10
     for layer in range(CFG.layers):
-        if rebuilt is not None:
-            assert np.array_equal(rebuilt.q[layer], full_suffix.q[layer])
-        assert np.array_equal(state.k[layer], full_state.k[layer])
-        assert np.array_equal(state.v[layer], full_state.v[layer])
-    assert np.array_equal(state.last_hidden, full_state.last_hidden)
+        assert np.array_equal(state.tensors.q[layer], full.tensors.q[layer])
+        assert np.array_equal(state.tensors.k[layer], full.tensors.k[layer])
+        assert np.array_equal(state.tensors.v[layer], full.tensors.v[layer])
+    assert np.array_equal(state.last_hidden, full.last_hidden)
+    assert model.decode_ids(state, 6) == model.decode_ids(full, 6)
 
 
 def test_decode_deterministic_and_cached_equal():
     model = ToyModel(CFG)
     toks = _tokens(12, seed=3)
-    _, state_a = model.prefill(toks)
+    state_a = model.prefill(toks)
     out_a = model.decode_ids(state_a, 6)
-    full, _ = model.prefill(toks)
-    prefix = QkvPrefix(full.slice_tokens(0, 8), 8)
-    _, state_b = model.prefill(toks, prefix)
+    prefix = QkvPrefix(model.prefill(toks).tensors.slice_tokens(0, 8), 8)
+    state_b = model.prefill(toks, prefix)
     out_b = model.decode_ids(state_b, 6)
     assert out_a == out_b
-    _, state_c = model.prefill(toks)
+    state_c = model.prefill(toks)
     assert model.decode_ids(state_c, 6) == out_a
 
 
 def test_decode_max_tokens_one_and_validation():
     model = ToyModel(CFG)
-    _, state = model.prefill(_tokens(5))
+    state = model.prefill(_tokens(5))
     assert len(model.decode_ids(state, 1)) == 1
     with pytest.raises(ValueError):
         model.decode_ids(state, 0)
@@ -103,9 +102,9 @@ def test_decode_max_tokens_one_and_validation():
 
 def test_decode_eos_stops():
     model = ToyModel(CFG)
-    _, state = model.prefill(_tokens(5))
+    state = model.prefill(_tokens(5))
     first = model.decode_ids(state, 8)[0]
-    _, state2 = model.prefill(_tokens(5))
+    state2 = model.prefill(_tokens(5))
     assert model.decode_ids(state2, 8, eos_id=first) == [first]
 
 
@@ -114,7 +113,7 @@ def test_prefill_macs_match_instrumented(l_total, l_pre):
     model = ToyModel(CFG)
     toks = _tokens(l_total, seed=l_total)
     if l_pre:
-        full, _ = model.prefill(toks)
+        full = model.prefill(toks).tensors
         prefix = QkvPrefix(full.slice_tokens(0, l_pre), l_pre)
     else:
         prefix = None
@@ -127,7 +126,7 @@ def test_prefill_macs_match_instrumented(l_total, l_pre):
 def test_decode_macs_match_instrumented(gen):
     model = ToyModel(CFG)
     toks = _tokens(7, seed=gen)
-    _, state = model.prefill(toks)
+    state = model.prefill(toks)
     model.mac_count = 0
     out = model.decode_ids(state, gen)
     assert len(out) == gen  # no accidental eos in toy decoding here

@@ -101,8 +101,9 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
 
 def test_replay_bad_config_exit_2(tmp_path, capsys):
     trace = _write(tmp_path / "t.trace", "")
-    # an unknown key, an out-of-range value, a QA budget below one entry
-    for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100"):
+    # an unknown key, an out-of-range value, a QA budget below one entry,
+    # and the text backend selector, which no longer exists
+    for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy"):
         cfg = _write(tmp_path / "c.cfg", line + "\n")
         assert run([
             "replay", "--trace", trace, "--bank", tmp_path / "b",
@@ -258,7 +259,8 @@ def test_report_plain_output(tmp_path, capsys):
     assert "storage over time" in out
 
 
-def test_report_malformed_metrics(tmp_path, capsys):
-    path = _write(tmp_path / "m.jsonl", "{}\nnope\n")
+@pytest.mark.parametrize("bad_line", ["nope", "5"], ids=["not_json", "not_object"])
+def test_report_malformed_metrics(tmp_path, capsys, bad_line):
+    path = _write(tmp_path / "m.jsonl", "{}\n" + bad_line + "\n")
     assert run(["report", "--metrics", path]) == EXIT_DATA
     assert f"{path}:2" in capsys.readouterr().err

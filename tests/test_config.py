@@ -32,8 +32,6 @@ def test_validation():
         EngineConfig(retrieval_k=0)
     with pytest.raises(ConfigError):
         EngineConfig(k_boundary=-1)
-    with pytest.raises(ConfigError):
-        EngineConfig(backend="gpt")
 
 
 def test_apply_parses_by_type():

@@ -43,8 +43,14 @@ def test_instrumented_names_record_spans(tmp_path):
         t.unpatch()
     names = {span.name for span in t.spans}
     for name in ("scheduler.idle_tick", "scheduler.populate", "scheduler.restore",
-                 "backend.prefill"):
+                 "backend.prefill", "backend.decode_ids"):
         assert name in names, f"no {name} span: perfbench patches a name that moved"
+    # decode steps must not count as prefill calls in the backend.prefill.* metrics
+    for span in t.spans:
+        parent = span.parent if span.name == "backend.prefill" else None
+        while parent is not None:
+            assert parent.name != "backend.decode_ids", "decode_ids calls prefill"
+            parent = parent.parent
     assert any(s.name == "scheduler.populate" and s.attrs["populated"] for s in t.spans)
     assert any(s.name == "scheduler.restore" and s.attrs["restored"] for s in t.spans)
     assert traced == plain

@@ -1,12 +1,13 @@
 import pytest
 
 from percache.config import EngineConfig
+from percache.engine import Engine, open_bank
 from percache.scheduler import (
     PopulationStrategy,
     choose_strategy,
 )
 
-from conftest import DATA, make_engine
+from conftest import DATA, load_trace, make_engine
 
 
 @pytest.mark.parametrize(
@@ -137,3 +138,32 @@ def test_prefill_only_leaves_entries_answerless(tmp_path):
     assert eng.bank.ledger.used_bytes > 0
     # repeat population of the same query is a no-op
     assert eng.populate_predicted("when is the budget review due?", decode=False) is None
+
+
+def test_qa_disabled_mid_trace_leaves_answering_waiting(tmp_path):
+    # answering stores nothing with QA off, so it waits instead of
+    # spending the budget on the same pending entries every tick
+    eng = _engine_with_pending(tmp_path)
+    eng.deferred_queries.append("how many hiring interviews are planned?")
+    eng.config.apply("qa_enabled", "false")
+    report = eng.scheduler.idle_tick(1e15, now=10)
+    assert report.deferred_answered == 0 and report.converted_to_qa == 0
+    assert len(eng.qa.pending()) == 3 and eng.deferred_queries
+
+
+def test_qa_disabled_idle_work_fills_no_qa_bank(tmp_path):
+    # the idle_work pair with qa_enabled=false appended to its config:
+    # population still prefills into the QKV tree but never decodes, and
+    # nothing reaches the QA bank
+    config = EngineConfig.from_file(DATA / "configs" / "idle_work.cfg")
+    config.apply("qa_enabled", "false")
+    bank = open_bank(config, tmp_path / "bank")
+    bank.ingest_text(CORPUS)
+    bank.persist()
+    eng = Engine(config, tmp_path / "bank")
+    ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
+    assert ticks and sum(r["populated"] for r in ticks) > 0
+    for r in ticks:
+        assert r["qa_entries"] == 0
+        assert r["converted_to_qa"] == 0
+        assert r["predicted_decode_flops"] == 0
