@@ -6,6 +6,15 @@ with fixed accumulation order. That makes prefix reuse checkable
 bit-for-bit: prefilling a suffix against cached per-layer Q/K/V slices
 produces exactly the same values as recomputing the whole prompt.
 
+Every sum runs sequentially in index order, and each row's result does not
+depend on how many rows are computed with it. The matmuls and the attention
+V sum are whole-array ``np.einsum`` calls without ``optimize``, the RMSNorm
+sum of squares is a ``np.cumsum``, and the attention scores are a short loop
+over head_dim. tests/test_backend.py checks each of the three kernels bit
+for bit against the per-column loop it replaced, on random shapes, with the
+installed numpy (2.4.6 when this was written); a numpy whose einsum or cumsum
+sums in another order fails there first.
+
 ScriptedBackend returns canned text for prompt templates so prediction
 and summarization flows stay deterministic in tests and trace replays.
 """
@@ -134,21 +143,23 @@ class ToyModel:
             np.float32
         )
 
-    # float32 matmul with fixed accumulation order over the contraction axis,
-    # so row results are identical no matter how many rows are present.
+    # float32 matmul that accumulates over the contraction axis in index
+    # order, so row results are identical no matter how many rows are present.
+    # einsum without optimize keeps that order, except when b has a single
+    # column, where it sums in another order; a zero second column, sliced
+    # off again, keeps the order.
     def _mm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-        tmp = np.empty_like(out)
-        for i in range(a.shape[1]):
-            np.multiply(a[:, i : i + 1], b[i], out=tmp)
-            out += tmp
-        self.mac_count += a.shape[0] * a.shape[1] * b.shape[1]
+        n = b.shape[1]
+        if n == 1:
+            b = np.concatenate([b, np.zeros_like(b)], axis=1)
+        out = np.einsum("sk,kn->sn", a, b, optimize=False)[:, :n]
+        self.mac_count += a.shape[0] * a.shape[1] * n
         return out
 
     def _rmsnorm(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        ss = np.zeros(x.shape[0], dtype=np.float32)
-        for dcol in range(x.shape[1]):
-            ss += x[:, dcol] * x[:, dcol]
+        # cumsum adds the squares column by column in order; no square is -0.0,
+        # so its last column equals a loop that starts from +0.0
+        ss = np.cumsum(x * x, axis=1)[:, -1]
         inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
         return x * inv[:, None] * gain[None, :]
 
@@ -180,11 +191,8 @@ class ToyModel:
         mx = np.max(scores, axis=2, keepdims=True)
         e = np.exp(scores - mx)
         w = e / np.sum(e, axis=2, keepdims=True)
-        out = np.zeros((s, heads, dh), dtype=np.float32)
-        tmp = np.empty_like(out)
-        for j in range(total):
-            np.multiply(w[:, :, j : j + 1], v_full[None, j, :, :], out=tmp)
-            out += tmp
+        # V sum accumulated over key positions in order
+        out = np.einsum("sht,thd->shd", w, v_full, optimize=False)
         self.mac_count += 2 * s * heads * total * dh
         return out
 

@@ -108,11 +108,22 @@ def cmd_report(args) -> int:
         print(f"metrics file not readable: {path}", file=sys.stderr)
         return EXIT_DATA
     try:
-        records = [record for _, record in read_jsonl(path, ())]
+        lines = read_jsonl(path, ())
     except (BankError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
-    queries = [r for r in records if r.get("kind") == "query_arrival"]
+    records = [record for _, record in lines]
+    queries = []
+    for lineno, r in lines:
+        if r.get("kind") != "query_arrival":
+            continue
+        total_ms = r.get("total_ms")
+        numeric = isinstance(total_ms, (int, float)) and not isinstance(total_ms, bool)
+        if not (isinstance(r.get("path"), str) and numeric):
+            print(f"{path}:{lineno}: query_arrival needs a string path and a numeric total_ms",
+                  file=sys.stderr)
+            return EXIT_DATA
+        queries.append(r)
     by_path: dict[str, list[dict]] = {}
     for r in queries:
         by_path.setdefault(r["path"], []).append(r)

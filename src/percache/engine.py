@@ -305,7 +305,10 @@ class Engine:
 
     def populate_predicted(self, query: str, decode: bool) -> CostReport | None:
         """Cache population for one predicted query under the active
-        strategy; skipped when an answered entry already exists."""
+        strategy; skipped when both caches are off or an answered entry
+        already exists."""
+        if not (self.config.qa_enabled or self.config.reuse_enabled):
+            return None
         existing = self.qa.get(query)
         if existing is not None and (existing.answer is not None or not decode):
             return None

@@ -4,7 +4,7 @@ Two independent views guess what the user will ask next: a knowledge
 view prompting over a compact abstract of the ingested chunks, and a
 history view prompting over a ring buffer of recent user queries. Both
 run only during idle ticks (never on the query-serving path) and both
-funnel through prompt templates stored as package data.
+call the text backend with a template name and its slots.
 
 Backend responses are parsed from the numbered "1. ...?; 2. ...?"
 format; the parser is total and drops malformed items.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from importlib import resources
 
 TEMPLATE_SUMMARIZE = "summarize"
 TEMPLATE_KNOWLEDGE = "knowledge_prediction"
@@ -24,16 +23,6 @@ TEMPLATE_HISTORY = "history_prediction"
 DEFAULT_KB_KIND = "meeting record"
 
 _MARKER_RE = re.compile(r"^\s*\d+\s*[.)]\s*")
-
-
-def load_template(name: str) -> str:
-    return (
-        resources.files("percache").joinpath("prompts", f"{name}.txt").read_text(encoding="utf-8")
-    )
-
-
-def render_template(name: str, slots: dict) -> str:
-    return load_template(name).format(**slots)
 
 
 def parse_numbered_list(text: str) -> list[str]:

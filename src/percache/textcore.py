@@ -85,10 +85,6 @@ class TokenizerVocab:
         """The explicit tokens, one per line, as from_file reads them."""
         return "".join(b.decode("utf-8") + "\n" for b in self._bytes_by_id[: self._byte_base])
 
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
     def token_bytes(self, token_id: int) -> bytes:
         return self._bytes_by_id[token_id]
 

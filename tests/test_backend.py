@@ -1,5 +1,10 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percache.backend import (
     CostModel,
@@ -131,6 +136,145 @@ def test_decode_macs_match_instrumented(gen):
     out = model.decode_ids(state, gen)
     assert len(out) == gen  # no accidental eos in toy decoding here
     assert model.mac_count == decode_macs(CFG, 7, gen)
+
+
+# -- whole-array kernels against the per-column loops they replaced ------------
+#
+# Each reference loop below is the accumulation order the model is defined by.
+# The kernels must reproduce it bit for bit on every shape: compared as raw
+# float32 bits, never with a tolerance.
+
+KERNEL_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None, database=None)
+KERNEL_BUDGET_S = 20.0
+
+
+def _bits_equal(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def _values(seed, shape):
+    # normal values with a sprinkling of signed zeros
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, shape).astype(np.float32)
+    zero = rng.random(shape) < 0.05
+    x[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _kernel_model():
+    return ToyModel(ToyModelConfig(layers=1, heads=1, head_dim=2, vocab_size=1))
+
+
+def _ref_mm(a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+    tmp = np.empty_like(out)
+    for i in range(a.shape[1]):
+        np.multiply(a[:, i : i + 1], b[i], out=tmp)
+        out += tmp
+    return out
+
+
+def _ref_rmsnorm(x, gain):
+    ss = np.zeros(x.shape[0], dtype=np.float32)
+    for dcol in range(x.shape[1]):
+        ss += x[:, dcol] * x[:, dcol]
+    inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
+    return x * inv[:, None] * gain[None, :]
+
+
+def _ref_attention(q, k_full, v_full, positions):
+    s, heads, dh = q.shape
+    total = k_full.shape[0]
+    scale = np.float32(1.0 / math.sqrt(dh))
+    mask = (positions[:, None] >= np.arange(total)[None, :])[:, None, :]
+    scores = np.zeros((s, heads, total), dtype=np.float32)
+    tmp = np.empty_like(scores)
+    for dcol in range(dh):
+        np.multiply(q[:, :, dcol : dcol + 1], k_full[:, :, dcol].T[None, :, :], out=tmp)
+        scores += tmp
+    scores = np.where(mask, scores * scale, np.float32(-np.inf))
+    mx = np.max(scores, axis=2, keepdims=True)
+    e = np.exp(scores - mx)
+    w = e / np.sum(e, axis=2, keepdims=True)
+    out = np.zeros((s, heads, dh), dtype=np.float32)
+    tmp = np.empty_like(out)
+    for j in range(total):
+        np.multiply(w[:, :, j : j + 1], v_full[None, j, :, :], out=tmp)
+        out += tmp
+    return out
+
+
+def _within_budget(check):
+    t0 = time.monotonic()
+    check()
+    took = time.monotonic() - t0
+    assert took < KERNEL_BUDGET_S, f"{check.__name__} took {took:.1f}s"
+
+
+@KERNEL_SETTINGS
+@given(
+    rows=st.integers(1, 40),
+    inner=st.integers(1, 260),
+    cols=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, inner=64, cols=1, seed=0)  # a decode step against w_out, vocab_size 1
+@example(rows=7, inner=32, cols=1, seed=1)
+@example(rows=1, inner=2, cols=2, seed=2)  # dim 2
+@example(rows=1, inner=256, cols=64, seed=3)  # decode through w2
+def _check_mm(rows, inner, cols, seed):
+    a = _values(seed, (rows, inner))
+    b = _values(seed + 1, (inner, cols))
+    model = _kernel_model()
+    got = model._mm(a, b)
+    assert _bits_equal(got, _ref_mm(a, b)), (rows, inner, cols)
+    assert model.mac_count == rows * inner * cols
+
+
+@KERNEL_SETTINGS
+@given(
+    rows=st.integers(1, 40),
+    dim=st.integers(1, 130),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, dim=2, seed=0)  # one row, dim 2
+@example(rows=1, dim=64, seed=1)
+@example(rows=33, dim=16, seed=2)
+def _check_rmsnorm(rows, dim, seed):
+    x = _values(seed, (rows, dim))
+    gain = _values(seed + 1, (dim,))
+    got = _kernel_model()._rmsnorm(x, gain)
+    assert _bits_equal(got, _ref_rmsnorm(x, gain)), (rows, dim)
+
+
+@KERNEL_SETTINGS
+@given(
+    rows=st.integers(1, 24),
+    past=st.integers(0, 60),
+    heads=st.integers(1, 4),
+    half_dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, past=0, heads=1, half_dim=1, seed=0)  # one key position, head_dim 2
+@example(rows=1, past=40, heads=4, half_dim=8, seed=1)  # a decode step
+@example(rows=30, past=0, heads=2, half_dim=4, seed=2)  # a cold prefill
+def _check_attention(rows, past, heads, half_dim, seed):
+    dh = 2 * half_dim
+    total = past + rows
+    q = _values(seed, (rows, heads, dh))
+    k_full = _values(seed + 1, (total, heads, dh))
+    v_full = _values(seed + 2, (total, heads, dh))
+    positions = np.arange(past, total)
+    model = _kernel_model()
+    got = model._attention(q, k_full, v_full, positions)
+    assert _bits_equal(got, _ref_attention(q, k_full, v_full, positions)), (rows, past, heads, dh)
+    assert model.mac_count == 2 * rows * heads * total * dh
+
+
+@pytest.mark.parametrize("check", [_check_mm, _check_rmsnorm, _check_attention],
+                         ids=["mm", "rmsnorm", "attention"])
+def test_kernel_matches_reference_loop(check):
+    _within_budget(check)
 
 
 def test_projection_macs_formula():

@@ -259,7 +259,17 @@ def test_report_plain_output(tmp_path, capsys):
     assert "storage over time" in out
 
 
-@pytest.mark.parametrize("bad_line", ["nope", "5"], ids=["not_json", "not_object"])
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "nope",
+        "5",
+        '{"at": 0, "kind": "query_arrival", "total_ms": 1.0}',
+        '{"at": 0, "kind": "query_arrival", "path": "qa_hit"}',
+        '{"at": 0, "kind": "query_arrival", "path": "qa_hit", "total_ms": "1"}',
+    ],
+    ids=["not_json", "not_object", "missing_path", "missing_total_ms", "text_total_ms"],
+)
 def test_report_malformed_metrics(tmp_path, capsys, bad_line):
     path = _write(tmp_path / "m.jsonl", "{}\n" + bad_line + "\n")
     assert run(["report", "--metrics", path]) == EXIT_DATA

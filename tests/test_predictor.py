@@ -7,9 +7,7 @@ from percache.predictor import (
     KnowledgeAbstract,
     PhaseError,
     Predictor,
-    load_template,
     parse_numbered_list,
-    render_template,
 )
 
 
@@ -55,22 +53,6 @@ def test_parse_numbered_list(text, expected):
 def test_parse_is_total_on_arbitrary_text():
     for junk in ("\n\n", "; " * 50, "1. a? 2. b?", "🙂; 1. ok?"):
         assert isinstance(parse_numbered_list(junk), list)
-
-
-# -- templates ----------------------------------------------------------------
-
-
-def test_templates_load_and_render():
-    for name, slots in (
-        (TEMPLATE_SUMMARIZE, {"chunks": "CH"}),
-        (TEMPLATE_KNOWLEDGE, {"kb_kind": "K", "abstract": "A", "stride": "5"}),
-        (TEMPLATE_HISTORY, {"kb_kind": "K", "history": "H", "stride": "5"}),
-    ):
-        raw = load_template(name)
-        rendered = render_template(name, slots)
-        assert rendered != raw
-        for value in slots.values():
-            assert value in rendered
 
 
 # -- buffer -------------------------------------------------------------------

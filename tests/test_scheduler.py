@@ -167,3 +167,22 @@ def test_qa_disabled_idle_work_fills_no_qa_bank(tmp_path):
         assert r["qa_entries"] == 0
         assert r["converted_to_qa"] == 0
         assert r["predicted_decode_flops"] == 0
+
+
+def test_caches_off_idle_work_populates_nothing(tmp_path):
+    # the idle_work pair with qa_enabled=false and reuse_enabled=false
+    # appended: with nowhere to store a result, population does no work
+    # and counts nothing
+    config = EngineConfig.from_file(DATA / "configs" / "idle_work.cfg")
+    config.apply("qa_enabled", "false")
+    config.apply("reuse_enabled", "false")
+    bank = open_bank(config, tmp_path / "bank")
+    bank.ingest_text(CORPUS)
+    bank.persist()
+    eng = Engine(config, tmp_path / "bank")
+    ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
+    assert ticks and sum(r["predicted_knowledge"] + r["predicted_history"] for r in ticks) > 0
+    for r in ticks:
+        assert r["populated"] == 0
+        assert r["predicted_decode_flops"] == 0
+        assert r["flops_spent"] == 0

@@ -74,7 +74,7 @@ def test_tokenize_round_trip_and_spans(text):
 
 def test_vocab_file_round_trip(tmp_path):
     path = tmp_path / "vocab.txt"
-    WITNESS.to_file(path)
+    path.write_text(WITNESS.to_text(), encoding="utf-8")
     loaded = TokenizerVocab.from_file(path)
     for text in ("abc", "a bc", "cab"):
         assert tokenize(text, loaded).tokens == tokenize(text, WITNESS).tokens
