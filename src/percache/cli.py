@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, EngineConfig
 from .engine import Engine, TraceError, open_bank
-from .knowledge import BankError, read_jsonl
+from .knowledge import BankError, read_jsonl, read_utf8
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,11 +55,12 @@ def cmd_ingest(args) -> int:
         return EXIT_DATA
     try:
         config = _load_config(args.config)
+        text = read_utf8(corpus)
         bank = open_bank(config, args.bank)
     except (BankError, ConfigError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
-    chunks = bank.ingest_text(corpus.read_text(encoding="utf-8"))
+    chunks = bank.ingest_text(text)
     bank.persist()
     print(f"{len(chunks)} chunks")
     return EXIT_OK
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="percache", description="Predictive cache engine for RAG pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="chunk and embed a corpus into a bank directory")
+    p_ingest = sub.add_parser("ingest", help="chunk and tokenize a corpus into a bank directory")
     p_ingest.add_argument("--corpus", required=True)
     p_ingest.add_argument("--bank", required=True)
     p_ingest.add_argument("--config", default=None)

@@ -33,14 +33,7 @@ from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
 from .scheduler import Scheduler
-from .textcore import (
-    Embedding,
-    HashEmbedder,
-    TokenizerVocab,
-    cosine_similarity,
-    detokenize,
-    tokenize,
-)
+from .textcore import Embedding, HashEmbedder, TokenizerVocab, detokenize, tokenize
 
 QA_HIT = "qa_hit"
 QKV_PARTIAL = "qkv_partial"
@@ -72,7 +65,7 @@ FIXED_CONFIG_KEYS = frozenset({
 })
 
 
-def open_bank(config: EngineConfig, bank_dir, embedder: HashEmbedder | None = None) -> KnowledgeBank:
+def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
     """Open the bank in bank_dir, or start an empty one there. The
     vocabulary is config.vocab_file if set, else the bank's own vocab.txt,
     else the default."""
@@ -86,7 +79,6 @@ def open_bank(config: EngineConfig, bank_dir, embedder: HashEmbedder | None = No
     return KnowledgeBank.load(
         bank_dir,
         vocab,
-        embedder,
         config.qkv_limit_bytes,
         k_boundary=config.k_boundary,
         chunk_words_count=config.chunk_words,
@@ -122,11 +114,13 @@ class Engine:
     def __init__(self, config: EngineConfig, bank_dir, text_backend=None):
         self.config = config
         self.embedder = HashEmbedder()
-        self.bank = open_bank(config, bank_dir, self.embedder)
+        self.bank = open_bank(config, bank_dir)
         self.vocab = vocab = self.bank.vocab
+        # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
+        self.retriever.reserve(len(self.bank.chunks))
         for chunk in self.bank.chunks.values():
-            self.retriever.add_chunk(chunk.chunk_id, chunk.text, chunk.embedding)
+            self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
         self.eos_id = vocab.size
         model_cfg = ToyModelConfig(
             layers=config.model_layers,
@@ -180,10 +174,10 @@ class Engine:
         segments.append(Segment("query", query))
         return segments
 
-    def _infer(self, query: str, decode: bool) -> InferResult:
-        """Retrieve, prefill (reusing the longest cached prefix), and
-        optionally decode. Never mutates the caches."""
-        ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k)
+    def _infer(self, query: str, decode: bool, embedding: Embedding) -> InferResult:
+        """Retrieve (embedding is the query's), prefill (reusing the longest
+        cached prefix), and optionally decode. Never mutates the caches."""
+        ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
         segments = self._assemble(query, chunk_ids)
         full_text = "".join(s.text for s in segments)
@@ -224,13 +218,14 @@ class Engine:
         """Infer text, then store its slices in the QKV tree (when reuse is
         enabled) and its answer in the QA bank (when QA is enabled). An
         existing entry for text takes a decoded answer in place and is no
-        longer stale; an answer-less result never replaces a decoded answer."""
-        result = self._infer(text, decode)
+        longer stale; an answer-less result never replaces a decoded answer.
+        embedding, if given, is text's; otherwise text is embedded."""
+        if embedding is None:
+            embedding = self.embedder.embed(text)
+        result = self._infer(text, decode, embedding)
         if self.config.reuse_enabled:
             self._populate_qkv(result)
         if self.config.qa_enabled:
-            if embedding is None:
-                embedding = self.embedder.embed(text)
             self.qa.insert(text, embedding, result.answer, self._seq())
         return result
 
@@ -279,27 +274,18 @@ class Engine:
         for text in texts:
             for chunk in self.bank.ingest_text(text):
                 all_ids.append(chunk.chunk_id)
-                before = len(self.retriever)
-                self.retriever.add_chunk(chunk.chunk_id, chunk.text, chunk.embedding)
-                if len(self.retriever) > before:
+                if chunk.chunk_id not in self.retriever:
+                    self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
                     new_chunks.append(chunk)
         stale = []
         if new_chunks:
             new_ids = {c.chunk_id for c in new_chunks}
             stale = [
                 e.query
-                for e in self.qa.refresh(new_ids, self._cosine_rank, self.config.k_refresh)
+                for e in self.qa.refresh(new_ids, self.retriever.cosine_top_k, self.config.k_refresh)
             ]
             self.predictor.note_chunks(new_chunks, now)
         return all_ids, stale
-
-    def _cosine_rank(self, query: str) -> list[str]:
-        emb = self.embedder.embed(query)
-        scored = sorted(
-            ((cosine_similarity(emb, c.embedding), cid) for cid, c in self.bank.chunks.items()),
-            key=lambda t: (-t[0], t[1]),
-        )
-        return [cid for _, cid in scored]
 
     # -- scheduler hooks ---------------------------------------------------------
 
@@ -329,7 +315,7 @@ class Engine:
         for entry in sorted(self.qa.entries, key=lambda e: (e.created_at, e.query)):
             if not budget_ok() or not has_absent():
                 break
-            result = self._infer(entry.query, decode=False)
+            result = self._infer(entry.query, False, entry.embedding)
             written = self._populate_qkv(result, allow_evict=False)
             restored.extend(written)
             total = total.add(result.cost)

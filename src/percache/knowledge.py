@@ -21,6 +21,7 @@ that only persist writes and only load reads; serving touches no file.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import os
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import QkvPrefix, QkvTensors
-from .textcore import Embedding, HashEmbedder, TokenSeq, TokenizerVocab, tokenize
+from .textcore import TokenSeq, TokenizerVocab, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -51,26 +52,38 @@ class LayoutError(ValueError):
 
 
 class BankError(ValueError):
-    """A bank file is damaged; the message names file:line."""
+    """An input file (bank, trace, corpus) is damaged; the message names
+    file:line."""
+
+
+def read_utf8(path: Path) -> str:
+    """The text of path; bytes that are not UTF-8 raise BankError naming
+    file:line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise BankError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
 def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file; a line
-    that is not a JSON object with every required field raises BankError
-    naming file:line."""
+    that is not UTF-8 or not a JSON object with every required field raises
+    BankError naming file:line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise BankError(f"{path}:{lineno}: malformed line: {exc}") from exc
-            if not isinstance(rec, dict) or not all(key in rec for key in required):
-                need = f" with {', '.join(required)}" if required else ""
-                raise BankError(f"{path}:{lineno}: need a JSON object{need}")
-            out.append((lineno, rec))
+    # newline=None splits lines as a file opened in text mode does
+    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BankError(f"{path}:{lineno}: malformed line: {exc}") from exc
+        if not isinstance(rec, dict) or not all(key in rec for key in required):
+            need = f" with {', '.join(required)}" if required else ""
+            raise BankError(f"{path}:{lineno}: need a JSON object{need}")
+        out.append((lineno, rec))
     return out
 
 
@@ -102,7 +115,6 @@ def content_hash(text: str) -> bytes:
 class KnowledgeChunk:
     chunk_id: str
     text: str
-    embedding: Embedding
     token_count: int
 
 
@@ -200,7 +212,6 @@ class KnowledgeBank:
         self,
         directory,
         vocab: TokenizerVocab,
-        embedder: HashEmbedder | None = None,
         limit_bytes: int = 1 << 34,
         k_boundary: int = DEFAULT_K_BOUNDARY,
         chunk_words_count: int = DEFAULT_CHUNK_WORDS,
@@ -208,7 +219,6 @@ class KnowledgeBank:
         self.directory = Path(directory)
         self.slice_dir = self.directory / "slices"
         self.vocab = vocab
-        self.embedder = embedder or HashEmbedder()
         self.k_boundary = k_boundary
         self.chunk_words_count = chunk_words_count
         self.ledger = StorageLedger(0, limit_bytes)
@@ -221,7 +231,7 @@ class KnowledgeBank:
     # -- chunk store --------------------------------------------------------
 
     def ingest_text(self, text: str) -> list[KnowledgeChunk]:
-        """Chunk, embed, and store; identical text maps to the same chunk id."""
+        """Chunk and store; identical text maps to the same chunk id."""
         out = []
         for part in chunk_words(text, self.chunk_words_count):
             existing = self._text_to_id.get(part)
@@ -234,12 +244,7 @@ class KnowledgeBank:
             while chunk_id in self.chunks:
                 suffix += 1
                 chunk_id = f"{base}-{suffix}"
-            chunk = KnowledgeChunk(
-                chunk_id,
-                part,
-                self.embedder.embed(part),
-                len(tokenize(part, self.vocab)),
-            )
+            chunk = KnowledgeChunk(chunk_id, part, len(tokenize(part, self.vocab)))
             self.chunks[chunk_id] = chunk
             self._text_to_id[part] = chunk_id
             out.append(chunk)
@@ -460,7 +465,6 @@ class KnowledgeBank:
         cls,
         directory,
         vocab: TokenizerVocab | None = None,
-        embedder: HashEmbedder | None = None,
         limit_bytes: int = 1 << 34,
         **kwargs,
     ) -> "KnowledgeBank":
@@ -471,16 +475,11 @@ class KnowledgeBank:
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_file(directory / "vocab.txt")
-        bank = cls(directory, vocab, embedder, limit_bytes, **kwargs)
+        bank = cls(directory, vocab, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
             for _, rec in read_jsonl(chunks_file, ("chunk_id", "text", "token_count")):
-                chunk = KnowledgeChunk(
-                    rec["chunk_id"],
-                    rec["text"],
-                    bank.embedder.embed(rec["text"]),
-                    rec["token_count"],
-                )
+                chunk = KnowledgeChunk(rec["chunk_id"], rec["text"], rec["token_count"])
                 bank.chunks[chunk.chunk_id] = chunk
                 bank._text_to_id[chunk.text] = chunk.chunk_id
         manifest = directory / "manifest.jsonl"

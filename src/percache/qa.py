@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .knowledge import jsonl_bytes, read_jsonl, write_atomic
-from .textcore import Embedding, HashEmbedder, cosine_similarity
+from .textcore import Embedding, HashEmbedder, cosine_similarities
 
 DEFAULT_ENTRY_BYTES = 4096
 
@@ -61,15 +63,14 @@ class QaBank:
         the similarity is -1.0 when no entry is servable. A hit bumps
         use_count and last_used.
         """
-        best: QaEntry | None = None
-        best_sim = -1.0
-        for entry in self.entries:
-            if not entry.servable:
-                continue
-            sim = cosine_similarity(embedding, entry.embedding)
-            if sim > best_sim or (sim == best_sim and best is not None and entry.created_at < best.created_at):
-                best, best_sim = entry, sim
-        if best is not None and best_sim > tau:
+        servable = [e for e in self.entries if e.servable]
+        if not servable:
+            return None, -1.0
+        sims = cosine_similarities(np.array([e.embedding.values for e in servable]), embedding)
+        # ties: the oldest entry, then the first in list order
+        i = min(np.flatnonzero(sims == sims.max()).tolist(), key=lambda i: servable[i].created_at)
+        best, best_sim = servable[i], float(sims[i])
+        if best_sim > tau and best_sim > -1.0:  # the -1.0 floor picks no entry, whatever tau is
             best.use_count += 1
             best.last_used = now
             return best, best_sim
@@ -128,16 +129,16 @@ class QaBank:
     def refresh(self, new_chunk_ids: set[str], rank: "callable", k_refresh: int) -> list[QaEntry]:
         """Mark entries stale when newly ingested chunks displace their grounding.
 
-        rank(query) must return chunk ids in ranked order over the full
-        corpus; an entry goes stale if any new chunk lands in the top
-        k_refresh. Returns the entries marked stale.
+        rank(embedding, k) must return the ids of the top k chunks of the
+        full corpus for an entry's embedding, in ranked order; an entry goes
+        stale if any new chunk lands in its top k_refresh. Returns the
+        entries marked stale.
         """
         marked = []
         for entry in self.entries:
             if entry.answer is None or entry.stale:
                 continue
-            top = list(rank(entry.query))[:k_refresh]
-            if any(cid in new_chunk_ids for cid in top):
+            if any(cid in new_chunk_ids for cid in rank(entry.embedding, k_refresh)):
                 entry.stale = True
                 marked.append(entry)
         return marked

@@ -3,6 +3,14 @@
 BM25 over lowercase word terms is fused with cosine similarity of the
 hashed embeddings via weighted min-max normalization. Exact scan only:
 personal corpora are small, so no ANN index.
+
+The scan is array code, and every score equals the per-chunk scalar
+formula bit for bit. The chunk embeddings are the rows of one float64
+matrix, scored by textcore.cosine_similarities. BM25 walks the postings of
+each query term, in order of first occurrence, and adds the term's
+contribution with the scalar formula's operation order. Min-max
+normalization, fusion and the (-fused, chunk_id) order run over the chunks
+in chunk-id order.
 """
 
 from __future__ import annotations
@@ -12,11 +20,14 @@ from dataclasses import dataclass, field
 
 import math
 
-from .textcore import Embedding, HashEmbedder, cosine_similarity, split_words
+import numpy as np
+
+from .textcore import Embedding, HashEmbedder, cosine_similarities, split_words
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_ALPHA = 0.5
+INITIAL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -52,41 +63,23 @@ class CorpusStats:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
-def bm25_score(
-    query_terms: Counter,
-    doc_terms: Counter,
-    doc_len: int,
-    stats: CorpusStats,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> float:
-    """Standard BM25. Empty corpus scores 0 for every document."""
-    if stats.doc_count == 0:
-        return 0.0
-    score = 0.0
-    avgdl = stats.avg_doc_len
-    for term, qtf in query_terms.items():
-        tf = doc_terms.get(term, 0)
-        if tf == 0:
-            continue
-        denom = tf + k1 * (1.0 - b + b * doc_len / avgdl) if avgdl > 0 else tf + k1
-        score += qtf * stats.idf(term) * tf * (k1 + 1.0) / denom
-    return score
-
-
-def minmax(scores: list[float]) -> list[float]:
-    """Min-max normalize; an all-equal vector maps to 0.5 everywhere."""
-    lo, hi = min(scores), max(scores)
+def _minmax(scores: np.ndarray) -> np.ndarray:
+    """Min-max normalize; an all-equal vector maps to 0.5 everywhere. The
+    bounds are the first minimum and maximum in order, as min() and max()
+    pick them, so 0.0 and -0.0 resolve the same way."""
+    lo, hi = scores[np.argmin(scores)], scores[np.argmax(scores)]
     if hi == lo:
-        return [0.5] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
+        return np.full(len(scores), 0.5)
+    return (scores - lo) / (hi - lo)
 
 
 class Retriever:
     """Exact-scan hybrid retriever over the chunk corpus.
 
-    Reads are safe concurrently; corpus mutation is single-writer
-    (enforced by the engine).
+    Rows of the embedding matrix are chunks in insertion order; its
+    capacity doubles when full. Not safe for concurrent use: besides
+    add_chunk, the first read after an add rebuilds the cached chunk-id
+    order.
     """
 
     def __init__(
@@ -101,36 +94,95 @@ class Retriever:
         self.b = b
         self.alpha = alpha
         self.stats = CorpusStats()
-        self._docs: dict[str, tuple[Counter, int, Embedding]] = {}
+        self._ids: list[str] = []  # row -> chunk id
+        self._id_set: set[str] = set()
+        self._emb = np.empty((INITIAL_CAPACITY, self.embedder.dim))
+        # term -> (row, tf, doc length) of each chunk containing it
+        self._postings: dict[str, list[tuple[int, int, int]]] = {}
+        self._order: np.ndarray | None = None  # rows in chunk-id order
 
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._ids)
+
+    def __contains__(self, chunk_id: str) -> bool:
+        return chunk_id in self._id_set
+
+    def reserve(self, n: int) -> None:
+        """Make room for n chunks in one step: the capacity doubles until n
+        fit. Growing once, not through every smaller size, leaves no
+        outgrown matrices behind in the allocator's heap."""
+        capacity = len(self._emb)
+        while capacity < n:
+            capacity *= 2
+        if capacity > len(self._emb):
+            grown = np.empty((capacity, self._emb.shape[1]))
+            grown[: len(self._ids)] = self._emb[: len(self._ids)]
+            self._emb = grown
 
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
-        if chunk_id in self._docs:
+        if chunk_id in self._id_set:
             return
+        if embedding.dim != self._emb.shape[1]:
+            raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._emb.shape[1]}")
+        row = len(self._ids)
+        self.reserve(row + 1)
+        self._emb[row] = embedding.values
         terms = split_words(text)
-        self._docs[chunk_id] = (Counter(terms), len(terms), embedding)
+        for term, tf in Counter(terms).items():
+            self._postings.setdefault(term, []).append((row, tf, len(terms)))
         self.stats.add_document(terms)
+        self._ids.append(chunk_id)
+        self._id_set.add(chunk_id)
+        self._order = None
 
-    def retrieve_top_k(self, query: str, k: int) -> list[RankedChunk]:
+    def _id_order(self) -> np.ndarray:
+        if self._order is None:
+            self._order = np.array(sorted(range(len(self._ids)), key=self._ids.__getitem__),
+                                   dtype=np.intp)
+        return self._order
+
+    def _bm25(self, query: str) -> np.ndarray:
+        """BM25 of every chunk, in row order. A term with postings has a
+        document with words in it, so the average length is positive."""
+        scores = np.zeros(len(self._ids))
+        avgdl = self.stats.avg_doc_len
+        k1, b = self.k1, self.b
+        for term, qtf in Counter(split_words(query)).items():
+            postings = self._postings.get(term)
+            if postings is None:
+                continue
+            rows, tf, doc_len = np.array(postings).T
+            denom = tf + k1 * (1.0 - b + b * doc_len / avgdl)
+            scores[rows] += qtf * self.stats.idf(term) * tf * (k1 + 1.0) / denom
+        return scores
+
+    def _cosine(self, embedding: Embedding) -> np.ndarray:
+        """Cosine similarity of every chunk to embedding, in chunk-id order."""
+        return cosine_similarities(self._emb[: len(self._ids)], embedding)[self._id_order()]
+
+    def retrieve_top_k(
+        self, query: str, k: int, *, embedding: Embedding | None = None
+    ) -> list[RankedChunk]:
+        """The k best chunks by fused score, ties by chunk id. embedding, if
+        given, is the query's embedding; otherwise the query is embedded."""
         if k <= 0:
             raise ValueError("k must be a positive integer")
-        if not self._docs:
+        if not self._ids:
             return []
-        query_terms = Counter(split_words(query))
-        query_emb = self.embedder.embed(query)
-        ids = sorted(self._docs)
-        bm25 = [
-            bm25_score(query_terms, self._docs[i][0], self._docs[i][1], self.stats, self.k1, self.b)
-            for i in ids
+        if embedding is None:
+            embedding = self.embedder.embed(query)
+        bm25 = self._bm25(query)[self._id_order()]
+        semantic = self._cosine(embedding)
+        fused = self.alpha * _minmax(bm25) + (1.0 - self.alpha) * _minmax(semantic)
+        top = np.argsort(-fused, kind="stable")[:k]
+        rows = self._id_order()[top]
+        return [
+            RankedChunk(self._ids[row], bm, sem, fu)
+            for row, bm, sem, fu in zip(rows.tolist(), bm25[top].tolist(),
+                                        semantic[top].tolist(), fused[top].tolist())
         ]
-        semantic = [cosine_similarity(query_emb, self._docs[i][2]) for i in ids]
-        mm_bm25 = minmax(bm25)
-        mm_sem = minmax(semantic)
-        ranked = [
-            RankedChunk(i, bm25[j], semantic[j], self.alpha * mm_bm25[j] + (1.0 - self.alpha) * mm_sem[j])
-            for j, i in enumerate(ids)
-        ]
-        ranked.sort(key=lambda r: (-r.fused, r.chunk_id))
-        return ranked[:k]
+
+    def cosine_top_k(self, embedding: Embedding, k: int) -> list[str]:
+        """Ids of the k chunks most cosine-similar to embedding, ties by chunk id."""
+        top = np.argsort(-self._cosine(embedding), kind="stable")[:k]
+        return [self._ids[row] for row in self._id_order()[top].tolist()]

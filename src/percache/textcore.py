@@ -137,6 +137,17 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
     return float(np.clip(np.dot(a.values, b.values), -1.0, 1.0))
 
 
+def cosine_similarities(rows: np.ndarray, e: Embedding) -> np.ndarray:
+    """cosine_similarity of e against each row of a 2-D float64 array, bit
+    for bit: matmul computes each (1, d) @ (d, 1) product of the stack with
+    the same vector dot routine np.dot uses. A matrix-vector product
+    (rows @ e.values) or einsum sums in another order and can differ in the
+    last bit."""
+    if rows.shape[1] != e.dim:
+        raise ValueError(f"embedding dimension mismatch: {rows.shape[1]} != {e.dim}")
+    return np.clip(np.matmul(rows[:, None, :], e.values[:, None])[:, 0, 0], -1.0, 1.0)
+
+
 class HashEmbedder:
     """Seeded feature-hash of word unigrams and bigrams into a fixed dimension.
 

@@ -22,7 +22,8 @@ from percache.config import EngineConfig
 from percache.engine import QA_HIT, Engine
 from percache.knowledge import KnowledgeBank, Segment
 from percache.qa import QaBank
-from percache.textcore import TokenizerVocab, cosine_similarity, HashEmbedder, tokenize
+from percache.retrieval import Retriever
+from percache.textcore import TokenizerVocab, HashEmbedder, tokenize
 
 from conftest import DATA, fake_bank, insert_path, load_trace
 
@@ -427,13 +428,9 @@ def test_acceptance_8_refresh_oracle():
         for j, q in enumerate(queries):
             qa.insert(q, emb.embed(q), "ans" if rng.random() < 0.8 else None, j)
 
-        def rank(query):
-            qe = emb.embed(query)
-            scored = sorted(
-                ((cosine_similarity(qe, e), cid) for cid, e in embeddings.items()),
-                key=lambda t: (-t[0], t[1]),
-            )
-            return [cid for _, cid in scored]
+        retriever = Retriever(emb)
+        for cid, text in chunks.items():
+            retriever.add_chunk(cid, text, embeddings[cid])
 
         # independent oracle: raw numpy ranking, no shared helper
         def oracle_stale(query):
@@ -445,7 +442,7 @@ def test_acceptance_8_refresh_oracle():
         expected = sorted(
             e.query for e in qa.entries if e.answer is not None and oracle_stale(e.query)
         )
-        marked = qa.refresh(new_ids, rank, k_refresh)
+        marked = qa.refresh(new_ids, retriever.cosine_top_k, k_refresh)
         assert sorted(e.query for e in marked) == expected
         for e in qa.entries:
             assert e.stale == (e.query in expected) or e.answer is None

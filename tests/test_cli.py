@@ -52,6 +52,27 @@ def test_ingest_idempotent(tmp_path, capsys):
     assert "1 chunks" in capsys.readouterr().out
 
 
+def test_ingest_non_utf8_corpus_exit_2(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"alpha beta\ngamma \xff delta\n")
+    bank = tmp_path / "bank"
+    assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{corpus}:2: not UTF-8" in err and "Traceback" not in err
+    assert not bank.exists()
+
+
+def test_replay_non_utf8_trace_exit_2(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(b'{"at": 0, "kind": "idle_tick"}\n{"at": 1, "kind": "query_arrival", '
+                      b'"text": "caf\xe9"}\n')
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{trace}:2: not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()  # no event ran
+
+
 def test_replay_empty_trace_header_only_csv(tmp_path, capsys):
     trace = _write(tmp_path / "e.trace", "")
     out = tmp_path / "out.csv"
@@ -196,7 +217,7 @@ def test_replay_without_persist_leaves_bank_untouched(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize("name", ["manifest.jsonl", "chunks.jsonl", "qa.jsonl"])
-@pytest.mark.parametrize("damage", ["truncate", "drop_field"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_utf8"])
 def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     bank = _persisted_bank(tmp_path)
     path = bank / name
@@ -204,6 +225,10 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     if damage == "truncate":
         path.write_text("".join(lines)[:50], encoding="utf-8")
         lineno = 1
+    elif damage == "not_utf8":
+        lines[1] = lines[1][:5] + "\udcff" + lines[1][5:]  # one 0xff byte in line 2
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        lineno = 2
     else:
         rec = json.loads(lines[1])
         del rec[{"manifest.jsonl": "id", "chunks.jsonl": "text", "qa.jsonl": "query"}[name]]

@@ -124,11 +124,14 @@ def test_refresh_marks_stale():
     _insert(bank, "no answer yet", answer=None, now=3)
 
     ranking = {
-        "about budget": ["new1", "old2", "old3"],
-        "about meeting": ["old1", "old2", "old3"],
-        "no answer yet": ["new1"],
+        EMB.embed(q).values.tobytes(): ids
+        for q, ids in (
+            ("about budget", ["new1", "old2", "old3"]),
+            ("about meeting", ["old1", "old2", "old3"]),
+            ("no answer yet", ["new1"]),
+        )
     }
-    marked = bank.refresh({"new1"}, lambda q: ranking[q], k_refresh=3)
+    marked = bank.refresh({"new1"}, lambda emb, k: ranking[emb.values.tobytes()][:k], k_refresh=3)
     assert [e.query for e in marked] == ["about budget"]
     assert bank.get("about budget").stale
     assert not bank.get("about meeting").stale
@@ -138,8 +141,10 @@ def test_refresh_marks_stale():
 def test_refresh_respects_k():
     bank = _bank()
     _insert(bank, "q", now=1)
-    marked = bank.refresh({"new"}, lambda q: ["a", "b", "new"], k_refresh=2)
+    marked = bank.refresh({"new"}, lambda emb, k: ["a", "b", "new"][:k], k_refresh=2)
     assert marked == []
+    marked = bank.refresh({"new"}, lambda emb, k: ["a", "b", "new"][:k], k_refresh=3)
+    assert [e.query for e in marked] == ["q"]
 
 
 def test_pending_order():
