@@ -34,7 +34,7 @@ def _commit() -> str:
     return head + ("-dirty" if dirty else "")
 
 
-def snapshot(workload: str) -> dict:
+def snapshot(workload: str, commit: str) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, *ARGS]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -45,7 +45,7 @@ def snapshot(workload: str) -> dict:
     return {
         "workload": workload,
         "command": ["python3", "perfbench/run.py", "--workload", workload, *ARGS],
-        "commit": _commit(),
+        "commit": commit,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -59,9 +59,11 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown workload(s) {unknown}; BENCHMARK.json lists {declared}", file=sys.stderr)
         return 2
+    # read once: the first BENCH file written would make the tree dirty
+    commit = _commit()
     for workload in argv or declared:
         try:
-            snap = snapshot(workload)
+            snap = snapshot(workload, commit)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
