@@ -1,19 +1,20 @@
 """Generation backends and the inference cost model.
 
-ToyModel is a small pre-norm transformer (single linear per Q/K/V, RoPE on
+ToyModel is a small pre-norm transformer (one fused Q/K/V linear, RoPE on
 Q and K, causal attention, greedy decode) computed entirely in float32
 with fixed accumulation order. That makes prefix reuse checkable
 bit-for-bit: prefilling a suffix against cached per-layer Q/K/V slices
 produces exactly the same values as recomputing the whole prompt.
 
 Every sum runs sequentially in index order, and each row's result does not
-depend on how many rows are computed with it. The matmuls and the attention
-V sum are whole-array ``np.einsum`` calls without ``optimize``, the RMSNorm
-sum of squares is a ``np.cumsum``, and the attention scores are a short loop
-over head_dim. tests/test_backend.py checks each of the three kernels bit
-for bit against the per-column loop it replaced, on random shapes, with the
-installed numpy (2.4.6 when this was written); a numpy whose einsum or cumsum
-sums in another order fails there first.
+depend on how many rows are computed with it. The matmuls (the fused Q/K/V
+projection among them), the attention scores and the attention V sum are
+whole-array ``np.einsum`` calls without ``optimize``, and the RMSNorm sum of
+squares is a ``np.cumsum``; prefill and decode run the same calls.
+tests/test_backend.py checks each kernel, and the fused projection against
+three separate ones, bit for bit against the per-column loop it replaced,
+on random shapes, with the installed numpy (2.4.6 when this was written); a
+numpy whose einsum or cumsum sums in another order fails there first.
 
 ScriptedBackend returns canned text for prompt templates so prediction
 and summarization flows stay deterministic in tests and trace replays.
@@ -125,10 +126,11 @@ class ToyModel:
         f32 = lambda a: a.astype(np.float32)
         self.emb = f32(rng.normal(0.0, 1.0, (config.vocab_size, d)))
         std = 1.0 / math.sqrt(d)
-        self.wq = [f32(rng.normal(0.0, std, (d, d))) for _ in range(config.layers)]
-        self.wk = [f32(rng.normal(0.0, std, (d, d))) for _ in range(config.layers)]
-        self.wv = [f32(rng.normal(0.0, std, (d, d))) for _ in range(config.layers)]
-        self.wo = [f32(rng.normal(0.0, std, (d, d))) for _ in range(config.layers)]
+        square = lambda: [f32(rng.normal(0.0, std, (d, d))) for _ in range(config.layers)]
+        wq, wk, wv = square(), square(), square()
+        # one (d, 3d) Q/K/V weight per layer; the only copy
+        self.wqkv = [np.concatenate(w, axis=1) for w in zip(wq, wk, wv)]
+        self.wo = square()
         self.w1 = [f32(rng.normal(0.0, std, (d, hidden))) for _ in range(config.layers)]
         self.w2 = [
             f32(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, d)))
@@ -163,16 +165,15 @@ class ToyModel:
         inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
         return x * inv[:, None] * gain[None, :]
 
-    def _rope(self, t: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    def _rope(self, t: np.ndarray, positions: np.ndarray) -> None:
+        """Rotate t (tokens, heads, head_dim) in place; both halves are
+        computed before either is written."""
         angles = positions.astype(np.float32)[:, None] * self.inv_freq[None, :]
         cos = np.cos(angles)[:, None, :]
         sin = np.sin(angles)[:, None, :]
         even = t[..., 0::2]
         odd = t[..., 1::2]
-        out = np.empty_like(t)
-        out[..., 0::2] = even * cos - odd * sin
-        out[..., 1::2] = even * sin + odd * cos
-        return out
+        t[..., 0::2], t[..., 1::2] = even * cos - odd * sin, even * sin + odd * cos
 
     def _attention(self, q: np.ndarray, k_full: np.ndarray, v_full: np.ndarray,
                    positions: np.ndarray) -> np.ndarray:
@@ -180,13 +181,15 @@ class ToyModel:
         total = k_full.shape[0]
         scale = np.float32(1.0 / math.sqrt(dh))
         mask = (positions[:, None] >= np.arange(total)[None, :])[:, None, :]
-        # scores[s,h,t], accumulated over head_dim in fixed order (batched
-        # across heads; each element's accumulation sequence is unchanged)
-        scores = np.zeros((s, heads, total), dtype=np.float32)
-        tmp = np.empty_like(scores)
-        for dcol in range(dh):
-            np.multiply(q[:, :, dcol : dcol + 1], k_full[:, :, dcol].T[None, :, :], out=tmp)
-            scores += tmp
+        # scores[s,h,t] summed over head_dim in index order from +0.0: with
+        # head_dim the outermost axis of both contiguous operands, einsum
+        # walks it in its outer loop and adds one product per step
+        scores = np.einsum(
+            "dsh,dht->sht",
+            np.ascontiguousarray(q.transpose(2, 0, 1)),
+            np.ascontiguousarray(k_full.transpose(2, 1, 0)),
+            optimize=False,
+        )
         scores = np.where(mask, scores * scale, np.float32(-np.inf))
         mx = np.max(scores, axis=2, keepdims=True)
         e = np.exp(scores - mx)
@@ -197,15 +200,13 @@ class ToyModel:
         return out
 
     def _block_qkv(self, layer: int, x: np.ndarray, positions: np.ndarray):
-        cfg = self.config
-        s = x.shape[0]
+        """Q, K and V of x as views of one (tokens, 3 * heads, head_dim)
+        array: one projection, then RoPE on the Q and K heads together."""
+        heads = self.config.heads
         h = self._rmsnorm(x, self.g1[layer])
-        q = self._mm(h, self.wq[layer]).reshape(s, cfg.heads, cfg.head_dim)
-        k = self._mm(h, self.wk[layer]).reshape(s, cfg.heads, cfg.head_dim)
-        v = self._mm(h, self.wv[layer]).reshape(s, cfg.heads, cfg.head_dim)
-        q = self._rope(q, positions)
-        k = self._rope(k, positions)
-        return q, k, v
+        qkv = self._mm(h, self.wqkv[layer]).reshape(x.shape[0], 3 * heads, self.config.head_dim)
+        self._rope(qkv[:, : 2 * heads], positions)
+        return qkv[:, :heads], qkv[:, heads : 2 * heads], qkv[:, 2 * heads :]
 
     def _block_tail(self, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
         s = x.shape[0]

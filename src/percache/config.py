@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+from .knowledge import read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
 
 PERCACHE_SEED_ENV = "PERCACHE_SEED"
@@ -134,7 +135,7 @@ class EngineConfig:
     def from_file(cls, path) -> "EngineConfig":
         cfg = cls()
         path = Path(path)
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -28,7 +28,7 @@ from .backend import (
     ToyModelConfig,
 )
 from .config import EngineConfig
-from .knowledge import KnowledgeBank, Segment, StorageError
+from .knowledge import KnowledgeBank, Segment, StorageError, read_utf8
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -71,7 +71,7 @@ def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
     else the default."""
     bank_dir = Path(bank_dir)
     if config.vocab_file:
-        vocab = TokenizerVocab.from_file(config.vocab_file)
+        vocab = TokenizerVocab.from_text(read_utf8(config.vocab_file))
     elif (bank_dir / "vocab.txt").exists():
         vocab = None  # KnowledgeBank.load reads the bank's own
     else:
@@ -152,7 +152,9 @@ class Engine:
             t_quiet=config.t_quiet,
         )
         self.scheduler = Scheduler(self)
-        self.deferred_queries: list[str] = []
+        # QA hits to answer at the next idle tick: text -> its embedding, in
+        # arrival order
+        self.deferred_queries: dict[str, Embedding] = {}
         self.abstract_dirty = False
         self.metrics: list[dict] = []
         self.qa_hits = 0
@@ -240,8 +242,8 @@ class Engine:
                 entry, best_sim = self.qa.match(embedding, self.config.tau_query, self._seq())
             if entry is not None:
                 self.qa_hits += 1
-                if self.qa.get(text) is None and text not in self.deferred_queries:
-                    self.deferred_queries.append(text)
+                if self.qa.get(text) is None:
+                    self.deferred_queries.setdefault(text, embedding)
                 self.predictor.note_user_query(text, now)
                 cost = self.cost_model.estimate_cost(
                     InferenceEvent(l_total=0, qa_match=True, embeds=1)

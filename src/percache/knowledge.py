@@ -469,12 +469,13 @@ class KnowledgeBank:
         **kwargs,
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
-        none). A damaged manifest.jsonl or chunks.jsonl raises BankError; a
-        missing or corrupt slice degrades to evicted, and slices beyond
-        limit_bytes are evicted as set_limit would."""
+        none). A damaged manifest.jsonl or chunks.jsonl, or a vocab.txt that
+        is not UTF-8, raises BankError; a missing or corrupt slice degrades
+        to evicted, and slices beyond limit_bytes are evicted as set_limit
+        would."""
         directory = Path(directory)
         if vocab is None:
-            vocab = TokenizerVocab.from_file(directory / "vocab.txt")
+            vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
         bank = cls(directory, vocab, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():

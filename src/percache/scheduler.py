@@ -88,8 +88,9 @@ class Scheduler:
 
         # (1) deferred true answers for QA hits, then stale re-answers
         while qa_on and budget_left() and engine.deferred_queries:
-            report.flops_spent += engine.answer(engine.deferred_queries[0]).cost.total_flops
-            engine.deferred_queries.pop(0)
+            text, embedding = next(iter(engine.deferred_queries.items()))
+            report.flops_spent += engine.answer(text, embedding=embedding).cost.total_flops
+            del engine.deferred_queries[text]
             report.deferred_answered += 1
         report.stale_reanswered += reanswer(lambda e: e.answer is not None and e.stale)
 

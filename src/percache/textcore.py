@@ -10,6 +10,7 @@ spite of that.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 
@@ -76,13 +77,14 @@ class TokenizerVocab:
         return self._byte_base + 256
 
     @classmethod
-    def from_file(cls, path) -> "TokenizerVocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        return cls(tokens)
+    def from_text(cls, text: str) -> "TokenizerVocab":
+        """One token per non-empty line; line ends split as in a file read
+        in text mode."""
+        lines = (line.rstrip("\n") for line in io.StringIO(text, newline=None))
+        return cls([line for line in lines if line])
 
     def to_text(self) -> str:
-        """The explicit tokens, one per line, as from_file reads them."""
+        """The explicit tokens, one per line, as from_text reads them."""
         return "".join(b.decode("utf-8") + "\n" for b in self._bytes_by_id[: self._byte_base])
 
     def token_bytes(self, token_id: int) -> bytes:

@@ -182,6 +182,18 @@ def _ref_rmsnorm(x, gain):
     return x * inv[:, None] * gain[None, :]
 
 
+def _ref_rope(t, positions, inv_freq):
+    angles = positions.astype(np.float32)[:, None] * inv_freq[None, :]
+    cos = np.cos(angles)[:, None, :]
+    sin = np.sin(angles)[:, None, :]
+    even = t[..., 0::2]
+    odd = t[..., 1::2]
+    out = np.empty_like(t)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
 def _ref_attention(q, k_full, v_full, positions):
     s, heads, dh = q.shape
     total = k_full.shape[0]
@@ -258,12 +270,18 @@ def _check_rmsnorm(rows, dim, seed):
 @example(rows=1, past=0, heads=1, half_dim=1, seed=0)  # one key position, head_dim 2
 @example(rows=1, past=40, heads=4, half_dim=8, seed=1)  # a decode step
 @example(rows=30, past=0, heads=2, half_dim=4, seed=2)  # a cold prefill
+@example(rows=1, past=69, heads=4, half_dim=8, seed=3)  # prefix_reuse decode step
+@example(rows=45, past=25, heads=4, half_dim=8, seed=4)  # prefix_reuse suffix prefill
 def _check_attention(rows, past, heads, half_dim, seed):
     dh = 2 * half_dim
     total = past + rows
-    q = _values(seed, (rows, heads, dh))
-    k_full = _values(seed + 1, (total, heads, dh))
-    v_full = _values(seed + 2, (total, heads, dh))
+    # Q, K and V as the strided views _block_qkv returns; a past is
+    # prepended to K and V as _layers does
+    fused = _values(seed, (rows, 3 * heads, dh))
+    q, k_full, v_full = fused[:, :heads], fused[:, heads : 2 * heads], fused[:, 2 * heads :]
+    if past:
+        k_full = np.concatenate([_values(seed + 1, (past, heads, dh)), k_full])
+        v_full = np.concatenate([_values(seed + 2, (past, heads, dh)), v_full])
     positions = np.arange(past, total)
     model = _kernel_model()
     got = model._attention(q, k_full, v_full, positions)
@@ -271,8 +289,37 @@ def _check_attention(rows, past, heads, half_dim, seed):
     assert model.mac_count == 2 * rows * heads * total * dh
 
 
-@pytest.mark.parametrize("check", [_check_mm, _check_rmsnorm, _check_attention],
-                         ids=["mm", "rmsnorm", "attention"])
+@KERNEL_SETTINGS
+@given(
+    rows=st.integers(1, 40),
+    past=st.integers(0, 120),
+    heads=st.integers(1, 4),
+    half_dim=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=1, past=0, heads=1, half_dim=1, seed=0)  # dim 2
+@example(rows=1, past=69, heads=4, half_dim=8, seed=1)  # prefix_reuse decode step
+@example(rows=45, past=0, heads=4, half_dim=8, seed=2)  # prefix_reuse cold prefill
+def _check_qkv(rows, past, heads, half_dim, seed):
+    # the fused projection against one projection each for Q, K and V
+    dh = 2 * half_dim
+    d = heads * dh
+    model = ToyModel(ToyModelConfig(layers=1, heads=heads, head_dim=dh, vocab_size=1, seed=seed))
+    x = _values(seed, (rows, d))
+    positions = np.arange(past, past + rows)
+    got = model._block_qkv(0, x, positions)
+    h = model._rmsnorm(x, model.g1[0])
+    w = model.wqkv[0]
+    for i, part in enumerate(got):
+        want = _ref_mm(h, w[:, i * d : (i + 1) * d]).reshape(rows, heads, dh)
+        if i < 2:  # RoPE on Q and K only
+            want = _ref_rope(want, positions, model.inv_freq)
+        assert _bits_equal(part, want), ("qkv"[i], rows, past, heads, dh)
+    assert model.mac_count == 3 * rows * d * d
+
+
+@pytest.mark.parametrize("check", [_check_mm, _check_rmsnorm, _check_attention, _check_qkv],
+                         ids=["mm", "rmsnorm", "attention", "qkv"])
 def test_kernel_matches_reference_loop(check):
     _within_budget(check)
 

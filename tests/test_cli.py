@@ -73,6 +73,34 @@ def test_replay_non_utf8_trace_exit_2(tmp_path, capsys):
     assert not out.exists()  # no event ran
 
 
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_bytes(b"tau_query=0.9\n# caf\xe9\n")
+    trace = _write(tmp_path / "e.trace", "")
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--config", cfg,
+                "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: not UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_utf8_bank_vocab_exit_2(tmp_path, capsys):
+    bank = tmp_path / "bank"
+    corpus = _write(tmp_path / "c.txt", "alpha beta gamma delta")
+    assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_OK
+    vocab = bank / "vocab.txt"
+    lines = vocab.read_bytes().splitlines(keepends=True)
+    vocab.write_bytes(lines[0] + lines[1] + b"caf\xe9\n" + b"".join(lines[2:]))
+    capsys.readouterr()
+    trace = _write(tmp_path / "e.trace", "")
+    assert run(["replay", "--trace", trace, "--bank", bank, "--out", tmp_path / "o.csv"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{vocab}:3: not UTF-8" in err and "Traceback" not in err
+    assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
+    assert f"{vocab}:3: not UTF-8" in capsys.readouterr().err
+
+
 def test_replay_empty_trace_header_only_csv(tmp_path, capsys):
     trace = _write(tmp_path / "e.trace", "")
     out = tmp_path / "out.csv"

@@ -65,9 +65,14 @@ def _engine_with_pending(tmp_path, n=3, **overrides):
     return eng
 
 
+def _defer(eng, text):
+    """Queue text for deferred answering as a QA hit does."""
+    eng.deferred_queries[text] = eng.embedder.embed(text)
+
+
 def test_zero_budget_tick_does_nothing(tmp_path):
     eng = _engine_with_pending(tmp_path)
-    eng.deferred_queries.append("what is the budget review plan?")
+    _defer(eng, "what is the budget review plan?")
     report = eng.scheduler.idle_tick(0.0, now=10)
     assert report.flops_spent == 0.0
     assert report.deferred_answered == 0 and report.converted_to_qa == 0
@@ -95,11 +100,28 @@ def test_budget_caps_conversions(tmp_path):
 
 def test_deferred_runs_before_conversions(tmp_path):
     eng = _engine_with_pending(tmp_path)
-    eng.deferred_queries.append("how many hiring interviews are planned?")
+    _defer(eng, "how many hiring interviews are planned?")
     report = eng.scheduler.idle_tick(1e-9, now=10)
     assert report.deferred_answered == 1
     assert report.stale_reanswered == 0 and report.converted_to_qa == 0
-    assert eng.deferred_queries == []
+    assert eng.deferred_queries == {}
+
+
+def test_deferred_answer_reuses_the_hit_embedding(tmp_path):
+    # a QA hit queues its query with the embedding it was matched with, so
+    # the idle answer does not embed the text again
+    eng = _engine_with_pending(tmp_path, n=0)
+    known = "what is the budget review plan?"
+    eng.qa.insert(known, eng.embedder.embed(known), "an answer", 0)
+    text = "what is the budget review plan"
+    assert eng.handle_query(text, now=1).path == "qa_hit"
+    assert list(eng.deferred_queries) == [text]
+    embedded = []
+    embed = eng.embedder.embed
+    eng.embedder.embed = lambda t: embedded.append(t) or embed(t)
+    report = eng.scheduler.idle_tick(1e15, now=10)
+    assert report.deferred_answered == 1 and eng.qa.get(text).answer is not None
+    assert text not in embedded
 
 
 def test_stale_runs_before_conversions(tmp_path):
@@ -118,7 +140,7 @@ def test_scheduler_disabled_skips_conversions(tmp_path):
     assert report.converted_to_qa == 0 and report.restored_nodes == 0
     assert len(eng.qa.pending()) == 3  # still answer-less
     # deferred answering still runs without the scheduler
-    eng.deferred_queries.append("how many hiring interviews are planned?")
+    _defer(eng, "how many hiring interviews are planned?")
     report = eng.scheduler.idle_tick(1e15, now=11)
     assert report.deferred_answered == 1
 
@@ -144,7 +166,7 @@ def test_qa_disabled_mid_trace_leaves_answering_waiting(tmp_path):
     # answering stores nothing with QA off, so it waits instead of
     # spending the budget on the same pending entries every tick
     eng = _engine_with_pending(tmp_path)
-    eng.deferred_queries.append("how many hiring interviews are planned?")
+    _defer(eng, "how many hiring interviews are planned?")
     eng.config.apply("qa_enabled", "false")
     report = eng.scheduler.idle_tick(1e15, now=10)
     assert report.deferred_answered == 0 and report.converted_to_qa == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from percache.knowledge import read_utf8
 from percache.textcore import (
     EMBED_DIM,
     EMBED_SEED,
@@ -75,7 +76,7 @@ def test_tokenize_round_trip_and_spans(text):
 def test_vocab_file_round_trip(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text(WITNESS.to_text(), encoding="utf-8")
-    loaded = TokenizerVocab.from_file(path)
+    loaded = TokenizerVocab.from_text(read_utf8(path))
     for text in ("abc", "a bc", "cab"):
         assert tokenize(text, loaded).tokens == tokenize(text, WITNESS).tokens
 
