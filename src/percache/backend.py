@@ -77,6 +77,7 @@ class QkvTensors:
         return int(self.q[0].shape[0]) if self.q else 0
 
     def slice_tokens(self, start: int, end: int) -> "QkvTensors":
+        """Copies of token rows [start, end): the cache tree keeps them."""
         return QkvTensors(
             [a[start:end].copy() for a in self.q],
             [a[start:end].copy() for a in self.k],
@@ -85,6 +86,7 @@ class QkvTensors:
 
     @classmethod
     def concat(cls, parts: list["QkvTensors"]) -> "QkvTensors":
+        """New arrays, sharing no memory with the parts, even for one part."""
         if not parts:
             raise ValueError("nothing to concatenate")
         layers = parts[0].layers
@@ -165,12 +167,14 @@ class ToyModel:
         inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
         return x * inv[:, None] * gain[None, :]
 
-    def _rope(self, t: np.ndarray, positions: np.ndarray) -> None:
-        """Rotate t (tokens, heads, head_dim) in place; both halves are
-        computed before either is written."""
+    def _rotary(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of the rotary angles, shaped (tokens, 1, head_dim // 2)."""
         angles = positions.astype(np.float32)[:, None] * self.inv_freq[None, :]
-        cos = np.cos(angles)[:, None, :]
-        sin = np.sin(angles)[:, None, :]
+        return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+    def _rope(self, t: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+        """Rotate t (tokens, heads, head_dim) in place by _rotary's cos and
+        sin; both halves are computed before either is written."""
         even = t[..., 0::2]
         odd = t[..., 1::2]
         t[..., 0::2], t[..., 1::2] = even * cos - odd * sin, even * sin + odd * cos
@@ -199,13 +203,13 @@ class ToyModel:
         self.mac_count += 2 * s * heads * total * dh
         return out
 
-    def _block_qkv(self, layer: int, x: np.ndarray, positions: np.ndarray):
+    def _block_qkv(self, layer: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray):
         """Q, K and V of x as views of one (tokens, 3 * heads, head_dim)
         array: one projection, then RoPE on the Q and K heads together."""
         heads = self.config.heads
         h = self._rmsnorm(x, self.g1[layer])
         qkv = self._mm(h, self.wqkv[layer]).reshape(x.shape[0], 3 * heads, self.config.head_dim)
-        self._rope(qkv[:, : 2 * heads], positions)
+        self._rope(qkv[:, : 2 * heads], cos, sin)
         return qkv[:, :heads], qkv[:, heads : 2 * heads], qkv[:, 2 * heads :]
 
     def _block_tail(self, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
@@ -222,10 +226,11 @@ class ToyModel:
         final-norm hidden state of the last token."""
         start = 0 if past_k is None else int(past_k[0].shape[0])
         positions = np.arange(start, start + token_ids.shape[0])
+        cos, sin = self._rotary(positions)
         x = self.emb[token_ids]
         qs, ks, vs = [], [], []
         for layer in range(self.config.layers):
-            q, k, v = self._block_qkv(layer, x, positions)
+            q, k, v = self._block_qkv(layer, x, cos, sin)
             if start:
                 k = np.concatenate([past_k[layer], k], axis=0)
                 v = np.concatenate([past_v[layer], v], axis=0)

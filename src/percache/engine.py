@@ -111,7 +111,7 @@ class InferResult:
 
 
 class Engine:
-    def __init__(self, config: EngineConfig, bank_dir, text_backend=None):
+    def __init__(self, config: EngineConfig, bank_dir):
         self.config = config
         self.embedder = HashEmbedder()
         self.bank = open_bank(config, bank_dir)
@@ -139,12 +139,10 @@ class Engine:
             self.qa = QaBank.load(qa_path, config.qa_limit_bytes, self.embedder)
         else:
             self.qa = QaBank(config.qa_limit_bytes)
-        if text_backend is None:
-            text_backend = (ScriptedBackend.from_file(config.script_file)
-                            if config.script_file else ScriptedBackend())
-        self.text_backend = text_backend
+        self.text_backend = (ScriptedBackend.from_file(config.script_file)
+                             if config.script_file else ScriptedBackend())
         self.predictor = Predictor(
-            text_backend,
+            self.text_backend,
             stride=config.prediction_stride,
             abstract_cap_bytes=config.abstract_cap_bytes,
             buffer_size=config.buffer_size,
@@ -305,7 +303,7 @@ class Engine:
     def restore_evicted_slices(self, budget_ok) -> tuple[list[int], CostReport]:
         """QA->QKV conversion: for entries whose retrieval path has evicted
         slices, re-run prefill and re-insert; writes are refused rather
-        than allowed to evict, and payloads must hash-match the originals."""
+        than allowed to evict, and slices must hash-match the originals."""
         restored: list[int] = []
         total = CostReport()
 

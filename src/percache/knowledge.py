@@ -11,11 +11,13 @@ last shared chunk differently. Two measures keep reuse safe:
   discarded and recomputed from raw text.
 
 Eviction is LFU over per-node retrieval counts under a byte budget; an
-evicted node keeps its metadata (and a payload digest) so a later
+evicted node keeps its metadata and its slice digest, so a later
 restoration can be verified bit-for-bit.
 
-Slice payloads live on their tree nodes. The bank directory is a snapshot
-that only persist writes and only load reads; serving touches no file.
+Nodes hold their slices as QkvTensors. The slice file format is only the
+bank's disk boundary: persist writes it, load reads and validates it, and
+a digest hashes it once, at the node's first eviction or persist. Only
+persist writes the bank directory and only load reads it.
 """
 
 from __future__ import annotations
@@ -167,6 +169,15 @@ def deserialize_slice(data: bytes) -> tuple[QkvTensors, bytes]:
     return QkvTensors(qs, ks, vs), chunk_hash
 
 
+def slice_size(tensors: QkvTensors) -> int:
+    """len(serialize_slice(tensors, ...)), from the shapes alone."""
+    return _HEADER.size + 4 * sum(a.size for arrs in (tensors.q, tensors.k, tensors.v) for a in arrs)
+
+
+def slice_digest(tensors: QkvTensors, chunk_hash: bytes) -> str:
+    return hashlib.sha256(serialize_slice(tensors, chunk_hash)).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -176,16 +187,17 @@ class CacheTreeNode:
     chunk_id: str
     parent: "CacheTreeNode | None"
     children: list = field(default_factory=list)
-    payload: bytes | None = field(default=None, repr=False)  # serialized slice
-    byte_size: int = 0
+    tensors: QkvTensors | None = field(default=None, repr=False)  # the slice; copied in and out
+    chunk_hash: bytes = b""  # content hash of the segment text, for the slice header
+    byte_size: int = 0  # serialized slice length, kept past eviction
     token_count: int = 0
     retrieval_count: int = 0
     last_used: int = 0
-    payload_sha: str | None = None  # digest of the original payload, kept past eviction
+    payload_sha: str | None = None  # slice_digest from first eviction or persist; kept past eviction
 
     @property
     def present(self) -> bool:
-        return self.payload is not None
+        return self.tensors is not None
 
 
 @dataclass
@@ -303,14 +315,6 @@ class KnowledgeBank:
         self.nodes[node.node_id] = node
         return node
 
-    def _write_slice(self, node: CacheTreeNode, payload: bytes, token_count: int) -> None:
-        node.payload = payload
-        node.byte_size = len(payload)
-        node.token_count = token_count
-        node.payload_sha = hashlib.sha256(payload).hexdigest()
-        self.ledger.used_bytes += len(payload)
-        self.ledger.check()
-
     def slice_and_insert(
         self,
         segments: list[Segment],
@@ -338,20 +342,19 @@ class KnowledgeBank:
         # plan every write before changing anything; None stands for a new
         # node, and the query, the last segment, gets no slot
         slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
-        plan: list[tuple[CacheTreeNode | None, str | None, bytes, int]] = []
+        plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
             if node is not None and node.present:
                 continue
-            payload = serialize_slice(qkv.slice_tokens(start, end), content_hash(seg.text))
+            tensors, chunk_hash = qkv.slice_tokens(start, end), content_hash(seg.text)
             # refill an absent slice only when bit-identical to the original
-            # payload (context may differ otherwise); the root may also be
-            # filled while it has no digest yet
-            if node is None or node.payload_sha == hashlib.sha256(payload).hexdigest() or (
-                node is self.root and node.payload_sha is None
-            ):
-                plan.append((node, seg.chunk_id, payload, end - start))
+            # (context may differ otherwise); the root may also be filled
+            # while it has no digest yet
+            if node is None or (node.payload_sha == slice_digest(tensors, chunk_hash)
+                                if node.payload_sha is not None else node is self.root):
+                plan.append((node, seg.chunk_id, tensors, chunk_hash))
 
-        incoming = sum(len(payload) for _, _, payload, _ in plan)
+        incoming = sum(slice_size(tensors) for _, _, tensors, _ in plan)
         if incoming > self.ledger.limit_bytes:
             raise StorageError("prompt slices exceed the whole cache budget")
         if not allow_evict and self.ledger.used_bytes + incoming > self.ledger.limit_bytes:
@@ -360,11 +363,13 @@ class KnowledgeBank:
 
         written_ids: list[int] = []
         parent = chain[-1] if chain else self.root
-        for node, chunk_id, payload, token_count in plan:
+        for node, chunk_id, tensors, chunk_hash in plan:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
-            self._write_slice(node, payload, token_count)
-            node.last_used = now
+            node.tensors, node.chunk_hash, node.last_used = tensors, chunk_hash, now
+            node.byte_size, node.token_count = slice_size(tensors), tensors.token_count
+            self.ledger.used_bytes += node.byte_size
+            self.ledger.check()
             written_ids.append(node.node_id)
         return written_ids
 
@@ -377,10 +382,8 @@ class KnowledgeBank:
             return None, 0, 0
         chain = self._match_chain(retrieved, require_present=True)
         matched_nodes = [self.root] + chain
-        parts: list[QkvTensors] = []
+        parts = [node.tensors for node in matched_nodes]
         for node in matched_nodes:
-            tensors, _ = deserialize_slice(node.payload)
-            parts.append(tensors)
             node.retrieval_count += 1
             node.last_used = now
         final = matched_nodes[-1]
@@ -389,7 +392,7 @@ class KnowledgeBank:
             discarded = min(self.k_boundary, parts[-1].token_count)
             if discarded:
                 parts[-1] = parts[-1].slice_tokens(0, parts[-1].token_count - discarded)
-        tensors = QkvTensors.concat(parts)
+        tensors = QkvTensors.concat(parts)  # a copy: stored arrays never leave the bank
         prefix = QkvPrefix(tensors, tensors.token_count)
         return prefix, len(chain), discarded
 
@@ -416,8 +419,10 @@ class KnowledgeBank:
         return evicted
 
     def _evict_node(self, node: CacheTreeNode) -> None:
+        if node.payload_sha is None:
+            node.payload_sha = slice_digest(node.tensors, node.chunk_hash)
         self.ledger.used_bytes -= node.byte_size
-        node.payload = None
+        node.tensors = None
 
     def set_limit(self, limit_bytes: int, now: int) -> list[int]:
         """Change the byte budget; shrinking triggers immediate eviction."""
@@ -434,9 +439,11 @@ class KnowledgeBank:
         slice never changes once written (a refill must match its digest),
         so the old manifest stays valid until the new one replaces it."""
         self.slice_dir.mkdir(parents=True, exist_ok=True)
-        present = {_slice_name(n.node_id): n.payload for n in self.nodes.values() if n.present}
-        for name, payload in present.items():
-            write_atomic(self.slice_dir / name, payload)
+        present = {_slice_name(n.node_id): n for n in self.nodes.values() if n.present}
+        for name, node in present.items():
+            data = serialize_slice(node.tensors, node.chunk_hash)
+            node.payload_sha = node.payload_sha or hashlib.sha256(data).hexdigest()
+            write_atomic(self.slice_dir / name, data)
         write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
             {"chunk_id": c.chunk_id, "text": c.text, "token_count": c.token_count}
             for _, c in sorted(self.chunks.items())
@@ -511,14 +518,14 @@ class KnowledgeBank:
             # persist removes its file
             path = bank.slice_dir / _slice_name(node.node_id)
             try:
-                payload = path.read_bytes()
-                deserialize_slice(payload)
+                data = path.read_bytes()
+                tensors, chunk_hash = deserialize_slice(data)
             except (OSError, ValueError):
-                payload = None
-            if payload is None or len(payload) != node.byte_size:
+                data = None
+            if data is None or len(data) != node.byte_size:
                 log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
                 continue
-            node.payload = payload
+            node.tensors, node.chunk_hash = tensors, chunk_hash
             bank.ledger.used_bytes += node.byte_size
         bank._next_node_id = max(bank.nodes) + 1
         bank.set_limit(limit_bytes, 0)  # a smaller budget than the bank holds evicts LFU

@@ -6,8 +6,8 @@ predicted but not yet decoded) and stale entries (grounding chunks
 superseded by new knowledge) are never served; they are completed or
 re-decoded at idle ticks.
 
-Accounting is flat: every entry charges the same configured byte size,
-and eviction is LFU over per-entry use counts.
+Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
+is LFU over per-entry use counts.
 """
 
 from __future__ import annotations
@@ -43,15 +43,14 @@ class QaEntry:
 
 
 class QaBank:
-    def __init__(self, limit_bytes: int, entry_bytes: int = DEFAULT_ENTRY_BYTES):
+    def __init__(self, limit_bytes: int):
         self.limit_bytes = limit_bytes
-        self.entry_bytes = entry_bytes
         self.entries: list[QaEntry] = []
         self._by_query: dict[str, QaEntry] = {}
 
     @property
     def used_bytes(self) -> int:
-        return len(self.entries) * self.entry_bytes
+        return len(self.entries) * DEFAULT_ENTRY_BYTES
 
     def get(self, query: str) -> QaEntry | None:
         return self._by_query.get(query)
@@ -98,13 +97,9 @@ class QaBank:
             if answer is not None:
                 existing.stale = False
             return []
-        if self.entry_bytes > self.limit_bytes:
+        if DEFAULT_ENTRY_BYTES > self.limit_bytes:
             raise QaCapacityError("qa_limit_bytes smaller than one entry")
-        evicted: list[QaEntry] = []
-        while (len(self.entries) + 1) * self.entry_bytes > self.limit_bytes:
-            victim = min(self.entries, key=lambda e: (e.use_count, e.last_used, e.created_at, e.query))
-            self._remove(victim)
-            evicted.append(victim)
+        evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
         entry = QaEntry(query, embedding, answer, now, now)
         self.entries.append(entry)
         self._by_query[query] = entry
@@ -114,14 +109,20 @@ class QaBank:
         self.entries.remove(entry)
         del self._by_query[entry.query]
 
-    def set_limit(self, limit_bytes: int) -> list[QaEntry]:
-        """Change the byte budget; shrinking evicts LFU immediately."""
-        self.limit_bytes = limit_bytes
+    def _evict_lfu(self, keep: int) -> list[QaEntry]:
+        """Evict until at most keep entries remain; victims have the fewest
+        uses (ties: least-recent last_used, then oldest, then query)."""
         evicted: list[QaEntry] = []
-        while self.entries and self.used_bytes > self.limit_bytes:
+        while len(self.entries) > max(keep, 0):
             victim = min(self.entries, key=lambda e: (e.use_count, e.last_used, e.created_at, e.query))
             self._remove(victim)
             evicted.append(victim)
+        return evicted
+
+    def set_limit(self, limit_bytes: int) -> list[QaEntry]:
+        """Change the byte budget; shrinking evicts LFU immediately."""
+        self.limit_bytes = limit_bytes
+        evicted = self._evict_lfu(limit_bytes // DEFAULT_ENTRY_BYTES)
         if self.used_bytes > self.limit_bytes:
             raise QaCapacityError("qa_limit_bytes smaller than one entry")
         return evicted
@@ -171,10 +172,9 @@ class QaBank:
         path,
         limit_bytes: int,
         embedder: HashEmbedder | None = None,
-        entry_bytes: int = DEFAULT_ENTRY_BYTES,
     ) -> "QaBank":
         embedder = embedder or HashEmbedder()
-        bank = cls(limit_bytes, entry_bytes)
+        bank = cls(limit_bytes)
         fields = ("query", "answer", "created_at", "last_used", "use_count", "stale")
         for _, rec in read_jsonl(Path(path), fields):
             entry = QaEntry(

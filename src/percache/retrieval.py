@@ -85,13 +85,9 @@ class Retriever:
     def __init__(
         self,
         embedder: HashEmbedder | None = None,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
         alpha: float = DEFAULT_ALPHA,
     ):
         self.embedder = embedder or HashEmbedder()
-        self.k1 = k1
-        self.b = b
         self.alpha = alpha
         self.stats = CorpusStats()
         self._ids: list[str] = []  # row -> chunk id
@@ -146,7 +142,7 @@ class Retriever:
         document with words in it, so the average length is positive."""
         scores = np.zeros(len(self._ids))
         avgdl = self.stats.avg_doc_len
-        k1, b = self.k1, self.b
+        k1, b = DEFAULT_K1, DEFAULT_B
         for term, qtf in Counter(split_words(query)).items():
             postings = self._postings.get(term)
             if postings is None:

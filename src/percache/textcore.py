@@ -185,11 +185,3 @@ class HashEmbedder:
             unit[0] = 1.0
             return Embedding(unit, degenerate=True)
         return Embedding(vec / norm)
-
-
-_default_embedder = HashEmbedder()
-
-
-def embed(text: str) -> Embedding:
-    """Embed with the default seeded hash embedder."""
-    return _default_embedder.embed(text)

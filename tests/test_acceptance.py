@@ -21,7 +21,7 @@ from percache.backend import (
 from percache.config import EngineConfig
 from percache.engine import QA_HIT, Engine
 from percache.knowledge import KnowledgeBank, Segment
-from percache.qa import QaBank
+from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
 from percache.textcore import TokenizerVocab, HashEmbedder, tokenize
 
@@ -295,7 +295,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
         else:
             qa.set_limit(int(rng.integers(3, 9)) * 4096)
         assert qa.used_bytes <= qa.limit_bytes
-        assert qa.used_bytes == len(qa.entries) * qa.entry_bytes
+        assert qa.used_bytes == len(qa.entries) * DEFAULT_ENTRY_BYTES
         cases += 1
     assert cases >= 1000
     _elapsed_ok(t0, 30.0, 4)

@@ -307,7 +307,7 @@ def _check_qkv(rows, past, heads, half_dim, seed):
     model = ToyModel(ToyModelConfig(layers=1, heads=heads, head_dim=dh, vocab_size=1, seed=seed))
     x = _values(seed, (rows, d))
     positions = np.arange(past, past + rows)
-    got = model._block_qkv(0, x, positions)
+    got = model._block_qkv(0, x, *model._rotary(positions))
     h = model._rmsnorm(x, model.g1[0])
     w = model.wqkv[0]
     for i, part in enumerate(got):

@@ -16,6 +16,8 @@ from percache.knowledge import (
     content_hash,
     deserialize_slice,
     serialize_slice,
+    slice_digest,
+    slice_size,
 )
 from percache.textcore import TokenizerVocab, tokenize
 
@@ -59,6 +61,11 @@ def test_slice_round_trip():
         assert np.array_equal(back.v[layer], tensors.v[layer])
     # round trip is byte-stable
     assert serialize_slice(back, h) == payload
+    # the size the ledger charges is the serialized length, zero tokens too
+    for layers, tokens, heads, head_dim in ((2, 4, 2, 3), (1, 0, 1, 2), (3, 7, 4, 16), (1, 1, 1, 1)):
+        mk = lambda: [np.zeros((tokens, heads, head_dim), np.float32) for _ in range(layers)]
+        shaped = QkvTensors(mk(), mk(), mk())
+        assert slice_size(shaped) == len(serialize_slice(shaped, b"\0" * 32))
 
 
 def test_slice_corrupt_rejected():
@@ -168,6 +175,25 @@ def test_match_prefix_k_boundary_discard(tmp_path):
     assert m == 0 and d == 0
 
 
+def test_stored_slices_never_alias(tmp_path):
+    # writes into the tensors given to slice_and_insert, or into those
+    # match_prefix returns, must not reach the stored slices
+    bank = fake_bank(tmp_path)
+    segs = path_segments(["c1", "c2"])
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    qkv = fake_tensors(text, toks)
+    bank.slice_and_insert(segs, toks, qkv, now=1)
+    arrays = lambda t: t.q + t.k + t.v
+    for path in (["c1", "c2"], ["zz"]):  # a whole path, and the root alone
+        first, _, _ = bank.match_prefix(path, now=2)
+        want = [a.copy() for a in arrays(first.tensors)]
+        for arr in arrays(qkv) + arrays(first.tensors):
+            arr.fill(-1.0)
+        again, _, _ = bank.match_prefix(path, now=3)
+        assert all(np.array_equal(g, w) for g, w in zip(arrays(again.tensors), want, strict=True))
+
+
 def test_match_skips_absent_nodes(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
@@ -225,8 +251,10 @@ def test_refill_requires_identical_payload(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
     c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
-    sha = c2.payload_sha
+    assert c2.payload_sha is None  # no digest until the slice leaves memory
     bank._evict_node(c2)
+    sha = c2.payload_sha
+    assert sha is not None
     # same path, same query: payload identical, refill happens
     written = insert_path(bank, ["c1", "c2"], now=2)
     assert written == [c2.node_id] and c2.present and c2.payload_sha == sha
@@ -236,7 +264,16 @@ def test_refill_requires_identical_payload(tmp_path):
     bank._evict_node(c2)
     written = insert_path(bank, ["c1", "c2"], now=3, query="different")
     assert written == [c2.node_id]
-    assert hashlib.sha256(c2.payload).hexdigest() == sha
+    assert slice_digest(c2.tensors, c2.chunk_hash) == sha
+    assert hashlib.sha256(serialize_slice(c2.tensors, c2.chunk_hash)).hexdigest() == sha
+    # a different system prompt changes c2's context: no refill
+    bank._evict_node(c2)
+    segs = path_segments(["c1", "c2"])
+    segs[0] = Segment("system", "T\n")
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks), now=4) == []
+    assert not c2.present and c2.payload_sha == sha
 
 
 def test_ledger_never_breached(tmp_path):
@@ -256,7 +293,7 @@ def test_persist_load_round_trip(tmp_path):
     insert_path(bank, ["c1", "c9"], now=2)
     bank.match_prefix(["c1", "c2"], now=3)
     bank.persist()
-    manifest_1 = (tmp_path / "manifest.jsonl").read_bytes()
+    snapshot = _dir_bytes(tmp_path)
 
     loaded = KnowledgeBank.load(tmp_path)
     assert set(loaded.nodes) == set(bank.nodes)
@@ -269,9 +306,18 @@ def test_persist_load_round_trip(tmp_path):
             other.chunk_id, other.retrieval_count, other.last_used,
             other.payload_sha, other.present)
         if node.present:
-            assert node.payload == other.payload
+            assert node.chunk_hash == other.chunk_hash
+            for mine, theirs in zip(node.tensors.q + node.tensors.k + node.tensors.v,
+                                    other.tensors.q + other.tensors.k + other.tensors.v,
+                                    strict=True):
+                assert np.array_equal(mine, theirs)
     loaded.persist()
-    assert (tmp_path / "manifest.jsonl").read_bytes() == manifest_1
+    assert _dir_bytes(tmp_path) == snapshot
+
+
+def _dir_bytes(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 def test_load_holds_slices_to_limit(tmp_path):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from percache.qa import QaBank, QaCapacityError
+from percache.qa import DEFAULT_ENTRY_BYTES, QaBank, QaCapacityError
 from percache.textcore import Embedding, HashEmbedder
 
 EMB = HashEmbedder()
 
 
-def _bank(entries=8, entry_bytes=4096):
-    return QaBank(limit_bytes=entries * entry_bytes, entry_bytes=entry_bytes)
+def _bank(entries=8):
+    return QaBank(limit_bytes=entries * DEFAULT_ENTRY_BYTES)
 
 
 def _insert(bank, query, answer="ans", now=0, **kw):
@@ -80,7 +80,7 @@ def test_insert_replaces_in_place_and_clears_stale():
 
 
 def test_capacity_error():
-    bank = QaBank(limit_bytes=100, entry_bytes=4096)
+    bank = QaBank(limit_bytes=100)
     with pytest.raises(QaCapacityError):
         _insert(bank, "q")
 
@@ -112,7 +112,7 @@ def test_set_limit_shrink():
     for i in range(4):
         _insert(bank, f"q{i}", now=i)
     bank.match(EMB.embed("q0"), 0.9, now=10)
-    evicted = bank.set_limit(2 * bank.entry_bytes)
+    evicted = bank.set_limit(2 * DEFAULT_ENTRY_BYTES)
     assert len(evicted) == 2 and bank.used_bytes <= bank.limit_bytes
     assert bank.get("q0") is not None  # the used entry survived
 
@@ -192,5 +192,5 @@ def test_load_enforces_limit(tmp_path):
         _insert(bank, f"q{i}", now=i)
     path = tmp_path / "qa.jsonl"
     bank.persist(path)
-    loaded = QaBank.load(path, limit_bytes=2 * bank.entry_bytes)
+    loaded = QaBank.load(path, limit_bytes=2 * DEFAULT_ENTRY_BYTES)
     assert len(loaded.entries) == 2 and loaded.used_bytes <= loaded.limit_bytes

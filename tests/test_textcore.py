@@ -15,12 +15,12 @@ from percache.textcore import (
     TokenSeq,
     cosine_similarity,
     detokenize,
-    embed,
     split_words,
     tokenize,
 )
 
 WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
+embed = HashEmbedder().embed
 
 
 def test_tokenize_empty():
