@@ -3,8 +3,10 @@
 ToyModel is a small pre-norm transformer (one fused Q/K/V linear, RoPE on
 Q and K, causal attention, greedy decode) computed entirely in float32
 with fixed accumulation order. That makes prefix reuse checkable
-bit-for-bit: prefilling a suffix against cached per-layer Q/K/V slices
-produces exactly the same values as recomputing the whole prompt.
+bit-for-bit: prefilling a suffix against cached Q/K/V slices produces
+exactly the same values as recomputing the whole prompt. Prefill and
+decode write each token's Q/K/V rows into one preallocated array shaped as
+QkvTensors.data and attend over its rows; no step copies the past.
 
 Every sum runs sequentially in index order, and each row's result does not
 depend on how many rows are computed with it. The matmuls (the fused Q/K/V
@@ -53,47 +55,34 @@ class ToyModelConfig:
 
 @dataclass
 class QkvTensors:
-    """Per-layer Q/K/V arrays shaped (tokens, heads, head_dim), float32."""
+    """Q, K and V of every layer as one float32 array shaped
+    (layers, 3, tokens, heads, head_dim), Q, K, V in that order on axis 1.
+    Its C order is the payload of a slice file."""
 
-    q: list[np.ndarray]
-    k: list[np.ndarray]
-    v: list[np.ndarray]
+    data: np.ndarray
 
     def __post_init__(self):
-        n = self.token_count
-        for arrs in (self.q, self.k, self.v):
-            if len(arrs) != len(self.q):
-                raise ValueError("layer count mismatch")
-            for a in arrs:
-                if a.shape[0] != n or a.dtype != np.float32:
-                    raise ValueError("inconsistent QKV arrays")
+        if self.data.ndim != 5 or self.data.shape[1] != 3 or self.data.dtype != np.float32:
+            raise ValueError("QKV data must be float32 (layers, 3, tokens, heads, head_dim)")
 
     @property
     def layers(self) -> int:
-        return len(self.q)
+        return int(self.data.shape[0])
 
     @property
     def token_count(self) -> int:
-        return int(self.q[0].shape[0]) if self.q else 0
+        return int(self.data.shape[2])
 
     def slice_tokens(self, start: int, end: int) -> "QkvTensors":
-        """Copies of token rows [start, end): the cache tree keeps them."""
-        return QkvTensors(
-            [a[start:end].copy() for a in self.q],
-            [a[start:end].copy() for a in self.k],
-            [a[start:end].copy() for a in self.v],
-        )
+        """A copy of token rows [start, end): the cache tree keeps it."""
+        return QkvTensors(self.data[:, :, start:end].copy())
 
     @classmethod
     def concat(cls, parts: list["QkvTensors"]) -> "QkvTensors":
-        """New arrays, sharing no memory with the parts, even for one part."""
+        """A new array, sharing no memory with the parts, even for one part."""
         if not parts:
             raise ValueError("nothing to concatenate")
-        layers = parts[0].layers
-        cat = lambda sel: [
-            np.concatenate([sel(p)[l] for p in parts], axis=0) for l in range(layers)
-        ]
-        return cls(cat(lambda p: p.q), cat(lambda p: p.k), cat(lambda p: p.v))
+        return cls(np.concatenate([p.data for p in parts], axis=2))
 
 
 @dataclass
@@ -110,7 +99,7 @@ class QkvPrefix:
 
 @dataclass
 class PrefillState:
-    """Decode-ready state: per-layer Q/K/V over the full prompt, single-owner."""
+    """Decode-ready state: Q/K/V of every layer over the full prompt, single-owner."""
 
     tensors: QkvTensors
     last_hidden: np.ndarray  # (1, dim), final-norm output of the last token
@@ -204,13 +193,13 @@ class ToyModel:
         return out
 
     def _block_qkv(self, layer: int, x: np.ndarray, cos: np.ndarray, sin: np.ndarray):
-        """Q, K and V of x as views of one (tokens, 3 * heads, head_dim)
-        array: one projection, then RoPE on the Q and K heads together."""
-        heads = self.config.heads
+        """Q, K and V of x as one (3, tokens, heads, head_dim) view: one
+        projection, then RoPE on the Q and K heads together."""
+        heads, head_dim = self.config.heads, self.config.head_dim
         h = self._rmsnorm(x, self.g1[layer])
-        qkv = self._mm(h, self.wqkv[layer]).reshape(x.shape[0], 3 * heads, self.config.head_dim)
+        qkv = self._mm(h, self.wqkv[layer]).reshape(x.shape[0], 3 * heads, head_dim)
         self._rope(qkv[:, : 2 * heads], cos, sin)
-        return qkv[:, :heads], qkv[:, heads : 2 * heads], qkv[:, 2 * heads :]
+        return qkv.reshape(x.shape[0], 3, heads, head_dim).transpose(1, 0, 2, 3)
 
     def _block_tail(self, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
         s = x.shape[0]
@@ -219,26 +208,27 @@ class ToyModel:
         return x + self._mm(np.maximum(self._mm(h, self.w1[layer]), np.float32(0.0)),
                             self.w2[layer])
 
-    def _layers(self, token_ids: np.ndarray, past_k: list | None, past_v: list | None):
-        """The one layer loop of prefill and decode. Runs token_ids, which
-        follow the past_k/past_v positions (None: none), through every
-        layer; returns (new Q, past+new K, past+new V) per layer and the
-        final-norm hidden state of the last token."""
-        start = 0 if past_k is None else int(past_k[0].shape[0])
-        positions = np.arange(start, start + token_ids.shape[0])
+    def _buffer(self, rows: int) -> np.ndarray:
+        """Uninitialised Q/K/V rows for every layer, as QkvTensors.data."""
+        cfg = self.config
+        return np.empty((cfg.layers, 3, rows, cfg.heads, cfg.head_dim), dtype=np.float32)
+
+    def _layers(self, token_ids: np.ndarray, qkv: np.ndarray, start: int) -> np.ndarray:
+        """The one layer loop of prefill and decode. Runs token_ids, at
+        positions start onwards, through every layer: writes their Q/K/V
+        into rows [start, end) of the qkv buffer (see _buffer), whose rows
+        before start hold the past, and attends over rows [0, end). Returns
+        the final-norm hidden state of the last token."""
+        end = start + token_ids.shape[0]
+        positions = np.arange(start, end)
         cos, sin = self._rotary(positions)
         x = self.emb[token_ids]
-        qs, ks, vs = [], [], []
         for layer in range(self.config.layers):
-            q, k, v = self._block_qkv(layer, x, cos, sin)
-            if start:
-                k = np.concatenate([past_k[layer], k], axis=0)
-                v = np.concatenate([past_v[layer], v], axis=0)
-            x = self._block_tail(layer, x, self._attention(q, k, v, positions))
-            qs.append(q)
-            ks.append(k)
-            vs.append(v)
-        return qs, ks, vs, self._rmsnorm(x[-1:], self.gf)
+            qkv[layer, :, start:end] = self._block_qkv(layer, x, cos, sin)
+            attn = self._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
+                                   qkv[layer, 2, :end], positions)
+            x = self._block_tail(layer, x, attn)
+        return self._rmsnorm(x[-1:], self.gf)
 
     def prefill(self, tokens, prefix: QkvPrefix | None = None) -> PrefillState:
         """Run prefill, skipping projection/RoPE for cached prefix tokens.
@@ -254,34 +244,37 @@ class ToyModel:
         pre = 0 if prefix is None else prefix.prefix_token_count
         if pre > total:
             raise ValueError("prefix longer than the prompt")
-        if prefix is not None and pre > 0 and prefix.tensors.layers != self.config.layers:
-            raise ValueError("prefix layer count does not match the model")
+        cfg = self.config
+        if pre and (prefix.tensors.layers, *prefix.tensors.data.shape[3:]) != (
+                cfg.layers, cfg.heads, cfg.head_dim):
+            raise ValueError("prefix shape does not match the model")  # or it would broadcast
         # always recompute at least the last token so the decode-ready hidden
         # state exists; its recomputed Q/K/V are bitwise-equal to cached values
         start = min(pre, total - 1)
-        if start == 0:
-            q, k, v, hidden = self._layers(token_ids, None, None)
-            return PrefillState(QkvTensors(q, k, v), hidden)
-        cached = prefix.tensors
-        q, k, v, hidden = self._layers(
-            token_ids[start:], [a[:start] for a in cached.k], [a[:start] for a in cached.v]
-        )
-        q = [np.concatenate([c[:start], n], axis=0) for c, n in zip(cached.q, q)]
-        return PrefillState(QkvTensors(q, k, v), hidden)
+        qkv = self._buffer(total)
+        if start:
+            qkv[:, :, :start] = prefix.tensors.data[:, :, :start]
+        hidden = self._layers(token_ids[start:], qkv, start)
+        return PrefillState(QkvTensors(qkv), hidden)
 
     def decode_ids(self, state: PrefillState, max_tokens: int,
                    eos_id: int | None = None) -> list[int]:
-        """Greedy argmax decoding; stops at eos_id or max_tokens."""
+        """Greedy argmax decoding; stops at eos_id or max_tokens. The prompt's
+        Q/K/V are copied once, into a buffer with a row for each step, so
+        state is left unchanged."""
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        k, v, hidden = state.tensors.k, state.tensors.v, state.last_hidden
+        n = state.tensors.token_count
+        qkv = self._buffer(n + max_tokens - 1)
+        qkv[:, :, :n] = state.tensors.data
+        hidden = state.last_hidden
         generated: list[int] = []
         for step in range(max_tokens):
             tok = int(np.argmax(self._mm(hidden, self.w_out)[0]))
             generated.append(tok)
             if tok == eos_id or step == max_tokens - 1:
                 break
-            _, k, v, hidden = self._layers(np.array([tok]), k, v)
+            hidden = self._layers(np.array([tok]), qkv, n + step)
         return generated
 
 

@@ -26,9 +26,13 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -132,21 +136,16 @@ class Segment:
 # ---------------------------------------------------------------------------
 # slice file format (binary, little-endian):
 # magic "PQKV", u16 version, u16 layers, u16 heads, u16 head_dim,
-# u32 token_count, 32-byte chunk content hash, then per layer Q, K, V
-# as f32 row-major (token, head, dim).
+# u32 token_count, 32-byte chunk content hash, then QkvTensors.data as f32
+# in C order: per layer Q, K, V, each (token, head, dim).
 
 _HEADER = struct.Struct("<4sHHHHI32s")
 
 
 def serialize_slice(tensors: QkvTensors, chunk_hash: bytes) -> bytes:
-    layers = tensors.layers
-    tokens = tensors.token_count
-    heads, head_dim = tensors.q[0].shape[1], tensors.q[0].shape[2]
-    parts = [_HEADER.pack(SLICE_MAGIC, SLICE_VERSION, layers, heads, head_dim, tokens, chunk_hash)]
-    for layer in range(layers):
-        for arr in (tensors.q[layer], tensors.k[layer], tensors.v[layer]):
-            parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    layers, _, tokens, heads, head_dim = tensors.data.shape
+    header = _HEADER.pack(SLICE_MAGIC, SLICE_VERSION, layers, heads, head_dim, tokens, chunk_hash)
+    return header + tensors.data.astype("<f4", copy=False).tobytes()
 
 
 def deserialize_slice(data: bytes) -> tuple[QkvTensors, bytes]:
@@ -155,23 +154,16 @@ def deserialize_slice(data: bytes) -> tuple[QkvTensors, bytes]:
     magic, version, layers, heads, head_dim, tokens, chunk_hash = _HEADER.unpack_from(data)
     if magic != SLICE_MAGIC or version != SLICE_VERSION:
         raise ValueError("bad slice magic/version")
-    plane = tokens * heads * head_dim * 4
-    expected = _HEADER.size + layers * 3 * plane
-    if len(data) != expected:
+    shape = (layers, 3, tokens, heads, head_dim)
+    if len(data) != _HEADER.size + 4 * math.prod(shape):
         raise ValueError("slice payload length mismatch")
-    qs, ks, vs = [], [], []
-    offset = _HEADER.size
-    for _ in range(layers):
-        for dest in (qs, ks, vs):
-            arr = np.frombuffer(data, dtype="<f4", count=tokens * heads * head_dim, offset=offset)
-            dest.append(arr.reshape(tokens, heads, head_dim).astype(np.float32, copy=True))
-            offset += plane
-    return QkvTensors(qs, ks, vs), chunk_hash
+    payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(shape)
+    return QkvTensors(payload.astype(np.float32)), chunk_hash
 
 
 def slice_size(tensors: QkvTensors) -> int:
-    """len(serialize_slice(tensors, ...)), from the shapes alone."""
-    return _HEADER.size + 4 * sum(a.size for arrs in (tensors.q, tensors.k, tensors.v) for a in arrs)
+    """len(serialize_slice(tensors, ...)), from the shape alone."""
+    return _HEADER.size + 4 * tensors.data.size
 
 
 def slice_digest(tensors: QkvTensors, chunk_hash: bytes) -> str:
@@ -268,23 +260,15 @@ class KnowledgeBank:
     def segment_token_spans(segments: list[Segment], tokens: TokenSeq) -> list[tuple[int, int]]:
         """Token span per segment; a token belongs to the segment containing
         its start byte (a straddling token stays with the earlier segment)."""
-        byte_bounds = [0]
-        for seg in segments:
-            byte_bounds.append(byte_bounds[-1] + len(seg.text.encode("utf-8")))
-        if tokens.byte_spans and tokens.byte_spans[-1][1] != byte_bounds[-1]:
+        byte_bounds = list(accumulate((len(seg.text.encode("utf-8")) for seg in segments),
+                                      initial=0))
+        if (tokens.byte_spans[-1][1] if tokens.byte_spans else 0) != byte_bounds[-1]:
             raise LayoutError("layout does not tile the token byte range")
-        if not tokens.byte_spans and byte_bounds[-1] != 0:
-            raise LayoutError("layout does not tile the token byte range")
-        spans = []
-        tok = 0
-        for i in range(len(segments)):
-            start = tok
-            while tok < len(tokens) and tokens.byte_spans[tok][0] < byte_bounds[i + 1]:
-                tok += 1
-            spans.append((start, tok))
-        if tok != len(tokens):
+        # a segment ends before the first token that starts at or past its end byte
+        ends = [bisect_left(tokens.byte_spans, bound, key=itemgetter(0)) for bound in byte_bounds]
+        if ends[-1] != len(tokens):
             raise LayoutError("tokens extend past the layout")
-        return spans
+        return list(zip(ends, ends[1:]))
 
     # -- tree operations ----------------------------------------------------
 

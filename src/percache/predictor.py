@@ -85,8 +85,7 @@ class Predictor:
         self.buffer: deque[str] = deque(maxlen=buffer_size)  # recent user queries
         self.phase = "idle"
         self.parse_failures = 0
-        self._pending: list = []  # chunks awaiting summarization
-        self._retry: list = []  # chunks whose summarization missed
+        self._pending: list = []  # chunks awaiting summarization, a missed batch first
         self._last_chunk_at: float | None = None
         self._last_query_at: float | None = None
         self._history_dirty = False
@@ -108,8 +107,7 @@ class Predictor:
 
     def batch_ready(self, now: float) -> bool:
         """New chunks pending and none arrived for t_batch."""
-        pending = self._pending or self._retry
-        return bool(pending) and (
+        return bool(self._pending) and (
             self._last_chunk_at is None or now - self._last_chunk_at >= self.t_batch
         )
 
@@ -127,21 +125,19 @@ class Predictor:
     def update_abstract(self, now: float) -> bool:
         """Summarize the pending chunk batch into one more abstract sentence.
 
-        On a backend miss the batch is queued for retry and the abstract
-        is unchanged. If the cap would be exceeded, the whole abstract is
-        re-summarized through the same prompt exactly once (then hard
-        byte-truncated as a last resort). Returns True if it changed.
+        On a backend miss the batch stays pending for a retry and the
+        abstract is unchanged. If the cap would be exceeded, the whole
+        abstract is re-summarized through the same prompt exactly once (then
+        hard byte-truncated as a last resort). Returns True if it changed.
         """
         self._assert_idle()
-        batch = self._retry + self._pending
-        if not batch:
+        if not self._pending:
             return False
-        self._retry, self._pending = [], []
-        chunk_text = " ".join(c.text for c in batch)
+        chunk_text = " ".join(c.text for c in self._pending)
         response = self.backend.generate(TEMPLATE_SUMMARIZE, {"chunks": chunk_text}).strip()
         if not response:
-            self._retry = batch
-            return False
+            return False  # chunks noted later join the batch behind it
+        self._pending = []
         self.abstract.sentences.append(response)
         if self.abstract.byte_len > self.abstract.cap_bytes:
             merged = self.backend.generate(

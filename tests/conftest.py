@@ -63,7 +63,7 @@ def fake_tensors(text: str, tokens) -> QkvTensors:
     base = np.broadcast_to(
         vals.reshape(n, 1, 1), (n, FAKE_HEADS, FAKE_HEAD_DIM)
     ).astype(np.float32)
-    return QkvTensors([base.copy()], [base.copy() + 1.0], [base.copy() + 2.0])
+    return QkvTensors(np.stack([base, base + 1.0, base + 2.0])[None])
 
 
 def insert_path(bank: KnowledgeBank, path: list[str], now: int, query: str = "q"):

@@ -72,10 +72,7 @@ def _check_prompt(model, vocab, text, chunk_joins):
             boundary_cases += 1  # a token straddles this chunk boundary
         prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
         state = model.prefill(toks.tokens, prefix)
-        for layer in range(model.config.layers):
-            assert np.array_equal(state.tensors.q[layer], full.tensors.q[layer])
-            assert np.array_equal(state.tensors.k[layer], full.tensors.k[layer])
-            assert np.array_equal(state.tensors.v[layer], full.tensors.v[layer])
+        assert np.array_equal(state.tensors.data, full.tensors.data)
         assert np.array_equal(state.last_hidden, full.last_hidden)
         assert model.decode_ids(state, 4) == full_decode
     return boundary_cases
@@ -136,10 +133,7 @@ def test_acceptance_1_cached_prefill_equivalence():
                 prefix, matched, discarded = bank.match_prefix(["c1"], now=2)
                 assert matched == 1 and discarded == k_boundary
                 cached_state = small_model.prefill(toks.tokens, prefix)
-                for layer in range(small_model.config.layers):
-                    assert np.array_equal(cached_state.tensors.q[layer], state.tensors.q[layer])
-                    assert np.array_equal(cached_state.tensors.k[layer], state.tensors.k[layer])
-                    assert np.array_equal(cached_state.tensors.v[layer], state.tensors.v[layer])
+                assert np.array_equal(cached_state.tensors.data, state.tensors.data)
                 assert np.array_equal(cached_state.last_hidden, state.last_hidden)
                 prompts += 1
                 bank_dir_checked += 1

@@ -42,8 +42,7 @@ def test_identical_config_identical_weights_and_outputs():
     assert np.array_equal(a.emb, b.emb)
     toks = _tokens(9)
     sa, sb = a.prefill(toks), b.prefill(toks)
-    for la, lb in zip(sa.tensors.q, sb.tensors.q):
-        assert np.array_equal(la, lb)
+    assert np.array_equal(sa.tensors.data, sb.tensors.data)
 
 
 def test_seed_changes_weights():
@@ -65,6 +64,17 @@ def test_prefix_longer_than_prompt_rejected():
         model.prefill(_tokens(4), QkvPrefix(full, 6))
 
 
+def test_prefix_of_another_shape_rejected():
+    # a one-head prefix would otherwise broadcast into the model's two heads
+    model = ToyModel(CFG)
+    for layers, heads, head_dim in ((2, 1, 8), (2, 2, 4), (3, 2, 8)):
+        other = ToyModel(ToyModelConfig(layers=layers, heads=heads, head_dim=head_dim,
+                                        vocab_size=64, seed=11))
+        prefix = QkvPrefix(other.prefill(_tokens(6)).tensors, 6)
+        with pytest.raises(ValueError, match="shape"):
+            model.prefill(_tokens(8), prefix)
+
+
 @pytest.mark.parametrize("split", [1, 3, 7, 9, 10])
 def test_split_prefill_bitwise_equal(split):
     # prefill with a cached prefix of every length (including the full
@@ -76,10 +86,7 @@ def test_split_prefill_bitwise_equal(split):
     prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
     state = model.prefill(toks, prefix)
     assert state.tensors.token_count == full.tensors.token_count == 10
-    for layer in range(CFG.layers):
-        assert np.array_equal(state.tensors.q[layer], full.tensors.q[layer])
-        assert np.array_equal(state.tensors.k[layer], full.tensors.k[layer])
-        assert np.array_equal(state.tensors.v[layer], full.tensors.v[layer])
+    assert np.array_equal(state.tensors.data, full.tensors.data)
     assert np.array_equal(state.last_hidden, full.last_hidden)
     assert model.decode_ids(state, 6) == model.decode_ids(full, 6)
 
@@ -404,13 +411,24 @@ def test_scripted_backend_from_file(tmp_path):
 
 
 def test_qkv_tensors_validation_and_concat():
-    bad = np.zeros((3, 2, 8), dtype=np.float64)
-    with pytest.raises(ValueError):
-        QkvTensors([bad], [bad], [bad])
+    shape = (CFG.layers, 3, 4, CFG.heads, CFG.head_dim)
+    for bad in (np.zeros(shape, dtype=np.float64), np.zeros(shape[1:], dtype=np.float32),
+                np.zeros((CFG.layers, 2) + shape[2:], dtype=np.float32)):
+        with pytest.raises(ValueError):
+            QkvTensors(bad)
     with pytest.raises(ValueError):
         QkvTensors.concat([])
-    none = [np.zeros((0, CFG.heads, CFG.head_dim), dtype=np.float32)] * CFG.layers
-    t = QkvTensors(none, none, none)
+    t = QkvTensors(np.zeros((CFG.layers, 3, 0, CFG.heads, CFG.head_dim), dtype=np.float32))
     assert t.token_count == 0 and t.layers == CFG.layers
     with pytest.raises(ValueError):
         QkvPrefix(t, 3)
+    # concat joins the token axis into a new array, even for one part
+    rng = np.random.default_rng(2)
+    a = QkvTensors(rng.normal(size=shape).astype(np.float32))
+    b = QkvTensors(rng.normal(size=(CFG.layers, 3, 2, CFG.heads, CFG.head_dim)).astype(np.float32))
+    ab = QkvTensors.concat([a, b])
+    assert ab.token_count == 6
+    assert np.array_equal(ab.data[:, :, :4], a.data) and np.array_equal(ab.data[:, :, 4:], b.data)
+    assert np.array_equal(ab.slice_tokens(4, 6).data, b.data)
+    assert not np.shares_memory(QkvTensors.concat([a]).data, a.data)
+    assert not np.shares_memory(a.slice_tokens(0, 4).data, a.data)

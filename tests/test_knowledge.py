@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percache.backend import QkvTensors
+from percache.backend import QkvTensors, ToyModel, ToyModelConfig
 from percache.knowledge import (
     KnowledgeBank,
     LayoutError,
@@ -50,22 +50,23 @@ def test_ingest_dedupes_and_collision_suffix(tmp_path):
 
 def test_slice_round_trip():
     rng = np.random.default_rng(5)
-    mk = lambda: [rng.normal(size=(4, 2, 3)).astype(np.float32) for _ in range(2)]
-    tensors = QkvTensors(mk(), mk(), mk())
+    tensors = QkvTensors(rng.normal(size=(2, 3, 4, 2, 3)).astype(np.float32))
     payload = serialize_slice(tensors, content_hash("chunk text"))
     back, h = deserialize_slice(payload)
     assert h == content_hash("chunk text")
-    for layer in range(2):
-        assert np.array_equal(back.q[layer], tensors.q[layer])
-        assert np.array_equal(back.k[layer], tensors.k[layer])
-        assert np.array_equal(back.v[layer], tensors.v[layer])
-    # round trip is byte-stable
+    assert np.array_equal(back.data, tensors.data)
+    # the payload is per layer Q, K, V, each (token, head, dim) row-major
+    q1 = np.frombuffer(payload, "<f4", count=4 * 2 * 3, offset=len(payload) - tensors.data.nbytes // 2)
+    assert np.array_equal(q1.reshape(4, 2, 3), tensors.data[1, 0])
+    # round trip is byte-stable, and the result is a writable copy
     assert serialize_slice(back, h) == payload
+    back.data.fill(0.0)
     # the size the ledger charges is the serialized length, zero tokens too
     for layers, tokens, heads, head_dim in ((2, 4, 2, 3), (1, 0, 1, 2), (3, 7, 4, 16), (1, 1, 1, 1)):
-        mk = lambda: [np.zeros((tokens, heads, head_dim), np.float32) for _ in range(layers)]
-        shaped = QkvTensors(mk(), mk(), mk())
-        assert slice_size(shaped) == len(serialize_slice(shaped, b"\0" * 32))
+        shaped = QkvTensors(np.zeros((layers, 3, tokens, heads, head_dim), np.float32))
+        payload = serialize_slice(shaped, b"\0" * 32)
+        assert slice_size(shaped) == len(payload)
+        assert deserialize_slice(payload)[0].data.shape == shaped.data.shape
 
 
 def test_slice_corrupt_rejected():
@@ -73,14 +74,12 @@ def test_slice_corrupt_rejected():
         deserialize_slice(b"XXXX" + b"\0" * 60)
     with pytest.raises(ValueError):
         deserialize_slice(b"\0" * 4)
-    tensors = QkvTensors(
-        [np.zeros((1, 1, 2), np.float32)],
-        [np.zeros((1, 1, 2), np.float32)],
-        [np.zeros((1, 1, 2), np.float32)],
-    )
+    tensors = QkvTensors(np.zeros((1, 3, 1, 1, 2), np.float32))
     payload = serialize_slice(tensors, b"\0" * 32)
     with pytest.raises(ValueError):
         deserialize_slice(payload[:-1])  # truncated
+    with pytest.raises(ValueError):
+        deserialize_slice(payload + b"\0" * 4)  # trailing bytes
 
 
 def test_segment_token_spans_straddling():
@@ -91,6 +90,14 @@ def test_segment_token_spans_straddling():
     toks = tokenize("abc", vocab)
     spans = KnowledgeBank.segment_token_spans(segments, toks)
     assert spans == [(0, 1), (1, 2), (2, 2)]
+    # an empty middle chunk gets an empty span; "é" is two byte-fallback
+    # tokens, each counted in the segment holding its start byte
+    segments = [Segment("system", "a"), Segment("chunk", "", "c0"),
+                Segment("chunk", "bcé", "c1"), Segment("query", "é")]
+    toks = tokenize("abcéé", vocab)
+    assert [start for start, _ in toks.byte_spans] == [0, 2, 3, 4, 5, 6]
+    spans = KnowledgeBank.segment_token_spans(segments, toks)
+    assert spans == [(0, 1), (1, 1), (1, 4), (4, 6)]
 
 
 def test_segment_token_spans_layout_error():
@@ -184,14 +191,39 @@ def test_stored_slices_never_alias(tmp_path):
     toks = tokenize(text, bank.vocab)
     qkv = fake_tensors(text, toks)
     bank.slice_and_insert(segs, toks, qkv, now=1)
-    arrays = lambda t: t.q + t.k + t.v
     for path in (["c1", "c2"], ["zz"]):  # a whole path, and the root alone
         first, _, _ = bank.match_prefix(path, now=2)
-        want = [a.copy() for a in arrays(first.tensors)]
-        for arr in arrays(qkv) + arrays(first.tensors):
-            arr.fill(-1.0)
+        want = first.tensors.data.copy()
+        qkv.data.fill(-1.0)
+        first.tensors.data.fill(-1.0)
         again, _, _ = bank.match_prefix(path, now=3)
-        assert all(np.array_equal(g, w) for g, w in zip(arrays(again.tensors), want, strict=True))
+        assert np.array_equal(again.tensors.data, want)
+
+
+def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
+    # Engine._infer decodes from a prefill state and then slices that same
+    # state into the tree; prefill reads a prefix the bank copied out. So
+    # neither may write to what it reads, nor reach the stored slices.
+    bank = fake_bank(tmp_path)
+    model = ToyModel(ToyModelConfig(layers=2, heads=2, head_dim=4, vocab_size=bank.vocab.size))
+    segs = path_segments(["c1", "c2"])
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    state = model.prefill(toks.tokens)
+    want = state.tensors.data.copy()
+    model.decode_ids(state, 5)
+    assert np.array_equal(state.tensors.data, want)
+    bank.slice_and_insert(segs, toks, state.tensors, now=1)
+    stored = {n.node_id: n.tensors.data.copy() for n in bank.evictable_nodes()}
+    prefix, matched, _ = bank.match_prefix(["c1", "c2"], now=2)
+    assert matched == 2 and prefix.prefix_token_count < len(toks)
+    prefix_data = prefix.tensors.data.copy()
+    cached = model.prefill(toks.tokens, prefix)
+    assert np.array_equal(prefix.tensors.data, prefix_data)
+    model.decode_ids(cached, 5)
+    assert np.array_equal(cached.tensors.data, want)
+    for node in bank.evictable_nodes():
+        assert np.array_equal(node.tensors.data, stored[node.node_id])
 
 
 def test_match_skips_absent_nodes(tmp_path):
@@ -307,10 +339,7 @@ def test_persist_load_round_trip(tmp_path):
             other.payload_sha, other.present)
         if node.present:
             assert node.chunk_hash == other.chunk_hash
-            for mine, theirs in zip(node.tensors.q + node.tensors.k + node.tensors.v,
-                                    other.tensors.q + other.tensors.k + other.tensors.v,
-                                    strict=True):
-                assert np.array_equal(mine, theirs)
+            assert np.array_equal(node.tensors.data, other.tensors.data)
     loaded.persist()
     assert _dir_bytes(tmp_path) == snapshot
 

@@ -104,9 +104,13 @@ def test_update_abstract_miss_requeues():
     p.note_chunks([FakeChunk("c1", "t1")], at=0)
     assert p.update_abstract(50) is False
     assert p.abstract.sentences == []
-    assert p.batch_ready(50)  # retry queue keeps the batch pending
-    assert p.update_abstract(60) is True
+    assert p.batch_ready(50)  # the missed batch stays pending
+    # a chunk noted after the miss is summarized after the missed batch
+    p.note_chunks([FakeChunk("c2", "t2")], at=55)
+    assert p.update_abstract(70) is True
     assert p.abstract.sentences == ["Recovered."]
+    assert be.calls[-1] == (TEMPLATE_SUMMARIZE, {"chunks": "t1 t2"})
+    assert not p.batch_ready(100)
 
 
 def test_update_abstract_cap_resummarizes_once():
