@@ -391,12 +391,6 @@ class InferenceEvent:
     embeds: int = 0
 
 
-def projection_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
-    """Q/K/V projection multiply-adds; linear in the uncached suffix length."""
-    suffix = l_total - l_pre
-    return cfg.layers * 3 * suffix * cfg.dim * cfg.dim
-
-
 def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
     """Exact multiply-add count of ToyModel.prefill (projection, attention,
     output projection, MLP); matches the instrumented counter. Prefill

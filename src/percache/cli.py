@@ -1,8 +1,7 @@
 """Command-line frontend: corpus ingestion, trace replay, report emission.
 
 Exit codes: 0 success, 1 usage error, 2 data error. All runs with fixed
-inputs are byte-for-byte reproducible; PERCACHE_SEED overrides the
-model seed.
+inputs are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="percache", description="Predictive cache engine for RAG pipelines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="chunk and tokenize a corpus into a bank directory")
+    p_ingest = sub.add_parser("ingest", help="chunk a corpus into a bank directory")
     p_ingest.add_argument("--corpus", required=True)
     p_ingest.add_argument("--bank", required=True)
     p_ingest.add_argument("--config", default=None)

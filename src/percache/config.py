@@ -1,21 +1,17 @@
 """Engine configuration: a flat key=value file mapped onto one dataclass.
 
 Unknown keys are an error (typos should fail loudly). Values are parsed
-by the declared field type; booleans accept true/false/1/0. The
-PERCACHE_SEED environment variable overrides the model seed.
+by the declared field type; booleans accept true/false/1/0.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .knowledge import read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
-
-PERCACHE_SEED_ENV = "PERCACHE_SEED"
 
 
 class ConfigError(ValueError):
@@ -61,12 +57,6 @@ class EngineConfig:
     latency_scale: float = 1.0
 
     def __post_init__(self):
-        env_seed = os.environ.get(PERCACHE_SEED_ENV)
-        if env_seed is not None:
-            try:
-                self.seed = int(env_seed, 0)
-            except ValueError as exc:
-                raise ConfigError(f"bad {PERCACHE_SEED_ENV}: {env_seed!r}") from exc
         self.validate()
 
     def validate(self) -> None:

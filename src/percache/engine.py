@@ -13,7 +13,6 @@ byte-identical metrics streams.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .backend import (
     ToyModelConfig,
 )
 from .config import EngineConfig
-from .knowledge import KnowledgeBank, Segment, StorageError, read_utf8
+from .knowledge import KnowledgeBank, Segment, StorageError, jsonl_bytes, read_utf8
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -398,6 +397,4 @@ class Engine:
         self.qa.persist(self.bank.directory / "qa.jsonl")
 
     def write_metrics(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.metrics:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        Path(path).write_bytes(jsonl_bytes(self.metrics))

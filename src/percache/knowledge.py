@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from .backend import QkvPrefix, QkvTensors
-from .textcore import TokenSeq, TokenizerVocab, tokenize
+# unused here, but perfbench patches knowledge.tokenize through this module's globals
+from .textcore import TokenSeq, TokenizerVocab, tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +122,6 @@ def content_hash(text: str) -> bytes:
 class KnowledgeChunk:
     chunk_id: str
     text: str
-    token_count: int
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,6 @@ class CacheTreeNode:
     tensors: QkvTensors | None = field(default=None, repr=False)  # the slice; copied in and out
     chunk_hash: bytes = b""  # content hash of the segment text, for the slice header
     byte_size: int = 0  # serialized slice length, kept past eviction
-    token_count: int = 0
     retrieval_count: int = 0
     last_used: int = 0
     payload_sha: str | None = None  # slice_digest from first eviction or persist; kept past eviction
@@ -248,7 +247,7 @@ class KnowledgeBank:
             while chunk_id in self.chunks:
                 suffix += 1
                 chunk_id = f"{base}-{suffix}"
-            chunk = KnowledgeChunk(chunk_id, part, len(tokenize(part, self.vocab)))
+            chunk = KnowledgeChunk(chunk_id, part)
             self.chunks[chunk_id] = chunk
             self._text_to_id[part] = chunk_id
             out.append(chunk)
@@ -351,7 +350,7 @@ class KnowledgeBank:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
             node.tensors, node.chunk_hash, node.last_used = tensors, chunk_hash, now
-            node.byte_size, node.token_count = slice_size(tensors), tensors.token_count
+            node.byte_size = slice_size(tensors)
             self.ledger.used_bytes += node.byte_size
             self.ledger.check()
             written_ids.append(node.node_id)
@@ -429,7 +428,7 @@ class KnowledgeBank:
             node.payload_sha = node.payload_sha or hashlib.sha256(data).hexdigest()
             write_atomic(self.slice_dir / name, data)
         write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
-            {"chunk_id": c.chunk_id, "text": c.text, "token_count": c.token_count}
+            {"chunk_id": c.chunk_id, "text": c.text}
             for _, c in sorted(self.chunks.items())
         ))
         write_atomic(self.directory / "vocab.txt", self.vocab.to_text().encode("utf-8"))
@@ -442,7 +441,6 @@ class KnowledgeBank:
                 "last_used": n.last_used,
                 "slice_file": _slice_name(n.node_id) if n.present else None,
                 "byte_size": n.byte_size,
-                "token_count": n.token_count,
                 "payload_sha": n.payload_sha,
             }
             for _, n in sorted(self.nodes.items())
@@ -460,18 +458,18 @@ class KnowledgeBank:
         **kwargs,
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
-        none). A damaged manifest.jsonl or chunks.jsonl, or a vocab.txt that
-        is not UTF-8, raises BankError; a missing or corrupt slice degrades
-        to evicted, and slices beyond limit_bytes are evicted as set_limit
-        would."""
+        none). Keys it does not read are ignored. A damaged manifest.jsonl
+        or chunks.jsonl, or a vocab.txt that is not UTF-8, raises BankError;
+        a missing or corrupt slice degrades to evicted, and slices beyond
+        limit_bytes are evicted as set_limit would."""
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
         bank = cls(directory, vocab, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
-            for _, rec in read_jsonl(chunks_file, ("chunk_id", "text", "token_count")):
-                chunk = KnowledgeChunk(rec["chunk_id"], rec["text"], rec["token_count"])
+            for _, rec in read_jsonl(chunks_file, ("chunk_id", "text")):
+                chunk = KnowledgeChunk(rec["chunk_id"], rec["text"])
                 bank.chunks[chunk.chunk_id] = chunk
                 bank._text_to_id[chunk.text] = chunk.chunk_id
         manifest = directory / "manifest.jsonl"
@@ -491,7 +489,6 @@ class KnowledgeBank:
             else:
                 raise BankError(f"{manifest}:{lineno}: unknown parent {rec['parent']!r}")
             node.byte_size = rec["byte_size"]
-            node.token_count = rec.get("token_count", 0)
             node.retrieval_count = rec["retrieval_count"]
             node.last_used = rec["last_used"]
             node.payload_sha = rec.get("payload_sha")

@@ -157,7 +157,6 @@ class QaBank:
             {
                 "query": e.query,
                 "answer": e.answer,
-                "decoded": e.answer is not None,
                 "created_at": e.created_at,
                 "last_used": e.last_used,
                 "use_count": e.use_count,

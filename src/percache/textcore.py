@@ -122,10 +122,9 @@ def detokenize(tokens, vocab: TokenizerVocab) -> str:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Unit-norm feature vector. degenerate marks the canonical fallback."""
+    """Unit-norm feature vector."""
 
     values: np.ndarray
-    degenerate: bool = False
 
     @property
     def dim(self) -> int:
@@ -183,5 +182,5 @@ class HashEmbedder:
         if norm == 0.0:
             unit = np.zeros(self.dim, dtype=np.float64)
             unit[0] = 1.0
-            return Embedding(unit, degenerate=True)
+            return Embedding(unit)
         return Embedding(vec / norm)

@@ -18,7 +18,6 @@ from percache.backend import (
     ToyModelConfig,
     decode_macs,
     prefill_macs,
-    projection_macs,
     slot_digest,
 )
 
@@ -331,11 +330,6 @@ def test_kernel_matches_reference_loop(check):
     _within_budget(check)
 
 
-def test_projection_macs_formula():
-    assert projection_macs(CFG, 10, 4) == CFG.layers * 3 * 6 * CFG.dim * CFG.dim
-    assert projection_macs(CFG, 10, 10) == 0
-
-
 def test_cost_params_reference_defaults():
     p = CostParams()
     assert p.question_match_ms == 1610.0
@@ -357,9 +351,6 @@ def test_estimate_cost_totals_and_projection_reduction():
     assert rep.total_ms == pytest.approx(
         rep.prefill_ms + rep.decode_ms + rep.match_ms + rep.load_ms + rep.embed_ms
     )
-    # exact fractional reduction of the projection term
-    full = projection_macs(CFG, 20, 0)
-    assert projection_macs(CFG, 20, 5) / full == pytest.approx(1 - 5 / 20)
 
 
 def test_estimate_cost_monotone_in_prefix():

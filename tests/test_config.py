@@ -81,11 +81,3 @@ def test_from_file_errors(tmp_path):
     path.write_text("unknown_key=1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         EngineConfig.from_file(path)
-
-
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("PERCACHE_SEED", "0x1234")
-    assert EngineConfig().seed == 0x1234
-    monkeypatch.setenv("PERCACHE_SEED", "not a number")
-    with pytest.raises(ConfigError):
-        EngineConfig()

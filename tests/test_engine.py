@@ -1,10 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.predictor import PhaseError
+from percache.textcore import tokenize
 
 from conftest import DATA, load_trace, make_engine
 
@@ -213,6 +215,42 @@ def test_persist_and_reload_serves_hits(tmp_path):
     reloaded = make_engine(tmp_path / "bank")
     outcome = reloaded.handle_query(q, 2)
     assert outcome.path == QA_HIT and outcome.answer == answer
+
+
+def test_bank_with_write_only_keys_opens_and_persists_without_them(tmp_path):
+    # an older bank format also wrote token_count to chunks.jsonl and
+    # manifest.jsonl and decoded to qa.jsonl; nothing read them
+    eng = make_engine(tmp_path / "new")
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    eng.handle_query("when is the team meeting?", 2)
+    eng.qa.insert("pending q", eng.embedder.embed("pending q"), None, 3)
+    eng.persist()
+    new = _dir_bytes(tmp_path / "new")
+    assert any(name.startswith("slices/") for name in new)
+    node_tokens = {n.node_id: n.tensors.token_count if n.present else 0
+                   for n in eng.bank.nodes.values()}
+    old_dir = shutil.copytree(tmp_path / "new", tmp_path / "old")
+    for name, key, value in (
+        ("chunks.jsonl", "token_count", lambda r: len(tokenize(r["text"], eng.vocab))),
+        ("manifest.jsonl", "token_count", lambda r: node_tokens[r["id"]]),
+        ("qa.jsonl", "decoded", lambda r: r["answer"] is not None),
+    ):
+        recs = [json.loads(line) for line in new[name].decode("utf-8").splitlines()]
+        assert recs and all(key not in r for r in recs)
+        (old_dir / name).write_text("".join(
+            json.dumps({**r, key: value(r)}, sort_keys=True) + "\n" for r in recs),
+            encoding="utf-8")
+    qa_lines = (old_dir / "qa.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["decoded"] for line in qa_lines} == {True, False}
+
+    make_engine(old_dir).persist()
+    assert _dir_bytes(old_dir) == new
+
+
+def _dir_bytes(directory):
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 def test_run_trace_records_all_events(tmp_path):

@@ -36,7 +36,11 @@ def test_chunk_words_canonical_spacing():
     assert chunk_words("", 100) == []
 
 
-def test_ingest_dedupes_and_collision_suffix(tmp_path):
+def test_ingest_dedupes_and_collision_suffix(tmp_path, monkeypatch):
+    def no_tokenize(*args):
+        raise AssertionError("ingest must not tokenize")
+
+    monkeypatch.setattr("percache.knowledge.tokenize", no_tokenize)
     bank = fake_bank(tmp_path)
     first = bank.ingest_text("alpha beta")
     again = bank.ingest_text("alpha beta")

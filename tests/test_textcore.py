@@ -90,7 +90,7 @@ def test_embed_deterministic_and_normalized():
 
 def test_embed_degenerate():
     e = embed("")
-    assert e.degenerate and e.values[0] == 1.0 and np.count_nonzero(e.values) == 1
+    assert e.values[0] == 1.0 and np.count_nonzero(e.values) == 1
 
 
 def test_cosine_hand_oracle():
