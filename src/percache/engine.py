@@ -173,17 +173,21 @@ class Engine:
         segments.append(Segment("query", query))
         return segments
 
-    def _infer(self, query: str, decode: bool, embedding: Embedding) -> InferResult:
+    def _infer(self, query: str, decode: bool, embedding: Embedding,
+               restoring: bool = False) -> InferResult | None:
         """Retrieve (embedding is the query's), prefill (reusing the longest
-        cached prefix), and optionally decode. Never mutates the caches."""
+        cached prefix), and optionally decode. Never mutates the caches.
+        When restoring, return None before the prefill if the bank could
+        write no slice of the prompt without evicting."""
         ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
-        segments = self._assemble(query, chunk_ids)
-        full_text = "".join(s.text for s in segments)
-        tokens = tokenize(full_text, self.vocab)
         prefix, matched, discarded = (None, 0, 0)
         if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, self._seq())
+        if restoring and not self.bank.may_restore(chunk_ids):
+            return None
+        segments = self._assemble(query, chunk_ids)
+        tokens = tokenize("".join(s.text for s in segments), self.vocab)
         l_pre = prefix.prefix_token_count if prefix is not None else 0
         state = self.model.prefill(tokens.tokens, prefix)
         answer = None
@@ -299,10 +303,13 @@ class Engine:
             return None
         return self.answer(query, decode).cost
 
-    def restore_evicted_slices(self, budget_ok) -> tuple[list[int], CostReport]:
-        """QA->QKV conversion: for entries whose retrieval path has evicted
-        slices, re-run prefill and re-insert; writes are refused rather
-        than allowed to evict, and slices must hash-match the originals."""
+    def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], CostReport]:
+        """QA->QKV conversion: while some slice in the tree is absent, take
+        the QA entries oldest first, match each one's retrieval path, and
+        re-prefill it unless the bank could write none of its slices without
+        evicting. Writes are refused rather than allowed to evict, and a
+        refilled slice must hash-match its original. Stops once its own
+        FLOPs reach flops_left."""
         restored: list[int] = []
         total = CostReport()
 
@@ -312,11 +319,12 @@ class Engine:
         if not has_absent():
             return restored, total
         for entry in sorted(self.qa.entries, key=lambda e: (e.created_at, e.query)):
-            if not budget_ok() or not has_absent():
+            if total.total_flops >= flops_left or not has_absent():
                 break
-            result = self._infer(entry.query, False, entry.embedding)
-            written = self._populate_qkv(result, allow_evict=False)
-            restored.extend(written)
+            result = self._infer(entry.query, False, entry.embedding, restoring=True)
+            if result is None:
+                continue
+            restored.extend(self._populate_qkv(result, allow_evict=False))
             total = total.add(result.cost)
         return restored, total
 

@@ -298,6 +298,33 @@ class KnowledgeBank:
         self.nodes[node.node_id] = node
         return node
 
+    def _path_slots(self, chunk_ids: list[str]) -> list[CacheTreeNode | None]:
+        """Where slice_and_insert puts each slice of a prompt over chunk_ids:
+        the root for the system prompt, then the existing spine of the path,
+        then None for each node it would create."""
+        chain = self._match_chain(chunk_ids, require_present=False)
+        if len(chain) < len(chunk_ids):
+            # keep the shared spine only up to the second-to-last common node:
+            # the last common node is duplicated for the new path
+            chain = chain[: max(len(chain) - 1, 0)]
+        return [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
+
+    def may_restore(self, chunk_ids: list[str]) -> bool:
+        """False only when slice_and_insert(..., allow_evict=False) of a
+        prompt over chunk_ids is sure to write nothing, so restoring it
+        needs no prefill. A new node, or a root never written, may be
+        written at a size known only after the prefill. An absent slice with
+        a digest is refilled at its kept byte_size, but only if the prefill
+        reproduces it and only into free space; the refills are all or
+        nothing, so the smallest of them must fit."""
+        sizes = []
+        for node in self._path_slots(chunk_ids):
+            if node is None or (node is self.root and not node.present and node.payload_sha is None):
+                return True
+            if not node.present and node.payload_sha is not None:
+                sizes.append(node.byte_size)
+        return bool(sizes) and min(sizes) <= self.ledger.limit_bytes - self.ledger.used_bytes
+
     def slice_and_insert(
         self,
         segments: list[Segment],
@@ -315,16 +342,9 @@ class KnowledgeBank:
             raise LayoutError("layout must be the system prompt, the chunks, then the query")
         spans = self.segment_token_spans(segments, tokens)
 
-        chunk_ids = [s.chunk_id for s in segments if s.kind == "chunk"]
-        chain = self._match_chain(chunk_ids, require_present=False)
-        if len(chain) < len(chunk_ids):
-            # keep the shared spine only up to the second-to-last common node:
-            # the last common node is duplicated for the new path
-            chain = chain[: max(len(chain) - 1, 0)]
-
-        # plan every write before changing anything; None stands for a new
-        # node, and the query, the last segment, gets no slot
-        slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
+        # plan every write before changing anything; the query, the last
+        # segment, gets no slot
+        slots = self._path_slots([s.chunk_id for s in segments if s.kind == "chunk"])
         plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
             if node is not None and node.present:
@@ -345,7 +365,7 @@ class KnowledgeBank:
         self.evict_to_fit(incoming, now)
 
         written_ids: list[int] = []
-        parent = chain[-1] if chain else self.root
+        parent = slots[-1 - slots.count(None)]  # the deepest existing node
         for node, chunk_id, tensors, chunk_hash in plan:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)

@@ -98,10 +98,9 @@ class Scheduler:
         if engine.config.scheduler_enabled:
             if strategy is PopulationStrategy.PREFILL_AND_DECODE:
                 report.converted_to_qa += reanswer(lambda e: e.answer is None)
-            if budget_left():
-                restored, cost = engine.restore_evicted_slices(budget_left)
-                report.restored_nodes += len(restored)
-                report.flops_spent += cost.total_flops
+            restored, cost = engine.restore_evicted_slices(work_budget - report.flops_spent)
+            report.restored_nodes += len(restored)
+            report.flops_spent += cost.total_flops
 
         # (3) predictions and cache population
         predictor = engine.predictor

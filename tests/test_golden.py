@@ -12,6 +12,7 @@ behaviour regenerates them, with
 """
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -55,10 +56,31 @@ def replay(trace: str, cfg: str, workdir: Path) -> tuple[bytes, str]:
     return metrics.read_bytes(), bank_digest(bank)
 
 
+def first_difference(got: bytes, want: bytes) -> str:
+    """Where two metrics streams first differ: the record number and the
+    keys whose values differ, or the line that does not parse."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for i, (g, w) in enumerate(zip(got_lines, want_lines), 1):
+        if g == w:
+            continue
+        try:
+            g_rec, w_rec = json.loads(g), json.loads(w)
+        except json.JSONDecodeError:
+            return f"record {i}: {g!r} != {w!r}"
+        keys = sorted(k for k in g_rec.keys() | w_rec.keys() if g_rec.get(k) != w_rec.get(k))
+        return f"record {i} ({w_rec.get('kind')} at {w_rec.get('at')}) differs in " + ", ".join(
+            f"{k}: {g_rec.get(k, '<missing>')!r} != golden {w_rec.get(k, '<missing>')!r}"
+            for k in keys)
+    if len(got_lines) != len(want_lines):
+        return f"{len(got_lines)} records != golden {len(want_lines)}"
+    return "the streams differ only in line endings"
+
+
 @pytest.mark.parametrize("trace,cfg", PAIRS)
 def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
     metrics, digest = replay(trace, cfg, tmp_path)
-    assert metrics == (GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes()
+    golden = (GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes()
+    assert metrics == golden, first_difference(metrics, golden)
     assert digest == (GOLDEN / f"{trace}__{cfg}.bank.sha256").read_text(encoding="utf-8").strip()
 
 

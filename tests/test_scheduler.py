@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from percache.config import EngineConfig
 from percache.engine import Engine, open_bank
+from percache.knowledge import StorageError
 from percache.scheduler import (
     PopulationStrategy,
     choose_strategy,
@@ -208,3 +211,81 @@ def test_caches_off_idle_work_populates_nothing(tmp_path):
         assert r["populated"] == 0
         assert r["predicted_decode_flops"] == 0
         assert r["flops_spent"] == 0
+
+
+def _engine_with_evicted_paths(tmp_path):
+    """Engine whose answered QA entries cached their retrieval paths in the
+    QKV tree, after which every slice was evicted and the budget was
+    restored to the default."""
+    eng = _engine_with_pending(tmp_path, n=0)
+    for query in ("what is the budget review plan?", "where is the project report stored?",
+                  "when is the training workshop at noon?", "who wrote the agenda for monday?"):
+        eng.answer(query)
+    eng.bank.set_limit(0, eng._seq())
+    eng.bank.set_limit(eng.config.qkv_limit_bytes, eng._seq())
+    return eng
+
+
+def _count_prefills(eng) -> list:
+    calls = []
+    prefill = eng.model.prefill
+    eng.model.prefill = lambda *args, **kwargs: calls.append(args) or prefill(*args, **kwargs)
+    return calls
+
+
+def test_restoration_counts_its_own_flops_against_the_budget(tmp_path):
+    full = _engine_with_evicted_paths(tmp_path / "full")
+    prefills = _count_prefills(full)
+    assert full.scheduler.idle_tick(1e15, now=10).restored_nodes > 0
+    assert len(prefills) > 1
+
+    probe = _engine_with_evicted_paths(tmp_path / "probe")
+    one_prefill = probe.scheduler.idle_tick(1.0, now=10).flops_spent
+    eng = _engine_with_evicted_paths(tmp_path / "run")
+    prefills = _count_prefills(eng)
+    report = eng.scheduler.idle_tick(one_prefill, now=10)
+    assert len(prefills) == 1 and report.flops_spent == one_prefill
+
+
+def test_restoration_with_nothing_writable_spends_nothing(tmp_path):
+    # every absent slice on the entries' paths is larger than the free
+    # space, so no refill could be written and no prefill runs
+    eng = _engine_with_evicted_paths(tmp_path)
+    smallest = min(n.byte_size for n in eng.bank.nodes.values())
+    eng.bank.set_limit(smallest - 1, eng._seq())
+    macs = eng.model.mac_count
+    report = eng.scheduler.idle_tick(1e15, now=10)
+    assert report.restored_nodes == 0 and report.flops_spent == 0.0
+    assert eng.model.mac_count == macs
+
+
+def test_restoration_skips_only_prefills_that_would_write_nothing(tmp_path, monkeypatch):
+    # oracle: for each entry restoration skips, the unplanned path on a copy
+    # of the engine (prefill, then insert with eviction refused) writes no node
+    infer = Engine._infer
+    skipped = []
+
+    def checked(self, query, decode, embedding, restoring=False):
+        if not restoring:
+            return infer(self, query, decode, embedding)
+        before = copy.deepcopy(self)
+        result = infer(self, query, decode, embedding, restoring=True)
+        if result is None:
+            old = infer(before, query, decode, embedding)
+            try:
+                written = before.bank.slice_and_insert(
+                    old.segments, old.tokens, old.tensors, before._seq(), allow_evict=False)
+            except StorageError:
+                written = []
+            assert written == [], f"skipped a restoration of {query!r} that writes {written}"
+            skipped.append(query)
+        return result
+
+    monkeypatch.setattr(Engine, "_infer", checked)
+    for trace, cfg in (("idle_work", "idle_work"), ("limit_relax", "scenario_c")):
+        config = EngineConfig.from_file(DATA / "configs" / f"{cfg}.cfg")
+        bank = open_bank(config, tmp_path / trace)
+        bank.ingest_text(CORPUS)
+        bank.persist()
+        Engine(config, tmp_path / trace).run_trace(load_trace(f"{trace}.trace"))
+    assert skipped
