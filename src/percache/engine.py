@@ -176,9 +176,10 @@ class Engine:
     def _infer(self, query: str, decode: bool, embedding: Embedding,
                restoring: bool = False) -> InferResult | None:
         """Retrieve (embedding is the query's), prefill (reusing the longest
-        cached prefix), and optionally decode. Never mutates the caches.
-        When restoring, return None before the prefill if the bank could
-        write no slice of the prompt without evicting."""
+        cached prefix), and optionally decode. Stores nothing in the caches;
+        the match updates the matched nodes' LFU counts. When restoring,
+        return None before the prefill if the bank could write no slice of
+        the prompt without evicting."""
         ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
         prefix, matched, discarded = (None, 0, 0)
