@@ -24,7 +24,6 @@ and summarization flows stay deterministic in tests and trace replays.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -282,45 +281,39 @@ class ToyModel:
 # scripted backend
 
 
-def slot_digest(slots: dict) -> str:
-    payload = json.dumps(slots, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 class ScriptedBackend:
     """Deterministic canned responses for prompt templates.
 
-    Lookup order: exact (template, slot digest) entry, then the template's
-    wildcard queue (first use of a new digest consumes the next queued
-    response and memoizes it), then the fallback string with a logged miss.
+    Each template has a queue of responses. The first use of a new prompt
+    (template and slots) takes the next queued response and memoizes it, so
+    the same prompt always gets the same response; an empty queue gives the
+    fallback string and counts a miss. Every entry is a wildcard: one whose
+    slots_digest is not "*" is refused as damaged.
     """
 
     def __init__(self, entries: list[dict] | None = None, fallback: str = ""):
+        entries = [] if entries is None else entries
+        if not isinstance(entries, list) or not isinstance(fallback, str):
+            raise ValueError("need a list of entries and a string fallback")
         self.fallback = fallback
         self.miss_count = 0
-        self._exact: dict[tuple[str, str], str] = {}
+        self._memo: dict[tuple[str, str], str] = {}
         self._queues: dict[str, list[str]] = {}
-        for e in entries or []:
-            digest = e.get("slots_digest", "*")
-            if digest == "*":
-                self._queues.setdefault(e["template"], []).append(e["response"])
-            else:
-                self._exact[(e["template"], digest)] = e["response"]
-
-    @classmethod
-    def from_file(cls, path) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(data.get("entries", []), data.get("fallback", ""))
+        for i, e in enumerate(entries):
+            if not (isinstance(e, dict) and isinstance(e.get("template"), str)
+                    and isinstance(e.get("response"), str)):
+                raise ValueError(f"entry {i} needs a string template and response")
+            if e.get("slots_digest", "*") != "*":
+                raise ValueError(f"entry {i}: slots_digest must be \"*\"")
+            self._queues.setdefault(e["template"], []).append(e["response"])
 
     def generate(self, template: str, slots: dict) -> str:
-        key = (template, slot_digest(slots))
-        if key in self._exact:
-            return self._exact[key]
+        prompt = (template, json.dumps(slots, sort_keys=True, ensure_ascii=False))
+        if prompt in self._memo:
+            return self._memo[prompt]
         queue = self._queues.get(template)
         if queue:
-            response = queue.pop(0)
-            self._exact[key] = response  # same prompt twice -> same response
+            self._memo[prompt] = response = queue.pop(0)
             return response
         self.miss_count += 1
         return self.fallback

@@ -13,6 +13,7 @@ byte-identical metrics streams.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .backend import (
     ToyModelConfig,
 )
 from .config import EngineConfig
-from .knowledge import KnowledgeBank, Segment, StorageError, jsonl_bytes, read_utf8
+from .knowledge import BankError, KnowledgeBank, Segment, StorageError, jsonl_bytes, read_utf8
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -62,6 +63,22 @@ FIXED_CONFIG_KEYS = frozenset({
     "chunk_words", "k_boundary", "alpha_fusion", "prediction_stride", "buffer_size",
     "t_batch", "t_quiet", "abstract_cap_bytes",
 })
+
+
+def load_script(path) -> ScriptedBackend:
+    """The scripted backend in the JSON file path. A damaged file raises
+    BankError naming it, and the line of a JSON syntax error."""
+    text = read_utf8(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BankError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise BankError(f"{path}: need a JSON object")
+    try:
+        return ScriptedBackend(data.get("entries", []), data.get("fallback", ""))
+    except ValueError as exc:
+        raise BankError(f"{path}: {exc}") from exc
 
 
 def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
@@ -138,7 +155,7 @@ class Engine:
             self.qa = QaBank.load(qa_path, config.qa_limit_bytes, self.embedder)
         else:
             self.qa = QaBank(config.qa_limit_bytes)
-        self.text_backend = (ScriptedBackend.from_file(config.script_file)
+        self.text_backend = (load_script(config.script_file)
                              if config.script_file else ScriptedBackend())
         self.predictor = Predictor(
             self.text_backend,
@@ -152,12 +169,13 @@ class Engine:
         # QA hits to answer at the next idle tick: text -> its embedding, in
         # arrival order
         self.deferred_queries: dict[str, Embedding] = {}
-        self.abstract_dirty = False
         self.metrics: list[dict] = []
         self.qa_hits = 0
         self.qkv_hits = 0
         self.flops_cum = 0.0
-        self._op = 0
+        # sequence numbers continue from the largest one the bank persisted
+        self._op = max([n.last_used for n in self.bank.nodes.values()]
+                       + [max(e.created_at, e.last_used) for e in self.qa.entries])
         self._last_at: float | None = None
 
     def _seq(self) -> int:
@@ -294,9 +312,9 @@ class Engine:
     # -- scheduler hooks ---------------------------------------------------------
 
     def populate_predicted(self, query: str, decode: bool) -> CostReport | None:
-        """Cache population for one predicted query under the active
-        strategy; skipped when both caches are off or an answered entry
-        already exists."""
+        """Cache population for one predicted query, decoding its answer if
+        decode (the scheduler passes population_decodes); skipped when both
+        caches are off or an answered entry already exists."""
         if not (self.config.qa_enabled or self.config.reuse_enabled):
             return None
         existing = self.qa.get(query)
@@ -313,14 +331,9 @@ class Engine:
         FLOPs reach flops_left."""
         restored: list[int] = []
         total = CostReport()
-
-        def has_absent() -> bool:
-            return any((not n.present) and n.payload_sha for n in self.bank.nodes.values())
-
-        if not has_absent():
-            return restored, total
         for entry in sorted(self.qa.entries, key=lambda e: (e.created_at, e.query)):
-            if total.total_flops >= flops_left or not has_absent():
+            if total.total_flops >= flops_left or not any(
+                    not n.present and n.payload_sha for n in self.bank.nodes.values()):
                 break
             result = self._infer(entry.query, False, entry.embedding, restoring=True)
             if result is None:

@@ -88,6 +88,7 @@ class Predictor:
         self._pending: list = []  # chunks awaiting summarization, a missed batch first
         self._last_chunk_at: float | None = None
         self._last_query_at: float | None = None
+        self._abstract_dirty = False  # the abstract changed since the last knowledge prediction
         self._history_dirty = False
 
     def _assert_idle(self) -> None:
@@ -111,6 +112,10 @@ class Predictor:
             self._last_chunk_at is None or now - self._last_chunk_at >= self.t_batch
         )
 
+    def knowledge_ready(self) -> bool:
+        """The abstract changed since the last knowledge prediction."""
+        return self._abstract_dirty and bool(self.abstract.sentences)
+
     def history_ready(self, now: float) -> bool:
         """New user queries arrived and then t_quiet passed with none."""
         return (
@@ -128,7 +133,8 @@ class Predictor:
         On a backend miss the batch stays pending for a retry and the
         abstract is unchanged. If the cap would be exceeded, the whole
         abstract is re-summarized through the same prompt exactly once (then
-        hard byte-truncated as a last resort). Returns True if it changed.
+        hard byte-truncated as a last resort). Returns True if it changed,
+        and then the knowledge view is ready to predict again.
         """
         self._assert_idle()
         if not self._pending:
@@ -151,6 +157,7 @@ class Predictor:
                 self.abstract.sentences[-1] = trimmed.decode("utf-8", errors="ignore")
                 if not self.abstract.sentences[-1]:
                     self.abstract.sentences.pop()
+        self._abstract_dirty = True
         return True
 
     # -- prediction views ------------------------------------------------------
@@ -169,7 +176,9 @@ class Predictor:
         self._assert_idle()
         if not self.abstract.sentences:
             raise ValueError("abstract is empty")
-        return self._predict(TEMPLATE_KNOWLEDGE, {"abstract": self.abstract.text})
+        queries = self._predict(TEMPLATE_KNOWLEDGE, {"abstract": self.abstract.text})
+        self._abstract_dirty = False
+        return queries
 
     def predict_from_history(self, known_query: "callable") -> tuple[str, ...]:
         """known_query(text) -> bool filters predictions already in the QA bank."""

@@ -18,8 +18,8 @@ from percache.backend import (
     ToyModelConfig,
     decode_macs,
     prefill_macs,
-    slot_digest,
 )
+from percache.engine import load_script
 
 CFG = ToyModelConfig(layers=2, heads=2, head_dim=8, vocab_size=64, seed=11)
 
@@ -374,21 +374,24 @@ def test_cost_report_add():
 
 
 def test_scripted_backend_exact_and_wildcard():
+    # every entry is a wildcard: the first use of a new prompt takes the
+    # template's next response and memoizes it; an exact digest is refused
     sb = ScriptedBackend(
         entries=[
-            {"template": "t", "slots_digest": slot_digest({"a": 1}), "response": "exact"},
             {"template": "t", "slots_digest": "*", "response": "first"},
-            {"template": "t", "slots_digest": "*", "response": "second"},
+            {"template": "t", "response": "second"},
         ],
         fallback="FB",
     )
-    assert sb.generate("t", {"a": 1}) == "exact"
     assert sb.generate("t", {"a": 2}) == "first"
     assert sb.generate("t", {"a": 2}) == "first"  # memoized, not "second"
+    assert sb.generate("t", {"a": 3}) == "second"
     assert sb.generate("t", {"a": 3}) == "second"
     assert sb.generate("t", {"a": 4}) == "FB"
     assert sb.generate("other", {}) == "FB"
     assert sb.miss_count == 2
+    with pytest.raises(ValueError, match="entry 0: slots_digest"):
+        ScriptedBackend([{"template": "t", "slots_digest": "0123abcd", "response": "exact"}])
 
 
 def test_scripted_backend_from_file(tmp_path):
@@ -397,7 +400,7 @@ def test_scripted_backend_from_file(tmp_path):
         '{"fallback": "", "entries": [{"template": "x", "slots_digest": "*", "response": "r"}]}',
         encoding="utf-8",
     )
-    sb = ScriptedBackend.from_file(path)
+    sb = load_script(path)
     assert sb.generate("x", {}) == "r"
 
 

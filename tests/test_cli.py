@@ -273,6 +273,26 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
         assert f"{path}:{lineno}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,lineno", [
+    (b'{"entries": [{"template": "t", "response": "caf\xe9"}]}', 1),
+    (b'{"fallback": "",\n "entries": [{"template": "t",', 2),
+    (b'{"entries": {"template": "t", "response": "r"}}', None),
+    (b'{"entries": [{"template": "t", "slots_digest": "*"}]}', None),
+    (b'{"entries": [{"template": "t", "slots_digest": "0123abcd", "response": "r"}]}', None),
+], ids=["not_utf8", "truncated", "entries_not_list", "no_response", "exact_digest"])
+def test_damaged_script_file_exit_2(tmp_path, capsys, content, lineno):
+    script = tmp_path / "script.json"
+    script.write_bytes(content)
+    cfg = _write(tmp_path / "engine.cfg", "script_file=script.json\n")
+    trace = _write(tmp_path / "e.trace", "")
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--config", cfg,
+                "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{script}:{lineno}:" if lineno else f"{script}:") in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def _hand_metrics(tmp_path):
     records = [
         {"at": 0, "kind": "chunk_arrival", "qa_used_bytes": 0, "qkv_used_bytes": 10},

@@ -217,6 +217,24 @@ def test_persist_and_reload_serves_hits(tmp_path):
     assert outcome.path == QA_HIT and outcome.answer == answer
 
 
+def test_sequence_numbers_continue_after_reopen(tmp_path):
+    # created_at and last_used order QA and LFU tie-breaks and restoration;
+    # a reopened bank must not reuse the numbers it persisted
+    eng = make_engine(tmp_path / "bank")
+    eng.ingest_chunks([CORPUS], 0)
+    for i, q in enumerate(("what is the budget review plan?", "when is the team meeting?",
+                           "where is the project report stored?")):
+        eng.handle_query(q, i + 1)
+    eng.persist()
+    persisted = max([n.last_used for n in eng.bank.nodes.values()]
+                    + [max(e.created_at, e.last_used) for e in eng.qa.entries])
+    reopened = make_engine(tmp_path / "bank")
+    q = "who wrote the agenda for monday?"
+    assert reopened.handle_query(q, 10).path != QA_HIT
+    assert reopened.qa.get(q).created_at > persisted
+    assert reopened.bank.root.last_used > persisted
+
+
 def test_bank_with_write_only_keys_opens_and_persists_without_them(tmp_path):
     # an older bank format also wrote token_count to chunks.jsonl and
     # manifest.jsonl and decoded to qa.jsonl; nothing read them

@@ -135,6 +135,21 @@ def test_update_abstract_cap_truncates_as_last_resort():
     assert p.abstract.byte_len <= 40
 
 
+def test_knowledge_ready_follows_abstract_updates():
+    # ready after a successful update, not after a backend miss, and no
+    # longer once the knowledge view has predicted from the new abstract
+    be = FakeBackend({TEMPLATE_SUMMARIZE: ["", "Summary."], TEMPLATE_KNOWLEDGE: ["1. Next?"]})
+    p = _predictor(be)
+    p.note_chunks([FakeChunk("c1", "t1")], at=0)
+    assert not p.knowledge_ready()
+    assert p.update_abstract(50) is False
+    assert not p.knowledge_ready()
+    assert p.update_abstract(60) is True
+    assert p.knowledge_ready()
+    assert p.predict_from_knowledge() == ("Next?",)
+    assert not p.knowledge_ready()
+
+
 # -- triggers -----------------------------------------------------------------
 
 

@@ -5,26 +5,30 @@ import pytest
 from percache.config import EngineConfig
 from percache.engine import Engine, open_bank
 from percache.knowledge import StorageError
-from percache.scheduler import (
-    PopulationStrategy,
-    choose_strategy,
-)
+from percache.scheduler import population_decodes
 
 from conftest import DATA, load_trace, make_engine
 
 
 @pytest.mark.parametrize(
-    "tau_q,tau_s,expected",
+    "tau_q,tau_s,qa,scheduler,expected",
     [
-        (0.90, 0.88, PopulationStrategy.PREFILL_ONLY),
-        (0.85, 0.88, PopulationStrategy.PREFILL_AND_DECODE),
-        (0.88, 0.88, PopulationStrategy.PREFILL_ONLY),  # boundary: equality
-        (0.0, 0.0, PopulationStrategy.PREFILL_ONLY),
-        (0.0, 1.0, PopulationStrategy.PREFILL_AND_DECODE),
+        (0.90, 0.88, True, True, False),  # PrefillOnly above the cutoff
+        (0.85, 0.88, True, True, True),  # PrefillAndDecode below it
+        (0.88, 0.88, True, True, False),  # boundary: equality is PrefillOnly
+        (0.0, 0.0, True, True, False),
+        (0.0, 1.0, True, True, True),
+        (0.90, 0.88, True, False, True),  # no adaptive scheduler: always decodes
+        (0.85, 0.88, True, False, True),
+        (0.85, 0.88, False, True, False),  # QA off: nothing decodes
+        (0.90, 0.88, False, True, False),
+        (0.85, 0.88, False, False, False),
     ],
 )
-def test_choose_strategy_table(tau_q, tau_s, expected):
-    assert choose_strategy(tau_q, tau_s) is expected
+def test_population_decodes_table(tau_q, tau_s, qa, scheduler, expected):
+    config = EngineConfig(tau_query=tau_q, tau_scheduler=tau_s, qa_enabled=qa,
+                          scheduler_enabled=scheduler)
+    assert population_decodes(config) is expected
 
 
 def test_scheduler_config_validation():
@@ -151,8 +155,6 @@ def test_scheduler_disabled_skips_conversions(tmp_path):
 def test_prefill_only_leaves_entries_answerless(tmp_path):
     # tau_query raised to the cutoff: population stops at prefill
     eng = _engine_with_pending(tmp_path, n=0, tau_query=0.88)
-    eng.predictor.abstract.sentences = ["summary."]
-    eng.abstract_dirty = True
     # scripted backend with no entries returns ""; instead drive population
     # directly through the engine hook
     cost = eng.populate_predicted("when is the budget review due?", decode=False)
