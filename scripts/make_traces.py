@@ -179,7 +179,8 @@ def check_idle_work_inputs() -> None:
     eng = Engine(cfg, tempfile.mkdtemp())
     eng.ingest_chunks([CORPUS], 0)
     (stale_id,), _ = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
-    assert stale_id in eng.retriever.cosine_top_k(eng.embedder.embed(IDLE_USERS[0]), cfg.k_refresh)
+    keys = eng.retriever.cosine_keys(eng.embedder.embed(IDLE_USERS[0]), cfg.k_refresh)
+    assert stale_id in [cid for _, cid in keys]
 
 
 def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:

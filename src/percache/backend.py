@@ -11,8 +11,9 @@ QkvTensors.data and attend over its rows; no step copies the past.
 Every sum runs sequentially in index order, and each row's result does not
 depend on how many rows are computed with it. The matmuls (the fused Q/K/V
 projection among them), the attention scores and the attention V sum are
-whole-array ``np.einsum`` calls without ``optimize``, and the RMSNorm sum of
-squares is a ``np.cumsum``; prefill and decode run the same calls.
+whole-array ``np.einsum`` calls without ``optimize``, the softmax
+denominator is a ``np.add.reduce`` over the outermost axis, and the RMSNorm
+sum of squares is a ``np.cumsum``; prefill and decode run the same calls.
 tests/test_backend.py checks each kernel, and the fused projection against
 three separate ones, bit for bit against the per-column loop it replaced,
 on random shapes, with the installed numpy (2.4.6 when this was written); a
@@ -185,7 +186,16 @@ class ToyModel:
         scores = np.where(mask, scores * scale, np.float32(-np.inf))
         mx = np.max(scores, axis=2, keepdims=True)
         e = np.exp(scores - mx)
-        w = e / np.sum(e, axis=2, keepdims=True)
+        # the denominator summed over key positions in index order. np.sum
+        # over the last axis sums pairwise, so a row's rounding would depend
+        # on how many masked keys follow it. With the key axis outermost and
+        # contiguous, add.reduce adds one (s, heads) row per step; a single
+        # (s, heads) element leaves it one axis, which it sums pairwise too,
+        # so that case accumulates instead.
+        e_keys = np.ascontiguousarray(e.transpose(2, 0, 1))
+        denom = (np.add.reduce(e_keys, axis=0) if s * heads > 1
+                 else np.add.accumulate(e_keys, axis=0)[-1])
+        w = e / denom[:, :, None]
         # V sum accumulated over key positions in order
         out = np.einsum("sht,thd->shd", w, v_full, optimize=False)
         self.mac_count += 2 * s * heads * total * dh

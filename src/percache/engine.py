@@ -248,7 +248,10 @@ class Engine:
         if self.config.reuse_enabled:
             self._populate_qkv(result)
         if self.config.qa_enabled:
-            self.qa.insert(text, embedding, result.answer, self._seq())
+            # keys from the cosine row that retrieval just computed: no second scan
+            keys = (self.retriever.cosine_keys(embedding, self.config.k_refresh)
+                    if result.answer is not None else None)
+            self.qa.insert(text, embedding, result.answer, self._seq(), keys)
         return result
 
     # -- serving path ---------------------------------------------------------
@@ -293,6 +296,7 @@ class Engine:
         QA entries marked stale by refresh)."""
         new_chunks = []
         all_ids = []
+        since = len(self.retriever)
         for text in texts:
             for chunk in self.bank.ingest_text(text):
                 all_ids.append(chunk.chunk_id)
@@ -301,10 +305,9 @@ class Engine:
                     new_chunks.append(chunk)
         stale = []
         if new_chunks:
-            new_ids = {c.chunk_id for c in new_chunks}
             stale = [
                 e.query
-                for e in self.qa.refresh(new_ids, self.retriever.cosine_top_k, self.config.k_refresh)
+                for e in self.qa.refresh(self.retriever.cosine_keys, since, self.config.k_refresh)
             ]
             self.predictor.note_chunks(new_chunks, now)
         return all_ids, stale

@@ -8,12 +8,17 @@ re-decoded at idle ticks.
 
 Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
 is LFU over per-entry use counts.
+
+An answered entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
+so a chunk arrival scores only the new chunks (QaBank.refresh). Keys are not
+persisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +26,12 @@ from .knowledge import jsonl_bytes, read_jsonl, write_atomic
 from .textcore import Embedding, HashEmbedder, cosine_similarities
 
 DEFAULT_ENTRY_BYTES = 4096
+
+Key = tuple[float, str]  # (cosine, chunk_id)
+
+
+def _rank(key: Key) -> tuple[float, str]:
+    return -key[0], key[1]
 
 
 class QaCapacityError(RuntimeError):
@@ -36,6 +47,8 @@ class QaEntry:
     last_used: int
     use_count: int = 0
     stale: bool = False
+    # the best keys of the corpus for embedding, best first, or None if unknown
+    keys: list[Key] | None = None
 
     @property
     def servable(self) -> bool:
@@ -81,12 +94,15 @@ class QaBank:
         embedding: Embedding,
         answer: str | None,
         now: int,
+        keys: list[Key] | None = None,
     ) -> list[QaEntry]:
         """Insert or update; returns evicted entries.
 
         Exact-text duplicates replace in place keeping the larger
         use_count; a decoded answer is never replaced by an answer-less
-        insert for the same text.
+        insert for the same text. An answered insert takes keys, the
+        corpus's current best keys for embedding; None leaves the entry to
+        be ranked at the next refresh.
         """
         existing = self._by_query.get(query)
         if existing is not None:
@@ -96,11 +112,13 @@ class QaBank:
             existing.last_used = now
             if answer is not None:
                 existing.stale = False
+                existing.keys = keys
             return []
         if DEFAULT_ENTRY_BYTES > self.limit_bytes:
             raise QaCapacityError("qa_limit_bytes smaller than one entry")
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
-        entry = QaEntry(query, embedding, answer, now, now)
+        entry = QaEntry(query, embedding, answer, now, now,
+                        keys=keys if answer is not None else None)
         self.entries.append(entry)
         self._by_query[query] = entry
         return evicted
@@ -127,19 +145,34 @@ class QaBank:
             raise QaCapacityError("qa_limit_bytes smaller than one entry")
         return evicted
 
-    def refresh(self, new_chunk_ids: set[str], rank: "callable", k_refresh: int) -> list[QaEntry]:
+    def refresh(self, cosine_keys: Callable[..., list[Key]], since: int,
+                k_refresh: int) -> list[QaEntry]:
         """Mark entries stale when newly ingested chunks displace their grounding.
 
-        rank(embedding, k) must return the ids of the top k chunks of the
-        full corpus for an entry's embedding, in ranked order; an entry goes
-        stale if any new chunk lands in its top k_refresh. Returns the
-        entries marked stale.
+        The chunks from row since on are new. cosine_keys(embedding, k,
+        since=0) returns the k best keys for embedding among the rows from
+        since on, ordered by (-cosine, chunk_id). An answered, fresh entry
+        goes stale iff a new key ranks within the top k_refresh of its kept
+        keys and the new keys, and that top k_refresh becomes its keys. This
+        equals ranking the whole corpus, because chunks are never removed
+        and a chunk's key does not depend on which chunks are scored with
+        it. An entry whose keys are unknown, or fewer than
+        min(k_refresh, since) after k_refresh grew, is ranked against the
+        whole corpus. Answer-less and stale entries are skipped and forget
+        their keys, which would miss these chunks. Returns the entries
+        marked stale.
         """
         marked = []
         for entry in self.entries:
             if entry.answer is None or entry.stale:
+                entry.keys = None
                 continue
-            if any(cid in new_chunk_ids for cid in rank(entry.embedding, k_refresh)):
+            new = cosine_keys(entry.embedding, k_refresh, since)
+            if entry.keys is None or len(entry.keys) < min(k_refresh, since):
+                entry.keys = cosine_keys(entry.embedding, k_refresh)
+            else:
+                entry.keys = sorted(entry.keys + new, key=_rank)[:k_refresh]
+            if any(key in new for key in entry.keys):
                 entry.stale = True
                 marked.append(entry)
         return marked

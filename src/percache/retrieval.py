@@ -10,7 +10,8 @@ matrix, scored by textcore.cosine_similarities. BM25 walks the postings of
 each query term, in order of first occurrence, and adds the term's
 contribution with the scalar formula's operation order. Min-max
 normalization, fusion and the (-fused, chunk_id) order run over the chunks
-in chunk-id order.
+in chunk-id order. Every ranking takes its k best through top_k_order, which
+partitions rather than sorting the whole corpus.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ class CorpusStats:
         return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
+def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores, best first, ties by index: the
+    first k of np.argsort(-scores, kind="stable"). A partition finds the
+    k-th value; only the candidates that beat or tie it are sorted."""
+    neg = -scores
+    if k >= len(neg):
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(neg <= kth)  # ascending, so ties stay in index order
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
 def _minmax(scores: np.ndarray) -> np.ndarray:
     """Min-max normalize; an all-equal vector maps to 0.5 everywhere. The
     bounds are the first minimum and maximum in order, as min() and max()
@@ -77,9 +90,16 @@ class Retriever:
     """Exact-scan hybrid retriever over the chunk corpus.
 
     Rows of the embedding matrix are chunks in insertion order; its
-    capacity doubles when full. Not safe for concurrent use: besides
-    add_chunk, the first read after an add rebuilds the cached chunk-id
-    order.
+    capacity doubles when full. Chunks are never removed, so the chunks
+    added since a known corpus size are the rows from that size on.
+
+    cosine_keys ranks chunks as (cosine, chunk_id) keys, ordered by
+    (-cosine, chunk_id). Asked for the whole corpus with the embedding
+    object of the last retrieve_top_k call, it reuses the cosine row that
+    call computed, so keying a just-answered query costs no second scan.
+    Not safe for concurrent use: besides add_chunk, the first read after an
+    add rebuilds the cached chunk-id order, and retrieve_top_k replaces the
+    kept cosine row.
     """
 
     def __init__(
@@ -96,6 +116,9 @@ class Retriever:
         # term -> (row, tf, doc length) of each chunk containing it
         self._postings: dict[str, list[tuple[int, int, int]]] = {}
         self._order: np.ndarray | None = None  # rows in chunk-id order
+        # (embedding, its cosine row in chunk-id order) of the last
+        # retrieve_top_k since the last add
+        self._last_cosine: tuple[Embedding, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -130,6 +153,7 @@ class Retriever:
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
         self._order = None
+        self._last_cosine = None
 
     def _id_order(self) -> np.ndarray:
         if self._order is None:
@@ -169,8 +193,9 @@ class Retriever:
             embedding = self.embedder.embed(query)
         bm25 = self._bm25(query)[self._id_order()]
         semantic = self._cosine(embedding)
+        self._last_cosine = (embedding, semantic)
         fused = self.alpha * _minmax(bm25) + (1.0 - self.alpha) * _minmax(semantic)
-        top = np.argsort(-fused, kind="stable")[:k]
+        top = top_k_order(fused, k)
         rows = self._id_order()[top]
         return [
             RankedChunk(self._ids[row], bm, sem, fu)
@@ -178,7 +203,18 @@ class Retriever:
                                         semantic[top].tolist(), fused[top].tolist())
         ]
 
-    def cosine_top_k(self, embedding: Embedding, k: int) -> list[str]:
-        """Ids of the k chunks most cosine-similar to embedding, ties by chunk id."""
-        top = np.argsort(-self._cosine(embedding), kind="stable")[:k]
-        return [self._ids[row] for row in self._id_order()[top].tolist()]
+    def cosine_keys(self, embedding: Embedding, k: int, since: int = 0) -> list[tuple[float, str]]:
+        """The k best (cosine, chunk_id) keys for embedding among the chunks
+        from row since on (the whole corpus by default), ordered by
+        (-cosine, chunk_id). Each row's cosine is computed alone, so a key
+        has the same bits whichever rows are scored with it."""
+        if since == 0:
+            rows = self._id_order()
+            last = self._last_cosine
+            sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
+        else:
+            rows = np.array(sorted(range(since, len(self._ids)), key=self._ids.__getitem__),
+                            dtype=np.intp)
+            sims = cosine_similarities(self._emb[rows], embedding)
+        top = top_k_order(sims, k)
+        return list(zip(sims[top].tolist(), [self._ids[row] for row in rows[top].tolist()]))

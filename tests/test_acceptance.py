@@ -69,6 +69,10 @@ def _check_prompt(model, vocab, text, chunk_joins):
         prefix_text = text[:join_byte]
         if tokenize(prefix_text, vocab).tokens != toks.tokens[:split]:
             boundary_cases += 1  # a token straddles this chunk boundary
+        # the prefix's rows computed in a prompt of its own length, as a
+        # cached slice was, equal those computed inside the longer prompt
+        alone = model.prefill(toks.tokens[:split])
+        assert np.array_equal(alone.tensors.data, full.tensors.data[:, :, :split])
         prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
         state = model.prefill(toks.tokens, prefix)
         assert np.array_equal(state.tensors.data, full.tensors.data)
@@ -97,11 +101,18 @@ def test_acceptance_1_cached_prefill_equivalence():
         for c in chunks[:-1]:
             pos += len(c) + 1  # the joining space belongs to the next chunk
             joins.append(pos)
-        toks = tokenize(text, BOUNDARY_VOCAB)
-        if len(toks) > 128:
-            continue
         boundary_cases += _check_prompt(small_model, BOUNDARY_VOCAB, text, joins)
         prompts += 1
+    # prompts past numpy's 128-element pairwise-sum blocks, up to ~300 tokens
+    long_prompts = 0
+    for i in range(16):
+        chunks = [_random_text(rng, int(rng.integers(10, 22))) for _ in range(int(rng.integers(3, 5)))]
+        text = " ".join(chunks)
+        joins = [sum(len(c) + 1 for c in chunks[: j + 1]) for j in range(len(chunks) - 1)]
+        boundary_cases += _check_prompt(small_model, BOUNDARY_VOCAB, text, joins)
+        prompts += 1
+        long_prompts += len(tokenize(text, BOUNDARY_VOCAB)) > 128
+    assert long_prompts >= 8, long_prompts
     for i in range(12):
         model = big_models[i % 2]
         chunks = [_random_text(rng, int(rng.integers(3, 7))) for _ in range(3)]
@@ -414,12 +425,19 @@ def test_acceptance_8_refresh_oracle():
             " ".join(rng.choice(words) for _ in range(int(rng.integers(3, 7)))) + "?"
             for _ in range(int(rng.integers(1, 6)))
         ]
-        for j, q in enumerate(queries):
-            qa.insert(q, emb.embed(q), "ans" if rng.random() < 0.8 else None, j)
-
+        # the old chunks, then the queries (every other one keyed against
+        # them, the rest ranked at refresh), then the new chunks arrive
         retriever = Retriever(emb)
-        for cid, text in chunks.items():
-            retriever.add_chunk(cid, text, embeddings[cid])
+        for cid in chunks:
+            if cid not in new_ids:
+                retriever.add_chunk(cid, chunks[cid], embeddings[cid])
+        since = len(retriever)
+        for j, q in enumerate(queries):
+            keys = retriever.cosine_keys(emb.embed(q), k_refresh) if j % 2 else None
+            qa.insert(q, emb.embed(q), "ans" if rng.random() < 0.8 else None, j, keys)
+        for cid in chunks:
+            if cid in new_ids:
+                retriever.add_chunk(cid, chunks[cid], embeddings[cid])
 
         # independent oracle: raw numpy ranking, no shared helper
         def oracle_stale(query):
@@ -431,7 +449,7 @@ def test_acceptance_8_refresh_oracle():
         expected = sorted(
             e.query for e in qa.entries if e.answer is not None and oracle_stale(e.query)
         )
-        marked = qa.refresh(new_ids, retriever.cosine_top_k, k_refresh)
+        marked = qa.refresh(retriever.cosine_keys, since, k_refresh)
         assert sorted(e.query for e in marked) == expected
         for e in qa.entries:
             assert e.stale == (e.query in expected) or e.answer is None

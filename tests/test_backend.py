@@ -213,7 +213,10 @@ def _ref_attention(q, k_full, v_full, positions):
     scores = np.where(mask, scores * scale, np.float32(-np.inf))
     mx = np.max(scores, axis=2, keepdims=True)
     e = np.exp(scores - mx)
-    w = e / np.sum(e, axis=2, keepdims=True)
+    denom = np.zeros((s, heads, 1), dtype=np.float32)
+    for j in range(total):
+        denom += e[:, :, j : j + 1]
+    w = e / denom
     out = np.zeros((s, heads, dh), dtype=np.float32)
     tmp = np.empty_like(out)
     for j in range(total):
@@ -278,6 +281,7 @@ def _check_rmsnorm(rows, dim, seed):
 @example(rows=30, past=0, heads=2, half_dim=4, seed=2)  # a cold prefill
 @example(rows=1, past=69, heads=4, half_dim=8, seed=3)  # prefix_reuse decode step
 @example(rows=45, past=25, heads=4, half_dim=8, seed=4)  # prefix_reuse suffix prefill
+@example(rows=1, past=40, heads=1, half_dim=2, seed=5)  # one row of one head
 def _check_attention(rows, past, heads, half_dim, seed):
     dh = 2 * half_dim
     total = past + rows
@@ -328,6 +332,23 @@ def _check_qkv(rows, past, heads, half_dim, seed):
                          ids=["mm", "rmsnorm", "attention", "qkv"])
 def test_kernel_matches_reference_loop(check):
     _within_budget(check)
+
+
+@pytest.mark.parametrize("rows,heads", [(1, 1), (1, 4), (3, 1), (20, 2)])
+def test_attention_rows_independent_of_appended_masked_keys(rows, heads):
+    # a row's output must not change when masked keys follow it: a cached
+    # row is reused inside prompts of other lengths. The totals straddle the
+    # 8-accumulator and 128-element blocks of numpy's pairwise sum.
+    dh, most = 4, 320
+    model = _kernel_model()
+    k_all, v_all = _values(1, (most, heads, dh)), _values(2, (most, heads, dh))
+    for end in (8, 9, 100, 127, 128, 129, 160, 255, 256, 257, 300):
+        positions = np.arange(max(end - rows, 0), end)
+        q = _values(end, (len(positions), heads, dh))
+        want = model._attention(q, k_all[:end], v_all[:end], positions)
+        for total in sorted({end + 1, 129, 257, 301, most} - set(range(end + 1))):
+            got = model._attention(q, k_all[:total], v_all[:total], positions)
+            assert _bits_equal(got, want), (rows, heads, end, total)
 
 
 def test_cost_params_reference_defaults():

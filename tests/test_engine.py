@@ -3,10 +3,11 @@ import shutil
 
 import pytest
 
+from percache import retrieval
 from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.predictor import PhaseError
-from percache.textcore import tokenize
+from percache.textcore import Embedding, tokenize
 
 from conftest import DATA, load_trace, make_engine
 
@@ -87,6 +88,50 @@ def test_refresh_marks_matching_entry_stale(tmp_path):
     # the stale entry is no longer served
     after = eng.handle_query(q, 3)
     assert after.path != QA_HIT
+
+
+def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
+    eng = make_engine(tmp_path)
+    eng.ingest_chunks([CORPUS], 0)
+    scans = []
+    scan = retrieval.cosine_similarities
+    monkeypatch.setattr(retrieval, "cosine_similarities", lambda *a: scans.append(1) or scan(*a))
+    q = "what is the budget review plan?"
+    assert eng.handle_query(q, 1).path == COLD_MISS
+    assert len(scans) == 1  # retrieval's own
+    entry = eng.qa.get(q)
+    # another embedding object with the same values is scanned afresh
+    assert entry.keys == eng.retriever.cosine_keys(Embedding(entry.embedding.values),
+                                                   eng.config.k_refresh)
+    assert len(scans) == 2
+
+
+def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):
+    # a reopened bank's entries have no keys and are ranked at their first
+    # refresh; the open engine's entries merge the new chunks into theirs
+    queries = ("what is the budget review plan?", "when is the team meeting?",
+               "where is the project report stored?", "who books the training session?")
+    arrivals = ("the budget review plan needs numbers from finance this quarter",
+                "the team meeting moves to the main room on monday morning",
+                "the project report and the training session notes are in the shared drive")
+    eng = make_engine(tmp_path / "bank")
+    eng.ingest_chunks([CORPUS], 0)
+    for i, q in enumerate(queries[:3]):
+        eng.handle_query(q, i + 1)
+    eng.ingest_chunks([arrivals[0]], 4)
+    eng.handle_query(queries[3], 5)
+    eng.persist()
+    shutil.copytree(tmp_path / "bank", tmp_path / "copy")
+    reopened = make_engine(tmp_path / "copy")
+    marked = []
+    for i, text in enumerate(arrivals[1:]):
+        _, want = eng.ingest_chunks([text], 6 + i)
+        _, got = reopened.ingest_chunks([text], 6 + i)
+        assert got == want
+        marked += want
+    assert marked and set(marked) != set(queries)
+    for e, r in zip(eng.qa.entries, reopened.qa.entries):
+        assert (r.query, r.stale, r.keys) == (e.query, e.stale, e.keys)
 
 
 def test_trace_out_of_order_rejected(tmp_path):

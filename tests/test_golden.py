@@ -17,9 +17,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from percache.cli import EXIT_OK, main
+from percache.engine import Engine
 
 from conftest import DATA
 
@@ -82,6 +84,25 @@ def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
     golden = (GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes()
     assert metrics == golden, first_difference(metrics, golden)
     assert digest == (GOLDEN / f"{trace}__{cfg}.bank.sha256").read_text(encoding="utf-8").strip()
+
+
+@pytest.mark.parametrize("trace,cfg", PAIRS)
+def test_cached_prefill_equals_recomputation(tmp_path, capsys, monkeypatch, trace, cfg):
+    # contract 1 on every reuse of the bundled replays: the tensors of a
+    # prefill from a cached prefix equal those of the whole prompt's prefill
+    infer, reuses = Engine._infer, []
+
+    def checked(self, *args, **kwargs):
+        result = infer(self, *args, **kwargs)
+        if result is not None and result.l_pre > 0:
+            full = self.model.prefill(result.tokens.tokens)
+            assert np.array_equal(result.tensors.data, full.tensors.data), result.segments[-1]
+            reuses.append(result.l_pre)
+        return result
+
+    monkeypatch.setattr(Engine, "_infer", checked)
+    replay(trace, cfg, tmp_path)
+    assert reuses
 
 
 if __name__ == "__main__":

@@ -117,34 +117,83 @@ def test_set_limit_shrink():
     assert bank.get("q0") is not None  # the used entry survived
 
 
+def _table_keys(rows, cosines):
+    """cosine_keys over a fixed table: rows are the chunk ids in insertion
+    order, cosines[query][chunk_id] the cosine of the query's embedding."""
+    by_embedding = {EMB.embed(q).values.tobytes(): c for q, c in cosines.items()}
+
+    def cosine_keys(embedding, k, since=0):
+        c = by_embedding[embedding.values.tobytes()]
+        return sorted(((c[cid], cid) for cid in rows[since:]), key=lambda t: (-t[0], t[1]))[:k]
+
+    return cosine_keys
+
+
 def test_refresh_marks_stale():
     bank = _bank()
     _insert(bank, "about budget", now=1)
     _insert(bank, "about meeting", now=2)
     _insert(bank, "no answer yet", answer=None, now=3)
 
-    ranking = {
-        EMB.embed(q).values.tobytes(): ids
-        for q, ids in (
-            ("about budget", ["new1", "old2", "old3"]),
-            ("about meeting", ["old1", "old2", "old3"]),
-            ("no answer yet", ["new1"]),
-        )
-    }
-    marked = bank.refresh({"new1"}, lambda emb, k: ranking[emb.values.tobytes()][:k], k_refresh=3)
+    keys = _table_keys(["old1", "old2", "old3", "new1"], {
+        "about budget": {"new1": 0.9, "old2": 0.8, "old3": 0.7, "old1": 0.1},
+        "about meeting": {"old1": 0.9, "old2": 0.8, "old3": 0.7, "new1": 0.1},
+        "no answer yet": {"new1": 0.9, "old1": 0.1, "old2": 0.1, "old3": 0.1},
+    })
+    marked = bank.refresh(keys, since=3, k_refresh=3)
     assert [e.query for e in marked] == ["about budget"]
     assert bank.get("about budget").stale
     assert not bank.get("about meeting").stale
     assert not bank.get("no answer yet").stale  # answer-less entries skipped
+    assert bank.get("about meeting").keys == [(0.9, "old1"), (0.8, "old2"), (0.7, "old3")]
+    assert bank.get("no answer yet").keys is None
 
 
 def test_refresh_respects_k():
+    keys = _table_keys(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
     bank = _bank()
     _insert(bank, "q", now=1)
-    marked = bank.refresh({"new"}, lambda emb, k: ["a", "b", "new"][:k], k_refresh=2)
+    marked = bank.refresh(keys, since=2, k_refresh=2)
     assert marked == []
-    marked = bank.refresh({"new"}, lambda emb, k: ["a", "b", "new"][:k], k_refresh=3)
+    bank = _bank()
+    _insert(bank, "q", now=1)
+    marked = bank.refresh(keys, since=2, k_refresh=3)
     assert [e.query for e in marked] == ["q"]
+
+
+def test_refresh_merges_kept_keys_with_the_new_chunks_only():
+    # the kept keys stand for the old chunks: only rows from since on are scored
+    calls = []
+    table = _table_keys(["a", "b", "c", "new"], {"q": {"a": 0.9, "b": 0.8, "c": 0.7, "new": 0.85}})
+
+    def keys(embedding, k, since=0):
+        calls.append(since)
+        return table(embedding, k, since)
+
+    bank = _bank()
+    _insert(bank, "q", now=1, keys=[(0.9, "a"), (0.8, "b")])
+    assert [e.query for e in bank.refresh(keys, since=3, k_refresh=2)] == ["q"]
+    assert calls == [3]
+    assert bank.get("q").keys == [(0.9, "a"), (0.85, "new")]
+
+
+def test_refresh_ranks_entries_with_too_few_keys_by_full_scan():
+    # k_refresh grew from 1 to 2: one kept key cannot tell the second place
+    table = _table_keys(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
+    bank = _bank()
+    _insert(bank, "q", now=1, keys=[(0.9, "a")])
+    assert bank.refresh(table, since=2, k_refresh=2) == []
+    assert bank.get("q").keys == [(0.9, "a"), (0.8, "b")]
+
+
+def test_keys_kept_only_for_answered_inserts():
+    bank = _bank()
+    _insert(bank, "q", answer=None, keys=[(0.5, "a")])
+    assert bank.get("q").keys is None
+    _insert(bank, "q", keys=[(0.5, "a")])
+    assert bank.get("q").keys == [(0.5, "a")]
+    _insert(bank, "q", answer=None, keys=[(0.1, "b")])  # refused: keeps the answer
+    assert bank.get("q").keys == [(0.5, "a")]
 
 
 def test_pending_order():

@@ -16,6 +16,7 @@ from percache.retrieval import (
     CorpusStats,
     RankedChunk,
     Retriever,
+    top_k_order,
 )
 from percache.textcore import (
     Embedding,
@@ -86,12 +87,15 @@ class ScanRetriever:
         ranked.sort(key=lambda r: (-r.fused, r.chunk_id))
         return ranked[:k]
 
-    def cosine_rank(self, embedding):
+    def cosine_keys(self, embedding, k, ids=None):
+        """The k best (cosine, chunk_id) keys among ids (every chunk by
+        default), ordered by (-cosine, chunk_id)."""
         scored = sorted(
-            ((cosine_similarity(embedding, e), cid) for cid, (_, _, e) in self.docs.items()),
+            ((cosine_similarity(embedding, self.docs[cid][2]), cid)
+             for cid in (self.docs if ids is None else ids)),
             key=lambda t: (-t[0], t[1]),
         )
-        return [cid for _, cid in scored]
+        return scored[:k]
 
 
 def _retriever(docs, alpha=DEFAULT_ALPHA):
@@ -408,6 +412,10 @@ def _check_match(entries, query, tau, seed):
     ]
 
 
+def _key_bits(keys) -> list[tuple[str, str]]:
+    return [(float(c).hex(), cid) for c, cid in keys]
+
+
 @EXACT_SETTINGS
 @given(
     chunks=st.lists(st.tuples(_text, _emb_choice), max_size=80),
@@ -417,29 +425,166 @@ def _check_match(entries, query, tau, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def _check_refresh(chunks, queries, new_share, k_refresh, seed):
+    # the chunks after the first (1 - new_share) arrive at once; half the
+    # answered entries keep keys from retrieval, half are ranked at refresh
     rng = np.random.default_rng(seed)
     r, scan = Retriever(EMB), ScanRetriever()
-    new_ids = set()
+    since = None
     for i, (text, choice) in enumerate(chunks):
+        if since is None and i >= len(chunks) * (1.0 - new_share):
+            since = len(r)
+            bank = QaBank(limit_bytes=1 << 30)
+            for j, (qtext, qchoice, answered) in enumerate(queries):
+                qemb = EMB.embed(qtext) if qchoice is None else _dense(qchoice)
+                r.retrieve_top_k(qtext, 1, embedding=qemb)
+                keys = r.cosine_keys(qemb, k_refresh)
+                assert _key_bits(keys) == _key_bits(scan.cosine_keys(qemb, k_refresh))
+                bank.insert(f"{j}:{qtext}", qemb, "ans" if answered else None, j,
+                            keys if j % 2 else None)
+            old_ids = set(scan.docs)
         emb = EMB.embed(text) if choice is None else _dense(choice)
         cid = f"c{rng.integers(40):02d}"  # repeated ids: the first add wins
         r.add_chunk(cid, text, emb)
         scan.add_chunk(cid, text, emb)
-        if rng.random() < new_share:
-            new_ids.add(cid)
-    banks = (QaBank(limit_bytes=1 << 30), QaBank(limit_bytes=1 << 30))
-    for j, (text, choice, answered) in enumerate(queries):
-        emb = EMB.embed(text) if choice is None else _dense(choice)
-        for bank in banks:
-            bank.insert(f"{j}:{text}", emb, "ans" if answered else None, j)
-        assert r.cosine_top_k(emb, k_refresh) == scan.cosine_rank(emb)[:k_refresh]
-    marked = banks[0].refresh(new_ids, r.cosine_top_k, k_refresh)
-    want = banks[1].refresh(new_ids, lambda emb, k: scan.cosine_rank(emb)[:k], k_refresh)
-    assert [e.query for e in marked] == [e.query for e in want]
-    assert [e.stale for e in banks[0].entries] == [e.stale for e in banks[1].entries]
+    if since is None or since == len(r):
+        return  # no new chunk arrived
+    new_ids = set(scan.docs) - old_ids
+    want = []
+    for e in bank.entries:
+        assert _key_bits(r.cosine_keys(e.embedding, k_refresh, since)) == _key_bits(
+            scan.cosine_keys(e.embedding, k_refresh, new_ids))
+        if e.answer is not None and any(
+                cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k_refresh)):
+            want.append(e.query)
+    marked = bank.refresh(r.cosine_keys, since, k_refresh)
+    assert [e.query for e in marked] == want
+    for e in bank.entries:
+        assert e.stale == (e.query in want)
+        if e.answer is not None:
+            assert _key_bits(e.keys) == _key_bits(scan.cosine_keys(e.embedding, k_refresh))
 
 
 @pytest.mark.parametrize("check", [_check_cosine, _check_retrieve, _check_match, _check_refresh],
                          ids=["cosine", "retrieve", "match", "refresh"])
 def test_array_code_matches_scan(check):
     _within_budget(check)
+
+
+# -- one top-k helper ----------------------------------------------------------
+
+
+@EXACT_SETTINGS
+@given(scores=st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]), max_size=40),
+       k=st.integers(1, 45))
+@example(scores=[0.5, 0.25, 0.5, 0.5, 1.0, 0.5], k=3)  # four-way tie at the k-th place
+@example(scores=[0.0, -0.0, 0.0, -0.0, 1.0], k=2)  # 0.0 and -0.0 tie
+def test_top_k_order_is_the_stable_argsort_prefix(scores, k):
+    scores = np.array(scores, dtype=float)
+    assert top_k_order(scores, k).tolist() == np.argsort(-scores, kind="stable")[:k].tolist()
+
+
+# -- incremental refresh against the full-scan rule, over many arrivals --------
+
+AXES = [Embedding(np.eye(EMB.dim)[i]) for i in range(3)]
+
+
+def _pool(seed: int) -> list[Embedding]:
+    """Chunk and query embeddings. Orthogonal axes score exactly 0.0
+    against each other, so keys tie at every place; equal indices give
+    duplicate embeddings."""
+    return (AXES + [Embedding(-AXES[1].values)] + [_dense(seed + i) for i in range(3)]
+            + [EMB.embed("budget review"), DEGENERATE])
+
+
+# a query text always has the same embedding, as in the engine
+QUERIES = 10
+_step = st.one_of(
+    # chunk ids repeat across arrivals: a known id is not new
+    st.tuples(st.just("arrive"),
+              st.lists(st.tuples(st.integers(0, 29), st.integers(0, 8)), min_size=1, max_size=3)),
+    # keys: from the cosine row retrieval kept; scan: after another query's
+    # retrieval; none: unknown, as after QaBank.load
+    st.tuples(st.just("answer"), st.integers(0, QUERIES - 1),
+              st.sampled_from(["keys", "scan", "none", "unanswered"])),
+    st.tuples(st.just("k"), st.integers(1, 5)),
+)
+_TIES_AT_KTH = [
+    ("k", 2), ("arrive", [(5, 0), (9, 2)]), ("answer", 1, "keys"),
+    ("arrive", [(2, 2)]),  # ties c05 and c09 at 0.0 and wins on its id: stale
+    ("k", 3), ("answer", 1, "keys"), ("answer", 2, "none"), ("answer", 3, "unanswered"),
+    ("arrive", [(7, 0), (5, 1)]),  # c05 is known; c07 ties into third place
+    ("k", 1), ("answer", 3, "keys"), ("answer", 1, "scan"), ("arrive", [(1, 3)]),
+]
+_NEW_CHUNKS_TIE = [
+    ("arrive", [(20, 1)]), ("answer", 0, "keys"), ("k", 1),
+    ("arrive", [(9, 0), (2, 0)]),  # the new chunks tie: c02 ranks first, though added last
+]
+_K_RAISED = [
+    ("arrive", [(5, 0), (6, 0), (7, 0)]), ("answer", 0, "keys"), ("k", 1),
+    ("arrive", [(9, 1)]),  # keeps one key
+    ("k", 3),
+    ("arrive", [(8, 2)]),  # fourth: one kept key cannot show it, a full scan does
+]
+
+
+def _scan_refresh(bank, scan, new_ids, k):
+    """The full-scan rule: an answered, fresh entry goes stale iff a new
+    chunk enters its top k of the whole corpus."""
+    marked = []
+    for e in bank.entries:
+        if e.answer is not None and not e.stale and any(
+                cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k)):
+            e.stale = True
+            marked.append(e)
+    return marked
+
+
+@EXACT_SETTINGS
+@given(steps=st.lists(_step, max_size=25), seed=st.integers(0, 2**32 - 1))
+@example(steps=_TIES_AT_KTH, seed=0)
+@example(steps=_NEW_CHUNKS_TIE, seed=0)
+@example(steps=_K_RAISED, seed=0)
+def _check_arrivals(steps, seed):
+    pool = _pool(seed)
+    r, scan = Retriever(EMB), ScanRetriever()
+    bank, ref = QaBank(limit_bytes=1 << 30), QaBank(limit_bytes=1 << 30)
+    k = 3
+    for now, step in enumerate(steps):
+        if step[0] == "k":
+            k = step[1]
+        elif step[0] == "answer":
+            _, q, mode = step
+            text, emb = f"q{q}", pool[q % len(pool)]
+            keys = None
+            if mode in ("keys", "scan"):
+                if mode == "keys":
+                    r.retrieve_top_k(text, 1, embedding=emb)
+                else:
+                    r.retrieve_top_k("other", 1, embedding=pool[(q + 1) % len(pool)])
+                keys = r.cosine_keys(emb, k)
+                assert _key_bits(keys) == _key_bits(scan.cosine_keys(emb, k))
+            answer = None if mode == "unanswered" else "ans"
+            bank.insert(text, emb, answer, now, keys)
+            ref.insert(text, emb, answer, now)
+        else:
+            since, new_ids = len(r), set()
+            for cid, j in step[1]:
+                if f"c{cid:02d}" not in r:
+                    new_ids.add(f"c{cid:02d}")
+                r.add_chunk(f"c{cid:02d}", "budget" if j % 2 else "", pool[j])
+                scan.add_chunk(f"c{cid:02d}", "budget" if j % 2 else "", pool[j])
+            if not new_ids:
+                continue  # the engine refreshes only when a chunk is new
+            checked = {e.query for e in bank.entries if e.answer is not None and not e.stale}
+            want = [e.query for e in _scan_refresh(ref, scan, new_ids, k)]
+            assert [e.query for e in bank.refresh(r.cosine_keys, since, k)] == want
+            assert [e.stale for e in bank.entries] == [e.stale for e in ref.entries]
+            for e in bank.entries:
+                if e.query in checked:
+                    assert _key_bits(e.keys) == _key_bits(scan.cosine_keys(e.embedding, k))
+                else:
+                    assert e.keys is None
+
+
+def test_incremental_refresh_matches_full_scan():
+    _within_budget(_check_arrivals)
