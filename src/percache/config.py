@@ -35,7 +35,6 @@ class EngineConfig:
     alpha_fusion: float = 0.5
     chunk_words: int = 100
     # cache tree
-    k_boundary: int = 4
     qkv_limit_bytes: int = 1 << 34
     qa_limit_bytes: int = 1 << 22
     # behavior toggles
@@ -79,8 +78,6 @@ class EngineConfig:
         ):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be a positive integer")
-        if self.k_boundary < 0:
-            raise ConfigError("k_boundary must be non-negative")
         for key in ("qkv_limit_bytes", "abstract_cap_bytes"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")

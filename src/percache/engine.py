@@ -60,7 +60,7 @@ class TraceError(ValueError):
 # keys Engine copies only at construction: a config_change of one is rejected
 FIXED_CONFIG_KEYS = frozenset({
     "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
-    "chunk_words", "k_boundary", "alpha_fusion", "prediction_stride", "buffer_size",
+    "chunk_words", "alpha_fusion", "prediction_stride", "buffer_size",
     "t_batch", "t_quiet", "abstract_cap_bytes",
 })
 
@@ -92,13 +92,8 @@ def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
         vocab = None  # KnowledgeBank.load reads the bank's own
     else:
         vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
-    return KnowledgeBank.load(
-        bank_dir,
-        vocab,
-        config.qkv_limit_bytes,
-        k_boundary=config.k_boundary,
-        chunk_words_count=config.chunk_words,
-    )
+    return KnowledgeBank.load(bank_dir, vocab, config.qkv_limit_bytes,
+                              chunk_words_count=config.chunk_words)
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ class QueryOutcome:
     cost: CostReport
     l_total: int = 0
     l_pre: int = 0
-    discarded: int = 0
+    discarded: int = 0  # cached tokens of the matched chain not reused
 
 
 @dataclass(frozen=True)
@@ -194,19 +189,19 @@ class Engine:
     def _infer(self, query: str, decode: bool, embedding: Embedding,
                restoring: bool = False) -> InferResult | None:
         """Retrieve (embedding is the query's), prefill (reusing the longest
-        cached prefix), and optionally decode. Stores nothing in the caches;
-        the match updates the matched nodes' LFU counts. When restoring,
-        return None before the prefill if the bank could write no slice of
-        the prompt without evicting."""
+        cached prefix of the prompt's token ids), and optionally decode.
+        Stores nothing in the caches; the match updates the reused nodes'
+        LFU counts. When restoring, return None before the prefill if the
+        bank could write no slice of the prompt without evicting."""
         ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
-        prefix, matched, discarded = (None, 0, 0)
-        if self.config.reuse_enabled:
-            prefix, matched, discarded = self.bank.match_prefix(chunk_ids, self._seq())
-        if restoring and not self.bank.may_restore(chunk_ids):
-            return None
         segments = self._assemble(query, chunk_ids)
         tokens = tokenize("".join(s.text for s in segments), self.vocab)
+        prefix, matched, discarded = (None, 0, 0)
+        if self.config.reuse_enabled:
+            prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens.tokens, self._seq())
+        if restoring and not self.bank.may_restore(chunk_ids):
+            return None
         l_pre = prefix.prefix_token_count if prefix is not None else 0
         state = self.model.prefill(tokens.tokens, prefix)
         answer = None

@@ -1,14 +1,20 @@
 """Chunk store plus the QKV cache tree.
 
 Tree nodes hold per-chunk Q/K/V tensor slices; a root-to-node path mirrors
-the retrieved-chunk order of a past prompt. Because the tokenizer is
-boundary-dependent, two prompts sharing a chunk prefix can tokenize the
-last shared chunk differently. Two measures keep reuse safe:
+the retrieved-chunk order of a past prompt. Each node also keeps the token
+ids of its segment in the prompt that wrote it. Because the tokenizer is
+greedy and boundary-dependent, two prompts sharing a chunk prefix can
+tokenize the shared region differently near a seam, so reuse is bounded by
+token ids, not by chunk ids:
 
+* on match, the reused prefix is the longest common prefix of the matched
+  chain's token ids and the new prompt's. It is exact, because row i of a
+  slice depends only on tokens 0..i;
+* on insert, a node is written only below nodes whose kept ids equal the
+  prompt's, so every node's rows were computed after its ancestors' ids;
 * on insert, paths are merged only up to the second-to-last common node,
-  so the last common node is duplicated per path;
-* on match, the trailing k_boundary tokens of the final matched node are
-  discarded and recomputed from raw text.
+  so the last common node is duplicated per path. This no longer guards
+  correctness; it decides how deep each path can reuse.
 
 Eviction is LFU over per-node retrieval counts under a byte budget; an
 evicted node keeps its metadata and its slice digest, so a later
@@ -46,7 +52,6 @@ log = logging.getLogger(__name__)
 SLICE_MAGIC = b"PQKV"
 SLICE_VERSION = 1
 DEFAULT_CHUNK_WORDS = 100
-DEFAULT_K_BOUNDARY = 4
 SYSTEM_CHUNK_ID = ""
 
 
@@ -185,6 +190,9 @@ class CacheTreeNode:
     retrieval_count: int = 0
     last_used: int = 0
     payload_sha: str | None = None  # slice_digest from first eviction or persist; kept past eviction
+    # the segment's token ids in the prompt that wrote the slice; kept past
+    # eviction, None if never written
+    token_ids: tuple[int, ...] | None = None
 
     @property
     def present(self) -> bool:
@@ -216,13 +224,11 @@ class KnowledgeBank:
         directory,
         vocab: TokenizerVocab,
         limit_bytes: int = 1 << 34,
-        k_boundary: int = DEFAULT_K_BOUNDARY,
         chunk_words_count: int = DEFAULT_CHUNK_WORDS,
     ):
         self.directory = Path(directory)
         self.slice_dir = self.directory / "slices"
         self.vocab = vocab
-        self.k_boundary = k_boundary
         self.chunk_words_count = chunk_words_count
         self.ledger = StorageLedger(0, limit_bytes)
         self.chunks: dict[str, KnowledgeChunk] = {}
@@ -345,9 +351,12 @@ class KnowledgeBank:
         # plan every write before changing anything; the query, the last
         # segment, gets no slot
         slots = self._path_slots([s.chunk_id for s in segments if s.kind == "chunk"])
-        plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes]] = []
+        plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes, tuple[int, ...]]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
+            ids = tokens.tokens[start:end]
             if node is not None and node.present:
+                if node.token_ids != ids:
+                    break  # a node below would hold rows computed after other ids
                 continue
             tensors, chunk_hash = qkv.slice_tokens(start, end), content_hash(seg.text)
             # refill an absent slice only when bit-identical to the original
@@ -355,9 +364,11 @@ class KnowledgeBank:
             # while it has no digest yet
             if node is None or (node.payload_sha == slice_digest(tensors, chunk_hash)
                                 if node.payload_sha is not None else node is self.root):
-                plan.append((node, seg.chunk_id, tensors, chunk_hash))
+                plan.append((node, seg.chunk_id, tensors, chunk_hash, ids))
+            elif node.token_ids != ids:
+                break
 
-        incoming = sum(slice_size(tensors) for _, _, tensors, _ in plan)
+        incoming = sum(slice_size(tensors) for _, _, tensors, _, _ in plan)
         if incoming > self.ledger.limit_bytes:
             raise StorageError("prompt slices exceed the whole cache budget")
         if not allow_evict and self.ledger.used_bytes + incoming > self.ledger.limit_bytes:
@@ -366,38 +377,55 @@ class KnowledgeBank:
 
         written_ids: list[int] = []
         parent = slots[-1 - slots.count(None)]  # the deepest existing node
-        for node, chunk_id, tensors, chunk_hash in plan:
+        for node, chunk_id, tensors, chunk_hash, ids in plan:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
             node.tensors, node.chunk_hash, node.last_used = tensors, chunk_hash, now
+            node.token_ids = ids
             node.byte_size = slice_size(tensors)
             self.ledger.used_bytes += node.byte_size
             self.ledger.check()
             written_ids.append(node.node_id)
         return written_ids
 
-    def match_prefix(self, retrieved: list[str], now: int) -> tuple[QkvPrefix | None, int, int]:
-        """Walk the tree along the retrieved chunk ids, concatenate matched
-        slices, and discard the trailing k_boundary tokens of the final
-        matched node. Returns (prefix or None, matched chunk count,
-        discarded token count)."""
+    def match_prefix(self, retrieved: list[str], token_ids: tuple[int, ...],
+                     now: int) -> tuple[QkvPrefix | None, int, int]:
+        """The cached prefix of a prompt over the retrieved chunk ids whose
+        token ids are token_ids. Walks the tree along retrieved and reuses
+        the longest common prefix of the matched chain's kept token ids and
+        token_ids: whole nodes are compared first, and only the first node
+        that differs is scanned token by token. The chain is cut to the
+        nodes that prefix reaches; only those are counted, LFU-bumped and
+        loaded. Returns (prefix, matched chunk count, discarded), where
+        discarded counts the loaded nodes' cached tokens that are not
+        reused; (None, 0, 0) when no token is reused."""
         if not self.root.present:
             return None, 0, 0
-        chain = self._match_chain(retrieved, require_present=True)
-        matched_nodes = [self.root] + chain
-        parts = [node.tensors for node in matched_nodes]
-        for node in matched_nodes:
+        reached: list[CacheTreeNode] = []
+        cached = l_pre = 0
+        for node in [self.root] + self._match_chain(retrieved, require_present=True):
+            ids = node.token_ids
+            if token_ids[l_pre : l_pre + len(ids)] == ids:
+                common = len(ids)
+            else:  # the first differing token, or the end of the shorter
+                common = next((i for i, (a, b) in enumerate(zip(ids, token_ids[l_pre:])) if a != b),
+                              min(len(ids), len(token_ids) - l_pre))
+            if common or not ids:
+                reached.append(node)
+                cached += len(ids)
+                l_pre += common
+            if common < len(ids):
+                break
+        if l_pre == 0:
+            return None, 0, 0
+        for node in reached:
             node.retrieval_count += 1
             node.last_used = now
-        final = matched_nodes[-1]
-        discarded = 0
-        if final is not self.root:
-            discarded = min(self.k_boundary, parts[-1].token_count)
-            if discarded:
-                parts[-1] = parts[-1].slice_tokens(0, parts[-1].token_count - discarded)
+        parts = [node.tensors for node in reached]
+        last = parts[-1].data
+        parts[-1] = QkvTensors(last[:, :, : last.shape[2] - (cached - l_pre)])  # a view
         tensors = QkvTensors.concat(parts)  # a copy: stored arrays never leave the bank
-        prefix = QkvPrefix(tensors, tensors.token_count)
-        return prefix, len(chain), discarded
+        return QkvPrefix(tensors, l_pre), len(reached) - 1, cached - l_pre
 
     def evictable_nodes(self) -> list[CacheTreeNode]:
         return [n for n in self.nodes.values() if n.present]
@@ -462,6 +490,7 @@ class KnowledgeBank:
                 "slice_file": _slice_name(n.node_id) if n.present else None,
                 "byte_size": n.byte_size,
                 "payload_sha": n.payload_sha,
+                "token_ids": None if n.token_ids is None else list(n.token_ids),
             }
             for _, n in sorted(self.nodes.items())
         ))
@@ -480,8 +509,10 @@ class KnowledgeBank:
         """Open the bank persisted in directory (an empty bank if there is
         none). Keys it does not read are ignored. A damaged manifest.jsonl
         or chunks.jsonl, or a vocab.txt that is not UTF-8, raises BankError;
-        a missing or corrupt slice degrades to evicted, and slices beyond
-        limit_bytes are evicted as set_limit would."""
+        a missing or corrupt slice degrades to evicted, and so does a slice
+        whose record has no token_ids (a bank written before they were
+        kept), since its rows cannot be checked against a prompt. Slices
+        beyond limit_bytes are evicted as set_limit would."""
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
@@ -512,8 +543,16 @@ class KnowledgeBank:
             node.retrieval_count = rec["retrieval_count"]
             node.last_used = rec["last_used"]
             node.payload_sha = rec.get("payload_sha")
+            ids = rec.get("token_ids")
+            if ids is not None:
+                if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+                    raise BankError(f"{manifest}:{lineno}: token_ids must be a list of integers")
+                node.token_ids = tuple(ids)
             bank.nodes[node.node_id] = node
             if rec["slice_file"] is None:
+                continue
+            if node.token_ids is None:
+                log.warning("slice for node %d has no token ids; treated as evicted", node.node_id)
                 continue
             # a missing or corrupt slice degrades to evicted; the next
             # persist removes its file
@@ -523,7 +562,8 @@ class KnowledgeBank:
                 tensors, chunk_hash = deserialize_slice(data)
             except (OSError, ValueError):
                 data = None
-            if data is None or len(data) != node.byte_size:
+            if (data is None or len(data) != node.byte_size
+                    or tensors.token_count != len(node.token_ids)):
                 log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
                 continue
             node.tensors, node.chunk_hash = tensors, chunk_hash

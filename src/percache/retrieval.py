@@ -97,9 +97,12 @@ class Retriever:
     (-cosine, chunk_id). Asked for the whole corpus with the embedding
     object of the last retrieve_top_k call, it reuses the cosine row that
     call computed, so keying a just-answered query costs no second scan.
-    Not safe for concurrent use: besides add_chunk, the first read after an
-    add rebuilds the cached chunk-id order, and retrieve_top_k replaces the
-    kept cosine row.
+    Asked for the chunks from row since on, it keeps their chunk-id order
+    and embedding rows until the next add, so an arrival keys every QA
+    entry against one gather. Not safe for concurrent use: besides
+    add_chunk, the first read after an add rebuilds the cached chunk-id
+    order, retrieve_top_k replaces the kept cosine row, and cosine_keys the
+    kept rows.
     """
 
     def __init__(
@@ -119,6 +122,9 @@ class Retriever:
         # (embedding, its cosine row in chunk-id order) of the last
         # retrieve_top_k since the last add
         self._last_cosine: tuple[Embedding, np.ndarray] | None = None
+        # (since, the rows from since on in chunk-id order, their embeddings)
+        # of the last cosine_keys call with since > 0 since the last add
+        self._new_rows: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -154,6 +160,7 @@ class Retriever:
         self._id_set.add(chunk_id)
         self._order = None
         self._last_cosine = None
+        self._new_rows = None
 
     def _id_order(self) -> np.ndarray:
         if self._order is None:
@@ -213,8 +220,11 @@ class Retriever:
             last = self._last_cosine
             sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
         else:
-            rows = np.array(sorted(range(since, len(self._ids)), key=self._ids.__getitem__),
-                            dtype=np.intp)
-            sims = cosine_similarities(self._emb[rows], embedding)
+            if self._new_rows is None or self._new_rows[0] != since:
+                rows = np.array(sorted(range(since, len(self._ids)), key=self._ids.__getitem__),
+                                dtype=np.intp)
+                self._new_rows = (since, rows, self._emb[rows])
+            _, rows, emb = self._new_rows
+            sims = cosine_similarities(emb, embedding)
         top = top_k_order(sims, k)
         return list(zip(sims[top].tolist(), [self._ids[row] for row in rows[top].tolist()]))

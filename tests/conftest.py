@@ -40,10 +40,8 @@ FAKE_HEADS = 1
 FAKE_HEAD_DIM = 2
 
 
-def fake_bank(tmp_path, k_boundary=0, limit_bytes=1 << 22, **kwargs) -> KnowledgeBank:
-    return KnowledgeBank(
-        tmp_path, TokenizerVocab([]), limit_bytes=limit_bytes, k_boundary=k_boundary, **kwargs
-    )
+def fake_bank(tmp_path, limit_bytes=1 << 22, **kwargs) -> KnowledgeBank:
+    return KnowledgeBank(tmp_path, TokenizerVocab([]), limit_bytes=limit_bytes, **kwargs)
 
 
 def path_segments(path: list[str], query: str = "q") -> list[Segment]:
@@ -64,6 +62,11 @@ def fake_tensors(text: str, tokens) -> QkvTensors:
         vals.reshape(n, 1, 1), (n, FAKE_HEADS, FAKE_HEAD_DIM)
     ).astype(np.float32)
     return QkvTensors(np.stack([base, base + 1.0, base + 2.0])[None])
+
+
+def path_tokens(bank: KnowledgeBank, path: list[str], query: str = "q") -> tuple[int, ...]:
+    """Token ids of the prompt over path, as match_prefix takes them."""
+    return tokenize("".join(s.text for s in path_segments(path, query)), bank.vocab).tokens
 
 
 def insert_path(bank: KnowledgeBank, path: list[str], now: int, query: str = "q"):

@@ -24,7 +24,7 @@ from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
 from percache.textcore import TokenizerVocab, HashEmbedder, tokenize
 
-from conftest import DATA, fake_bank, insert_path, load_trace
+from conftest import DATA, fake_bank, insert_path, load_trace, path_tokens
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -121,33 +121,41 @@ def test_acceptance_1_cached_prefill_equivalence():
         boundary_cases += _check_prompt(model, BOUNDARY_VOCAB, text, joins)
         prompts += 1
 
-    # the k_boundary discard path: cache via the tree, match with discard,
-    # and prefill against the discarded prefix
+    # reuse through the tree: a prompt matched against a chunk cached for
+    # another query reuses exactly the longest common token prefix, also
+    # where " the" straddles the seam into a query that starts with "the"
     import tempfile
 
-    bank_dir_checked = 0
-    for k_boundary in (2, 4):
+    def layout(query):
+        return [Segment("system", "notes:\n"),
+                Segment("chunk", "the budget review meeting on monday at noon ", "c1"),
+                Segment("query", query)]
+
+    queries = ("what is the budget plan?", "when is the meeting at noon?",
+               "the budget plan?", "at noon?")
+    tree_checked = cut_cases = 0
+    for cached_query in queries:
         with tempfile.TemporaryDirectory() as td:
-            bank = KnowledgeBank(td, BOUNDARY_VOCAB, limit_bytes=1 << 26, k_boundary=k_boundary)
-            for q in ("what is the budget plan?", "when is the meeting at noon?"):
-                chunk_text = "the budget review meeting on monday at noon "
-                segments = [
-                    Segment("system", "notes:\n"),
-                    Segment("chunk", chunk_text, "c1"),
-                    Segment("query", q),
-                ]
-                text = "".join(s.text for s in segments)
-                toks = tokenize(text, BOUNDARY_VOCAB)
+            bank = KnowledgeBank(td, BOUNDARY_VOCAB, limit_bytes=1 << 26)
+            segments = layout(cached_query)
+            toks = tokenize("".join(s.text for s in segments), BOUNDARY_VOCAB)
+            bank.slice_and_insert(segments, toks, small_model.prefill(toks.tokens).tensors, now=1)
+            chain_ids = bank.root.token_ids + bank.nodes[1].token_ids
+            for query in queries:
+                toks = tokenize("".join(s.text for s in layout(query)), BOUNDARY_VOCAB)
+                lcp = next((i for i, (a, b) in enumerate(zip(chain_ids, toks.tokens)) if a != b),
+                           len(chain_ids))
+                prefix, matched, discarded = bank.match_prefix(["c1"], toks.tokens, now=2)
+                assert prefix.prefix_token_count == lcp and discarded == len(chain_ids) - lcp
+                assert matched == 1
                 state = small_model.prefill(toks.tokens)
-                bank.slice_and_insert(segments, toks, state.tensors, now=1)
-                prefix, matched, discarded = bank.match_prefix(["c1"], now=2)
-                assert matched == 1 and discarded == k_boundary
                 cached_state = small_model.prefill(toks.tokens, prefix)
                 assert np.array_equal(cached_state.tensors.data, state.tensors.data)
                 assert np.array_equal(cached_state.last_hidden, state.last_hidden)
                 prompts += 1
-                bank_dir_checked += 1
-    assert bank_dir_checked == 4
+                tree_checked += 1
+                cut_cases += discarded > 0
+    assert tree_checked == 16 and cut_cases > 0
     assert prompts >= 200, prompts
     assert boundary_cases > 0, "no chunk boundary ever crossed a token"
     _elapsed_ok(t0, 60.0, 1)
@@ -226,7 +234,7 @@ def test_acceptance_3_tree_laws(tmp_path):
                     assert len({c.chunk_id for c in node.children}) <= 1
             else:
                 # match: longest-prefix law against the brute-force oracle
-                _, matched, _ = bank.match_prefix(path, now=step)
+                _, matched, _ = bank.match_prefix(path, path_tokens(bank, path, f"q{step}"), now=step)
                 oracle = max((_common_prefix(path, p) for p in inserted), default=0)
                 assert matched == oracle, (path, inserted)
             cases += 1
@@ -268,7 +276,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
             except StorageError:
                 pass
         elif op < 0.85:
-            bank.match_prefix(path, now=step)
+            bank.match_prefix(path, path_tokens(bank, path, f"q{step}"), now=step)
         else:
             bank.set_limit(int(rng.integers(3000, 9000)), now=step)
         assert bank.ledger.used_bytes <= bank.ledger.limit_bytes

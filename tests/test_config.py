@@ -12,7 +12,6 @@ def test_defaults():
     assert cfg.t_batch == 600.0
     assert cfg.t_quiet == 300.0
     assert cfg.retrieval_k == 3
-    assert cfg.k_boundary == 4
     assert cfg.chunk_words == 100
     assert cfg.alpha_fusion == 0.5
 
@@ -30,8 +29,6 @@ def test_validation():
         EngineConfig(qa_limit_bytes=100)  # below one QA entry
     with pytest.raises(ConfigError):
         EngineConfig(retrieval_k=0)
-    with pytest.raises(ConfigError):
-        EngineConfig(k_boundary=-1)
 
 
 def test_apply_parses_by_type():

@@ -1,6 +1,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from percache import retrieval
@@ -132,6 +133,91 @@ def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):
     assert marked and set(marked) != set(queries)
     for e, r in zip(eng.qa.entries, reopened.qa.entries):
         assert (r.query, r.stale, r.keys) == (e.query, e.stale, e.keys)
+
+
+# a chunk ending in "action" before one starting "items": the vocab token
+# "action items" straddles their seam, so A's token ids depend on what
+# follows it by more than a few tokens
+CHUNK_A = "notes from the planning call about the next action"
+CHUNK_B = "items were assigned to the team on friday"
+CHUNK_C = "zebra quotas were discussed briefly"
+CHUNK_F = "friday the budget review was moved to monday"
+
+
+def _fixed_retrieval_engine(tmp_path, order: dict[str, list[str]], **overrides) -> Engine:
+    """An engine with QA and the scheduler off whose retrieval returns, for
+    each query, the chunks order[query] in that order; every reuse asserts
+    that its prefill equals a prefill of the whole prompt."""
+    eng = make_engine(tmp_path, chunk_words=100, retrieval_k=2, qa_enabled=False,
+                      scheduler_enabled=False, max_decode_tokens=8, **overrides)
+    ids = {text: eng.ingest_chunks([text], 0)[0][0] for text in (CHUNK_A, CHUNK_B, CHUNK_C, CHUNK_F)}
+    eng.retriever.retrieve_top_k = lambda query, k, embedding=None: [
+        retrieval.RankedChunk(ids[text], 0.0, 0.0, 0.0) for text in order[query]]
+    infer = eng._infer
+
+    def checked(*args, **kwargs):
+        result = infer(*args, **kwargs)
+        if result.l_pre > 0:
+            full = eng.model.prefill(result.tokens.tokens)
+            assert np.array_equal(result.tensors.data, full.tensors.data), result.l_pre
+        return result
+
+    eng._infer = checked
+    return eng
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reuse_stops_before_a_token_that_straddles_a_chunk_seam(tmp_path, seed):
+    # after [A, C] is cached, a prompt over [A, B] tokenizes A's end as
+    # "action items": A's cached rows are reused only up to that token
+    order = {"what was assigned?": [CHUNK_A, CHUNK_C], "who got the items?": [CHUNK_A, CHUNK_B],
+             "when is the action due?": [CHUNK_A, CHUNK_B]}
+    warm = _fixed_retrieval_engine(tmp_path / "warm", order, seed=seed)
+    warm.handle_query("what was assigned?", 1)
+    for i, query in enumerate(("who got the items?", "when is the action due?")):
+        cold = _fixed_retrieval_engine(tmp_path / f"cold{i}", order, seed=seed)
+        want = cold.handle_query(query, 1)
+        got = warm.handle_query(query, 2 + i)
+        assert got.path == QKV_PARTIAL and got.answer == want.answer
+        if i == 0:  # A's rows up to its last few tokens, then none of C's
+            assert got.matched_count == 1 and got.discarded > 0
+
+
+def test_reuse_stops_inside_the_root_when_a_token_straddles_the_system_prompt(tmp_path):
+    # "on friday" starts in the system prompt and ends in the first chunk,
+    # so the root's ids depend on which chunk follows it
+    order = {"when was the review?": [CHUNK_F, CHUNK_C], "what quotas?": [CHUNK_C, CHUNK_A]}
+    prompt = "Answer from the notes taken on "
+    for seed in range(3):
+        warm = _fixed_retrieval_engine(tmp_path / f"warm{seed}", order, seed=seed, system_prompt=prompt)
+        warm.handle_query("when was the review?", 1)
+        got = warm.handle_query("what quotas?", 2)
+        cold = _fixed_retrieval_engine(tmp_path / f"cold{seed}", order, seed=seed, system_prompt=prompt)
+        want = cold.handle_query("what quotas?", 1)
+        assert got.answer == want.answer
+        assert got.matched_count == 0 and 0 < got.l_pre < len(warm.bank.root.token_ids)
+
+
+@pytest.mark.parametrize("new_prompt,path", [
+    ("Answer from personal notes, briefly:\n", QKV_PARTIAL),
+    ("Notes:\n", COLD_MISS),
+])
+def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_prompt, path):
+    eng = make_engine(tmp_path / "warm", qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    q = "what is the budget review plan?"
+    old_prompt = eng.config.system_prompt
+    eng.handle_query(q, 1)
+    eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
+                     "value": new_prompt.replace("\n", "\\n")})
+    assert eng.config.system_prompt == new_prompt
+    got = eng.handle_query(q, 3)
+    old_ids, new_ids = tokenize(old_prompt, eng.vocab).tokens, tokenize(new_prompt, eng.vocab).tokens
+    common = next(i for i, (a, b) in enumerate(zip(old_ids, new_ids)) if a != b)
+    assert (got.path, got.l_pre, got.matched_count) == (path, common, 0)
+    cold = make_engine(tmp_path / "cold", qa_enabled=False, system_prompt=new_prompt)
+    cold.ingest_chunks([CORPUS], 0)
+    assert got.answer == cold.handle_query(q, 1).answer
 
 
 def test_trace_out_of_order_rejected(tmp_path):

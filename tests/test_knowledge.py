@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from percache.backend import QkvTensors, ToyModel, ToyModelConfig
 from percache.knowledge import (
+    BankError,
     KnowledgeBank,
     LayoutError,
     Segment,
@@ -21,7 +23,7 @@ from percache.knowledge import (
 )
 from percache.textcore import TokenizerVocab, tokenize
 
-from conftest import fake_bank, fake_tensors, insert_path, path_segments
+from conftest import fake_bank, fake_tensors, insert_path, path_segments, path_tokens
 
 
 def test_chunk_words_split():
@@ -154,36 +156,102 @@ def test_reinsert_same_path_idempotent(tmp_path):
     assert bank.ledger.used_bytes == used_before
 
 
+def _match(bank, path, now, query="q"):
+    return bank.match_prefix(path, path_tokens(bank, path, query), now)
+
+
 def test_match_prefix_examples(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2", "c3"], now=1)
     # exact path
-    prefix, matched, discarded = bank.match_prefix(["c1", "c2", "c3"], now=2)
+    prefix, matched, discarded = _match(bank, ["c1", "c2", "c3"], now=2)
     assert matched == 3 and discarded == 0 and prefix is not None
     # partial path: only the shared spine matches
-    prefix, matched, _ = bank.match_prefix(["c1", "c2", "c9"], now=3)
+    prefix, matched, _ = _match(bank, ["c1", "c2", "c9"], now=3)
     assert matched == 2
     # no chunk overlap: system-only prefix
-    prefix, matched, _ = bank.match_prefix(["x1", "x2"], now=4)
+    prefix, matched, _ = _match(bank, ["x1", "x2"], now=4)
     assert matched == 0 and prefix.prefix_token_count > 0
     # empty tree root
     empty = fake_bank(tmp_path / "e")
-    assert empty.match_prefix(["c1"], now=0) == (None, 0, 0)
+    assert _match(empty, ["c1"], now=0) == (None, 0, 0)
 
 
-def test_match_prefix_k_boundary_discard(tmp_path):
-    bank = fake_bank(tmp_path, k_boundary=2)
-    insert_path(bank, ["c1", "c2"], now=1)
-    full, matched, discarded = bank.match_prefix(["c1", "c2"], now=2)
-    assert matched == 2 and discarded == 2
-    bank0 = fake_bank(tmp_path / "b0", k_boundary=0)
-    insert_path(bank0, ["c1", "c2"], now=1)
-    full0, _, d0 = bank0.match_prefix(["c1", "c2"], now=2)
-    assert d0 == 0
-    assert full.prefix_token_count == full0.prefix_token_count - 2
-    # a root-only match is exempt from the discard
-    _, m, d = bank.match_prefix(["zz"], now=3)
-    assert m == 0 and d == 0
+def test_match_prefix_reuses_the_longest_common_token_prefix(tmp_path):
+    # prompts that agree with the cached ids up to `cut` tokens, by a changed
+    # token or by ending there: exactly `cut` rows are reused, and only the
+    # nodes those rows reach are counted, LFU-bumped and loaded
+    bank = fake_bank(tmp_path)
+    segs = path_segments(["c1", "c2"])
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    qkv = fake_tensors(text, toks)
+    bank.slice_and_insert(segs, toks, qkv, now=1)
+    nodes = [bank.root] + [n for n in bank.nodes.values() if n.chunk_id in ("c1", "c2")]
+    starts = [0, len(nodes[0].token_ids), len(nodes[0].token_ids) + len(nodes[1].token_ids)]
+    cached = starts[-1] + len(nodes[2].token_ids)
+    assert cached < len(toks)  # the query is never cached
+    ids = toks.tokens
+    for cut in range(len(ids) + 1):
+        for prompt in (ids[:cut] + (-1,) + ids[cut + 1:], ids[:cut]):
+            before = [n.retrieval_count for n in nodes]
+            prefix, matched, discarded = bank.match_prefix(["c1", "c2"], prompt, now=2)
+            bumps = [n.retrieval_count - b for n, b in zip(nodes, before)]
+            l_pre = min(cut, cached)
+            if l_pre == 0:
+                assert (prefix, matched, discarded) == (None, 0, 0) and bumps == [0, 0, 0]
+                continue
+            reached = sum(1 for start in starts if start < l_pre)
+            assert prefix.prefix_token_count == l_pre
+            assert np.array_equal(prefix.tensors.data, qkv.data[:, :, :l_pre])
+            assert matched == reached - 1 and bumps == [1] * reached + [0] * (3 - reached)
+            assert discarded == (starts + [cached])[reached] - l_pre
+
+
+def test_match_prefix_after_a_token_straddles_a_seam(tmp_path):
+    # the vocab token " q" makes the last chunk's ids end with the query's
+    # first byte: a prompt with another query reuses all but that token
+    bank = KnowledgeBank(tmp_path, TokenizerVocab([" q"]))
+    insert_path(bank, ["c1", "c2"], now=1, query="q?")
+    c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
+    full, matched, discarded = _match(bank, ["c1", "c2"], now=2, query="q!")
+    assert (matched, discarded) == (2, 0)
+    cut, matched, discarded = _match(bank, ["c1", "c2"], now=3, query="z")
+    assert (matched, discarded) == (2, 1)
+    assert cut.prefix_token_count == full.prefix_token_count - 1
+    assert np.array_equal(cut.tensors.data, full.tensors.data[:, :, :-1])
+    assert c2.retrieval_count == 2
+    # a system prompt that differs from the first token reuses nothing
+    other = tokenize("T\nc1 c2 q", bank.vocab).tokens
+    assert bank.match_prefix(["c1", "c2"], other, now=4) == (None, 0, 0)
+    assert bank.root.retrieval_count == 2
+
+
+@pytest.mark.parametrize("evicted", [False, True])
+def test_insert_writes_no_node_below_other_ids(tmp_path, evicted):
+    # with one-word chunks the token "a b c" spans chunk b whole, so chunk
+    # a's ids depend on the chunk after b. [a, b, d] tokenizes a as "a b":
+    # a b node written below the kept "a b c", present or evicted, would
+    # hold a row computed after other ids, and [a, b, c] would reuse it
+    # once its own b is gone
+    bank = KnowledgeBank(tmp_path, TokenizerVocab(["a b c", "a b"]))
+    insert_path(bank, ["a", "b", "c"], now=1)
+    a = next(n for n in bank.nodes.values() if n.chunk_id == "a")
+    b = a.children[0]
+    assert [len(n.token_ids) for n in (b, b.children[0])] == [0, 1]
+    if evicted:
+        bank._evict_node(a)
+    assert insert_path(bank, ["a", "b", "d"], now=2) == []
+    if evicted:
+        assert insert_path(bank, ["a", "b", "c"], now=3) == [a.node_id]  # the refill
+    bank._evict_node(b)
+    segs = path_segments(["a", "b", "c"])
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    prefix, matched, _ = bank.match_prefix(["a", "b", "c"], toks.tokens, now=4)
+    assert matched == 1
+    assert np.array_equal(prefix.tensors.data,
+                          fake_tensors(text, toks).data[:, :, : prefix.prefix_token_count])
 
 
 def test_stored_slices_never_alias(tmp_path):
@@ -196,11 +264,11 @@ def test_stored_slices_never_alias(tmp_path):
     qkv = fake_tensors(text, toks)
     bank.slice_and_insert(segs, toks, qkv, now=1)
     for path in (["c1", "c2"], ["zz"]):  # a whole path, and the root alone
-        first, _, _ = bank.match_prefix(path, now=2)
+        first, _, _ = _match(bank, path, now=2)
         want = first.tensors.data.copy()
         qkv.data.fill(-1.0)
         first.tensors.data.fill(-1.0)
-        again, _, _ = bank.match_prefix(path, now=3)
+        again, _, _ = _match(bank, path, now=3)
         assert np.array_equal(again.tensors.data, want)
 
 
@@ -219,7 +287,7 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     assert np.array_equal(state.tensors.data, want)
     bank.slice_and_insert(segs, toks, state.tensors, now=1)
     stored = {n.node_id: n.tensors.data.copy() for n in bank.evictable_nodes()}
-    prefix, matched, _ = bank.match_prefix(["c1", "c2"], now=2)
+    prefix, matched, _ = _match(bank, ["c1", "c2"], now=2)
     assert matched == 2 and prefix.prefix_token_count < len(toks)
     prefix_data = prefix.tensors.data.copy()
     cached = model.prefill(toks.tokens, prefix)
@@ -235,7 +303,7 @@ def test_match_skips_absent_nodes(tmp_path):
     insert_path(bank, ["c1", "c2"], now=1)
     c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
     bank._evict_node(c2)
-    _, matched, _ = bank.match_prefix(["c1", "c2"], now=2)
+    _, matched, _ = _match(bank, ["c1", "c2"], now=2)
     assert matched == 1
 
 
@@ -246,10 +314,10 @@ def test_lfu_eviction_order(tmp_path):
     insert_path(bank, ["d1"], now=3, query="qd")
     # retrieval counts: a1 -> 5, b1 -> 1, d1 -> 3
     for _ in range(5):
-        bank.match_prefix(["a1"], now=10)
-    bank.match_prefix(["b1"], now=11)
+        _match(bank, ["a1"], now=10)
+    _match(bank, ["b1"], now=11)
     for _ in range(3):
-        bank.match_prefix(["d1"], now=12)
+        _match(bank, ["d1"], now=12)
     b1 = next(n for n in bank.nodes.values() if n.chunk_id == "b1")
     d1 = next(n for n in bank.nodes.values() if n.chunk_id == "d1")
     # shrink so exactly the two least-used chunk nodes must go; the root is
@@ -316,7 +384,7 @@ def test_may_restore_never_skips_a_write(tmp_path):
     # may_restore is False only where slice_and_insert(..., allow_evict=False)
     # writes nothing; the vocab token " q" makes the last chunk's slice end
     # with the query's first byte, so its refill matches only the same query
-    bank = KnowledgeBank(tmp_path, TokenizerVocab([" q"]), k_boundary=0)
+    bank = KnowledgeBank(tmp_path, TokenizerVocab([" q"]))
 
     def restore(path, query):
         planned = bank.may_restore(path)
@@ -360,7 +428,7 @@ def test_persist_load_round_trip(tmp_path):
     bank.ingest_text("alpha beta gamma")
     insert_path(bank, ["c1", "c2"], now=1)
     insert_path(bank, ["c1", "c9"], now=2)
-    bank.match_prefix(["c1", "c2"], now=3)
+    _match(bank, ["c1", "c2"], now=3)
     bank.persist()
     snapshot = _dir_bytes(tmp_path)
 
@@ -371,14 +439,62 @@ def test_persist_load_round_trip(tmp_path):
     for nid, node in bank.nodes.items():
         other = loaded.nodes[nid]
         assert (node.chunk_id, node.retrieval_count, node.last_used,
-                node.payload_sha, node.present) == (
+                node.payload_sha, node.present, node.token_ids) == (
             other.chunk_id, other.retrieval_count, other.last_used,
-            other.payload_sha, other.present)
+            other.payload_sha, other.present, other.token_ids)
+        assert node.token_ids  # kept past eviction too
         if node.present:
             assert node.chunk_hash == other.chunk_hash
             assert np.array_equal(node.tensors.data, other.tensors.data)
     loaded.persist()
     assert _dir_bytes(tmp_path) == snapshot
+
+
+def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog):
+    # a bank persisted before token ids were kept: its slices open as
+    # evicted, with a warning, and come back only through a refill that
+    # matches the kept digest
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1", "c2"], now=1)
+    bank.persist()
+    manifest = tmp_path / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    assert all(r["token_ids"] for r in records)
+    manifest.write_text("".join(
+        json.dumps({k: v for k, v in r.items() if k != "token_ids"}, sort_keys=True) + "\n"
+        for r in records), encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        loaded = KnowledgeBank.load(tmp_path)
+    assert len([r for r in caplog.records if "no token ids" in r.getMessage()]) == 3
+    assert not any(n.present for n in loaded.nodes.values())
+    assert loaded.ledger.used_bytes == 0
+    assert _match(loaded, ["c1", "c2"], now=2) == (None, 0, 0)
+    assert sorted(insert_path(loaded, ["c1", "c2"], now=3)) == sorted(loaded.nodes)
+    for nid, node in loaded.nodes.items():
+        assert node.token_ids == bank.nodes[nid].token_ids
+        assert node.payload_sha == bank.nodes[nid].payload_sha
+    prefix, matched, _ = _match(loaded, ["c1", "c2"], now=4)
+    assert matched == 2 and prefix.prefix_token_count == sum(map(len, (
+        n.token_ids for n in loaded.nodes.values())))
+
+
+def test_manifest_with_damaged_token_ids_raises(tmp_path):
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1"], now=1)
+    bank.persist()
+    manifest = tmp_path / "manifest.jsonl"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    for bad in ("abc", [1, "2"], [1.5], 7):
+        lines[1] = json.dumps({**rec, "token_ids": bad}, sort_keys=True)
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(BankError, match=r"manifest.jsonl:2: token_ids"):
+            KnowledgeBank.load(tmp_path)
+    # ids that do not fit the slice degrade it to evicted
+    lines[1] = json.dumps({**rec, "token_ids": rec["token_ids"][:-1]}, sort_keys=True)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = KnowledgeBank.load(tmp_path)
+    assert loaded.root.present and not loaded.nodes[rec["id"]].present
 
 
 def _dir_bytes(directory: Path) -> dict[str, bytes]:

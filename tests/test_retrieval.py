@@ -464,6 +464,34 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
             assert _key_bits(e.keys) == _key_bits(scan.cosine_keys(e.embedding, k_refresh))
 
 
+def test_new_rows_gathered_once_per_arrival():
+    # every entry of one arrival is keyed against one gather of the new
+    # rows; an add, or another since, gathers again, and the keys are those
+    # of a scan either way (repeated ids: the first add wins)
+    r, scan = Retriever(EMB), ScanRetriever()
+    queries = [_dense(seed) for seed in range(4)]
+    gathered = None
+    for step, count in enumerate((4, 5, 3, 2)):
+        since = len(r)
+        for i in range(count):
+            emb, cid = _dense(100 + 10 * step + i), f"c{(7 * (10 * step + i)) % 23:02d}"
+            r.add_chunk(cid, cid, emb)
+            scan.add_chunk(cid, cid, emb)
+        if step == 0:
+            continue
+        new_ids = list(scan.docs)[since:]
+        assert new_ids
+        for q in queries:
+            keys = r.cosine_keys(q, 3, since)
+            assert _key_bits(keys) == _key_bits(scan.cosine_keys(q, 3, new_ids))
+            if q is queries[0]:
+                assert r._new_rows is not gathered
+                gathered = r._new_rows
+            assert r._new_rows is gathered
+    r.cosine_keys(queries[0], 3, since - 1)
+    assert r._new_rows is not gathered
+
+
 @pytest.mark.parametrize("check", [_check_cosine, _check_retrieve, _check_match, _check_refresh],
                          ids=["cosine", "retrieve", "match", "refresh"])
 def test_array_code_matches_scan(check):
