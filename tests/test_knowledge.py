@@ -208,25 +208,6 @@ def test_match_prefix_reuses_the_longest_common_token_prefix(tmp_path):
             assert discarded == (starts + [cached])[reached] - l_pre
 
 
-def test_match_prefix_after_a_token_straddles_a_seam(tmp_path):
-    # the vocab token " q" makes the last chunk's ids end with the query's
-    # first byte: a prompt with another query reuses all but that token
-    bank = KnowledgeBank(tmp_path, TokenizerVocab([" q"]))
-    insert_path(bank, ["c1", "c2"], now=1, query="q?")
-    c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
-    full, matched, discarded = _match(bank, ["c1", "c2"], now=2, query="q!")
-    assert (matched, discarded) == (2, 0)
-    cut, matched, discarded = _match(bank, ["c1", "c2"], now=3, query="z")
-    assert (matched, discarded) == (2, 1)
-    assert cut.prefix_token_count == full.prefix_token_count - 1
-    assert np.array_equal(cut.tensors.data, full.tensors.data[:, :, :-1])
-    assert c2.retrieval_count == 2
-    # a system prompt that differs from the first token reuses nothing
-    other = tokenize("T\nc1 c2 q", bank.vocab).tokens
-    assert bank.match_prefix(["c1", "c2"], other, now=4) == (None, 0, 0)
-    assert bank.root.retrieval_count == 2
-
-
 @pytest.mark.parametrize("evicted", [False, True])
 def test_insert_writes_no_node_below_other_ids(tmp_path, evicted):
     # with one-word chunks the token "a b c" spans chunk b whole, so chunk
