@@ -7,6 +7,7 @@ by the declared field type; booleans accept true/false/1/0.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,6 +86,8 @@ class EngineConfig:
             raise ConfigError(f"qa_limit_bytes must hold one entry ({DEFAULT_ENTRY_BYTES} bytes)")
         if not self.flops_per_ms > 0.0:
             raise ConfigError("flops_per_ms must be positive")
+        if not 0.0 <= self.latency_scale < math.inf:
+            raise ConfigError("latency_scale must be finite and at least 0")
 
     def apply(self, key: str, raw: str) -> None:
         """Set one field from its textual form; used for config_change events."""

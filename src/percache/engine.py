@@ -4,7 +4,10 @@ Serving path: embed the query, try the QA bank at tau_query, otherwise
 retrieve top-k chunks, reuse the longest cached QKV prefix, prefill the
 remainder, decode, and populate both cache layers. Background work
 (prediction, deferred answering, conversions) runs only on idle ticks
-via the scheduler.
+via the scheduler. The QA->QKV conversion restores evicted tree nodes
+one by one from their kept token ids; it replaced a version that re-ran
+each QA entry's retrieval and match, which counted idle work as user
+retrievals in the LFU counts.
 
 Everything is deterministic: one engine instance processes events
 strictly sequentially, and identical traces, configs, and seeds yield
@@ -22,6 +25,7 @@ from .backend import (
     CostParams,
     CostReport,
     InferenceEvent,
+    QkvPrefix,
     QkvTensors,
     ScriptedBackend,
     ToyModel,
@@ -55,6 +59,11 @@ DEFAULT_VOCAB_TOKENS = [
 
 class TraceError(ValueError):
     """Malformed or out-of-order trace event."""
+
+
+def _is_number(value) -> bool:
+    """A JSON number a trace can order or budget by: not NaN, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 # keys Engine copies only at construction: a config_change of one is rejected
@@ -186,13 +195,11 @@ class Engine:
         segments.append(Segment("query", query))
         return segments
 
-    def _infer(self, query: str, decode: bool, embedding: Embedding,
-               restoring: bool = False) -> InferResult | None:
+    def _infer(self, query: str, decode: bool, embedding: Embedding) -> InferResult:
         """Retrieve (embedding is the query's), prefill (reusing the longest
         cached prefix of the prompt's token ids), and optionally decode.
         Stores nothing in the caches; the match updates the reused nodes'
-        LFU counts. When restoring, return None before the prefill if the
-        bank could write no slice of the prompt without evicting."""
+        LFU counts."""
         ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
         segments = self._assemble(query, chunk_ids)
@@ -200,8 +207,6 @@ class Engine:
         prefix, matched, discarded = (None, 0, 0)
         if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens.tokens, self._seq())
-        if restoring and not self.bank.may_restore(chunk_ids):
-            return None
         l_pre = prefix.prefix_token_count if prefix is not None else 0
         state = self.model.prefill(tokens.tokens, prefix)
         answer = None
@@ -221,15 +226,6 @@ class Engine:
             answer, cost, matched, discarded, len(tokens), l_pre, segments, tokens, state.tensors,
         )
 
-    def _populate_qkv(self, result: InferResult, allow_evict: bool = True) -> list[int]:
-        try:
-            return self.bank.slice_and_insert(
-                result.segments, result.tokens, result.tensors, self._seq(),
-                allow_evict=allow_evict,
-            )
-        except StorageError:
-            return []
-
     def answer(self, text: str, decode: bool = True,
                embedding: Embedding | None = None) -> InferResult:
         """Infer text, then store its slices in the QKV tree (when reuse is
@@ -241,7 +237,10 @@ class Engine:
             embedding = self.embedder.embed(text)
         result = self._infer(text, decode, embedding)
         if self.config.reuse_enabled:
-            self._populate_qkv(result)
+            try:
+                self.bank.slice_and_insert(result.segments, result.tokens, result.tensors, self._seq())
+            except StorageError:
+                pass  # the prompt's slices exceed the whole budget
         if self.config.qa_enabled:
             # keys from the cosine row that retrieval just computed: no second scan
             keys = (self.retriever.cosine_keys(embedding, self.config.k_refresh)
@@ -321,23 +320,41 @@ class Engine:
         return self.answer(query, decode).cost
 
     def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], CostReport]:
-        """QA->QKV conversion: while some slice in the tree is absent, take
-        the QA entries oldest first, match each one's retrieval path, and
-        re-prefill it unless the bank could write none of its slices without
-        evicting. Writes are refused rather than allowed to evict, and a
-        refilled slice must hash-match its original. Stops once its own
-        FLOPs reach flops_left."""
-        restored: list[int] = []
-        total = CostReport()
-        for entry in sorted(self.qa.entries, key=lambda e: (e.created_at, e.query)):
-            if total.total_flops >= flops_left or not any(
-                    not n.present and n.payload_sha for n in self.bank.nodes.values()):
+        """QA->QKV conversion, node by node, from each node's kept token
+        ids. Absent nodes with a digest go in LFU order, most retrieved
+        first, which puts every ancestor before its descendants. A node is
+        skipped while its parent is absent, its byte_size does not fit the
+        free space, or its root path kept no ids or no token at all;
+        otherwise its root path's ids are prefilled behind the present
+        ancestors' slices, and its rows go back only if they match its
+        digest. Moves no LFU count. Stops once its own FLOPs reach
+        flops_left."""
+        bank, restored, total = self.bank, [], CostReport()
+        absent = sorted((n for n in bank.nodes.values() if not n.present and n.payload_sha),
+                        key=lambda n: (-n.retrieval_count, n.node_id))
+        for node in absent:
+            if total.total_flops >= flops_left:
                 break
-            result = self._infer(entry.query, False, entry.embedding, restoring=True)
-            if result is None:
+            path = [node]  # root first
+            while path[0].parent is not None:
+                path.insert(0, path[0].parent)
+            kept = [n.token_ids for n in path]
+            if (None in kept or (node.parent is not None and not node.parent.present)
+                    or not bank.ledger.fits(node.byte_size) or not any(kept)):
                 continue
-            restored.extend(self._populate_qkv(result, allow_evict=False))
-            total = total.add(result.cost)
+            ids = sum(kept, ())
+            cached = path[: [n.present for n in path].index(False)]
+            l_pre = sum(len(n.token_ids) for n in cached)
+            state = self.model.prefill(ids, QkvPrefix(
+                QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
+            total = total.add(self.cost_model.estimate_cost(InferenceEvent(
+                l_total=len(ids), l_pre=l_pre, loaded_slices=len(cached))))
+            # the segment text as _assemble lays it out
+            text = (self.config.system_prompt if node is bank.root
+                    else bank.chunks[node.chunk_id].text + " ")
+            rows = state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids))
+            if bank.refill(node, rows, text):
+                restored.append(node.node_id)
         return restored, total
 
     # -- trace replay ---------------------------------------------------------
@@ -345,7 +362,7 @@ class Engine:
     def apply_event(self, event: dict) -> dict:
         at = event.get("at")
         kind = event.get("kind")
-        if not isinstance(at, (int, float)) or kind is None:
+        if not _is_number(at) or kind is None:
             raise TraceError("event needs numeric 'at' and 'kind'")
         if self._last_at is not None and at < self._last_at:
             raise TraceError(f"out-of-order event at {at} after {self._last_at}")
@@ -378,8 +395,13 @@ class Engine:
             record.update(chunk_ids=ids, stale_marked=stale)
         elif kind == "config_change":
             field, value = event["field"], event["value"]
+            old_prompt = self.config.system_prompt
             self.config.apply(field, str(value))
-            if field == "qkv_limit_bytes":
+            if field == "system_prompt":
+                # the tree's rows were computed after the old prompt
+                record["evicted_nodes"] = (self.bank.drop_tree()
+                                           if self.config.system_prompt != old_prompt else [])
+            elif field == "qkv_limit_bytes":
                 record["evicted_nodes"] = self.bank.set_limit(self.config.qkv_limit_bytes, self._seq())
             elif field == "qa_limit_bytes":
                 record["evicted_entries"] = [
@@ -389,10 +411,9 @@ class Engine:
                 setattr(self.cost_model.params, field, getattr(self.config, field))
             record.update(field=field, value=value)
         elif kind == "idle_tick":
-            try:
-                budget = float(event.get("budget", 0.0))
-            except (TypeError, ValueError) as exc:
-                raise TraceError(f"idle_tick budget must be a number: {event['budget']!r}") from exc
+            budget = event.get("budget", 0.0)
+            if not _is_number(budget):
+                raise TraceError(f"idle_tick budget must be a number: {budget!r}")
             report = self.scheduler.idle_tick(budget, at)
             self.flops_cum += report.flops_spent
             record.update(asdict(report))

@@ -17,8 +17,12 @@ token ids, not by chunk ids:
   correctness; it decides how deep each path can reuse.
 
 Eviction is LFU over per-node retrieval counts under a byte budget; an
-evicted node keeps its metadata and its slice digest, so a later
-restoration can be verified bit-for-bit.
+evicted node keeps its metadata, token ids and slice digest. Idle
+restoration works node by node from those ids (it replaced re-running
+each QA entry's prompt): the engine prefills the node's root path and
+refill writes the rows back only if they reproduce the digest, bit for
+bit. A slice_and_insert of a prompt over the node's path refills it the
+same way.
 
 Nodes hold their slices as QkvTensors. The slice file format is only the
 bank's disk boundary: persist writes it, load reads and validates it, and
@@ -204,6 +208,9 @@ class StorageLedger:
     used_bytes: int = 0
     limit_bytes: int = 1 << 34
 
+    def fits(self, incoming_bytes: int) -> bool:
+        return self.used_bytes + incoming_bytes <= self.limit_bytes
+
     def check(self) -> None:
         if self.used_bytes > self.limit_bytes:
             raise StorageError(
@@ -304,40 +311,12 @@ class KnowledgeBank:
         self.nodes[node.node_id] = node
         return node
 
-    def _path_slots(self, chunk_ids: list[str]) -> list[CacheTreeNode | None]:
-        """Where slice_and_insert puts each slice of a prompt over chunk_ids:
-        the root for the system prompt, then the existing spine of the path,
-        then None for each node it would create."""
-        chain = self._match_chain(chunk_ids, require_present=False)
-        if len(chain) < len(chunk_ids):
-            # keep the shared spine only up to the second-to-last common node:
-            # the last common node is duplicated for the new path
-            chain = chain[: max(len(chain) - 1, 0)]
-        return [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
-
-    def may_restore(self, chunk_ids: list[str]) -> bool:
-        """False only when slice_and_insert(..., allow_evict=False) of a
-        prompt over chunk_ids is sure to write nothing, so restoring it
-        needs no prefill. A new node, or a root never written, may be
-        written at a size known only after the prefill. An absent slice with
-        a digest is refilled at its kept byte_size, but only if the prefill
-        reproduces it and only into free space; the refills are all or
-        nothing, so the smallest of them must fit."""
-        sizes = []
-        for node in self._path_slots(chunk_ids):
-            if node is None or (node is self.root and not node.present and node.payload_sha is None):
-                return True
-            if not node.present and node.payload_sha is not None:
-                sizes.append(node.byte_size)
-        return bool(sizes) and min(sizes) <= self.ledger.limit_bytes - self.ledger.used_bytes
-
     def slice_and_insert(
         self,
         segments: list[Segment],
         tokens: TokenSeq,
         qkv: QkvTensors,
         now: int,
-        allow_evict: bool = True,
     ) -> list[int]:
         """Slice full-prompt tensors per segment and merge the chunk path
         into the tree. All-or-nothing: on layout or budget failure nothing
@@ -348,9 +327,14 @@ class KnowledgeBank:
             raise LayoutError("layout must be the system prompt, the chunks, then the query")
         spans = self.segment_token_spans(segments, tokens)
 
-        # plan every write before changing anything; the query, the last
-        # segment, gets no slot
-        slots = self._path_slots([s.chunk_id for s in segments if s.kind == "chunk"])
+        # plan every write before changing anything. Slots: the root, the
+        # spine up to the second-to-last common node (the last one is
+        # duplicated per path), then None per node to create; none for the query
+        chunk_ids = [s.chunk_id for s in segments if s.kind == "chunk"]
+        chain = self._match_chain(chunk_ids, require_present=False)
+        if len(chain) < len(chunk_ids):
+            chain = chain[: max(len(chain) - 1, 0)]
+        slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
         plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes, tuple[int, ...]]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
             ids = tokens.tokens[start:end]
@@ -371,8 +355,6 @@ class KnowledgeBank:
         incoming = sum(slice_size(tensors) for _, _, tensors, _, _ in plan)
         if incoming > self.ledger.limit_bytes:
             raise StorageError("prompt slices exceed the whole cache budget")
-        if not allow_evict and self.ledger.used_bytes + incoming > self.ledger.limit_bytes:
-            raise StorageError("insufficient free space without eviction")
         self.evict_to_fit(incoming, now)
 
         written_ids: list[int] = []
@@ -427,6 +409,27 @@ class KnowledgeBank:
         tensors = QkvTensors.concat(parts)  # a copy: stored arrays never leave the bank
         return QkvPrefix(tensors, l_pre), len(reached) - 1, cached - l_pre
 
+    def refill(self, node: CacheTreeNode, tensors: QkvTensors, text: str) -> bool:
+        """Put back the slice of an evicted node whose segment text is text,
+        if it fits the free space and is bit-identical to the evicted one
+        (its digest). Moves no LFU field."""
+        chunk_hash = content_hash(text)
+        if (not self.ledger.fits(node.byte_size)
+                or slice_digest(tensors, chunk_hash) != node.payload_sha):
+            return False
+        node.tensors, node.chunk_hash = tensors, chunk_hash
+        self.ledger.used_bytes += node.byte_size
+        return True
+
+    def drop_tree(self) -> list[int]:
+        """Drop every node, slices and metadata; the root starts unwritten
+        and node ids keep counting. Returns the dropped ids."""
+        dropped = sorted(self.nodes)
+        self.root = CacheTreeNode(0, SYSTEM_CHUNK_ID, None)
+        self.nodes = {0: self.root}
+        self.ledger.used_bytes = 0
+        return dropped
+
     def evictable_nodes(self) -> list[CacheTreeNode]:
         return [n for n in self.nodes.values() if n.present]
 
@@ -437,7 +440,7 @@ class KnowledgeBank:
         if incoming_bytes > self.ledger.limit_bytes:
             raise StorageError("single item larger than the cache budget")
         evicted: list[int] = []
-        while self.ledger.used_bytes + incoming_bytes > self.ledger.limit_bytes:
+        while not self.ledger.fits(incoming_bytes):
             candidates = self.evictable_nodes()
             if not candidates:
                 raise StorageError("over budget with nothing evictable")

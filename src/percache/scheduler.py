@@ -6,7 +6,10 @@ above the cutoff tau_scheduler, predicted queries rarely hit, so
 population stops at prefill (PrefillOnly); below the cutoff it also
 decodes answers (PrefillAndDecode). Idle ticks run deferred answering,
 cross-layer conversions between the QA bank and the QKV tree, and
-prediction-driven population, all under a FLOPs work budget.
+prediction-driven population, all under a FLOPs work budget. The QA->QKV
+conversion (Engine.restore_evicted_slices) restores evicted tree nodes
+from their kept token ids, not QA entries from their retrieved paths, so
+it moves no LFU count and runs with QA off too.
 """
 
 from __future__ import annotations

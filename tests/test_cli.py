@@ -138,6 +138,11 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "chunk_words", "value": 50},
     {"at": 1, "kind": "config_change", "field": ["tau_query"], "value": 0.5},
     {"at": 1, "kind": "config_change", "field": "qa_limit_bytes", "value": 100},
+    # NaN compares false with everything: as a budget it would never run
+    # out, as a time it would switch off the ordering check for the rest
+    {"at": 1, "kind": "idle_tick", "budget": float("nan")},
+    {"at": float("nan"), "kind": "idle_tick"},
+    {"at": True, "kind": "idle_tick"},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(

@@ -29,6 +29,9 @@ def test_validation():
         EngineConfig(qa_limit_bytes=100)  # below one QA entry
     with pytest.raises(ConfigError):
         EngineConfig(retrieval_k=0)
+    for scale in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ConfigError):
+            EngineConfig(latency_scale=scale)
 
 
 def test_apply_parses_by_type():

@@ -203,21 +203,45 @@ def test_reuse_stops_inside_the_root_when_a_token_straddles_the_system_prompt(tm
     ("Notes:\n", COLD_MISS),
 ])
 def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_prompt, path):
+    # a config_change of the prompt drops the tree, which then caches the
+    # new prompt's rows; a bank reopened under another prompt keeps its tree
+    # and reuses only the common token prefix of the two prompts (path)
     eng = make_engine(tmp_path / "warm", qa_enabled=False)
     eng.ingest_chunks([CORPUS], 0)
     q = "what is the budget review plan?"
     old_prompt = eng.config.system_prompt
     eng.handle_query(q, 1)
-    eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
-                     "value": new_prompt.replace("\n", "\\n")})
+    eng.persist()
+    shutil.copytree(tmp_path / "warm", tmp_path / "reopened")
+    dropped = sorted(eng.bank.nodes)
+    record = eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
+                              "value": new_prompt.replace("\n", "\\n")})
     assert eng.config.system_prompt == new_prompt
-    got = eng.handle_query(q, 3)
+    assert record["evicted_nodes"] == dropped and eng.bank.ledger.used_bytes == 0
+    first, repeat = eng.handle_query(q, 3), eng.handle_query(q, 4)
+    assert (first.path, repeat.path) == (COLD_MISS, QKV_PARTIAL)
+    assert min(set(eng.bank.nodes) - {0}) > max(dropped)  # node ids keep counting
+    cold = make_engine(tmp_path / "cold", qa_enabled=False, system_prompt=new_prompt)
+    cold.ingest_chunks([CORPUS], 0)
+    want = cold.handle_query(q, 1).answer
+    assert first.answer == repeat.answer == want
+
+    reopened = make_engine(tmp_path / "reopened", qa_enabled=False, system_prompt=new_prompt)
+    got = reopened.handle_query(q, 1)
     old_ids, new_ids = tokenize(old_prompt, eng.vocab).tokens, tokenize(new_prompt, eng.vocab).tokens
     common = next(i for i, (a, b) in enumerate(zip(old_ids, new_ids)) if a != b)
     assert (got.path, got.l_pre, got.matched_count) == (path, common, 0)
-    cold = make_engine(tmp_path / "cold", qa_enabled=False, system_prompt=new_prompt)
-    cold.ingest_chunks([CORPUS], 0)
-    assert got.answer == cold.handle_query(q, 1).answer
+    assert got.answer == want
+
+
+def test_unchanged_system_prompt_keeps_the_tree(tmp_path):
+    eng = make_engine(tmp_path, qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    nodes = dict(eng.bank.nodes)
+    record = eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
+                              "value": eng.config.system_prompt.replace("\n", "\\n")})
+    assert record["evicted_nodes"] == [] and eng.bank.nodes == nodes
 
 
 def test_trace_out_of_order_rejected(tmp_path):

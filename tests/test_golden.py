@@ -94,7 +94,7 @@ def test_cached_prefill_equals_recomputation(tmp_path, capsys, monkeypatch, trac
 
     def checked(self, *args, **kwargs):
         result = infer(self, *args, **kwargs)
-        if result is not None and result.l_pre > 0:
+        if result.l_pre > 0:
             full = self.model.prefill(result.tokens.tokens)
             assert np.array_equal(result.tensors.data, full.tensors.data), result.segments[-1]
             reuses.append(result.l_pre)

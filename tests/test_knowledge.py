@@ -320,18 +320,6 @@ def test_oversized_item_and_nothing_evictable(tmp_path):
         bank.evict_to_fit(100, now=1)
 
 
-def test_insert_no_evict_flag(tmp_path):
-    bank = fake_bank(tmp_path)
-    insert_path(bank, ["c1"], now=1)
-    bank.ledger.limit_bytes = bank.ledger.used_bytes  # full
-    segs = path_segments(["c2"])
-    text = "".join(s.text for s in segs)
-    toks = tokenize(text, bank.vocab)
-    with pytest.raises(StorageError):
-        bank.slice_and_insert(segs, toks, fake_tensors(text, toks), 2, allow_evict=False)
-    assert _tree_paths(bank) == [["c1"]]
-
-
 def test_refill_requires_identical_payload(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
@@ -359,39 +347,6 @@ def test_refill_requires_identical_payload(tmp_path):
     toks = tokenize(text, bank.vocab)
     assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks), now=4) == []
     assert not c2.present and c2.payload_sha == sha
-
-
-def test_may_restore_never_skips_a_write(tmp_path):
-    # may_restore is False only where slice_and_insert(..., allow_evict=False)
-    # writes nothing; the vocab token " q" makes the last chunk's slice end
-    # with the query's first byte, so its refill matches only the same query
-    bank = KnowledgeBank(tmp_path, TokenizerVocab([" q"]))
-
-    def restore(path, query):
-        planned = bank.may_restore(path)
-        segs = path_segments(path, query)
-        text = "".join(s.text for s in segs)
-        toks = tokenize(text, bank.vocab)
-        try:
-            written = bank.slice_and_insert(segs, toks, fake_tensors(text, toks), 0,
-                                            allow_evict=False)
-        except StorageError:
-            written = []
-        return planned, written
-
-    assert restore(["a", "bbbbbbbb"], "z") == (True, [0, 1, 2])  # a root never written
-    a, b = bank.nodes[1], bank.nodes[2]
-    assert restore(["a", "bbbbbbbb"], "z") == (False, [])  # all present
-    bank._evict_node(a)
-    bank._evict_node(b)
-    # b's refill differs from its digest; a fits on its own
-    bank.ledger.limit_bytes = bank.ledger.used_bytes + a.byte_size
-    assert a.byte_size < b.byte_size
-    assert restore(["a", "bbbbbbbb"], "q") == (True, [a.node_id])
-    bank._evict_node(a)
-    bank.ledger.limit_bytes = bank.ledger.used_bytes + a.byte_size - 1
-    assert restore(["a", "bbbbbbbb"], "z") == (False, [])  # nothing fits
-    assert restore(["c"], "z") == (True, [])  # a new node's size is unknown before the prefill
 
 
 def test_ledger_never_breached(tmp_path):

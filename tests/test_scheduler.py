@@ -1,10 +1,10 @@
-import copy
-
 import pytest
 
+from percache import engine as engine_module
+from percache import knowledge, textcore
 from percache.config import EngineConfig
 from percache.engine import Engine, open_bank
-from percache.knowledge import StorageError
+from percache.retrieval import Retriever
 from percache.scheduler import population_decodes
 
 from conftest import DATA, load_trace, make_engine
@@ -178,16 +178,23 @@ def test_qa_disabled_mid_trace_leaves_answering_waiting(tmp_path):
     assert len(eng.qa.pending()) == 3 and eng.deferred_queries
 
 
+def _bundled_engine(bank_dir, cfg: str, **changes) -> Engine:
+    """Engine over a bank of the bundled corpus, as `percache ingest` makes
+    it, under the bundled config cfg with changes applied."""
+    config = EngineConfig.from_file(DATA / "configs" / f"{cfg}.cfg")
+    for key, value in changes.items():
+        config.apply(key, value)
+    bank = open_bank(config, bank_dir)
+    bank.ingest_text(CORPUS)
+    bank.persist()
+    return Engine(config, bank_dir)
+
+
 def test_qa_disabled_idle_work_fills_no_qa_bank(tmp_path):
     # the idle_work pair with qa_enabled=false appended to its config:
     # population still prefills into the QKV tree but never decodes, and
     # nothing reaches the QA bank
-    config = EngineConfig.from_file(DATA / "configs" / "idle_work.cfg")
-    config.apply("qa_enabled", "false")
-    bank = open_bank(config, tmp_path / "bank")
-    bank.ingest_text(CORPUS)
-    bank.persist()
-    eng = Engine(config, tmp_path / "bank")
+    eng = _bundled_engine(tmp_path / "bank", "idle_work", qa_enabled="false")
     ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
     assert ticks and sum(r["populated"] for r in ticks) > 0
     for r in ticks:
@@ -200,13 +207,8 @@ def test_caches_off_idle_work_populates_nothing(tmp_path):
     # the idle_work pair with qa_enabled=false and reuse_enabled=false
     # appended: with nowhere to store a result, population does no work
     # and counts nothing
-    config = EngineConfig.from_file(DATA / "configs" / "idle_work.cfg")
-    config.apply("qa_enabled", "false")
-    config.apply("reuse_enabled", "false")
-    bank = open_bank(config, tmp_path / "bank")
-    bank.ingest_text(CORPUS)
-    bank.persist()
-    eng = Engine(config, tmp_path / "bank")
+    eng = _bundled_engine(tmp_path / "bank", "idle_work", qa_enabled="false",
+                          reuse_enabled="false")
     ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
     assert ticks and sum(r["predicted_knowledge"] + r["predicted_history"] for r in ticks) > 0
     for r in ticks:
@@ -215,14 +217,17 @@ def test_caches_off_idle_work_populates_nothing(tmp_path):
         assert r["flops_spent"] == 0
 
 
-def _engine_with_evicted_paths(tmp_path):
-    """Engine whose answered QA entries cached their retrieval paths in the
-    QKV tree, after which every slice was evicted and the budget was
-    restored to the default."""
-    eng = _engine_with_pending(tmp_path, n=0)
+def _engine_with_evicted_paths(tmp_path, slices=None, **overrides):
+    """Engine that cached the retrieval paths of four answered queries in
+    the QKV tree, after which every slice was evicted and the budget was
+    restored to the default. slices, if given, takes each node's array
+    as it was before the eviction."""
+    eng = _engine_with_pending(tmp_path, n=0, **overrides)
     for query in ("what is the budget review plan?", "where is the project report stored?",
                   "when is the training workshop at noon?", "who wrote the agenda for monday?"):
         eng.answer(query)
+    if slices is not None:
+        slices.update((n.node_id, n.tensors.data.copy()) for n in eng.bank.nodes.values())
     eng.bank.set_limit(0, eng._seq())
     eng.bank.set_limit(eng.config.qkv_limit_bytes, eng._seq())
     return eng
@@ -261,33 +266,88 @@ def test_restoration_with_nothing_writable_spends_nothing(tmp_path):
     assert eng.model.mac_count == macs
 
 
-def test_restoration_skips_only_prefills_that_would_write_nothing(tmp_path, monkeypatch):
-    # oracle: for each entry restoration skips, the unplanned path on a copy
-    # of the engine (prefill, then insert with eviction refused) writes no node
-    infer = Engine._infer
-    skipped = []
+def test_restored_slices_equal_the_evicted_ones(tmp_path, monkeypatch):
+    # restoration prefills outside Engine._infer, so the golden replays'
+    # reuse check does not see it: every slice it writes back must equal,
+    # bit for bit, the array last evicted from that node
+    evicted, restored = {}, []
+    evict, restore = knowledge.KnowledgeBank._evict_node, Engine.restore_evicted_slices
 
-    def checked(self, query, decode, embedding, restoring=False):
-        if not restoring:
-            return infer(self, query, decode, embedding)
-        before = copy.deepcopy(self)
-        result = infer(self, query, decode, embedding, restoring=True)
-        if result is None:
-            old = infer(before, query, decode, embedding)
-            try:
-                written = before.bank.slice_and_insert(
-                    old.segments, old.tokens, old.tensors, before._seq(), allow_evict=False)
-            except StorageError:
-                written = []
-            assert written == [], f"skipped a restoration of {query!r} that writes {written}"
-            skipped.append(query)
-        return result
+    def keep(self, node):
+        evicted[node.node_id] = node.tensors.data.copy()
+        evict(self, node)
 
-    monkeypatch.setattr(Engine, "_infer", checked)
+    def checked(self, flops_left):
+        ids, cost = restore(self, flops_left)
+        for node_id in ids:
+            data = self.bank.nodes[node_id].tensors.data
+            assert data.tobytes() == evicted[node_id].tobytes(), node_id
+        restored.extend(ids)
+        return ids, cost
+
+    monkeypatch.setattr(knowledge.KnowledgeBank, "_evict_node", keep)
+    monkeypatch.setattr(Engine, "restore_evicted_slices", checked)
     for trace, cfg in (("idle_work", "idle_work"), ("limit_relax", "scenario_c")):
-        config = EngineConfig.from_file(DATA / "configs" / f"{cfg}.cfg")
-        bank = open_bank(config, tmp_path / trace)
-        bank.ingest_text(CORPUS)
-        bank.persist()
-        Engine(config, tmp_path / trace).run_trace(load_trace(f"{trace}.trace"))
-    assert skipped
+        evicted.clear()
+        _bundled_engine(tmp_path / trace, cfg).run_trace(load_trace(f"{trace}.trace"))
+    assert restored
+
+
+def test_restoration_moves_no_lfu_count_and_retrieves_nothing(tmp_path, monkeypatch):
+    eng = _engine_with_evicted_paths(tmp_path)
+    before = {n.node_id: (n.retrieval_count, n.last_used) for n in eng.bank.nodes.values()}
+    calls = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    monkeypatch.setattr(Retriever, "retrieve_top_k", refuse("retrieve_top_k"))
+    for module in (textcore, engine_module, knowledge):
+        monkeypatch.setattr(module, "tokenize", refuse("tokenize"))
+    assert eng.scheduler.idle_tick(1e15, now=10).restored_nodes > 0
+    assert calls == []
+    assert {n.node_id: (n.retrieval_count, n.last_used) for n in eng.bank.nodes.values()} == before
+
+
+def test_restoration_works_with_qa_disabled(tmp_path):
+    eng = _engine_with_evicted_paths(tmp_path, qa_enabled=False)
+    absent = sorted(n.node_id for n in eng.bank.nodes.values() if not n.present)
+    assert len(absent) > 1 and not eng.qa.entries
+    report = eng.scheduler.idle_tick(1e15, now=10)
+    assert report.restored_nodes == len(absent)
+    assert all(n.present for n in eng.bank.nodes.values())
+
+
+def test_node_evicted_before_persist_is_restored_after_reopen(tmp_path):
+    slices = {}
+    eng = _engine_with_evicted_paths(tmp_path, slices)
+    eng.persist()
+    reopened = Engine(eng.config, tmp_path)
+    assert not any(n.present for n in reopened.bank.nodes.values())
+    assert not any(n.chunk_hash for n in reopened.bank.nodes.values())  # no slice file kept it
+    assert reopened.scheduler.idle_tick(1e15, now=10).restored_nodes == len(slices)
+    for node in reopened.bank.nodes.values():
+        assert node.tensors.data.tobytes() == slices[node.node_id].tobytes()
+
+
+def test_restoration_skips_a_node_without_token_ids(tmp_path):
+    # a node whose record kept no token ids (a bank written before they
+    # were kept) cannot be prefilled; its descendants wait for it
+    eng = _engine_with_evicted_paths(tmp_path)
+    node = next(n for n in eng.bank.nodes.values() if n.parent is eng.bank.root and n.children)
+    node.token_ids = None
+    restored, _ = eng.restore_evicted_slices(1e15)
+    assert node.node_id not in restored and not node.present
+    assert not any(child.present for child in node.children)
+    assert eng.bank.root.present and len(restored) > 1
+
+
+def test_restoration_skips_a_root_path_without_tokens(tmp_path):
+    # an empty system prompt gives the root no token rows, and a prompt of
+    # no tokens cannot be prefilled: the root waits for a query to refill it
+    eng = _engine_with_evicted_paths(tmp_path, system_prompt="")
+    assert eng.bank.root.token_ids == () and eng.bank.root.payload_sha
+    assert eng.scheduler.idle_tick(1e15, now=10).restored_nodes == 0
+    eng.answer("what is the budget review plan?")
+    assert eng.bank.root.present
+    assert eng.scheduler.idle_tick(1e15, now=11).restored_nodes > 0
