@@ -13,7 +13,9 @@ depend on how many rows are computed with it. The matmuls (the fused Q/K/V
 projection among them), the attention scores and the attention V sum are
 whole-array ``np.einsum`` calls without ``optimize``, the softmax
 denominator is a ``np.add.reduce`` over the outermost axis, and the RMSNorm
-sum of squares is a ``np.cumsum``; prefill and decode run the same calls.
+sum of squares is a ``np.cumsum``. Prefill and decode share one layer loop;
+its last layer writes every new row's Q/K/V but runs attention, the output
+projection and the MLP for the last row only, the one whose output is read.
 tests/test_backend.py checks each kernel, and the fused projection against
 three separate ones, bit for bit against the per-column loop it replaced,
 on random shapes, with the installed numpy (2.4.6 when this was written); a
@@ -173,7 +175,6 @@ class ToyModel:
         s, heads, dh = q.shape
         total = k_full.shape[0]
         scale = np.float32(1.0 / math.sqrt(dh))
-        mask = (positions[:, None] >= np.arange(total)[None, :])[:, None, :]
         # scores[s,h,t] summed over head_dim in index order from +0.0: with
         # head_dim the outermost axis of both contiguous operands, einsum
         # walks it in its outer loop and adds one product per step
@@ -183,7 +184,10 @@ class ToyModel:
             np.ascontiguousarray(k_full.transpose(2, 1, 0)),
             optimize=False,
         )
-        scores = np.where(mask, scores * scale, np.float32(-np.inf))
+        scores = scores * scale
+        if positions[0] < total - 1:  # some key lies after some row
+            mask = (positions[:, None] >= np.arange(total)[None, :])[:, None, :]
+            scores = np.where(mask, scores, np.float32(-np.inf))
         mx = np.max(scores, axis=2, keepdims=True)
         e = np.exp(scores - mx)
         # the denominator summed over key positions in index order. np.sum
@@ -227,17 +231,24 @@ class ToyModel:
         positions start onwards, through every layer: writes their Q/K/V
         into rows [start, end) of the qkv buffer (see _buffer), whose rows
         before start hold the past, and attends over rows [0, end). Returns
-        the final-norm hidden state of the last token."""
+        the final-norm hidden state of the last token.
+
+        The last layer's output is read only for the last token, so after
+        writing every row's Q/K/V it runs attention and the block tail for
+        that row alone."""
         end = start + token_ids.shape[0]
         positions = np.arange(start, end)
         cos, sin = self._rotary(positions)
         x = self.emb[token_ids]
+        last = self.config.layers - 1
         for layer in range(self.config.layers):
             qkv[layer, :, start:end] = self._block_qkv(layer, x, cos, sin)
+            if layer == last:
+                x, positions, start = x[-1:], positions[-1:], end - 1
             attn = self._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
                                    qkv[layer, 2, :end], positions)
             x = self._block_tail(layer, x, attn)
-        return self._rmsnorm(x[-1:], self.gf)
+        return self._rmsnorm(x, self.gf)
 
     def prefill(self, tokens, prefix: QkvPrefix | None = None) -> PrefillState:
         """Run prefill, skipping projection/RoPE for cached prefix tokens.
@@ -395,14 +406,20 @@ class InferenceEvent:
 
 
 def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
-    """Exact multiply-add count of ToyModel.prefill (projection, attention,
-    output projection, MLP); matches the instrumented counter. Prefill
-    always recomputes the last token, so a prefix covering the whole
-    prompt still costs one token."""
+    """Exact multiply-add count of ToyModel.prefill; matches the
+    instrumented counter. Every layer but the last runs the Q/K/V
+    projection, attention, output projection and MLP (12 d^2 + 2 T d per
+    row) for each recomputed row; the last runs the projection for each
+    row (3 d^2) and the rest for the last row only (9 d^2 + 2 T d).
+    Prefill always recomputes the last token, so a prefix covering the
+    whole prompt still costs one token; an empty prompt costs nothing."""
     suffix = l_total - min(l_pre, max(l_total - 1, 0))
+    if suffix == 0:
+        return 0
     d = cfg.dim
-    per_layer = 12 * suffix * d * d + 2 * suffix * l_total * d
-    return cfg.layers * per_layer
+    full_layer = 12 * suffix * d * d + 2 * suffix * l_total * d
+    last_layer = 3 * suffix * d * d + 9 * d * d + 2 * l_total * d
+    return (cfg.layers - 1) * full_layer + last_layer
 
 
 def decode_macs(cfg: ToyModelConfig, l_total: int, gen_tokens: int) -> int:

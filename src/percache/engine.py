@@ -150,6 +150,11 @@ class Engine:
             seed=config.seed,
         )
         self.model = ToyModel(model_cfg)
+        # slices computed under another model shape can never be reused
+        shape = (model_cfg.layers, model_cfg.heads, model_cfg.head_dim)
+        if any((n.tensors.layers, *n.tensors.data.shape[3:]) != shape
+               for n in self.bank.nodes.values() if n.present):
+            self.bank.drop_tree()
         self.cost_model = CostModel(
             model_cfg,
             CostParams(flops_per_ms=config.flops_per_ms, latency_scale=config.latency_scale),

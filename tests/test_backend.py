@@ -11,6 +11,7 @@ from percache.backend import (
     CostParams,
     CostReport,
     InferenceEvent,
+    PrefillState,
     QkvPrefix,
     QkvTensors,
     ScriptedBackend,
@@ -119,18 +120,79 @@ def test_decode_eos_stops():
     assert model.decode_ids(state2, 8, eos_id=first) == [first]
 
 
-@pytest.mark.parametrize("l_total,l_pre", [(1, 0), (6, 0), (6, 3), (10, 9), (10, 10)])
+def _cfg_layers(layers):
+    return ToyModelConfig(layers=layers, heads=2, head_dim=8, vocab_size=64, seed=11)
+
+
+@pytest.mark.parametrize("l_total,l_pre",
+                         [(1, 0), (1, 1), (2, 1), (6, 0), (6, 3), (10, 9), (10, 10)])
 def test_prefill_macs_match_instrumented(l_total, l_pre):
-    model = ToyModel(CFG)
     toks = _tokens(l_total, seed=l_total)
-    if l_pre:
-        full = model.prefill(toks).tensors
-        prefix = QkvPrefix(full.slice_tokens(0, l_pre), l_pre)
-    else:
-        prefix = None
-    model.mac_count = 0
-    model.prefill(toks, prefix)
-    assert model.mac_count == prefill_macs(CFG, l_total, l_pre)
+    for layers in (1, 2, 3):
+        cfg = _cfg_layers(layers)
+        model = ToyModel(cfg)
+        if l_pre:
+            full = model.prefill(toks).tensors
+            prefix = QkvPrefix(full.slice_tokens(0, l_pre), l_pre)
+        else:
+            prefix = None
+        model.mac_count = 0
+        model.prefill(toks, prefix)
+        assert model.mac_count == prefill_macs(cfg, l_total, l_pre), layers
+
+
+# -- pruned last layer against every row through every layer --------------------
+
+
+def _ref_layers(model, token_ids, qkv, start):
+    # the layer loop before the last layer was pruned: every row through
+    # every layer, with the model's own kernels
+    end = start + token_ids.shape[0]
+    positions = np.arange(start, end)
+    cos, sin = model._rotary(positions)
+    x = model.emb[token_ids]
+    for layer in range(model.config.layers):
+        qkv[layer, :, start:end] = model._block_qkv(layer, x, cos, sin)
+        attn = model._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
+                                qkv[layer, 2, :end], positions)
+        x = model._block_tail(layer, x, attn)
+    return model._rmsnorm(x[-1:], model.gf)
+
+
+def _ref_prefill_and_decode(model, toks, pre, max_tokens):
+    # the first pre rows come from the reference's own run over the whole
+    # prompt, as a cached prefix would
+    n = len(toks)
+    start = min(pre, n - 1)
+    token_ids = np.asarray(toks, dtype=np.int64)
+    qkv = model._buffer(n + max_tokens - 1)
+    if start:
+        _ref_layers(model, token_ids, qkv, 0)
+    hidden = _ref_layers(model, token_ids[start:], qkv, start)
+    state = PrefillState(QkvTensors(qkv[:, :, :n].copy()), hidden)
+    generated = []
+    for step in range(max_tokens):
+        tok = int(np.argmax(model._mm(hidden, model.w_out)[0]))
+        generated.append(tok)
+        if step == max_tokens - 1:
+            break
+        hidden = _ref_layers(model, np.array([tok]), qkv, n + step)
+    return state, generated
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 9, 130])
+@pytest.mark.parametrize("prefix_len", ["none", "half", "full"])
+def test_pruned_prefill_bitwise_equals_every_row_reference(layers, n, prefix_len):
+    model = ToyModel(_cfg_layers(layers))
+    toks = _tokens(n, seed=n + layers)
+    pre = {"none": 0, "half": n // 2, "full": n}[prefix_len]
+    want, want_ids = _ref_prefill_and_decode(model, toks, pre, 5)
+    prefix = QkvPrefix(want.tensors.slice_tokens(0, pre), pre) if pre else None
+    state = model.prefill(toks, prefix)
+    assert _bits_equal(state.tensors.data, want.tensors.data)
+    assert _bits_equal(state.last_hidden, want.last_hidden)
+    assert model.decode_ids(state, 5) == want_ids
 
 
 @pytest.mark.parametrize("gen", [1, 2, 5])

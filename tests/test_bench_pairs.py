@@ -1,0 +1,101 @@
+"""scripts/bench_pairs.py: the claim and bound verdicts on synthetic runs,
+and the base worktree's removal when a run fails."""
+
+import json
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO
+
+sys.path.insert(0, str(REPO / "scripts"))
+import bench_pairs  # noqa: E402
+from bench_pairs import verdict  # noqa: E402
+
+BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
+
+
+def test_clear_gain_is_claimed():
+    v = verdict(BASE, [b - 1.5 for b in BASE], "lower", 0.25)
+    assert (v["wins"], v["pairs"], v["claim"], v["bound"]) == (10, 10, True, "ok")
+    assert v["base"][1] == pytest.approx(10.0) and v["change"][1] == pytest.approx(8.5)
+    assert v["worse"] == pytest.approx(-0.15)
+
+
+def test_higher_is_better_flips_the_direction():
+    v = verdict(BASE, [b + 1.5 for b in BASE], "higher", 0.25)
+    assert (v["wins"], v["claim"]) == (10, True)
+    v = verdict(BASE, [b + 1.5 for b in BASE], "lower", 0.1)
+    assert (v["wins"], v["claim"], v["bound"]) == (0, False, "REGRESSED")
+
+
+def test_eight_wins_of_ten_is_no_claim():
+    change = [b - 1.5 for b in BASE[:8]] + [b + 1.0 for b in BASE[8:]]
+    v = verdict(BASE, change, "lower", 0.25)
+    assert (v["wins"], v["claim"]) == (8, False)
+
+
+def test_ties_count_for_neither_side():
+    change = [b - 1.5 for b in BASE[:9]] + [BASE[9]]
+    v = verdict(BASE, change, "lower", 0.25)
+    assert (v["wins"], v["claim"]) == (9, True)
+    v = verdict(BASE, list(BASE), "lower", 0.25)
+    assert (v["wins"], v["claim"], v["worse"], v["bound"]) == (0, False, 0.0, "ok")
+
+
+def test_gain_inside_the_base_spread_is_no_claim():
+    # every pair won, but by less than the base's quartile distance (0.2)
+    v = verdict(BASE, [b - 0.1 for b in BASE], "lower", 0.25)
+    assert (v["wins"], v["claim"]) == (10, False)
+
+
+def test_bound_check_regressed_unresolved_ok():
+    base = [10.0, 14.0, 6.0, 12.0, 8.0, 11.0, 9.0, 13.0, 7.0, 10.0]  # quartiles 3.5 apart
+    assert verdict(base, [b * 1.3 for b in base], "lower", 0.25)["bound"] == "REGRESSED"
+    assert verdict(base, [b * 1.1 for b in base], "lower", 0.25)["bound"] == "unresolved"
+    # wider than the bound, but every change run beats every base run
+    assert verdict(base, [5.0] * 10, "lower", 0.25)["bound"] == "ok"
+    # exactly at the bound is not a regression
+    assert verdict([4.0] * 10, [5.0] * 10, "lower", 0.25)["bound"] == "ok"
+
+
+def test_zero_base_median():
+    assert verdict([0.0] * 4, [0.0] * 4, "higher", 0.05)["bound"] == "ok"
+    v = verdict([0.0] * 4, [1.0] * 4, "lower", 0.05)
+    assert v["bound"] == "REGRESSED" and v["worse"] == float("inf")
+
+
+def test_runs_must_pair_up():
+    with pytest.raises(ValueError):
+        verdict([1.0, 2.0], [1.0], "lower", 0.1)
+    with pytest.raises(ValueError):
+        verdict([], [], "lower", 0.1)
+    with pytest.raises(ValueError):
+        verdict([1.0], [1.0], "faster", 0.1)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_worktree_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    git = lambda *a: subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *a],
+                                    cwd=tmp_path, capture_output=True, text=True, check=True)
+    git("init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "end_to_end": []}), encoding="utf-8")
+    git("add", "BENCHMARK.json")
+    git("commit", "-q", "-m", "base")
+    seen = []
+
+    def failing_run(side, workload, seed):
+        seen.append(side)
+        assert (side / "BENCHMARK.json").exists()
+        raise RuntimeError("perfbench exited 2")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_bench", failing_run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1",
+                             "--pairs", "2"]) == 1
+    assert "perfbench exited 2" in capsys.readouterr().err
+    assert len(seen) == 1 and not seen[0].parent.exists()
+    assert git("worktree", "list").stdout.count("\n") == 1

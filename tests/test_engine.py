@@ -244,6 +244,26 @@ def test_unchanged_system_prompt_keeps_the_tree(tmp_path):
     assert record["evicted_nodes"] == [] and eng.bank.nodes == nodes
 
 
+@pytest.mark.parametrize("shape", [{"model_heads": 4}, {"model_layers": 3},
+                                   {"model_head_dim": 4}])
+def test_bank_reopened_under_another_model_shape_drops_its_tree(tmp_path, shape):
+    # slices of another (layers, heads, head_dim) cannot be reused; the
+    # reopened engine must answer as a fresh one does, not raise
+    eng = make_engine(tmp_path / "bank", qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    q = "what is the budget review plan?"
+    eng.handle_query(q, 1)
+    eng.persist()
+    fresh = make_engine(tmp_path / "fresh", qa_enabled=False, **shape)
+    fresh.ingest_chunks([CORPUS], 0)
+    reopened = make_engine(tmp_path / "bank", qa_enabled=False, **shape)
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    for at in (2, 3):
+        got, want = reopened.handle_query(q, at), fresh.handle_query(q, at)
+        assert (got.path, got.l_pre, got.answer) == (want.path, want.l_pre, want.answer)
+    assert got.path == QKV_PARTIAL  # the new shape's rows are cached again
+
+
 def test_trace_out_of_order_rejected(tmp_path):
     eng = make_engine(tmp_path)
     eng.apply_event({"at": 5, "kind": "chunk_arrival", "text": "alpha beta"})
