@@ -392,19 +392,6 @@ class CostReport:
         )
 
 
-@dataclass(frozen=True)
-class InferenceEvent:
-    """Descriptor of one inference: lengths, decode size, fixed-cost items."""
-
-    l_total: int
-    l_pre: int = 0
-    decode_tokens: int = 0
-    loaded_slices: int = 0
-    qa_match: bool = False
-    qkv_match: bool = False
-    embeds: int = 0
-
-
 def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
     """Exact multiply-add count of ToyModel.prefill; matches the
     instrumented counter. Every layer but the last runs the Q/K/V
@@ -438,14 +425,20 @@ class CostModel:
         self.model_config = model_config
         self.params = params or CostParams()
 
-    def estimate_cost(self, event: InferenceEvent) -> CostReport:
+    def estimate_cost(self, l_total: int, l_pre: int = 0, decode_tokens: int = 0,
+                      loaded_slices: int = 0, qa_match: bool = False, qkv_match: bool = False,
+                      embeds: int = 0) -> CostReport:
+        """The cost of one inference over an l_total-token prompt whose
+        first l_pre tokens are cached, decoding decode_tokens, plus the
+        fixed charges: loaded_slices slice loads, a QA and a QKV match, and
+        embeds query embeddings."""
         p = self.params
-        pf = float(prefill_macs(self.model_config, event.l_total, event.l_pre))
-        df = float(decode_macs(self.model_config, event.l_total, event.decode_tokens))
+        pf = float(prefill_macs(self.model_config, l_total, l_pre))
+        df = float(decode_macs(self.model_config, l_total, decode_tokens))
         scale = p.latency_scale
         match_ms = scale * (
-            (p.question_match_ms if event.qa_match else 0.0)
-            + (p.qkv_match_ms if event.qkv_match else 0.0)
+            (p.question_match_ms if qa_match else 0.0)
+            + (p.qkv_match_ms if qkv_match else 0.0)
         )
         return CostReport(
             prefill_flops=pf,
@@ -453,6 +446,6 @@ class CostModel:
             prefill_ms=pf / p.flops_per_ms,
             decode_ms=df / p.flops_per_ms,
             match_ms=match_ms,
-            load_ms=scale * p.qkv_load_ms * event.loaded_slices,
-            embed_ms=scale * p.embed_ms * event.embeds,
+            load_ms=scale * p.qkv_load_ms * loaded_slices,
+            embed_ms=scale * p.embed_ms * embeds,
         )

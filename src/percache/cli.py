@@ -72,7 +72,7 @@ def cmd_replay(args) -> int:
         return EXIT_DATA
     try:
         config = _load_config(args.config)
-        events = read_jsonl(trace_path, ())
+        events = read_jsonl(trace_path)
         engine = Engine(config, args.bank)
     except (BankError, ConfigError, TraceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
@@ -81,7 +81,7 @@ def cmd_replay(args) -> int:
         for lineno, event in events:
             try:
                 engine.apply_event(event)
-            except (TraceError, ConfigError, KeyError) as exc:
+            except (TraceError, ConfigError) as exc:
                 print(f"{trace_path}:{lineno}: {exc}", file=sys.stderr)
                 return EXIT_DATA
     finally:
@@ -108,7 +108,7 @@ def cmd_report(args) -> int:
         print(f"metrics file not readable: {path}", file=sys.stderr)
         return EXIT_DATA
     try:
-        lines = read_jsonl(path, ())
+        lines = read_jsonl(path)
     except (BankError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA

@@ -17,14 +17,13 @@ byte-identical metrics streams.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .backend import (
     CostModel,
     CostParams,
     CostReport,
-    InferenceEvent,
     QkvPrefix,
     QkvTensors,
     ScriptedBackend,
@@ -107,27 +106,14 @@ def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    answer: str
+    answer: str | None  # None when answer was asked not to decode
     path: str  # QA_HIT | QKV_PARTIAL | COLD_MISS
     matched_count: int
-    best_similarity: float
+    best_similarity: float  # of the QA match; -1.0 from answer, which runs none
     cost: CostReport
     l_total: int = 0
     l_pre: int = 0
     discarded: int = 0  # cached tokens of the matched chain not reused
-
-
-@dataclass(frozen=True)
-class InferResult:
-    answer: str | None
-    cost: CostReport
-    matched_count: int
-    discarded: int
-    l_total: int
-    l_pre: int
-    segments: list
-    tokens: object
-    tensors: QkvTensors
 
 
 class Engine:
@@ -159,11 +145,7 @@ class Engine:
             model_cfg,
             CostParams(flops_per_ms=config.flops_per_ms, latency_scale=config.latency_scale),
         )
-        qa_path = self.bank.directory / "qa.jsonl"
-        if qa_path.exists():
-            self.qa = QaBank.load(qa_path, config.qa_limit_bytes, self.embedder)
-        else:
-            self.qa = QaBank(config.qa_limit_bytes)
+        self.qa = QaBank.load(self.bank.directory / "qa.jsonl", config.qa_limit_bytes, self.embedder)
         self.text_backend = (load_script(config.script_file)
                              if config.script_file else ScriptedBackend())
         self.predictor = Predictor(
@@ -200,58 +182,48 @@ class Engine:
         segments.append(Segment("query", query))
         return segments
 
-    def _infer(self, query: str, decode: bool, embedding: Embedding) -> InferResult:
-        """Retrieve (embedding is the query's), prefill (reusing the longest
-        cached prefix of the prompt's token ids), and optionally decode.
-        Stores nothing in the caches; the match updates the reused nodes'
-        LFU counts."""
-        ranked = self.retriever.retrieve_top_k(query, self.config.retrieval_k, embedding=embedding)
+    def answer(self, text: str, decode: bool = True,
+               embedding: Embedding | None = None) -> QueryOutcome:
+        """Serve text past the QA bank: retrieve (embedding is text's, or
+        text is embedded), prefill the prompt reusing the longest cached
+        prefix of its token ids, and decode if decode. Then store its slices
+        in the QKV tree (when reuse is enabled) and its answer in the QA
+        bank (when QA is enabled). An existing entry for text takes a
+        decoded answer in place and is no longer stale; an answer-less
+        result never replaces a decoded answer. The match updates the
+        reused nodes' LFU counts."""
+        if embedding is None:
+            embedding = self.embedder.embed(text)
+        ranked = self.retriever.retrieve_top_k(text, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
-        segments = self._assemble(query, chunk_ids)
+        segments = self._assemble(text, chunk_ids)
         tokens = tokenize("".join(s.text for s in segments), self.vocab)
         prefix, matched, discarded = (None, 0, 0)
         if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens.tokens, self._seq())
         l_pre = prefix.prefix_token_count if prefix is not None else 0
         state = self.model.prefill(tokens.tokens, prefix)
-        answer = None
-        ids: list[int] = []
+        answer, ids = None, []
         if decode:
             ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id)
             answer = detokenize([i for i in ids if i != self.eos_id], self.vocab)
-        cost = self.cost_model.estimate_cost(InferenceEvent(
-            l_total=len(tokens),
-            l_pre=l_pre,
-            decode_tokens=len(ids),
+        cost = self.cost_model.estimate_cost(
+            l_total=len(tokens), l_pre=l_pre, decode_tokens=len(ids),
             loaded_slices=matched + 1 if prefix is not None else 0,
-            qkv_match=self.config.reuse_enabled,
-            embeds=1,
-        ))
-        return InferResult(
-            answer, cost, matched, discarded, len(tokens), l_pre, segments, tokens, state.tensors,
+            qkv_match=self.config.reuse_enabled, embeds=1,
         )
-
-    def answer(self, text: str, decode: bool = True,
-               embedding: Embedding | None = None) -> InferResult:
-        """Infer text, then store its slices in the QKV tree (when reuse is
-        enabled) and its answer in the QA bank (when QA is enabled). An
-        existing entry for text takes a decoded answer in place and is no
-        longer stale; an answer-less result never replaces a decoded answer.
-        embedding, if given, is text's; otherwise text is embedded."""
-        if embedding is None:
-            embedding = self.embedder.embed(text)
-        result = self._infer(text, decode, embedding)
         if self.config.reuse_enabled:
             try:
-                self.bank.slice_and_insert(result.segments, result.tokens, result.tensors, self._seq())
+                self.bank.slice_and_insert(segments, tokens, state.tensors, self._seq())
             except StorageError:
                 pass  # the prompt's slices exceed the whole budget
         if self.config.qa_enabled:
             # keys from the cosine row that retrieval just computed: no second scan
             keys = (self.retriever.cosine_keys(embedding, self.config.k_refresh)
-                    if result.answer is not None else None)
-            self.qa.insert(text, embedding, result.answer, self._seq(), keys)
-        return result
+                    if answer is not None else None)
+            self.qa.insert(text, embedding, answer, self._seq(), keys)
+        return QueryOutcome(answer, QKV_PARTIAL if l_pre > 0 else COLD_MISS, matched, -1.0,
+                            cost, len(tokens), l_pre, discarded)
 
     # -- serving path ---------------------------------------------------------
 
@@ -267,24 +239,14 @@ class Engine:
                 if self.qa.get(text) is None:
                     self.deferred_queries.setdefault(text, embedding)
                 self.predictor.note_user_query(text, now)
-                cost = self.cost_model.estimate_cost(
-                    InferenceEvent(l_total=0, qa_match=True, embeds=1)
-                )
+                cost = self.cost_model.estimate_cost(l_total=0, qa_match=True, embeds=1)
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
-            result = self.answer(text, embedding=embedding)
-            cost = result.cost.add(self.cost_model.estimate_cost(
-                InferenceEvent(l_total=0, qa_match=self.config.qa_enabled)
-            ))
+            outcome = self.answer(text, embedding=embedding)
             self.predictor.note_user_query(text, now)
-            if result.l_pre > 0:
+            if outcome.path == QKV_PARTIAL:
                 self.qkv_hits += 1
-                path = QKV_PARTIAL
-            else:
-                path = COLD_MISS
-            return QueryOutcome(
-                result.answer, path, result.matched_count, best_sim, cost,
-                result.l_total, result.l_pre, result.discarded,
-            )
+            return replace(outcome, best_similarity=best_sim, cost=outcome.cost.add(
+                self.cost_model.estimate_cost(l_total=0, qa_match=self.config.qa_enabled)))
         finally:
             self.predictor.phase = "idle"
 
@@ -352,8 +314,8 @@ class Engine:
             l_pre = sum(len(n.token_ids) for n in cached)
             state = self.model.prefill(ids, QkvPrefix(
                 QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
-            total = total.add(self.cost_model.estimate_cost(InferenceEvent(
-                l_total=len(ids), l_pre=l_pre, loaded_slices=len(cached))))
+            total = total.add(self.cost_model.estimate_cost(
+                l_total=len(ids), l_pre=l_pre, loaded_slices=len(cached)))
             # the segment text as _assemble lays it out
             text = (self.config.system_prompt if node is bank.root
                     else bank.chunks[node.chunk_id].text + " ")
@@ -377,6 +339,8 @@ class Engine:
             not isinstance(event.get("field"), str) or event["field"] in FIXED_CONFIG_KEYS
         ):
             raise TraceError(f"config key {event.get('field')!r} cannot change mid-trace")
+        if kind == "config_change" and type(event.get("value")) not in (str, int, float, bool):
+            raise TraceError("config_change needs a string, number or boolean 'value'")
         self._last_at = at
         record: dict = {"at": at, "kind": kind}
         if kind == "query_arrival":

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -83,10 +84,17 @@ def read_utf8(path: Path) -> str:
         raise BankError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
-def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
-    """(line number, record) for each non-blank line of a JSONL file; a line
-    that is not UTF-8 or not a JSON object with every required field raises
-    BankError naming file:line."""
+# the JSON types read_jsonl checks fields against, by the Python type that
+# json.loads gives each; exact types, so a boolean never passes for an integer
+JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", NoneType: "null"}
+
+
+def read_jsonl(path: Path,
+               fields: dict[str, tuple[type, ...]] | None = None) -> list[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file. A line
+    that is not UTF-8 or not a JSON object, or that lacks a key of fields or
+    holds it with a type not in fields[key], raises BankError naming
+    file:line."""
     out = []
     # newline=None splits lines as a file opened in text mode does
     for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
@@ -96,9 +104,12 @@ def read_jsonl(path: Path, required: tuple[str, ...]) -> list[tuple[int, dict]]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BankError(f"{path}:{lineno}: malformed line: {exc}") from exc
-        if not isinstance(rec, dict) or not all(key in rec for key in required):
-            need = f" with {', '.join(required)}" if required else ""
-            raise BankError(f"{path}:{lineno}: need a JSON object{need}")
+        if not isinstance(rec, dict):
+            raise BankError(f"{path}:{lineno}: need a JSON object")
+        for key, types in (fields or {}).items():
+            if key not in rec or type(rec[key]) not in types:
+                names = " or ".join(JSON_TYPES[t] for t in types)
+                raise BankError(f"{path}:{lineno}: need {key!r} as {names}")
         out.append((lineno, rec))
     return out
 
@@ -522,16 +533,18 @@ class KnowledgeBank:
         bank = cls(directory, vocab, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
-            for _, rec in read_jsonl(chunks_file, ("chunk_id", "text")):
+            for _, rec in read_jsonl(chunks_file, {"chunk_id": (str,), "text": (str,)}):
                 chunk = KnowledgeChunk(rec["chunk_id"], rec["text"])
                 bank.chunks[chunk.chunk_id] = chunk
                 bank._text_to_id[chunk.text] = chunk.chunk_id
         manifest = directory / "manifest.jsonl"
         if not manifest.exists():
             return bank
-        records = read_jsonl(manifest, (
-            "id", "parent", "chunk_id", "retrieval_count", "last_used", "slice_file", "byte_size",
-        ))
+        records = read_jsonl(manifest, {
+            "id": (int,), "parent": (int, NoneType), "chunk_id": (str, NoneType),
+            "retrieval_count": (int,), "last_used": (int,), "slice_file": (str, NoneType),
+            "byte_size": (int,),
+        })
         records.sort(key=lambda r: r[1]["id"])
         for lineno, rec in records:
             if rec["parent"] is None:

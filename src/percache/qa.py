@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from types import NoneType
 from typing import Callable
 
 import numpy as np
@@ -205,10 +206,15 @@ class QaBank:
         limit_bytes: int,
         embedder: HashEmbedder | None = None,
     ) -> "QaBank":
+        """The bank persisted at path, or an empty one if there is none."""
         embedder = embedder or HashEmbedder()
         bank = cls(limit_bytes)
-        fields = ("query", "answer", "created_at", "last_used", "use_count", "stale")
-        for _, rec in read_jsonl(Path(path), fields):
+        path = Path(path)
+        if not path.exists():
+            return bank
+        fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
+                  "last_used": (int,), "use_count": (int,), "stale": (bool,)}
+        for _, rec in read_jsonl(path, fields):
             entry = QaEntry(
                 rec["query"],
                 embedder.embed(rec["query"]),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percache.backend import QkvTensors
+from percache.backend import QkvTensors, ToyModel
 from percache.config import EngineConfig
 from percache.engine import Engine
 from percache.knowledge import KnowledgeBank, Segment
@@ -23,6 +23,29 @@ def data_dir() -> Path:
 def load_trace(name: str) -> list[dict]:
     path = DATA / "traces" / name
     return [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+
+
+def checked_prefill(seen: list):
+    """ToyModel.prefill wrapped to check contract 1 at every prefill from a
+    cached prefix, whoever calls it: its Q/K/V rows and last hidden state
+    must equal, bit for bit, those of a prefill of the whole prompt. Appends
+    each checked prefix's token count to seen. The reference prefill leaves
+    mac_count as it was."""
+    prefill = ToyModel.prefill
+
+    def checked(self, tokens, prefix=None):
+        state = prefill(self, tokens, prefix)
+        if prefix is not None:
+            macs = self.mac_count
+            full = prefill(self, tokens)
+            self.mac_count = macs
+            pre = prefix.prefix_token_count
+            assert state.tensors.data.tobytes() == full.tensors.data.tobytes(), pre
+            assert state.last_hidden.tobytes() == full.last_hidden.tobytes(), pre
+            seen.append(pre)
+        return state
+
+    return checked
 
 
 def make_engine(tmp_path, **overrides) -> Engine:

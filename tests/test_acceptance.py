@@ -12,7 +12,6 @@ import numpy as np
 
 from percache.backend import (
     CostModel,
-    InferenceEvent,
     QkvPrefix,
     ToyModel,
     ToyModelConfig,
@@ -404,7 +403,7 @@ def test_acceptance_7_cost_model_fidelity():
         model.mac_count = 0
         model.prefill(toks, prefix)
         instrumented = model.mac_count
-        estimated = cm.estimate_cost(InferenceEvent(l_total=l_total, l_pre=l_pre)).prefill_flops
+        estimated = cm.estimate_cost(l_total=l_total, l_pre=l_pre).prefill_flops
         assert abs(estimated - instrumented) <= 0.01 * instrumented
     _elapsed_ok(t0, 30.0, 7)
 

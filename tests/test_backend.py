@@ -10,7 +10,6 @@ from percache.backend import (
     CostModel,
     CostParams,
     CostReport,
-    InferenceEvent,
     PrefillState,
     QkvPrefix,
     QkvTensors,
@@ -422,9 +421,8 @@ def test_cost_params_reference_defaults():
 
 def test_estimate_cost_totals_and_projection_reduction():
     cm = CostModel(CFG)
-    ev = InferenceEvent(l_total=20, l_pre=5, decode_tokens=3, loaded_slices=2,
-                        qa_match=True, qkv_match=True, embeds=1)
-    rep = cm.estimate_cost(ev)
+    rep = cm.estimate_cost(l_total=20, l_pre=5, decode_tokens=3, loaded_slices=2,
+                           qa_match=True, qkv_match=True, embeds=1)
     assert rep.prefill_flops == prefill_macs(CFG, 20, 5)
     assert rep.decode_flops == decode_macs(CFG, 20, 3)
     assert rep.total_flops == rep.prefill_flops + rep.decode_flops
@@ -438,14 +436,14 @@ def test_estimate_cost_totals_and_projection_reduction():
 
 def test_estimate_cost_monotone_in_prefix():
     cm = CostModel(CFG)
-    costs = [cm.estimate_cost(InferenceEvent(l_total=30, l_pre=p)).prefill_flops
+    costs = [cm.estimate_cost(l_total=30, l_pre=p).prefill_flops
              for p in range(0, 30, 5)]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
 def test_latency_scale():
     cm = CostModel(CFG, CostParams(latency_scale=0.5))
-    rep = cm.estimate_cost(InferenceEvent(l_total=5, qa_match=True, loaded_slices=1))
+    rep = cm.estimate_cost(l_total=5, qa_match=True, loaded_slices=1)
     assert rep.match_ms == 805.0 and rep.load_ms == 515.0
 
 

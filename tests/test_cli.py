@@ -143,6 +143,10 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "idle_tick", "budget": float("nan")},
     {"at": float("nan"), "kind": "idle_tick"},
     {"at": True, "kind": "idle_tick"},
+    # config_change needs a JSON string, number or boolean value
+    {"at": 1, "kind": "config_change", "field": "system_prompt", "value": None},
+    {"at": 1, "kind": "config_change", "field": "system_prompt", "value": ["a"]},
+    {"at": 1, "kind": "config_change", "field": "system_prompt"},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(
@@ -276,6 +280,35 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
         corpus = _write(tmp_path / "c.txt", "alpha beta")
         assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
         assert f"{path}:{lineno}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("qa.jsonl", "created_at", "x"),
+    ("qa.jsonl", "query", 7),
+    ("qa.jsonl", "use_count", True),  # a boolean is not an integer
+    ("qa.jsonl", "stale", 0),
+    ("manifest.jsonl", "id", "3"),
+    ("manifest.jsonl", "retrieval_count", None),
+    ("manifest.jsonl", "parent", [0]),
+    ("chunks.jsonl", "text", 5),
+])
+def test_wrongly_typed_bank_field_exit_2(tmp_path, capsys, name, key, value):
+    bank = _persisted_bank(tmp_path)
+    path = bank / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec[key] = value
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    trace = _write(tmp_path / "e.trace", "")
+    assert run(["replay", "--trace", trace, "--bank", bank, "--out", tmp_path / "o.csv"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}:2: need {key!r} as " in err and "Traceback" not in err
+    if name != "qa.jsonl":  # ingest does not read the QA bank
+        corpus = _write(tmp_path / "c.txt", "alpha beta")
+        assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
+        assert f"{path}:2: need {key!r} as " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content,lineno", [

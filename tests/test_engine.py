@@ -1,7 +1,7 @@
 import json
 import shutil
+from types import MethodType
 
-import numpy as np
 import pytest
 
 from percache import retrieval
@@ -10,7 +10,7 @@ from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.predictor import PhaseError
 from percache.textcore import Embedding, tokenize
 
-from conftest import DATA, load_trace, make_engine
+from conftest import DATA, checked_prefill, load_trace, make_engine
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -153,16 +153,7 @@ def _fixed_retrieval_engine(tmp_path, order: dict[str, list[str]], **overrides) 
     ids = {text: eng.ingest_chunks([text], 0)[0][0] for text in (CHUNK_A, CHUNK_B, CHUNK_C, CHUNK_F)}
     eng.retriever.retrieve_top_k = lambda query, k, embedding=None: [
         retrieval.RankedChunk(ids[text], 0.0, 0.0, 0.0) for text in order[query]]
-    infer = eng._infer
-
-    def checked(*args, **kwargs):
-        result = infer(*args, **kwargs)
-        if result.l_pre > 0:
-            full = eng.model.prefill(result.tokens.tokens)
-            assert np.array_equal(result.tensors.data, full.tensors.data), result.l_pre
-        return result
-
-    eng._infer = checked
+    eng.model.prefill = MethodType(checked_prefill([]), eng.model)
     return eng
 
 
@@ -242,6 +233,22 @@ def test_unchanged_system_prompt_keeps_the_tree(tmp_path):
     record = eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
                               "value": eng.config.system_prompt.replace("\n", "\\n")})
     assert record["evicted_nodes"] == [] and eng.bank.nodes == nodes
+
+
+@pytest.mark.parametrize("value", [None, ["a"], {"a": 1}, "<missing>"])
+def test_config_change_without_a_scalar_value_changes_nothing(tmp_path, value):
+    # str() would turn null into the prompt "None" and a list into "['a']",
+    # and the prompt change would drop the tree
+    eng = make_engine(tmp_path, qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    prompt, nodes = eng.config.system_prompt, dict(eng.bank.nodes)
+    event = {"at": 2, "kind": "config_change", "field": "system_prompt", "value": value}
+    if value == "<missing>":
+        del event["value"]
+    with pytest.raises(TraceError, match="'value'"):
+        eng.apply_event(event)
+    assert eng.config.system_prompt == prompt and eng.bank.nodes == nodes
 
 
 @pytest.mark.parametrize("shape", [{"model_heads": 4}, {"model_layers": 3},

@@ -17,13 +17,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from percache.backend import ToyModel
 from percache.cli import EXIT_OK, main
 from percache.engine import Engine
 
-from conftest import DATA
+from conftest import DATA, checked_prefill
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -88,21 +88,23 @@ def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
 
 @pytest.mark.parametrize("trace,cfg", PAIRS)
 def test_cached_prefill_equals_recomputation(tmp_path, capsys, monkeypatch, trace, cfg):
-    # contract 1 on every reuse of the bundled replays: the tensors of a
-    # prefill from a cached prefix equal those of the whole prompt's prefill
-    infer, reuses = Engine._infer, []
+    # contract 1 at every prefill from a cached prefix in the bundled
+    # replays: the serving path's and idle restoration's alike
+    seen, restoring = [], []
+    restore = Engine.restore_evicted_slices
 
-    def checked(self, *args, **kwargs):
-        result = infer(self, *args, **kwargs)
-        if result.l_pre > 0:
-            full = self.model.prefill(result.tokens.tokens)
-            assert np.array_equal(result.tensors.data, full.tensors.data), result.segments[-1]
-            reuses.append(result.l_pre)
+    def counted(self, flops_left):
+        before = len(seen)
+        result = restore(self, flops_left)
+        restoring.append(len(seen) - before)
         return result
 
-    monkeypatch.setattr(Engine, "_infer", checked)
+    monkeypatch.setattr(ToyModel, "prefill", checked_prefill(seen))
+    monkeypatch.setattr(Engine, "restore_evicted_slices", counted)
     replay(trace, cfg, tmp_path)
-    assert reuses
+    assert len(seen) > sum(restoring), "no query reused a cached prefix"
+    if trace in ("idle_work", "limit_relax"):
+        assert sum(restoring) > 0, "no restoration prefilled from a cached prefix"
 
 
 if __name__ == "__main__":

@@ -254,7 +254,7 @@ def test_stored_slices_never_alias(tmp_path):
 
 
 def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
-    # Engine._infer decodes from a prefill state and then slices that same
+    # Engine.answer decodes from a prefill state and then slices that same
     # state into the tree; prefill reads a prefix the bank copied out. So
     # neither may write to what it reads, nor reach the stored slices.
     bank = fake_bank(tmp_path)

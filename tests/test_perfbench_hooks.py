@@ -18,6 +18,16 @@ import tracer  # noqa: E402
 
 TRACE, CONFIG = "idle_work", "idle_work"
 
+# every name perfbench patches that this replay reaches: all but
+# knowledge.deserialize_slice, as the bank it opens holds no slice
+REACHED = (
+    "engine.apply_event", "engine.handle_query", "scheduler.idle_tick", "scheduler.populate",
+    "scheduler.restore", "textcore.embed", "textcore.tokenize", "retrieval.retrieve_top_k",
+    "qa.match", "qa.insert", "qa.refresh", "knowledge.ingest_text", "knowledge.persist",
+    "knowledge.load", "knowledge.match_prefix", "knowledge.slice_and_insert",
+    "knowledge.evict_to_fit", "backend.prefill", "backend.decode_ids",
+)
+
 
 def replay(workdir) -> bytes:
     config = str(DATA / "configs" / f"{CONFIG}.cfg")
@@ -42,9 +52,16 @@ def test_instrumented_names_record_spans(tmp_path):
     finally:
         t.unpatch()
     names = {span.name for span in t.spans}
-    for name in ("scheduler.idle_tick", "scheduler.populate", "scheduler.restore",
-                 "backend.prefill", "backend.decode_ids"):
+    for name in REACHED:
         assert name in names, f"no {name} span: perfbench patches a name that moved"
+    # the per-layer metrics split spans by what they ran under
+    for name, under in (("backend.prefill", "engine.handle_query"),
+                        ("backend.prefill", "scheduler.restore"),
+                        ("backend.prefill", "scheduler.populate"),
+                        ("knowledge.match_prefix", "engine.handle_query"),
+                        ("qa.match", "engine.handle_query"),
+                        ("textcore.tokenize", "engine.handle_query")):
+        assert any(s.name == name and layers._under(s, under) for s in t.spans), (name, under)
     # decode steps must not count as prefill calls in the backend.prefill.* metrics
     for span in t.spans:
         parent = span.parent if span.name == "backend.prefill" else None

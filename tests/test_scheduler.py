@@ -267,9 +267,10 @@ def test_restoration_with_nothing_writable_spends_nothing(tmp_path):
 
 
 def test_restored_slices_equal_the_evicted_ones(tmp_path, monkeypatch):
-    # restoration prefills outside Engine._infer, so the golden replays'
-    # reuse check does not see it: every slice it writes back must equal,
-    # bit for bit, the array last evicted from that node
+    # the golden replays' contract-1 check compares each restoration
+    # prefill with a prefill of the whole prompt; this also checks that
+    # every slice it writes back equals, bit for bit, the array last
+    # evicted from that node
     evicted, restored = {}, []
     evict, restore = knowledge.KnowledgeBank._evict_node, Engine.restore_evicted_slices
 
