@@ -129,9 +129,6 @@ class ToyModel:
             f32(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, d)))
             for _ in range(config.layers)
         ]
-        self.g1 = [np.ones(d, dtype=np.float32) for _ in range(config.layers)]
-        self.g2 = [np.ones(d, dtype=np.float32) for _ in range(config.layers)]
-        self.gf = np.ones(d, dtype=np.float32)
         self.w_out = f32(rng.normal(0.0, std, (d, config.vocab_size)))
         half = config.head_dim // 2
         self.inv_freq = (10000.0 ** (-(np.arange(half) * 2.0 / config.head_dim))).astype(
@@ -151,12 +148,13 @@ class ToyModel:
         self.mac_count += a.shape[0] * a.shape[1] * n
         return out
 
-    def _rmsnorm(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    def _rmsnorm(self, x: np.ndarray) -> np.ndarray:
+        # no gain: the toy model's would be all ones, which changes no bit
         # cumsum adds the squares column by column in order; no square is -0.0,
         # so its last column equals a loop that starts from +0.0
         ss = np.cumsum(x * x, axis=1)[:, -1]
         inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
-        return x * inv[:, None] * gain[None, :]
+        return x * inv[:, None]
 
     def _rotary(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """cos and sin of the rotary angles, shaped (tokens, 1, head_dim // 2)."""
@@ -209,7 +207,7 @@ class ToyModel:
         """Q, K and V of x as one (3, tokens, heads, head_dim) view: one
         projection, then RoPE on the Q and K heads together."""
         heads, head_dim = self.config.heads, self.config.head_dim
-        h = self._rmsnorm(x, self.g1[layer])
+        h = self._rmsnorm(x)
         qkv = self._mm(h, self.wqkv[layer]).reshape(x.shape[0], 3 * heads, head_dim)
         self._rope(qkv[:, : 2 * heads], cos, sin)
         return qkv.reshape(x.shape[0], 3, heads, head_dim).transpose(1, 0, 2, 3)
@@ -217,7 +215,7 @@ class ToyModel:
     def _block_tail(self, layer: int, x: np.ndarray, attn: np.ndarray) -> np.ndarray:
         s = x.shape[0]
         x = x + self._mm(attn.reshape(s, self.config.dim), self.wo[layer])
-        h = self._rmsnorm(x, self.g2[layer])
+        h = self._rmsnorm(x)
         return x + self._mm(np.maximum(self._mm(h, self.w1[layer]), np.float32(0.0)),
                             self.w2[layer])
 
@@ -248,7 +246,7 @@ class ToyModel:
             attn = self._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
                                    qkv[layer, 2, :end], positions)
             x = self._block_tail(layer, x, attn)
-        return self._rmsnorm(x, self.gf)
+        return self._rmsnorm(x)
 
     def prefill(self, tokens, prefix: QkvPrefix | None = None) -> PrefillState:
         """Run prefill, skipping projection/RoPE for cached prefix tokens.

@@ -155,7 +155,7 @@ def _ref_layers(model, token_ids, qkv, start):
         attn = model._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
                                 qkv[layer, 2, :end], positions)
         x = model._block_tail(layer, x, attn)
-    return model._rmsnorm(x[-1:], model.gf)
+    return model._rmsnorm(x[-1:])
 
 
 def _ref_prefill_and_decode(model, toks, pre, max_tokens):
@@ -241,12 +241,12 @@ def _ref_mm(a, b):
     return out
 
 
-def _ref_rmsnorm(x, gain):
+def _ref_rmsnorm(x):
     ss = np.zeros(x.shape[0], dtype=np.float32)
     for dcol in range(x.shape[1]):
         ss += x[:, dcol] * x[:, dcol]
     inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
-    return x * inv[:, None] * gain[None, :]
+    return x * inv[:, None]
 
 
 def _ref_rope(t, positions, inv_freq):
@@ -324,9 +324,8 @@ def _check_mm(rows, inner, cols, seed):
 @example(rows=33, dim=16, seed=2)
 def _check_rmsnorm(rows, dim, seed):
     x = _values(seed, (rows, dim))
-    gain = _values(seed + 1, (dim,))
-    got = _kernel_model()._rmsnorm(x, gain)
-    assert _bits_equal(got, _ref_rmsnorm(x, gain)), (rows, dim)
+    got = _kernel_model()._rmsnorm(x)
+    assert _bits_equal(got, _ref_rmsnorm(x)), (rows, dim)
 
 
 @KERNEL_SETTINGS
@@ -379,7 +378,7 @@ def _check_qkv(rows, past, heads, half_dim, seed):
     x = _values(seed, (rows, d))
     positions = np.arange(past, past + rows)
     got = model._block_qkv(0, x, *model._rotary(positions))
-    h = model._rmsnorm(x, model.g1[0])
+    h = model._rmsnorm(x)
     w = model.wqkv[0]
     for i, part in enumerate(got):
         want = _ref_mm(h, w[:, i * d : (i + 1) * d]).reshape(rows, heads, dh)
