@@ -9,12 +9,16 @@ A refactor must leave these bytes unchanged; only an intended change of
 behaviour regenerates them, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each golden it rewrites, the record keys whose values
+changed against the file it replaces and in how many records, and whether
+the bank digest changed.
 """
 
 import hashlib
 import json
-import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,6 +82,21 @@ def first_difference(got: bytes, want: bytes) -> str:
     return "the streams differ only in line endings"
 
 
+def changed_keys(got: bytes, want: bytes) -> str:
+    """The keys whose values differ between two metrics streams, record by
+    record, each with the number of records it differs in."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    counts: Counter = Counter()
+    for g, w in zip(got_lines, want_lines):
+        g_rec, w_rec = json.loads(g), json.loads(w)
+        counts.update(k for k in sorted(g_rec.keys() | w_rec.keys())
+                      if g_rec.get(k, "<missing>") != w_rec.get(k, "<missing>"))
+    out = [f"{k} in {n} records" for k, n in sorted(counts.items())] or ["no key changed"]
+    if len(got_lines) != len(want_lines):
+        out.append(f"{len(got_lines)} records, was {len(want_lines)}")
+    return ", ".join(out)
+
+
 @pytest.mark.parametrize("trace,cfg", PAIRS)
 def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
     metrics, digest = replay(trace, cfg, tmp_path)
@@ -112,6 +131,11 @@ if __name__ == "__main__":
     for trace, cfg in PAIRS:
         with tempfile.TemporaryDirectory() as tmp:
             metrics, digest = replay(trace, cfg, Path(tmp))
-        (GOLDEN / f"{trace}__{cfg}.jsonl").write_bytes(metrics)
-        (GOLDEN / f"{trace}__{cfg}.bank.sha256").write_text(digest + "\n", encoding="utf-8")
-        print(f"wrote {trace}__{cfg}.jsonl and .bank.sha256", file=sys.stderr)
+        metrics_file = GOLDEN / f"{trace}__{cfg}.jsonl"
+        digest_file = GOLDEN / f"{trace}__{cfg}.bank.sha256"
+        keys = changed_keys(metrics, metrics_file.read_bytes()) if metrics_file.exists() else "new"
+        old_digest = digest_file.read_text(encoding="utf-8").strip() if digest_file.exists() else ""
+        metrics_file.write_bytes(metrics)
+        digest_file.write_text(digest + "\n", encoding="utf-8")
+        print(f"{trace}__{cfg}.jsonl: {keys}; bank digest "
+              f"{'unchanged' if digest == old_digest else 'changed'}")
