@@ -3,9 +3,9 @@
 ToyModel is a small pre-norm transformer (one fused Q/K/V linear, RoPE on
 Q and K, causal attention, greedy decode) computed entirely in float32
 with fixed accumulation order. That makes prefix reuse checkable
-bit-for-bit: prefilling a suffix against cached Q/K/V slices produces
+bit-for-bit: prefilling a suffix against cached K/V slices produces
 exactly the same values as recomputing the whole prompt. Prefill and
-decode write each token's Q/K/V rows into one preallocated array shaped as
+decode write each token's K/V rows into one preallocated array shaped as
 QkvTensors.data and attend over its rows; no step copies the past.
 
 Every sum runs sequentially in index order, and each row's result does not
@@ -14,7 +14,7 @@ projection among them), the attention scores and the attention V sum are
 whole-array ``np.einsum`` calls without ``optimize``, the softmax
 denominator is a ``np.add.reduce`` over the outermost axis, and the RMSNorm
 sum of squares is a ``np.cumsum``. Prefill and decode share one layer loop;
-its last layer writes every new row's Q/K/V but runs attention, the output
+its last layer writes every new row's K/V but runs attention, the output
 projection and the MLP for the last row only, the one whose output is read.
 tests/test_backend.py checks each kernel, and the fused projection against
 three separate ones, bit for bit against the per-column loop it replaced,
@@ -57,15 +57,15 @@ class ToyModelConfig:
 
 @dataclass
 class QkvTensors:
-    """Q, K and V of every layer as one float32 array shaped
-    (layers, 3, tokens, heads, head_dim), Q, K, V in that order on axis 1.
+    """K and V of every layer as one float32 array shaped (layers, 2,
+    tokens, heads, head_dim); no Q, since no step reads a past row's Q.
     Its C order is the payload of a slice file."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 5 or self.data.shape[1] != 3 or self.data.dtype != np.float32:
-            raise ValueError("QKV data must be float32 (layers, 3, tokens, heads, head_dim)")
+        if self.data.ndim != 5 or self.data.shape[1] != 2 or self.data.dtype != np.float32:
+            raise ValueError("K/V data must be float32 (layers, 2, tokens, heads, head_dim)")
 
     @property
     def layers(self) -> int:
@@ -101,7 +101,7 @@ class QkvPrefix:
 
 @dataclass
 class PrefillState:
-    """Decode-ready state: Q/K/V of every layer over the full prompt, single-owner."""
+    """Decode-ready state: K/V of every layer over the full prompt, single-owner."""
 
     tensors: QkvTensors
     last_hidden: np.ndarray  # (1, dim), final-norm output of the last token
@@ -220,19 +220,19 @@ class ToyModel:
                             self.w2[layer])
 
     def _buffer(self, rows: int) -> np.ndarray:
-        """Uninitialised Q/K/V rows for every layer, as QkvTensors.data."""
+        """Uninitialised K/V rows for every layer, as QkvTensors.data."""
         cfg = self.config
-        return np.empty((cfg.layers, 3, rows, cfg.heads, cfg.head_dim), dtype=np.float32)
+        return np.empty((cfg.layers, 2, rows, cfg.heads, cfg.head_dim), dtype=np.float32)
 
-    def _layers(self, token_ids: np.ndarray, qkv: np.ndarray, start: int) -> np.ndarray:
+    def _layers(self, token_ids: np.ndarray, kv: np.ndarray, start: int) -> np.ndarray:
         """The one layer loop of prefill and decode. Runs token_ids, at
-        positions start onwards, through every layer: writes their Q/K/V
-        into rows [start, end) of the qkv buffer (see _buffer), whose rows
-        before start hold the past, and attends over rows [0, end). Returns
-        the final-norm hidden state of the last token.
+        positions start onwards, through every layer: writes their K/V into
+        rows [start, end) of the kv buffer (see _buffer), whose rows before
+        start hold the past, and attends with their own Q over rows
+        [0, end). Returns the final-norm hidden state of the last token.
 
         The last layer's output is read only for the last token, so after
-        writing every row's Q/K/V it runs attention and the block tail for
+        writing every row's K/V it runs attention and the block tail for
         that row alone."""
         end = start + token_ids.shape[0]
         positions = np.arange(start, end)
@@ -240,18 +240,18 @@ class ToyModel:
         x = self.emb[token_ids]
         last = self.config.layers - 1
         for layer in range(self.config.layers):
-            qkv[layer, :, start:end] = self._block_qkv(layer, x, cos, sin)
+            qkv = self._block_qkv(layer, x, cos, sin)
+            q, kv[layer, :, start:end] = qkv[0], qkv[1:]
             if layer == last:
-                x, positions, start = x[-1:], positions[-1:], end - 1
-            attn = self._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
-                                   qkv[layer, 2, :end], positions)
+                x, q, positions, start = x[-1:], q[-1:], positions[-1:], end - 1
+            attn = self._attention(q, kv[layer, 0, :end], kv[layer, 1, :end], positions)
             x = self._block_tail(layer, x, attn)
         return self._rmsnorm(x)
 
     def prefill(self, tokens, prefix: QkvPrefix | None = None) -> PrefillState:
         """Run prefill, skipping projection/RoPE for cached prefix tokens.
 
-        The returned state holds the whole prompt's Q/K/V: the prefix's
+        The returned state holds the whole prompt's K/V: the prefix's
         cached rows followed by the recomputed ones, whose rotary positions
         are their positions in the full sequence.
         """
@@ -267,24 +267,24 @@ class ToyModel:
                 cfg.layers, cfg.heads, cfg.head_dim):
             raise ValueError("prefix shape does not match the model")  # or it would broadcast
         # always recompute at least the last token so the decode-ready hidden
-        # state exists; its recomputed Q/K/V are bitwise-equal to cached values
+        # state exists; its recomputed K/V are bitwise-equal to cached values
         start = min(pre, total - 1)
-        qkv = self._buffer(total)
+        kv = self._buffer(total)
         if start:
-            qkv[:, :, :start] = prefix.tensors.data[:, :, :start]
-        hidden = self._layers(token_ids[start:], qkv, start)
-        return PrefillState(QkvTensors(qkv), hidden)
+            kv[:, :, :start] = prefix.tensors.data[:, :, :start]
+        hidden = self._layers(token_ids[start:], kv, start)
+        return PrefillState(QkvTensors(kv), hidden)
 
     def decode_ids(self, state: PrefillState, max_tokens: int,
                    eos_id: int | None = None) -> list[int]:
         """Greedy argmax decoding; stops at eos_id or max_tokens. The prompt's
-        Q/K/V are copied once, into a buffer with a row for each step, so
+        K/V are copied once, into a buffer with a row for each step, so
         state is left unchanged."""
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         n = state.tensors.token_count
-        qkv = self._buffer(n + max_tokens - 1)
-        qkv[:, :, :n] = state.tensors.data
+        kv = self._buffer(n + max_tokens - 1)
+        kv[:, :, :n] = state.tensors.data
         hidden = state.last_hidden
         generated: list[int] = []
         for step in range(max_tokens):
@@ -292,7 +292,7 @@ class ToyModel:
             generated.append(tok)
             if tok == eos_id or step == max_tokens - 1:
                 break
-            hidden = self._layers(np.array([tok]), qkv, n + step)
+            hidden = self._layers(np.array([tok]), kv, n + step)
         return generated
 
 

@@ -31,7 +31,8 @@ from .backend import (
     ToyModelConfig,
 )
 from .config import EngineConfig
-from .knowledge import BankError, KnowledgeBank, Segment, StorageError, jsonl_bytes, read_utf8
+from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
+                        jsonl_bytes, read_utf8)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -141,6 +142,7 @@ class Engine:
         if any((n.tensors.layers, *n.tensors.data.shape[3:]) != shape
                for n in self.bank.nodes.values() if n.present):
             self.bank.drop_tree()
+        self._check_stamp()
         self.cost_model = CostModel(
             model_cfg,
             CostParams(flops_per_ms=config.flops_per_ms, latency_scale=config.latency_scale),
@@ -172,6 +174,11 @@ class Engine:
     def _seq(self) -> int:
         self._op += 1
         return self._op
+
+    def _check_stamp(self) -> list[int]:
+        """Stamp the tree with SLICE_VERSION, first dropping one stamped otherwise."""
+        stamp, self.bank.stamp = self.bank.stamp, SLICE_VERSION
+        return [] if stamp == SLICE_VERSION else self.bank.drop_tree()
 
     # -- core inference -----------------------------------------------------
 
@@ -316,11 +323,8 @@ class Engine:
                 QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
             total = total.add(self.cost_model.estimate_cost(
                 l_total=len(ids), l_pre=l_pre, loaded_slices=len(cached)))
-            # the segment text as _assemble lays it out
-            text = (self.config.system_prompt if node is bank.root
-                    else bank.chunks[node.chunk_id].text + " ")
             rows = state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids))
-            if bank.refill(node, rows, text):
+            if bank.refill(node, rows):
                 restored.append(node.node_id)
         return restored, total
 

@@ -1,6 +1,6 @@
 """Chunk store plus the QKV cache tree.
 
-Tree nodes hold per-chunk Q/K/V tensor slices; a root-to-node path mirrors
+Tree nodes hold per-chunk K/V tensor slices; a root-to-node path mirrors
 the retrieved-chunk order of a past prompt. Each node also keeps the token
 ids of its segment in the prompt that wrote it. Because the tokenizer is
 greedy and boundary-dependent, two prompts sharing a chunk prefix can
@@ -55,7 +55,7 @@ from .textcore import TokenSeq, TokenizerVocab, tokenize  # noqa: F401
 log = logging.getLogger(__name__)
 
 SLICE_MAGIC = b"PQKV"
-SLICE_VERSION = 1
+SLICE_VERSION = 2
 DEFAULT_CHUNK_WORDS = 100
 SYSTEM_CHUNK_ID = ""
 
@@ -154,40 +154,39 @@ class Segment:
 
 
 # ---------------------------------------------------------------------------
-# slice file format (binary, little-endian):
-# magic "PQKV", u16 version, u16 layers, u16 heads, u16 head_dim,
-# u32 token_count, 32-byte chunk content hash, then QkvTensors.data as f32
-# in C order: per layer Q, K, V, each (token, head, dim).
+# slice file format v2 (binary, little-endian): magic "PQKV", u16 version,
+# u16 layers, u16 heads, u16 head_dim, u32 token_count (16 bytes), then
+# QkvTensors.data as f32 in C order: per layer K, V, each (token, head, dim).
 
-_HEADER = struct.Struct("<4sHHHHI32s")
+_HEADER = struct.Struct("<4sHHHHI")
 
 
-def serialize_slice(tensors: QkvTensors, chunk_hash: bytes) -> bytes:
+def serialize_slice(tensors: QkvTensors) -> bytes:
     layers, _, tokens, heads, head_dim = tensors.data.shape
-    header = _HEADER.pack(SLICE_MAGIC, SLICE_VERSION, layers, heads, head_dim, tokens, chunk_hash)
+    header = _HEADER.pack(SLICE_MAGIC, SLICE_VERSION, layers, heads, head_dim, tokens)
     return header + tensors.data.astype("<f4", copy=False).tobytes()
 
 
-def deserialize_slice(data: bytes) -> tuple[QkvTensors, bytes]:
+def deserialize_slice(data: bytes) -> QkvTensors:
     if len(data) < _HEADER.size:
         raise ValueError("slice payload shorter than header")
-    magic, version, layers, heads, head_dim, tokens, chunk_hash = _HEADER.unpack_from(data)
+    magic, version, layers, heads, head_dim, tokens = _HEADER.unpack_from(data)
     if magic != SLICE_MAGIC or version != SLICE_VERSION:
         raise ValueError("bad slice magic/version")
-    shape = (layers, 3, tokens, heads, head_dim)
+    shape = (layers, 2, tokens, heads, head_dim)
     if len(data) != _HEADER.size + 4 * math.prod(shape):
         raise ValueError("slice payload length mismatch")
     payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(shape)
-    return QkvTensors(payload.astype(np.float32)), chunk_hash
+    return QkvTensors(payload.astype(np.float32))
 
 
 def slice_size(tensors: QkvTensors) -> int:
-    """len(serialize_slice(tensors, ...)), from the shape alone."""
+    """len(serialize_slice(tensors)), from the shape alone."""
     return _HEADER.size + 4 * tensors.data.size
 
 
-def slice_digest(tensors: QkvTensors, chunk_hash: bytes) -> str:
-    return hashlib.sha256(serialize_slice(tensors, chunk_hash)).hexdigest()
+def slice_digest(tensors: QkvTensors) -> str:
+    return hashlib.sha256(serialize_slice(tensors)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,6 @@ class CacheTreeNode:
     parent: "CacheTreeNode | None"
     children: list = field(default_factory=list)
     tensors: QkvTensors | None = field(default=None, repr=False)  # the slice; copied in and out
-    chunk_hash: bytes = b""  # content hash of the segment text, for the slice header
     byte_size: int = 0  # serialized slice length, kept past eviction
     retrieval_count: int = 0
     last_used: int = 0
@@ -254,6 +252,7 @@ class KnowledgeBank:
         self.root = CacheTreeNode(0, SYSTEM_CHUNK_ID, None)
         self.nodes: dict[int, CacheTreeNode] = {0: self.root}
         self._next_node_id = 1
+        self.stamp = None  # in the root's manifest record; see Engine._check_stamp
 
     # -- chunk store --------------------------------------------------------
 
@@ -346,34 +345,34 @@ class KnowledgeBank:
         if len(chain) < len(chunk_ids):
             chain = chain[: max(len(chain) - 1, 0)]
         slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
-        plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, bytes, tuple[int, ...]]] = []
+        plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, tuple[int, ...]]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
             ids = tokens.tokens[start:end]
             if node is not None and node.present:
                 if node.token_ids != ids:
                     break  # a node below would hold rows computed after other ids
                 continue
-            tensors, chunk_hash = qkv.slice_tokens(start, end), content_hash(seg.text)
+            tensors = qkv.slice_tokens(start, end)
             # refill an absent slice only when bit-identical to the original
             # (context may differ otherwise); the root may also be filled
             # while it has no digest yet
-            if node is None or (node.payload_sha == slice_digest(tensors, chunk_hash)
+            if node is None or (node.payload_sha == slice_digest(tensors)
                                 if node.payload_sha is not None else node is self.root):
-                plan.append((node, seg.chunk_id, tensors, chunk_hash, ids))
+                plan.append((node, seg.chunk_id, tensors, ids))
             elif node.token_ids != ids:
                 break
 
-        incoming = sum(slice_size(tensors) for _, _, tensors, _, _ in plan)
+        incoming = sum(slice_size(tensors) for _, _, tensors, _ in plan)
         if incoming > self.ledger.limit_bytes:
             raise StorageError("prompt slices exceed the whole cache budget")
         self.evict_to_fit(incoming, now)
 
         written_ids: list[int] = []
         parent = slots[-1 - slots.count(None)]  # the deepest existing node
-        for node, chunk_id, tensors, chunk_hash, ids in plan:
+        for node, chunk_id, tensors, ids in plan:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
-            node.tensors, node.chunk_hash, node.last_used = tensors, chunk_hash, now
+            node.tensors, node.last_used = tensors, now
             node.token_ids = ids
             node.byte_size = slice_size(tensors)
             self.ledger.used_bytes += node.byte_size
@@ -420,15 +419,13 @@ class KnowledgeBank:
         tensors = QkvTensors.concat(parts)  # a copy: stored arrays never leave the bank
         return QkvPrefix(tensors, l_pre), len(reached) - 1, cached - l_pre
 
-    def refill(self, node: CacheTreeNode, tensors: QkvTensors, text: str) -> bool:
-        """Put back the slice of an evicted node whose segment text is text,
-        if it fits the free space and is bit-identical to the evicted one
-        (its digest). Moves no LFU field."""
-        chunk_hash = content_hash(text)
-        if (not self.ledger.fits(node.byte_size)
-                or slice_digest(tensors, chunk_hash) != node.payload_sha):
+    def refill(self, node: CacheTreeNode, tensors: QkvTensors) -> bool:
+        """Put back the slice of an evicted node if it fits the free space
+        and is bit-identical to the evicted one (its digest). Moves no LFU
+        field."""
+        if not self.ledger.fits(node.byte_size) or slice_digest(tensors) != node.payload_sha:
             return False
-        node.tensors, node.chunk_hash = tensors, chunk_hash
+        node.tensors = tensors
         self.ledger.used_bytes += node.byte_size
         return True
 
@@ -465,7 +462,7 @@ class KnowledgeBank:
 
     def _evict_node(self, node: CacheTreeNode) -> None:
         if node.payload_sha is None:
-            node.payload_sha = slice_digest(node.tensors, node.chunk_hash)
+            node.payload_sha = slice_digest(node.tensors)
         self.ledger.used_bytes -= node.byte_size
         node.tensors = None
 
@@ -486,7 +483,7 @@ class KnowledgeBank:
         self.slice_dir.mkdir(parents=True, exist_ok=True)
         present = {_slice_name(n.node_id): n for n in self.nodes.values() if n.present}
         for name, node in present.items():
-            data = serialize_slice(node.tensors, node.chunk_hash)
+            data = serialize_slice(node.tensors)
             node.payload_sha = node.payload_sha or hashlib.sha256(data).hexdigest()
             write_atomic(self.slice_dir / name, data)
         write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
@@ -505,7 +502,7 @@ class KnowledgeBank:
                 "byte_size": n.byte_size,
                 "payload_sha": n.payload_sha,
                 "token_ids": None if n.token_ids is None else list(n.token_ids),
-            }
+            } | ({"stamp": self.stamp} if n is self.root else {})
             for _, n in sorted(self.nodes.items())
         ))
         for path in self.slice_dir.glob("*.qkv"):
@@ -548,7 +545,7 @@ class KnowledgeBank:
         records.sort(key=lambda r: r[1]["id"])
         for lineno, rec in records:
             if rec["parent"] is None:
-                node = bank.root
+                node, bank.stamp = bank.root, rec.get("stamp")
             elif rec["parent"] in bank.nodes:
                 parent = bank.nodes[rec["parent"]]
                 node = CacheTreeNode(rec["id"], rec["chunk_id"], parent)
@@ -575,14 +572,14 @@ class KnowledgeBank:
             path = bank.slice_dir / _slice_name(node.node_id)
             try:
                 data = path.read_bytes()
-                tensors, chunk_hash = deserialize_slice(data)
+                tensors = deserialize_slice(data)
             except (OSError, ValueError):
                 data = None
             if (data is None or len(data) != node.byte_size
                     or tensors.token_count != len(node.token_ids)):
                 log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
                 continue
-            node.tensors, node.chunk_hash = tensors, chunk_hash
+            node.tensors = tensors
             bank.ledger.used_bytes += node.byte_size
         bank._next_node_id = max(bank.nodes) + 1
         bank.set_limit(limit_bytes, 0)  # a smaller budget than the bank holds evicts LFU

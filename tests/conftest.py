@@ -27,8 +27,11 @@ def load_trace(name: str) -> list[dict]:
 
 def checked_prefill(seen: list):
     """ToyModel.prefill wrapped to check contract 1 at every prefill from a
-    cached prefix, whoever calls it: its Q/K/V rows and last hidden state
-    must equal, bit for bit, those of a prefill of the whole prompt. Appends
+    cached prefix, whoever calls it: its K/V rows of every layer and its
+    last hidden state must equal, bit for bit, those of a prefill of the
+    whole prompt. That covers every Q that matters: each layer's K/V but
+    the first depend on the Q of every row in the layer before, and the
+    hidden state on the last row's Q in every layer. Appends
     each checked prefix's token count to seen. The reference prefill leaves
     mac_count as it was."""
     prefill = ToyModel.prefill
@@ -84,7 +87,7 @@ def fake_tensors(text: str, tokens) -> QkvTensors:
     base = np.broadcast_to(
         vals.reshape(n, 1, 1), (n, FAKE_HEADS, FAKE_HEAD_DIM)
     ).astype(np.float32)
-    return QkvTensors(np.stack([base, base + 1.0, base + 2.0])[None])
+    return QkvTensors(np.stack([base, base + 1.0])[None])
 
 
 def path_tokens(bank: KnowledgeBank, path: list[str], query: str = "q") -> tuple[int, ...]:

@@ -143,17 +143,19 @@ def test_prefill_macs_match_instrumented(l_total, l_pre):
 # -- pruned last layer against every row through every layer --------------------
 
 
-def _ref_layers(model, token_ids, qkv, start):
+def _ref_layers(model, token_ids, kv, start):
     # the layer loop before the last layer was pruned: every row through
-    # every layer, with the model's own kernels
+    # every layer, with the model's own kernels. It is compared by its K/V
+    # rows of every layer and the last hidden state, which depend on every
+    # Q that is computed and used
     end = start + token_ids.shape[0]
     positions = np.arange(start, end)
     cos, sin = model._rotary(positions)
     x = model.emb[token_ids]
     for layer in range(model.config.layers):
-        qkv[layer, :, start:end] = model._block_qkv(layer, x, cos, sin)
-        attn = model._attention(qkv[layer, 0, start:end], qkv[layer, 1, :end],
-                                qkv[layer, 2, :end], positions)
+        qkv = model._block_qkv(layer, x, cos, sin)
+        kv[layer, :, start:end] = qkv[1:]
+        attn = model._attention(qkv[0], kv[layer, 0, :end], kv[layer, 1, :end], positions)
         x = model._block_tail(layer, x, attn)
     return model._rmsnorm(x[-1:])
 
@@ -164,18 +166,18 @@ def _ref_prefill_and_decode(model, toks, pre, max_tokens):
     n = len(toks)
     start = min(pre, n - 1)
     token_ids = np.asarray(toks, dtype=np.int64)
-    qkv = model._buffer(n + max_tokens - 1)
+    kv = model._buffer(n + max_tokens - 1)
     if start:
-        _ref_layers(model, token_ids, qkv, 0)
-    hidden = _ref_layers(model, token_ids[start:], qkv, start)
-    state = PrefillState(QkvTensors(qkv[:, :, :n].copy()), hidden)
+        _ref_layers(model, token_ids, kv, 0)
+    hidden = _ref_layers(model, token_ids[start:], kv, start)
+    state = PrefillState(QkvTensors(kv[:, :, :n].copy()), hidden)
     generated = []
     for step in range(max_tokens):
         tok = int(np.argmax(model._mm(hidden, model.w_out)[0]))
         generated.append(tok)
         if step == max_tokens - 1:
             break
-        hidden = _ref_layers(model, np.array([tok]), qkv, n + step)
+        hidden = _ref_layers(model, np.array([tok]), kv, n + step)
     return state, generated
 
 
@@ -485,21 +487,21 @@ def test_scripted_backend_from_file(tmp_path):
 
 
 def test_qkv_tensors_validation_and_concat():
-    shape = (CFG.layers, 3, 4, CFG.heads, CFG.head_dim)
+    shape = (CFG.layers, 2, 4, CFG.heads, CFG.head_dim)
     for bad in (np.zeros(shape, dtype=np.float64), np.zeros(shape[1:], dtype=np.float32),
-                np.zeros((CFG.layers, 2) + shape[2:], dtype=np.float32)):
+                np.zeros((CFG.layers, 3) + shape[2:], dtype=np.float32)):
         with pytest.raises(ValueError):
             QkvTensors(bad)
     with pytest.raises(ValueError):
         QkvTensors.concat([])
-    t = QkvTensors(np.zeros((CFG.layers, 3, 0, CFG.heads, CFG.head_dim), dtype=np.float32))
+    t = QkvTensors(np.zeros((CFG.layers, 2, 0, CFG.heads, CFG.head_dim), dtype=np.float32))
     assert t.token_count == 0 and t.layers == CFG.layers
     with pytest.raises(ValueError):
         QkvPrefix(t, 3)
     # concat joins the token axis into a new array, even for one part
     rng = np.random.default_rng(2)
     a = QkvTensors(rng.normal(size=shape).astype(np.float32))
-    b = QkvTensors(rng.normal(size=(CFG.layers, 3, 2, CFG.heads, CFG.head_dim)).astype(np.float32))
+    b = QkvTensors(rng.normal(size=(CFG.layers, 2, 2, CFG.heads, CFG.head_dim)).astype(np.float32))
     ab = QkvTensors.concat([a, b])
     assert ab.token_count == 6
     assert np.array_equal(ab.data[:, :, :4], a.data) and np.array_equal(ab.data[:, :, 4:], b.data)

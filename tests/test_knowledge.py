@@ -56,23 +56,24 @@ def test_ingest_dedupes_and_collision_suffix(tmp_path, monkeypatch):
 
 def test_slice_round_trip():
     rng = np.random.default_rng(5)
-    tensors = QkvTensors(rng.normal(size=(2, 3, 4, 2, 3)).astype(np.float32))
-    payload = serialize_slice(tensors, content_hash("chunk text"))
-    back, h = deserialize_slice(payload)
-    assert h == content_hash("chunk text")
+    tensors = QkvTensors(rng.normal(size=(2, 2, 4, 2, 3)).astype(np.float32))
+    payload = serialize_slice(tensors)
+    back = deserialize_slice(payload)
     assert np.array_equal(back.data, tensors.data)
-    # the payload is per layer Q, K, V, each (token, head, dim) row-major
-    q1 = np.frombuffer(payload, "<f4", count=4 * 2 * 3, offset=len(payload) - tensors.data.nbytes // 2)
-    assert np.array_equal(q1.reshape(4, 2, 3), tensors.data[1, 0])
+    # the payload is per layer K, V, each (token, head, dim) row-major
+    k1 = np.frombuffer(payload, "<f4", count=4 * 2 * 3, offset=len(payload) - tensors.data.nbytes // 2)
+    assert np.array_equal(k1.reshape(4, 2, 3), tensors.data[1, 0])
     # round trip is byte-stable, and the result is a writable copy
-    assert serialize_slice(back, h) == payload
+    assert serialize_slice(back) == payload
     back.data.fill(0.0)
-    # the size the ledger charges is the serialized length, zero tokens too
+    # the size the ledger charges is the serialized length, zero tokens
+    # too: a 16-byte header, then 4 bytes for each of K and V per layer,
+    # token, head and dimension
     for layers, tokens, heads, head_dim in ((2, 4, 2, 3), (1, 0, 1, 2), (3, 7, 4, 16), (1, 1, 1, 1)):
-        shaped = QkvTensors(np.zeros((layers, 3, tokens, heads, head_dim), np.float32))
-        payload = serialize_slice(shaped, b"\0" * 32)
-        assert slice_size(shaped) == len(payload)
-        assert deserialize_slice(payload)[0].data.shape == shaped.data.shape
+        shaped = QkvTensors(np.zeros((layers, 2, tokens, heads, head_dim), np.float32))
+        payload = serialize_slice(shaped)
+        assert slice_size(shaped) == len(payload) == 16 + 8 * layers * tokens * heads * head_dim
+        assert deserialize_slice(payload).data.shape == shaped.data.shape
 
 
 def test_slice_corrupt_rejected():
@@ -80,8 +81,8 @@ def test_slice_corrupt_rejected():
         deserialize_slice(b"XXXX" + b"\0" * 60)
     with pytest.raises(ValueError):
         deserialize_slice(b"\0" * 4)
-    tensors = QkvTensors(np.zeros((1, 3, 1, 1, 2), np.float32))
-    payload = serialize_slice(tensors, b"\0" * 32)
+    tensors = QkvTensors(np.zeros((1, 2, 1, 1, 2), np.float32))
+    payload = serialize_slice(tensors)
     with pytest.raises(ValueError):
         deserialize_slice(payload[:-1])  # truncated
     with pytest.raises(ValueError):
@@ -337,8 +338,8 @@ def test_refill_requires_identical_payload(tmp_path):
     bank._evict_node(c2)
     written = insert_path(bank, ["c1", "c2"], now=3, query="different")
     assert written == [c2.node_id]
-    assert slice_digest(c2.tensors, c2.chunk_hash) == sha
-    assert hashlib.sha256(serialize_slice(c2.tensors, c2.chunk_hash)).hexdigest() == sha
+    assert slice_digest(c2.tensors) == sha
+    assert hashlib.sha256(serialize_slice(c2.tensors)).hexdigest() == sha
     # a different system prompt changes c2's context: no refill
     bank._evict_node(c2)
     segs = path_segments(["c1", "c2"])
@@ -380,7 +381,6 @@ def test_persist_load_round_trip(tmp_path):
             other.payload_sha, other.present, other.token_ids)
         assert node.token_ids  # kept past eviction too
         if node.present:
-            assert node.chunk_hash == other.chunk_hash
             assert np.array_equal(node.tensors.data, other.tensors.data)
     loaded.persist()
     assert _dir_bytes(tmp_path) == snapshot

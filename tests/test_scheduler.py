@@ -325,7 +325,6 @@ def test_node_evicted_before_persist_is_restored_after_reopen(tmp_path):
     eng.persist()
     reopened = Engine(eng.config, tmp_path)
     assert not any(n.present for n in reopened.bank.nodes.values())
-    assert not any(n.chunk_hash for n in reopened.bank.nodes.values())  # no slice file kept it
     assert reopened.scheduler.idle_tick(1e15, now=10).restored_nodes == len(slices)
     for node in reopened.bank.nodes.values():
         assert node.tensors.data.tobytes() == slices[node.node_id].tobytes()
