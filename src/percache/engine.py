@@ -16,6 +16,7 @@ byte-identical metrics streams.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -176,9 +177,12 @@ class Engine:
         return self._op
 
     def _check_stamp(self) -> list[int]:
-        """Stamp the tree with SLICE_VERSION, first dropping one stamped otherwise."""
-        stamp, self.bank.stamp = self.bank.stamp, SLICE_VERSION
-        return [] if stamp == SLICE_VERSION else self.bank.drop_tree()
+        """Stamp the tree with what its rows depend on: the slice format, the
+        model config and the system prompt. A tree stamped otherwise is
+        dropped first; returns the dropped node ids."""
+        key = json.dumps([SLICE_VERSION, asdict(self.model.config), self.config.system_prompt])
+        old, self.bank.stamp = self.bank.stamp, hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return [] if old == self.bank.stamp else self.bank.drop_tree()
 
     # -- core inference -----------------------------------------------------
 
@@ -368,12 +372,9 @@ class Engine:
             record.update(chunk_ids=ids, stale_marked=stale)
         elif kind == "config_change":
             field, value = event["field"], event["value"]
-            old_prompt = self.config.system_prompt
             self.config.apply(field, str(value))
-            if field == "system_prompt":
-                # the tree's rows were computed after the old prompt
-                record["evicted_nodes"] = (self.bank.drop_tree()
-                                           if self.config.system_prompt != old_prompt else [])
+            if field == "system_prompt":  # the tree's rows may follow another prompt
+                record["evicted_nodes"] = self._check_stamp()
             elif field == "qkv_limit_bytes":
                 record["evicted_nodes"] = self.bank.set_limit(self.config.qkv_limit_bytes, self._seq())
             elif field == "qa_limit_bytes":

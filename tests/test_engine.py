@@ -190,17 +190,18 @@ def test_reuse_stops_inside_the_root_when_a_token_straddles_the_system_prompt(tm
 
 
 @pytest.mark.parametrize("new_prompt,path", [
-    ("Answer from personal notes, briefly:\n", QKV_PARTIAL),
+    ("Answer from personal notes, briefly:\n", COLD_MISS),
     ("Notes:\n", COLD_MISS),
 ])
 def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_prompt, path):
     # a config_change of the prompt drops the tree, which then caches the
-    # new prompt's rows; a bank reopened under another prompt keeps its tree
-    # and reuses only the common token prefix of the two prompts (path)
+    # new prompt's rows. So does a bank reopened under another prompt: its
+    # tree is stamped with the old one, so not even the common token prefix
+    # of the two prompts is reused (path), and the next query reuses the
+    # new prompt's rows
     eng = make_engine(tmp_path / "warm", qa_enabled=False)
     eng.ingest_chunks([CORPUS], 0)
     q = "what is the budget review plan?"
-    old_prompt = eng.config.system_prompt
     eng.handle_query(q, 1)
     eng.persist()
     shutil.copytree(tmp_path / "warm", tmp_path / "reopened")
@@ -218,11 +219,10 @@ def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_
     assert first.answer == repeat.answer == want
 
     reopened = make_engine(tmp_path / "reopened", qa_enabled=False, system_prompt=new_prompt)
-    got = reopened.handle_query(q, 1)
-    old_ids, new_ids = tokenize(old_prompt, eng.vocab).tokens, tokenize(new_prompt, eng.vocab).tokens
-    common = next(i for i, (a, b) in enumerate(zip(old_ids, new_ids)) if a != b)
-    assert (got.path, got.l_pre, got.matched_count) == (path, common, 0)
-    assert got.answer == want
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.chunks == eng.bank.chunks
+    got, again = reopened.handle_query(q, 1), reopened.handle_query(q, 2)
+    assert (got.path, got.l_pre, again.path) == (path, 0, QKV_PARTIAL)
+    assert got.answer == again.answer == want
 
 
 def test_unchanged_system_prompt_keeps_the_tree(tmp_path):
@@ -269,6 +269,29 @@ def test_bank_reopened_under_another_model_shape_drops_its_tree(tmp_path, shape)
         got, want = reopened.handle_query(q, at), fresh.handle_query(q, at)
         assert (got.path, got.l_pre, got.answer) == (want.path, want.l_pre, want.answer)
     assert got.path == QKV_PARTIAL  # the new shape's rows are cached again
+
+
+def test_bank_reopened_under_another_seed_drops_its_tree(tmp_path):
+    # the same shape, but rows that another seed's model computed: the
+    # reopened engine answers as a fresh one does and keeps chunks and QA
+    # entries
+    eng = make_engine(tmp_path / "bank", seed=1)
+    eng.ingest_chunks([CORPUS], 0)
+    q = "what is the budget review plan?"
+    eng.handle_query(q, 1)
+    eng.persist()
+    fresh = make_engine(tmp_path / "fresh", qa_enabled=False, seed=2)
+    fresh.ingest_chunks([CORPUS], 0)
+    reopened = make_engine(tmp_path / "bank", qa_enabled=False, seed=2)
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    assert reopened.bank.chunks == eng.bank.chunks and [e.query for e in reopened.qa.entries] == [q]
+    for at in (2, 3):
+        got, want = reopened.handle_query(q, at), fresh.handle_query(q, at)
+        assert (got.path, got.l_pre, got.answer) == (want.path, want.l_pre, want.answer)
+    assert got.path == QKV_PARTIAL
+    fresh.persist()
+    same_seed = make_engine(tmp_path / "fresh", qa_enabled=False, seed=2)
+    assert same_seed.bank.nodes.keys() == fresh.bank.nodes.keys()  # a matching stamp keeps it
 
 
 def test_trace_out_of_order_rejected(tmp_path):
