@@ -556,6 +556,8 @@ class KnowledgeBank:
             node.retrieval_count = rec["retrieval_count"]
             node.last_used = rec["last_used"]
             node.payload_sha = rec.get("payload_sha")
+            if type(node.payload_sha) not in (str, NoneType):
+                raise BankError(f"{manifest}:{lineno}: need 'payload_sha' as a string or null")
             ids = rec.get("token_ids")
             if ids is not None:
                 if not isinstance(ids, list) or not all(type(i) is int for i in ids):

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .knowledge import jsonl_bytes, read_jsonl, write_atomic
+from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
 from .textcore import Embedding, HashEmbedder, cosine_similarities
 
 DEFAULT_ENTRY_BYTES = 4096
@@ -206,7 +206,8 @@ class QaBank:
         limit_bytes: int,
         embedder: HashEmbedder | None = None,
     ) -> "QaBank":
-        """The bank persisted at path, or an empty one if there is none."""
+        """The bank persisted at path, or an empty one if there is none. A
+        query on two lines raises BankError naming the second."""
         embedder = embedder or HashEmbedder()
         bank = cls(limit_bytes)
         path = Path(path)
@@ -214,7 +215,9 @@ class QaBank:
             return bank
         fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
                   "last_used": (int,), "use_count": (int,), "stale": (bool,)}
-        for _, rec in read_jsonl(path, fields):
+        for lineno, rec in read_jsonl(path, fields):
+            if rec["query"] in bank._by_query:
+                raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
             entry = QaEntry(
                 rec["query"],
                 embedder.embed(rec["query"]),

@@ -1,11 +1,16 @@
 import csv
 import json
 import logging
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from percache.cli import CSV_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from percache.config import EngineConfig
+from percache.engine import Engine
+from percache.knowledge import deserialize_slice
 
 from conftest import DATA
 
@@ -290,6 +295,7 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     ("manifest.jsonl", "id", "3"),
     ("manifest.jsonl", "retrieval_count", None),
     ("manifest.jsonl", "parent", [0]),
+    ("manifest.jsonl", "payload_sha", 7),  # optional, but typed when present
     ("chunks.jsonl", "text", 5),
 ])
 def test_wrongly_typed_bank_field_exit_2(tmp_path, capsys, name, key, value):
@@ -309,6 +315,67 @@ def test_wrongly_typed_bank_field_exit_2(tmp_path, capsys, name, key, value):
         corpus = _write(tmp_path / "c.txt", "alpha beta")
         assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
         assert f"{path}:2: need {key!r} as " in capsys.readouterr().err
+
+
+def _as_slice_format_v1(bank: Path) -> None:
+    """Rewrite a persisted bank as slice format v1 wrote it: a 48-byte
+    header that ends in a 32-byte content hash, Q, K and V rows per layer,
+    and a manifest whose root record has no stamp."""
+    manifest = bank / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    for rec in records:
+        rec.pop("stamp", None)
+        if rec["slice_file"] is not None:
+            path = bank / "slices" / rec["slice_file"]
+            kv = deserialize_slice(path.read_bytes()).data
+            layers, _, tokens, heads, head_dim = kv.shape
+            qkv = np.concatenate([np.ones_like(kv[:, :1]), kv], axis=1)
+            data = struct.pack("<4sHHHHI32s", b"PQKV", 1, layers, heads, head_dim, tokens,
+                               b"\0" * 32) + qkv.astype("<f4").tobytes()
+            path.write_bytes(data)
+            rec["byte_size"] = len(data)
+    manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                        encoding="utf-8")
+
+
+def test_bank_in_slice_format_v1_opens_with_an_empty_tree(tmp_path, capsys):
+    # no reader for old slices: the tree is a cache, dropped at open and
+    # filled again on demand; chunks and QA entries are kept
+    bank = _persisted_bank(tmp_path)
+    _as_slice_format_v1(bank)
+    assert len(list((bank / "slices").glob("*.qkv"))) > 1
+    cfg = DATA / "configs" / "scenario.cfg"
+    chunks = (bank / "chunks.jsonl").read_bytes()
+    queries = [json.loads(line)["query"] for line in (bank / "qa.jsonl").read_text().splitlines()]
+    eng = Engine(EngineConfig.from_file(cfg), bank)
+    assert list(eng.bank.nodes) == [0] and eng.bank.ledger.used_bytes == 0
+    assert len(eng.bank.chunks) == chunks.count(b"\n") and queries
+    assert [e.query for e in eng.qa.entries] == queries
+    trace = _write(tmp_path / "t.trace", json.dumps(
+        {"at": 0, "kind": "query_arrival", "text": "which vendor contract needs renewal?"}) + "\n")
+    capsys.readouterr()
+    assert run(["replay", "--trace", trace, "--bank", bank, "--config", cfg,
+                "--out", tmp_path / "o.csv", "--persist"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    slices = list((bank / "slices").glob("*.qkv"))
+    assert slices and all(struct.unpack_from("<H", p.read_bytes(), 4) == (2,) for p in slices)
+    assert (bank / "chunks.jsonl").read_bytes() == chunks
+
+
+def test_duplicate_qa_query_exit_2(tmp_path, capsys):
+    # two entries of one query would make the first QA eviction remove the
+    # query twice; the load refuses the second line instead
+    bank = _persisted_bank(tmp_path)
+    path = bank / "qa.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 1
+    path.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    trace = _write(tmp_path / "t.trace", json.dumps(
+        {"at": 0, "kind": "config_change", "field": "qa_limit_bytes", "value": 4096}) + "\n")
+    capsys.readouterr()
+    assert run(["replay", "--trace", trace, "--bank", bank, "--out", tmp_path / "o.csv"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}:{len(lines) + 1}: duplicate query" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content,lineno", [
