@@ -7,7 +7,8 @@ remainder, decode, and populate both cache layers. Background work
 via the scheduler. The QA->QKV conversion restores evicted tree nodes
 one by one from their kept token ids; it replaced a version that re-ran
 each QA entry's retrieval and match, which counted idle work as user
-retrievals in the LFU counts.
+retrievals in the LFU counts. A tree is kept only under the stamp of the
+slice format, model and system prompt its rows were computed for.
 
 Everything is deterministic: one engine instance processes events
 strictly sequentially, and identical traces, configs, and seeds yield
@@ -138,7 +139,7 @@ class Engine:
             seed=config.seed,
         )
         self.model = ToyModel(model_cfg)
-        # slices computed under another model shape can never be reused
+        # a slice of another shape is a damaged file (the stamp covers the model)
         shape = (model_cfg.layers, model_cfg.heads, model_cfg.head_dim)
         if any((n.tensors.layers, *n.tensors.data.shape[3:]) != shape
                for n in self.bank.nodes.values() if n.present):
