@@ -89,7 +89,7 @@ def changed_keys(got: bytes, want: bytes) -> str:
     counts: Counter = Counter()
     for g, w in zip(got_lines, want_lines):
         g_rec, w_rec = json.loads(g), json.loads(w)
-        counts.update(k for k in sorted(g_rec.keys() | w_rec.keys())
+        counts.update(k for k in g_rec.keys() | w_rec.keys()
                       if g_rec.get(k, "<missing>") != w_rec.get(k, "<missing>"))
     out = [f"{k} in {n} records" for k, n in sorted(counts.items())] or ["no key changed"]
     if len(got_lines) != len(want_lines):
