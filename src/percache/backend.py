@@ -13,9 +13,12 @@ depend on how many rows are computed with it. The matmuls (the fused Q/K/V
 projection among them), the attention scores and the attention V sum are
 whole-array ``np.einsum`` calls without ``optimize``, the softmax
 denominator is a ``np.add.reduce`` over the outermost axis, and the RMSNorm
-sum of squares is a ``np.cumsum``. Prefill and decode share one layer loop;
-its last layer writes every new row's K/V but runs attention, the output
-projection and the MLP for the last row only, the one whose output is read.
+sum of squares is a ``np.cumsum``. Prefill and decode share one layer loop.
+In prefill its last layer writes every new row's K/V but runs attention,
+the output projection and the MLP for the last row only, the one whose
+output is read. Decode verifies drafted tokens in passes that read every
+row's output; by the same row independence, its ids are those of one row
+per step.
 tests/test_backend.py checks each kernel, and the fused projection against
 three separate ones, bit for bit against the per-column loop it replaced,
 on random shapes, with the installed numpy (2.4.6 when this was written); a
@@ -224,16 +227,19 @@ class ToyModel:
         cfg = self.config
         return np.empty((cfg.layers, 2, rows, cfg.heads, cfg.head_dim), dtype=np.float32)
 
-    def _layers(self, token_ids: np.ndarray, kv: np.ndarray, start: int) -> np.ndarray:
+    def _layers(self, token_ids: np.ndarray, kv: np.ndarray, start: int,
+                every_row: bool = False) -> np.ndarray:
         """The one layer loop of prefill and decode. Runs token_ids, at
         positions start onwards, through every layer: writes their K/V into
         rows [start, end) of the kv buffer (see _buffer), whose rows before
         start hold the past, and attends with their own Q over rows
-        [0, end). Returns the final-norm hidden state of the last token.
+        [0, end). Returns the final-norm hidden state of the last token, or
+        of every token if every_row.
 
-        The last layer's output is read only for the last token, so after
-        writing every row's K/V it runs attention and the block tail for
-        that row alone."""
+        Unless every_row, the last layer's output is read only for the last
+        token, so after writing every row's K/V it runs attention and the
+        block tail for that row alone. A decode pass that verifies drafts
+        reads every row's output."""
         end = start + token_ids.shape[0]
         positions = np.arange(start, end)
         cos, sin = self._rotary(positions)
@@ -242,7 +248,7 @@ class ToyModel:
         for layer in range(self.config.layers):
             qkv = self._block_qkv(layer, x, cos, sin)
             q, kv[layer, :, start:end] = qkv[0], qkv[1:]
-            if layer == last:
+            if layer == last and not every_row:
                 x, q, positions, start = x[-1:], q[-1:], positions[-1:], end - 1
             attn = self._attention(q, kv[layer, 0, :end], kv[layer, 1, :end], positions)
             x = self._block_tail(layer, x, attn)
@@ -275,24 +281,53 @@ class ToyModel:
         hidden = self._layers(token_ids[start:], kv, start)
         return PrefillState(QkvTensors(kv), hidden)
 
-    def decode_ids(self, state: PrefillState, max_tokens: int,
-                   eos_id: int | None = None) -> list[int]:
-        """Greedy argmax decoding; stops at eos_id or max_tokens. The prompt's
-        K/V are copied once, into a buffer with a row for each step, so
-        state is left unchanged."""
+    def decode_ids(self, state: PrefillState, max_tokens: int, eos_id: int | None = None,
+                   drafts: dict[int, int] | None = None,
+                   passes: list[tuple[int, int]] | None = None) -> list[int]:
+        """Greedy argmax decoding; stops at eos_id or max_tokens. Returns
+        the emitted ids.
+
+        drafts maps a token to the token that followed it before. Each pass
+        runs the last emitted token and the chain of drafts after it
+        through _layers as one batch. It emits row 0's argmax, and row
+        i + 1's after row i's argmax confirmed the draft in row i + 1: the
+        longest confirmed prefix of the chain, then one token of argmax's
+        own. The chain stops where drafts has no entry, before eos_id, and
+        where its rows could emit past max_tokens. Since no row's result
+        depends on how many rows are computed with it, the ids are those
+        of decoding one row per pass, bit for bit, whatever drafts holds.
+        Each emitted token is recorded in drafts as the successor of the
+        one before it; without drafts every pass runs one row.
+
+        The prompt's K/V are copied once, into a buffer with a row for
+        each step, so state is left unchanged. A rejected draft's rows lie
+        past the accepted point, where the next pass overwrites them.
+        passes, if given, gets (start, rows) of each pass: decode_macs
+        charges them."""
         if max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         n = state.tensors.token_count
         kv = self._buffer(n + max_tokens - 1)
         kv[:, :, :n] = state.tensors.data
-        hidden = state.last_hidden
-        generated: list[int] = []
-        for step in range(max_tokens):
-            tok = int(np.argmax(self._mm(hidden, self.w_out)[0]))
-            generated.append(tok)
-            if tok == eos_id or step == max_tokens - 1:
-                break
-            hidden = self._layers(np.array([tok]), kv, n + step)
+        table = {} if drafts is None else drafts
+        generated = [int(np.argmax(self._mm(state.last_hidden, self.w_out)[0]))]
+        while generated[-1] != eos_id and len(generated) < max_tokens:
+            rows = [generated[-1]]
+            while len(generated) + len(rows) < max_tokens:
+                draft = table.get(rows[-1])
+                if draft is None or draft == eos_id:
+                    break
+                rows.append(draft)
+            start = n + len(generated) - 1
+            if passes is not None:
+                passes.append((start, len(rows)))
+            hidden = self._layers(np.array(rows), kv, start, every_row=True)
+            for i, tok in enumerate(np.argmax(self._mm(hidden, self.w_out), axis=1).tolist()):
+                generated.append(tok)
+                if drafts is not None:
+                    drafts[rows[i]] = tok
+                if i + 1 == len(rows) or tok != rows[i + 1]:
+                    break
         return generated
 
 
@@ -407,14 +442,24 @@ def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
     return (cfg.layers - 1) * full_layer + last_layer
 
 
-def decode_macs(cfg: ToyModelConfig, l_total: int, gen_tokens: int) -> int:
-    """Exact multiply-add count of ToyModel.decode_ids for gen_tokens emitted."""
+def decode_macs(cfg: ToyModelConfig, l_total: int, gen_tokens: int,
+                passes: list[tuple[int, int]] | None = None) -> int:
+    """Exact multiply-add count of ToyModel.decode_ids for gen_tokens
+    emitted after an l_total-token prompt: the first token's logits, then
+    every row of every pass, as decode_ids reports them in its passes
+    list. A pass of r rows from position p runs every layer for each row,
+    attending over p + r keys (12 d^2 + 2 (p + r) d per row and layer),
+    and the logits of each row, accepted or not. Without passes, each
+    token after the first runs a one-row pass, as decoding without drafts
+    does."""
     if gen_tokens <= 0:
         return 0
+    if passes is None:
+        passes = [(l_total + i, 1) for i in range(gen_tokens - 1)]
     d = cfg.dim
-    total = gen_tokens * d * cfg.vocab_size
-    for i in range(1, gen_tokens):
-        total += cfg.layers * (12 * d * d + 2 * (l_total + i) * d)
+    total = d * cfg.vocab_size
+    for start, rows in passes:
+        total += rows * (cfg.layers * (12 * d * d + 2 * (start + rows) * d) + d * cfg.vocab_size)
     return total
 
 
@@ -425,14 +470,16 @@ class CostModel:
 
     def estimate_cost(self, l_total: int, l_pre: int = 0, decode_tokens: int = 0,
                       loaded_slices: int = 0, qa_match: bool = False, qkv_match: bool = False,
-                      embeds: int = 0) -> CostReport:
+                      embeds: int = 0,
+                      decode_passes: list[tuple[int, int]] | None = None) -> CostReport:
         """The cost of one inference over an l_total-token prompt whose
-        first l_pre tokens are cached, decoding decode_tokens, plus the
-        fixed charges: loaded_slices slice loads, a QA and a QKV match, and
-        embeds query embeddings."""
+        first l_pre tokens are cached, decoding decode_tokens in
+        decode_passes (see decode_macs), plus the fixed charges:
+        loaded_slices slice loads, a QA and a QKV match, and embeds query
+        embeddings."""
         p = self.params
         pf = float(prefill_macs(self.model_config, l_total, l_pre))
-        df = float(decode_macs(self.model_config, l_total, decode_tokens))
+        df = float(decode_macs(self.model_config, l_total, decode_tokens, decode_passes))
         scale = p.latency_scale
         match_ms = scale * (
             (p.question_match_ms if qa_match else 0.0)

@@ -139,6 +139,9 @@ class Engine:
             seed=config.seed,
         )
         self.model = ToyModel(model_cfg)
+        # decode drafts: each token's successor in the latest decode that
+        # emitted it. In memory only, filled by every decode of this engine
+        self.drafts: dict[int, int] = {}
         # a slice of another shape is a damaged file (the stamp covers the model)
         shape = (model_cfg.layers, model_cfg.heads, model_cfg.head_dim)
         if any((n.tensors.layers, *n.tensors.data.shape[3:]) != shape
@@ -215,14 +218,15 @@ class Engine:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens.tokens, self._seq())
         l_pre = prefix.prefix_token_count if prefix is not None else 0
         state = self.model.prefill(tokens.tokens, prefix)
-        answer, ids = None, []
+        answer, ids, passes = None, [], []
         if decode:
-            ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id)
+            ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id,
+                                        self.drafts, passes)
             answer = detokenize([i for i in ids if i != self.eos_id], self.vocab)
         cost = self.cost_model.estimate_cost(
             l_total=len(tokens), l_pre=l_pre, decode_tokens=len(ids),
             loaded_slices=matched + 1 if prefix is not None else 0,
-            qkv_match=self.config.reuse_enabled, embeds=1,
+            qkv_match=self.config.reuse_enabled, embeds=1, decode_passes=passes,
         )
         if self.config.reuse_enabled:
             try:

@@ -522,8 +522,11 @@ class KnowledgeBank:
         or chunks.jsonl, or a vocab.txt that is not UTF-8, raises BankError;
         a missing or corrupt slice degrades to evicted, and so does a slice
         whose record has no token_ids (a bank written before they were
-        kept), since its rows cannot be checked against a prompt. Slices
-        beyond limit_bytes are evicted as set_limit would."""
+        kept), since its rows cannot be checked against a prompt. A root
+        record without a stamp key was written before the stamp and slice
+        format v2, so none of its tree's slices is read: every node opens
+        evicted, and Engine._check_stamp drops the tree. Slices beyond
+        limit_bytes are evicted as set_limit would."""
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
@@ -543,9 +546,10 @@ class KnowledgeBank:
             "byte_size": (int,),
         })
         records.sort(key=lambda r: r[1]["id"])
+        stamped = True
         for lineno, rec in records:
             if rec["parent"] is None:
-                node, bank.stamp = bank.root, rec.get("stamp")
+                node, bank.stamp, stamped = bank.root, rec.get("stamp"), "stamp" in rec
             elif rec["parent"] in bank.nodes:
                 parent = bank.nodes[rec["parent"]]
                 node = CacheTreeNode(rec["id"], rec["chunk_id"], parent)
@@ -564,7 +568,7 @@ class KnowledgeBank:
                     raise BankError(f"{manifest}:{lineno}: token_ids must be a list of integers")
                 node.token_ids = tuple(ids)
             bank.nodes[node.node_id] = node
-            if rec["slice_file"] is None:
+            if rec["slice_file"] is None or not stamped:
                 continue
             if node.token_ids is None:
                 log.warning("slice for node %d has no token ids; treated as evicted", node.node_id)

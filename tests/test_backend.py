@@ -205,6 +205,129 @@ def test_decode_macs_match_instrumented(gen):
     out = model.decode_ids(state, gen)
     assert len(out) == gen  # no accidental eos in toy decoding here
     assert model.mac_count == decode_macs(CFG, 7, gen)
+    # with drafts, decode_macs charges the passes that ran, rejected rows too
+    for drafts in (_right_drafts(out), _wrong_drafts(out)):
+        passes = []
+        model.mac_count = 0
+        assert model.decode_ids(state, gen, drafts=drafts, passes=passes) == out
+        assert model.mac_count == decode_macs(CFG, 7, gen, passes)
+        assert sum(rows for _, rows in passes) >= gen - 1
+
+
+# -- decoding with drafts against one row per step ------------------------------
+
+
+def _greedy(model, state, max_tokens, eos_id=None):
+    # greedy decoding one row per step, as decode_ids ran before drafts
+    n = state.tensors.token_count
+    kv = model._buffer(n + max_tokens - 1)
+    kv[:, :, :n] = state.tensors.data
+    hidden, generated = state.last_hidden, []
+    for step in range(max_tokens):
+        tok = int(np.argmax(model._mm(hidden, model.w_out)[0]))
+        generated.append(tok)
+        if tok == eos_id or step == max_tokens - 1:
+            break
+        hidden = model._layers(np.array([tok]), kv, n + step)
+    return generated
+
+
+def _right_drafts(ids):
+    return dict(zip(ids, ids[1:]))
+
+
+def _wrong_drafts(ids):
+    # every emitted token's draft differs from the token that follows it
+    return {a: (b + 1) % CFG.vocab_size for a, b in zip(ids, ids[1:])}
+
+
+def _decode_state(layers, cached):
+    # a prompt whose greedy ids start with 5 or more distinct tokens, then cycle
+    model = ToyModel(_cfg_layers(layers))
+    toks = _tokens(9, seed=6 + layers)
+    prefix = None
+    if cached:
+        prefix = QkvPrefix(model.prefill(toks).tensors.slice_tokens(0, 6), 6)
+    return model, model.prefill(toks, prefix)
+
+
+def _check_drafted(model, state, max_tokens, eos_id, drafts):
+    """decode_ids with drafts must emit the one-row-per-step ids, leave state
+    as it was, record every emitted pair in drafts and report passes that
+    emit every token after the first. Returns the ids and the passes."""
+    data, hidden = state.tensors.data.copy(), state.last_hidden.copy()
+    want = _greedy(model, state, max_tokens, eos_id)
+    before = None if drafts is None else dict(drafts)
+    passes = []
+    got = model.decode_ids(state, max_tokens, eos_id, drafts, passes)
+    assert got == want, (before, passes)
+    assert _bits_equal(state.tensors.data, data) and _bits_equal(state.last_hidden, hidden)
+    if drafts is not None:
+        emitted = _right_drafts(got)
+        assert {a: drafts[a] for a in emitted} == emitted
+        assert {a: b for a, b in drafts.items() if a not in emitted} == {
+            a: b for a, b in before.items() if a not in emitted}
+    n = state.tensors.token_count
+    assert [start for start, _ in passes] == sorted({start for start, _ in passes})
+    assert all(n <= start < n + max_tokens - 1 and 1 <= start + rows - n < max_tokens
+               for start, rows in passes)
+    return got, passes
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("cached", [False, True])
+def test_drafted_decode_equals_one_row_per_step(layers, cached):
+    model, state = _decode_state(layers, cached)
+    ids = _greedy(model, state, 12)
+    assert len(set(ids)) > 2  # the tables below differ from one another
+    # no drafts: one row per pass
+    got, passes = _check_drafted(model, state, 12, None, None)
+    assert passes == [(9 + i, 1) for i in range(11)]
+    # a table that starts empty drafts from the decode's own earlier pairs
+    _check_drafted(model, state, 12, None, {})
+    # all right: one pass over the longest run of distinct ids, whose
+    # successors one table can hold; past it, as right as a table can be
+    distinct = next((i for i in range(len(ids)) if ids[i] in ids[:i]), len(ids))
+    assert distinct >= 5
+    got, passes = _check_drafted(model, state, distinct, None, _right_drafts(ids[:distinct]))
+    assert passes == [(9, distinct - 1)]
+    _check_drafted(model, state, 12, None, _right_drafts(ids))
+    # all wrong: every pass verifies one draft and rejects it, each pass
+    # correcting the table for later passes
+    got, passes = _check_drafted(model, state, distinct, None, _wrong_drafts(ids[:distinct]))
+    assert passes == [(9 + i, 2) for i in range(distinct - 2)] + [(7 + distinct, 1)]
+    _check_drafted(model, state, 12, None, _wrong_drafts(ids))
+    # eos inside the chain: the chain stops before it, and the decode at it
+    for j in (1, distinct - 1):
+        got, passes = _check_drafted(model, state, 12, ids[j], _right_drafts(ids[:distinct]))
+        assert got == ids[: j + 1] and passes == [(9, j)]
+    _check_drafted(model, state, 12, ids[distinct - 1], _right_drafts(ids))
+    # a chain longer than max_tokens allows: capped, never past the buffer
+    for max_tokens in (1, 2, 5):
+        got, passes = _check_drafted(model, state, max_tokens, None, _right_drafts(ids))
+        assert got == ids[:max_tokens]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    layers=st.integers(1, 3),
+    cached=st.booleans(),
+    max_tokens=st.integers(1, 10),
+    eos_id=st.none() | st.integers(0, CFG.vocab_size - 1),
+    table=st.none() | st.dictionaries(st.integers(0, CFG.vocab_size - 1),
+                                      st.integers(0, CFG.vocab_size - 1), max_size=40),
+    right=st.lists(st.booleans(), min_size=9, max_size=9),
+)
+def test_drafted_decode_equals_one_row_per_step_random_tables(layers, cached, max_tokens, eos_id,
+                                                               table, right):
+    # random tables, some entries overwritten by the right successor so
+    # that chains get accepted in part
+    model, state = _decode_state(layers, cached)
+    ids = _greedy(model, state, 10)
+    for keep, a, b in zip(right, ids, ids[1:]):
+        if keep and table is not None:
+            table[a] = b
+    _check_drafted(model, state, max_tokens, eos_id, table)
 
 
 # -- whole-array kernels against the per-column loops they replaced ------------

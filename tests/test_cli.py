@@ -10,6 +10,7 @@ import pytest
 from percache.cli import CSV_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from percache.config import EngineConfig
 from percache.engine import Engine
+from percache import knowledge
 from percache.knowledge import deserialize_slice
 
 from conftest import DATA
@@ -338,16 +339,23 @@ def _as_slice_format_v1(bank: Path) -> None:
                         encoding="utf-8")
 
 
-def test_bank_in_slice_format_v1_opens_with_an_empty_tree(tmp_path, capsys):
+def test_bank_in_slice_format_v1_opens_with_an_empty_tree(tmp_path, capsys, caplog,
+                                                          monkeypatch):
     # no reader for old slices: the tree is a cache, dropped at open and
-    # filled again on demand; chunks and QA entries are kept
+    # filled again on demand; chunks and QA entries are kept. A root with
+    # no stamp predates format v2, so no old slice is read or warned about
     bank = _persisted_bank(tmp_path)
     _as_slice_format_v1(bank)
     assert len(list((bank / "slices").glob("*.qkv"))) > 1
     cfg = DATA / "configs" / "scenario.cfg"
     chunks = (bank / "chunks.jsonl").read_bytes()
     queries = [json.loads(line)["query"] for line in (bank / "qa.jsonl").read_text().splitlines()]
-    eng = Engine(EngineConfig.from_file(cfg), bank)
+    read = []
+    with caplog.at_level(logging.WARNING), monkeypatch.context() as patch:
+        patch.setattr(knowledge, "deserialize_slice", read.append)
+        eng = Engine(EngineConfig.from_file(cfg), bank)
+    assert not read
+    assert not [r.getMessage() for r in caplog.records if "unreadable" in r.getMessage()]
     assert list(eng.bank.nodes) == [0] and eng.bank.ledger.used_bytes == 0
     assert len(eng.bank.chunks) == chunks.count(b"\n") and queries
     assert [e.query for e in eng.qa.entries] == queries

@@ -126,6 +126,36 @@ def test_cached_prefill_equals_recomputation(tmp_path, capsys, monkeypatch, trac
         assert sum(restoring) > 0, "no restoration prefilled from a cached prefix"
 
 
+@pytest.mark.parametrize("trace,cfg", PAIRS)
+def test_drafted_decode_replays_repeat_with_golden_answers(tmp_path, capsys, monkeypatch,
+                                                           trace, cfg):
+    # each engine drafts decodes from a table its own decodes fill: two
+    # replays on fresh engines in one process write one stream, every
+    # decode emits the ids of decoding without drafts, and every answer is
+    # the golden's
+    rows = []
+    decode = ToyModel.decode_ids
+
+    def checked(self, state, max_tokens, eos_id=None, drafts=None, passes=None):
+        macs = self.mac_count
+        plain = decode(self, state, max_tokens, eos_id)
+        self.mac_count = macs
+        ids = decode(self, state, max_tokens, eos_id, drafts, passes)
+        assert ids == plain
+        rows.extend(r for _, r in passes)
+        return ids
+
+    monkeypatch.setattr(ToyModel, "decode_ids", checked)
+    streams = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        streams.append(replay(trace, cfg, tmp_path / run)[0])
+    assert streams[0] == streams[1], first_difference(streams[1], streams[0])
+    answers = lambda stream: [json.loads(line).get("answer") for line in stream.splitlines()]
+    assert answers(streams[0]) == answers((GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes())
+    assert max(rows) > 1, "no pass verified a draft"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for trace, cfg in PAIRS:
