@@ -253,8 +253,8 @@ def _decode_state(layers, cached):
 
 def _check_drafted(model, state, max_tokens, eos_id, drafts):
     """decode_ids with drafts must emit the one-row-per-step ids, leave state
-    as it was, record every emitted pair in drafts and report passes that
-    emit every token after the first. Returns the ids and the passes."""
+    as it was, record every emitted pair in drafts and report passes in
+    order, inside the decode buffer. Returns the ids and the passes."""
     data, hidden = state.tensors.data.copy(), state.last_hidden.copy()
     want = _greedy(model, state, max_tokens, eos_id)
     before = None if drafts is None else dict(drafts)
@@ -279,9 +279,8 @@ def _check_drafted(model, state, max_tokens, eos_id, drafts):
 def test_drafted_decode_equals_one_row_per_step(layers, cached):
     model, state = _decode_state(layers, cached)
     ids = _greedy(model, state, 12)
-    assert len(set(ids)) > 2  # the tables below differ from one another
     # no drafts: one row per pass
-    got, passes = _check_drafted(model, state, 12, None, None)
+    _, passes = _check_drafted(model, state, 12, None, None)
     assert passes == [(9 + i, 1) for i in range(11)]
     # a table that starts empty drafts from the decode's own earlier pairs
     _check_drafted(model, state, 12, None, {})
@@ -289,12 +288,12 @@ def test_drafted_decode_equals_one_row_per_step(layers, cached):
     # successors one table can hold; past it, as right as a table can be
     distinct = next((i for i in range(len(ids)) if ids[i] in ids[:i]), len(ids))
     assert distinct >= 5
-    got, passes = _check_drafted(model, state, distinct, None, _right_drafts(ids[:distinct]))
+    _, passes = _check_drafted(model, state, distinct, None, _right_drafts(ids[:distinct]))
     assert passes == [(9, distinct - 1)]
     _check_drafted(model, state, 12, None, _right_drafts(ids))
     # all wrong: every pass verifies one draft and rejects it, each pass
     # correcting the table for later passes
-    got, passes = _check_drafted(model, state, distinct, None, _wrong_drafts(ids[:distinct]))
+    _, passes = _check_drafted(model, state, distinct, None, _wrong_drafts(ids[:distinct]))
     assert passes == [(9 + i, 2) for i in range(distinct - 2)] + [(7 + distinct, 1)]
     _check_drafted(model, state, 12, None, _wrong_drafts(ids))
     # eos inside the chain: the chain stops before it, and the decode at it
@@ -304,8 +303,7 @@ def test_drafted_decode_equals_one_row_per_step(layers, cached):
     _check_drafted(model, state, 12, ids[distinct - 1], _right_drafts(ids))
     # a chain longer than max_tokens allows: capped, never past the buffer
     for max_tokens in (1, 2, 5):
-        got, passes = _check_drafted(model, state, max_tokens, None, _right_drafts(ids))
-        assert got == ids[:max_tokens]
+        _check_drafted(model, state, max_tokens, None, _right_drafts(ids))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
