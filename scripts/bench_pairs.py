@@ -75,15 +75,23 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
             "worse": worse, "claim": claim, "bound": bound_check}
 
 
-def run_bench(side: Path, workload: str, seed: int) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(command, cwd=side, capture_output=True, text=True)
+def perfbench_result(root: Path, args: list[str]) -> dict:
+    """The result JSON (the last line of stdout) of ``perfbench/run.py
+    ARGS`` run from root. A run that exits non-zero, or whose result is not
+    correct or has a failed event, raises RuntimeError."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args], cwd=root,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{side}: perfbench exited {proc.returncode}\n{proc.stderr}")
+        raise RuntimeError(f"{root}: perfbench exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{side}: {result['failed']} of {result['attempted']} events failed")
+        raise RuntimeError(f"{root}: {result['failed']} of {result['attempted']} events failed")
+    return result
+
+
+def run_bench(side: Path, workload: str, seed: int) -> dict:
+    result = perfbench_result(side, ["--workload", workload, "--seed", str(seed),
+                                     "--seconds", str(SECONDS), "--trace", "0"])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy
 
+from bench_pairs import perfbench_result
+
 ROOT = Path(__file__).resolve().parent.parent
 ARGS = ["--seed", "101", "--seconds", "30", "--trace", "0"]
 
@@ -35,13 +37,7 @@ def _commit() -> str:
 
 
 def snapshot(workload: str, commit: str) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, *ARGS]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload}: perfbench exited {proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{workload}: {result['failed']} of {result['attempted']} events failed")
+    result = perfbench_result(ROOT, ["--workload", workload, *ARGS])
     return {
         "workload": workload,
         "command": ["python3", "perfbench/run.py", "--workload", workload, *ARGS],

@@ -79,6 +79,8 @@ class EngineConfig:
         ):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be a positive integer")
+        if self.model_head_dim % 2:
+            raise ConfigError("model_head_dim must be even (rotary pairs)")
         for key in ("qkv_limit_bytes", "abstract_cap_bytes"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")

@@ -5,10 +5,10 @@ retrieve top-k chunks, reuse the longest cached QKV prefix, prefill the
 remainder, decode, and populate both cache layers. Background work
 (prediction, deferred answering, conversions) runs only on idle ticks
 via the scheduler. The QA->QKV conversion restores evicted tree nodes
-one by one from their kept token ids; it replaced a version that re-ran
-each QA entry's retrieval and match, which counted idle work as user
-retrievals in the LFU counts. A tree is kept only under the stamp of the
-slice format, model and system prompt its rows were computed for.
+one by one from their kept token ids, running no retrieval or match, so
+idle work never counts as a user retrieval in the LFU counts. A tree is
+kept only under the stamp of the slice format, model and system prompt
+its rows were computed for.
 
 Everything is deterministic: one engine instance processes events
 strictly sequentially, and identical traces, configs, and seeds yield
@@ -191,11 +191,9 @@ class Engine:
     # -- core inference -----------------------------------------------------
 
     def _assemble(self, query: str, chunk_ids: list[str]) -> list[Segment]:
-        segments = [Segment("system", self.config.system_prompt)]
-        for cid in chunk_ids:
-            segments.append(Segment("chunk", self.bank.chunks[cid].text + " ", cid))
-        segments.append(Segment("query", query))
-        return segments
+        return ([Segment(self.config.system_prompt)]
+                + [Segment(self.bank.chunks[cid].text + " ", cid) for cid in chunk_ids]
+                + [Segment(query)])
 
     def answer(self, text: str, decode: bool = True,
                embedding: Embedding | None = None) -> QueryOutcome:
@@ -215,9 +213,9 @@ class Engine:
         tokens = tokenize("".join(s.text for s in segments), self.vocab)
         prefix, matched, discarded = (None, 0, 0)
         if self.config.reuse_enabled:
-            prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens.tokens, self._seq())
+            prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens, self._seq())
         l_pre = prefix.prefix_token_count if prefix is not None else 0
-        state = self.model.prefill(tokens.tokens, prefix)
+        state = self.model.prefill(tokens, prefix)
         answer, ids, passes = None, [], []
         if decode:
             ids = self.model.decode_ids(state, self.config.max_decode_tokens, self.eos_id,

@@ -13,16 +13,15 @@ token ids, not by chunk ids:
 * on insert, a node is written only below nodes whose kept ids equal the
   prompt's, so every node's rows were computed after its ancestors' ids;
 * on insert, paths are merged only up to the second-to-last common node,
-  so the last common node is duplicated per path. This no longer guards
+  so the last common node is duplicated per path. This does not guard
   correctness; it decides how deep each path can reuse.
 
 Eviction is LFU over per-node retrieval counts under a byte budget; an
 evicted node keeps its metadata, token ids and slice digest. Idle
-restoration works node by node from those ids (it replaced re-running
-each QA entry's prompt): the engine prefills the node's root path and
-refill writes the rows back only if they reproduce the digest, bit for
-bit. A slice_and_insert of a prompt over the node's path refills it the
-same way.
+restoration works node by node from those ids, so it counts no user
+retrieval: the engine prefills the node's root path and refill writes the
+rows back only if they reproduce the digest, bit for bit. A
+slice_and_insert of a prompt over the node's path refills it the same way.
 
 Nodes hold their slices as QkvTensors. The slice file format is only the
 bank's disk boundary: persist writes it, load reads and validates it, and
@@ -42,7 +41,6 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import itemgetter
 from pathlib import Path
 from types import NoneType
 
@@ -50,7 +48,7 @@ import numpy as np
 
 from .backend import QkvPrefix, QkvTensors
 # unused here, but perfbench patches knowledge.tokenize through this module's globals
-from .textcore import TokenSeq, TokenizerVocab, tokenize  # noqa: F401
+from .textcore import TokenizerVocab, tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -146,9 +144,9 @@ class KnowledgeChunk:
 
 @dataclass(frozen=True)
 class Segment:
-    """One prompt-layout element: the system prompt, a chunk, or the query."""
+    """One prompt-layout element. A layout is positional: the system prompt
+    first, the query last, the retrieved chunks between."""
 
-    kind: str  # "system" | "chunk" | "query"
     text: str
     chunk_id: str | None = None
 
@@ -278,18 +276,19 @@ class KnowledgeBank:
 
     # -- layout helpers -----------------------------------------------------
 
-    @staticmethod
-    def segment_token_spans(segments: list[Segment], tokens: TokenSeq) -> list[tuple[int, int]]:
+    def segment_token_spans(self, segments: list[Segment],
+                            tokens: tuple[int, ...]) -> list[tuple[int, int]]:
         """Token span per segment; a token belongs to the segment containing
-        its start byte (a straddling token stays with the earlier segment)."""
+        its start byte (a straddling token stays with the earlier segment).
+        Each token's bytes come from the vocabulary."""
+        starts = list(accumulate((len(self.vocab.token_bytes(t)) for t in tokens), initial=0))
         byte_bounds = list(accumulate((len(seg.text.encode("utf-8")) for seg in segments),
                                       initial=0))
-        if (tokens.byte_spans[-1][1] if tokens.byte_spans else 0) != byte_bounds[-1]:
+        if starts[-1] != byte_bounds[-1]:
             raise LayoutError("layout does not tile the token byte range")
-        # a segment ends before the first token that starts at or past its end byte
-        ends = [bisect_left(tokens.byte_spans, bound, key=itemgetter(0)) for bound in byte_bounds]
-        if ends[-1] != len(tokens):
-            raise LayoutError("tokens extend past the layout")
+        # a segment ends before the first token that starts at or past its
+        # end byte; no token is empty, so the last segment ends at the last token
+        ends = [bisect_left(starts, bound, 0, len(tokens)) for bound in byte_bounds]
         return list(zip(ends, ends[1:]))
 
     # -- tree operations ----------------------------------------------------
@@ -324,30 +323,29 @@ class KnowledgeBank:
     def slice_and_insert(
         self,
         segments: list[Segment],
-        tokens: TokenSeq,
+        tokens: tuple[int, ...],
         qkv: QkvTensors,
         now: int,
     ) -> list[int]:
         """Slice full-prompt tensors per segment and merge the chunk path
-        into the tree. All-or-nothing: on layout or budget failure nothing
-        is written. Returns node ids whose slices were written."""
+        into the tree; segments is a positional layout (see Segment).
+        All-or-nothing: on layout or budget failure nothing is written.
+        Returns node ids whose slices were written."""
         if qkv.token_count != len(tokens):
             raise LayoutError("qkv token count does not match the token sequence")
-        if [s.kind for s in segments] != ["system"] + ["chunk"] * (len(segments) - 2) + ["query"]:
-            raise LayoutError("layout must be the system prompt, the chunks, then the query")
         spans = self.segment_token_spans(segments, tokens)
 
         # plan every write before changing anything. Slots: the root, the
         # spine up to the second-to-last common node (the last one is
         # duplicated per path), then None per node to create; none for the query
-        chunk_ids = [s.chunk_id for s in segments if s.kind == "chunk"]
+        chunk_ids = [s.chunk_id for s in segments[1:-1]]
         chain = self._match_chain(chunk_ids, require_present=False)
         if len(chain) < len(chunk_ids):
             chain = chain[: max(len(chain) - 1, 0)]
         slots = [self.root] + chain + [None] * (len(chunk_ids) - len(chain))
         plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, tuple[int, ...]]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
-            ids = tokens.tokens[start:end]
+            ids = tokens[start:end]
             if node is not None and node.present:
                 if node.token_ids != ids:
                     break  # a node below would hold rows computed after other ids
@@ -362,10 +360,7 @@ class KnowledgeBank:
             elif node.token_ids != ids:
                 break
 
-        incoming = sum(slice_size(tensors) for _, _, tensors, _ in plan)
-        if incoming > self.ledger.limit_bytes:
-            raise StorageError("prompt slices exceed the whole cache budget")
-        self.evict_to_fit(incoming, now)
+        self.evict_to_fit(sum(slice_size(tensors) for _, _, tensors, _ in plan), now)
 
         written_ids: list[int] = []
         parent = slots[-1 - slots.count(None)]  # the deepest existing node
@@ -519,7 +514,9 @@ class KnowledgeBank:
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
         none). Keys it does not read are ignored. A damaged manifest.jsonl
-        or chunks.jsonl, or a vocab.txt that is not UTF-8, raises BankError;
+        or chunks.jsonl, a node id or chunk_id on two of their lines, a
+        root record (no parent) whose id is not 0 or the reverse, or a
+        vocab.txt that is not UTF-8, raises BankError naming file:line;
         a missing or corrupt slice degrades to evicted, and so does a slice
         whose record has no token_ids (a bank written before they were
         kept), since its rows cannot be checked against a prompt. A root
@@ -533,7 +530,9 @@ class KnowledgeBank:
         bank = cls(directory, vocab, limit_bytes, **kwargs)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
-            for _, rec in read_jsonl(chunks_file, {"chunk_id": (str,), "text": (str,)}):
+            for lineno, rec in read_jsonl(chunks_file, {"chunk_id": (str,), "text": (str,)}):
+                if rec["chunk_id"] in bank.chunks:
+                    raise BankError(f"{chunks_file}:{lineno}: duplicate chunk_id {rec['chunk_id']!r}")
                 chunk = KnowledgeChunk(rec["chunk_id"], rec["text"])
                 bank.chunks[chunk.chunk_id] = chunk
                 bank._text_to_id[chunk.text] = chunk.chunk_id
@@ -545,9 +544,15 @@ class KnowledgeBank:
             "retrieval_count": (int,), "last_used": (int,), "slice_file": (str, NoneType),
             "byte_size": (int,),
         })
-        records.sort(key=lambda r: r[1]["id"])
+        records.sort(key=lambda r: r[1]["id"])  # stable: a repeated id keeps file order
+        for (_, first), (lineno, rec) in zip(records, records[1:]):
+            if first["id"] == rec["id"]:
+                raise BankError(f"{manifest}:{lineno}: duplicate node id {rec['id']}")
         stamped = True
         for lineno, rec in records:
+            # a second root, or a node that takes the root's id, would be charged twice
+            if (rec["parent"] is None) != (rec["id"] == bank.root.node_id):
+                raise BankError(f"{manifest}:{lineno}: only the root record, id 0, has no parent")
             if rec["parent"] is None:
                 node, bank.stamp, stamped = bank.root, rec.get("stamp"), "stamp" in rec
             elif rec["parent"] in bank.nodes:

@@ -59,8 +59,8 @@ class QaEntry:
 class QaBank:
     def __init__(self, limit_bytes: int):
         self.limit_bytes = limit_bytes
-        self.entries: list[QaEntry] = []
         self._by_query: dict[str, QaEntry] = {}
+        self.entries = self._by_query.values()  # in insertion order
 
     @property
     def used_bytes(self) -> int:
@@ -80,7 +80,7 @@ class QaBank:
         if not servable:
             return None, -1.0
         sims = cosine_similarities(np.array([e.embedding.values for e in servable]), embedding)
-        # ties: the oldest entry, then the first in list order
+        # ties: the oldest entry, then the first inserted
         i = min(np.flatnonzero(sims == sims.max()).tolist(), key=lambda i: servable[i].created_at)
         best, best_sim = servable[i], float(sims[i])
         if best_sim > tau and best_sim > -1.0:  # the -1.0 floor picks no entry, whatever tau is
@@ -120,12 +120,10 @@ class QaBank:
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
         entry = QaEntry(query, embedding, answer, now, now,
                         keys=keys if answer is not None else None)
-        self.entries.append(entry)
         self._by_query[query] = entry
         return evicted
 
     def _remove(self, entry: QaEntry) -> None:
-        self.entries.remove(entry)
         del self._by_query[entry.query]
 
     def _evict_lfu(self, keep: int) -> list[QaEntry]:
@@ -227,7 +225,6 @@ class QaBank:
                 rec["use_count"],
                 rec["stale"],
             )
-            bank.entries.append(entry)
             bank._by_query[entry.query] = entry
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)

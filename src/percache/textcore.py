@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,26 +25,6 @@ _WORD_RE = re.compile(r"[0-9a-z]+")
 def split_words(text: str) -> list[str]:
     """Lowercase word split shared by the embedder and BM25 term extraction."""
     return _WORD_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class TokenSeq:
-    """Token ids plus the (start, end) byte offsets of each token in the source."""
-
-    tokens: tuple[int, ...]
-    byte_spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.byte_spans):
-            raise ValueError("tokens and byte_spans length mismatch")
-        pos = 0
-        for start, end in self.byte_spans:
-            if start != pos or end <= start:
-                raise ValueError("byte_spans must be contiguous and non-empty")
-            pos = end
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 class TokenizerVocab:
@@ -102,18 +82,17 @@ class TokenizerVocab:
         return self._byte_base + data[pos], 1
 
 
-def tokenize(text: str, vocab: TokenizerVocab) -> TokenSeq:
-    """Greedy longest-match segmentation over UTF-8 bytes. Deterministic and total."""
+def tokenize(text: str, vocab: TokenizerVocab) -> tuple[int, ...]:
+    """Greedy longest-match segmentation over UTF-8 bytes. Deterministic and
+    total. The ids alone fix each token's bytes (vocab.token_bytes)."""
     data = text.encode("utf-8")
     tokens: list[int] = []
-    spans: list[tuple[int, int]] = []
     pos = 0
     while pos < len(data):
         tid, length = vocab.match_at(data, pos)
         tokens.append(tid)
-        spans.append((pos, pos + length))
         pos += length
-    return TokenSeq(tuple(tokens), tuple(spans))
+    return tuple(tokens)
 
 
 def detokenize(tokens, vocab: TokenizerVocab) -> str:

@@ -1,5 +1,6 @@
 import json
 import zlib
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ def make_engine(tmp_path, **overrides) -> Engine:
 # -- synthetic-tensor helpers for tree tests --------------------------------
 # Tensors whose values depend on the full text prefix (like real attention
 # outputs do) but cost nothing to compute: value = crc32 of the text up to
-# each token's end byte.
+# each token's end byte, which the vocabulary fixes.
 
 FAKE_HEADS = 1
 FAKE_HEAD_DIM = 2
@@ -71,19 +72,18 @@ def fake_bank(tmp_path, limit_bytes=1 << 22, **kwargs) -> KnowledgeBank:
 
 
 def path_segments(path: list[str], query: str = "q") -> list[Segment]:
-    segs = [Segment("system", "S\n")]
+    segs = [Segment("S\n")]
     for cid in path:
-        segs.append(Segment("chunk", cid + " ", cid))
-    segs.append(Segment("query", query))
+        segs.append(Segment(cid + " ", cid))
+    segs.append(Segment(query))
     return segs
 
 
-def fake_tensors(text: str, tokens) -> QkvTensors:
+def fake_tensors(text: str, tokens: tuple[int, ...], vocab: TokenizerVocab) -> QkvTensors:
     n = len(tokens)
     data = text.encode("utf-8")
-    vals = np.array(
-        [zlib.crc32(data[: end]) % 9973 for _, end in tokens.byte_spans], dtype=np.float32
-    )
+    ends = accumulate(len(vocab.token_bytes(t)) for t in tokens)
+    vals = np.array([zlib.crc32(data[:end]) % 9973 for end in ends], dtype=np.float32)
     base = np.broadcast_to(
         vals.reshape(n, 1, 1), (n, FAKE_HEADS, FAKE_HEAD_DIM)
     ).astype(np.float32)
@@ -92,11 +92,11 @@ def fake_tensors(text: str, tokens) -> QkvTensors:
 
 def path_tokens(bank: KnowledgeBank, path: list[str], query: str = "q") -> tuple[int, ...]:
     """Token ids of the prompt over path, as match_prefix takes them."""
-    return tokenize("".join(s.text for s in path_segments(path, query)), bank.vocab).tokens
+    return tokenize("".join(s.text for s in path_segments(path, query)), bank.vocab)
 
 
 def insert_path(bank: KnowledgeBank, path: list[str], now: int, query: str = "q"):
     segs = path_segments(path, query)
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    return bank.slice_and_insert(segs, toks, fake_tensors(text, toks), now)
+    return bank.slice_and_insert(segs, toks, fake_tensors(text, toks, bank.vocab), now)

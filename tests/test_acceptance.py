@@ -7,6 +7,7 @@ glance which criteria were exercised.
 import hashlib
 import json
 import time
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,23 +58,24 @@ def _check_prompt(model, vocab, text, chunk_joins):
     every chunk-boundary split; everything must agree bit for bit.
     Returns the number of boundary-dependent splits encountered."""
     toks = tokenize(text, vocab)
-    full = model.prefill(toks.tokens)
+    ends = list(accumulate(len(vocab.token_bytes(t)) for t in toks))
+    full = model.prefill(toks)
     full_decode = model.decode_ids(full, 4)
     boundary_cases = 0
     for join_byte in chunk_joins:
         # the split token index: tokens fully inside the prefix bytes
-        split = sum(1 for s, e in toks.byte_spans if e <= join_byte)
+        split = sum(1 for end in ends if end <= join_byte)
         if split == 0:
             continue
         prefix_text = text[:join_byte]
-        if tokenize(prefix_text, vocab).tokens != toks.tokens[:split]:
+        if tokenize(prefix_text, vocab) != toks[:split]:
             boundary_cases += 1  # a token straddles this chunk boundary
         # the prefix's rows computed in a prompt of its own length, as a
         # cached slice was, equal those computed inside the longer prompt
-        alone = model.prefill(toks.tokens[:split])
+        alone = model.prefill(toks[:split])
         assert np.array_equal(alone.tensors.data, full.tensors.data[:, :, :split])
         prefix = QkvPrefix(full.tensors.slice_tokens(0, split), split)
-        state = model.prefill(toks.tokens, prefix)
+        state = model.prefill(toks, prefix)
         assert np.array_equal(state.tensors.data, full.tensors.data)
         assert np.array_equal(state.last_hidden, full.last_hidden)
         assert model.decode_ids(state, 4) == full_decode
@@ -126,9 +128,9 @@ def test_acceptance_1_cached_prefill_equivalence():
     import tempfile
 
     def layout(query):
-        return [Segment("system", "notes:\n"),
-                Segment("chunk", "the budget review meeting on monday at noon ", "c1"),
-                Segment("query", query)]
+        return [Segment("notes:\n"),
+                Segment("the budget review meeting on monday at noon ", "c1"),
+                Segment(query)]
 
     queries = ("what is the budget plan?", "when is the meeting at noon?",
                "the budget plan?", "at noon?")
@@ -138,17 +140,17 @@ def test_acceptance_1_cached_prefill_equivalence():
             bank = KnowledgeBank(td, BOUNDARY_VOCAB, limit_bytes=1 << 26)
             segments = layout(cached_query)
             toks = tokenize("".join(s.text for s in segments), BOUNDARY_VOCAB)
-            bank.slice_and_insert(segments, toks, small_model.prefill(toks.tokens).tensors, now=1)
+            bank.slice_and_insert(segments, toks, small_model.prefill(toks).tensors, now=1)
             chain_ids = bank.root.token_ids + bank.nodes[1].token_ids
             for query in queries:
                 toks = tokenize("".join(s.text for s in layout(query)), BOUNDARY_VOCAB)
-                lcp = next((i for i, (a, b) in enumerate(zip(chain_ids, toks.tokens)) if a != b),
+                lcp = next((i for i, (a, b) in enumerate(zip(chain_ids, toks)) if a != b),
                            len(chain_ids))
-                prefix, matched, discarded = bank.match_prefix(["c1"], toks.tokens, now=2)
+                prefix, matched, discarded = bank.match_prefix(["c1"], toks, now=2)
                 assert prefix.prefix_token_count == lcp and discarded == len(chain_ids) - lcp
                 assert matched == 1
-                state = small_model.prefill(toks.tokens)
-                cached_state = small_model.prefill(toks.tokens, prefix)
+                state = small_model.prefill(toks)
+                cached_state = small_model.prefill(toks, prefix)
                 assert np.array_equal(cached_state.tensors.data, state.tensors.data)
                 assert np.array_equal(cached_state.last_hidden, state.last_hidden)
                 prompts += 1

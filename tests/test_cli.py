@@ -166,8 +166,10 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
 def test_replay_bad_config_exit_2(tmp_path, capsys):
     trace = _write(tmp_path / "t.trace", "")
     # an unknown key, an out-of-range value, a QA budget below one entry,
-    # and the text backend selector, which no longer exists
-    for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy"):
+    # the text backend selector, which no longer exists, and an odd head
+    # dimension, which rotary position pairs cannot split
+    for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy",
+                 "model_head_dim=3"):
         cfg = _write(tmp_path / "c.cfg", line + "\n")
         assert run([
             "replay", "--trace", trace, "--bank", tmp_path / "b",
@@ -260,7 +262,7 @@ def test_replay_without_persist_leaves_bank_untouched(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize("name", ["manifest.jsonl", "chunks.jsonl", "qa.jsonl"])
-@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_utf8"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_utf8", "duplicate"])
 def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     bank = _persisted_bank(tmp_path)
     path = bank / name
@@ -272,6 +274,9 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
         lines[1] = lines[1][:5] + "\udcff" + lines[1][5:]  # one 0xff byte in line 2
         path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
         lineno = 2
+    elif damage == "duplicate":  # a second record of one node id, chunk_id or query
+        path.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+        lineno = len(lines) + 1
     else:
         rec = json.loads(lines[1])
         del rec[{"manifest.jsonl": "id", "chunks.jsonl": "text", "qa.jsonl": "query"}[name]]

@@ -29,6 +29,8 @@ def test_validation():
         EngineConfig(qa_limit_bytes=100)  # below one QA entry
     with pytest.raises(ConfigError):
         EngineConfig(retrieval_k=0)
+    with pytest.raises(ConfigError):
+        EngineConfig(model_head_dim=3)  # rotary encoding rotates dimension pairs
     for scale in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ConfigError):
             EngineConfig(latency_scale=scale)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -89,29 +90,34 @@ def test_slice_corrupt_rejected():
         deserialize_slice(payload + b"\0" * 4)  # trailing bytes
 
 
-def test_segment_token_spans_straddling():
+def test_segment_token_spans_straddling(tmp_path):
     # multi-char vocab entry "ab" straddles the segment boundary between
     # "a" and "b"; the token belongs to the earlier segment (start byte)
     vocab = TokenizerVocab(["ab", "a", "b", "c"])
-    segments = [Segment("system", "a"), Segment("chunk", "bc", "c1"), Segment("query", "")]
+    bank = KnowledgeBank(tmp_path, vocab)
+    segments = [Segment("a"), Segment("bc", "c1"), Segment("")]
     toks = tokenize("abc", vocab)
-    spans = KnowledgeBank.segment_token_spans(segments, toks)
+    spans = bank.segment_token_spans(segments, toks)
     assert spans == [(0, 1), (1, 2), (2, 2)]
     # an empty middle chunk gets an empty span; "é" is two byte-fallback
     # tokens, each counted in the segment holding its start byte
-    segments = [Segment("system", "a"), Segment("chunk", "", "c0"),
-                Segment("chunk", "bcé", "c1"), Segment("query", "é")]
+    segments = [Segment("a"), Segment("", "c0"),
+                Segment("bcé", "c1"), Segment("é")]
     toks = tokenize("abcéé", vocab)
-    assert [start for start, _ in toks.byte_spans] == [0, 2, 3, 4, 5, 6]
-    spans = KnowledgeBank.segment_token_spans(segments, toks)
+    starts = list(accumulate((len(vocab.token_bytes(t)) for t in toks), initial=0))
+    assert starts == [0, 2, 3, 4, 5, 6, 7]
+    spans = bank.segment_token_spans(segments, toks)
     assert spans == [(0, 1), (1, 1), (1, 4), (4, 6)]
 
 
-def test_segment_token_spans_layout_error():
+def test_segment_token_spans_layout_error(tmp_path):
     vocab = TokenizerVocab(["a", "b"])
+    bank = KnowledgeBank(tmp_path, vocab)
     toks = tokenize("ab", vocab)
-    with pytest.raises(LayoutError):
-        KnowledgeBank.segment_token_spans([Segment("system", "abc")], toks)
+    for layout in (["abc"], ["a"], ["a", "bc"], ["a", ""]):  # longer or shorter than the tokens
+        with pytest.raises(LayoutError):
+            bank.segment_token_spans([Segment(t) for t in layout], toks)
+    assert bank.segment_token_spans([Segment("a"), Segment("b")], toks) == [(0, 1), (1, 2)]
 
 
 def _tree_paths(bank):
@@ -186,15 +192,14 @@ def test_match_prefix_reuses_the_longest_common_token_prefix(tmp_path):
     segs = path_segments(["c1", "c2"])
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    qkv = fake_tensors(text, toks)
+    qkv = fake_tensors(text, toks, bank.vocab)
     bank.slice_and_insert(segs, toks, qkv, now=1)
     nodes = [bank.root] + [n for n in bank.nodes.values() if n.chunk_id in ("c1", "c2")]
     starts = [0, len(nodes[0].token_ids), len(nodes[0].token_ids) + len(nodes[1].token_ids)]
     cached = starts[-1] + len(nodes[2].token_ids)
     assert cached < len(toks)  # the query is never cached
-    ids = toks.tokens
-    for cut in range(len(ids) + 1):
-        for prompt in (ids[:cut] + (-1,) + ids[cut + 1:], ids[:cut]):
+    for cut in range(len(toks) + 1):
+        for prompt in (toks[:cut] + (-1,) + toks[cut + 1:], toks[:cut]):
             before = [n.retrieval_count for n in nodes]
             prefix, matched, discarded = bank.match_prefix(["c1", "c2"], prompt, now=2)
             bumps = [n.retrieval_count - b for n, b in zip(nodes, before)]
@@ -230,10 +235,10 @@ def test_insert_writes_no_node_below_other_ids(tmp_path, evicted):
     segs = path_segments(["a", "b", "c"])
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    prefix, matched, _ = bank.match_prefix(["a", "b", "c"], toks.tokens, now=4)
+    prefix, matched, _ = bank.match_prefix(["a", "b", "c"], toks, now=4)
     assert matched == 1
     assert np.array_equal(prefix.tensors.data,
-                          fake_tensors(text, toks).data[:, :, : prefix.prefix_token_count])
+                          fake_tensors(text, toks, bank.vocab).data[:, :, : prefix.prefix_token_count])
 
 
 def test_stored_slices_never_alias(tmp_path):
@@ -243,7 +248,7 @@ def test_stored_slices_never_alias(tmp_path):
     segs = path_segments(["c1", "c2"])
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    qkv = fake_tensors(text, toks)
+    qkv = fake_tensors(text, toks, bank.vocab)
     bank.slice_and_insert(segs, toks, qkv, now=1)
     for path in (["c1", "c2"], ["zz"]):  # a whole path, and the root alone
         first, _, _ = _match(bank, path, now=2)
@@ -263,7 +268,7 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     segs = path_segments(["c1", "c2"])
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    state = model.prefill(toks.tokens)
+    state = model.prefill(toks)
     want = state.tensors.data.copy()
     model.decode_ids(state, 5)
     assert np.array_equal(state.tensors.data, want)
@@ -272,7 +277,7 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     prefix, matched, _ = _match(bank, ["c1", "c2"], now=2)
     assert matched == 2 and prefix.prefix_token_count < len(toks)
     prefix_data = prefix.tensors.data.copy()
-    cached = model.prefill(toks.tokens, prefix)
+    cached = model.prefill(toks, prefix)
     assert np.array_equal(prefix.tensors.data, prefix_data)
     model.decode_ids(cached, 5)
     assert np.array_equal(cached.tensors.data, want)
@@ -343,10 +348,10 @@ def test_refill_requires_identical_payload(tmp_path):
     # a different system prompt changes c2's context: no refill
     bank._evict_node(c2)
     segs = path_segments(["c1", "c2"])
-    segs[0] = Segment("system", "T\n")
+    segs[0] = Segment("T\n")
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)
-    assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks), now=4) == []
+    assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks, bank.vocab), now=4) == []
     assert not c2.present and c2.payload_sha == sha
 
 
@@ -384,6 +389,31 @@ def test_persist_load_round_trip(tmp_path):
             assert np.array_equal(node.tensors.data, other.tensors.data)
     loaded.persist()
     assert _dir_bytes(tmp_path) == snapshot
+
+
+@pytest.mark.parametrize("name,repeat", [("manifest.jsonl", "node"), ("manifest.jsonl", "root"),
+                                         ("manifest.jsonl", "root_id"), ("chunks.jsonl", "chunk")])
+def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
+    # a node id on two lines, a second root under another id, or a node
+    # under the root's id would leave a node that no eviction reaches,
+    # charged to the ledger for good; a chunk_id on two lines would let
+    # ingest_text return the second text for the first
+    bank = fake_bank(tmp_path)
+    bank.ingest_text("one two three")
+    insert_path(bank, ["c1"], now=1)
+    bank.persist()
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[0 if repeat == "root" else -1])
+    if repeat == "root":
+        rec["id"] = 7
+    elif repeat == "root_id":  # the root's record gives way to a node under id 0
+        rec["id"], lines = 0, lines[1:]
+    elif repeat == "chunk":
+        rec["text"] = "seven eight nine"
+    path.write_text("".join(lines) + json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(BankError, match=f"{path}:{len(lines) + 1}: "):
+        KnowledgeBank.load(tmp_path)
 
 
 def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog):

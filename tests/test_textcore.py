@@ -1,4 +1,5 @@
 import hashlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from percache.textcore import (
     Embedding,
     HashEmbedder,
     TokenizerVocab,
-    TokenSeq,
     cosine_similarity,
     detokenize,
     split_words,
@@ -23,54 +23,55 @@ WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
 embed = HashEmbedder().embed
 
 
+def byte_spans(tokens, vocab):
+    """Each token's (start, end) byte offsets, from the vocabulary alone."""
+    ends = list(accumulate(len(vocab.token_bytes(t)) for t in tokens))
+    return list(zip([0] + ends, ends))
+
+
 def test_tokenize_empty():
-    seq = tokenize("", WITNESS)
-    assert len(seq) == 0 and seq.byte_spans == ()
+    assert tokenize("", WITNESS) == ()
 
 
 def test_witness_vocab_ids():
     # canonical order: length-2 tokens lexicographic ("ab", "bc"), then
     # length-1 ("a", "b", "c"); derived by hand from the ordering rule
-    assert tokenize("ab", WITNESS).tokens == (0,)
-    assert tokenize("bc", WITNESS).tokens == (1,)
-    assert tokenize("a", WITNESS).tokens == (2,)
+    assert tokenize("ab", WITNESS) == (0,)
+    assert tokenize("bc", WITNESS) == (1,)
+    assert tokenize("a", WITNESS) == (2,)
 
 
 def test_boundary_dependence_witness():
     # hand enumeration: greedy("abc") = "ab","c" but greedy("a")+greedy("bc")
     # = "a","bc" -- concatenation differs from tokenizing the whole
-    whole = tokenize("abc", WITNESS).tokens
-    parts = tokenize("a", WITNESS).tokens + tokenize("bc", WITNESS).tokens
+    whole = tokenize("abc", WITNESS)
+    parts = tokenize("a", WITNESS) + tokenize("bc", WITNESS)
     assert whole == (0, 4)
     assert parts == (2, 1)
     assert whole != parts
 
 
 def test_byte_spans_cover_source():
-    seq = tokenize("ab", WITNESS)
-    assert seq.byte_spans == ((0, 2),)
+    assert byte_spans(tokenize("ab", WITNESS), WITNESS) == [(0, 2)]
+    # "é" has no vocab entry: two single-byte fallbacks
+    assert byte_spans(tokenize("abcé", WITNESS), WITNESS) == [(0, 2), (2, 3), (3, 4), (4, 5)]
 
 
 def test_byte_fallback_total():
-    seq = tokenize("axbé", WITNESS)  # accented char has no vocab entry
-    assert detokenize(seq.tokens, WITNESS) == "axbé"
-
-
-def test_tokenseq_validation():
-    with pytest.raises(ValueError):
-        TokenSeq((1,), ())
-    with pytest.raises(ValueError):
-        TokenSeq((1, 2), ((0, 1), (2, 3)))  # gap
+    tokens = tokenize("axbé", WITNESS)  # accented char has no vocab entry
+    assert detokenize(tokens, WITNESS) == "axbé"
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="abcx ", max_size=40))
 def test_tokenize_round_trip_and_spans(text):
-    seq = tokenize(text, WITNESS)
+    tokens = tokenize(text, WITNESS)
     data = text.encode("utf-8")
-    assert b"".join(data[s:e] for s, e in seq.byte_spans) == data
-    assert detokenize(seq.tokens, WITNESS) == text
-    assert tokenize(text, WITNESS).tokens == seq.tokens  # determinism
+    spans = byte_spans(tokens, WITNESS)
+    assert all(e > s for s, e in spans)  # no token is empty
+    assert b"".join(data[s:e] for s, e in spans) == data
+    assert detokenize(tokens, WITNESS) == text
+    assert tokenize(text, WITNESS) == tokens  # determinism
 
 
 def test_vocab_file_round_trip(tmp_path):
@@ -78,7 +79,7 @@ def test_vocab_file_round_trip(tmp_path):
     path.write_text(WITNESS.to_text(), encoding="utf-8")
     loaded = TokenizerVocab.from_text(read_utf8(path))
     for text in ("abc", "a bc", "cab"):
-        assert tokenize(text, loaded).tokens == tokenize(text, WITNESS).tokens
+        assert tokenize(text, loaded) == tokenize(text, WITNESS)
 
 
 def test_embed_deterministic_and_normalized():
