@@ -142,10 +142,12 @@ class Engine:
         # decode drafts: each token's successor in the latest decode that
         # emitted it. In memory only, filled by every decode of this engine
         self.drafts: dict[int, int] = {}
-        # a slice of another shape is a damaged file (the stamp covers the model)
+        # a slice of another shape, or kept ids outside the vocabulary, is a
+        # damaged file (the stamp covers the model and the vocabulary size)
         shape = (model_cfg.layers, model_cfg.heads, model_cfg.head_dim)
-        if any((n.tensors.layers, *n.tensors.data.shape[3:]) != shape
-               for n in self.bank.nodes.values() if n.present):
+        if any((n.present and (n.tensors.layers, *n.tensors.data.shape[3:]) != shape)
+               or any(not 0 <= i < vocab.size for i in n.token_ids or ())
+               for n in self.bank.nodes.values()):
             self.bank.drop_tree()
         self._check_stamp()
         self.cost_model = CostModel(
@@ -346,6 +348,8 @@ class Engine:
             raise TraceError(f"out-of-order event at {at} after {self._last_at}")
         if kind in ("query_arrival", "chunk_arrival") and not isinstance(event.get("text"), str):
             raise TraceError(f"{kind} needs a string 'text'")
+        if kind == "query_arrival" and not event["text"]:
+            raise TraceError("query_arrival needs a non-empty 'text'")
         if kind == "config_change" and (
             not isinstance(event.get("field"), str) or event["field"] in FIXED_CONFIG_KEYS
         ):

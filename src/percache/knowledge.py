@@ -218,12 +218,6 @@ class StorageLedger:
     def fits(self, incoming_bytes: int) -> bool:
         return self.used_bytes + incoming_bytes <= self.limit_bytes
 
-    def check(self) -> None:
-        if self.used_bytes > self.limit_bytes:
-            raise StorageError(
-                f"ledger breach: used {self.used_bytes} > limit {self.limit_bytes}"
-            )
-
 
 class KnowledgeBank:
     """Chunk store + QKV cache tree, persisted to a bank directory.
@@ -371,7 +365,6 @@ class KnowledgeBank:
             node.token_ids = ids
             node.byte_size = slice_size(tensors)
             self.ledger.used_bytes += node.byte_size
-            self.ledger.check()
             written_ids.append(node.node_id)
         return written_ids
 
@@ -514,8 +507,8 @@ class KnowledgeBank:
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
         none). Keys it does not read are ignored. A damaged manifest.jsonl
-        or chunks.jsonl, a node id or chunk_id on two of their lines, a
-        root record (no parent) whose id is not 0 or the reverse, or a
+        or chunks.jsonl, a node id, chunk_id or chunk text on two of their
+        lines, a root record (no parent) whose id is not 0 or the reverse, or a
         vocab.txt that is not UTF-8, raises BankError naming file:line;
         a missing or corrupt slice degrades to evicted, and so does a slice
         whose record has no token_ids (a bank written before they were
@@ -533,6 +526,9 @@ class KnowledgeBank:
             for lineno, rec in read_jsonl(chunks_file, {"chunk_id": (str,), "text": (str,)}):
                 if rec["chunk_id"] in bank.chunks:
                     raise BankError(f"{chunks_file}:{lineno}: duplicate chunk_id {rec['chunk_id']!r}")
+                if rec["text"] in bank._text_to_id:
+                    raise BankError(f"{chunks_file}:{lineno}: the text of chunk "
+                                    f"{bank._text_to_id[rec['text']]!r} under another chunk_id")
                 chunk = KnowledgeChunk(rec["chunk_id"], rec["text"])
                 bank.chunks[chunk.chunk_id] = chunk
                 bank._text_to_id[chunk.text] = chunk.chunk_id

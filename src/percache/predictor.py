@@ -132,9 +132,11 @@ class Predictor:
 
         On a backend miss the batch stays pending for a retry and the
         abstract is unchanged. If the cap would be exceeded, the whole
-        abstract is re-summarized through the same prompt exactly once (then
-        hard byte-truncated as a last resort). Returns True if it changed,
-        and then the knowledge view is ready to predict again.
+        abstract is re-summarized through the same prompt exactly once. If
+        it is still over the cap, its text is cut once to cap - 1 bytes,
+        dropping a partial character, and kept as the only sentence (none
+        if the cut leaves nothing). Returns True if it changed, and then the
+        knowledge view is ready to predict again.
         """
         self._assert_idle()
         if not self._pending:
@@ -151,12 +153,10 @@ class Predictor:
             ).strip()
             if merged:
                 self.abstract.sentences = [merged]
-            while self.abstract.byte_len > self.abstract.cap_bytes and self.abstract.sentences:
-                last = self.abstract.sentences[-1]
-                trimmed = last.encode("utf-8")[: max(0, self.abstract.cap_bytes - 1)]
-                self.abstract.sentences[-1] = trimmed.decode("utf-8", errors="ignore")
-                if not self.abstract.sentences[-1]:
-                    self.abstract.sentences.pop()
+            if self.abstract.byte_len > self.abstract.cap_bytes:
+                cut = self.abstract.text.encode("utf-8")[: max(0, self.abstract.cap_bytes - 1)]
+                cut = cut.decode("utf-8", errors="ignore")
+                self.abstract.sentences = [cut] if cut else []
         self._abstract_dirty = True
         return True
 

@@ -139,10 +139,7 @@ class QaBank:
     def set_limit(self, limit_bytes: int) -> list[QaEntry]:
         """Change the byte budget; shrinking evicts LFU immediately."""
         self.limit_bytes = limit_bytes
-        evicted = self._evict_lfu(limit_bytes // DEFAULT_ENTRY_BYTES)
-        if self.used_bytes > self.limit_bytes:
-            raise QaCapacityError("qa_limit_bytes smaller than one entry")
-        return evicted
+        return self._evict_lfu(limit_bytes // DEFAULT_ENTRY_BYTES)
 
     def refresh(self, cosine_keys: Callable[..., list[Key]], since: int,
                 k_refresh: int) -> list[QaEntry]:

@@ -4,6 +4,10 @@ BM25 over lowercase word terms is fused with cosine similarity of the
 hashed embeddings via weighted min-max normalization. Exact scan only:
 personal corpora are small, so no ANN index.
 
+BM25's statistics are read from the retriever's own state: the document
+count is the number of rows, the average length a running word total over
+it, and a term's document frequency the length of its posting list.
+
 The scan is array code, and every score equals the per-chunk scalar
 formula bit for bit. The chunk embeddings are the rows of one float64
 matrix, scored by textcore.cosine_similarities. BM25 walks the postings of
@@ -17,7 +21,7 @@ partitions rather than sorting the whole corpus.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 
@@ -37,31 +41,6 @@ class RankedChunk:
     bm25: float
     semantic: float
     fused: float
-
-
-@dataclass
-class CorpusStats:
-    """Incremental per-corpus BM25 statistics (doc count, lengths, term df)."""
-
-    doc_count: int = 0
-    total_len: int = 0
-    doc_freq: Counter = field(default_factory=Counter)
-
-    @property
-    def avg_doc_len(self) -> float:
-        return self.total_len / self.doc_count if self.doc_count else 0.0
-
-    def add_document(self, terms: list[str]) -> None:
-        self.doc_count += 1
-        self.total_len += len(terms)
-        for t in set(terms):
-            self.doc_freq[t] += 1
-
-    def idf(self, term: str) -> float:
-        if self.doc_count == 0:
-            return 0.0
-        df = self.doc_freq.get(term, 0)
-        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
 def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
@@ -112,12 +91,12 @@ class Retriever:
     ):
         self.embedder = embedder or HashEmbedder()
         self.alpha = alpha
-        self.stats = CorpusStats()
         self._ids: list[str] = []  # row -> chunk id
         self._id_set: set[str] = set()
         self._emb = np.empty((INITIAL_CAPACITY, self.embedder.dim))
         # term -> (row, tf, doc length) of each chunk containing it
         self._postings: dict[str, list[tuple[int, int, int]]] = {}
+        self._total_len = 0  # words over all chunks
         self._order: np.ndarray | None = None  # rows in chunk-id order
         # (embedding, its cosine row in chunk-id order) of the last
         # retrieve_top_k since the last add
@@ -155,7 +134,7 @@ class Retriever:
         terms = split_words(text)
         for term, tf in Counter(terms).items():
             self._postings.setdefault(term, []).append((row, tf, len(terms)))
-        self.stats.add_document(terms)
+        self._total_len += len(terms)
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
         self._order = None
@@ -169,18 +148,22 @@ class Retriever:
         return self._order
 
     def _bm25(self, query: str) -> np.ndarray:
-        """BM25 of every chunk, in row order. A term with postings has a
-        document with words in it, so the average length is positive."""
-        scores = np.zeros(len(self._ids))
-        avgdl = self.stats.avg_doc_len
+        """BM25 of every chunk, in row order; the corpus is not empty. A
+        term with postings has a document with words in it, so the average
+        length is positive."""
+        n = len(self._ids)
+        scores = np.zeros(n)
+        avgdl = self._total_len / n
         k1, b = DEFAULT_K1, DEFAULT_B
         for term, qtf in Counter(split_words(query)).items():
             postings = self._postings.get(term)
             if postings is None:
                 continue
+            df = len(postings)
+            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
             rows, tf, doc_len = np.array(postings).T
             denom = tf + k1 * (1.0 - b + b * doc_len / avgdl)
-            scores[rows] += qtf * self.stats.idf(term) * tf * (k1 + 1.0) / denom
+            scores[rows] += qtf * idf * tf * (k1 + 1.0) / denom
         return scores
 
     def _cosine(self, embedding: Embedding) -> np.ndarray:

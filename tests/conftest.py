@@ -1,4 +1,5 @@
 import json
+import signal
 import zlib
 from itertools import accumulate
 from pathlib import Path
@@ -14,6 +15,28 @@ from percache.textcore import TokenizerVocab, tokenize
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
+
+# seconds any one test may run; far above the slowest test, so only a hang
+# reaches it
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    """Fail the test, by name, once it has run TEST_TIME_LIMIT_S seconds of
+    wall-clock time, so a hang ends with a failure instead of blocking the
+    run. Restores the previous SIGALRM handler afterwards."""
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

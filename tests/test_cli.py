@@ -153,6 +153,8 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "system_prompt", "value": None},
     {"at": 1, "kind": "config_change", "field": "system_prompt", "value": ["a"]},
     {"at": 1, "kind": "config_change", "field": "system_prompt"},
+    # an empty system prompt and no chunk would leave no token to prefill
+    {"at": 1, "kind": "query_arrival", "text": ""},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(

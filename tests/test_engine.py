@@ -294,6 +294,27 @@ def test_bank_reopened_under_another_seed_drops_its_tree(tmp_path):
     assert same_seed.bank.nodes.keys() == fresh.bank.nodes.keys()  # a matching stamp keeps it
 
 
+@pytest.mark.parametrize("bad_id", [10**6, -1])
+def test_bank_with_kept_ids_outside_the_vocabulary_drops_its_tree(tmp_path, bad_id):
+    # an absent node whose kept ids the vocabulary does not hold: restoring
+    # it would prefill ids the model has no row for, so the tree goes at open
+    eng = make_engine(tmp_path, qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    eng.persist()
+    manifest = tmp_path / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    deepest = records[-1]
+    assert deepest["payload_sha"] and deepest["token_ids"]
+    deepest.update(slice_file=None, token_ids=[bad_id] * len(deepest["token_ids"]))
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    reopened = make_engine(tmp_path, qa_enabled=False)
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    assert reopened.bank.chunks == eng.bank.chunks
+    record = reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})
+    assert record["qkv_used_bytes"] == 0
+
+
 def test_trace_out_of_order_rejected(tmp_path):
     eng = make_engine(tmp_path)
     eng.apply_event({"at": 5, "kind": "chunk_arrival", "text": "alpha beta"})

@@ -392,12 +392,14 @@ def test_persist_load_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("name,repeat", [("manifest.jsonl", "node"), ("manifest.jsonl", "root"),
-                                         ("manifest.jsonl", "root_id"), ("chunks.jsonl", "chunk")])
+                                         ("manifest.jsonl", "root_id"), ("chunks.jsonl", "chunk"),
+                                         ("chunks.jsonl", "text")])
 def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
     # a node id on two lines, a second root under another id, or a node
     # under the root's id would leave a node that no eviction reaches,
     # charged to the ledger for good; a chunk_id on two lines would let
-    # ingest_text return the second text for the first
+    # ingest_text return the second text for the first, and a text under
+    # two chunk_ids would put it in one prompt twice
     bank = fake_bank(tmp_path)
     bank.ingest_text("one two three")
     insert_path(bank, ["c1"], now=1)
@@ -411,6 +413,8 @@ def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
         rec["id"], lines = 0, lines[1:]
     elif repeat == "chunk":
         rec["text"] = "seven eight nine"
+    elif repeat == "text":
+        rec["chunk_id"] = "zz-copy"
     path.write_text("".join(lines) + json.dumps(rec) + "\n", encoding="utf-8")
     with pytest.raises(BankError, match=f"{path}:{len(lines) + 1}: "):
         KnowledgeBank.load(tmp_path)

@@ -135,6 +135,19 @@ def test_update_abstract_cap_truncates_as_last_resort():
     assert p.abstract.byte_len <= 40
 
 
+def test_update_abstract_empty_resummary_cuts_once():
+    # two sentences over the cap and an empty re-summarize: the joined text
+    # is cut once to cap - 1 bytes, and the "é" straddling the cut is dropped
+    first, second = "a" * 59 + ".", "b" * 37 + "é" + "c" * 21  # 60 bytes each
+    be = FakeBackend({TEMPLATE_SUMMARIZE: [first, second, ""]})
+    p = _predictor(be, abstract_cap_bytes=100)
+    for at in (0, 20):
+        p.note_chunks([FakeChunk(f"c{at}", "t")], at=at)
+        assert p.update_abstract(at + 10)
+    assert p.abstract.sentences == [first + " " + "b" * 37]
+    assert len(be.calls) == 3
+
+
 def test_knowledge_ready_follows_abstract_updates():
     # ready after a successful update, not after a backend miss, and no
     # longer once the knowledge view has predicted from the new abstract

@@ -13,7 +13,6 @@ from percache.retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
     INITIAL_CAPACITY,
-    CorpusStats,
     RankedChunk,
     Retriever,
     top_k_order,
@@ -30,6 +29,31 @@ EMB = HashEmbedder()
 
 
 # -- the per-chunk scan the array code replaced, kept as the reference -------
+
+
+class CorpusStats:
+    """BM25 statistics counted document by document: the document count,
+    the word total and each term's document frequency."""
+
+    def __init__(self):
+        self.doc_count = 0
+        self.total_len = 0
+        self.doc_freq = Counter()
+
+    @property
+    def avg_doc_len(self):
+        return self.total_len / self.doc_count if self.doc_count else 0.0
+
+    def add_document(self, terms):
+        self.doc_count += 1
+        self.total_len += len(terms)
+        self.doc_freq.update(set(terms))
+
+    def idf(self, term):
+        if self.doc_count == 0:
+            return 0.0
+        df = self.doc_freq[term]
+        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
 
 
 def bm25_score(query_terms, doc_terms, doc_len, stats, k1=DEFAULT_K1, b=DEFAULT_B):
@@ -134,11 +158,14 @@ def test_bm25_empty_corpus():
 
 def test_bm25_tf_saturation_monotone():
     # with fixed doc length, score strictly increases in tf but is bounded
-    r = _retriever([(f"t{tf:02d}", " ".join(["x"] * tf + ["f"] * (30 - tf))) for tf in range(1, 30)])
-    by_id = _bm25(r, "x")
+    docs = [(f"t{tf:02d}", " ".join(["x"] * tf + ["f"] * (30 - tf))) for tf in range(1, 30)]
+    by_id = _bm25(_retriever(docs), "x")
     scores = [by_id[f"t{tf:02d}"] for tf in range(1, 30)]
     assert all(a < b for a, b in zip(scores, scores[1:]))
-    bound = r.stats.idf("x") * (DEFAULT_K1 + 1.0)
+    stats = CorpusStats()
+    for _, text in docs:
+        stats.add_document(split_words(text))
+    bound = stats.idf("x") * (DEFAULT_K1 + 1.0)
     assert all(s < bound for s in scores)
 
 
