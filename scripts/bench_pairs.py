@@ -4,9 +4,10 @@ working tree, and judge every end-to-end metric.
 
     python3 scripts/bench_pairs.py --base HEAD --workload prefix_reuse --seed 103 --pairs 10
 
-The base side runs in a temporary ``git worktree`` of REV, removed at the
-end, on error too; the change side runs in the working tree as it is,
-uncommitted edits included. Each run is ``perfbench/run.py --workload W
+The base side runs in a ``git archive`` export of REV in a temporary
+directory, removed at the end, on error too, so nothing is written under
+``.git``; the change side runs in the working tree as it is, uncommitted
+edits included. Each run is ``perfbench/run.py --workload W
 --seed S --seconds 30 --trace 0`` from that side's root. Pair i runs the
 base first when i is even and the change first when it is odd.
 
@@ -34,6 +35,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -134,22 +136,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         print("--pairs must be at least 1", file=sys.stderr)
         return 2
-    base_dir = Path(tempfile.mkdtemp(prefix="bench-base-")) / "tree"
-    git = lambda *a: subprocess.run(["git", *a], cwd=ROOT, capture_output=True, text=True)
-    added = git("worktree", "add", "--detach", str(base_dir), args.base)
-    if added.returncode != 0:
-        shutil.rmtree(base_dir.parent, ignore_errors=True)
-        print(f"git worktree add failed:\n{added.stderr}", file=sys.stderr)
-        return 2
+    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:
-        runs = run_pairs(base_dir, args.workload, args.seed, args.pairs)
+        archive = subprocess.run(["git", "archive", "--output", str(tmp / "base.tar"), args.base],
+                                 cwd=ROOT, capture_output=True, text=True)
+        if archive.returncode != 0:
+            print(f"git archive failed:\n{archive.stderr}", file=sys.stderr)
+            return 2
+        with tarfile.open(tmp / "base.tar") as tar:
+            tar.extractall(tmp / "tree", filter="data")
+        runs = run_pairs(tmp / "tree", args.workload, args.seed, args.pairs)
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
     finally:
-        git("worktree", "remove", "--force", str(base_dir))
-        git("worktree", "prune")
-        shutil.rmtree(base_dir.parent, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, base {args.base} "
           "against the working tree")
     print("\n".join(table(runs, bench["end_to_end"])))

@@ -304,16 +304,18 @@ class Engine:
 
     def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], CostReport]:
         """QA->QKV conversion, node by node, from each node's kept token
-        ids. Absent nodes with a digest go in LFU order, most retrieved
+        ids. Absent nodes with kept ids go in LFU order, most retrieved
         first, which puts every ancestor before its descendants. A node is
         skipped while its parent is absent, its byte_size does not fit the
         free space, or its root path kept no ids or no token at all;
         otherwise its root path's ids are prefilled behind the present
-        ancestors' slices, and its rows go back only if they match its
-        digest. Moves no LFU count. Stops once its own FLOPs reach
+        ancestors' slices, and refill puts its rows back if they fit: they
+        equal the evicted rows bit for bit, as cached prefill equals
+        recomputation. Moves no LFU count. Stops once its own FLOPs reach
         flops_left."""
         bank, restored, total = self.bank, [], CostReport()
-        absent = sorted((n for n in bank.nodes.values() if not n.present and n.payload_sha),
+        absent = sorted((n for n in bank.nodes.values()
+                         if not n.present and n.token_ids is not None),
                         key=lambda n: (-n.retrieval_count, n.node_id))
         for node in absent:
             if total.total_flops >= flops_left:
@@ -383,7 +385,7 @@ class Engine:
             if field == "system_prompt":  # the tree's rows may follow another prompt
                 record["evicted_nodes"] = self._check_stamp()
             elif field == "qkv_limit_bytes":
-                record["evicted_nodes"] = self.bank.set_limit(self.config.qkv_limit_bytes, self._seq())
+                record["evicted_nodes"] = self.bank.set_limit(self.config.qkv_limit_bytes)
             elif field == "qa_limit_bytes":
                 record["evicted_entries"] = [
                     e.query for e in self.qa.set_limit(self.config.qa_limit_bytes)

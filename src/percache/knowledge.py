@@ -11,22 +11,24 @@ token ids, not by chunk ids:
   chain's token ids and the new prompt's. It is exact, because row i of a
   slice depends only on tokens 0..i;
 * on insert, a node is written only below nodes whose kept ids equal the
-  prompt's, so every node's rows were computed after its ancestors' ids;
+  prompt's, so every node's rows were computed after its ancestors' ids,
+  and an evicted node is refilled only when its own kept ids match too;
 * on insert, paths are merged only up to the second-to-last common node,
   so the last common node is duplicated per path. This does not guard
   correctness; it decides how deep each path can reuse.
 
 Eviction is LFU over per-node retrieval counts under a byte budget; an
-evicted node keeps its metadata, token ids and slice digest. Idle
-restoration works node by node from those ids, so it counts no user
-retrieval: the engine prefills the node's root path and refill writes the
-rows back only if they reproduce the digest, bit for bit. A
-slice_and_insert of a prompt over the node's path refills it the same way.
+evicted node keeps its metadata and token ids. Those ids are the only
+refill rule: a cached prefill equals recomputation bit for bit, so rows
+computed from the same root-path ids are the evicted rows. Idle
+restoration works node by node, so it counts no user retrieval: the
+engine prefills the node's root path's kept ids and refill writes the
+rows back. A slice_and_insert of a prompt whose ids match the node's
+root path refills it the same way.
 
 Nodes hold their slices as QkvTensors. The slice file format is only the
-bank's disk boundary: persist writes it, load reads and validates it, and
-a digest hashes it once, at the node's first eviction or persist. Only
-persist writes the bank directory and only load reads it.
+bank's disk boundary: persist writes it and load reads and validates it.
+Only persist writes the bank directory and only load reads it.
 """
 
 from __future__ import annotations
@@ -183,10 +185,6 @@ def slice_size(tensors: QkvTensors) -> int:
     return _HEADER.size + 4 * tensors.data.size
 
 
-def slice_digest(tensors: QkvTensors) -> str:
-    return hashlib.sha256(serialize_slice(tensors)).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -200,7 +198,6 @@ class CacheTreeNode:
     byte_size: int = 0  # serialized slice length, kept past eviction
     retrieval_count: int = 0
     last_used: int = 0
-    payload_sha: str | None = None  # slice_digest from first eviction or persist; kept past eviction
     # the segment's token ids in the prompt that wrote the slice; kept past
     # eviction, None if never written
     token_ids: tuple[int, ...] | None = None
@@ -340,21 +337,18 @@ class KnowledgeBank:
         plan: list[tuple[CacheTreeNode | None, str | None, QkvTensors, tuple[int, ...]]] = []
         for node, seg, (start, end) in zip(slots, segments, spans):
             ids = tokens[start:end]
-            if node is not None and node.present:
+            # a never-written root has no ids and is written; any other node
+            # whose kept ids differ stops the plan, since it and the nodes
+            # below hold rows computed after other ids. A matching absent
+            # node is refilled: equal root-path ids give bit-equal rows
+            if node is not None and (node.token_ids is not None or node is not self.root):
                 if node.token_ids != ids:
-                    break  # a node below would hold rows computed after other ids
-                continue
-            tensors = qkv.slice_tokens(start, end)
-            # refill an absent slice only when bit-identical to the original
-            # (context may differ otherwise); the root may also be filled
-            # while it has no digest yet
-            if node is None or (node.payload_sha == slice_digest(tensors)
-                                if node.payload_sha is not None else node is self.root):
-                plan.append((node, seg.chunk_id, tensors, ids))
-            elif node.token_ids != ids:
-                break
+                    break
+                if node.present:
+                    continue
+            plan.append((node, seg.chunk_id, qkv.slice_tokens(start, end), ids))
 
-        self.evict_to_fit(sum(slice_size(tensors) for _, _, tensors, _ in plan), now)
+        self.evict_to_fit(sum(slice_size(tensors) for _, _, tensors, _ in plan))
 
         written_ids: list[int] = []
         parent = slots[-1 - slots.count(None)]  # the deepest existing node
@@ -408,13 +402,15 @@ class KnowledgeBank:
         return QkvPrefix(tensors, l_pre), len(reached) - 1, cached - l_pre
 
     def refill(self, node: CacheTreeNode, tensors: QkvTensors) -> bool:
-        """Put back the slice of an evicted node if it fits the free space
-        and is bit-identical to the evicted one (its digest). Moves no LFU
-        field."""
-        if not self.ledger.fits(node.byte_size) or slice_digest(tensors) != node.payload_sha:
+        """Put back the slice of an evicted node if it fits the free space.
+        The caller computes tensors from the node's root-path kept ids, so
+        they equal the evicted rows bit for bit. Checks and charges the
+        slice's own size, which becomes byte_size. Moves no LFU field."""
+        size = slice_size(tensors)
+        if not self.ledger.fits(size):
             return False
-        node.tensors = tensors
-        self.ledger.used_bytes += node.byte_size
+        node.tensors, node.byte_size = tensors, size
+        self.ledger.used_bytes += size
         return True
 
     def drop_tree(self) -> list[int]:
@@ -429,7 +425,7 @@ class KnowledgeBank:
     def evictable_nodes(self) -> list[CacheTreeNode]:
         return [n for n in self.nodes.values() if n.present]
 
-    def evict_to_fit(self, incoming_bytes: int, now: int) -> list[int]:
+    def evict_to_fit(self, incoming_bytes: int) -> list[int]:
         """LFU eviction until incoming_bytes fit. Victims have minimal
         retrieval_count (ties: least-recent last_used, then node id).
         Evicted nodes stay in the tree with the slice absent."""
@@ -449,16 +445,14 @@ class KnowledgeBank:
         return evicted
 
     def _evict_node(self, node: CacheTreeNode) -> None:
-        if node.payload_sha is None:
-            node.payload_sha = slice_digest(node.tensors)
         self.ledger.used_bytes -= node.byte_size
         node.tensors = None
 
-    def set_limit(self, limit_bytes: int, now: int) -> list[int]:
+    def set_limit(self, limit_bytes: int) -> list[int]:
         """Change the byte budget; shrinking triggers immediate eviction."""
         self.ledger.limit_bytes = limit_bytes
         if self.ledger.used_bytes > limit_bytes:
-            return self.evict_to_fit(0, now)
+            return self.evict_to_fit(0)
         return []
 
     # -- persistence --------------------------------------------------------
@@ -466,14 +460,13 @@ class KnowledgeBank:
     def persist(self) -> None:
         """Write this bank to its directory, each file atomically: slices,
         then manifest.jsonl as the commit point, then unlink stale slices. A
-        slice never changes once written (a refill must match its digest),
-        so the old manifest stays valid until the new one replaces it."""
+        slice never changes once written (a refill recomputes it from the
+        same kept ids), so the old manifest stays valid until the new one
+        replaces it."""
         self.slice_dir.mkdir(parents=True, exist_ok=True)
         present = {_slice_name(n.node_id): n for n in self.nodes.values() if n.present}
         for name, node in present.items():
-            data = serialize_slice(node.tensors)
-            node.payload_sha = node.payload_sha or hashlib.sha256(data).hexdigest()
-            write_atomic(self.slice_dir / name, data)
+            write_atomic(self.slice_dir / name, serialize_slice(node.tensors))
         write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
             {"chunk_id": c.chunk_id, "text": c.text}
             for _, c in sorted(self.chunks.items())
@@ -488,7 +481,6 @@ class KnowledgeBank:
                 "last_used": n.last_used,
                 "slice_file": _slice_name(n.node_id) if n.present else None,
                 "byte_size": n.byte_size,
-                "payload_sha": n.payload_sha,
                 "token_ids": None if n.token_ids is None else list(n.token_ids),
             } | ({"stamp": self.stamp} if n is self.root else {})
             for _, n in sorted(self.nodes.items())
@@ -506,13 +498,16 @@ class KnowledgeBank:
         **kwargs,
     ) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
-        none). Keys it does not read are ignored. A damaged manifest.jsonl
-        or chunks.jsonl, a node id, chunk_id or chunk text on two of their
-        lines, a root record (no parent) whose id is not 0 or the reverse, or a
-        vocab.txt that is not UTF-8, raises BankError naming file:line;
-        a missing or corrupt slice degrades to evicted, and so does a slice
-        whose record has no token_ids (a bank written before they were
-        kept), since its rows cannot be checked against a prompt. A root
+        none). Keys it does not read are ignored, such as the slice digest
+        of older banks. A damaged manifest.jsonl or chunks.jsonl, a node
+        id, chunk_id or chunk text on two of their lines, a root record (no
+        parent) whose id is not 0 or the reverse, or a vocab.txt that is
+        not UTF-8, raises BankError naming file:line; a missing or corrupt
+        slice degrades to evicted, and so does a slice whose record has no
+        token_ids (a bank written before they were kept), since its rows
+        cannot be checked against a prompt; nor is such a node refilled,
+        as refill goes by kept ids alone. An evicted node's byte_size is
+        not checked here, since refill charges the rows it writes. A root
         record without a stamp key was written before the stamp and slice
         format v2, so none of its tree's slices is read: every node opens
         evicted, and Engine._check_stamp drops the tree. Slices beyond
@@ -560,9 +555,6 @@ class KnowledgeBank:
             node.byte_size = rec["byte_size"]
             node.retrieval_count = rec["retrieval_count"]
             node.last_used = rec["last_used"]
-            node.payload_sha = rec.get("payload_sha")
-            if type(node.payload_sha) not in (str, NoneType):
-                raise BankError(f"{manifest}:{lineno}: need 'payload_sha' as a string or null")
             ids = rec.get("token_ids")
             if ids is not None:
                 if not isinstance(ids, list) or not all(type(i) is int for i in ids):
@@ -589,7 +581,7 @@ class KnowledgeBank:
             node.tensors = tensors
             bank.ledger.used_bytes += node.byte_size
         bank._next_node_id = max(bank.nodes) + 1
-        bank.set_limit(limit_bytes, 0)  # a smaller budget than the bank holds evicts LFU
+        bank.set_limit(limit_bytes)  # a smaller budget than the bank holds evicts LFU
         return bank
 
 

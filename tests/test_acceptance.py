@@ -279,7 +279,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
         elif op < 0.85:
             bank.match_prefix(path, path_tokens(bank, path, f"q{step}"), now=step)
         else:
-            bank.set_limit(int(rng.integers(3000, 9000)), now=step)
+            bank.set_limit(int(rng.integers(3000, 9000)))
         assert bank.ledger.used_bytes <= bank.ledger.limit_bytes
         shadow = sum(n.byte_size for n in bank.nodes.values() if n.present)
         assert shadow == bank.ledger.used_bytes

@@ -1,10 +1,12 @@
 """scripts/bench_pairs.py: the claim and bound verdicts on synthetic runs,
-and the base worktree's removal when a run fails."""
+and the removal of the base export when a run or the export fails."""
 
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -76,8 +78,10 @@ def test_runs_must_pair_up():
         verdict([1.0], [1.0], "faster", 0.1)
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_worktree_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
+def _bench_repo(tmp_path, monkeypatch) -> Path:
+    """A one-commit repository at tmp_path holding a one-workload
+    BENCHMARK.json, made bench_pairs' root; returns the empty directory
+    that tempfile now makes its temporary directories in."""
     git = lambda *a: subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *a],
                                     cwd=tmp_path, capture_output=True, text=True, check=True)
     git("init", "-q")
@@ -85,6 +89,17 @@ def test_worktree_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
         {"workloads": [{"name": "w"}], "end_to_end": []}), encoding="utf-8")
     git("add", "BENCHMARK.json")
     git("commit", "-q", "-m", "base")
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    return temp
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_base_export_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    temp = _bench_repo(tmp_path, monkeypatch)
+    git_files = sorted((tmp_path / ".git").rglob("*"))
     seen = []
 
     def failing_run(side, workload, seed):
@@ -92,10 +107,20 @@ def test_worktree_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
         assert (side / "BENCHMARK.json").exists()
         raise RuntimeError("perfbench exited 2")
 
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "run_bench", failing_run)
     assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1",
                              "--pairs", "2"]) == 1
     assert "perfbench exited 2" in capsys.readouterr().err
-    assert len(seen) == 1 and not seen[0].parent.exists()
-    assert git("worktree", "list").stdout.count("\n") == 1
+    assert len(seen) == 1 and seen[0].is_relative_to(temp)
+    assert not any(temp.iterdir())
+    # the base is a git archive export: nothing was written under .git
+    assert sorted((tmp_path / ".git").rglob("*")) == git_files
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_unknown_base_revision_exit_2(tmp_path, monkeypatch, capsys):
+    temp = _bench_repo(tmp_path, monkeypatch)
+    assert bench_pairs.main(["--base", "no-such-rev", "--workload", "w", "--seed", "1",
+                             "--pairs", "1"]) == 2
+    assert "git archive failed" in capsys.readouterr().err
+    assert not any(temp.iterdir())

@@ -303,7 +303,6 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     ("manifest.jsonl", "id", "3"),
     ("manifest.jsonl", "retrieval_count", None),
     ("manifest.jsonl", "parent", [0]),
-    ("manifest.jsonl", "payload_sha", 7),  # optional, but typed when present
     ("chunks.jsonl", "text", 5),
 ])
 def test_wrongly_typed_bank_field_exit_2(tmp_path, capsys, name, key, value):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from types import MethodType
@@ -7,6 +8,7 @@ import pytest
 from percache import retrieval
 from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
+from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
 from percache.textcore import Embedding, tokenize
 
@@ -305,7 +307,7 @@ def test_bank_with_kept_ids_outside_the_vocabulary_drops_its_tree(tmp_path, bad_
     manifest = tmp_path / "manifest.jsonl"
     records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
     deepest = records[-1]
-    assert deepest["payload_sha"] and deepest["token_ids"]
+    assert deepest["token_ids"]
     deepest.update(slice_file=None, token_ids=[bad_id] * len(deepest["token_ids"]))
     manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     reopened = make_engine(tmp_path, qa_enabled=False)
@@ -313,6 +315,68 @@ def test_bank_with_kept_ids_outside_the_vocabulary_drops_its_tree(tmp_path, bad_
     assert reopened.bank.chunks == eng.bank.chunks
     record = reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})
     assert record["qkv_used_bytes"] == 0
+
+
+def _persist_with_deepest_evicted(tmp_path) -> tuple[Engine, int, bytes]:
+    """An engine whose one query's deepest node was evicted before persist:
+    (the engine, that node's id, its slice file bytes before the eviction)."""
+    eng = make_engine(tmp_path, qa_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    deepest = eng.bank.nodes[max(eng.bank.nodes)]
+    data = serialize_slice(deepest.tensors)
+    eng.bank._evict_node(deepest)
+    eng.persist()
+    return eng, deepest.node_id, data
+
+
+def _edit_manifest(bank_dir, edit) -> None:
+    manifest = bank_dir / "manifest.jsonl"
+    records = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    for rec in records:
+        edit(rec)
+    manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                        encoding="utf-8")
+
+
+def test_restoration_charges_the_rows_it_writes(tmp_path):
+    # an absent node's byte_size comes from manifest.jsonl unchecked; the
+    # refill charges the restored slice's own size, so a damaged one cannot
+    # leave the ledger under-counting
+    _, node_id, _ = _persist_with_deepest_evicted(tmp_path)
+    _edit_manifest(tmp_path, lambda r: r.update(byte_size=-1000) if r["id"] == node_id else None)
+    reopened = make_engine(tmp_path, qa_enabled=False)
+    assert reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})["restored_nodes"] == 1
+    node = reopened.bank.nodes[node_id]
+    assert node.present and node.byte_size == slice_size(node.tensors)
+    assert reopened.bank.ledger.used_bytes == sum(
+        slice_size(n.tensors) for n in reopened.bank.nodes.values() if n.present)
+
+
+def test_bank_with_slice_digests_opens_and_persists_without_them(tmp_path):
+    # an older bank format kept a payload_sha per node, the SHA-256 of its
+    # slice file, taken at persist or first eviction. Kept ids decide every
+    # refill now: the key is not read, present slices are reused, absent
+    # ones are restored, and the next persist writes no digest
+    eng, node_id, evicted = _persist_with_deepest_evicted(tmp_path)
+    slices = tmp_path / "slices"
+
+    def add_digest(rec):
+        data = evicted if rec["id"] == node_id else (slices / rec["slice_file"]).read_bytes()
+        rec["payload_sha"] = hashlib.sha256(data).hexdigest()
+
+    _edit_manifest(tmp_path, add_digest)
+    reopened = make_engine(tmp_path, qa_enabled=False)
+    present = {n.node_id for n in eng.bank.nodes.values() if n.present}
+    assert {n.node_id for n in reopened.bank.nodes.values() if n.present} == present
+    assert node_id not in present
+    assert reopened.restore_evicted_slices(1e15)[0] == [node_id]
+    assert serialize_slice(reopened.bank.nodes[node_id].tensors) == evicted
+    outcome = reopened.handle_query("what is the budget review plan?", 2)
+    assert outcome.path == QKV_PARTIAL and outcome.matched_count == len(reopened.bank.nodes) - 1
+    reopened.persist()
+    lines = (tmp_path / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines and not any("payload_sha" in json.loads(line) for line in lines)
 
 
 def test_trace_out_of_order_rejected(tmp_path):

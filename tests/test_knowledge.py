@@ -1,4 +1,3 @@
-import hashlib
 import json
 import logging
 import os
@@ -19,7 +18,6 @@ from percache.knowledge import (
     content_hash,
     deserialize_slice,
     serialize_slice,
-    slice_digest,
     slice_size,
 )
 from percache.textcore import TokenizerVocab, tokenize
@@ -310,7 +308,7 @@ def test_lfu_eviction_order(tmp_path):
     # shrink so exactly the two least-used chunk nodes must go; the root is
     # the most-used node (every match touches it)
     target = bank.ledger.used_bytes - b1.byte_size - d1.byte_size
-    evicted = bank.set_limit(target, now=20)
+    evicted = bank.set_limit(target)
     assert evicted == [b1.node_id, d1.node_id]
     assert not b1.present and not d1.present
     assert bank.ledger.used_bytes <= target
@@ -323,36 +321,36 @@ def test_oversized_item_and_nothing_evictable(tmp_path):
     # nothing was written by the failed insert
     assert bank.ledger.used_bytes == 0
     with pytest.raises(StorageError):
-        bank.evict_to_fit(100, now=1)
+        bank.evict_to_fit(100)
 
 
-def test_refill_requires_identical_payload(tmp_path):
+def test_refill_requires_identical_kept_ids(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
     c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
-    assert c2.payload_sha is None  # no digest until the slice leaves memory
+    ids, rows = c2.token_ids, c2.tensors.data.tobytes()
+    # same path, same query: the root path's ids match, refill happens
     bank._evict_node(c2)
-    sha = c2.payload_sha
-    assert sha is not None
-    # same path, same query: payload identical, refill happens
     written = insert_path(bank, ["c1", "c2"], now=2)
-    assert written == [c2.node_id] and c2.present and c2.payload_sha == sha
+    assert written == [c2.node_id] and c2.present
+    assert c2.token_ids == ids and c2.tensors.data.tobytes() == rows
     # evict again and reinsert with a different query: the query segment is
-    # after c2, so the fake context-hash tensors for c2 are unchanged and
-    # the refill still matches bit for bit
+    # after c2, so c2's root path keeps its ids and the refill writes the
+    # same rows
     bank._evict_node(c2)
     written = insert_path(bank, ["c1", "c2"], now=3, query="different")
     assert written == [c2.node_id]
-    assert slice_digest(c2.tensors) == sha
-    assert hashlib.sha256(serialize_slice(c2.tensors)).hexdigest() == sha
-    # a different system prompt changes c2's context: no refill
+    assert c2.token_ids == ids and c2.tensors.data.tobytes() == rows
+    # c2's own segment with other ids, or a different system prompt (the
+    # root's ids differ): the plan stops there and c2 stays absent
     bank._evict_node(c2)
-    segs = path_segments(["c1", "c2"])
-    segs[0] = Segment("T\n")
-    text = "".join(s.text for s in segs)
-    toks = tokenize(text, bank.vocab)
-    assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks, bank.vocab), now=4) == []
-    assert not c2.present and c2.payload_sha == sha
+    for index, seg in ((2, Segment("c2x ", "c2")), (0, Segment("T\n"))):
+        segs = path_segments(["c1", "c2"])
+        segs[index] = seg
+        text = "".join(s.text for s in segs)
+        toks = tokenize(text, bank.vocab)
+        assert bank.slice_and_insert(segs, toks, fake_tensors(text, toks, bank.vocab), now=4) == []
+        assert not c2.present and c2.token_ids == ids
 
 
 def test_ledger_never_breached(tmp_path):
@@ -381,9 +379,9 @@ def test_persist_load_round_trip(tmp_path):
     for nid, node in bank.nodes.items():
         other = loaded.nodes[nid]
         assert (node.chunk_id, node.retrieval_count, node.last_used,
-                node.payload_sha, node.present, node.token_ids) == (
+                node.present, node.token_ids) == (
             other.chunk_id, other.retrieval_count, other.last_used,
-            other.payload_sha, other.present, other.token_ids)
+            other.present, other.token_ids)
         assert node.token_ids  # kept past eviction too
         if node.present:
             assert np.array_equal(node.tensors.data, other.tensors.data)
@@ -422,8 +420,9 @@ def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
 
 def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog):
     # a bank persisted before token ids were kept: its slices open as
-    # evicted, with a warning, and come back only through a refill that
-    # matches the kept digest
+    # evicted, with a warning, and nothing below the root is refilled,
+    # since refill goes by kept ids alone. Such banks also predate the
+    # stamp, so Engine drops their tree at open
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
     bank.persist()
@@ -439,13 +438,14 @@ def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog)
     assert not any(n.present for n in loaded.nodes.values())
     assert loaded.ledger.used_bytes == 0
     assert _match(loaded, ["c1", "c2"], now=2) == (None, 0, 0)
-    assert sorted(insert_path(loaded, ["c1", "c2"], now=3)) == sorted(loaded.nodes)
-    for nid, node in loaded.nodes.items():
-        assert node.token_ids == bank.nodes[nid].token_ids
-        assert node.payload_sha == bank.nodes[nid].payload_sha
+    # the never-written root is written; its first child has no ids, so
+    # the plan stops there
+    assert insert_path(loaded, ["c1", "c2"], now=3) == [loaded.root.node_id]
+    assert loaded.root.token_ids == bank.root.token_ids
+    assert [n.token_ids for n in loaded.nodes.values() if n is not loaded.root] == [None, None]
+    assert loaded.ledger.used_bytes == loaded.root.byte_size
     prefix, matched, _ = _match(loaded, ["c1", "c2"], now=4)
-    assert matched == 2 and prefix.prefix_token_count == sum(map(len, (
-        n.token_ids for n in loaded.nodes.values())))
+    assert matched == 0 and prefix.prefix_token_count == len(loaded.root.token_ids)
 
 
 def test_manifest_with_damaged_token_ids_raises(tmp_path):
@@ -485,10 +485,9 @@ def test_load_holds_slices_to_limit(tmp_path):
     assert loaded.ledger.used_bytes == sum(n.byte_size for n in loaded.nodes.values() if n.present)
     evicted = [n for n in loaded.nodes.values() if not n.present]
     assert evicted
-    # an evicted node keeps the digest a later restoration is checked against
+    # an evicted node keeps the ids a later restoration prefills
     for node in evicted:
-        assert node.payload_sha is not None
-        assert node.payload_sha == bank.nodes[node.node_id].payload_sha
+        assert node.token_ids == bank.nodes[node.node_id].token_ids
     loaded.persist()
     assert {p.name for p in loaded.slice_dir.glob("*.qkv")} == {
         f"node{n.node_id}.qkv" for n in loaded.nodes.values() if n.present
@@ -503,7 +502,7 @@ def test_load_degrades_corrupt_slice(tmp_path):
     (bank.slice_dir / f"node{c2.node_id}.qkv").write_bytes(b"garbage")
     loaded = KnowledgeBank.load(tmp_path)
     assert not loaded.nodes[c2.node_id].present
-    assert loaded.nodes[c2.node_id].payload_sha == c2.payload_sha
+    assert loaded.nodes[c2.node_id].token_ids == c2.token_ids
     assert loaded.ledger.used_bytes == sum(
         n.byte_size for n in loaded.nodes.values() if n.present
     )
@@ -528,7 +527,7 @@ def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatc
     listed = {n.node_id for n in bank.nodes.values() if n.present}
     manifest = (tmp_path / "manifest.jsonl").read_bytes()
     # evict, insert new slices, then fail the manifest rename
-    assert bank.set_limit(bank.ledger.used_bytes // 2, now=3)
+    assert bank.set_limit(bank.ledger.used_bytes // 2)
     insert_path(bank, ["c4"], now=4)
     real_replace = os.replace
 
@@ -552,4 +551,4 @@ def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatc
 def test_set_limit_grow_no_eviction(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1"], now=1)
-    assert bank.set_limit(bank.ledger.limit_bytes * 2, now=2) == []
+    assert bank.set_limit(bank.ledger.limit_bytes * 2) == []

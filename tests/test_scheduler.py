@@ -228,8 +228,8 @@ def _engine_with_evicted_paths(tmp_path, slices=None, **overrides):
         eng.answer(query)
     if slices is not None:
         slices.update((n.node_id, n.tensors.data.copy()) for n in eng.bank.nodes.values())
-    eng.bank.set_limit(0, eng._seq())
-    eng.bank.set_limit(eng.config.qkv_limit_bytes, eng._seq())
+    eng.bank.set_limit(0)
+    eng.bank.set_limit(eng.config.qkv_limit_bytes)
     return eng
 
 
@@ -259,7 +259,7 @@ def test_restoration_with_nothing_writable_spends_nothing(tmp_path):
     # space, so no refill could be written and no prefill runs
     eng = _engine_with_evicted_paths(tmp_path)
     smallest = min(n.byte_size for n in eng.bank.nodes.values())
-    eng.bank.set_limit(smallest - 1, eng._seq())
+    eng.bank.set_limit(smallest - 1)
     macs = eng.model.mac_count
     report = eng.scheduler.idle_tick(1e15, now=10)
     assert report.restored_nodes == 0 and report.flops_spent == 0.0
@@ -346,7 +346,7 @@ def test_restoration_skips_a_root_path_without_tokens(tmp_path):
     # an empty system prompt gives the root no token rows, and a prompt of
     # no tokens cannot be prefilled: the root waits for a query to refill it
     eng = _engine_with_evicted_paths(tmp_path, system_prompt="")
-    assert eng.bank.root.token_ids == () and eng.bank.root.payload_sha
+    assert eng.bank.root.token_ids == () and not eng.bank.root.present
     assert eng.scheduler.idle_tick(1e15, now=10).restored_nodes == 0
     eng.answer("what is the budget review plan?")
     assert eng.bank.root.present
