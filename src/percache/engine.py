@@ -22,6 +22,8 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .backend import (
     CostModel,
     CostParams,
@@ -34,7 +36,7 @@ from .backend import (
 )
 from .config import EngineConfig
 from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
-                        jsonl_bytes, read_utf8)
+                        jsonl_bytes, read_utf8, slice_size)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -127,9 +129,10 @@ class Engine:
         self.vocab = vocab = self.bank.vocab
         # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
-        self.retriever.reserve(len(self.bank.chunks))
-        for chunk in self.bank.chunks.values():
-            self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
+        chunks = self.bank.chunks.values()
+        self.retriever.reserve(len(chunks))
+        for chunk, embedding in zip(chunks, self.embedder.embed_many(c.text for c in chunks)):
+            self.retriever.add_chunk(chunk.chunk_id, chunk.text, embedding)
         self.eos_id = vocab.size
         model_cfg = ToyModelConfig(
             layers=config.model_layers,
@@ -306,14 +309,16 @@ class Engine:
         """QA->QKV conversion, node by node, from each node's kept token
         ids. Absent nodes with kept ids go in LFU order, most retrieved
         first, which puts every ancestor before its descendants. A node is
-        skipped while its parent is absent, its byte_size does not fit the
-        free space, or its root path kept no ids or no token at all;
+        skipped while its parent is absent, the slice its kept ids make
+        (not the manifest's byte_size) does not fit the free space, or its
+        root path kept no ids or no token at all;
         otherwise its root path's ids are prefilled behind the present
         ancestors' slices, and refill puts its rows back if they fit: they
         equal the evicted rows bit for bit, as cached prefill equals
         recomputation. Moves no LFU count. Stops once its own FLOPs reach
         flops_left."""
         bank, restored, total = self.bank, [], CostReport()
+        cfg = self.model.config
         absent = sorted((n for n in bank.nodes.values()
                          if not n.present and n.token_ids is not None),
                         key=lambda n: (-n.retrieval_count, n.node_id))
@@ -324,8 +329,11 @@ class Engine:
             while path[0].parent is not None:
                 path.insert(0, path[0].parent)
             kept = [n.token_ids for n in path]
+            # slice_size reads the shape alone, so a zero-stride array stands in
+            size = slice_size(QkvTensors(np.broadcast_to(np.float32(0), (
+                cfg.layers, 2, len(node.token_ids), cfg.heads, cfg.head_dim))))
             if (None in kept or (node.parent is not None and not node.parent.present)
-                    or not bank.ledger.fits(node.byte_size) or not any(kept)):
+                    or not bank.ledger.fits(size) or not any(kept)):
                 continue
             ids = sum(kept, ())
             cached = path[: [n.present for n in path].index(False)]

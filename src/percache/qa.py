@@ -210,19 +210,21 @@ class QaBank:
             return bank
         fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
                   "last_used": (int,), "use_count": (int,), "stale": (bool,)}
+        records: dict[str, dict] = {}
         for lineno, rec in read_jsonl(path, fields):
-            if rec["query"] in bank._by_query:
+            if rec["query"] in records:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
-            entry = QaEntry(
+            records[rec["query"]] = rec
+        for rec, embedding in zip(records.values(), embedder.embed_many(records.keys())):
+            bank._by_query[rec["query"]] = QaEntry(
                 rec["query"],
-                embedder.embed(rec["query"]),
+                embedding,
                 rec["answer"],
                 rec["created_at"],
                 rec["last_used"],
                 rec["use_count"],
                 rec["stale"],
             )
-            bank._by_query[entry.query] = entry
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)
         return bank

@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 EMBED_DIM = 256
 EMBED_SEED = 0x5ECAC4E
+# texts embed_many embeds per bincount: its block matrix and feature arrays
+# are the only memory it holds at a time
+EMBED_BLOCK = 64
 
 _WORD_RE = re.compile(r"[0-9a-z]+")
 
@@ -131,6 +137,20 @@ def cosine_similarities(rows: np.ndarray, e: Embedding) -> np.ndarray:
 class HashEmbedder:
     """Seeded feature-hash of word unigrams and bigrams into a fixed dimension.
 
+    Each feature's keyed 8-byte BLAKE2b digest, read little-endian, gives its
+    index (the digest mod dim) and its sign (the top bit set: -1.0). The
+    vector is the sum of the signed features, divided by its Euclidean norm.
+    n words make 2n - 1 features, an odd number of +-1.0 terms, so the sum
+    is never zero unless the text has no words; such a text embeds as
+    [1, 0, ..., 0].
+
+    Every entry of the sum is a small integer count of +-1.0 terms, and its
+    sum of squares an integer far below 2**53, so both are exact in float64
+    whatever the order of summation. The norm is then the correctly rounded
+    square root of an exact integer, np.linalg.norm's result, and division
+    is elementwise. So embed and embed_many, which sum in other orders, give
+    every text the same bits.
+
     Deterministic across machines and runs. Real embedding models can be
     plugged in behind the same embed(text) -> Embedding surface.
     """
@@ -140,26 +160,47 @@ class HashEmbedder:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.seed = seed
-        self._key = seed.to_bytes(8, "little", signed=False)
+        # the keyed state before any feature: a copy updated with a feature
+        # gives blake2b(feature, key=..., digest_size=8)
+        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little", signed=False), digest_size=8)
 
-    def _feature(self, feature: str) -> tuple[int, float]:
-        h = hashlib.blake2b(feature.encode("utf-8"), key=self._key, digest_size=8)
-        v = int.from_bytes(h.digest(), "little")
-        index = v % self.dim
-        sign = 1.0 if (v >> 63) & 1 == 0 else -1.0
-        return index, sign
+    def _digests(self, text: str) -> bytes:
+        """The digests of text's unigram and bigram features, concatenated."""
+        words = split_words(text)
+        out = []
+        for feature in chain(words, map(" ".join, zip(words, words[1:]))):
+            h = self._keyed.copy()
+            h.update(feature.encode("utf-8"))
+            out.append(h.digest())
+        return b"".join(out)
+
+    def _index_sign(self, digests: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Each digest's index and sign, decoded in one pass."""
+        v = np.frombuffer(digests, "<u8")
+        return (v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0)
 
     def embed(self, text: str) -> Embedding:
-        words = split_words(text)
-        vec = np.zeros(self.dim, dtype=np.float64)
-        features = list(words)
-        features.extend(f"{a} {b}" for a, b in zip(words, words[1:]))
-        for f in features:
-            index, sign = self._feature(f)
-            vec[index] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            unit = np.zeros(self.dim, dtype=np.float64)
-            unit[0] = 1.0
-            return Embedding(unit)
-        return Embedding(vec / norm)
+        digests = self._digests(text)
+        if not digests:
+            return Embedding(np.eye(1, self.dim).ravel())
+        vec = np.bincount(*self._index_sign(digests), self.dim)
+        vec /= math.sqrt(vec @ vec)
+        return Embedding(vec)
+
+    def embed_many(self, texts: Iterable[str]) -> Iterator[Embedding]:
+        """embed of each text, in order, computed EMBED_BLOCK texts at a time
+        with one bincount per block. Each embedding owns its array."""
+        texts = iter(texts)
+        while block := list(islice(texts, EMBED_BLOCK)):
+            digests = [self._digests(text) for text in block]
+            index, sign = self._index_sign(b"".join(digests))
+            starts = np.repeat(np.arange(0, len(block) * self.dim, self.dim),
+                               [len(d) >> 3 for d in digests])
+            flat = np.bincount(starts + index, sign, len(block) * self.dim)
+            # bincount of no index at all (no text has a word) returns int64
+            rows = flat.astype(np.float64, copy=False).reshape(len(block), self.dim)
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            empty = norms == 0.0  # the texts without words
+            rows[empty, 0] = norms[empty] = 1.0
+            rows /= norms[:, None]
+            yield from (Embedding(row.copy()) for row in rows)

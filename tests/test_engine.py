@@ -10,7 +10,7 @@ from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
-from percache.textcore import Embedding, tokenize
+from percache.textcore import EMBED_BLOCK, Embedding, tokenize
 
 from conftest import DATA, checked_prefill, load_trace, make_engine
 
@@ -353,6 +353,18 @@ def test_restoration_charges_the_rows_it_writes(tmp_path):
         slice_size(n.tensors) for n in reopened.bank.nodes.values() if n.present)
 
 
+def test_restoration_sizes_the_slice_by_its_kept_ids(tmp_path):
+    # the pre-check asks whether the slice the kept ids make fits, not the
+    # byte_size manifest.jsonl gives, so a too-large one cannot keep the
+    # node out of idle restoration
+    _, node_id, evicted = _persist_with_deepest_evicted(tmp_path)
+    _edit_manifest(tmp_path, lambda r: r.update(byte_size=10**12) if r["id"] == node_id else None)
+    reopened = make_engine(tmp_path, qa_enabled=False)
+    assert reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})["restored_nodes"] == 1
+    node = reopened.bank.nodes[node_id]
+    assert node.present and serialize_slice(node.tensors) == evicted
+
+
 def test_bank_with_slice_digests_opens_and_persists_without_them(tmp_path):
     # an older bank format kept a payload_sha per node, the SHA-256 of its
     # slice file, taken at persist or first eviction. Kept ids decide every
@@ -505,6 +517,29 @@ def test_persist_and_reload_serves_hits(tmp_path):
     reloaded = make_engine(tmp_path / "bank")
     outcome = reloaded.handle_query(q, 2)
     assert outcome.path == QA_HIT and outcome.answer == answer
+
+
+def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
+    # Engine(...) and QaBank.load embed in blocks; each row must keep the bits
+    # of embedding its text alone. Texts without words, a block of nothing
+    # else and a short last block included
+    words = " ".join(f"w{i} budget {i % 7}" for i in range(3 * EMBED_BLOCK))
+    eng = make_engine(tmp_path / "bank", chunk_words=3)
+    eng.ingest_chunks(["?! " * 3 * EMBED_BLOCK + words + " -- !!"], 0)
+    queries = ["what is the budget review plan?", "?!", "Kelvin \u212aelvin caf\u00e9 12"]
+    for i, q in enumerate(queries):
+        eng.handle_query(q, i + 1)
+    eng.persist()
+    reopened = make_engine(tmp_path / "bank", chunk_words=3)
+    chunks = list(reopened.bank.chunks.values())
+    assert len(chunks) > 2 * EMBED_BLOCK and len(chunks) % EMBED_BLOCK
+    rows = reopened.retriever._emb[: len(reopened.retriever)]
+    assert reopened.retriever._ids == [c.chunk_id for c in chunks]
+    for chunk, row in zip(chunks, rows):
+        assert row.tobytes() == reopened.embedder.embed(chunk.text).values.tobytes()
+    assert [e.query for e in reopened.qa.entries] == queries
+    for entry in reopened.qa.entries:
+        assert entry.embedding.values.tobytes() == reopened.embedder.embed(entry.query).values.tobytes()
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from percache.knowledge import read_utf8
 from percache.textcore import (
+    EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
     Embedding,
@@ -62,7 +63,7 @@ def test_byte_fallback_total():
     assert detokenize(tokens, WITNESS) == "axbé"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.text(alphabet="abcx ", max_size=40))
 def test_tokenize_round_trip_and_spans(text):
     tokens = tokenize(text, WITNESS)
@@ -113,23 +114,54 @@ def test_cosine_dim_mismatch():
         cosine_similarity(Embedding(np.ones(2)), Embedding(np.ones(3)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(st.text(alphabet="abcdefg ", min_size=1, max_size=30), st.text(alphabet="abcdefg ", min_size=1, max_size=30))
 def test_cosine_symmetry(s, t):
     a, b = embed(s), embed(t)
     assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
 
-def _oracle_vector(text: str) -> np.ndarray:
-    """Standalone re-derivation of the hashed embedding (oracle)."""
+def _oracle_vector(text: str, dim: int = EMBED_DIM, seed: int = EMBED_SEED) -> np.ndarray:
+    """Standalone re-derivation of the hashed embedding (oracle): one
+    feature at a time, each hashed by its own keyed constructor."""
     words = split_words(text)
     feats = words + [f"{x} {y}" for x, y in zip(words, words[1:])]
-    vec = np.zeros(EMBED_DIM)
-    key = EMBED_SEED.to_bytes(8, "little")
+    vec = np.zeros(dim)
+    key = seed.to_bytes(8, "little")
     for f in feats:
         v = int.from_bytes(hashlib.blake2b(f.encode(), key=key, digest_size=8).digest(), "little")
-        vec[v % EMBED_DIM] += 1.0 if (v >> 63) & 1 == 0 else -1.0
+        vec[v % dim] += 1.0 if (v >> 63) & 1 == 0 else -1.0
+    if not vec.any():
+        vec[0] = 1.0
     return vec / np.linalg.norm(vec)
+
+
+# repeated words, digits, non-ASCII letters, punctuation alone, and the Kelvin
+# sign, which lowercases to an ASCII "k"
+ORACLE_WORDS = ("budget", "review", "budget", "12", "7", "caf\u00e9", "\u00c9T\u00c9", "stra\u00dfe",
+                "\u212aelvin", "\u212a", "K", "?!", "--", "")
+ORACLE_TEXTS = (st.lists(st.sampled_from(ORACLE_WORDS), max_size=12).map(" ".join)
+                | st.text(alphabet="ab1 \u00e9\u212a?", max_size=20))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(ORACLE_TEXTS, max_size=8), st.sampled_from([7, 256]),
+       st.sampled_from([1, EMBED_SEED]))
+def test_embed_and_embed_many_equal_the_scalar_oracle_bit_for_bit(texts, dim, seed):
+    e = HashEmbedder(dim, seed)
+    bulk = list(e.embed_many(texts))
+    assert len(bulk) == len(texts)
+    for text, row in zip(texts, bulk):
+        want = _oracle_vector(text, dim, seed).tobytes()
+        assert e.embed(text).values.tobytes() == want
+        assert row.values.tobytes() == want
+
+
+def test_embed_many_blocks_equal_the_scalar_oracle_bit_for_bit():
+    # a block of texts without words only, full blocks, and a short last one
+    texts = [""] * EMBED_BLOCK + ["?!"] + [f"w{i} budget {i % 5}" for i in range(EMBED_BLOCK + 3)]
+    bulk = [row.values.tobytes() for row in HashEmbedder().embed_many(texts)]
+    assert bulk == [_oracle_vector(text).tobytes() for text in texts]
 
 
 def test_embed_hash_oracle():
