@@ -22,8 +22,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .backend import (
     CostModel,
     CostParams,
@@ -36,7 +34,7 @@ from .backend import (
 )
 from .config import EngineConfig
 from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
-                        jsonl_bytes, read_utf8, slice_size)
+                        jsonl_bytes, read_utf8, slice_bytes)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -129,10 +127,9 @@ class Engine:
         self.vocab = vocab = self.bank.vocab
         # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
-        chunks = self.bank.chunks.values()
-        self.retriever.reserve(len(chunks))
-        for chunk, embedding in zip(chunks, self.embedder.embed_many(c.text for c in chunks)):
-            self.retriever.add_chunk(chunk.chunk_id, chunk.text, embedding)
+        self.retriever.reserve(len(self.bank.chunks))
+        for chunk in self.bank.chunks.values():
+            self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
         self.eos_id = vocab.size
         model_cfg = ToyModelConfig(
             layers=config.model_layers,
@@ -329,9 +326,7 @@ class Engine:
             while path[0].parent is not None:
                 path.insert(0, path[0].parent)
             kept = [n.token_ids for n in path]
-            # slice_size reads the shape alone, so a zero-stride array stands in
-            size = slice_size(QkvTensors(np.broadcast_to(np.float32(0), (
-                cfg.layers, 2, len(node.token_ids), cfg.heads, cfg.head_dim))))
+            size = slice_bytes(cfg.layers, len(node.token_ids), cfg.heads, cfg.head_dim)
             if (None in kept or (node.parent is not None and not node.parent.present)
                     or not bank.ledger.fits(size) or not any(kept)):
                 continue

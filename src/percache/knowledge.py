@@ -180,9 +180,15 @@ def deserialize_slice(data: bytes) -> QkvTensors:
     return QkvTensors(payload.astype(np.float32))
 
 
+def slice_bytes(layers: int, tokens: int, heads: int, head_dim: int) -> int:
+    """len(serialize_slice(...)) of a slice of that shape."""
+    return _HEADER.size + 4 * layers * 2 * tokens * heads * head_dim
+
+
 def slice_size(tensors: QkvTensors) -> int:
     """len(serialize_slice(tensors)), from the shape alone."""
-    return _HEADER.size + 4 * tensors.data.size
+    layers, _, tokens, heads, head_dim = tensors.data.shape
+    return slice_bytes(layers, tokens, heads, head_dim)
 
 
 # ---------------------------------------------------------------------------

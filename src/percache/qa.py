@@ -210,21 +210,19 @@ class QaBank:
             return bank
         fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
                   "last_used": (int,), "use_count": (int,), "stale": (bool,)}
-        records: dict[str, dict] = {}
         for lineno, rec in read_jsonl(path, fields):
-            if rec["query"] in records:
+            if rec["query"] in bank._by_query:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
-            records[rec["query"]] = rec
-        for rec, embedding in zip(records.values(), embedder.embed_many(records.keys())):
-            bank._by_query[rec["query"]] = QaEntry(
+            entry = QaEntry(
                 rec["query"],
-                embedding,
+                embedder.embed(rec["query"]),
                 rec["answer"],
                 rec["created_at"],
                 rec["last_used"],
                 rec["use_count"],
                 rec["stale"],
             )
+            bank._by_query[entry.query] = entry
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)
         return bank

@@ -13,17 +13,13 @@ import hashlib
 import io
 import math
 import re
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 EMBED_DIM = 256
 EMBED_SEED = 0x5ECAC4E
-# texts embed_many embeds per bincount: its block matrix and feature arrays
-# are the only memory it holds at a time
-EMBED_BLOCK = 64
 
 _WORD_RE = re.compile(r"[0-9a-z]+")
 
@@ -148,11 +144,12 @@ class HashEmbedder:
     sum of squares an integer far below 2**53, so both are exact in float64
     whatever the order of summation. The norm is then the correctly rounded
     square root of an exact integer, np.linalg.norm's result, and division
-    is elementwise. So embed and embed_many, which sum in other orders, give
-    every text the same bits.
+    is elementwise. So embed, which sums with one bincount, gives every text
+    the bits of a per-feature loop.
 
     Deterministic across machines and runs. Real embedding models can be
-    plugged in behind the same embed(text) -> Embedding surface.
+    plugged in behind the same embed(text) -> Embedding surface: the engine
+    embeds its chunks at open, and QaBank.load its queries, one embed each.
     """
 
     def __init__(self, dim: int = EMBED_DIM, seed: int = EMBED_SEED):
@@ -174,33 +171,11 @@ class HashEmbedder:
             out.append(h.digest())
         return b"".join(out)
 
-    def _index_sign(self, digests: bytes) -> tuple[np.ndarray, np.ndarray]:
-        """Each digest's index and sign, decoded in one pass."""
-        v = np.frombuffer(digests, "<u8")
-        return (v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0)
-
     def embed(self, text: str) -> Embedding:
         digests = self._digests(text)
         if not digests:
             return Embedding(np.eye(1, self.dim).ravel())
-        vec = np.bincount(*self._index_sign(digests), self.dim)
+        v = np.frombuffer(digests, "<u8")
+        vec = np.bincount((v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0), self.dim)
         vec /= math.sqrt(vec @ vec)
         return Embedding(vec)
-
-    def embed_many(self, texts: Iterable[str]) -> Iterator[Embedding]:
-        """embed of each text, in order, computed EMBED_BLOCK texts at a time
-        with one bincount per block. Each embedding owns its array."""
-        texts = iter(texts)
-        while block := list(islice(texts, EMBED_BLOCK)):
-            digests = [self._digests(text) for text in block]
-            index, sign = self._index_sign(b"".join(digests))
-            starts = np.repeat(np.arange(0, len(block) * self.dim, self.dim),
-                               [len(d) >> 3 for d in digests])
-            flat = np.bincount(starts + index, sign, len(block) * self.dim)
-            # bincount of no index at all (no text has a word) returns int64
-            rows = flat.astype(np.float64, copy=False).reshape(len(block), self.dim)
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-            empty = norms == 0.0  # the texts without words
-            rows[empty, 0] = norms[empty] = 1.0
-            rows /= norms[:, None]
-            yield from (Embedding(row.copy()) for row in rows)

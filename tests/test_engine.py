@@ -10,7 +10,7 @@ from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
-from percache.textcore import EMBED_BLOCK, Embedding, tokenize
+from percache.textcore import Embedding, tokenize
 
 from conftest import DATA, checked_prefill, load_trace, make_engine
 
@@ -520,19 +520,18 @@ def test_persist_and_reload_serves_hits(tmp_path):
 
 
 def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
-    # Engine(...) and QaBank.load embed in blocks; each row must keep the bits
-    # of embedding its text alone. Texts without words, a block of nothing
-    # else and a short last block included
-    words = " ".join(f"w{i} budget {i % 7}" for i in range(3 * EMBED_BLOCK))
+    # each row of the retriever's matrix, and each reloaded QA entry, keeps
+    # the bits of embedding its text alone; texts without words included
+    words = " ".join(f"w{i} budget {i % 7}" for i in range(50))
     eng = make_engine(tmp_path / "bank", chunk_words=3)
-    eng.ingest_chunks(["?! " * 3 * EMBED_BLOCK + words + " -- !!"], 0)
+    eng.ingest_chunks(["?! " * 30 + words + " -- !!"], 0)
     queries = ["what is the budget review plan?", "?!", "Kelvin \u212aelvin caf\u00e9 12"]
     for i, q in enumerate(queries):
         eng.handle_query(q, i + 1)
     eng.persist()
     reopened = make_engine(tmp_path / "bank", chunk_words=3)
     chunks = list(reopened.bank.chunks.values())
-    assert len(chunks) > 2 * EMBED_BLOCK and len(chunks) % EMBED_BLOCK
+    assert len(chunks) > 50
     rows = reopened.retriever._emb[: len(reopened.retriever)]
     assert reopened.retriever._ids == [c.chunk_id for c in chunks]
     for chunk, row in zip(chunks, rows):

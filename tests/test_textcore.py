@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from percache.knowledge import read_utf8
 from percache.textcore import (
-    EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
     Embedding,
@@ -145,23 +144,10 @@ ORACLE_TEXTS = (st.lists(st.sampled_from(ORACLE_WORDS), max_size=12).map(" ".joi
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(st.lists(ORACLE_TEXTS, max_size=8), st.sampled_from([7, 256]),
-       st.sampled_from([1, EMBED_SEED]))
-def test_embed_and_embed_many_equal_the_scalar_oracle_bit_for_bit(texts, dim, seed):
-    e = HashEmbedder(dim, seed)
-    bulk = list(e.embed_many(texts))
-    assert len(bulk) == len(texts)
-    for text, row in zip(texts, bulk):
-        want = _oracle_vector(text, dim, seed).tobytes()
-        assert e.embed(text).values.tobytes() == want
-        assert row.values.tobytes() == want
-
-
-def test_embed_many_blocks_equal_the_scalar_oracle_bit_for_bit():
-    # a block of texts without words only, full blocks, and a short last one
-    texts = [""] * EMBED_BLOCK + ["?!"] + [f"w{i} budget {i % 5}" for i in range(EMBED_BLOCK + 3)]
-    bulk = [row.values.tobytes() for row in HashEmbedder().embed_many(texts)]
-    assert bulk == [_oracle_vector(text).tobytes() for text in texts]
+@given(ORACLE_TEXTS, st.sampled_from([7, 256]), st.sampled_from([1, EMBED_SEED]))
+def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
+    got = HashEmbedder(dim, seed).embed(text).values
+    assert got.tobytes() == _oracle_vector(text, dim, seed).tobytes()
 
 
 def test_embed_hash_oracle():
