@@ -282,10 +282,7 @@ class Engine:
                     new_chunks.append(chunk)
         stale = []
         if new_chunks:
-            stale = [
-                e.query
-                for e in self.qa.refresh(self.retriever.cosine_keys, since, self.config.k_refresh)
-            ]
+            stale = [e.query for e in self.qa.refresh(self.retriever, since, self.config.k_refresh)]
             self.predictor.note_chunks(new_chunks, now)
         return all_ids, stale
 

@@ -72,16 +72,14 @@ class Retriever:
     capacity doubles when full. Chunks are never removed, so the chunks
     added since a known corpus size are the rows from that size on.
 
-    cosine_keys ranks chunks as (cosine, chunk_id) keys, ordered by
-    (-cosine, chunk_id). Asked for the whole corpus with the embedding
-    object of the last retrieve_top_k call, it reuses the cosine row that
-    call computed, so keying a just-answered query costs no second scan.
-    Asked for the chunks from row since on, it keeps their chunk-id order
-    and embedding rows until the next add, so an arrival keys every QA
-    entry against one gather. Not safe for concurrent use: besides
-    add_chunk, the first read after an add rebuilds the cached chunk-id
-    order, retrieve_top_k replaces the kept cosine row, and cosine_keys the
-    kept rows.
+    cosine_keys ranks the corpus as (cosine, chunk_id) keys, ordered by
+    (-cosine, chunk_id). Asked with the embedding object of the last
+    retrieve_top_k call, it reuses the cosine row that call computed, so
+    keying a just-answered query costs no second scan. rows_since gathers
+    the chunks added since a known corpus size, which QaBank.refresh scores
+    against its entries. Not safe for concurrent use: besides add_chunk,
+    the first read after an add rebuilds the cached chunk-id order, and
+    retrieve_top_k replaces the kept cosine row.
     """
 
     def __init__(
@@ -101,9 +99,6 @@ class Retriever:
         # (embedding, its cosine row in chunk-id order) of the last
         # retrieve_top_k since the last add
         self._last_cosine: tuple[Embedding, np.ndarray] | None = None
-        # (since, the rows from since on in chunk-id order, their embeddings)
-        # of the last cosine_keys call with since > 0 since the last add
-        self._new_rows: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -139,7 +134,6 @@ class Retriever:
         self._id_set.add(chunk_id)
         self._order = None
         self._last_cosine = None
-        self._new_rows = None
 
     def _id_order(self) -> np.ndarray:
         if self._order is None:
@@ -193,21 +187,17 @@ class Retriever:
                                         semantic[top].tolist(), fused[top].tolist())
         ]
 
-    def cosine_keys(self, embedding: Embedding, k: int, since: int = 0) -> list[tuple[float, str]]:
-        """The k best (cosine, chunk_id) keys for embedding among the chunks
-        from row since on (the whole corpus by default), ordered by
-        (-cosine, chunk_id). Each row's cosine is computed alone, so a key
-        has the same bits whichever rows are scored with it."""
-        if since == 0:
-            rows = self._id_order()
-            last = self._last_cosine
-            sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
-        else:
-            if self._new_rows is None or self._new_rows[0] != since:
-                rows = np.array(sorted(range(since, len(self._ids)), key=self._ids.__getitem__),
-                                dtype=np.intp)
-                self._new_rows = (since, rows, self._emb[rows])
-            _, rows, emb = self._new_rows
-            sims = cosine_similarities(emb, embedding)
+    def rows_since(self, since: int) -> tuple[list[str], np.ndarray]:
+        """The chunks from row since on, in chunk-id order: their ids and a
+        copy of their embedding rows."""
+        rows = sorted(range(since, len(self._ids)), key=self._ids.__getitem__)
+        return [self._ids[row] for row in rows], self._emb[rows]
+
+    def cosine_keys(self, embedding: Embedding, k: int) -> list[tuple[float, str]]:
+        """The k best (cosine, chunk_id) keys for embedding over the whole
+        corpus, ordered by (-cosine, chunk_id)."""
+        last = self._last_cosine
+        sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
         top = top_k_order(sims, k)
-        return list(zip(sims[top].tolist(), [self._ids[row] for row in rows[top].tolist()]))
+        rows = self._id_order()[top]
+        return list(zip(sims[top].tolist(), [self._ids[row] for row in rows.tolist()]))

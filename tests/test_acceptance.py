@@ -458,7 +458,7 @@ def test_acceptance_8_refresh_oracle():
         expected = sorted(
             e.query for e in qa.entries if e.answer is not None and oracle_stale(e.query)
         )
-        marked = qa.refresh(retriever.cosine_keys, since, k_refresh)
+        marked = qa.refresh(retriever, since, k_refresh)
         assert sorted(e.query for e in marked) == expected
         for e in qa.entries:
             assert e.stale == (e.query in expected) or e.answer is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from percache.qa import DEFAULT_ENTRY_BYTES, QaBank, QaCapacityError
+from percache.retrieval import Retriever
 from percache.textcore import Embedding, HashEmbedder
 
 EMB = HashEmbedder()
@@ -46,7 +47,7 @@ def test_match_skips_answerless_and_stale():
     bank = _bank()
     _insert(bank, "pending query", answer=None, now=1)
     _insert(bank, "stale query", now=2)
-    bank.get("stale query").stale = True
+    bank.mark_stale("stale query")
     entry, sim = bank.match(EMB.embed("pending query"), 0.1, now=3)
     assert entry is None
     entry, _ = bank.match(EMB.embed("stale query"), 0.1, now=3)
@@ -73,7 +74,7 @@ def test_insert_never_downgrades():
 def test_insert_replaces_in_place_and_clears_stale():
     bank = _bank()
     _insert(bank, "q", answer="old", now=1)
-    bank.get("q").stale = True
+    bank.mark_stale("q")
     _insert(bank, "q", answer="new", now=2)
     assert bank.get("q").answer == "new" and not bank.get("q").stale
     assert len(bank.entries) == 1
@@ -117,30 +118,30 @@ def test_set_limit_shrink():
     assert bank.get("q0") is not None  # the used entry survived
 
 
-def _table_keys(rows, cosines):
-    """cosine_keys over a fixed table: rows are the chunk ids in insertion
-    order, cosines[query][chunk_id] the cosine of the query's embedding."""
-    by_embedding = {EMB.embed(q).values.tobytes(): c for q, c in cosines.items()}
-
-    def cosine_keys(embedding, k, since=0):
-        c = by_embedding[embedding.values.tobytes()]
-        return sorted(((c[cid], cid) for cid in rows[since:]), key=lambda t: (-t[0], t[1]))[:k]
-
-    return cosine_keys
+def _table(rows, cosines):
+    """A retriever over a fixed cosine table, and the query embeddings it is
+    keyed for: rows are the chunk ids in insertion order, and
+    cosines[query][chunk_id] the cosine of the query's embedding. Query i
+    embeds as axis i and a chunk's row holds its cosines on the queries'
+    axes, so every dot is exact."""
+    axes = {q: np.eye(EMB.dim)[i] for i, q in enumerate(cosines)}
+    r = Retriever(EMB)
+    for cid in rows:
+        r.add_chunk(cid, "", Embedding(sum(c[cid] * axes[q] for q, c in cosines.items())))
+    return r, {q: Embedding(axis) for q, axis in axes.items()}
 
 
 def test_refresh_marks_stale():
-    bank = _bank()
-    _insert(bank, "about budget", now=1)
-    _insert(bank, "about meeting", now=2)
-    _insert(bank, "no answer yet", answer=None, now=3)
-
-    keys = _table_keys(["old1", "old2", "old3", "new1"], {
+    r, emb = _table(["old1", "old2", "old3", "new1"], {
         "about budget": {"new1": 0.9, "old2": 0.8, "old3": 0.7, "old1": 0.1},
         "about meeting": {"old1": 0.9, "old2": 0.8, "old3": 0.7, "new1": 0.1},
         "no answer yet": {"new1": 0.9, "old1": 0.1, "old2": 0.1, "old3": 0.1},
     })
-    marked = bank.refresh(keys, since=3, k_refresh=3)
+    bank = _bank()
+    bank.insert("about budget", emb["about budget"], "ans", 1)
+    bank.insert("about meeting", emb["about meeting"], "ans", 2)
+    bank.insert("no answer yet", emb["no answer yet"], None, 3)
+    marked = bank.refresh(r, since=3, k_refresh=3)
     assert [e.query for e in marked] == ["about budget"]
     assert bank.get("about budget").stale
     assert not bank.get("about meeting").stale
@@ -150,39 +151,39 @@ def test_refresh_marks_stale():
 
 
 def test_refresh_respects_k():
-    keys = _table_keys(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
+    r, emb = _table(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
     bank = _bank()
-    _insert(bank, "q", now=1)
-    marked = bank.refresh(keys, since=2, k_refresh=2)
+    bank.insert("q", emb["q"], "ans", 1)
+    marked = bank.refresh(r, since=2, k_refresh=2)
     assert marked == []
     bank = _bank()
-    _insert(bank, "q", now=1)
-    marked = bank.refresh(keys, since=2, k_refresh=3)
+    bank.insert("q", emb["q"], "ans", 1)
+    marked = bank.refresh(r, since=2, k_refresh=3)
     assert [e.query for e in marked] == ["q"]
 
 
 def test_refresh_merges_kept_keys_with_the_new_chunks_only():
-    # the kept keys stand for the old chunks: only rows from since on are scored
+    # the kept keys stand for the old chunks: only rows from since on are
+    # gathered, once, and no full scan runs
+    r, emb = _table(["a", "b", "c", "new"], {"q": {"a": 0.9, "b": 0.8, "c": 0.7, "new": 0.85}})
     calls = []
-    table = _table_keys(["a", "b", "c", "new"], {"q": {"a": 0.9, "b": 0.8, "c": 0.7, "new": 0.85}})
-
-    def keys(embedding, k, since=0):
-        calls.append(since)
-        return table(embedding, k, since)
+    rows_since, cosine_keys = r.rows_since, r.cosine_keys
+    r.rows_since = lambda since: calls.append(since) or rows_since(since)
+    r.cosine_keys = lambda *args: calls.append("full scan") or cosine_keys(*args)
 
     bank = _bank()
-    _insert(bank, "q", now=1, keys=[(0.9, "a"), (0.8, "b")])
-    assert [e.query for e in bank.refresh(keys, since=3, k_refresh=2)] == ["q"]
+    bank.insert("q", emb["q"], "ans", 1, keys=[(0.9, "a"), (0.8, "b")])
+    assert [e.query for e in bank.refresh(r, since=3, k_refresh=2)] == ["q"]
     assert calls == [3]
     assert bank.get("q").keys == [(0.9, "a"), (0.85, "new")]
 
 
 def test_refresh_ranks_entries_with_too_few_keys_by_full_scan():
     # k_refresh grew from 1 to 2: one kept key cannot tell the second place
-    table = _table_keys(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
+    r, emb = _table(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
     bank = _bank()
-    _insert(bank, "q", now=1, keys=[(0.9, "a")])
-    assert bank.refresh(table, since=2, k_refresh=2) == []
+    bank.insert("q", emb["q"], "ans", 1, keys=[(0.9, "a")])
+    assert bank.refresh(r, since=2, k_refresh=2) == []
     assert bank.get("q").keys == [(0.9, "a"), (0.8, "b")]
 
 
@@ -201,7 +202,7 @@ def test_pending_order():
     _insert(bank, "b later", answer=None, now=5)
     _insert(bank, "a early", answer=None, now=1)
     _insert(bank, "answered", now=2)
-    bank.get("answered").stale = True
+    bank.mark_stale("answered")
     assert [e.query for e in bank.pending()] == ["a early", "answered", "b later"]
 
 
@@ -209,7 +210,7 @@ def test_persistence_round_trip(tmp_path):
     bank = _bank()
     _insert(bank, "decoded q", answer="the answer", now=1)
     _insert(bank, "pending q", answer=None, now=2)
-    bank.get("decoded q").stale = True
+    bank.mark_stale("decoded q")
     bank.match(EMB.embed("pending q"), -2.0, now=3)  # no-op, keeps counts 0
     path = tmp_path / "qa.jsonl"
     bank.persist(path)
@@ -225,8 +226,8 @@ def test_persistence_round_trip(tmp_path):
     assert len(loaded.entries) == 2
     got = loaded.get("decoded q")
     assert got.answer == "the answer" and got.stale and got.created_at == 1
-    # embeddings recomputed, matching still works once not stale
-    got.stale = False
+    # embeddings recomputed, matching still works once answered again
+    loaded.insert("decoded q", EMB.embed("decoded q"), "the answer", now=9)
     hit, sim = loaded.match(EMB.embed("decoded q"), 0.99, now=9)
     assert hit is got and sim == pytest.approx(1.0)
     # load then persist without any use: byte identical

@@ -1,4 +1,5 @@
 import math
+import tempfile
 import time
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percache.qa import QaBank
+from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import (
     DEFAULT_ALPHA,
     DEFAULT_B,
@@ -427,7 +428,8 @@ def _check_match(entries, query, tau, seed):
     bank = QaBank(limit_bytes=1 << 30)
     for i, (idx, answered, stale, created_at) in enumerate(entries):
         bank.insert(f"q{i}", pool[idx], "ans" if answered else None, created_at)
-        bank.get(f"q{i}").stale = stale
+        if stale:
+            bank.mark_stale(f"q{i}")
     want, want_sim = _reference_match(bank, pool[query])
     if tau == "best":
         tau = want_sim  # strictly above tau: a tie with tau misses
@@ -476,14 +478,15 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     if since is None or since == len(r):
         return  # no new chunk arrived
     new_ids = set(scan.docs) - old_ids
+    ids, rows = r.rows_since(since)
+    assert ids == sorted(new_ids)
+    assert _bits(rows.ravel()) == _bits(np.concatenate([scan.docs[cid][2].values for cid in ids]))
     want = []
     for e in bank.entries:
-        assert _key_bits(r.cosine_keys(e.embedding, k_refresh, since)) == _key_bits(
-            scan.cosine_keys(e.embedding, k_refresh, new_ids))
         if e.answer is not None and any(
                 cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k_refresh)):
             want.append(e.query)
-    marked = bank.refresh(r.cosine_keys, since, k_refresh)
+    marked = bank.refresh(r, since, k_refresh)
     assert [e.query for e in marked] == want
     for e in bank.entries:
         assert e.stale == (e.query in want)
@@ -492,31 +495,35 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
 
 
 def test_new_rows_gathered_once_per_arrival():
-    # every entry of one arrival is keyed against one gather of the new
-    # rows; an add, or another since, gathers again, and the keys are those
-    # of a scan either way (repeated ids: the first add wins)
+    # every entry of one arrival is scored against one gather of the new
+    # rows, in chunk-id order with the embeddings' bits, and the keys are
+    # those of a scan (repeated ids: the first add wins)
     r, scan = Retriever(EMB), ScanRetriever()
+    bank = QaBank(limit_bytes=1 << 30)
     queries = [_dense(seed) for seed in range(4)]
-    gathered = None
+    gathers = []
+    rows_since = r.rows_since
+    r.rows_since = lambda since: gathers.append(since) or rows_since(since)
     for step, count in enumerate((4, 5, 3, 2)):
         since = len(r)
         for i in range(count):
             emb, cid = _dense(100 + 10 * step + i), f"c{(7 * (10 * step + i)) % 23:02d}"
             r.add_chunk(cid, cid, emb)
             scan.add_chunk(cid, cid, emb)
-        if step == 0:
-            continue
-        new_ids = list(scan.docs)[since:]
-        assert new_ids
-        for q in queries:
-            keys = r.cosine_keys(q, 3, since)
-            assert _key_bits(keys) == _key_bits(scan.cosine_keys(q, 3, new_ids))
-            if q is queries[0]:
-                assert r._new_rows is not gathered
-                gathered = r._new_rows
-            assert r._new_rows is gathered
-    r.cosine_keys(queries[0], 3, since - 1)
-    assert r._new_rows is not gathered
+        if step:
+            new_ids = sorted(list(scan.docs)[since:])
+            assert new_ids
+            ids, rows = rows_since(since)
+            assert ids == new_ids
+            assert _bits(rows.ravel()) == _bits(
+                np.concatenate([scan.docs[cid][2].values for cid in new_ids]))
+            gathers.clear()
+            bank.refresh(r, since, 3)
+            assert gathers == [since]
+            for e in bank.entries:
+                assert _key_bits(e.keys) == _key_bits(scan.cosine_keys(e.embedding, 3))
+        for j, q in enumerate(queries):  # answered again: every entry is fresh
+            bank.insert(f"q{j}", q, "ans", step, r.cosine_keys(q, 3))
 
 
 @pytest.mark.parametrize("check", [_check_cosine, _check_retrieve, _check_match, _check_refresh],
@@ -589,7 +596,7 @@ def _scan_refresh(bank, scan, new_ids, k):
     for e in bank.entries:
         if e.answer is not None and not e.stale and any(
                 cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k)):
-            e.stale = True
+            bank.mark_stale(e.query)
             marked.append(e)
     return marked
 
@@ -632,7 +639,7 @@ def _check_arrivals(steps, seed):
                 continue  # the engine refreshes only when a chunk is new
             checked = {e.query for e in bank.entries if e.answer is not None and not e.stale}
             want = [e.query for e in _scan_refresh(ref, scan, new_ids, k)]
-            assert [e.query for e in bank.refresh(r.cosine_keys, since, k)] == want
+            assert [e.query for e in bank.refresh(r, since, k)] == want
             assert [e.stale for e in bank.entries] == [e.stale for e in ref.entries]
             for e in bank.entries:
                 if e.query in checked:
@@ -643,3 +650,86 @@ def _check_arrivals(steps, seed):
 
 def test_incremental_refresh_matches_full_scan():
     _within_budget(_check_arrivals)
+
+
+# -- the QA bank's kept matrix against a scan over its entries -----------------
+
+BANK_K = 2
+_bank_step = st.one_of(
+    # a new query, or an answer update of a known one; created_at ties
+    st.tuples(st.just("insert"), st.integers(0, 23), st.booleans(), st.integers(0, 3)),
+    st.tuples(st.just("arrive"),
+              st.lists(st.tuples(st.integers(0, 29), st.integers(0, 8)), min_size=1, max_size=3)),
+    st.tuples(st.just("limit"), st.integers(1, 24)),
+    st.tuples(st.just("reload")),
+)
+_probe = st.tuples(st.integers(0, 8), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.99]))
+# past the first growth, holes from a shrink, rows appended after them, and
+# a reload and an arrival in between
+_HOLES_AND_GROWTH = (
+    [("insert", q, True, q % 4) for q in range(20)] + [("limit", 6)]
+    + [("insert", q, q % 2 == 0, 1) for q in range(20, 24)]
+    + [("insert", q, True, 2) for q in range(12)] + [("arrive", [(1, 0), (2, 4)]), ("reload",),
+                                                    ("limit", 24)]
+    + [("insert", q, True, 3) for q in range(24)] + [("arrive", [(3, 1)])]
+)
+
+
+class _PoolEmbedder:
+    """Embeds the query "q<i>" as the pool's entry i, so a reloaded bank
+    keeps every embedding."""
+
+    def __init__(self, pool):
+        self.pool = pool
+
+    def embed(self, text):
+        return self.pool[int(text[1:]) % len(self.pool)]
+
+
+def _check_probe(bank, embedding, tau, now):
+    want, want_sim = _reference_match(bank, embedding)
+    uses = {e.query: (e.use_count, e.last_used) for e in bank.entries}
+    hit, sim = bank.match(embedding, tau, now)
+    assert float(sim).hex() == float(want_sim).hex()
+    assert hit is (want if want is not None and want_sim > tau else None)
+    assert hit is None or (bank.get(hit.query) is hit and hit.servable)
+    if hit is not None:
+        uses[hit.query] = (uses[hit.query][0] + 1, now)
+    assert {e.query: (e.use_count, e.last_used) for e in bank.entries} == uses
+
+
+@EXACT_SETTINGS
+@given(steps=st.lists(_bank_step, max_size=30), probes=st.lists(_probe, min_size=1, max_size=4),
+       limit=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+@example(steps=_HOLES_AND_GROWTH, probes=[(0, -2.0), (3, 0.5), (7, 0.99)], limit=24, seed=0)
+def _check_kept_matrix(steps, probes, limit, seed):
+    pool = _pool(seed)
+    embedder = _PoolEmbedder(pool)
+    r = Retriever(EMB)
+    bank = QaBank(limit_bytes=limit * DEFAULT_ENTRY_BYTES)
+    with tempfile.TemporaryDirectory() as tmp:
+        for now, step in enumerate(steps, start=10):
+            evicted = []
+            if step[0] == "insert":
+                _, q, answered, created = step
+                emb = embedder.embed(f"q{q}")
+                keys = r.cosine_keys(emb, BANK_K) if answered and len(r) else None
+                evicted = bank.insert(f"q{q}", emb, "ans" if answered else None, created, keys)
+            elif step[0] == "arrive":
+                since = len(r)
+                for cid, j in step[1]:
+                    r.add_chunk(f"c{cid:02d}", "budget" if j % 2 else "", pool[j])
+                if len(r) > since:
+                    bank.refresh(r, since, BANK_K)
+            elif step[0] == "limit":
+                evicted = bank.set_limit(step[1] * DEFAULT_ENTRY_BYTES)
+            else:
+                bank.persist(f"{tmp}/qa.jsonl")
+                bank = QaBank.load(f"{tmp}/qa.jsonl", bank.limit_bytes, embedder)
+            assert all(bank.get(e.query) is not e for e in evicted)
+            query, tau = probes[now % len(probes)]
+            _check_probe(bank, pool[query], tau, now)
+
+
+def test_qa_matrix_matches_an_entry_scan():
+    _within_budget(_check_kept_matrix)

@@ -134,7 +134,7 @@ def test_deferred_answer_reuses_the_hit_embedding(tmp_path):
 def test_stale_runs_before_conversions(tmp_path):
     eng = _engine_with_pending(tmp_path)
     eng.qa.insert("who wrote the agenda for monday?", eng.embedder.embed("who wrote the agenda for monday?"), "old", 0)
-    eng.qa.get("who wrote the agenda for monday?").stale = True
+    eng.qa.mark_stale("who wrote the agenda for monday?")
     report = eng.scheduler.idle_tick(1e-9, now=10)
     assert report.stale_reanswered == 1 and report.converted_to_qa == 0
     entry = eng.qa.get("who wrote the agenda for monday?")

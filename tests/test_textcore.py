@@ -3,7 +3,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percache.knowledge import read_utf8
@@ -13,6 +13,7 @@ from percache.textcore import (
     Embedding,
     HashEmbedder,
     TokenizerVocab,
+    cosine_similarities,
     cosine_similarity,
     detokenize,
     split_words,
@@ -148,6 +149,41 @@ ORACLE_TEXTS = (st.lists(st.sampled_from(ORACLE_WORDS), max_size=12).map(" ".joi
 def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
     got = HashEmbedder(dim, seed).embed(text).values
     assert got.tobytes() == _oracle_vector(text, dim, seed).tobytes()
+
+
+def _dense(seed: int) -> Embedding:
+    v = np.random.default_rng(seed).normal(size=EMBED_DIM)
+    return Embedding(v / np.linalg.norm(v))
+
+
+AXIS = np.eye(EMBED_DIM)
+# hashed texts (one without words embeds as [1, 0, ...]), dense vectors,
+# axes and negated axes (their zero dots are 0.0 or -0.0), the wordless vector
+SYMMETRY_EMBEDDINGS = st.one_of(
+    ORACLE_TEXTS.map(embed),
+    st.integers(0, 2**32 - 1).map(_dense),
+    st.integers(0, 3).map(lambda i: Embedding(AXIS[i])),
+    st.integers(0, 3).map(lambda i: Embedding(-AXIS[i])),
+    st.just(embed("")),
+)
+_EVERY_KIND = [embed("budget review"), _dense(0), Embedding(AXIS[0]), Embedding(AXIS[1]),
+               Embedding(-AXIS[0]), Embedding(-AXIS[1]), embed("")]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(SYMMETRY_EMBEDDINGS, min_size=1, max_size=8),
+       st.lists(SYMMETRY_EMBEDDINGS, min_size=1, max_size=8))
+@example(_EVERY_KIND, _EVERY_KIND)
+def test_cosine_similarities_are_symmetric_bit_for_bit(entries, chunks):
+    # the QA bank scores a chunk against its entry rows, the retriever an
+    # entry against its chunk rows: both give every pair the same bits
+    e_rows = np.array([e.values for e in entries])
+    c_rows = np.array([c.values for c in chunks])
+    by_chunk = [cosine_similarities(e_rows, c) for c in chunks]
+    by_entry = [cosine_similarities(c_rows, e) for e in entries]
+    for i in range(len(entries)):
+        for j in range(len(chunks)):
+            assert float(by_chunk[j][i]).hex() == float(by_entry[i][j]).hex()
 
 
 def test_embed_hash_oracle():
