@@ -9,16 +9,17 @@ re-decoded at idle ticks.
 Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
 is LFU over per-entry use counts.
 
-The entries' embeddings are the rows of one float64 matrix, in insertion
-order. An evicted entry leaves a hole; when the matrix is full, the holes
-are dropped and the capacity doubles if more than half of it is in use.
+The entries' feature counts are the rows of one float32 matrix, in
+insertion order, beside their squared norms. An evicted entry leaves a
+hole; when the matrix is full, the holes are dropped and the capacity
+doubles if more than half of it is in use.
 Beside the matrix a mask marks the servable rows. Only QaBank's methods
 change an entry's answer or stale flag, and they keep the mask in step, so
 match scores the masked rows with one cosine_similarities call.
 
 An answered entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
-so a chunk arrival scores only the new chunks (QaBank.refresh), each against
-every servable row in one call. Keys are not persisted.
+so a chunk arrival scores only the new chunks (QaBank.refresh), all of them
+against every servable row in one call. Keys are not persisted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
 from .retrieval import Retriever, top_k_order
-from .textcore import Embedding, HashEmbedder, cosine_similarities
+from .textcore import Embedding, HashEmbedder, cosine_similarities, cosine_table
 
 DEFAULT_ENTRY_BYTES = 4096
 INITIAL_ROWS = 16
@@ -73,7 +74,8 @@ class QaBank:
         self.entries = self._by_query.values()  # in insertion order
         self._row: dict[str, int] = {}  # query -> row
         self._held: list[QaEntry | None] = []  # row -> entry, None once evicted
-        self._emb = np.empty((0, 0))  # rows sized at the first insert
+        self._counts = np.empty((0, 0), np.float32)  # rows sized at the first insert
+        self._norm2 = np.empty(0)  # each row's squared norm
         self._servable = np.zeros(0, dtype=bool)
 
     @property
@@ -90,10 +92,10 @@ class QaBank:
         the similarity is -1.0 when no entry is servable. A hit bumps
         use_count and last_used.
         """
-        rows, emb = self._servable_rows()
+        rows, counts, norm2 = self._servable_rows()
         if not rows:
             return None, -1.0
-        sims = cosine_similarities(emb, embedding)
+        sims = cosine_similarities(counts, norm2, embedding)
         # ties: the oldest entry, then the first inserted
         i = min(np.flatnonzero(sims == sims.max()).tolist(),
                 key=lambda i: self._held[rows[i]].created_at)
@@ -104,11 +106,14 @@ class QaBank:
             return best, best_sim
         return None, best_sim
 
-    def _servable_rows(self) -> tuple[list[int], np.ndarray]:
-        """The servable rows and their embeddings, a view if every row is."""
+    def _servable_rows(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The servable rows, their counts and their squared norms, views
+        if every row is servable."""
         n = len(self._held)
         rows = np.flatnonzero(self._servable[:n])
-        return rows.tolist(), self._emb[:n] if len(rows) == n else self._emb[rows]
+        if len(rows) == n:
+            return rows.tolist(), self._counts[:n], self._norm2[:n]
+        return rows.tolist(), self._counts[rows], self._norm2[rows]
 
     def insert(
         self,
@@ -150,10 +155,10 @@ class QaBank:
         self._servable[self._row[query]] = False
 
     def _add(self, entry: QaEntry) -> None:
-        if len(self._held) == len(self._emb):
+        if len(self._held) == len(self._norm2):
             self._compact(entry.embedding.dim)
         row = len(self._held)
-        self._emb[row] = entry.embedding.values
+        self._counts[row], self._norm2[row] = entry.embedding.counts, entry.embedding.norm2
         self._servable[row] = entry.servable
         self._held.append(entry)
         self._row[entry.query] = row
@@ -163,13 +168,14 @@ class QaBank:
         """Drop the holes of evicted rows, keeping insertion order; the
         capacity doubles if the entries fill more than half of it."""
         live = [row for row, held in enumerate(self._held) if held is not None]
-        capacity = len(self._emb) * (2 if 2 * len(live) > len(self._emb) else 1)
-        emb = np.empty((max(capacity, INITIAL_ROWS), dim))
-        servable = np.zeros(len(emb), dtype=bool)
+        capacity = len(self._norm2) * (2 if 2 * len(live) > len(self._norm2) else 1)
+        capacity = max(capacity, INITIAL_ROWS)
+        counts, norm2 = np.empty((capacity, dim), np.float32), np.empty(capacity)
+        servable = np.zeros(capacity, dtype=bool)
         if live:
-            emb[: len(live)] = self._emb[live]
+            counts[: len(live)], norm2[: len(live)] = self._counts[live], self._norm2[live]
             servable[: len(live)] = self._servable[live]
-        self._emb, self._servable = emb, servable
+        self._counts, self._norm2, self._servable = counts, norm2, servable
         self._held = [self._held[row] for row in live]
         self._row = {entry.query: row for row, entry in enumerate(self._held)}
 
@@ -198,13 +204,14 @@ class QaBank:
         """Mark entries stale when newly ingested chunks displace their grounding.
 
         The retriever's chunks from row since on are new; rows_since
-        gathers them once, and each is scored against every servable row
-        in one cosine_similarities call. An answered, fresh entry goes
+        gathers them once, and one cosine_table call scores each against
+        every servable row. An answered, fresh entry goes
         stale iff a new key ranks within the top k_refresh of its kept keys
         and the new keys, and that top k_refresh becomes its keys. This
         equals ranking the whole corpus, because chunks are never removed
-        and a dot has the same bits whichever rows are scored with it and
-        whichever of its two vectors is the row. Only an entry whose best
+        and every cosine is computed from an exact integer dot, so it has
+        the same bits whichever rows are scored with it and whichever of
+        its two embeddings is the row. Only an entry whose best
         new cosine ties or beats its k_refresh-th kept key is merged; the
         others keep their keys. An entry whose keys are unknown, or fewer
         than min(k_refresh, since) after k_refresh grew, is ranked by
@@ -216,14 +223,12 @@ class QaBank:
         for row in np.flatnonzero(~self._servable[: len(held)]).tolist():
             if held[row] is not None:
                 held[row].keys = None
-        rows, emb = self._servable_rows()
+        rows, counts, norm2 = self._servable_rows()
         if not rows:
             return []
-        ids, chunks = retriever.rows_since(since)
+        ids, chunk_counts, chunk_norm2 = retriever.rows_since(since)
         new = set(ids)
-        sims = np.empty((len(rows), len(ids)))
-        for j, chunk in enumerate(chunks):
-            sims[:, j] = cosine_similarities(emb, Embedding(chunk))
+        sims = cosine_table(counts, norm2, chunk_counts, chunk_norm2)
         best_new = sims.max(axis=1, initial=-np.inf).tolist()
         marked = []
         for i, row in enumerate(rows):

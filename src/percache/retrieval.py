@@ -9,10 +9,13 @@ count is the number of rows, the average length a running word total over
 it, and a term's document frequency the length of its posting list.
 
 The scan is array code, and every score equals the per-chunk scalar
-formula bit for bit. The chunk embeddings are the rows of one float64
-matrix, scored by textcore.cosine_similarities. BM25 walks the postings of
-each query term, in order of first occurrence, and adds the term's
-contribution with the scalar formula's operation order. Min-max
+formula bit for bit. The chunks' feature counts are the rows of one float32
+matrix, beside their squared norms, scored by textcore.cosine_similarities,
+whose integer dots are exact. Each term's postings are one flat int64
+array; BM25 gathers those of the query terms, in order of first
+occurrence, computes each posting's contribution with the scalar
+formula's operations, and sums them per chunk with one bincount, which
+adds in input order from +0.0, as the scalar loop does. Min-max
 normalization, fusion and the (-fused, chunk_id) order run over the chunks
 in chunk-id order. Every ranking takes its k best through top_k_order, which
 partitions rather than sorting the whole corpus.
@@ -20,6 +23,7 @@ partitions rather than sorting the whole corpus.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -68,8 +72,8 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
 class Retriever:
     """Exact-scan hybrid retriever over the chunk corpus.
 
-    Rows of the embedding matrix are chunks in insertion order; its
-    capacity doubles when full. Chunks are never removed, so the chunks
+    Rows of the count matrix are chunks in insertion order; its capacity
+    doubles when full. Chunks are never removed, so the chunks
     added since a known corpus size are the rows from that size on.
 
     cosine_keys ranks the corpus as (cosine, chunk_id) keys, ordered by
@@ -91,9 +95,10 @@ class Retriever:
         self.alpha = alpha
         self._ids: list[str] = []  # row -> chunk id
         self._id_set: set[str] = set()
-        self._emb = np.empty((INITIAL_CAPACITY, self.embedder.dim))
-        # term -> (row, tf, doc length) of each chunk containing it
-        self._postings: dict[str, list[tuple[int, int, int]]] = {}
+        self._counts = np.empty((INITIAL_CAPACITY, self.embedder.dim), np.float32)
+        self._norm2 = np.empty(INITIAL_CAPACITY)  # each row's squared norm
+        # term -> row, tf, doc length of each chunk containing it, flat
+        self._postings: dict[str, array] = {}
         self._total_len = 0  # words over all chunks
         self._order: np.ndarray | None = None  # rows in chunk-id order
         # (embedding, its cosine row in chunk-id order) of the last
@@ -110,25 +115,29 @@ class Retriever:
         """Make room for n chunks in one step: the capacity doubles until n
         fit. Growing once, not through every smaller size, leaves no
         outgrown matrices behind in the allocator's heap."""
-        capacity = len(self._emb)
+        capacity = len(self._norm2)
         while capacity < n:
             capacity *= 2
-        if capacity > len(self._emb):
-            grown = np.empty((capacity, self._emb.shape[1]))
-            grown[: len(self._ids)] = self._emb[: len(self._ids)]
-            self._emb = grown
+        if capacity > len(self._norm2):
+            held = len(self._ids)
+            counts, norm2 = np.empty((capacity, self._counts.shape[1]), np.float32), np.empty(capacity)
+            counts[:held], norm2[:held] = self._counts[:held], self._norm2[:held]
+            self._counts, self._norm2 = counts, norm2
 
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
         if chunk_id in self._id_set:
             return
-        if embedding.dim != self._emb.shape[1]:
-            raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._emb.shape[1]}")
+        if embedding.dim != self._counts.shape[1]:
+            raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._counts.shape[1]}")
         row = len(self._ids)
         self.reserve(row + 1)
-        self._emb[row] = embedding.values
+        self._counts[row], self._norm2[row] = embedding.counts, embedding.norm2
         terms = split_words(text)
         for term, tf in Counter(terms).items():
-            self._postings.setdefault(term, []).append((row, tf, len(terms)))
+            postings = self._postings.get(term)
+            if postings is None:
+                postings = self._postings[term] = array("q")
+            postings.extend((row, tf, len(terms)))
         self._total_len += len(terms)
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
@@ -146,23 +155,23 @@ class Retriever:
         term with postings has a document with words in it, so the average
         length is positive."""
         n = len(self._ids)
-        scores = np.zeros(n)
+        terms = [(self._postings[term], qtf) for term, qtf in Counter(split_words(query)).items()
+                 if term in self._postings]
+        if not terms:
+            return np.zeros(n)
         avgdl = self._total_len / n
         k1, b = DEFAULT_K1, DEFAULT_B
-        for term, qtf in Counter(split_words(query)).items():
-            postings = self._postings.get(term)
-            if postings is None:
-                continue
-            df = len(postings)
-            idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            rows, tf, doc_len = np.array(postings).T
-            denom = tf + k1 * (1.0 - b + b * doc_len / avgdl)
-            scores[rows] += qtf * idf * tf * (k1 + 1.0) / denom
-        return scores
+        dfs = [len(postings) // 3 for postings, _ in terms]
+        qtf_idf = np.repeat([qtf * math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+                             for (_, qtf), df in zip(terms, dfs)], dfs)
+        rows, tf, doc_len = np.frombuffer(b"".join(p for p, _ in terms), np.int64).reshape(-1, 3).T
+        denom = tf + k1 * (1.0 - b + b * doc_len / avgdl)
+        return np.bincount(rows, qtf_idf * tf * (k1 + 1.0) / denom, n)
 
     def _cosine(self, embedding: Embedding) -> np.ndarray:
         """Cosine similarity of every chunk to embedding, in chunk-id order."""
-        return cosine_similarities(self._emb[: len(self._ids)], embedding)[self._id_order()]
+        n = len(self._ids)
+        return cosine_similarities(self._counts[:n], self._norm2[:n], embedding)[self._id_order()]
 
     def retrieve_top_k(
         self, query: str, k: int, *, embedding: Embedding | None = None
@@ -187,11 +196,11 @@ class Retriever:
                                         semantic[top].tolist(), fused[top].tolist())
         ]
 
-    def rows_since(self, since: int) -> tuple[list[str], np.ndarray]:
-        """The chunks from row since on, in chunk-id order: their ids and a
-        copy of their embedding rows."""
+    def rows_since(self, since: int) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The chunks from row since on, in chunk-id order: their ids, and
+        copies of their count rows and squared norms."""
         rows = sorted(range(since, len(self._ids)), key=self._ids.__getitem__)
-        return [self._ids[row] for row in rows], self._emb[rows]
+        return [self._ids[row] for row in rows], self._counts[rows], self._norm2[rows]
 
     def cosine_keys(self, embedding: Embedding, k: int) -> list[tuple[float, str]]:
         """The k best (cosine, chunk_id) keys for embedding over the whole

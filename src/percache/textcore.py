@@ -14,6 +14,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -101,51 +102,115 @@ def detokenize(tokens, vocab: TokenizerVocab) -> str:
     return b"".join(vocab.token_bytes(t) for t in tokens).decode("utf-8", errors="replace")
 
 
+# every count of an embedding is an integer of magnitude at most MAX_COUNT,
+# so float32 holds it exactly, and its squared norm is below MAX_NORM2
+MAX_COUNT = 2**24
+MAX_NORM2 = 2**53
+# a dot of two count vectors whose squared norms multiply to at most this
+# is exact in float32: its products and partial sums are integers of
+# magnitude at most 2**24 (Cauchy-Schwarz on every subset of the terms)
+FLOAT32_EXACT_NORM2_PRODUCT = 2**48
+
+
 @dataclass(frozen=True)
 class Embedding:
-    """Unit-norm feature vector."""
+    """A feature-count vector and the unit vector it points along.
 
-    values: np.ndarray
+    counts holds integers as float32, each of magnitude at most MAX_COUNT,
+    and norm2 is their exact squared norm, positive and below MAX_NORM2.
+    values, the unit vector counts / sqrt(norm2) in float64, is computed
+    on first use. from_counts checks these conditions; the fields are
+    trusted as given.
+    """
+
+    counts: np.ndarray
+    norm2: int
+
+    @classmethod
+    def from_counts(cls, counts) -> "Embedding":
+        """The embedding of an integer count vector; raises ValueError for
+        a non-integer, too large or all-zero one."""
+        c = np.asarray(counts, dtype=np.float64)
+        if c.ndim != 1 or not np.array_equal(c, np.trunc(c)) or np.any(np.abs(c) > MAX_COUNT):
+            raise ValueError(f"counts must be a vector of integers of magnitude at most {MAX_COUNT}")
+        norm2 = sum(x * x for x in map(int, c.tolist()))
+        if not 0 < norm2 < MAX_NORM2:
+            raise ValueError(f"squared norm {norm2} is not in (0, 2**53)")
+        return cls(c.astype(np.float32), norm2)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.counts.astype(np.float64) / math.sqrt(self.norm2)
 
     @property
     def dim(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.counts.shape[0])
+
+
+def _cosines(counts: np.ndarray, norm2: np.ndarray, other: np.ndarray, other_norm2,
+             other_max: float) -> np.ndarray:
+    """The cosine of each row of counts with the count vector other, or
+    with each column of the matrix other, whose squared norms are
+    other_norm2 (at most other_max): an (n,) or (n, k) array."""
+    if norm2.max(initial=0.0) * other_max <= FLOAT32_EXACT_NORM2_PRODUCT:
+        dots = counts @ other
+    else:
+        dots = counts.astype(np.float64) @ other.astype(np.float64)
+    sims = np.divide(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)), dtype=np.float64)
+    sims += 0.0  # -0.0 to +0.0
+    np.minimum(sims, 1.0, out=sims)  # np.clip, at a third of its fixed cost
+    return np.maximum(sims, -1.0, out=sims)
+
+
+def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> np.ndarray:
+    """The cosine of e with each row of counts, a 2-D array of embedding
+    counts (any float dtype) whose exact squared norms are norm2 (float64).
+
+    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
+    dot: it runs in float32 when the largest norm2 times e.norm2 is at most
+    FLOAT32_EXACT_NORM2_PRODUCT, and in float64 (partial sums below 2**53)
+    otherwise. So no BLAS kernel, summation order or storage dtype changes
+    a bit, and the result is symmetric in its two embeddings. A zero dot
+    is +0.0, as an integer dot gives. Norms below 2**53 are exact in
+    float64, and their product is the correctly rounded integer product.
+    """
+    if counts.shape[1] != e.dim:
+        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {e.dim}")
+    return _cosines(counts, norm2, e.counts, float(e.norm2), e.norm2)
+
+
+def cosine_table(counts: np.ndarray, norm2: np.ndarray,
+                 other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
+    """cosine_similarities of each row of other_counts (squared norms
+    other_norm2) against the rows of counts, as the columns of one
+    (len(counts), len(other_counts)) array, bit for bit."""
+    if counts.shape[1] != other_counts.shape[1]:
+        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {other_counts.shape[1]}")
+    return _cosines(counts, norm2, other_counts.T, other_norm2, other_norm2.max(initial=0.0))
 
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity of two embeddings; inputs are unit-norm so this is a dot."""
-    if a.dim != b.dim:
-        raise ValueError(f"embedding dimension mismatch: {a.dim} != {b.dim}")
-    return float(np.clip(np.dot(a.values, b.values), -1.0, 1.0))
-
-
-def cosine_similarities(rows: np.ndarray, e: Embedding) -> np.ndarray:
-    """cosine_similarity of e against each row of a 2-D float64 array, bit
-    for bit: matmul computes each (1, d) @ (d, 1) product of the stack with
-    the same vector dot routine np.dot uses. A matrix-vector product
-    (rows @ e.values) or einsum sums in another order and can differ in the
-    last bit."""
-    if rows.shape[1] != e.dim:
-        raise ValueError(f"embedding dimension mismatch: {rows.shape[1]} != {e.dim}")
-    return np.clip(np.matmul(rows[:, None, :], e.values[:, None])[:, 0, 0], -1.0, 1.0)
+    """Cosine similarity of two embeddings: cosine_similarities with a as
+    the one row."""
+    return float(cosine_similarities(a.counts[None], np.array([float(a.norm2)]), b)[0])
 
 
 class HashEmbedder:
     """Seeded feature-hash of word unigrams and bigrams into a fixed dimension.
 
     Each feature's keyed 8-byte BLAKE2b digest, read little-endian, gives its
-    index (the digest mod dim) and its sign (the top bit set: -1.0). The
-    vector is the sum of the signed features, divided by its Euclidean norm.
-    n words make 2n - 1 features, an odd number of +-1.0 terms, so the sum
-    is never zero unless the text has no words; such a text embeds as
-    [1, 0, ..., 0].
+    index (the digest mod dim) and its sign (the top bit set: -1). The
+    counts are the sum of the signed features; values divides them by
+    their Euclidean norm. n words make 2n - 1 features, an odd number of
+    +-1 terms, so the sum is never zero unless the text has no words; such
+    a text counts [1, 0, ..., 0].
 
-    Every entry of the sum is a small integer count of +-1.0 terms, and its
-    sum of squares an integer far below 2**53, so both are exact in float64
-    whatever the order of summation. The norm is then the correctly rounded
-    square root of an exact integer, np.linalg.norm's result, and division
-    is elementwise. So embed, which sums with one bincount, gives every text
-    the bits of a per-feature loop.
+    A text has at most MAX_COUNT features, so every count and the squared
+    norm (at most MAX_COUNT**2) are integers that float64 sums exactly in
+    any order, and the counts fit float32. values is then counts over the
+    correctly rounded square root of an exact integer, np.linalg.norm's
+    result, divided elementwise. So embed, which sums with one bincount,
+    gives every text the bits of a per-feature loop.
 
     Deterministic across machines and runs. Real embedding models can be
     plugged in behind the same embed(text) -> Embedding surface: the engine
@@ -174,8 +239,9 @@ class HashEmbedder:
     def embed(self, text: str) -> Embedding:
         digests = self._digests(text)
         if not digests:
-            return Embedding(np.eye(1, self.dim).ravel())
+            return Embedding(np.eye(1, self.dim, dtype=np.float32).ravel(), 1)
         v = np.frombuffer(digests, "<u8")
+        if len(v) > MAX_COUNT:
+            raise ValueError(f"text has {len(v)} features, more than {MAX_COUNT}")
         vec = np.bincount((v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0), self.dim)
-        vec /= math.sqrt(vec @ vec)
-        return Embedding(vec)
+        return Embedding(vec.astype(np.float32), int(vec @ vec))

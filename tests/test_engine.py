@@ -103,8 +103,8 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
     assert eng.handle_query(q, 1).path == COLD_MISS
     assert len(scans) == 1  # retrieval's own
     entry = eng.qa.get(q)
-    # another embedding object with the same values is scanned afresh
-    assert entry.keys == eng.retriever.cosine_keys(Embedding(entry.embedding.values),
+    # another embedding object with the same counts is scanned afresh
+    assert entry.keys == eng.retriever.cosine_keys(Embedding.from_counts(entry.embedding.counts),
                                                    eng.config.k_refresh)
     assert len(scans) == 2
 
@@ -532,13 +532,17 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
     reopened = make_engine(tmp_path / "bank", chunk_words=3)
     chunks = list(reopened.bank.chunks.values())
     assert len(chunks) > 50
-    rows = reopened.retriever._emb[: len(reopened.retriever)]
+    n = len(reopened.retriever)
+    rows, norm2 = reopened.retriever._counts[:n], reopened.retriever._norm2[:n].tolist()
     assert reopened.retriever._ids == [c.chunk_id for c in chunks]
-    for chunk, row in zip(chunks, rows):
-        assert row.tobytes() == reopened.embedder.embed(chunk.text).values.tobytes()
+    for chunk, row, n2 in zip(chunks, rows, norm2):
+        e = reopened.embedder.embed(chunk.text)
+        assert (row.tobytes(), n2) == (e.counts.tobytes(), e.norm2)
     assert [e.query for e in reopened.qa.entries] == queries
     for entry in reopened.qa.entries:
-        assert entry.embedding.values.tobytes() == reopened.embedder.embed(entry.query).values.tobytes()
+        e = reopened.embedder.embed(entry.query)
+        assert (entry.embedding.counts.tobytes(), entry.embedding.norm2) == (e.counts.tobytes(), e.norm2)
+        assert entry.embedding.values.tobytes() == e.values.tobytes()
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):

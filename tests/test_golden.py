@@ -17,12 +17,17 @@ the bank digest changed.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import percache
 from percache.backend import ToyModel
 from percache.cli import EXIT_OK, main
 from percache.engine import Engine
@@ -103,6 +108,33 @@ def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
     golden = (GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes()
     assert metrics == golden, first_difference(metrics, golden)
     assert digest == (GOLDEN / f"{trace}__{cfg}.bank.sha256").read_text(encoding="utf-8").strip()
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run
+    time, so OPENBLAS_CORETYPE selects another CPU's kernels."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_replay_matches_golden_under_other_blas_kernels(tmp_path, coretype):
+    # contract 2 holds across machines, not per machine: a replay whose
+    # BLAS runs another CPU's kernels writes the golden bytes
+    path = [str(Path(percache.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from pathlib import Path; from test_golden import replay; "
+            "replay('monotonicity', 'default', Path(sys.argv[1]))")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                   capture_output=True, timeout=100)
+    metrics = (tmp_path / "metrics.jsonl").read_bytes()
+    golden = (GOLDEN / "monotonicity__default.jsonl").read_bytes()
+    assert metrics == golden, first_difference(metrics, golden)
+    assert bank_digest(tmp_path / "bank") == (
+        GOLDEN / "monotonicity__default.bank.sha256").read_text(encoding="utf-8").strip()
 
 
 @pytest.mark.parametrize("trace,cfg", PAIRS)

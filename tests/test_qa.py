@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_match_skips_answerless_and_stale():
 
 def test_match_tie_prefers_older():
     bank = _bank()
-    a = Embedding(np.eye(4)[0])
+    a = Embedding.from_counts(np.eye(4)[0])
     bank.insert("newer", a, "x", 5)
     bank.insert("older", a, "y", 5)
     bank.get("older").created_at = 1
@@ -118,24 +120,37 @@ def test_set_limit_shrink():
     assert bank.get("q0") is not None  # the used entry survived
 
 
+def _four_squares(n):
+    """Four integers whose squares sum to n (Lagrange: they exist)."""
+    for a in range(math.isqrt(n), -1, -1):
+        for b in range(math.isqrt(n - a * a), -1, -1):
+            for c in range(math.isqrt(n - a * a - b * b), -1, -1):
+                d = math.isqrt(n - a * a - b * b - c * c)
+                if a * a + b * b + c * c + d * d == n:
+                    return [a, b, c, d]
+
+
 def _table(rows, cosines):
     """A retriever over a fixed cosine table, and the query embeddings it is
     keyed for: rows are the chunk ids in insertion order, and
-    cosines[query][chunk_id] the cosine of the query's embedding. Query i
-    embeds as axis i and a chunk's row holds its cosines on the queries'
-    axes, so every dot is exact."""
-    axes = {q: np.eye(EMB.dim)[i] for i, q in enumerate(cosines)}
+    cosines[query][chunk_id] the cosine of the query's embedding, a
+    multiple of 0.01. Query i embeds as axis i. A chunk's row counts 100
+    times its cosines on the queries' axes, and four more counts bring its
+    squared norm to 100**2, so each cosine is count / 100.0 exactly; a
+    chunk's cosines must square-sum to at most 1."""
     r = Retriever(EMB)
     for cid in rows:
-        r.add_chunk(cid, "", Embedding(sum(c[cid] * axes[q] for q, c in cosines.items())))
-    return r, {q: Embedding(axis) for q, axis in axes.items()}
+        counts = [round(100 * c[cid]) for c in cosines.values()]
+        counts += _four_squares(100**2 - sum(x * x for x in counts))
+        r.add_chunk(cid, "", Embedding.from_counts(counts + [0] * (EMB.dim - len(counts))))
+    return r, {q: Embedding.from_counts(np.eye(EMB.dim)[i]) for i, q in enumerate(cosines)}
 
 
 def test_refresh_marks_stale():
     r, emb = _table(["old1", "old2", "old3", "new1"], {
-        "about budget": {"new1": 0.9, "old2": 0.8, "old3": 0.7, "old1": 0.1},
-        "about meeting": {"old1": 0.9, "old2": 0.8, "old3": 0.7, "new1": 0.1},
-        "no answer yet": {"new1": 0.9, "old1": 0.1, "old2": 0.1, "old3": 0.1},
+        "about budget": {"new1": 0.9, "old2": 0.7, "old3": 0.6, "old1": 0.1},
+        "about meeting": {"old1": 0.9, "old2": 0.7, "old3": 0.6, "new1": 0.1},
+        "no answer yet": {"new1": 0.3, "old1": 0.1, "old2": 0.1, "old3": 0.1},
     })
     bank = _bank()
     bank.insert("about budget", emb["about budget"], "ans", 1)
@@ -146,7 +161,7 @@ def test_refresh_marks_stale():
     assert bank.get("about budget").stale
     assert not bank.get("about meeting").stale
     assert not bank.get("no answer yet").stale  # answer-less entries skipped
-    assert bank.get("about meeting").keys == [(0.9, "old1"), (0.8, "old2"), (0.7, "old3")]
+    assert bank.get("about meeting").keys == [(0.9, "old1"), (0.7, "old2"), (0.6, "old3")]
     assert bank.get("no answer yet").keys is None
 
 

@@ -290,8 +290,8 @@ def test_insertion_order_invariance(perm):
 # -- exactness: array code against the per-chunk scans, bit for bit -----------
 #
 # Scores are compared as raw float64 bits (float.hex tells 0.0 from -0.0),
-# never with a tolerance. Dense random unit vectors sum many nonzero
-# products, which is where a matrix-vector product parts from np.dot.
+# never with a tolerance. Dense count vectors sum many nonzero products,
+# signed so that zero dots and cancellations occur.
 
 EXACT_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=None)
 EXACT_BUDGET_S = 20.0
@@ -309,12 +309,17 @@ def _ranked_bits(ranked) -> list[tuple]:
 
 
 def _dense(seed: int) -> Embedding:
-    v = np.random.default_rng(seed).normal(size=EMB.dim)
-    return Embedding(v / np.linalg.norm(v))
+    """Signed counts in every dimension, as of a long text."""
+    rng = np.random.default_rng(seed)
+    return Embedding.from_counts(rng.integers(1, 40, size=EMB.dim) * rng.choice([-1, 1], size=EMB.dim))
+
+
+def _negated(e: Embedding) -> Embedding:
+    return Embedding.from_counts(-e.counts)
 
 
 def _embedding(rng) -> Embedding:
-    """A dense unit vector, a hashed text, or the degenerate fallback."""
+    """Dense counts, a hashed text, or the degenerate fallback."""
     kind = rng.integers(4)
     if kind == 0:
         return DEGENERATE
@@ -346,13 +351,14 @@ def _check_cosine(n, reserve, seed):
         if i == n // 2:
             r.reserve(reserve)  # one step past several doublings, rows kept
         r.add_chunk(f"c{i:03d}", "", e)
-    matrix = r._emb[: len(r)]
-    assert _bits(matrix.ravel()) == _bits(np.concatenate([e.values for e in embeddings] or [[]]))
-    queries = [_embedding(rng) for _ in range(3)] + [DEGENERATE, Embedding(-DEGENERATE.values)]
+    counts, norm2 = r._counts[: len(r)], r._norm2[: len(r)]
+    assert counts.tobytes() == b"".join(e.counts.tobytes() for e in embeddings)
+    assert norm2.tolist() == [e.norm2 for e in embeddings]
+    queries = [_embedding(rng) for _ in range(3)] + [DEGENERATE, _negated(DEGENERATE)]
     if embeddings:
-        queries += [embeddings[0], Embedding(-embeddings[0].values)]
+        queries += [embeddings[0], _negated(embeddings[0])]
     for q in queries:
-        got = cosine_similarities(matrix, q)
+        got = cosine_similarities(counts, norm2, q)
         assert got.shape == (n,)
         assert _bits(got) == _bits(cosine_similarity(q, e) for e in embeddings)
 
@@ -373,10 +379,22 @@ _GROWTH_OPS = [
                ("query", "budget x unheard", 1 + i % 12, i % 2 or None))
 ]
 
+# BM25 sums a chunk's terms in query order from 0.0: chunks that hold
+# several query terms, with repeats, pin that order; queries repeat terms,
+# and the last two know no term, so every chunk scores 0.0
+_BM25_ORDER_OPS = (
+    [("add", i, " ".join(CHUNK_WORDS[j % 7] for j in range(i % 5, i % 5 + 3 + i % 9)), None)
+     for i in range(30)]
+    + [("query", q, 30, None) for q in ("team x plan noon review meeting budget",
+                                        "budget team budget x x plan", "noon unheard review noon",
+                                        "unheard unheard", "?! ?!")]
+)
+
 
 @EXACT_SETTINGS
 @given(ops=st.lists(_op, max_size=90))
 @example(ops=_GROWTH_OPS)
+@example(ops=_BM25_ORDER_OPS)
 def _check_retrieve(ops):
     r, scan = Retriever(EMB), ScanRetriever()
     for kind, a, b, choice in ops:
@@ -390,6 +408,8 @@ def _check_retrieve(ops):
         want = scan.retrieve_top_k(text, b, emb)
         assert got == want
         assert _ranked_bits(got) == _ranked_bits(want)
+        if not any(term in terms for term in split_words(text) for terms, _, _ in scan.docs.values()):
+            assert _bits(c.bm25 for c in got) == _bits([0.0] * len(got))
     assert len(r) == len(scan.docs)
 
 
@@ -423,8 +443,8 @@ def _check_match(entries, query, tau, seed):
     # pool: dense vectors, a hashed text, the degenerate vector and its
     # negation (similarity exactly -1.0); equal indices give exact ties
     dense = [_dense(seed + i) for i in range(4)]
-    pool = dense + [Embedding(-dense[0].values), EMB.embed("budget review"),
-                    DEGENERATE, Embedding(-DEGENERATE.values)]
+    pool = dense + [_negated(dense[0]), EMB.embed("budget review"),
+                    DEGENERATE, _negated(DEGENERATE)]
     bank = QaBank(limit_bytes=1 << 30)
     for i, (idx, answered, stale, created_at) in enumerate(entries):
         bank.insert(f"q{i}", pool[idx], "ans" if answered else None, created_at)
@@ -443,6 +463,14 @@ def _check_match(entries, query, tau, seed):
 
 def _key_bits(keys) -> list[tuple[str, str]]:
     return [(float(c).hex(), cid) for c, cid in keys]
+
+
+def _rows_bits(counts, norm2) -> list[tuple[bytes, float]]:
+    return list(zip((row.tobytes() for row in counts), norm2.tolist()))
+
+
+def _count_bits(embeddings) -> list[tuple[bytes, float]]:
+    return [(e.counts.tobytes(), e.norm2) for e in embeddings]
 
 
 @EXACT_SETTINGS
@@ -478,9 +506,9 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     if since is None or since == len(r):
         return  # no new chunk arrived
     new_ids = set(scan.docs) - old_ids
-    ids, rows = r.rows_since(since)
+    ids, counts, norm2 = r.rows_since(since)
     assert ids == sorted(new_ids)
-    assert _bits(rows.ravel()) == _bits(np.concatenate([scan.docs[cid][2].values for cid in ids]))
+    assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in ids)
     want = []
     for e in bank.entries:
         if e.answer is not None and any(
@@ -513,10 +541,9 @@ def test_new_rows_gathered_once_per_arrival():
         if step:
             new_ids = sorted(list(scan.docs)[since:])
             assert new_ids
-            ids, rows = rows_since(since)
+            ids, counts, norm2 = rows_since(since)
             assert ids == new_ids
-            assert _bits(rows.ravel()) == _bits(
-                np.concatenate([scan.docs[cid][2].values for cid in new_ids]))
+            assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in new_ids)
             gathers.clear()
             bank.refresh(r, since, 3)
             assert gathers == [since]
@@ -547,14 +574,14 @@ def test_top_k_order_is_the_stable_argsort_prefix(scores, k):
 
 # -- incremental refresh against the full-scan rule, over many arrivals --------
 
-AXES = [Embedding(np.eye(EMB.dim)[i]) for i in range(3)]
+AXES = [Embedding.from_counts(np.eye(EMB.dim)[i]) for i in range(3)]
 
 
 def _pool(seed: int) -> list[Embedding]:
     """Chunk and query embeddings. Orthogonal axes score exactly 0.0
     against each other, so keys tie at every place; equal indices give
     duplicate embeddings."""
-    return (AXES + [Embedding(-AXES[1].values)] + [_dense(seed + i) for i in range(3)]
+    return (AXES + [_negated(AXES[1])] + [_dense(seed + i) for i in range(3)]
             + [EMB.embed("budget review"), DEGENERATE])
 
 

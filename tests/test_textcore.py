@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -15,6 +16,7 @@ from percache.textcore import (
     TokenizerVocab,
     cosine_similarities,
     cosine_similarity,
+    cosine_table,
     detokenize,
     split_words,
     tokenize,
@@ -96,22 +98,37 @@ def test_embed_degenerate():
 
 
 def test_cosine_hand_oracle():
-    a = Embedding(np.array([0.6, 0.8]))
-    b = Embedding(np.array([0.8, 0.6]))
-    assert cosine_similarity(a, b) == pytest.approx(0.96, abs=1e-12)
+    a = Embedding.from_counts([3, 4])
+    b = Embedding.from_counts([4, 3])
+    assert cosine_similarity(a, b) == 24 / 25
 
 
 def test_cosine_identity_and_orthogonal():
     e = embed("budget review")
-    assert cosine_similarity(e, e) == pytest.approx(1.0, abs=1e-9)
-    ax0 = Embedding(np.eye(4)[0])
-    ax1 = Embedding(np.eye(4)[1])
+    assert cosine_similarity(e, e) == 1.0
+    ax0 = Embedding.from_counts(np.eye(4)[0])
+    ax1 = Embedding.from_counts(np.eye(4)[1])
     assert cosine_similarity(ax0, ax1) == 0.0
 
 
 def test_cosine_dim_mismatch():
     with pytest.raises(ValueError):
-        cosine_similarity(Embedding(np.ones(2)), Embedding(np.ones(3)))
+        cosine_similarity(Embedding.from_counts(np.ones(2)), Embedding.from_counts(np.ones(3)))
+
+
+@pytest.mark.parametrize("counts", [[0, 0], [0.5, 1], [2**24 + 1], [2**24] * 32, [[1, 2]]],
+                         ids=["zero", "fraction", "count too large", "norm too large", "matrix"])
+def test_from_counts_refuses_what_is_not_exact(counts):
+    with pytest.raises(ValueError):
+        Embedding.from_counts(counts)
+
+
+def test_embed_keeps_integer_counts_and_their_squared_norm():
+    for text in ("", "budget review budget review budget", "a b c d e f g h"):
+        e = embed(text)
+        assert e.counts.dtype == np.float32
+        assert e.values.tobytes() == Embedding.from_counts(e.counts).values.tobytes()
+        assert e.norm2 == Embedding.from_counts(e.counts).norm2
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -152,22 +169,31 @@ def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
 
 
 def _dense(seed: int) -> Embedding:
-    v = np.random.default_rng(seed).normal(size=EMBED_DIM)
-    return Embedding(v / np.linalg.norm(v))
+    """Nonzero signed counts in every dimension."""
+    v = np.random.default_rng(seed).integers(1, 60, size=EMBED_DIM)
+    return Embedding.from_counts(v * np.where(np.arange(EMBED_DIM) % 3, 1, -1))
 
 
 AXIS = np.eye(EMBED_DIM)
 # hashed texts (one without words embeds as [1, 0, ...]), dense vectors,
-# axes and negated axes (their zero dots are 0.0 or -0.0), the wordless vector
+# axes and negated axes (their zero dots must be +0.0), the wordless vector
 SYMMETRY_EMBEDDINGS = st.one_of(
     ORACLE_TEXTS.map(embed),
     st.integers(0, 2**32 - 1).map(_dense),
-    st.integers(0, 3).map(lambda i: Embedding(AXIS[i])),
-    st.integers(0, 3).map(lambda i: Embedding(-AXIS[i])),
+    st.integers(0, 3).map(lambda i: Embedding.from_counts(AXIS[i])),
+    st.integers(0, 3).map(lambda i: Embedding.from_counts(-AXIS[i])),
     st.just(embed("")),
 )
-_EVERY_KIND = [embed("budget review"), _dense(0), Embedding(AXIS[0]), Embedding(AXIS[1]),
-               Embedding(-AXIS[0]), Embedding(-AXIS[1]), embed("")]
+_EVERY_KIND = [embed("budget review"), _dense(0), Embedding.from_counts(AXIS[0]),
+               Embedding.from_counts(AXIS[1]), Embedding.from_counts(-AXIS[0]),
+               Embedding.from_counts(-AXIS[1]), embed("")]
+
+
+def _rows(embeddings):
+    """The count rows and squared norms of embeddings, as the retriever
+    and the QA bank keep them."""
+    return (np.array([e.counts for e in embeddings], dtype=np.float32),
+            np.array([float(e.norm2) for e in embeddings]))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -177,13 +203,64 @@ _EVERY_KIND = [embed("budget review"), _dense(0), Embedding(AXIS[0]), Embedding(
 def test_cosine_similarities_are_symmetric_bit_for_bit(entries, chunks):
     # the QA bank scores a chunk against its entry rows, the retriever an
     # entry against its chunk rows: both give every pair the same bits
-    e_rows = np.array([e.values for e in entries])
-    c_rows = np.array([c.values for c in chunks])
-    by_chunk = [cosine_similarities(e_rows, c) for c in chunks]
-    by_entry = [cosine_similarities(c_rows, e) for e in entries]
+    by_chunk = [cosine_similarities(*_rows(entries), c) for c in chunks]
+    by_entry = [cosine_similarities(*_rows(chunks), e) for e in entries]
     for i in range(len(entries)):
         for j in range(len(chunks)):
             assert float(by_chunk[j][i]).hex() == float(by_entry[i][j]).hex()
+
+
+def _reference_cosine(a: Embedding, b: Embedding) -> float:
+    """The cosine in Python integers: an exact dot and squared norms, one
+    square root of their product, one division and a clip."""
+    ca, cb = [int(x) for x in a.counts], [int(x) for x in b.counts]
+    na, nb = sum(x * x for x in ca), sum(x * x for x in cb)
+    assert (na, nb) == (a.norm2, b.norm2)
+    return max(-1.0, min(1.0, sum(x * y for x, y in zip(ca, cb)) / math.sqrt(na * nb)))
+
+
+def _sparse(scale: int, nonzero: int, seed: int) -> Embedding:
+    """nonzero signed counts of magnitude at most scale; with scale at
+    most 2**22 the squared norm stays below 2**53."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(EMBED_DIM, dtype=np.int64)
+    counts[rng.choice(EMBED_DIM, nonzero, replace=False)] = rng.integers(-scale, scale + 1, nonzero)
+    counts[int(rng.integers(EMBED_DIM))] = scale  # never all zero
+    return Embedding.from_counts(counts)
+
+
+# squared norms from 1 (the wordless text, a single count) to about 2**52,
+# so that products of two fall on both sides of the float32 bound
+COUNT_EMBEDDINGS = st.one_of(
+    ORACLE_TEXTS.map(embed),
+    st.just(embed("")),
+    st.builds(_sparse, st.sampled_from([1, 3, 2**8, 2**12, 2**22]),
+              st.sampled_from([1, 2, 16, EMBED_DIM]), st.integers(0, 2**32 - 1)),
+)
+_one = lambda count, i=0: Embedding.from_counts(np.eye(EMBED_DIM, dtype=np.int64)[i] * count)
+_full = lambda count: Embedding.from_counts(np.full(EMBED_DIM, count))
+_mixed = lambda count: Embedding.from_counts(np.where(np.arange(EMBED_DIM) % 2, count, -count))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6),
+       st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6))
+# products of squared norms at 2**48 exactly (float32) and just above it
+# (float64), where a float32 dot would round: 4097**2 and 256 * 257**2
+# are odd beyond 2**24
+@example([_one(4096), _one(4097), _one(1, 1)], [_one(4096), _one(-4097), _one(3, 1)])
+@example([_full(256), _full(257), _mixed(257)], [_full(256), _full(257), _mixed(256), embed("")])
+def test_cosines_equal_the_integer_reference_bit_for_bit(left, right):
+    want = [[float(_reference_cosine(a, b)).hex() for b in right] for a in left]
+    by_right = [cosine_similarities(*_rows(left), b) for b in right]
+    by_left = [cosine_similarities(*_rows(right), a) for a in left]
+    table = cosine_table(*_rows(left), *_rows(right))
+    for i, a in enumerate(left):
+        assert [float(by_right[j][i]).hex() for j in range(len(right))] == want[i]
+        assert [float(s).hex() for s in by_left[i]] == want[i]
+        assert [float(s).hex() for s in table[i]] == want[i]
+        assert [float(cosine_similarity(a, b)).hex() for b in right] == want[i]
+
 
 
 def test_embed_hash_oracle():
