@@ -9,10 +9,11 @@ re-decoded at idle ticks.
 Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
 is LFU over per-entry use counts.
 
-The entries' feature counts are the rows of one float32 matrix, in
-insertion order, beside their squared norms. An evicted entry leaves a
-hole; when the matrix is full, the holes are dropped and the capacity
-doubles if more than half of it is in use.
+The entries' feature counts are the rows of one float32 matrix (float64
+once an entry needs it, see textcore.Embedding), in insertion order,
+beside their squared norms. An evicted entry leaves a hole; when the
+matrix is full, the holes are dropped and the capacity doubles if more
+than half of it is in use.
 Beside the matrix a mask marks the servable rows. Only QaBank's methods
 change an entry's answer or stale flag, and they keep the mask in step, so
 match scores the masked rows with one cosine_similarities call.
@@ -158,6 +159,8 @@ class QaBank:
         if len(self._held) == len(self._norm2):
             self._compact(entry.embedding.dim)
         row = len(self._held)
+        if entry.embedding.counts.dtype != self._counts.dtype:  # a float64 row widens the matrix
+            self._counts = self._counts.astype(np.result_type(self._counts, entry.embedding.counts))
         self._counts[row], self._norm2[row] = entry.embedding.counts, entry.embedding.norm2
         self._servable[row] = entry.servable
         self._held.append(entry)
@@ -170,7 +173,7 @@ class QaBank:
         live = [row for row, held in enumerate(self._held) if held is not None]
         capacity = len(self._norm2) * (2 if 2 * len(live) > len(self._norm2) else 1)
         capacity = max(capacity, INITIAL_ROWS)
-        counts, norm2 = np.empty((capacity, dim), np.float32), np.empty(capacity)
+        counts, norm2 = np.empty((capacity, dim), self._counts.dtype), np.empty(capacity)
         servable = np.zeros(capacity, dtype=bool)
         if live:
             counts[: len(live)], norm2[: len(live)] = self._counts[live], self._norm2[live]

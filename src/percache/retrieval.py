@@ -10,8 +10,9 @@ it, and a term's document frequency the length of its posting list.
 
 The scan is array code, and every score equals the per-chunk scalar
 formula bit for bit. The chunks' feature counts are the rows of one float32
-matrix, beside their squared norms, scored by textcore.cosine_similarities,
-whose integer dots are exact. Each term's postings are one flat int64
+matrix (float64 once a chunk needs it, see textcore.Embedding), beside
+their squared norms, scored by textcore.cosine_similarities, whose
+integer dots are exact. Each term's postings are one flat int64
 array; BM25 gathers those of the query terms, in order of first
 occurrence, computes each posting's contribution with the scalar
 formula's operations, and sums them per chunk with one bincount, which
@@ -120,7 +121,8 @@ class Retriever:
             capacity *= 2
         if capacity > len(self._norm2):
             held = len(self._ids)
-            counts, norm2 = np.empty((capacity, self._counts.shape[1]), np.float32), np.empty(capacity)
+            counts = np.empty((capacity, self._counts.shape[1]), self._counts.dtype)
+            norm2 = np.empty(capacity)
             counts[:held], norm2[:held] = self._counts[:held], self._norm2[:held]
             self._counts, self._norm2 = counts, norm2
 
@@ -131,6 +133,8 @@ class Retriever:
             raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._counts.shape[1]}")
         row = len(self._ids)
         self.reserve(row + 1)
+        if embedding.counts.dtype != self._counts.dtype:  # a float64 row widens the matrix
+            self._counts = self._counts.astype(np.result_type(self._counts, embedding.counts))
         self._counts[row], self._norm2[row] = embedding.counts, embedding.norm2
         terms = split_words(text)
         for term, tf in Counter(terms).items():

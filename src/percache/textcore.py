@@ -102,41 +102,23 @@ def detokenize(tokens, vocab: TokenizerVocab) -> str:
     return b"".join(vocab.token_bytes(t) for t in tokens).decode("utf-8", errors="replace")
 
 
-# every count of an embedding is an integer of magnitude at most MAX_COUNT,
-# so float32 holds it exactly, and its squared norm is below MAX_NORM2
-MAX_COUNT = 2**24
-MAX_NORM2 = 2**53
-# a dot of two count vectors whose squared norms multiply to at most this
-# is exact in float32: its products and partial sums are integers of
-# magnitude at most 2**24 (Cauchy-Schwarz on every subset of the terms)
-FLOAT32_EXACT_NORM2_PRODUCT = 2**48
+# an embedding whose squared norm is at most this keeps its counts in
+# float32; see cosine_table
+FLOAT32_MAX_NORM2 = 2**24
 
 
 @dataclass(frozen=True)
 class Embedding:
     """A feature-count vector and the unit vector it points along.
 
-    counts holds integers as float32, each of magnitude at most MAX_COUNT,
-    and norm2 is their exact squared norm, positive and below MAX_NORM2.
+    counts holds integers, as float32 when norm2, their squared norm (a
+    positive int), is at most FLOAT32_MAX_NORM2 and as float64 otherwise.
     values, the unit vector counts / sqrt(norm2) in float64, is computed
-    on first use. from_counts checks these conditions; the fields are
-    trusted as given.
+    on first use.
     """
 
     counts: np.ndarray
     norm2: int
-
-    @classmethod
-    def from_counts(cls, counts) -> "Embedding":
-        """The embedding of an integer count vector; raises ValueError for
-        a non-integer, too large or all-zero one."""
-        c = np.asarray(counts, dtype=np.float64)
-        if c.ndim != 1 or not np.array_equal(c, np.trunc(c)) or np.any(np.abs(c) > MAX_COUNT):
-            raise ValueError(f"counts must be a vector of integers of magnitude at most {MAX_COUNT}")
-        norm2 = sum(x * x for x in map(int, c.tolist()))
-        if not 0 < norm2 < MAX_NORM2:
-            raise ValueError(f"squared norm {norm2} is not in (0, 2**53)")
-        return cls(c.astype(np.float32), norm2)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -147,51 +129,41 @@ class Embedding:
         return int(self.counts.shape[0])
 
 
-def _cosines(counts: np.ndarray, norm2: np.ndarray, other: np.ndarray, other_norm2,
-             other_max: float) -> np.ndarray:
-    """The cosine of each row of counts with the count vector other, or
-    with each column of the matrix other, whose squared norms are
-    other_norm2 (at most other_max): an (n,) or (n, k) array."""
-    if norm2.max(initial=0.0) * other_max <= FLOAT32_EXACT_NORM2_PRODUCT:
-        dots = counts @ other
-    else:
-        dots = counts.astype(np.float64) @ other.astype(np.float64)
-    sims = np.divide(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)), dtype=np.float64)
+def cosine_table(counts: np.ndarray, norm2: np.ndarray,
+                 other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
+    """The cosine of each row of counts with each row of other_counts, a
+    (len(counts), len(other_counts)) array. Both hold embedding counts as
+    Embedding does, a matrix in float64 if any of its rows needs it;
+    norm2 and other_norm2 are their squared norms, in float64.
+
+    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
+    dot. Two float32 operands have Na and Nb at most 2**24, so every
+    product and partial sum of the dot is an integer of magnitude at most
+    sqrt(Na * Nb) <= 2**24 (Cauchy-Schwarz on every subset of the terms),
+    which float32 holds. A float64 operand makes the product run in
+    float64, where the same argument holds for squared norms below 2**53.
+    So no BLAS kernel or summation order changes a bit, and
+    each cosine is symmetric in its two embeddings and the same whichever
+    other rows are scored with it. Na and Nb are exact in float64 and
+    their product is the correctly rounded integer product. A zero dot is
+    +0.0, as an integer dot gives.
+    """
+    if counts.shape[1] != other_counts.shape[1]:
+        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {other_counts.shape[1]}")
+    sims = np.divide(counts @ other_counts.T, np.sqrt(np.multiply.outer(norm2, other_norm2)),
+                     dtype=np.float64)
     sims += 0.0  # -0.0 to +0.0
     np.minimum(sims, 1.0, out=sims)  # np.clip, at a third of its fixed cost
     return np.maximum(sims, -1.0, out=sims)
 
 
 def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> np.ndarray:
-    """The cosine of e with each row of counts, a 2-D array of embedding
-    counts (any float dtype) whose exact squared norms are norm2 (float64).
-
-    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
-    dot: it runs in float32 when the largest norm2 times e.norm2 is at most
-    FLOAT32_EXACT_NORM2_PRODUCT, and in float64 (partial sums below 2**53)
-    otherwise. So no BLAS kernel, summation order or storage dtype changes
-    a bit, and the result is symmetric in its two embeddings. A zero dot
-    is +0.0, as an integer dot gives. Norms below 2**53 are exact in
-    float64, and their product is the correctly rounded integer product.
-    """
-    if counts.shape[1] != e.dim:
-        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {e.dim}")
-    return _cosines(counts, norm2, e.counts, float(e.norm2), e.norm2)
-
-
-def cosine_table(counts: np.ndarray, norm2: np.ndarray,
-                 other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
-    """cosine_similarities of each row of other_counts (squared norms
-    other_norm2) against the rows of counts, as the columns of one
-    (len(counts), len(other_counts)) array, bit for bit."""
-    if counts.shape[1] != other_counts.shape[1]:
-        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {other_counts.shape[1]}")
-    return _cosines(counts, norm2, other_counts.T, other_norm2, other_norm2.max(initial=0.0))
+    """The cosine of e with each row of counts: cosine_table's column for e."""
+    return cosine_table(counts, norm2, e.counts[None], np.array([float(e.norm2)]))[:, 0]
 
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
-    """Cosine similarity of two embeddings: cosine_similarities with a as
-    the one row."""
+    """Cosine similarity of two embeddings: cosine_table's one entry."""
     return float(cosine_similarities(a.counts[None], np.array([float(a.norm2)]), b)[0])
 
 
@@ -205,12 +177,13 @@ class HashEmbedder:
     +-1 terms, so the sum is never zero unless the text has no words; such
     a text counts [1, 0, ..., 0].
 
-    A text has at most MAX_COUNT features, so every count and the squared
-    norm (at most MAX_COUNT**2) are integers that float64 sums exactly in
-    any order, and the counts fit float32. values is then counts over the
-    correctly rounded square root of an exact integer, np.linalg.norm's
-    result, divided elementwise. So embed, which sums with one bincount,
-    gives every text the bits of a per-feature loop.
+    A text of fewer than 2**26 features (tens of millions of words) has
+    a squared norm below 2**53, so every count and the squared norm are
+    integers that float64 sums exactly in any order, and its cosines are
+    exact. values is then counts over the correctly rounded square root of
+    an exact integer, np.linalg.norm's result, divided elementwise. So
+    embed, which sums with one bincount, gives every text the bits of a
+    per-feature loop.
 
     Deterministic across machines and runs. Real embedding models can be
     plugged in behind the same embed(text) -> Embedding surface: the engine
@@ -241,7 +214,6 @@ class HashEmbedder:
         if not digests:
             return Embedding(np.eye(1, self.dim, dtype=np.float32).ravel(), 1)
         v = np.frombuffer(digests, "<u8")
-        if len(v) > MAX_COUNT:
-            raise ValueError(f"text has {len(v)} features, more than {MAX_COUNT}")
         vec = np.bincount((v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0), self.dim)
-        return Embedding(vec.astype(np.float32), int(vec @ vec))
+        norm2 = int(vec @ vec)
+        return Embedding(vec.astype(np.float32) if norm2 <= FLOAT32_MAX_NORM2 else vec, norm2)

@@ -11,7 +11,7 @@ from percache.backend import QkvTensors, ToyModel
 from percache.config import EngineConfig
 from percache.engine import Engine
 from percache.knowledge import KnowledgeBank, Segment
-from percache.textcore import TokenizerVocab, tokenize
+from percache.textcore import FLOAT32_MAX_NORM2, Embedding, TokenizerVocab, tokenize
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -42,6 +42,20 @@ def watchdog(request):
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+def embedding_from_counts(counts) -> Embedding:
+    """The embedding of an integer count vector, as HashEmbedder.embed
+    builds one: its squared norm summed in Python integers, the counts in
+    float32 if that is at most FLOAT32_MAX_NORM2. The counts must be
+    integers and the squared norm in (0, 2**53), where the cosines are
+    exact."""
+    c = np.asarray(counts, dtype=np.float64)
+    ints = [int(x) for x in c.ravel().tolist()]
+    assert c.ndim == 1 and ints == c.tolist(), "counts must be a vector of integers"
+    norm2 = sum(x * x for x in ints)
+    assert 0 < norm2 < 2**53, f"squared norm {norm2} is not in (0, 2**53)"
+    return Embedding(c.astype(np.float32) if norm2 <= FLOAT32_MAX_NORM2 else c, norm2)
 
 
 def load_trace(name: str) -> list[dict]:

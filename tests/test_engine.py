@@ -10,9 +10,9 @@ from percache.config import EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
-from percache.textcore import Embedding, tokenize
+from percache.textcore import tokenize
 
-from conftest import DATA, checked_prefill, load_trace, make_engine
+from conftest import DATA, checked_prefill, embedding_from_counts, load_trace, make_engine
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -104,7 +104,7 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
     assert len(scans) == 1  # retrieval's own
     entry = eng.qa.get(q)
     # another embedding object with the same counts is scanned afresh
-    assert entry.keys == eng.retriever.cosine_keys(Embedding.from_counts(entry.embedding.counts),
+    assert entry.keys == eng.retriever.cosine_keys(embedding_from_counts(entry.embedding.counts),
                                                    eng.config.k_refresh)
     assert len(scans) == 2
 

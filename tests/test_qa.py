@@ -5,7 +5,9 @@ import pytest
 
 from percache.qa import DEFAULT_ENTRY_BYTES, QaBank, QaCapacityError
 from percache.retrieval import Retriever
-from percache.textcore import Embedding, HashEmbedder
+from percache.textcore import HashEmbedder
+
+from conftest import embedding_from_counts
 
 EMB = HashEmbedder()
 
@@ -58,7 +60,7 @@ def test_match_skips_answerless_and_stale():
 
 def test_match_tie_prefers_older():
     bank = _bank()
-    a = Embedding.from_counts(np.eye(4)[0])
+    a = embedding_from_counts(np.eye(4)[0])
     bank.insert("newer", a, "x", 5)
     bank.insert("older", a, "y", 5)
     bank.get("older").created_at = 1
@@ -142,8 +144,8 @@ def _table(rows, cosines):
     for cid in rows:
         counts = [round(100 * c[cid]) for c in cosines.values()]
         counts += _four_squares(100**2 - sum(x * x for x in counts))
-        r.add_chunk(cid, "", Embedding.from_counts(counts + [0] * (EMB.dim - len(counts))))
-    return r, {q: Embedding.from_counts(np.eye(EMB.dim)[i]) for i, q in enumerate(cosines)}
+        r.add_chunk(cid, "", embedding_from_counts(counts + [0] * (EMB.dim - len(counts))))
+    return r, {q: embedding_from_counts(np.eye(EMB.dim)[i]) for i, q in enumerate(cosines)}
 
 
 def test_refresh_marks_stale():

@@ -26,6 +26,8 @@ from percache.textcore import (
     split_words,
 )
 
+from conftest import embedding_from_counts
+
 EMB = HashEmbedder()
 
 
@@ -311,11 +313,11 @@ def _ranked_bits(ranked) -> list[tuple]:
 def _dense(seed: int) -> Embedding:
     """Signed counts in every dimension, as of a long text."""
     rng = np.random.default_rng(seed)
-    return Embedding.from_counts(rng.integers(1, 40, size=EMB.dim) * rng.choice([-1, 1], size=EMB.dim))
+    return embedding_from_counts(rng.integers(1, 40, size=EMB.dim) * rng.choice([-1, 1], size=EMB.dim))
 
 
 def _negated(e: Embedding) -> Embedding:
-    return Embedding.from_counts(-e.counts)
+    return embedding_from_counts(-e.counts)
 
 
 def _embedding(rng) -> Embedding:
@@ -522,6 +524,23 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
             assert _key_bits(e.keys) == _key_bits(scan.cosine_keys(e.embedding, k_refresh))
 
 
+def test_a_float64_row_widens_the_count_matrices():
+    # a count beyond float32's integers reaches the retriever's and the QA
+    # bank's rows unrounded, past their growth, beside float32 rows
+    big = embedding_from_counts(np.eye(EMB.dim)[0] * (2**24 + 1))
+    small = [embedding_from_counts(np.eye(EMB.dim)[1 + i % 7] * (1 + i)) for i in range(80)]
+    axis = embedding_from_counts(np.eye(EMB.dim)[0])
+    assert (big.counts.dtype, axis.counts.dtype) == (np.float64, np.float32)
+    r, bank = Retriever(EMB), QaBank(limit_bytes=1 << 30)
+    for i, e in enumerate(small[:3] + [big] + small[3:]):
+        r.add_chunk(f"c{i:02d}", "", e)
+        bank.insert(f"q{i:02d}", e, "a", i)
+    assert r.cosine_keys(axis, 2) == [(1.0, "c03"), (0.0, "c00")]
+    assert r.cosine_keys(small[1], 1) == [(1.0, "c01")]
+    entry, sim = bank.match(axis, 0.99, 99)
+    assert (entry.query, sim) == ("q03", 1.0)
+
+
 def test_new_rows_gathered_once_per_arrival():
     # every entry of one arrival is scored against one gather of the new
     # rows, in chunk-id order with the embeddings' bits, and the keys are
@@ -574,7 +593,7 @@ def test_top_k_order_is_the_stable_argsort_prefix(scores, k):
 
 # -- incremental refresh against the full-scan rule, over many arrivals --------
 
-AXES = [Embedding.from_counts(np.eye(EMB.dim)[i]) for i in range(3)]
+AXES = [embedding_from_counts(np.eye(EMB.dim)[i]) for i in range(3)]
 
 
 def _pool(seed: int) -> list[Embedding]:

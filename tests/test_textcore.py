@@ -22,6 +22,8 @@ from percache.textcore import (
     tokenize,
 )
 
+from conftest import embedding_from_counts
+
 WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
 embed = HashEmbedder().embed
 
@@ -98,37 +100,34 @@ def test_embed_degenerate():
 
 
 def test_cosine_hand_oracle():
-    a = Embedding.from_counts([3, 4])
-    b = Embedding.from_counts([4, 3])
+    a = embedding_from_counts([3, 4])
+    b = embedding_from_counts([4, 3])
     assert cosine_similarity(a, b) == 24 / 25
 
 
 def test_cosine_identity_and_orthogonal():
     e = embed("budget review")
     assert cosine_similarity(e, e) == 1.0
-    ax0 = Embedding.from_counts(np.eye(4)[0])
-    ax1 = Embedding.from_counts(np.eye(4)[1])
+    ax0 = embedding_from_counts(np.eye(4)[0])
+    ax1 = embedding_from_counts(np.eye(4)[1])
     assert cosine_similarity(ax0, ax1) == 0.0
 
 
 def test_cosine_dim_mismatch():
     with pytest.raises(ValueError):
-        cosine_similarity(Embedding.from_counts(np.ones(2)), Embedding.from_counts(np.ones(3)))
-
-
-@pytest.mark.parametrize("counts", [[0, 0], [0.5, 1], [2**24 + 1], [2**24] * 32, [[1, 2]]],
-                         ids=["zero", "fraction", "count too large", "norm too large", "matrix"])
-def test_from_counts_refuses_what_is_not_exact(counts):
-    with pytest.raises(ValueError):
-        Embedding.from_counts(counts)
+        cosine_similarity(embedding_from_counts(np.ones(2)), embedding_from_counts(np.ones(3)))
 
 
 def test_embed_keeps_integer_counts_and_their_squared_norm():
-    for text in ("", "budget review budget review budget", "a b c d e f g h"):
-        e = embed(text)
-        assert e.counts.dtype == np.float32
-        assert e.values.tobytes() == Embedding.from_counts(e.counts).values.tobytes()
-        assert e.norm2 == Embedding.from_counts(e.counts).norm2
+    # the last text repeats two words 3,000 times: counts near 3,000 in
+    # three or four dimensions, a squared norm above FLOAT32_MAX_NORM2
+    texts = ("", "budget review budget review budget", "a b c d e f g h", "a b " * 3000)
+    for text in texts:
+        e, want = embed(text), embedding_from_counts(embed(text).counts)
+        assert (e.counts.dtype, e.counts.tobytes(), e.norm2) == (want.counts.dtype, want.counts.tobytes(),
+                                                                 want.norm2)
+        assert e.values.tobytes() == want.values.tobytes() == _oracle_vector(text).tobytes()
+    assert [embed(t).counts.dtype for t in texts] == [np.float32] * 3 + [np.float64]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -171,7 +170,7 @@ def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
 def _dense(seed: int) -> Embedding:
     """Nonzero signed counts in every dimension."""
     v = np.random.default_rng(seed).integers(1, 60, size=EMBED_DIM)
-    return Embedding.from_counts(v * np.where(np.arange(EMBED_DIM) % 3, 1, -1))
+    return embedding_from_counts(v * np.where(np.arange(EMBED_DIM) % 3, 1, -1))
 
 
 AXIS = np.eye(EMBED_DIM)
@@ -180,19 +179,19 @@ AXIS = np.eye(EMBED_DIM)
 SYMMETRY_EMBEDDINGS = st.one_of(
     ORACLE_TEXTS.map(embed),
     st.integers(0, 2**32 - 1).map(_dense),
-    st.integers(0, 3).map(lambda i: Embedding.from_counts(AXIS[i])),
-    st.integers(0, 3).map(lambda i: Embedding.from_counts(-AXIS[i])),
+    st.integers(0, 3).map(lambda i: embedding_from_counts(AXIS[i])),
+    st.integers(0, 3).map(lambda i: embedding_from_counts(-AXIS[i])),
     st.just(embed("")),
 )
-_EVERY_KIND = [embed("budget review"), _dense(0), Embedding.from_counts(AXIS[0]),
-               Embedding.from_counts(AXIS[1]), Embedding.from_counts(-AXIS[0]),
-               Embedding.from_counts(-AXIS[1]), embed("")]
+_EVERY_KIND = [embed("budget review"), _dense(0), embedding_from_counts(AXIS[0]),
+               embedding_from_counts(AXIS[1]), embedding_from_counts(-AXIS[0]),
+               embedding_from_counts(-AXIS[1]), embed("")]
 
 
 def _rows(embeddings):
     """The count rows and squared norms of embeddings, as the retriever
     and the QA bank keep them."""
-    return (np.array([e.counts for e in embeddings], dtype=np.float32),
+    return (np.array([e.counts for e in embeddings]),
             np.array([float(e.norm2) for e in embeddings]))
 
 
@@ -226,30 +225,33 @@ def _sparse(scale: int, nonzero: int, seed: int) -> Embedding:
     counts = np.zeros(EMBED_DIM, dtype=np.int64)
     counts[rng.choice(EMBED_DIM, nonzero, replace=False)] = rng.integers(-scale, scale + 1, nonzero)
     counts[int(rng.integers(EMBED_DIM))] = scale  # never all zero
-    return Embedding.from_counts(counts)
+    return embedding_from_counts(counts)
 
 
 # squared norms from 1 (the wordless text, a single count) to about 2**52,
-# so that products of two fall on both sides of the float32 bound
+# on both sides of FLOAT32_MAX_NORM2, so that dots reach past 2**24, where
+# a float32 dot would round, to about 2**52, still exact in float64
 COUNT_EMBEDDINGS = st.one_of(
     ORACLE_TEXTS.map(embed),
     st.just(embed("")),
     st.builds(_sparse, st.sampled_from([1, 3, 2**8, 2**12, 2**22]),
               st.sampled_from([1, 2, 16, EMBED_DIM]), st.integers(0, 2**32 - 1)),
 )
-_one = lambda count, i=0: Embedding.from_counts(np.eye(EMBED_DIM, dtype=np.int64)[i] * count)
-_full = lambda count: Embedding.from_counts(np.full(EMBED_DIM, count))
-_mixed = lambda count: Embedding.from_counts(np.where(np.arange(EMBED_DIM) % 2, count, -count))
+_one = lambda count, i=0: embedding_from_counts(np.eye(EMBED_DIM, dtype=np.int64)[i] * count)
+_full = lambda count: embedding_from_counts(np.full(EMBED_DIM, count))
+_mixed = lambda count: embedding_from_counts(np.where(np.arange(EMBED_DIM) % 2, count, -count))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6),
        st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6))
-# products of squared norms at 2**48 exactly (float32) and just above it
-# (float64), where a float32 dot would round: 4097**2 and 256 * 257**2
-# are odd beyond 2**24
+# squared norms at FLOAT32_MAX_NORM2 (float32 counts) and just above it
+# (float64), with dots just past 2**24, which a float32 dot would round
+# (4097**2 and 256 * 257**2 are odd), and near 2**52
 @example([_one(4096), _one(4097), _one(1, 1)], [_one(4096), _one(-4097), _one(3, 1)])
 @example([_full(256), _full(257), _mixed(257)], [_full(256), _full(257), _mixed(256), embed("")])
+@example([_full(2**22), _mixed(2**22 - 1), _one(2**26 - 1)],
+         [_full(2**22 - 1), _mixed(2**22), _one(-(2**26 - 1)), _one(3, 5)])
 def test_cosines_equal_the_integer_reference_bit_for_bit(left, right):
     want = [[float(_reference_cosine(a, b)).hex() for b in right] for a in left]
     by_right = [cosine_similarities(*_rows(left), b) for b in right]
@@ -260,7 +262,6 @@ def test_cosines_equal_the_integer_reference_bit_for_bit(left, right):
         assert [float(s).hex() for s in by_left[i]] == want[i]
         assert [float(s).hex() for s in table[i]] == want[i]
         assert [float(cosine_similarity(a, b)).hex() for b in right] == want[i]
-
 
 
 def test_embed_hash_oracle():
