@@ -18,9 +18,11 @@ Beside the matrix a mask marks the servable rows. Only QaBank's methods
 change an entry's answer or stale flag, and they keep the mask in step, so
 match scores the masked rows with one cosine_similarities call.
 
-An answered entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
+A servable entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
 so a chunk arrival scores only the new chunks (QaBank.refresh), all of them
-against every servable row in one call. Keys are not persisted.
+against every servable row in one call. An entry holds keys only while it
+is servable: mark_stale drops them, and only an answered insert gives
+them. Keys are not persisted.
 """
 
 from __future__ import annotations
@@ -32,17 +34,13 @@ from types import NoneType
 import numpy as np
 
 from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
-from .retrieval import Retriever, top_k_order
+from .retrieval import Retriever
 from .textcore import Embedding, HashEmbedder, cosine_similarities, cosine_table
 
 DEFAULT_ENTRY_BYTES = 4096
 INITIAL_ROWS = 16
 
 Key = tuple[float, str]  # (cosine, chunk_id)
-
-
-def _rank(key: Key) -> tuple[float, str]:
-    return -key[0], key[1]
 
 
 class QaCapacityError(RuntimeError):
@@ -60,7 +58,8 @@ class QaEntry:
     last_used: int
     use_count: int = 0
     stale: bool = False
-    # the best keys of the corpus for embedding, best first, or None if unknown
+    # the best keys of the corpus for embedding, best first; None if unknown
+    # or not servable
     keys: list[Key] | None = None
 
     @property
@@ -151,16 +150,20 @@ class QaBank:
         return evicted
 
     def mark_stale(self, query: str) -> None:
-        """Stop serving query's entry until a new answer is inserted."""
-        self._by_query[query].stale = True
+        """Stop serving query's entry until a new answer is inserted; its
+        keys go with it."""
+        entry = self._by_query[query]
+        entry.stale, entry.keys = True, None
         self._servable[self._row[query]] = False
 
     def _add(self, entry: QaEntry) -> None:
         if len(self._held) == len(self._norm2):
             self._compact(entry.embedding.dim)
         row = len(self._held)
-        if entry.embedding.counts.dtype != self._counts.dtype:  # a float64 row widens the matrix
-            self._counts = self._counts.astype(np.result_type(self._counts, entry.embedding.counts))
+        if entry.embedding.counts.itemsize > self._counts.itemsize:  # a float64 row widens the matrix
+            counts = np.empty(self._counts.shape)  # rows from row on were never written
+            counts[:row] = self._counts[:row]
+            self._counts = counts
         self._counts[row], self._norm2[row] = entry.embedding.counts, entry.embedding.norm2
         self._servable[row] = entry.servable
         self._held.append(entry)
@@ -206,26 +209,24 @@ class QaBank:
     def refresh(self, retriever: Retriever, since: int, k_refresh: int) -> list[QaEntry]:
         """Mark entries stale when newly ingested chunks displace their grounding.
 
-        The retriever's chunks from row since on are new; rows_since
-        gathers them once, and one cosine_table call scores each against
-        every servable row. An answered, fresh entry goes
-        stale iff a new key ranks within the top k_refresh of its kept keys
-        and the new keys, and that top k_refresh becomes its keys. This
-        equals ranking the whole corpus, because chunks are never removed
-        and every cosine is computed from an exact integer dot, so it has
-        the same bits whichever rows are scored with it and whichever of
-        its two embeddings is the row. Only an entry whose best
-        new cosine ties or beats its k_refresh-th kept key is merged; the
-        others keep their keys. An entry whose keys are unknown, or fewer
-        than min(k_refresh, since) after k_refresh grew, is ranked by
-        retriever.cosine_keys against the whole corpus. Answer-less and
-        stale entries are skipped and forget their keys, which would miss
-        these chunks. Returns the entries marked stale.
+        The retriever's chunks from row since on are new; rows_since gives
+        them, and one cosine_table call scores each against every servable
+        row. A servable entry goes stale iff a new chunk enters the top
+        k_refresh of the whole corpus by (-cosine, chunk_id). With at least
+        k_refresh keys, that is iff a new chunk ranks before its
+        k_refresh-th key: its best new cosine beats that key's, or ties it
+        with a smaller chunk id. Otherwise it keeps its first k_refresh
+        keys, which are still the corpus's best. This equals ranking the
+        whole corpus, because chunks are never removed and every cosine is
+        computed from an exact integer dot, so it has the same bits
+        whichever rows are scored with it and whichever of its two
+        embeddings is the row. An entry with fewer keys than
+        min(k_refresh, since), or none, as after a load or k_refresh
+        growing, is ranked by retriever.cosine_keys against the whole
+        corpus; one with fewer than k_refresh but at least since keys holds
+        every old chunk, so any new chunk enters. Returns the entries
+        marked stale.
         """
-        held = self._held
-        for row in np.flatnonzero(~self._servable[: len(held)]).tolist():
-            if held[row] is not None:
-                held[row].keys = None
         rows, counts, norm2 = self._servable_rows()
         if not rows:
             return []
@@ -235,19 +236,19 @@ class QaBank:
         best_new = sims.max(axis=1, initial=-np.inf).tolist()
         marked = []
         for i, row in enumerate(rows):
-            entry = held[row]
+            entry = self._held[row]
             keys = entry.keys
-            if keys is not None and len(keys) >= k_refresh and best_new[i] < keys[k_refresh - 1][0]:
-                entry.keys = keys[:k_refresh]  # no new key enters them
-                continue
             if keys is None or len(keys) < min(k_refresh, since):
-                keys = retriever.cosine_keys(entry.embedding, k_refresh)
+                entry.keys = retriever.cosine_keys(entry.embedding, k_refresh)
+                stale = any(cid in new for _, cid in entry.keys)
+            elif len(keys) < k_refresh:
+                stale = bool(ids)
             else:
-                top = top_k_order(sims[i], k_refresh)
-                keys = sorted(keys + list(zip(sims[i, top].tolist(), [ids[j] for j in top.tolist()])),
-                              key=_rank)[:k_refresh]
-            entry.keys = keys
-            if any(cid in new for _, cid in keys):
+                cos, kth_id = keys[k_refresh - 1]
+                stale = best_new[i] > cos or best_new[i] == cos and any(
+                    ids[j] < kth_id for j in np.flatnonzero(sims[i] == cos).tolist())
+                entry.keys = keys[:k_refresh]
+            if stale:
                 self.mark_stale(entry.query)
                 marked.append(entry)
         return marked

@@ -10,15 +10,15 @@ it, and a term's document frequency the length of its posting list.
 
 The scan is array code, and every score equals the per-chunk scalar
 formula bit for bit. The chunks' feature counts are the rows of one float32
-matrix (float64 once a chunk needs it, see textcore.Embedding), beside
-their squared norms, scored by textcore.cosine_similarities, whose
-integer dots are exact. Each term's postings are one flat int64
-array; BM25 gathers those of the query terms, in order of first
-occurrence, computes each posting's contribution with the scalar
-formula's operations, and sums them per chunk with one bincount, which
-adds in input order from +0.0, as the scalar loop does. Min-max
-normalization, fusion and the (-fused, chunk_id) order run over the chunks
-in chunk-id order. Every ranking takes its k best through top_k_order, which
+matrix (float64 once a chunk needs it, see textcore.Embedding), in
+insertion order, beside their squared norms, scored by
+textcore.cosine_similarities, whose integer dots are exact. Each term's
+postings are one flat int64 array; BM25 gathers those of the query terms,
+in order of first occurrence, computes each posting's contribution with the
+scalar formula's operations, and sums them per chunk with one bincount,
+which adds in input order from +0.0, as the scalar loop does. Every score
+is elementwise in its row, so normalization and fusion run in row order;
+the chunk id enters only to break ties, through top_k_rows, which
 partitions rather than sorting the whole corpus.
 """
 
@@ -48,23 +48,22 @@ class RankedChunk:
     fused: float
 
 
-def top_k_order(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, best first, ties by index: the
-    first k of np.argsort(-scores, kind="stable"). A partition finds the
-    k-th value; only the candidates that beat or tie it are sorted."""
-    neg = -scores
-    if k >= len(neg):
-        return np.argsort(neg, kind="stable")
-    kth = np.partition(neg, k - 1)[k - 1]
-    candidates = np.flatnonzero(neg <= kth)  # ascending, so ties stay in index order
-    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+def top_k_rows(scores: np.ndarray, k: int, ids: list[str]) -> list[int]:
+    """The rows of the k best scores, ordered by (-score, ids[row]). A
+    partition finds the k-th value; only the rows that beat or tie it are
+    sorted."""
+    n = len(scores)
+    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]) if k < n else np.arange(n)
+    ranked = sorted(zip((-scores[rows]).tolist(), rows.tolist()), key=lambda t: (t[0], ids[t[1]]))
+    return [row for _, row in ranked[:k]]
 
 
 def _minmax(scores: np.ndarray) -> np.ndarray:
-    """Min-max normalize; an all-equal vector maps to 0.5 everywhere. The
-    bounds are the first minimum and maximum in order, as min() and max()
-    pick them, so 0.0 and -0.0 resolve the same way."""
-    lo, hi = scores[np.argmin(scores)], scores[np.argmax(scores)]
+    """Min-max normalize; an all-equal vector maps to 0.5 everywhere. No
+    score is -0.0 or NaN (BM25 sums positive terms from +0.0, and
+    cosine_table turns -0.0 into +0.0), so the extremes have the same bits
+    whatever order they are found in."""
+    lo, hi = scores.min(), scores.max()
     if hi == lo:
         return np.full(len(scores), 0.5)
     return (scores - lo) / (hi - lo)
@@ -80,11 +79,11 @@ class Retriever:
     cosine_keys ranks the corpus as (cosine, chunk_id) keys, ordered by
     (-cosine, chunk_id). Asked with the embedding object of the last
     retrieve_top_k call, it reuses the cosine row that call computed, so
-    keying a just-answered query costs no second scan. rows_since gathers
-    the chunks added since a known corpus size, which QaBank.refresh scores
-    against its entries. Not safe for concurrent use: besides add_chunk,
-    the first read after an add rebuilds the cached chunk-id order, and
-    retrieve_top_k replaces the kept cosine row.
+    keying a just-answered query costs no second scan. That row is the
+    only state a read keeps; retrieve_top_k replaces it and add_chunk
+    drops it, so neither is safe beside another call. rows_since gives the
+    chunks added since a known corpus size, which QaBank.refresh scores
+    against its entries.
     """
 
     def __init__(
@@ -101,9 +100,8 @@ class Retriever:
         # term -> row, tf, doc length of each chunk containing it, flat
         self._postings: dict[str, array] = {}
         self._total_len = 0  # words over all chunks
-        self._order: np.ndarray | None = None  # rows in chunk-id order
-        # (embedding, its cosine row in chunk-id order) of the last
-        # retrieve_top_k since the last add
+        # (embedding, its cosine row) of the last retrieve_top_k since the
+        # last add
         self._last_cosine: tuple[Embedding, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -133,8 +131,10 @@ class Retriever:
             raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._counts.shape[1]}")
         row = len(self._ids)
         self.reserve(row + 1)
-        if embedding.counts.dtype != self._counts.dtype:  # a float64 row widens the matrix
-            self._counts = self._counts.astype(np.result_type(self._counts, embedding.counts))
+        if embedding.counts.itemsize > self._counts.itemsize:  # a float64 row widens the matrix
+            counts = np.empty(self._counts.shape)  # rows from row on were never written
+            counts[:row] = self._counts[:row]
+            self._counts = counts
         self._counts[row], self._norm2[row] = embedding.counts, embedding.norm2
         terms = split_words(text)
         for term, tf in Counter(terms).items():
@@ -145,14 +145,7 @@ class Retriever:
         self._total_len += len(terms)
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
-        self._order = None
         self._last_cosine = None
-
-    def _id_order(self) -> np.ndarray:
-        if self._order is None:
-            self._order = np.array(sorted(range(len(self._ids)), key=self._ids.__getitem__),
-                                   dtype=np.intp)
-        return self._order
 
     def _bm25(self, query: str) -> np.ndarray:
         """BM25 of every chunk, in row order; the corpus is not empty. A
@@ -173,9 +166,9 @@ class Retriever:
         return np.bincount(rows, qtf_idf * tf * (k1 + 1.0) / denom, n)
 
     def _cosine(self, embedding: Embedding) -> np.ndarray:
-        """Cosine similarity of every chunk to embedding, in chunk-id order."""
+        """Cosine similarity of every chunk to embedding, in row order."""
         n = len(self._ids)
-        return cosine_similarities(self._counts[:n], self._norm2[:n], embedding)[self._id_order()]
+        return cosine_similarities(self._counts[:n], self._norm2[:n], embedding)
 
     def retrieve_top_k(
         self, query: str, k: int, *, embedding: Embedding | None = None
@@ -188,29 +181,27 @@ class Retriever:
             return []
         if embedding is None:
             embedding = self.embedder.embed(query)
-        bm25 = self._bm25(query)[self._id_order()]
+        bm25 = self._bm25(query)
         semantic = self._cosine(embedding)
         self._last_cosine = (embedding, semantic)
         fused = self.alpha * _minmax(bm25) + (1.0 - self.alpha) * _minmax(semantic)
-        top = top_k_order(fused, k)
-        rows = self._id_order()[top]
+        rows = top_k_rows(fused, k, self._ids)
         return [
             RankedChunk(self._ids[row], bm, sem, fu)
-            for row, bm, sem, fu in zip(rows.tolist(), bm25[top].tolist(),
-                                        semantic[top].tolist(), fused[top].tolist())
+            for row, bm, sem, fu in zip(rows, bm25[rows].tolist(), semantic[rows].tolist(),
+                                        fused[rows].tolist())
         ]
 
     def rows_since(self, since: int) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The chunks from row since on, in chunk-id order: their ids, and
-        copies of their count rows and squared norms."""
-        rows = sorted(range(since, len(self._ids)), key=self._ids.__getitem__)
-        return [self._ids[row] for row in rows], self._counts[rows], self._norm2[rows]
+        """The chunks from row since on, in row order: their ids, and views
+        of their count rows and squared norms."""
+        n = len(self._ids)
+        return self._ids[since:], self._counts[since:n], self._norm2[since:n]
 
     def cosine_keys(self, embedding: Embedding, k: int) -> list[tuple[float, str]]:
         """The k best (cosine, chunk_id) keys for embedding over the whole
         corpus, ordered by (-cosine, chunk_id)."""
         last = self._last_cosine
         sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
-        top = top_k_order(sims, k)
-        rows = self._id_order()[top]
-        return list(zip(sims[top].tolist(), [self._ids[row] for row in rows.tolist()]))
+        rows = top_k_rows(sims, k, self._ids)
+        return list(zip(sims[rows].tolist(), [self._ids[row] for row in rows]))

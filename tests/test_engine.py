@@ -111,7 +111,8 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
 
 def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):
     # a reopened bank's entries have no keys and are ranked at their first
-    # refresh; the open engine's entries merge the new chunks into theirs
+    # refresh; the open engine's entries test their kept keys against the
+    # new chunks
     queries = ("what is the budget review plan?", "when is the team meeting?",
                "where is the project report stored?", "who books the training session?")
     arrivals = ("the budget review plan needs numbers from finance this quarter",

@@ -160,7 +160,7 @@ def test_refresh_marks_stale():
     bank.insert("no answer yet", emb["no answer yet"], None, 3)
     marked = bank.refresh(r, since=3, k_refresh=3)
     assert [e.query for e in marked] == ["about budget"]
-    assert bank.get("about budget").stale
+    assert bank.get("about budget").stale and bank.get("about budget").keys is None
     assert not bank.get("about meeting").stale
     assert not bank.get("no answer yet").stale  # answer-less entries skipped
     assert bank.get("about meeting").keys == [(0.9, "old1"), (0.7, "old2"), (0.6, "old3")]
@@ -179,9 +179,9 @@ def test_refresh_respects_k():
     assert [e.query for e in marked] == ["q"]
 
 
-def test_refresh_merges_kept_keys_with_the_new_chunks_only():
+def test_refresh_tests_kept_keys_against_the_new_chunks_only():
     # the kept keys stand for the old chunks: only rows from since on are
-    # gathered, once, and no full scan runs
+    # gathered, once, and no full scan runs; the marked entry drops its keys
     r, emb = _table(["a", "b", "c", "new"], {"q": {"a": 0.9, "b": 0.8, "c": 0.7, "new": 0.85}})
     calls = []
     rows_since, cosine_keys = r.rows_since, r.cosine_keys
@@ -192,7 +192,7 @@ def test_refresh_merges_kept_keys_with_the_new_chunks_only():
     bank.insert("q", emb["q"], "ans", 1, keys=[(0.9, "a"), (0.8, "b")])
     assert [e.query for e in bank.refresh(r, since=3, k_refresh=2)] == ["q"]
     assert calls == [3]
-    assert bank.get("q").keys == [(0.9, "a"), (0.85, "new")]
+    assert bank.get("q").keys is None
 
 
 def test_refresh_ranks_entries_with_too_few_keys_by_full_scan():
