@@ -127,7 +127,7 @@ class Engine:
         self.vocab = vocab = self.bank.vocab
         # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
-        self.retriever.reserve(len(self.bank.chunks))
+        self.retriever.rows.reserve(len(self.bank.chunks))
         for chunk in self.bank.chunks.values():
             self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
         self.eos_id = vocab.size

@@ -1,22 +1,20 @@
 """Semantic question-answer bank.
 
 Entries map a past or predicted query to its decoded answer. Lookup is
-cosine similarity against the query embedding with a strict threshold. Answer-less entries (query
-predicted but not yet decoded) and stale entries (grounding chunks
-superseded by new knowledge) are never served; they are completed or
-re-decoded at idle ticks.
+cosine similarity against the query embedding with a strict threshold.
+Answer-less entries (query predicted but not yet decoded) and stale
+entries (grounding chunks superseded by new knowledge) are never served;
+they are completed or re-decoded at idle ticks.
 
 Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
 is LFU over per-entry use counts.
 
-The entries' feature counts are the rows of one float32 matrix (float64
-once an entry needs it, see textcore.Embedding), in insertion order,
-beside their squared norms. An evicted entry leaves a hole; when the
-matrix is full, the holes are dropped and the capacity doubles if more
-than half of it is in use.
-Beside the matrix a mask marks the servable rows. Only QaBank's methods
-change an entry's answer or stale flag, and they keep the mask in step, so
-match scores the masked rows with one cosine_similarities call.
+The entries' embeddings are a textcore.CountRows, in insertion order. An
+evicted entry leaves a hole; when the rows are full, the holes are dropped
+before they grow. Beside the rows a mask marks the servable ones. Only
+QaBank's methods change an entry's answer or stale flag, and they keep the
+mask in step, so match scores the masked rows with one cosine_similarities
+call.
 
 A servable entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
 so a chunk arrival scores only the new chunks (QaBank.refresh), all of them
@@ -35,10 +33,9 @@ import numpy as np
 
 from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
 from .retrieval import Retriever
-from .textcore import Embedding, HashEmbedder, cosine_similarities, cosine_table
+from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, cosine_table
 
 DEFAULT_ENTRY_BYTES = 4096
-INITIAL_ROWS = 16
 
 Key = tuple[float, str]  # (cosine, chunk_id)
 
@@ -74,9 +71,8 @@ class QaBank:
         self.entries = self._by_query.values()  # in insertion order
         self._row: dict[str, int] = {}  # query -> row
         self._held: list[QaEntry | None] = []  # row -> entry, None once evicted
-        self._counts = np.empty((0, 0), np.float32)  # rows sized at the first insert
-        self._norm2 = np.empty(0)  # each row's squared norm
-        self._servable = np.zeros(0, dtype=bool)
+        self._rows = CountRows()  # row -> embedding, its dimension the first one's
+        self._servable = bytearray()  # row -> 1 if its entry is servable, else 0
 
     @property
     def used_bytes(self) -> int:
@@ -109,20 +105,14 @@ class QaBank:
     def _servable_rows(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """The servable rows, their counts and their squared norms, views
         if every row is servable."""
-        n = len(self._held)
-        rows = np.flatnonzero(self._servable[:n])
-        if len(rows) == n:
-            return rows.tolist(), self._counts[:n], self._norm2[:n]
-        return rows.tolist(), self._counts[rows], self._norm2[rows]
+        rows = np.flatnonzero(np.frombuffer(self._servable, bool))
+        counts, norm2 = self._rows.counts, self._rows.norm2
+        if len(rows) == len(norm2):
+            return rows.tolist(), counts, norm2
+        return rows.tolist(), counts[rows], norm2[rows]
 
-    def insert(
-        self,
-        query: str,
-        embedding: Embedding,
-        answer: str | None,
-        now: int,
-        keys: list[Key] | None = None,
-    ) -> list[QaEntry]:
+    def insert(self, query: str, embedding: Embedding, answer: str | None, now: int,
+               keys: list[Key] | None = None) -> list[QaEntry]:
         """Insert or update; returns evicted entries.
 
         Exact-text duplicates replace in place keeping the larger
@@ -131,6 +121,7 @@ class QaBank:
         corpus's current best keys for embedding; None leaves the entry to
         be ranked at the next refresh.
         """
+        self._rows.check(embedding)
         existing = self._by_query.get(query)
         if existing is not None:
             if answer is None and existing.answer is not None:
@@ -157,33 +148,17 @@ class QaBank:
         self._servable[self._row[query]] = False
 
     def _add(self, entry: QaEntry) -> None:
-        if len(self._held) == len(self._norm2):
-            self._compact(entry.embedding.dim)
-        row = len(self._held)
-        if entry.embedding.counts.itemsize > self._counts.itemsize:  # a float64 row widens the matrix
-            counts = np.empty(self._counts.shape)  # rows from row on were never written
-            counts[:row] = self._counts[:row]
-            self._counts = counts
-        self._counts[row], self._norm2[row] = entry.embedding.counts, entry.embedding.norm2
-        self._servable[row] = entry.servable
+        if self._rows.capacity == len(self._held) > len(self._row):  # full, with holes to drop
+            live = [row for row, held in enumerate(self._held) if held is not None]
+            self._rows.compact(live)
+            self._held = [self._held[row] for row in live]
+            self._servable = bytearray(self._servable[row] for row in live)
+            self._row = {held.query: row for row, held in enumerate(self._held)}
+        self._rows.append(entry.embedding)
+        self._row[entry.query] = len(self._held)
         self._held.append(entry)
-        self._row[entry.query] = row
+        self._servable.append(entry.servable)
         self._by_query[entry.query] = entry
-
-    def _compact(self, dim: int) -> None:
-        """Drop the holes of evicted rows, keeping insertion order; the
-        capacity doubles if the entries fill more than half of it."""
-        live = [row for row, held in enumerate(self._held) if held is not None]
-        capacity = len(self._norm2) * (2 if 2 * len(live) > len(self._norm2) else 1)
-        capacity = max(capacity, INITIAL_ROWS)
-        counts, norm2 = np.empty((capacity, dim), self._counts.dtype), np.empty(capacity)
-        servable = np.zeros(capacity, dtype=bool)
-        if live:
-            counts[: len(live)], norm2[: len(live)] = self._counts[live], self._norm2[live]
-            servable[: len(live)] = self._servable[live]
-        self._counts, self._norm2, self._servable = counts, norm2, servable
-        self._held = [self._held[row] for row in live]
-        self._row = {entry.query: row for row, entry in enumerate(self._held)}
 
     def _remove(self, entry: QaEntry) -> None:
         del self._by_query[entry.query]
@@ -217,10 +192,9 @@ class QaBank:
         k_refresh-th key: its best new cosine beats that key's, or ties it
         with a smaller chunk id. Otherwise it keeps its first k_refresh
         keys, which are still the corpus's best. This equals ranking the
-        whole corpus, because chunks are never removed and every cosine is
-        computed from an exact integer dot, so it has the same bits
-        whichever rows are scored with it and whichever of its two
-        embeddings is the row. An entry with fewer keys than
+        whole corpus, because chunks are never removed and cosine_table
+        gives a pair the same bits whichever rows are scored with it and
+        whichever of the two is the row. An entry with fewer keys than
         min(k_refresh, since), or none, as after a load or k_refresh
         growing, is ranked by retriever.cosine_keys against the whole
         corpus; one with fewer than k_refresh but at least since keys holds
@@ -275,12 +249,7 @@ class QaBank:
         ))
 
     @classmethod
-    def load(
-        cls,
-        path,
-        limit_bytes: int,
-        embedder: HashEmbedder | None = None,
-    ) -> "QaBank":
+    def load(cls, path, limit_bytes: int, embedder: HashEmbedder | None = None) -> "QaBank":
         """The bank persisted at path, or an empty one if there is none. A
         query on two lines raises BankError naming the second."""
         embedder = embedder or HashEmbedder()
@@ -293,15 +262,8 @@ class QaBank:
         for lineno, rec in read_jsonl(path, fields):
             if rec["query"] in bank._by_query:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
-            bank._add(QaEntry(
-                rec["query"],
-                embedder.embed(rec["query"]),
-                rec["answer"],
-                rec["created_at"],
-                rec["last_used"],
-                rec["use_count"],
-                rec["stale"],
-            ))
+            bank._add(QaEntry(rec["query"], embedder.embed(rec["query"]), rec["answer"],
+                              rec["created_at"], rec["last_used"], rec["use_count"], rec["stale"]))
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)
         return bank

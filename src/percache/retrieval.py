@@ -9,14 +9,12 @@ count is the number of rows, the average length a running word total over
 it, and a term's document frequency the length of its posting list.
 
 The scan is array code, and every score equals the per-chunk scalar
-formula bit for bit. The chunks' feature counts are the rows of one float32
-matrix (float64 once a chunk needs it, see textcore.Embedding), in
-insertion order, beside their squared norms, scored by
-textcore.cosine_similarities, whose integer dots are exact. Each term's
-postings are one flat int64 array; BM25 gathers those of the query terms,
-in order of first occurrence, computes each posting's contribution with the
-scalar formula's operations, and sums them per chunk with one bincount,
-which adds in input order from +0.0, as the scalar loop does. Every score
+formula bit for bit. The chunks' embeddings are a textcore.CountRows,
+whose cosines have exact integer dots. Each term's postings are one flat
+int64 array; BM25 gathers those of the query terms, in order of first
+occurrence, computes each posting's contribution with the scalar
+formula's operations, and sums them per chunk with one bincount, which
+adds in input order from +0.0, as the scalar loop does. Every score
 is elementwise in its row, so normalization and fusion run in row order;
 the chunk id enters only to break ties, through top_k_rows, which
 partitions rather than sorting the whole corpus.
@@ -32,12 +30,11 @@ import math
 
 import numpy as np
 
-from .textcore import Embedding, HashEmbedder, cosine_similarities, split_words
+from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, split_words
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_ALPHA = 0.5
-INITIAL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -72,31 +69,24 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
 class Retriever:
     """Exact-scan hybrid retriever over the chunk corpus.
 
-    Rows of the count matrix are chunks in insertion order; its capacity
-    doubles when full. Chunks are never removed, so the chunks
-    added since a known corpus size are the rows from that size on.
+    rows holds the chunks' embeddings in insertion order. Chunks are never
+    removed, so rows_since(size) gives the chunks added since a known corpus
+    size, which QaBank.refresh scores against its entries.
 
     cosine_keys ranks the corpus as (cosine, chunk_id) keys, ordered by
     (-cosine, chunk_id). Asked with the embedding object of the last
     retrieve_top_k call, it reuses the cosine row that call computed, so
     keying a just-answered query costs no second scan. That row is the
     only state a read keeps; retrieve_top_k replaces it and add_chunk
-    drops it, so neither is safe beside another call. rows_since gives the
-    chunks added since a known corpus size, which QaBank.refresh scores
-    against its entries.
+    drops it, so neither is safe beside another call.
     """
 
-    def __init__(
-        self,
-        embedder: HashEmbedder | None = None,
-        alpha: float = DEFAULT_ALPHA,
-    ):
+    def __init__(self, embedder: HashEmbedder | None = None, alpha: float = DEFAULT_ALPHA):
         self.embedder = embedder or HashEmbedder()
         self.alpha = alpha
         self._ids: list[str] = []  # row -> chunk id
         self._id_set: set[str] = set()
-        self._counts = np.empty((INITIAL_CAPACITY, self.embedder.dim), np.float32)
-        self._norm2 = np.empty(INITIAL_CAPACITY)  # each row's squared norm
+        self.rows = CountRows(self.embedder.dim)
         # term -> row, tf, doc length of each chunk containing it, flat
         self._postings: dict[str, array] = {}
         self._total_len = 0  # words over all chunks
@@ -110,32 +100,11 @@ class Retriever:
     def __contains__(self, chunk_id: str) -> bool:
         return chunk_id in self._id_set
 
-    def reserve(self, n: int) -> None:
-        """Make room for n chunks in one step: the capacity doubles until n
-        fit. Growing once, not through every smaller size, leaves no
-        outgrown matrices behind in the allocator's heap."""
-        capacity = len(self._norm2)
-        while capacity < n:
-            capacity *= 2
-        if capacity > len(self._norm2):
-            held = len(self._ids)
-            counts = np.empty((capacity, self._counts.shape[1]), self._counts.dtype)
-            norm2 = np.empty(capacity)
-            counts[:held], norm2[:held] = self._counts[:held], self._norm2[:held]
-            self._counts, self._norm2 = counts, norm2
-
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
         if chunk_id in self._id_set:
             return
-        if embedding.dim != self._counts.shape[1]:
-            raise ValueError(f"embedding dimension mismatch: {embedding.dim} != {self._counts.shape[1]}")
         row = len(self._ids)
-        self.reserve(row + 1)
-        if embedding.counts.itemsize > self._counts.itemsize:  # a float64 row widens the matrix
-            counts = np.empty(self._counts.shape)  # rows from row on were never written
-            counts[:row] = self._counts[:row]
-            self._counts = counts
-        self._counts[row], self._norm2[row] = embedding.counts, embedding.norm2
+        self.rows.append(embedding)
         terms = split_words(text)
         for term, tf in Counter(terms).items():
             postings = self._postings.get(term)
@@ -167,8 +136,7 @@ class Retriever:
 
     def _cosine(self, embedding: Embedding) -> np.ndarray:
         """Cosine similarity of every chunk to embedding, in row order."""
-        n = len(self._ids)
-        return cosine_similarities(self._counts[:n], self._norm2[:n], embedding)
+        return cosine_similarities(self.rows.counts, self.rows.norm2, embedding)
 
     def retrieve_top_k(
         self, query: str, k: int, *, embedding: Embedding | None = None
@@ -195,8 +163,7 @@ class Retriever:
     def rows_since(self, since: int) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The chunks from row since on, in row order: their ids, and views
         of their count rows and squared norms."""
-        n = len(self._ids)
-        return self._ids[since:], self._counts[since:n], self._norm2[since:n]
+        return self._ids[since:], self.rows.counts[since:], self.rows.norm2[since:]
 
     def cosine_keys(self, embedding: Embedding, k: int) -> list[tuple[float, str]]:
         """The k best (cosine, chunk_id) keys for embedding over the whole

@@ -132,9 +132,8 @@ class Embedding:
 def cosine_table(counts: np.ndarray, norm2: np.ndarray,
                  other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
     """The cosine of each row of counts with each row of other_counts, a
-    (len(counts), len(other_counts)) array. Both hold embedding counts as
-    Embedding does, a matrix in float64 if any of its rows needs it;
-    norm2 and other_norm2 are their squared norms, in float64.
+    (len(counts), len(other_counts)) array, of count rows and squared norms
+    as CountRows holds them.
 
     Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
     dot. Two float32 operands have Na and Nb at most 2**24, so every
@@ -165,6 +164,74 @@ def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     """Cosine similarity of two embeddings: cosine_table's one entry."""
     return float(cosine_similarities(a.counts[None], np.array([float(a.norm2)]), b)[0])
+
+
+INITIAL_ROWS = 16
+
+
+class CountRows:
+    """Embeddings as rows, in insertion order: the store the retriever ranks
+    its chunks in and the QA bank its entries. One count matrix holds them
+    beside a float64 vector of their squared norms; counts and norm2 view
+    the held rows, for cosine_similarities and cosine_table.
+
+    The matrix is float32 until a float64 row (see Embedding) widens it for
+    good, copying the held rows only, never the unwritten capacity. The
+    capacity starts at INITIAL_ROWS and doubles when full; reserve grows it
+    in one step, which leaves no outgrown matrices in the allocator's heap,
+    and compact keeps a list of rows with room for as many again. check,
+    which append runs, refuses an embedding whose dim is not the rows':
+    the given one, or else the first row's.
+    """
+
+    def __init__(self, dim: int | None = None):
+        self.dim = dim
+        self._counts = np.empty((0, dim or 0), np.float32)
+        self._norm2 = np.empty(0)
+        self._n = 0  # rows held
+
+    @property
+    def capacity(self) -> int:
+        return len(self._norm2)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts[: self._n]
+
+    @property
+    def norm2(self) -> np.ndarray:
+        return self._norm2[: self._n]
+
+    def check(self, e: Embedding) -> None:
+        if e.dim != self.dim and self.dim is not None:
+            raise ValueError(f"embedding dimension mismatch: {e.dim} != {self.dim}")
+
+    def append(self, e: Embedding) -> None:
+        self.check(e)
+        n, counts = self._n, e.counts
+        if n == len(self._norm2) or counts.itemsize > self._counts.itemsize:
+            self.dim = e.dim
+            self._move(slice(0, n), n + 1, np.promote_types(self._counts.dtype, counts.dtype))
+        self._counts[n], self._norm2[n] = counts, e.norm2
+        self._n = n + 1
+
+    def reserve(self, n: int) -> None:
+        if n > len(self._norm2):
+            self._move(slice(0, self._n), n, self._counts.dtype)
+
+    def compact(self, keep: list[int]) -> None:
+        self._move(keep, 2 * len(keep), self._counts.dtype)
+
+    def _move(self, keep, room: int, dtype) -> None:
+        """Move the rows keep selects to new dtype arrays with room for room rows."""
+        capacity = max(len(self._norm2), INITIAL_ROWS)
+        while capacity < room:
+            capacity *= 2
+        counts, norm2 = self._counts[keep], self._norm2[keep]
+        self._counts, self._norm2 = np.empty((capacity, self.dim), dtype), np.empty(capacity)
+        self._n = len(norm2)
+        if self._n:  # a store without a row yet has (0, 0) counts
+            self._counts[: self._n], self._norm2[: self._n] = counts, norm2
 
 
 class HashEmbedder:

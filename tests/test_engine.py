@@ -533,9 +533,9 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
     reopened = make_engine(tmp_path / "bank", chunk_words=3)
     chunks = list(reopened.bank.chunks.values())
     assert len(chunks) > 50
-    n = len(reopened.retriever)
-    rows, norm2 = reopened.retriever._counts[:n], reopened.retriever._norm2[:n].tolist()
+    rows, norm2 = reopened.retriever.rows.counts, reopened.retriever.rows.norm2.tolist()
     assert reopened.retriever._ids == [c.chunk_id for c in chunks]
+    assert len(rows) == len(norm2) == len(chunks)
     for chunk, row, n2 in zip(chunks, rows, norm2):
         e = reopened.embedder.embed(chunk.text)
         assert (row.tobytes(), n2) == (e.counts.tobytes(), e.norm2)

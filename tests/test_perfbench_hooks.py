@@ -2,10 +2,13 @@
 would silently drop their spans from `perfbench/run.py --trace 1`. Replay
 one bundled trace with the instrumentation on and check the spans that
 the per-layer metrics read, and that tracing leaves the metrics stream
-unchanged."""
+unchanged. perfbench/workloads.py builds its workloads with percache's
+own Retriever and cosine_similarity, so their bytes are pinned too."""
 
 import contextlib
+import hashlib
 import io
+import json
 import sys
 
 from percache.cli import EXIT_OK, main
@@ -15,8 +18,16 @@ from conftest import DATA, REPO
 sys.path.insert(0, str(REPO / "perfbench"))
 import layers  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 TRACE, CONFIG = "idle_work", "idle_work"
+
+# SHA-256 of json.dumps([events, corpus, vocab], sort_keys=True) of each
+# workload perfbench builds at seed 101
+WORKLOAD_DIGESTS = {
+    "qa_repeat": "22457f79554f6fe34d47dabff6dd1e9162d988ce41952cd371e9f45e61dee89d",
+    "prefix_reuse": "279807cb40101491a20470f4e879b2ca5e61fc027b3ed869ce6f805a32bcefdf",
+}
 
 # every name perfbench patches that this replay reaches: all but
 # knowledge.deserialize_slice, as the bank it opens holds no slice
@@ -71,3 +82,13 @@ def test_instrumented_names_record_spans(tmp_path):
     assert any(s.name == "scheduler.populate" and s.attrs["populated"] for s in t.spans)
     assert any(s.name == "scheduler.restore" and s.attrs["restored"] for s in t.spans)
     assert traced == plain
+
+
+def test_benchmark_workloads_build_the_same_bytes():
+    # the builders call Retriever(embedder, alpha=...), add_chunk and
+    # retrieve_top_k, and read Embedding.values, cosine_similarity and
+    # DEFAULT_ENTRY_BYTES; a change to any of them moves these digests
+    for name, digest in WORKLOAD_DIGESTS.items():
+        w = workloads.build(name, 101)
+        got = hashlib.sha256(json.dumps([w.events, w.corpus, w.vocab], sort_keys=True).encode())
+        assert got.hexdigest() == digest, name

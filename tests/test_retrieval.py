@@ -13,12 +13,13 @@ from percache.retrieval import (
     DEFAULT_ALPHA,
     DEFAULT_B,
     DEFAULT_K1,
-    INITIAL_CAPACITY,
     RankedChunk,
     Retriever,
     top_k_rows,
 )
 from percache.textcore import (
+    INITIAL_ROWS,
+    CountRows,
     Embedding,
     HashEmbedder,
     cosine_similarities,
@@ -339,10 +340,10 @@ def _within_budget(check):
 
 @EXACT_SETTINGS
 @given(n=st.integers(0, 140), reserve=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
-@example(n=INITIAL_CAPACITY - 1, reserve=0, seed=0)
-@example(n=INITIAL_CAPACITY, reserve=0, seed=1)
-@example(n=INITIAL_CAPACITY + 1, reserve=0, seed=2)
-@example(n=INITIAL_CAPACITY + 1, reserve=4 * INITIAL_CAPACITY + 1, seed=3)
+@example(n=INITIAL_ROWS - 1, reserve=0, seed=0)
+@example(n=INITIAL_ROWS, reserve=0, seed=1)
+@example(n=INITIAL_ROWS + 1, reserve=0, seed=2)
+@example(n=INITIAL_ROWS + 1, reserve=4 * INITIAL_ROWS + 1, seed=3)
 def _check_cosine(n, reserve, seed):
     rng = np.random.default_rng(seed)
     embeddings = [_embedding(rng) for _ in range(n)]
@@ -351,9 +352,9 @@ def _check_cosine(n, reserve, seed):
     r = Retriever(EMB)
     for i, e in enumerate(embeddings):
         if i == n // 2:
-            r.reserve(reserve)  # one step past several doublings, rows kept
+            r.rows.reserve(reserve)  # one step past several doublings, rows kept
         r.add_chunk(f"c{i:03d}", "", e)
-    counts, norm2 = r._counts[: len(r)], r._norm2[: len(r)]
+    counts, norm2 = r.rows.counts, r.rows.norm2
     assert counts.tobytes() == b"".join(e.counts.tobytes() for e in embeddings)
     assert norm2.tolist() == [e.norm2 for e in embeddings]
     queries = [_embedding(rng) for _ in range(3)] + [DEGENERATE, _negated(DEGENERATE)]
@@ -525,23 +526,45 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
 
 
 def test_a_float64_row_widens_the_count_matrices():
-    # a count beyond float32's integers reaches the retriever's and the QA
-    # bank's rows unrounded, past their growth, beside float32 rows
+    # a count beyond float32's integers reaches the count rows unrounded,
+    # past their growth, beside float32 rows; the retriever and the QA bank
+    # rank through such rows
     big = embedding_from_counts(np.eye(EMB.dim)[0] * (2**24 + 1))
     small = [embedding_from_counts(np.eye(EMB.dim)[1 + i % 7] * (1 + i)) for i in range(80)]
     axis = embedding_from_counts(np.eye(EMB.dim)[0])
     assert (big.counts.dtype, axis.counts.dtype) == (np.float64, np.float32)
-    r, bank = Retriever(EMB), QaBank(limit_bytes=1 << 30)
-    for i, e in enumerate(small[:3] + [big] + small[3:]):
+    added = small[:3] + [big] + small[3:]
+    rows, r, bank = CountRows(EMB.dim), Retriever(EMB), QaBank(limit_bytes=1 << 30)
+    for i, e in enumerate(added):
         if e is big:  # unwritten capacity may hold a signalling NaN, which a cast would trap on
-            for counts in (r._counts, bank._counts):
-                counts[i:].view(np.uint32)[:] = 0x7F800001
+            rows._counts[i:].view(np.uint32)[:] = 0x7F800001
+        rows.append(e)
         r.add_chunk(f"c{i:02d}", "", e)
         bank.insert(f"q{i:02d}", e, "a", i)
+    assert rows.counts.dtype == np.float64
+    assert rows.counts.tobytes() == np.array([e.counts for e in added], np.float64).tobytes()
+    assert rows.norm2.tolist() == [e.norm2 for e in added]
     assert r.cosine_keys(axis, 2) == [(1.0, "c03"), (0.0, "c00")]
     assert r.cosine_keys(small[1], 1) == [(1.0, "c01")]
     entry, sim = bank.match(axis, 0.99, 99)
     assert (entry.query, sim) == ("q03", 1.0)
+
+
+def test_an_embedding_of_another_dimension_is_refused():
+    # numpy would broadcast a 1-long counts row across every column, so
+    # the short embedding would match every query at similarity 1.0
+    e, short = EMB.embed("budget review"), Embedding(np.array([3.0], np.float32), 9)
+    r, bank = Retriever(EMB), QaBank(limit_bytes=DEFAULT_ENTRY_BYTES)
+    r.add_chunk("c0", "budget review", e)
+    bank.insert("budget review", e, "a", 0)
+    with pytest.raises(ValueError, match="dimension mismatch: 1 != 256"):
+        r.add_chunk("c1", "b", short)
+    with pytest.raises(ValueError, match="dimension mismatch: 1 != 256"):
+        bank.insert("b", short, "b", 1)  # before evicting the one entry it has room for
+    assert (len(r), "c1" in r) == (1, False)
+    assert [entry.query for entry in bank.entries] == ["budget review"]
+    entry, sim = bank.match(EMB.embed("what is on the agenda friday"), 0.5, 2)
+    assert entry is None and sim < 0.5
 
 
 def test_new_rows_gathered_once_per_arrival():
