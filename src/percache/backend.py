@@ -41,17 +41,14 @@ MLP_MULT = 4
 
 @dataclass(frozen=True)
 class ToyModelConfig:
+    """Positive dimensions and an even head_dim, as Engine builds it from a
+    validated EngineConfig; nothing here checks them again."""
+
     layers: int = 2
     heads: int = 2
     head_dim: int = 8
     vocab_size: int = 512
     seed: int = 0x7031
-
-    def __post_init__(self):
-        if min(self.layers, self.heads, self.head_dim, self.vocab_size) < 1:
-            raise ValueError("all model dimensions must be >= 1")
-        if self.head_dim % 2 != 0:
-            raise ValueError("head_dim must be even (rotary pairs)")
 
     @property
     def dim(self) -> int:

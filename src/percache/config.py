@@ -84,6 +84,11 @@ class EngineConfig:
         for key in ("qkv_limit_bytes", "abstract_cap_bytes"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be at least 0")
+        for key in ("t_batch", "t_quiet"):
+            if not getattr(self, key) >= 0.0:
+                raise ConfigError(f"{key} must be at least 0 (inf: never)")
         if self.qa_limit_bytes < DEFAULT_ENTRY_BYTES:
             raise ConfigError(f"qa_limit_bytes must hold one entry ({DEFAULT_ENTRY_BYTES} bytes)")
         if not self.flops_per_ms > 0.0:

@@ -68,7 +68,9 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
-# keys Engine copies only at construction: a config_change of one is rejected
+# keys a config_change may not set. Engine builds the model, vocabulary, text
+# backend, chunker and retriever from theirs once; Predictor reads the
+# prediction keys as it goes, but they too stay as the trace began
 FIXED_CONFIG_KEYS = frozenset({
     "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
     "chunk_words", "alpha_fusion", "prediction_stride", "buffer_size",
@@ -157,14 +159,7 @@ class Engine:
         self.qa = QaBank.load(self.bank.directory / "qa.jsonl", config.qa_limit_bytes, self.embedder)
         self.text_backend = (load_script(config.script_file)
                              if config.script_file else ScriptedBackend())
-        self.predictor = Predictor(
-            self.text_backend,
-            stride=config.prediction_stride,
-            abstract_cap_bytes=config.abstract_cap_bytes,
-            buffer_size=config.buffer_size,
-            t_batch=config.t_batch,
-            t_quiet=config.t_quiet,
-        )
+        self.predictor = Predictor(self.text_backend, config)
         self.scheduler = Scheduler(self)
         # QA hits to answer at the next idle tick: text -> its embedding, in
         # arrival order

@@ -537,7 +537,7 @@ class KnowledgeBank:
         if not manifest.exists():
             return bank
         records = read_jsonl(manifest, {
-            "id": (int,), "parent": (int, NoneType), "chunk_id": (str, NoneType),
+            "id": (int,), "parent": (int, NoneType), "chunk_id": (str,),
             "retrieval_count": (int,), "last_used": (int,), "slice_file": (str, NoneType),
             "byte_size": (int,),
         })

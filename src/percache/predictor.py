@@ -41,7 +41,6 @@ def parse_numbered_list(text: str) -> list[str]:
 class KnowledgeAbstract:
     """Running one-sentence-per-batch summary of the knowledge bank."""
 
-    cap_bytes: int = 4096
     sentences: list[str] = field(default_factory=list)
 
     @property
@@ -60,29 +59,22 @@ class PhaseError(AssertionError):
 class Predictor:
     """Owns the abstract, the query buffer, and the two prediction views.
 
+    config is the engine's EngineConfig, read where each value is used:
+    prediction_stride, buffer_size (the buffer's length, at construction),
+    t_batch, t_quiet and abstract_cap_bytes. EngineConfig.validate holds
+    their rules, and a config_change of any of them is refused.
+
     Mutating operations run only while the engine is in its background
     phase (single writer). `phase` is the engine's only serve/idle flag:
     handle_query sets it to "serve" for the length of a query, and the
     summarization and prediction calls assert it is "idle".
     """
 
-    def __init__(
-        self,
-        backend,
-        stride: int = 5,
-        abstract_cap_bytes: int = 4096,
-        buffer_size: int = 20,
-        t_batch: float = 600.0,
-        t_quiet: float = 300.0,
-    ):
-        if buffer_size < 1:
-            raise ValueError("buffer size must be positive")
+    def __init__(self, backend, config):
         self.backend = backend
-        self.stride = stride
-        self.t_batch = t_batch
-        self.t_quiet = t_quiet
-        self.abstract = KnowledgeAbstract(abstract_cap_bytes)
-        self.buffer: deque[str] = deque(maxlen=buffer_size)  # recent user queries
+        self.config = config
+        self.abstract = KnowledgeAbstract()
+        self.buffer: deque[str] = deque(maxlen=config.buffer_size)  # recent user queries
         self.phase = "idle"
         self.parse_failures = 0
         self._pending: list = []  # chunks awaiting summarization, a missed batch first
@@ -109,7 +101,7 @@ class Predictor:
     def batch_ready(self, now: float) -> bool:
         """New chunks pending and none arrived for t_batch."""
         return bool(self._pending) and (
-            self._last_chunk_at is None or now - self._last_chunk_at >= self.t_batch
+            self._last_chunk_at is None or now - self._last_chunk_at >= self.config.t_batch
         )
 
     def knowledge_ready(self) -> bool:
@@ -122,7 +114,7 @@ class Predictor:
             self._history_dirty
             and bool(self.buffer)
             and self._last_query_at is not None
-            and now - self._last_query_at >= self.t_quiet
+            and now - self._last_query_at >= self.config.t_quiet
         )
 
     # -- abstract maintenance -------------------------------------------------
@@ -146,15 +138,16 @@ class Predictor:
         if not response:
             return False  # chunks noted later join the batch behind it
         self._pending = []
+        cap = self.config.abstract_cap_bytes
         self.abstract.sentences.append(response)
-        if self.abstract.byte_len > self.abstract.cap_bytes:
+        if self.abstract.byte_len > cap:
             merged = self.backend.generate(
                 TEMPLATE_SUMMARIZE, {"chunks": self.abstract.text}
             ).strip()
             if merged:
                 self.abstract.sentences = [merged]
-            if self.abstract.byte_len > self.abstract.cap_bytes:
-                cut = self.abstract.text.encode("utf-8")[: max(0, self.abstract.cap_bytes - 1)]
+            if self.abstract.byte_len > cap:
+                cut = self.abstract.text.encode("utf-8")[: cap - 1]
                 cut = cut.decode("utf-8", errors="ignore")
                 self.abstract.sentences = [cut] if cut else []
         self._abstract_dirty = True
@@ -165,9 +158,10 @@ class Predictor:
     def _predict(self, template: str, slots: dict) -> tuple[str, ...]:
         """Up to stride questions from one prompt; a non-empty response
         that yields none counts as a parse failure."""
-        slots = {"kb_kind": DEFAULT_KB_KIND, **slots, "stride": str(self.stride)}
+        stride = self.config.prediction_stride
+        slots = {"kb_kind": DEFAULT_KB_KIND, **slots, "stride": str(stride)}
         response = self.backend.generate(template, slots)
-        queries = parse_numbered_list(response)[: self.stride]
+        queries = parse_numbered_list(response)[:stride]
         if response and not queries:
             self.parse_failures += 1
         return tuple(queries)

@@ -40,10 +40,6 @@ DEFAULT_ENTRY_BYTES = 4096
 Key = tuple[float, str]  # (cosine, chunk_id)
 
 
-class QaCapacityError(RuntimeError):
-    """The QA byte budget cannot hold even a single entry."""
-
-
 @dataclass
 class QaEntry:
     """One bank entry. answer and stale are changed through QaBank only."""
@@ -66,6 +62,7 @@ class QaEntry:
 
 class QaBank:
     def __init__(self, limit_bytes: int):
+        # at least DEFAULT_ENTRY_BYTES: EngineConfig.validate's qa_limit_bytes rule
         self.limit_bytes = limit_bytes
         self._by_query: dict[str, QaEntry] = {}
         self.entries = self._by_query.values()  # in insertion order
@@ -133,8 +130,6 @@ class QaBank:
                 existing.keys = keys
             self._servable[self._row[query]] = existing.servable
             return []
-        if DEFAULT_ENTRY_BYTES > self.limit_bytes:
-            raise QaCapacityError("qa_limit_bytes smaller than one entry")
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
         self._add(QaEntry(query, embedding, answer, now, now,
                           keys=keys if answer is not None else None))

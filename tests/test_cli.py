@@ -168,16 +168,18 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
 def test_replay_bad_config_exit_2(tmp_path, capsys):
     trace = _write(tmp_path / "t.trace", "")
     # an unknown key, an out-of-range value, a QA budget below one entry,
-    # the text backend selector, which no longer exists, and an odd head
-    # dimension, which rotary position pairs cannot split
+    # the text backend selector, which no longer exists, an odd head
+    # dimension, which rotary position pairs cannot split, a seed the model's
+    # generator refuses, and timers that would never fire or always fire
     for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy",
-                 "model_head_dim=3"):
+                 "model_head_dim=3", "seed=-1", "t_quiet=nan", "t_batch=-1"):
         cfg = _write(tmp_path / "c.cfg", line + "\n")
         assert run([
             "replay", "--trace", trace, "--bank", tmp_path / "b",
             "--config", cfg, "--out", tmp_path / "o.csv",
         ]) == EXIT_DATA
-        assert f"{cfg}:1: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:1: " in err and "Traceback" not in err
 
 
 def test_replay_reruns_byte_identical(tmp_path, capsys):
@@ -303,6 +305,7 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     ("manifest.jsonl", "id", "3"),
     ("manifest.jsonl", "retrieval_count", None),
     ("manifest.jsonl", "parent", [0]),
+    ("manifest.jsonl", "chunk_id", None),  # the root's is ""
     ("chunks.jsonl", "text", 5),
 ])
 def test_wrongly_typed_bank_field_exit_2(tmp_path, capsys, name, key, value):

@@ -31,6 +31,16 @@ def test_validation():
         EngineConfig(retrieval_k=0)
     with pytest.raises(ConfigError):
         EngineConfig(model_head_dim=3)  # rotary encoding rotates dimension pairs
+    for key in ("model_layers", "buffer_size"):
+        with pytest.raises(ConfigError):
+            EngineConfig(**{key: 0})
+    with pytest.raises(ConfigError):
+        EngineConfig(seed=-1)
+    for value in (float("nan"), -1.0):
+        for key in ("t_batch", "t_quiet"):
+            with pytest.raises(ConfigError):
+                EngineConfig(**{key: value})
+    EngineConfig(t_batch=float("inf"), t_quiet=0.0, seed=0)  # inf: never
     for scale in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ConfigError):
             EngineConfig(latency_scale=scale)

@@ -30,7 +30,8 @@ WORKLOAD_DIGESTS = {
 }
 
 # every name perfbench patches that this replay reaches: all but
-# knowledge.deserialize_slice, as the bank it opens holds no slice
+# knowledge.deserialize_slice, as the bank it opens holds no slice (a bank
+# this replay persisted does: test_a_reopened_bank_reads_its_slices_in_load)
 REACHED = (
     "engine.apply_event", "engine.handle_query", "scheduler.idle_tick", "scheduler.populate",
     "scheduler.restore", "textcore.embed", "textcore.tokenize", "retrieval.retrieve_top_k",
@@ -40,7 +41,7 @@ REACHED = (
 )
 
 
-def replay(workdir) -> bytes:
+def replay(workdir, *extra) -> bytes:
     config = str(DATA / "configs" / f"{CONFIG}.cfg")
     bank, metrics = workdir / "bank", workdir / "metrics.jsonl"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -48,7 +49,7 @@ def replay(workdir) -> bytes:
                      "--config", config]) == EXIT_OK
         assert main(["replay", "--trace", str(DATA / "traces" / f"{TRACE}.trace"),
                      "--bank", str(bank), "--config", config, "--out", str(workdir / "out.csv"),
-                     "--metrics", str(metrics)]) == EXIT_OK
+                     "--metrics", str(metrics), *extra]) == EXIT_OK
     return metrics.read_bytes()
 
 
@@ -82,6 +83,23 @@ def test_instrumented_names_record_spans(tmp_path):
     assert any(s.name == "scheduler.populate" and s.attrs["populated"] for s in t.spans)
     assert any(s.name == "scheduler.restore" and s.attrs["restored"] for s in t.spans)
     assert traced == plain
+
+
+def test_a_reopened_bank_reads_its_slices_in_load(tmp_path):
+    replay(tmp_path, "--persist")
+    (tmp_path / "empty.trace").write_text("", encoding="utf-8")
+    t = tracer.Tracer()
+    try:
+        layers.instrument(t)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["replay", "--trace", str(tmp_path / "empty.trace"),
+                         "--bank", str(tmp_path / "bank"),
+                         "--config", str(DATA / "configs" / f"{CONFIG}.cfg"),
+                         "--out", str(tmp_path / "reopened.csv")]) == EXIT_OK
+    finally:
+        t.unpatch()
+    reads = [s for s in t.spans if s.name == "knowledge.deserialize_slice"]
+    assert reads and all(layers._under(s, "knowledge.load") for s in reads)
 
 
 def test_benchmark_workloads_build_the_same_bytes():

@@ -1,5 +1,6 @@
 import pytest
 
+from percache.config import EngineConfig
 from percache.predictor import (
     TEMPLATE_HISTORY,
     TEMPLATE_KNOWLEDGE,
@@ -59,9 +60,8 @@ def test_parse_is_total_on_arbitrary_text():
 
 
 def _predictor(backend, **kw):
-    defaults = dict(stride=3, abstract_cap_bytes=4096, buffer_size=5, t_batch=10, t_quiet=10)
-    defaults.update(kw)
-    return Predictor(backend, **defaults)
+    defaults = dict(prediction_stride=3, buffer_size=5, t_batch=10, t_quiet=10)
+    return Predictor(backend, EngineConfig(**(defaults | kw)))
 
 
 def test_query_buffer_ring():
@@ -72,8 +72,6 @@ def test_query_buffer_ring():
     assert list(p.buffer) == ["q2", "q3", "q4"]
     p.predict_from_history(lambda q: False)
     assert be.calls[0][1]["history"] == "q2; q3; q4"
-    with pytest.raises(ValueError):
-        _predictor(FakeBackend(), buffer_size=0)
 
 
 # -- abstract maintenance ------------------------------------------------------
@@ -188,7 +186,7 @@ def test_history_ready_requires_quiet_period():
 def test_predict_from_knowledge_stride_cap():
     resp = "; ".join(f"{i}. Question {i}?" for i in range(1, 8))
     be = FakeBackend({TEMPLATE_KNOWLEDGE: [resp]})
-    p = _predictor(be, stride=3)
+    p = _predictor(be, prediction_stride=3)
     p.abstract.sentences = ["summary."]
     assert p.predict_from_knowledge() == ("Question 1?", "Question 2?", "Question 3?")
     assert be.calls[0][1]["stride"] == "3"
@@ -210,7 +208,7 @@ def test_predict_parse_failure_counted():
 def test_predict_from_history_filters_known():
     resp = "1. A?; 2. B?; 3. C?; 4. D?; 5. E?"
     be = FakeBackend({TEMPLATE_HISTORY: [resp]})
-    p = _predictor(be, stride=5)
+    p = _predictor(be, prediction_stride=5)
     p.note_user_query("earlier question", at=0)
     assert p.predict_from_history(known_query=lambda q: q == "B?") == ("A?", "C?", "D?", "E?")
     assert not p._history_dirty

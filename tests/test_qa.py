@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from percache.qa import DEFAULT_ENTRY_BYTES, QaBank, QaCapacityError
+from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
 from percache.textcore import HashEmbedder
 
@@ -82,12 +82,6 @@ def test_insert_replaces_in_place_and_clears_stale():
     _insert(bank, "q", answer="new", now=2)
     assert bank.get("q").answer == "new" and not bank.get("q").stale
     assert len(bank.entries) == 1
-
-
-def test_capacity_error():
-    bank = QaBank(limit_bytes=100)
-    with pytest.raises(QaCapacityError):
-        _insert(bank, "q")
 
 
 def test_lfu_eviction_shadow():
