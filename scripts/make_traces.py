@@ -178,9 +178,10 @@ def check_idle_work_inputs() -> None:
     cfg = EngineConfig(chunk_words=12, max_decode_tokens=6, t_batch=1e9)
     eng = Engine(cfg, tempfile.mkdtemp())
     eng.ingest_chunks([CORPUS], 0)
-    (stale_id,), _ = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
-    keys = eng.retriever.cosine_keys(eng.embedder.embed(IDLE_USERS[0]), cfg.k_refresh)
-    assert stale_id in [cid for _, cid in keys]
+    user = eng.embedder.embed(IDLE_USERS[0])
+    eng.qa.insert(IDLE_USERS[0], user, "answer", 0, eng.retriever.bar(user, cfg.k_refresh))
+    (_,), stale = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
+    assert stale == [IDLE_USERS[0]]
 
 
 def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:

@@ -70,11 +70,12 @@ def _is_number(value) -> bool:
 
 # keys a config_change may not set. Engine builds the model, vocabulary, text
 # backend, chunker and retriever from theirs once; Predictor reads the
-# prediction keys as it goes, but they too stay as the trace began
+# prediction keys as it goes, but they too stay as the trace began; every
+# QA entry's refresh bar is ranked by k_refresh
 FIXED_CONFIG_KEYS = frozenset({
     "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
     "chunk_words", "alpha_fusion", "prediction_stride", "buffer_size",
-    "t_batch", "t_quiet", "abstract_cap_bytes",
+    "t_batch", "t_quiet", "abstract_cap_bytes", "k_refresh",
 })
 
 
@@ -229,10 +230,9 @@ class Engine:
             except StorageError:
                 pass  # the prompt's slices exceed the whole budget
         if self.config.qa_enabled:
-            # keys from the cosine row that retrieval just computed: no second scan
-            keys = (self.retriever.cosine_keys(embedding, self.config.k_refresh)
-                    if answer is not None else None)
-            self.qa.insert(text, embedding, answer, self._seq(), keys)
+            # the bar from the cosine row that retrieval just computed: no second scan
+            bar = self.retriever.bar(embedding, self.config.k_refresh) if answer is not None else None
+            self.qa.insert(text, embedding, answer, self._seq(), bar)
         return QueryOutcome(answer, QKV_PARTIAL if l_pre > 0 else COLD_MISS, matched, -1.0,
                             cost, len(tokens), l_pre, discarded)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 
 TEMPLATE_SUMMARIZE = "summarize"
 TEMPLATE_KNOWLEDGE = "knowledge_prediction"
@@ -35,21 +34,6 @@ def parse_numbered_list(text: str) -> list[str]:
         if item.endswith("?") and len(item) > 1:
             out.append(item)
     return out
-
-
-@dataclass
-class KnowledgeAbstract:
-    """Running one-sentence-per-batch summary of the knowledge bank."""
-
-    sentences: list[str] = field(default_factory=list)
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.sentences)
-
-    @property
-    def byte_len(self) -> int:
-        return len(self.text.encode("utf-8"))
 
 
 class PhaseError(AssertionError):
@@ -73,7 +57,7 @@ class Predictor:
     def __init__(self, backend, config):
         self.backend = backend
         self.config = config
-        self.abstract = KnowledgeAbstract()
+        self.abstract: list[str] = []  # a sentence per summarized chunk batch, joined by " "
         self.buffer: deque[str] = deque(maxlen=config.buffer_size)  # recent user queries
         self.phase = "idle"
         self.parse_failures = 0
@@ -106,7 +90,7 @@ class Predictor:
 
     def knowledge_ready(self) -> bool:
         """The abstract changed since the last knowledge prediction."""
-        return self._abstract_dirty and bool(self.abstract.sentences)
+        return self._abstract_dirty and bool(self.abstract)
 
     def history_ready(self, now: float) -> bool:
         """New user queries arrived and then t_quiet passed with none."""
@@ -139,17 +123,15 @@ class Predictor:
             return False  # chunks noted later join the batch behind it
         self._pending = []
         cap = self.config.abstract_cap_bytes
-        self.abstract.sentences.append(response)
-        if self.abstract.byte_len > cap:
-            merged = self.backend.generate(
-                TEMPLATE_SUMMARIZE, {"chunks": self.abstract.text}
-            ).strip()
+        self.abstract.append(response)
+        text = " ".join(self.abstract)
+        if len(text.encode("utf-8")) > cap:
+            merged = self.backend.generate(TEMPLATE_SUMMARIZE, {"chunks": text}).strip()
             if merged:
-                self.abstract.sentences = [merged]
-            if self.abstract.byte_len > cap:
-                cut = self.abstract.text.encode("utf-8")[: cap - 1]
-                cut = cut.decode("utf-8", errors="ignore")
-                self.abstract.sentences = [cut] if cut else []
+                self.abstract, text = [merged], merged
+            if len(text.encode("utf-8")) > cap:
+                cut = text.encode("utf-8")[: cap - 1].decode("utf-8", errors="ignore")
+                self.abstract = [cut] if cut else []
         self._abstract_dirty = True
         return True
 
@@ -168,9 +150,9 @@ class Predictor:
 
     def predict_from_knowledge(self) -> tuple[str, ...]:
         self._assert_idle()
-        if not self.abstract.sentences:
+        if not self.abstract:
             raise ValueError("abstract is empty")
-        queries = self._predict(TEMPLATE_KNOWLEDGE, {"abstract": self.abstract.text})
+        queries = self._predict(TEMPLATE_KNOWLEDGE, {"abstract": " ".join(self.abstract)})
         self._abstract_dirty = False
         return queries
 

@@ -16,11 +16,11 @@ QaBank's methods change an entry's answer or stale flag, and they keep the
 mask in step, so match scores the masked rows with one cosine_similarities
 call.
 
-A servable entry keeps its top k_refresh chunks as (cosine, chunk_id) keys,
-so a chunk arrival scores only the new chunks (QaBank.refresh), all of them
-against every servable row in one call. An entry holds keys only while it
-is servable: mark_stale drops them, and only an answered insert gives
-them. Keys are not persisted.
+A servable entry keeps one bar, its k_refresh-th best (cosine, chunk_id)
+key over the corpus, so a chunk arrival scores only the new chunks
+(QaBank.refresh), all of them against every servable row in one call. An
+entry holds a bar only while it is servable: mark_stale drops it, and only
+an answered insert gives it. Bars are not persisted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, c
 
 DEFAULT_ENTRY_BYTES = 4096
 
-Key = tuple[float, str]  # (cosine, chunk_id)
+Key = tuple[float, str]  # (cosine, chunk_id), ranked by (-cosine, chunk_id)
 
 
 @dataclass
@@ -51,9 +51,9 @@ class QaEntry:
     last_used: int
     use_count: int = 0
     stale: bool = False
-    # the best keys of the corpus for embedding, best first; None if unknown
-    # or not servable
-    keys: list[Key] | None = None
+    # the corpus's k_refresh-th key for embedding, (-inf, "") if it held
+    # fewer chunks; None if unknown or not servable
+    bar: Key | None = None
 
     @property
     def servable(self) -> bool:
@@ -109,14 +109,15 @@ class QaBank:
         return rows.tolist(), counts[rows], norm2[rows]
 
     def insert(self, query: str, embedding: Embedding, answer: str | None, now: int,
-               keys: list[Key] | None = None) -> list[QaEntry]:
+               bar: Key | None = None) -> list[QaEntry]:
         """Insert or update; returns evicted entries.
 
-        Exact-text duplicates replace in place keeping the larger
-        use_count; a decoded answer is never replaced by an answer-less
-        insert for the same text. An answered insert takes keys, the
-        corpus's current best keys for embedding; None leaves the entry to
-        be ranked at the next refresh.
+        An exact-text duplicate is updated in place: its answer and
+        last_used change, its use_count and created_at stay. A decoded
+        answer is never replaced by an answer-less insert for the same
+        text. An answered insert takes bar, from Retriever.bar over the
+        current corpus; None leaves the entry to be keyed at the next
+        refresh.
         """
         self._rows.check(embedding)
         existing = self._by_query.get(query)
@@ -127,19 +128,19 @@ class QaBank:
             existing.last_used = now
             if answer is not None:
                 existing.stale = False
-                existing.keys = keys
+                existing.bar = bar
             self._servable[self._row[query]] = existing.servable
             return []
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
         self._add(QaEntry(query, embedding, answer, now, now,
-                          keys=keys if answer is not None else None))
+                          bar=bar if answer is not None else None))
         return evicted
 
     def mark_stale(self, query: str) -> None:
         """Stop serving query's entry until a new answer is inserted; its
-        keys go with it."""
+        bar goes with it."""
         entry = self._by_query[query]
-        entry.stale, entry.keys = True, None
+        entry.stale, entry.bar = True, None
         self._servable[self._row[query]] = False
 
     def _add(self, entry: QaEntry) -> None:
@@ -181,43 +182,28 @@ class QaBank:
 
         The retriever's chunks from row since on are new; rows_since gives
         them, and one cosine_table call scores each against every servable
-        row. A servable entry goes stale iff a new chunk enters the top
-        k_refresh of the whole corpus by (-cosine, chunk_id). With at least
-        k_refresh keys, that is iff a new chunk ranks before its
-        k_refresh-th key: its best new cosine beats that key's, or ties it
-        with a smaller chunk id. Otherwise it keeps its first k_refresh
-        keys, which are still the corpus's best. This equals ranking the
-        whole corpus, because chunks are never removed and cosine_table
-        gives a pair the same bits whichever rows are scored with it and
-        whichever of the two is the row. An entry with fewer keys than
-        min(k_refresh, since), or none, as after a load or k_refresh
-        growing, is ranked by retriever.cosine_keys against the whole
-        corpus; one with fewer than k_refresh but at least since keys holds
-        every old chunk, so any new chunk enters. Returns the entries
-        marked stale.
+        row. A servable entry goes stale iff the best new chunk ranks before
+        its bar by (-cosine, chunk_id); an entry without one is first keyed
+        over the old rows. As chunks are never removed and cosine_table
+        gives a pair the same bits whichever rows are scored with it, that
+        is iff a new chunk enters the top k_refresh of the whole corpus, and
+        a bar that survives is still the corpus's k_refresh-th key. Returns
+        the entries marked stale.
         """
         rows, counts, norm2 = self._servable_rows()
         if not rows:
             return []
         ids, chunk_counts, chunk_norm2 = retriever.rows_since(since)
-        new = set(ids)
         sims = cosine_table(counts, norm2, chunk_counts, chunk_norm2)
         best_new = sims.max(axis=1, initial=-np.inf).tolist()
         marked = []
         for i, row in enumerate(rows):
             entry = self._held[row]
-            keys = entry.keys
-            if keys is None or len(keys) < min(k_refresh, since):
-                entry.keys = retriever.cosine_keys(entry.embedding, k_refresh)
-                stale = any(cid in new for _, cid in entry.keys)
-            elif len(keys) < k_refresh:
-                stale = bool(ids)
-            else:
-                cos, kth_id = keys[k_refresh - 1]
-                stale = best_new[i] > cos or best_new[i] == cos and any(
-                    ids[j] < kth_id for j in np.flatnonzero(sims[i] == cos).tolist())
-                entry.keys = keys[:k_refresh]
-            if stale:
+            if entry.bar is None:
+                entry.bar = retriever.bar(entry.embedding, k_refresh, since)
+            cos, bar_id = entry.bar
+            if best_new[i] > cos or best_new[i] == cos and any(
+                    ids[j] < bar_id for j in np.flatnonzero(sims[i] == cos).tolist()):
                 self.mark_stale(entry.query)
                 marked.append(entry)
         return marked

@@ -73,12 +73,12 @@ class Retriever:
     removed, so rows_since(size) gives the chunks added since a known corpus
     size, which QaBank.refresh scores against its entries.
 
-    cosine_keys ranks the corpus as (cosine, chunk_id) keys, ordered by
-    (-cosine, chunk_id). Asked with the embedding object of the last
-    retrieve_top_k call, it reuses the cosine row that call computed, so
-    keying a just-answered query costs no second scan. That row is the
-    only state a read keeps; retrieve_top_k replaces it and add_chunk
-    drops it, so neither is safe beside another call.
+    bar gives a QA entry's refresh bar, a (cosine, chunk_id) key. Asked
+    with the embedding object of the last retrieve_top_k call, it reuses
+    the cosine row that call computed, so keying a just-answered query
+    costs no second scan. That row is the only state a read keeps;
+    retrieve_top_k replaces it and add_chunk drops it, so neither is safe
+    beside another call.
     """
 
     def __init__(self, embedder: HashEmbedder | None = None, alpha: float = DEFAULT_ALPHA):
@@ -134,9 +134,10 @@ class Retriever:
         denom = tf + k1 * (1.0 - b + b * doc_len / avgdl)
         return np.bincount(rows, qtf_idf * tf * (k1 + 1.0) / denom, n)
 
-    def _cosine(self, embedding: Embedding) -> np.ndarray:
-        """Cosine similarity of every chunk to embedding, in row order."""
-        return cosine_similarities(self.rows.counts, self.rows.norm2, embedding)
+    def _cosine(self, embedding: Embedding, rows: int | None = None) -> np.ndarray:
+        """Cosine similarity of the first rows chunks (all if None) to
+        embedding, in row order."""
+        return cosine_similarities(self.rows.counts[:rows], self.rows.norm2[:rows], embedding)
 
     def retrieve_top_k(
         self, query: str, k: int, *, embedding: Embedding | None = None
@@ -165,10 +166,14 @@ class Retriever:
         of their count rows and squared norms."""
         return self._ids[since:], self.rows.counts[since:], self.rows.norm2[since:]
 
-    def cosine_keys(self, embedding: Embedding, k: int) -> list[tuple[float, str]]:
-        """The k best (cosine, chunk_id) keys for embedding over the whole
-        corpus, ordered by (-cosine, chunk_id)."""
+    def bar(self, embedding: Embedding, k: int, rows: int | None = None) -> tuple[float, str]:
+        """The k-th best (cosine, chunk_id) key for embedding over the
+        first rows chunks (all if None), by (-cosine, chunk_id); (-inf, "")
+        if there are fewer than k."""
         last = self._last_cosine
-        sims = last[1] if last is not None and last[0] is embedding else self._cosine(embedding)
-        rows = top_k_rows(sims, k, self._ids)
-        return list(zip(sims[rows].tolist(), [self._ids[row] for row in rows]))
+        reuse = last is not None and last[0] is embedding
+        sims = last[1][:rows] if reuse else self._cosine(embedding, rows)
+        if len(sims) < k:
+            return -math.inf, ""
+        row = top_k_rows(sims, k, self._ids)[-1]
+        return float(sims[row]), self._ids[row]

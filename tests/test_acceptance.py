@@ -435,15 +435,15 @@ def test_acceptance_8_refresh_oracle():
             for _ in range(int(rng.integers(1, 6)))
         ]
         # the old chunks, then the queries (every other one keyed against
-        # them, the rest ranked at refresh), then the new chunks arrive
+        # them, the rest keyed at refresh), then the new chunks arrive
         retriever = Retriever(emb)
         for cid in chunks:
             if cid not in new_ids:
                 retriever.add_chunk(cid, chunks[cid], embeddings[cid])
         since = len(retriever)
         for j, q in enumerate(queries):
-            keys = retriever.cosine_keys(emb.embed(q), k_refresh) if j % 2 else None
-            qa.insert(q, emb.embed(q), "ans" if rng.random() < 0.8 else None, j, keys)
+            bar = retriever.bar(emb.embed(q), k_refresh) if j % 2 else None
+            qa.insert(q, emb.embed(q), "ans" if rng.random() < 0.8 else None, j, bar)
         for cid in chunks:
             if cid in new_ids:
                 retriever.add_chunk(cid, chunks[cid], embeddings[cid])

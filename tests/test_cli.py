@@ -155,6 +155,8 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "system_prompt"},
     # an empty system prompt and no chunk would leave no token to prefill
     {"at": 1, "kind": "query_arrival", "text": ""},
+    # every kept QA bar was ranked by the trace's k_refresh
+    {"at": 1, "kind": "config_change", "field": "k_refresh", "value": 2},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(

@@ -104,14 +104,14 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
     assert len(scans) == 1  # retrieval's own
     entry = eng.qa.get(q)
     # another embedding object with the same counts is scanned afresh
-    assert entry.keys == eng.retriever.cosine_keys(embedding_from_counts(entry.embedding.counts),
-                                                   eng.config.k_refresh)
+    assert entry.bar == eng.retriever.bar(embedding_from_counts(entry.embedding.counts),
+                                          eng.config.k_refresh)
     assert len(scans) == 2
 
 
 def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):
-    # a reopened bank's entries have no keys and are ranked at their first
-    # refresh; the open engine's entries test their kept keys against the
+    # a reopened bank's entries have no bar and are keyed at their first
+    # refresh; the open engine's entries test their kept bars against the
     # new chunks
     queries = ("what is the budget review plan?", "when is the team meeting?",
                "where is the project report stored?", "who books the training session?")
@@ -135,7 +135,7 @@ def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):
         marked += want
     assert marked and set(marked) != set(queries)
     for e, r in zip(eng.qa.entries, reopened.qa.entries):
-        assert (r.query, r.stale, r.keys) == (e.query, e.stale, e.keys)
+        assert (r.query, r.stale, r.bar) == (e.query, e.stale, e.bar)
 
 
 # a chunk ending in "action" before one starting "items": the vocab token

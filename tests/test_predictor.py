@@ -5,7 +5,6 @@ from percache.predictor import (
     TEMPLATE_HISTORY,
     TEMPLATE_KNOWLEDGE,
     TEMPLATE_SUMMARIZE,
-    KnowledgeAbstract,
     PhaseError,
     Predictor,
     parse_numbered_list,
@@ -80,7 +79,7 @@ def test_query_buffer_ring():
 def test_update_abstract_no_chunks_noop():
     p = _predictor(FakeBackend())
     assert p.update_abstract(0) is False
-    assert p.abstract.sentences == []
+    assert p.abstract == []
 
 
 def test_update_abstract_appends_with_sources():
@@ -88,10 +87,10 @@ def test_update_abstract_appends_with_sources():
     p = _predictor(be)
     p.note_chunks([FakeChunk("c1", "t1"), FakeChunk("c2", "t2")], at=0)
     assert p.update_abstract(100)
-    assert p.abstract.sentences == ["Summary one."]
+    assert p.abstract == ["Summary one."]
     p.note_chunks([FakeChunk("c3", "t3")], at=100)
     assert p.update_abstract(200)
-    assert p.abstract.text == "Summary one. Summary two."
+    assert " ".join(p.abstract) == "Summary one. Summary two."
     # each batch summarizes only the chunks noted since the last one
     assert [slots["chunks"] for _, slots in be.calls] == ["t1 t2", "t3"]
 
@@ -101,12 +100,12 @@ def test_update_abstract_miss_requeues():
     p = _predictor(be)
     p.note_chunks([FakeChunk("c1", "t1")], at=0)
     assert p.update_abstract(50) is False
-    assert p.abstract.sentences == []
+    assert p.abstract == []
     assert p.batch_ready(50)  # the missed batch stays pending
     # a chunk noted after the miss is summarized after the missed batch
     p.note_chunks([FakeChunk("c2", "t2")], at=55)
     assert p.update_abstract(70) is True
-    assert p.abstract.sentences == ["Recovered."]
+    assert p.abstract == ["Recovered."]
     assert be.calls[-1] == (TEMPLATE_SUMMARIZE, {"chunks": "t1 t2"})
     assert not p.batch_ready(100)
 
@@ -115,13 +114,13 @@ def test_update_abstract_cap_resummarizes_once():
     long = "x" * 50
     be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "short merge."]})
     p = _predictor(be, abstract_cap_bytes=40)
-    p.abstract.sentences = ["existing sentence."]
+    p.abstract = ["existing sentence."]
     p.note_chunks([FakeChunk("c1", "t")], at=0)
     assert p.update_abstract(10)
     # exactly two backend calls: the batch summary plus one re-summarize
     assert [t for t, _ in be.calls] == [TEMPLATE_SUMMARIZE, TEMPLATE_SUMMARIZE]
-    assert p.abstract.sentences == ["short merge."]
-    assert p.abstract.byte_len <= 40
+    assert p.abstract == ["short merge."]
+    assert len(" ".join(p.abstract).encode("utf-8")) <= 40
 
 
 def test_update_abstract_cap_truncates_as_last_resort():
@@ -130,7 +129,7 @@ def test_update_abstract_cap_truncates_as_last_resort():
     p = _predictor(be, abstract_cap_bytes=40)
     p.note_chunks([FakeChunk("c1", "t")], at=0)
     assert p.update_abstract(10)
-    assert p.abstract.byte_len <= 40
+    assert len(" ".join(p.abstract).encode("utf-8")) <= 40
 
 
 def test_update_abstract_empty_resummary_cuts_once():
@@ -142,7 +141,7 @@ def test_update_abstract_empty_resummary_cuts_once():
     for at in (0, 20):
         p.note_chunks([FakeChunk(f"c{at}", "t")], at=at)
         assert p.update_abstract(at + 10)
-    assert p.abstract.sentences == [first + " " + "b" * 37]
+    assert p.abstract == [first + " " + "b" * 37]
     assert len(be.calls) == 3
 
 
@@ -187,7 +186,7 @@ def test_predict_from_knowledge_stride_cap():
     resp = "; ".join(f"{i}. Question {i}?" for i in range(1, 8))
     be = FakeBackend({TEMPLATE_KNOWLEDGE: [resp]})
     p = _predictor(be, prediction_stride=3)
-    p.abstract.sentences = ["summary."]
+    p.abstract = ["summary."]
     assert p.predict_from_knowledge() == ("Question 1?", "Question 2?", "Question 3?")
     assert be.calls[0][1]["stride"] == "3"
 
@@ -201,7 +200,7 @@ def test_predict_from_knowledge_requires_abstract():
 def test_predict_parse_failure_counted():
     be = FakeBackend({TEMPLATE_KNOWLEDGE: ["no questions in this response"]})
     p = _predictor(be)
-    p.abstract.sentences = ["summary."]
+    p.abstract = ["summary."]
     assert p.predict_from_knowledge() == () and p.parse_failures == 1
 
 
@@ -223,7 +222,7 @@ def test_predict_from_history_requires_buffer():
 def test_phase_error_on_serving_path():
     p = _predictor(FakeBackend())
     p.note_chunks([FakeChunk("c", "t")], at=0)
-    p.abstract.sentences = ["s."]
+    p.abstract = ["s."]
     p.note_user_query("q", at=0)
     p.phase = "serve"
     with pytest.raises(PhaseError):
@@ -232,8 +231,3 @@ def test_phase_error_on_serving_path():
         p.predict_from_knowledge()
     with pytest.raises(PhaseError):
         p.predict_from_history(lambda q: False)
-
-
-def test_abstract_byte_len():
-    a = KnowledgeAbstract(sentences=["ab", "cd"])
-    assert a.text == "ab cd" and a.byte_len == 5

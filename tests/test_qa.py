@@ -154,11 +154,12 @@ def test_refresh_marks_stale():
     bank.insert("no answer yet", emb["no answer yet"], None, 3)
     marked = bank.refresh(r, since=3, k_refresh=3)
     assert [e.query for e in marked] == ["about budget"]
-    assert bank.get("about budget").stale and bank.get("about budget").keys is None
+    assert bank.get("about budget").stale and bank.get("about budget").bar is None
     assert not bank.get("about meeting").stale
     assert not bank.get("no answer yet").stale  # answer-less entries skipped
-    assert bank.get("about meeting").keys == [(0.9, "old1"), (0.7, "old2"), (0.6, "old3")]
-    assert bank.get("no answer yet").keys is None
+    # keyed over the old rows: the third of old1, old2, old3
+    assert bank.get("about meeting").bar == (0.6, "old3")
+    assert bank.get("no answer yet").bar is None
 
 
 def test_refresh_respects_k():
@@ -174,38 +175,39 @@ def test_refresh_respects_k():
 
 
 def test_refresh_tests_kept_keys_against_the_new_chunks_only():
-    # the kept keys stand for the old chunks: only rows from since on are
-    # gathered, once, and no full scan runs; the marked entry drops its keys
+    # the kept bar stands for the old chunks: only rows from since on are
+    # gathered, once, and no old row is ranked; the marked entry drops its bar
     r, emb = _table(["a", "b", "c", "new"], {"q": {"a": 0.9, "b": 0.8, "c": 0.7, "new": 0.85}})
     calls = []
-    rows_since, cosine_keys = r.rows_since, r.cosine_keys
+    rows_since, bar = r.rows_since, r.bar
     r.rows_since = lambda since: calls.append(since) or rows_since(since)
-    r.cosine_keys = lambda *args: calls.append("full scan") or cosine_keys(*args)
+    r.bar = lambda *args: calls.append("ranked") or bar(*args)
 
     bank = _bank()
-    bank.insert("q", emb["q"], "ans", 1, keys=[(0.9, "a"), (0.8, "b")])
+    bank.insert("q", emb["q"], "ans", 1, bar=(0.8, "b"))
     assert [e.query for e in bank.refresh(r, since=3, k_refresh=2)] == ["q"]
     assert calls == [3]
-    assert bank.get("q").keys is None
+    assert bank.get("q").bar is None
 
 
-def test_refresh_ranks_entries_with_too_few_keys_by_full_scan():
-    # k_refresh grew from 1 to 2: one kept key cannot tell the second place
-    r, emb = _table(["a", "b", "new"], {"q": {"a": 0.9, "b": 0.8, "new": 0.7}})
+def test_refresh_bar_of_a_short_corpus_yields_to_any_chunk():
+    # keyed over one chunk with k_refresh 2, the bar is (-inf, ""): the
+    # worst new chunk still enters the top 2
+    r, emb = _table(["a", "new"], {"q": {"a": 0.9, "new": 0.0}})
+    assert r.bar(emb["q"], 2, 1) == (-math.inf, "")
     bank = _bank()
-    bank.insert("q", emb["q"], "ans", 1, keys=[(0.9, "a")])
-    assert bank.refresh(r, since=2, k_refresh=2) == []
-    assert bank.get("q").keys == [(0.9, "a"), (0.8, "b")]
+    bank.insert("q", emb["q"], "ans", 1, r.bar(emb["q"], 2, 1))
+    assert [e.query for e in bank.refresh(r, since=1, k_refresh=2)] == ["q"]
 
 
 def test_keys_kept_only_for_answered_inserts():
     bank = _bank()
-    _insert(bank, "q", answer=None, keys=[(0.5, "a")])
-    assert bank.get("q").keys is None
-    _insert(bank, "q", keys=[(0.5, "a")])
-    assert bank.get("q").keys == [(0.5, "a")]
-    _insert(bank, "q", answer=None, keys=[(0.1, "b")])  # refused: keeps the answer
-    assert bank.get("q").keys == [(0.5, "a")]
+    _insert(bank, "q", answer=None, bar=(0.5, "a"))
+    assert bank.get("q").bar is None
+    _insert(bank, "q", bar=(0.5, "a"))
+    assert bank.get("q").bar == (0.5, "a")
+    _insert(bank, "q", answer=None, bar=(0.1, "b"))  # refused: keeps the answer
+    assert bank.get("q").bar == (0.5, "a")
 
 
 def test_pending_order():

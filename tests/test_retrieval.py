@@ -125,6 +125,11 @@ class ScanRetriever:
         )
         return scored[:k]
 
+    def bar(self, embedding, k, ids=None):
+        """The k-th of cosine_keys, or (-inf, "") if there are fewer than k."""
+        keys = self.cosine_keys(embedding, k, ids)
+        return keys[k - 1] if len(keys) == k else (-math.inf, "")
+
 
 def _retriever(docs, alpha=DEFAULT_ALPHA):
     r = Retriever(alpha=alpha)
@@ -464,8 +469,8 @@ def _check_match(entries, query, tau, seed):
     ]
 
 
-def _key_bits(keys) -> list[tuple[str, str]] | None:
-    return None if keys is None else [(float(c).hex(), cid) for c, cid in keys]
+def _bar_bits(bar) -> tuple[str, str] | None:
+    return None if bar is None else (float(bar[0]).hex(), bar[1])
 
 
 def _rows_bits(counts, norm2) -> list[tuple[bytes, float]]:
@@ -486,7 +491,7 @@ def _count_bits(embeddings) -> list[tuple[bytes, float]]:
 )
 def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     # the chunks after the first (1 - new_share) arrive at once; half the
-    # answered entries keep keys from retrieval, half are ranked at refresh
+    # answered entries keep a bar from retrieval, half are keyed at refresh
     rng = np.random.default_rng(seed)
     r, scan = Retriever(EMB), ScanRetriever()
     since = None
@@ -497,10 +502,10 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
             for j, (qtext, qchoice, answered) in enumerate(queries):
                 qemb = EMB.embed(qtext) if qchoice is None else _dense(qchoice)
                 r.retrieve_top_k(qtext, 1, embedding=qemb)
-                keys = r.cosine_keys(qemb, k_refresh)
-                assert _key_bits(keys) == _key_bits(scan.cosine_keys(qemb, k_refresh))
+                bar = r.bar(qemb, k_refresh)
+                assert _bar_bits(bar) == _bar_bits(scan.bar(qemb, k_refresh))
                 bank.insert(f"{j}:{qtext}", qemb, "ans" if answered else None, j,
-                            keys if j % 2 else None)
+                            bar if j % 2 else None)
             old_ids = set(scan.docs)
         emb = EMB.embed(text) if choice is None else _dense(choice)
         cid = f"c{rng.integers(40):02d}"  # repeated ids: the first add wins
@@ -514,6 +519,8 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in ids)
     want = []
     for e in bank.entries:
+        assert _bar_bits(r.bar(e.embedding, k_refresh, since)) == _bar_bits(
+            scan.bar(e.embedding, k_refresh, old_ids))
         if e.answer is not None and any(
                 cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k_refresh)):
             want.append(e.query)
@@ -521,8 +528,8 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     assert [e.query for e in marked] == want
     for e in bank.entries:
         assert e.stale == (e.query in want)
-        want_keys = scan.cosine_keys(e.embedding, k_refresh) if e.servable else None
-        assert _key_bits(e.keys) == _key_bits(want_keys)
+        want_bar = scan.bar(e.embedding, k_refresh) if e.servable else None
+        assert _bar_bits(e.bar) == _bar_bits(want_bar)
 
 
 def test_a_float64_row_widens_the_count_matrices():
@@ -544,8 +551,8 @@ def test_a_float64_row_widens_the_count_matrices():
     assert rows.counts.dtype == np.float64
     assert rows.counts.tobytes() == np.array([e.counts for e in added], np.float64).tobytes()
     assert rows.norm2.tolist() == [e.norm2 for e in added]
-    assert r.cosine_keys(axis, 2) == [(1.0, "c03"), (0.0, "c00")]
-    assert r.cosine_keys(small[1], 1) == [(1.0, "c01")]
+    assert (r.bar(axis, 1), r.bar(axis, 2)) == ((1.0, "c03"), (0.0, "c00"))
+    assert (r.bar(axis, 1, 3), r.bar(small[1], 1)) == ((0.0, "c00"), (1.0, "c01"))
     entry, sim = bank.match(axis, 0.99, 99)
     assert (entry.query, sim) == ("q03", 1.0)
 
@@ -569,9 +576,9 @@ def test_an_embedding_of_another_dimension_is_refused():
 
 def test_new_rows_gathered_once_per_arrival():
     # every entry of one arrival is scored against one gather of the new
-    # rows, in row order with the embeddings' bits; a fresh entry's keys
-    # are those of a scan, a stale one has none (repeated ids: the first
-    # add wins)
+    # rows, in row order with the embeddings' bits; a fresh entry's bar is
+    # that of a scan, a stale one has none (repeated ids: the first add
+    # wins)
     r, scan = Retriever(EMB), ScanRetriever()
     bank = QaBank(limit_bytes=1 << 30)
     queries = [_dense(seed) for seed in range(4)]
@@ -594,10 +601,10 @@ def test_new_rows_gathered_once_per_arrival():
             bank.refresh(r, since, 3)
             assert gathers == [since]
             for e in bank.entries:
-                want_keys = None if e.stale else scan.cosine_keys(e.embedding, 3)
-                assert _key_bits(e.keys) == _key_bits(want_keys)
+                want_bar = None if e.stale else scan.bar(e.embedding, 3)
+                assert _bar_bits(e.bar) == _bar_bits(want_bar)
         for j, q in enumerate(queries):  # answered again: every entry is fresh
-            bank.insert(f"q{j}", q, "ans", step, r.cosine_keys(q, 3))
+            bank.insert(f"q{j}", q, "ans", step, r.bar(q, 3))
 
 
 @pytest.mark.parametrize("check", [_check_cosine, _check_retrieve, _check_match, _check_refresh],
@@ -640,28 +647,24 @@ _step = st.one_of(
     # chunk ids repeat across arrivals: a known id is not new
     st.tuples(st.just("arrive"),
               st.lists(st.tuples(st.integers(0, 29), st.integers(0, 8)), min_size=1, max_size=3)),
-    # keys: from the cosine row retrieval kept; scan: after another query's
-    # retrieval; none: unknown, as after QaBank.load
+    # keys: a bar from the cosine row retrieval kept; scan: after another
+    # query's retrieval; none: unknown, as after QaBank.load
     st.tuples(st.just("answer"), st.integers(0, QUERIES - 1),
               st.sampled_from(["keys", "scan", "none", "unanswered"])),
-    st.tuples(st.just("k"), st.integers(1, 5)),
 )
+# q1 and q2 are axes 1 and 2; c05, c07 and c08 lie on axis 0, c02 and c09 on axis 2
 _TIES_AT_KTH = [
-    ("k", 2), ("arrive", [(5, 0), (9, 2)]), ("answer", 1, "keys"),
-    ("arrive", [(2, 2)]),  # ties c05 and c09 at 0.0 and wins on its id: stale
-    ("k", 3), ("answer", 1, "keys"), ("answer", 2, "none"), ("answer", 3, "unanswered"),
-    ("arrive", [(7, 0), (5, 1)]),  # c05 is known; c07 ties into third place
-    ("k", 1), ("answer", 3, "keys"), ("answer", 1, "scan"), ("arrive", [(1, 3)]),
+    ("arrive", [(5, 0), (9, 2), (8, 0)]), ("answer", 1, "keys"),
+    ("arrive", [(2, 2)]),  # ties q1's bar (0.0, c09) and wins on its id: stale
+    ("answer", 1, "keys"), ("answer", 2, "none"), ("answer", 3, "unanswered"),
+    # c05 is known; c07 ties into q1's third place, (0.0, c08), but loses
+    # on its id to q2's, (0.0, c05)
+    ("arrive", [(7, 0), (5, 1)]),
+    ("answer", 3, "keys"), ("answer", 1, "scan"), ("arrive", [(1, 3)]),
 ]
 _NEW_CHUNKS_TIE = [
-    ("arrive", [(20, 1)]), ("answer", 0, "keys"), ("k", 1),
-    ("arrive", [(9, 0), (2, 0)]),  # the new chunks tie: c02 ranks first, though added last
-]
-_K_RAISED = [
-    ("arrive", [(5, 0), (6, 0), (7, 0)]), ("answer", 0, "keys"), ("k", 1),
-    ("arrive", [(9, 1)]),  # keeps one key
-    ("k", 3),
-    ("arrive", [(8, 2)]),  # fourth: one kept key cannot show it, a full scan does
+    ("arrive", [(5, 0)]), ("answer", 0, "keys"),
+    ("arrive", [(9, 0), (2, 0)]),  # the new chunks tie the bar: c02 ranks first, though added last
 ]
 
 
@@ -678,31 +681,27 @@ def _scan_refresh(bank, scan, new_ids, k):
 
 
 @EXACT_SETTINGS
-@given(steps=st.lists(_step, max_size=25), seed=st.integers(0, 2**32 - 1))
-@example(steps=_TIES_AT_KTH, seed=0)
-@example(steps=_NEW_CHUNKS_TIE, seed=0)
-@example(steps=_K_RAISED, seed=0)
-def _check_arrivals(steps, seed):
+@given(steps=st.lists(_step, max_size=25), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(steps=_TIES_AT_KTH, k=3, seed=0)
+@example(steps=_NEW_CHUNKS_TIE, k=1, seed=0)
+def _check_arrivals(steps, k, seed):
     pool = _pool(seed)
     r, scan = Retriever(EMB), ScanRetriever()
     bank, ref = QaBank(limit_bytes=1 << 30), QaBank(limit_bytes=1 << 30)
-    k = 3
     for now, step in enumerate(steps):
-        if step[0] == "k":
-            k = step[1]
-        elif step[0] == "answer":
+        if step[0] == "answer":
             _, q, mode = step
             text, emb = f"q{q}", pool[q % len(pool)]
-            keys = None
+            bar = None
             if mode in ("keys", "scan"):
                 if mode == "keys":
                     r.retrieve_top_k(text, 1, embedding=emb)
                 else:
                     r.retrieve_top_k("other", 1, embedding=pool[(q + 1) % len(pool)])
-                keys = r.cosine_keys(emb, k)
-                assert _key_bits(keys) == _key_bits(scan.cosine_keys(emb, k))
+                bar = r.bar(emb, k)
+                assert _bar_bits(bar) == _bar_bits(scan.bar(emb, k))
             answer = None if mode == "unanswered" else "ans"
-            bank.insert(text, emb, answer, now, keys)
+            bank.insert(text, emb, answer, now, bar)
             ref.insert(text, emb, answer, now)
         else:
             since, new_ids = len(r), set()
@@ -716,9 +715,9 @@ def _check_arrivals(steps, seed):
             want = [e.query for e in _scan_refresh(ref, scan, new_ids, k)]
             assert [e.query for e in bank.refresh(r, since, k)] == want
             assert [e.stale for e in bank.entries] == [e.stale for e in ref.entries]
-            for e in bank.entries:  # keys only while servable
-                want_keys = scan.cosine_keys(e.embedding, k) if e.servable else None
-                assert _key_bits(e.keys) == _key_bits(want_keys)
+            for e in bank.entries:  # a bar only while servable
+                want_bar = scan.bar(e.embedding, k) if e.servable else None
+                assert _bar_bits(e.bar) == _bar_bits(want_bar)
 
 
 def test_incremental_refresh_matches_full_scan():
@@ -786,8 +785,8 @@ def _check_kept_matrix(steps, probes, limit, seed):
             if step[0] == "insert":
                 _, q, answered, created = step
                 emb = embedder.embed(f"q{q}")
-                keys = r.cosine_keys(emb, BANK_K) if answered and len(r) else None
-                evicted = bank.insert(f"q{q}", emb, "ans" if answered else None, created, keys)
+                bar = r.bar(emb, BANK_K) if answered else None
+                evicted = bank.insert(f"q{q}", emb, "ans" if answered else None, created, bar)
             elif step[0] == "arrive":
                 since = len(r)
                 for cid, j in step[1]:
@@ -800,7 +799,7 @@ def _check_kept_matrix(steps, probes, limit, seed):
                 bank.persist(f"{tmp}/qa.jsonl")
                 bank = QaBank.load(f"{tmp}/qa.jsonl", bank.limit_bytes, embedder)
             assert all(bank.get(e.query) is not e for e in evicted)
-            assert all(e.keys is None or e.servable for e in bank.entries)
+            assert all(e.bar is None or e.servable for e in bank.entries)
             query, tau = probes[now % len(probes)]
             _check_probe(bank, pool[query], tau, now)
 
