@@ -11,6 +11,7 @@ texts here is safe: a violated constraint fails loudly.
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from percache.config import EngineConfig
@@ -154,8 +155,6 @@ def numbered(queries: list[str]) -> str:
 def check_idle_work_inputs() -> None:
     """Only the paraphrase may QA-hit a user query, and the stale chunk,
     a single chunk, must enter the first user query's top k_refresh."""
-    import tempfile
-
     emb = HashEmbedder()
 
     def sim(a, b):
@@ -176,11 +175,12 @@ def check_idle_work_inputs() -> None:
         assert s < tau, f"idle work paraphrase cross-talk: {s:.3f} {q!r}"
 
     cfg = EngineConfig(chunk_words=12, max_decode_tokens=6, t_batch=1e9)
-    eng = Engine(cfg, tempfile.mkdtemp())
-    eng.ingest_chunks([CORPUS], 0)
-    user = eng.embedder.embed(IDLE_USERS[0])
-    eng.qa.insert(IDLE_USERS[0], user, "answer", 0, eng.retriever.bar(user, cfg.k_refresh))
-    (_,), stale = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
+    with tempfile.TemporaryDirectory() as scratch:
+        eng = Engine(cfg, scratch)
+        eng.ingest_chunks([CORPUS], 0)
+        user = eng.embedder.embed(IDLE_USERS[0])
+        eng.qa.insert(IDLE_USERS[0], user, "answer", 0, eng.retriever.bar(user, cfg.k_refresh))
+        (_,), stale = eng.ingest_chunks([IDLE_STALE_CHUNK], 1)
     assert stale == [IDLE_USERS[0]]
 
 
@@ -189,18 +189,18 @@ def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:
     every idle-tick counter above zero, and populates under both strategies."""
     import contextlib
     import io
-    import tempfile
 
     from percache.cli import main as cli_main
 
-    bank = Path(tempfile.mkdtemp()) / "bank"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli_main(["ingest", "--corpus", str(corpus), "--bank", str(bank),
-                         "--config", str(config)])
-    assert code == 0
-    eng = Engine(EngineConfig.from_file(config), bank)
     events = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
-    ticks = [r for r in eng.run_trace(events) if r["kind"] == "idle_tick"]
+    with tempfile.TemporaryDirectory() as scratch:
+        bank = Path(scratch) / "bank"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["ingest", "--corpus", str(corpus), "--bank", str(bank),
+                             "--config", str(config)])
+        assert code == 0
+        eng = Engine(EngineConfig.from_file(config), bank)
+        ticks = [r for r in eng.run_trace(events) if r["kind"] == "idle_tick"]
     for counter in IDLE_COUNTERS:
         assert any(t[counter] > 0 for t in ticks), f"idle work: {counter} never above zero"
     assert any(t["populated"] and t["predicted_decode_flops"] > 0 for t in ticks)
@@ -210,11 +210,10 @@ def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:
 def check_retrieval_paths() -> None:
     """Scenario C needs q0/q1/q2 to retrieve different top-3 paths and the
     paraphrase to retrieve exactly q0's path."""
-    import tempfile
-
     cfg = EngineConfig(chunk_words=12, max_decode_tokens=6, t_batch=1e9)
-    eng = Engine(cfg, tempfile.mkdtemp())
-    eng.ingest_chunks([CORPUS], 0)
+    with tempfile.TemporaryDirectory() as scratch:
+        eng = Engine(cfg, scratch)
+        eng.ingest_chunks([CORPUS], 0)
     paths = {}
     for q in C_QUERIES + [C_PARAPHRASE] + PREDICTED:
         ranked = eng.retriever.retrieve_top_k(q, cfg.retrieval_k)

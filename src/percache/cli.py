@@ -98,7 +98,9 @@ def cmd_replay(args) -> int:
         engine.persist()
     queries = [r for r in engine.metrics if r["kind"] == "query_arrival"]
     hits = sum(1 for r in queries if r["path"] == "qa_hit")
-    print(f"{len(queries)} queries, {hits} qa hits, total flops {engine.flops_cum:.0f}")
+    flops = sum(r.get("prefill_flops", 0) + r.get("decode_flops", 0) + r.get("flops_spent", 0)
+                for r in engine.metrics)
+    print(f"{len(queries)} queries, {hits} qa hits, total flops {flops:.0f}")
     return EXIT_OK
 
 

@@ -166,9 +166,6 @@ class Engine:
         # arrival order
         self.deferred_queries: dict[str, Embedding] = {}
         self.metrics: list[dict] = []
-        self.qa_hits = 0
-        self.qkv_hits = 0
-        self.flops_cum = 0.0
         # sequence numbers continue from the largest one the bank persisted
         self._op = max([n.last_used for n in self.bank.nodes.values()]
                        + [max(e.created_at, e.last_used) for e in self.qa.entries])
@@ -246,7 +243,6 @@ class Engine:
             if self.config.qa_enabled:
                 entry, best_sim = self.qa.match(embedding, self.config.tau_query, self._seq())
             if entry is not None:
-                self.qa_hits += 1
                 if self.qa.get(text) is None:
                     self.deferred_queries.setdefault(text, embedding)
                 self.predictor.note_user_query(text, now)
@@ -254,8 +250,6 @@ class Engine:
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
             outcome = self.answer(text, embedding=embedding)
             self.predictor.note_user_query(text, now)
-            if outcome.path == QKV_PARTIAL:
-                self.qkv_hits += 1
             return replace(outcome, best_similarity=best_sim, cost=outcome.cost.add(
                 self.cost_model.estimate_cost(l_total=0, qa_match=self.config.qa_enabled)))
         finally:
@@ -357,7 +351,6 @@ class Engine:
         record: dict = {"at": at, "kind": kind}
         if kind == "query_arrival":
             outcome = self.handle_query(event["text"], at)
-            self.flops_cum += outcome.cost.total_flops
             record.update(
                 text=event["text"],
                 path=outcome.path,
@@ -393,7 +386,6 @@ class Engine:
             if not _is_number(budget):
                 raise TraceError(f"idle_tick budget must be a number: {budget!r}")
             report = self.scheduler.idle_tick(budget, at)
-            self.flops_cum += report.flops_spent
             record.update(asdict(report))
         else:
             raise TraceError(f"unknown event kind: {kind}")
@@ -401,9 +393,6 @@ class Engine:
             qa_entries=len(self.qa.entries),
             qa_used_bytes=self.qa.used_bytes,
             qkv_used_bytes=self.bank.ledger.used_bytes,
-            qa_hits=self.qa_hits,
-            qkv_hits=self.qkv_hits,
-            flops_cum=self.flops_cum,
         )
         self.metrics.append(record)
         return record

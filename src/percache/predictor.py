@@ -6,6 +6,12 @@ history view prompting over a ring buffer of recent user queries. Both
 run only during idle ticks (never on the query-serving path) and both
 call the text backend with a template name and its slots.
 
+Each call checks its own trigger and otherwise does nothing: the
+abstract takes the pending chunks once none arrived for t_batch, the
+history view predicts once per burst of user queries after t_quiet
+passed with none, and the knowledge view needs a non-empty abstract. The
+scheduler asks the knowledge view only in the tick the abstract changed.
+
 Backend responses are parsed from the numbered "1. ...?; 2. ...?"
 format; the parser is total and drops malformed items.
 """
@@ -63,9 +69,7 @@ class Predictor:
         self.parse_failures = 0
         self._pending: list = []  # chunks awaiting summarization, a missed batch first
         self._last_chunk_at: float | None = None
-        self._last_query_at: float | None = None
-        self._abstract_dirty = False  # the abstract changed since the last knowledge prediction
-        self._history_dirty = False
+        self._last_query_at: float | None = None  # None once the history view predicted
 
     def _assert_idle(self) -> None:
         if self.phase != "idle":
@@ -80,26 +84,6 @@ class Predictor:
     def note_user_query(self, text: str, at: float) -> None:
         self.buffer.append(text)
         self._last_query_at = at
-        self._history_dirty = True
-
-    def batch_ready(self, now: float) -> bool:
-        """New chunks pending and none arrived for t_batch."""
-        return bool(self._pending) and (
-            self._last_chunk_at is None or now - self._last_chunk_at >= self.config.t_batch
-        )
-
-    def knowledge_ready(self) -> bool:
-        """The abstract changed since the last knowledge prediction."""
-        return self._abstract_dirty and bool(self.abstract)
-
-    def history_ready(self, now: float) -> bool:
-        """New user queries arrived and then t_quiet passed with none."""
-        return (
-            self._history_dirty
-            and bool(self.buffer)
-            and self._last_query_at is not None
-            and now - self._last_query_at >= self.config.t_quiet
-        )
 
     # -- abstract maintenance -------------------------------------------------
 
@@ -112,10 +96,11 @@ class Predictor:
         it is still over the cap, its text is cut once to cap - 1 bytes,
         dropping a partial character, and kept as the only sentence (none
         if the cut leaves nothing). Returns True if it changed, and then the
-        knowledge view is ready to predict again.
+        knowledge view has a new abstract to predict from. Does nothing
+        unless chunks are pending and none arrived for t_batch.
         """
         self._assert_idle()
-        if not self._pending:
+        if not self._pending or now - self._last_chunk_at < self.config.t_batch:
             return False
         chunk_text = " ".join(c.text for c in self._pending)
         response = self.backend.generate(TEMPLATE_SUMMARIZE, {"chunks": chunk_text}).strip()
@@ -132,7 +117,6 @@ class Predictor:
             if len(text.encode("utf-8")) > cap:
                 cut = text.encode("utf-8")[: cap - 1].decode("utf-8", errors="ignore")
                 self.abstract = [cut] if cut else []
-        self._abstract_dirty = True
         return True
 
     # -- prediction views ------------------------------------------------------
@@ -149,18 +133,19 @@ class Predictor:
         return tuple(queries)
 
     def predict_from_knowledge(self) -> tuple[str, ...]:
+        """Questions from the abstract; none while it is empty."""
         self._assert_idle()
         if not self.abstract:
-            raise ValueError("abstract is empty")
-        queries = self._predict(TEMPLATE_KNOWLEDGE, {"abstract": " ".join(self.abstract)})
-        self._abstract_dirty = False
-        return queries
+            return ()
+        return self._predict(TEMPLATE_KNOWLEDGE, {"abstract": " ".join(self.abstract)})
 
-    def predict_from_history(self, known_query: "callable") -> tuple[str, ...]:
-        """known_query(text) -> bool filters predictions already in the QA bank."""
+    def predict_from_history(self, now: float, known_query: "callable") -> tuple[str, ...]:
+        """Questions from the query buffer, less those known_query(text)
+        finds in the QA bank; none unless a user query arrived since the
+        last history prediction and then t_quiet passed with none."""
         self._assert_idle()
-        if not self.buffer:
-            raise ValueError("query buffer is empty")
+        if self._last_query_at is None or now - self._last_query_at < self.config.t_quiet:
+            return ()
+        self._last_query_at = None
         queries = self._predict(TEMPLATE_HISTORY, {"history": "; ".join(self.buffer)})
-        self._history_dirty = False
         return tuple(q for q in queries if not known_query(q))

@@ -6,7 +6,9 @@ above the cutoff tau_scheduler, predicted queries rarely hit, so
 population stops at prefill (PrefillOnly); below the cutoff it also
 decodes answers (PrefillAndDecode). Idle ticks run deferred answering,
 cross-layer conversions between the QA bank and the QKV tree, and
-prediction-driven population, all under a FLOPs work budget. The QA->QKV
+prediction-driven population, all under a FLOPs work budget. Each
+prediction view checks its own trigger (Predictor), and a tick asks the
+knowledge view only when it has just changed the abstract. The QA->QKV
 conversion (Engine.restore_evicted_slices) restores evicted tree nodes
 from their kept token ids, not QA entries from their retrieved paths, so
 it moves no LFU count and runs with QA off too.
@@ -92,26 +94,26 @@ class Scheduler:
             report.restored_nodes += len(restored)
             report.flops_spent += cost.total_flops
 
-        # (3) predictions and cache population
-        predictor = engine.predictor
-        if budget_left() and predictor.batch_ready(now) and predictor.update_abstract(now):
-            report.abstract_updates += 1
-        predicted: list[str] = []
-        if budget_left() and predictor.knowledge_ready():
-            queries = predictor.predict_from_knowledge()
-            report.predicted_knowledge += len(queries)
+        # (3) predictions and cache population. Summaries and predictions cost
+        # no FLOPs, so one budget check covers them; the knowledge view
+        # predicts only from an abstract that changed in this tick
+        if budget_left():
+            predictor = engine.predictor
+            predicted: list[str] = []
+            if predictor.update_abstract(now):
+                report.abstract_updates = 1
+                predicted += predictor.predict_from_knowledge()
+                report.predicted_knowledge = len(predicted)
+            queries = predictor.predict_from_history(now, lambda q: engine.qa.get(q) is not None)
+            report.predicted_history = len(queries)
             predicted += queries
-        if budget_left() and predictor.history_ready(now):
-            queries = predictor.predict_from_history(lambda q: engine.qa.get(q) is not None)
-            report.predicted_history += len(queries)
-            predicted += queries
-        for query in predicted:
-            if not budget_left():
-                break
-            cost = engine.populate_predicted(query, decode=decodes)
-            if cost is None:
-                continue
-            report.flops_spent += cost.total_flops
-            report.predicted_decode_flops += cost.decode_flops
-            report.populated += 1
+            for query in predicted:
+                if not budget_left():
+                    break
+                cost = engine.populate_predicted(query, decode=decodes)
+                if cost is None:
+                    continue
+                report.flops_spent += cost.total_flops
+                report.predicted_decode_flops += cost.decode_flops
+                report.populated += 1
         return report

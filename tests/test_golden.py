@@ -44,6 +44,16 @@ PAIRS = [
     ("idle_work", "idle_work"),
 ]
 
+# the last line `percache replay` prints for each pair; its total flops is
+# the sum of the records' prefill, decode and idle-tick FLOPs
+SUMMARIES = {
+    "threshold_raise": "4 queries, 0 qa hits, total flops 5940336",
+    "threshold_drop": "5 queries, 0 qa hits, total flops 7743984",
+    "limit_relax": "4 queries, 0 qa hits, total flops 6403792",
+    "monotonicity": "16 queries, 3 qa hits, total flops 17712640",
+    "idle_work": "6 queries, 2 qa hits, total flops 20906496",
+}
+
 
 def bank_digest(bank: Path) -> str:
     h = hashlib.sha256()
@@ -108,6 +118,7 @@ def test_replay_matches_golden(tmp_path, capsys, trace, cfg):
     golden = (GOLDEN / f"{trace}__{cfg}.jsonl").read_bytes()
     assert metrics == golden, first_difference(metrics, golden)
     assert digest == (GOLDEN / f"{trace}__{cfg}.bank.sha256").read_text(encoding="utf-8").strip()
+    assert capsys.readouterr().out.splitlines()[-1] == SUMMARIES[trace]
 
 
 def _dynamic_openblas() -> bool:

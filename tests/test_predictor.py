@@ -69,7 +69,7 @@ def test_query_buffer_ring():
     for i in range(5):
         p.note_user_query(f"q{i}", i)
     assert list(p.buffer) == ["q2", "q3", "q4"]
-    p.predict_from_history(lambda q: False)
+    p.predict_from_history(14, lambda q: False)
     assert be.calls[0][1]["history"] == "q2; q3; q4"
 
 
@@ -101,13 +101,13 @@ def test_update_abstract_miss_requeues():
     p.note_chunks([FakeChunk("c1", "t1")], at=0)
     assert p.update_abstract(50) is False
     assert p.abstract == []
-    assert p.batch_ready(50)  # the missed batch stays pending
-    # a chunk noted after the miss is summarized after the missed batch
+    # the missed batch stays pending, and a chunk noted after the miss is
+    # summarized after it
     p.note_chunks([FakeChunk("c2", "t2")], at=55)
     assert p.update_abstract(70) is True
     assert p.abstract == ["Recovered."]
     assert be.calls[-1] == (TEMPLATE_SUMMARIZE, {"chunks": "t1 t2"})
-    assert not p.batch_ready(100)
+    assert p.update_abstract(100) is False and len(be.calls) == 2
 
 
 def test_update_abstract_cap_resummarizes_once():
@@ -145,38 +145,28 @@ def test_update_abstract_empty_resummary_cuts_once():
     assert len(be.calls) == 3
 
 
-def test_knowledge_ready_follows_abstract_updates():
-    # ready after a successful update, not after a backend miss, and no
-    # longer once the knowledge view has predicted from the new abstract
-    be = FakeBackend({TEMPLATE_SUMMARIZE: ["", "Summary."], TEMPLATE_KNOWLEDGE: ["1. Next?"]})
-    p = _predictor(be)
-    p.note_chunks([FakeChunk("c1", "t1")], at=0)
-    assert not p.knowledge_ready()
-    assert p.update_abstract(50) is False
-    assert not p.knowledge_ready()
-    assert p.update_abstract(60) is True
-    assert p.knowledge_ready()
-    assert p.predict_from_knowledge() == ("Next?",)
-    assert not p.knowledge_ready()
-
-
 # -- triggers -----------------------------------------------------------------
 
 
-def test_batch_ready_requires_quiet_period():
-    p = _predictor(FakeBackend(), t_batch=10)
-    assert not p.batch_ready(0)
+def test_update_abstract_waits_for_t_batch():
+    be = FakeBackend({TEMPLATE_SUMMARIZE: ["Summary."]})
+    p = _predictor(be, t_batch=10)
     p.note_chunks([FakeChunk("c", "t")], at=5)
-    assert not p.batch_ready(14)
-    assert p.batch_ready(15)
+    assert p.update_abstract(14) is False and be.calls == []
+    assert p.update_abstract(15) is True and p.abstract == ["Summary."]
 
 
-def test_history_ready_requires_quiet_period():
-    p = _predictor(FakeBackend(), t_quiet=10)
-    assert not p.history_ready(0)
+def test_predict_from_history_waits_for_t_quiet():
+    # once per burst of user queries, after t_quiet passed with none
+    be = FakeBackend({TEMPLATE_HISTORY: ["1. A?", "1. B?"]})
+    p = _predictor(be, t_quiet=10)
     p.note_user_query("q", at=5)
-    assert not p.history_ready(14)
-    assert p.history_ready(15)
+    assert p.predict_from_history(14, lambda q: False) == () and be.calls == []
+    assert p.predict_from_history(15, lambda q: False) == ("A?",)
+    assert p.predict_from_history(100, lambda q: False) == () and len(be.calls) == 1
+    p.note_user_query("r", at=100)
+    assert p.predict_from_history(110, lambda q: False) == ("B?",)
+    assert be.calls[-1][1]["history"] == "q; r"
 
 
 # -- prediction views -----------------------------------------------------------
@@ -192,9 +182,9 @@ def test_predict_from_knowledge_stride_cap():
 
 
 def test_predict_from_knowledge_requires_abstract():
-    p = _predictor(FakeBackend())
-    with pytest.raises(ValueError):
-        p.predict_from_knowledge()
+    be = FakeBackend({TEMPLATE_KNOWLEDGE: ["1. Next?"]})
+    p = _predictor(be)
+    assert p.predict_from_knowledge() == () and be.calls == []
 
 
 def test_predict_parse_failure_counted():
@@ -209,14 +199,13 @@ def test_predict_from_history_filters_known():
     be = FakeBackend({TEMPLATE_HISTORY: [resp]})
     p = _predictor(be, prediction_stride=5)
     p.note_user_query("earlier question", at=0)
-    assert p.predict_from_history(known_query=lambda q: q == "B?") == ("A?", "C?", "D?", "E?")
-    assert not p._history_dirty
+    assert p.predict_from_history(10, known_query=lambda q: q == "B?") == ("A?", "C?", "D?", "E?")
 
 
 def test_predict_from_history_requires_buffer():
-    p = _predictor(FakeBackend())
-    with pytest.raises(ValueError):
-        p.predict_from_history(lambda q: False)
+    be = FakeBackend({TEMPLATE_HISTORY: ["1. Next?"]})
+    p = _predictor(be)
+    assert p.predict_from_history(100, lambda q: False) == () and be.calls == []
 
 
 def test_phase_error_on_serving_path():
@@ -230,4 +219,4 @@ def test_phase_error_on_serving_path():
     with pytest.raises(PhaseError):
         p.predict_from_knowledge()
     with pytest.raises(PhaseError):
-        p.predict_from_history(lambda q: False)
+        p.predict_from_history(100, lambda q: False)

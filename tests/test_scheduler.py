@@ -4,6 +4,7 @@ from percache import engine as engine_module
 from percache import knowledge, textcore
 from percache.config import EngineConfig
 from percache.engine import Engine, open_bank
+from percache.predictor import TEMPLATE_KNOWLEDGE, TEMPLATE_SUMMARIZE
 from percache.retrieval import Retriever
 from percache.scheduler import population_decodes
 
@@ -50,9 +51,43 @@ def test_tick_report_as_dict_keys(tmp_path):
         "deferred_answered", "stale_reanswered", "converted_to_qa",
         "restored_nodes", "predicted_knowledge", "predicted_history",
         "populated", "abstract_updates", "flops_spent", "predicted_decode_flops",
-        "qa_entries", "qa_used_bytes", "qkv_used_bytes", "qa_hits", "qkv_hits", "flops_cum",
+        "qa_entries", "qa_used_bytes", "qkv_used_bytes",
     }
     assert record["at"] == 3.0
+
+
+class _SummaryQueue:
+    """Text backend giving each summarize prompt the next queued summary
+    and every prediction prompt one question; records the templates."""
+
+    def __init__(self, summaries):
+        self.summaries = list(summaries)
+        self.templates = []
+
+    def generate(self, template, slots):
+        self.templates.append(template)
+        return self.summaries.pop(0) if template == TEMPLATE_SUMMARIZE else "1. who is on the team?"
+
+
+def test_knowledge_view_predicts_once_per_abstract_update(tmp_path):
+    # the knowledge view predicts in the tick that changed the abstract and
+    # not again until the next change: not after a backend miss, not on a
+    # tick with no new chunk, and not from an abstract a cut emptied
+    eng = make_engine(tmp_path, t_batch=0, abstract_cap_bytes=2)
+    # the third summary overflows the cap; its re-summary, "é." (3 bytes),
+    # is cut to 1 byte, half a character, which leaves no sentence
+    eng.predictor.backend = backend = _SummaryQueue(["", "a.", "é", "é.", "b."])
+    # tick time -> abstract_updates, predicted_knowledge, the abstract after
+    expected = {1: (0, 0, []), 2: (1, 1, ["a."]), 3: (0, 0, ["a."]),
+                5: (1, 0, []), 6: (0, 0, []), 8: (1, 1, ["b."])}
+    for at in range(9):
+        if at in expected:
+            record = eng.apply_event({"at": at, "kind": "idle_tick", "budget": 1e15})
+            got = (record["abstract_updates"], record["predicted_knowledge"], eng.predictor.abstract)
+            assert got == expected[at], at
+        else:
+            eng.apply_event({"at": at, "kind": "chunk_arrival", "text": f"note number {at} of the day"})
+    assert backend.templates.count(TEMPLATE_KNOWLEDGE) == 2
 
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
