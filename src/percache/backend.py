@@ -11,9 +11,19 @@ QkvTensors.data and attend over its rows; no step copies the past.
 Every sum runs sequentially in index order, and each row's result does not
 depend on how many rows are computed with it. The matmuls (the fused Q/K/V
 projection among them), the attention scores and the attention V sum are
-whole-array ``np.einsum`` calls without ``optimize``, the softmax
-denominator is a ``np.add.reduce`` over the outermost axis, and the RMSNorm
-sum of squares is a ``np.cumsum``. Prefill and decode share one layer loop.
+whole-array ``np.einsum`` calls without ``optimize``. Each keeps an axis it
+does not sum innermost and contiguous, so each call of einsum's inner loop
+adds one product to every element of a run of outputs, and the summed axis
+advances in index order in an outer loop, from +0.0; with the summed axis
+innermost and contiguous, einsum's reduction loop would keep several
+partial sums and change the bits. The innermost axes are: the output
+column for a matmul (``"sk,kn->sn"``); the key for the scores
+(``"shd,dht->sht"``); and for the V sum, the longer of rows and head_dim
+(``"hts,dth->dhs"`` when rows are more, else ``"sht,thd->shd"``), which
+keeps the run being added to in cache. The softmax denominator is a
+``np.add.reduce`` over the outermost axis of a key-major copy, and the
+RMSNorm sum of squares an ``np.add.accumulate`` along each row. Prefill and
+decode share one layer loop.
 In prefill its last layer writes every new row's K/V but runs attention,
 the output projection and the MLP for the last row only, the one whose
 output is read. Decode verifies drafted tokens in passes that read every
@@ -22,7 +32,7 @@ per step.
 tests/test_backend.py checks each kernel, and the fused projection against
 three separate ones, bit for bit against the per-column loop it replaced,
 on random shapes, with the installed numpy (2.4.6 when this was written); a
-numpy whose einsum or cumsum sums in another order fails there first.
+numpy whose einsum or accumulate sums in another order fails there first.
 
 ScriptedBackend returns canned text for prompt templates so prediction
 and summarization flows stay deterministic in tests and trace replays.
@@ -37,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MLP_MULT = 4
+ONE = np.float32(1.0)
+RMS_EPS = np.float32(1e-5)
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,10 @@ class PrefillState:
 
 
 class ToyModel:
-    """Seeded-pseudorandom frozen transformer; immutable after construction."""
+    """Seeded-pseudorandom frozen transformer. Its weights are immutable
+    after construction; the only state that changes is the rotary cos/sin
+    table, which grows to the largest position seen (see _rotary), and
+    mac_count."""
 
     def __init__(self, config: ToyModelConfig):
         self.config = config
@@ -134,6 +149,7 @@ class ToyModel:
         self.inv_freq = (10000.0 ** (-(np.arange(half) * 2.0 / config.head_dim))).astype(
             np.float32
         )
+        self._cos = self._sin = np.empty((0, 1, half), dtype=np.float32)  # see _rotary
 
     # float32 matmul that accumulates over the contraction axis in index
     # order, so row results are identical no matter how many rows are present.
@@ -150,16 +166,24 @@ class ToyModel:
 
     def _rmsnorm(self, x: np.ndarray) -> np.ndarray:
         # no gain: the toy model's would be all ones, which changes no bit
-        # cumsum adds the squares column by column in order; no square is -0.0,
-        # so its last column equals a loop that starts from +0.0
-        ss = np.cumsum(x * x, axis=1)[:, -1]
-        inv = np.float32(1.0) / np.sqrt(ss / np.float32(x.shape[1]) + np.float32(1e-5))
+        # add.accumulate (what cumsum runs) adds the squares column by column
+        # in order; no square is -0.0, so its last column equals a loop that
+        # starts from +0.0
+        ss = np.add.accumulate(x * x, axis=1)[:, -1]
+        inv = ONE / np.sqrt(ss / np.float32(x.shape[1]) + RMS_EPS)
         return x * inv[:, None]
 
-    def _rotary(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of the rotary angles, shaped (tokens, 1, head_dim // 2)."""
-        angles = positions.astype(np.float32)[:, None] * self.inv_freq[None, :]
-        return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    def _rotary(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of the rotary angles of positions [start, end), shaped
+        (tokens, 1, head_dim // 2): views of a table over positions [0, n),
+        built with the same float32 ops as for those positions alone, since
+        each element's cos and sin depend only on its angle. An end past n
+        rebuilds the table at least twice as long."""
+        if end > self._cos.shape[0]:
+            n = max(end, 2 * self._cos.shape[0])
+            angles = np.arange(n).astype(np.float32)[:, None] * self.inv_freq[None, :]
+            self._cos, self._sin = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+        return self._cos[start:end], self._sin[start:end]
 
     def _rope(self, t: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
         """Rotate t (tokens, heads, head_dim) in place by _rotary's cos and
@@ -172,22 +196,20 @@ class ToyModel:
                    positions: np.ndarray) -> np.ndarray:
         s, heads, dh = q.shape
         total = k_full.shape[0]
-        scale = np.float32(1.0 / math.sqrt(dh))
-        # scores[s,h,t] summed over head_dim in index order from +0.0: with
-        # head_dim the outermost axis of both contiguous operands, einsum
-        # walks it in its outer loop and adds one product per step
-        scores = np.einsum(
-            "dsh,dht->sht",
-            np.ascontiguousarray(q.transpose(2, 0, 1)),
-            np.ascontiguousarray(k_full.transpose(2, 1, 0)),
-            optimize=False,
-        )
-        scores = scores * scale
-        if positions[0] < total - 1:  # some key lies after some row
-            mask = (positions[:, None] >= np.arange(total)[None, :])[:, None, :]
-            scores = np.where(mask, scores, np.float32(-np.inf))
-        mx = np.max(scores, axis=2, keepdims=True)
-        e = np.exp(scores - mx)
+        # scores[s,h,t] summed over head_dim in index order from +0.0: the key
+        # axis is innermost and contiguous in K's copy and in the output, so
+        # einsum walks head_dim in an outer loop and adds one product per
+        # step to a row of scores that stays in cache
+        scores = np.einsum("shd,dht->sht", q,
+                           np.ascontiguousarray(k_full.transpose(2, 1, 0)), optimize=False)
+        scores *= np.float32(1.0 / math.sqrt(dh))
+        first = positions[0]
+        if first < total - 1:  # some key lies after some row
+            # keys before the first row's position are visible to every row
+            after = (positions[:, None] < np.arange(first, total)[None, :])[:, None, :]
+            np.copyto(scores[:, :, first:], np.float32(-np.inf), where=after)
+        scores -= np.max(scores, axis=2, keepdims=True)
+        e = np.exp(scores, out=scores)
         # the denominator summed over key positions in index order. np.sum
         # over the last axis sums pairwise, so a row's rounding would depend
         # on how many masked keys follow it. With the key axis outermost and
@@ -197,9 +219,17 @@ class ToyModel:
         e_keys = np.ascontiguousarray(e.transpose(2, 0, 1))
         denom = (np.add.reduce(e_keys, axis=0) if s * heads > 1
                  else np.add.accumulate(e_keys, axis=0)[-1])
-        w = e / denom[:, :, None]
-        # V sum accumulated over key positions in order
-        out = np.einsum("sht,thd->shd", w, v_full, optimize=False)
+        e /= denom[:, :, None]
+        # the V sum over key positions in index order: einsum walks the key
+        # axis outside its inner loop, which runs along the longer of rows
+        # and head_dim, contiguous in the output, and adds one product per
+        # step to a run of outputs that stays in cache
+        if s > dh:
+            out = np.einsum("hts,dth->dhs", np.ascontiguousarray(e.transpose(1, 2, 0)),
+                            np.ascontiguousarray(v_full.transpose(2, 0, 1)),
+                            optimize=False).transpose(2, 1, 0)
+        else:
+            out = np.einsum("sht,thd->shd", e, v_full, optimize=False)
         self.mac_count += 2 * s * heads * total * dh
         return out
 
@@ -239,7 +269,7 @@ class ToyModel:
         reads every row's output."""
         end = start + token_ids.shape[0]
         positions = np.arange(start, end)
-        cos, sin = self._rotary(positions)
+        cos, sin = self._rotary(start, end)
         x = self.emb[token_ids]
         last = self.config.layers - 1
         for layer in range(self.config.layers):

@@ -1,5 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from percache.backend import (
 )
 from percache.engine import load_script
 
+ROOT = Path(__file__).resolve().parent.parent
 CFG = ToyModelConfig(layers=2, heads=2, head_dim=8, vocab_size=64, seed=11)
 
 
@@ -143,7 +149,7 @@ def _ref_layers(model, token_ids, kv, start):
     # Q that is computed and used
     end = start + token_ids.shape[0]
     positions = np.arange(start, end)
-    cos, sin = model._rotary(positions)
+    cos, sin = model._rotary(start, end)
     x = model.emb[token_ids]
     for layer in range(model.config.layers):
         qkv = model._block_qkv(layer, x, cos, sin)
@@ -458,6 +464,14 @@ def _check_rmsnorm(rows, dim, seed):
 @example(rows=1, past=69, heads=4, half_dim=8, seed=3)  # prefix_reuse decode step
 @example(rows=45, past=25, heads=4, half_dim=8, seed=4)  # prefix_reuse suffix prefill
 @example(rows=1, past=40, heads=1, half_dim=2, seed=5)  # one row of one head
+# both sides of the V-sum layout rule (rows > head_dim) at head_dim 8 and 16
+@example(rows=8, past=20, heads=2, half_dim=4, seed=6)
+@example(rows=9, past=20, heads=2, half_dim=4, seed=7)
+@example(rows=16, past=20, heads=4, half_dim=8, seed=8)
+@example(rows=17, past=20, heads=4, half_dim=8, seed=9)
+@example(rows=34, past=100, heads=4, half_dim=8, seed=10)  # prefix_reuse prefill
+@example(rows=59, past=28, heads=2, half_dim=4, seed=11)  # qa_repeat prefill
+@example(rows=1, past=0, heads=4, half_dim=8, seed=12)  # one key position, head_dim 16
 def _check_attention(rows, past, heads, half_dim, seed):
     dh = 2 * half_dim
     total = past + rows
@@ -493,7 +507,7 @@ def _check_qkv(rows, past, heads, half_dim, seed):
     model = ToyModel(ToyModelConfig(layers=1, heads=heads, head_dim=dh, vocab_size=1, seed=seed))
     x = _values(seed, (rows, d))
     positions = np.arange(past, past + rows)
-    got = model._block_qkv(0, x, *model._rotary(positions))
+    got = model._block_qkv(0, x, *model._rotary(past, past + rows))
     h = model._rmsnorm(x)
     w = model.wqkv[0]
     for i, part in enumerate(got):
@@ -510,12 +524,15 @@ def test_kernel_matches_reference_loop(check):
     _within_budget(check)
 
 
-@pytest.mark.parametrize("rows,heads", [(1, 1), (1, 4), (3, 1), (20, 2)])
-def test_attention_rows_independent_of_appended_masked_keys(rows, heads):
+@pytest.mark.parametrize("rows,heads,dh",
+                         [(1, 1, 4), (1, 4, 4), (3, 1, 4), (20, 2, 4), (24, 4, 16)],
+                         ids=["1-1", "1-4", "3-1", "20-2", "24-4-16"])
+def test_attention_rows_independent_of_appended_masked_keys(rows, heads, dh):
     # a row's output must not change when masked keys follow it: a cached
     # row is reused inside prompts of other lengths. The totals straddle the
-    # 8-accumulator and 128-element blocks of numpy's pairwise sum.
-    dh, most = 4, 320
+    # 8-accumulator and 128-element blocks of numpy's pairwise sum; at
+    # head_dim 16 the rows also take the V sum's rows-innermost layout.
+    most = 320
     model = _kernel_model()
     k_all, v_all = _values(1, (most, heads, dh)), _values(2, (most, heads, dh))
     for end in (8, 9, 100, 127, 128, 129, 160, 255, 256, 257, 300):
@@ -525,6 +542,41 @@ def test_attention_rows_independent_of_appended_masked_keys(rows, heads):
         for total in sorted({end + 1, 129, 257, 301, most} - set(range(end + 1))):
             got = model._attention(q, k_all[:total], v_all[:total], positions)
             assert _bits_equal(got, want), (rows, heads, end, total)
+
+
+def test_rotary_table_grows_and_keeps_bits():
+    # one model asked for positions past, inside and far past its table:
+    # every cos and sin equals the one computed for those positions alone
+    model = ToyModel(ToyModelConfig(layers=2, heads=4, head_dim=16, vocab_size=64, seed=11))
+    for lo, hi in ((0, 10), (250, 300), (1000, 1001), (5, 6)):
+        angles = np.arange(lo, hi).astype(np.float32)[:, None] * model.inv_freq
+        cos, sin = model._rotary(lo, hi)
+        assert _bits_equal(cos, np.cos(angles)[:, None, :]), (lo, hi)
+        assert _bits_equal(sin, np.sin(angles)[:, None, :]), (lo, hi)
+    # a prefill that grows the table equals one on a fresh model
+    model = ToyModel(CFG)
+    model.prefill(_tokens(10))
+    toks = _tokens(300, seed=1)
+    got, want = model.prefill(toks), ToyModel(CFG).prefill(toks)
+    assert _bits_equal(got.tensors.data, want.tensors.data)
+    assert _bits_equal(got.last_hidden, want.last_hidden)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled features are x86 ones")
+def test_kernels_match_reference_loops_on_baseline_simd():
+    # numpy picks its float32 exp, sin and cos loops by CPU level at run
+    # time; the kernels' einsum layouts must keep their summation order
+    # under the baseline target too, where those loops differ
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "test_kernel_matches_reference_loop or masked_keys"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert done.stdout.splitlines()[-1].startswith("9 passed"), done.stdout[-3000:]
 
 
 def test_cost_params_reference_defaults():
