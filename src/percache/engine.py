@@ -106,8 +106,7 @@ def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
         vocab = None  # KnowledgeBank.load reads the bank's own
     else:
         vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
-    return KnowledgeBank.load(bank_dir, vocab, config.qkv_limit_bytes,
-                              chunk_words_count=config.chunk_words)
+    return KnowledgeBank.load(bank_dir, vocab, config.qkv_limit_bytes, config.chunk_words)
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ class Engine:
         # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
         self.retriever.rows.reserve(len(self.bank.chunks))
-        for chunk in self.bank.chunks.values():
-            self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
+        for chunk_id, text in self.bank.chunks.items():
+            self.retriever.add_chunk(chunk_id, text, self.embedder.embed(text))
         self.eos_id = vocab.size
         model_cfg = ToyModelConfig(
             layers=config.model_layers,
@@ -187,7 +186,7 @@ class Engine:
 
     def _assemble(self, query: str, chunk_ids: list[str]) -> list[Segment]:
         return ([Segment(self.config.system_prompt)]
-                + [Segment(self.bank.chunks[cid].text + " ", cid) for cid in chunk_ids]
+                + [Segment(self.bank.chunks[cid] + " ", cid) for cid in chunk_ids]
                 + [Segment(query)])
 
     def answer(self, text: str, decode: bool = True,
@@ -260,19 +259,20 @@ class Engine:
     def ingest_chunks(self, texts: list[str], now: float) -> tuple[list[str], list[str]]:
         """Chunk and store new knowledge; returns (all chunk ids touched,
         QA entries marked stale by refresh)."""
-        new_chunks = []
+        new_texts = []
         all_ids = []
         since = len(self.retriever)
         for text in texts:
-            for chunk in self.bank.ingest_text(text):
-                all_ids.append(chunk.chunk_id)
-                if chunk.chunk_id not in self.retriever:
-                    self.retriever.add_chunk(chunk.chunk_id, chunk.text, self.embedder.embed(chunk.text))
-                    new_chunks.append(chunk)
+            for chunk_id in self.bank.ingest_text(text):
+                all_ids.append(chunk_id)
+                if chunk_id not in self.retriever:
+                    chunk = self.bank.chunks[chunk_id]
+                    self.retriever.add_chunk(chunk_id, chunk, self.embedder.embed(chunk))
+                    new_texts.append(chunk)
         stale = []
-        if new_chunks:
+        if new_texts:
             stale = [e.query for e in self.qa.refresh(self.retriever, since, self.config.k_refresh)]
-            self.predictor.note_chunks(new_chunks, now)
+            self.predictor.note_chunks(new_texts, now)
         return all_ids, stale
 
     # -- scheduler hooks ---------------------------------------------------------
@@ -314,7 +314,7 @@ class Engine:
             kept = [n.token_ids for n in path]
             size = slice_bytes(cfg.layers, len(node.token_ids), cfg.heads, cfg.head_dim)
             if (None in kept or (node.parent is not None and not node.parent.present)
-                    or not bank.ledger.fits(size) or not any(kept)):
+                    or not bank.fits(size) or not any(kept)):
                 continue
             ids = sum(kept, ())
             cached = path[: [n.present for n in path].index(False)]
@@ -392,7 +392,7 @@ class Engine:
         record.update(
             qa_entries=len(self.qa.entries),
             qa_used_bytes=self.qa.used_bytes,
-            qkv_used_bytes=self.bank.ledger.used_bytes,
+            qkv_used_bytes=self.bank.used_bytes,
         )
         self.metrics.append(record)
         return record

@@ -26,6 +26,10 @@ engine prefills the node's root path's kept ids and refill writes the
 rows back. A slice_and_insert of a prompt whose ids match the node's
 root path refills it the same way.
 
+used_bytes is the sum of byte_size over the present nodes, at most
+limit_bytes: only _hold charges a slice (slice_and_insert, refill and
+load call it), and only _evict_node and drop_tree release one.
+
 Nodes hold their slices as QkvTensors. The slice file format is only the
 bank's disk boundary: persist writes it and load reads and validates it.
 Only persist writes the bank directory and only load reads it.
@@ -56,7 +60,6 @@ log = logging.getLogger(__name__)
 
 SLICE_MAGIC = b"PQKV"
 SLICE_VERSION = 2
-DEFAULT_CHUNK_WORDS = 100
 SYSTEM_CHUNK_ID = ""
 
 
@@ -125,7 +128,7 @@ def write_atomic(path: Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def chunk_words(text: str, words_per_chunk: int = DEFAULT_CHUNK_WORDS) -> list[str]:
+def chunk_words(text: str, words_per_chunk: int) -> list[str]:
     """Split text into fixed-word-count segments with canonical spacing."""
     words = text.split()
     return [
@@ -136,12 +139,6 @@ def chunk_words(text: str, words_per_chunk: int = DEFAULT_CHUNK_WORDS) -> list[s
 
 def content_hash(text: str) -> bytes:
     return hashlib.sha256(text.encode("utf-8")).digest()
-
-
-@dataclass(frozen=True)
-class KnowledgeChunk:
-    chunk_id: str
-    text: str
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,9 @@ class CacheTreeNode:
     parent: "CacheTreeNode | None"
     children: list = field(default_factory=list)
     tensors: QkvTensors | None = field(default=None, repr=False)  # the slice; copied in and out
-    byte_size: int = 0  # serialized slice length, kept past eviction
+    # serialized slice length, kept past eviction; set with the slice by
+    # _hold, and counted in used_bytes while the node is present
+    byte_size: int = 0
     retrieval_count: int = 0
     last_used: int = 0
     # the segment's token ids in the prompt that wrote the slice; kept past
@@ -213,15 +212,6 @@ class CacheTreeNode:
         return self.tensors is not None
 
 
-@dataclass
-class StorageLedger:
-    used_bytes: int = 0
-    limit_bytes: int = 1 << 34
-
-    def fits(self, incoming_bytes: int) -> bool:
-        return self.used_bytes + incoming_bytes <= self.limit_bytes
-
-
 class KnowledgeBank:
     """Chunk store + QKV cache tree, persisted to a bank directory.
 
@@ -230,19 +220,15 @@ class KnowledgeBank:
     node), so every tree operation needs exclusive access.
     """
 
-    def __init__(
-        self,
-        directory,
-        vocab: TokenizerVocab,
-        limit_bytes: int = 1 << 34,
-        chunk_words_count: int = DEFAULT_CHUNK_WORDS,
-    ):
+    def __init__(self, directory, vocab: TokenizerVocab, limit_bytes: int,
+                 chunk_words_count: int):
         self.directory = Path(directory)
         self.slice_dir = self.directory / "slices"
         self.vocab = vocab
         self.chunk_words_count = chunk_words_count
-        self.ledger = StorageLedger(0, limit_bytes)
-        self.chunks: dict[str, KnowledgeChunk] = {}
+        self.used_bytes = 0  # the byte_size of every present node
+        self.limit_bytes = limit_bytes
+        self.chunks: dict[str, str] = {}  # chunk id -> text
         self._text_to_id: dict[str, str] = {}
         self.root = CacheTreeNode(0, SYSTEM_CHUNK_ID, None)
         self.nodes: dict[int, CacheTreeNode] = {0: self.root}
@@ -251,13 +237,14 @@ class KnowledgeBank:
 
     # -- chunk store --------------------------------------------------------
 
-    def ingest_text(self, text: str) -> list[KnowledgeChunk]:
-        """Chunk and store; identical text maps to the same chunk id."""
+    def ingest_text(self, text: str) -> list[str]:
+        """Chunk and store; returns the chunk ids. Identical text maps to
+        the same chunk id."""
         out = []
         for part in chunk_words(text, self.chunk_words_count):
             existing = self._text_to_id.get(part)
             if existing is not None:
-                out.append(self.chunks[existing])
+                out.append(existing)
                 continue
             base = content_hash(part).hex()[:16]
             chunk_id = base
@@ -265,11 +252,13 @@ class KnowledgeBank:
             while chunk_id in self.chunks:
                 suffix += 1
                 chunk_id = f"{base}-{suffix}"
-            chunk = KnowledgeChunk(chunk_id, part)
-            self.chunks[chunk_id] = chunk
+            self.chunks[chunk_id] = part
             self._text_to_id[part] = chunk_id
-            out.append(chunk)
+            out.append(chunk_id)
         return out
+
+    def fits(self, incoming_bytes: int) -> bool:
+        return self.used_bytes + incoming_bytes <= self.limit_bytes
 
     # -- layout helpers -----------------------------------------------------
 
@@ -361,10 +350,8 @@ class KnowledgeBank:
         for node, chunk_id, tensors, ids in plan:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
-            node.tensors, node.last_used = tensors, now
-            node.token_ids = ids
-            node.byte_size = slice_size(tensors)
-            self.ledger.used_bytes += node.byte_size
+            node.last_used, node.token_ids = now, ids
+            self._hold(node, tensors)
             written_ids.append(node.node_id)
         return written_ids
 
@@ -412,12 +399,16 @@ class KnowledgeBank:
         The caller computes tensors from the node's root-path kept ids, so
         they equal the evicted rows bit for bit. Checks and charges the
         slice's own size, which becomes byte_size. Moves no LFU field."""
-        size = slice_size(tensors)
-        if not self.ledger.fits(size):
+        if not self.fits(slice_size(tensors)):
             return False
-        node.tensors, node.byte_size = tensors, size
-        self.ledger.used_bytes += size
+        self._hold(node, tensors)
         return True
+
+    def _hold(self, node: CacheTreeNode, tensors: QkvTensors) -> None:
+        """The one charge point: node holds tensors, byte_size becomes
+        their serialized length, and used_bytes counts it."""
+        node.tensors, node.byte_size = tensors, slice_size(tensors)
+        self.used_bytes += node.byte_size
 
     def drop_tree(self) -> list[int]:
         """Drop every node, slices and metadata; the root starts unwritten
@@ -425,41 +416,37 @@ class KnowledgeBank:
         dropped = sorted(self.nodes)
         self.root = CacheTreeNode(0, SYSTEM_CHUNK_ID, None)
         self.nodes = {0: self.root}
-        self.ledger.used_bytes = 0
+        self.used_bytes = 0
         return dropped
-
-    def evictable_nodes(self) -> list[CacheTreeNode]:
-        return [n for n in self.nodes.values() if n.present]
 
     def evict_to_fit(self, incoming_bytes: int) -> list[int]:
         """LFU eviction until incoming_bytes fit. Victims have minimal
-        retrieval_count (ties: least-recent last_used, then node id).
-        Evicted nodes stay in the tree with the slice absent."""
-        if incoming_bytes > self.ledger.limit_bytes:
+        retrieval_count (ties: least-recent last_used, then chunk id, then
+        node id): a prefix of the present nodes sorted by that key, which
+        is unique, so each victim is the minimum of the nodes left.
+        Evicting every node frees used_bytes whole. Evicted nodes stay in
+        the tree with the slice absent."""
+        if incoming_bytes > self.limit_bytes:
             raise StorageError("single item larger than the cache budget")
         evicted: list[int] = []
-        while not self.ledger.fits(incoming_bytes):
-            candidates = self.evictable_nodes()
-            if not candidates:
-                raise StorageError("over budget with nothing evictable")
-            victim = min(
-                candidates,
-                key=lambda n: (n.retrieval_count, n.last_used, n.chunk_id, n.node_id),
-            )
+        if self.fits(incoming_bytes):
+            return evicted
+        for victim in sorted((n for n in self.nodes.values() if n.present),
+                             key=lambda n: (n.retrieval_count, n.last_used, n.chunk_id, n.node_id)):
             self._evict_node(victim)
             evicted.append(victim.node_id)
+            if self.fits(incoming_bytes):
+                break
         return evicted
 
     def _evict_node(self, node: CacheTreeNode) -> None:
-        self.ledger.used_bytes -= node.byte_size
+        self.used_bytes -= node.byte_size
         node.tensors = None
 
     def set_limit(self, limit_bytes: int) -> list[int]:
         """Change the byte budget; shrinking triggers immediate eviction."""
-        self.ledger.limit_bytes = limit_bytes
-        if self.ledger.used_bytes > limit_bytes:
-            return self.evict_to_fit(0)
-        return []
+        self.limit_bytes = limit_bytes
+        return self.evict_to_fit(0)
 
     # -- persistence --------------------------------------------------------
 
@@ -474,8 +461,7 @@ class KnowledgeBank:
         for name, node in present.items():
             write_atomic(self.slice_dir / name, serialize_slice(node.tensors))
         write_atomic(self.directory / "chunks.jsonl", jsonl_bytes(
-            {"chunk_id": c.chunk_id, "text": c.text}
-            for _, c in sorted(self.chunks.items())
+            {"chunk_id": chunk_id, "text": text} for chunk_id, text in sorted(self.chunks.items())
         ))
         write_atomic(self.directory / "vocab.txt", self.vocab.to_text().encode("utf-8"))
         write_atomic(self.directory / "manifest.jsonl", jsonl_bytes(
@@ -496,15 +482,10 @@ class KnowledgeBank:
                 path.unlink()
 
     @classmethod
-    def load(
-        cls,
-        directory,
-        vocab: TokenizerVocab | None = None,
-        limit_bytes: int = 1 << 34,
-        **kwargs,
-    ) -> "KnowledgeBank":
+    def load(cls, directory, vocab: TokenizerVocab | None, limit_bytes: int,
+             chunk_words_count: int) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
-        none). Keys it does not read are ignored, such as the slice digest
+        none), with vocab, or with its own vocab.txt if vocab is None. Keys it does not read are ignored, such as the slice digest
         of older banks. A damaged manifest.jsonl or chunks.jsonl, a node
         id, chunk_id or chunk text on two of their lines, a root record (no
         parent) whose id is not 0 or the reverse, or a vocab.txt that is
@@ -521,7 +502,7 @@ class KnowledgeBank:
         directory = Path(directory)
         if vocab is None:
             vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
-        bank = cls(directory, vocab, limit_bytes, **kwargs)
+        bank = cls(directory, vocab, limit_bytes, chunk_words_count)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():
             for lineno, rec in read_jsonl(chunks_file, {"chunk_id": (str,), "text": (str,)}):
@@ -530,9 +511,8 @@ class KnowledgeBank:
                 if rec["text"] in bank._text_to_id:
                     raise BankError(f"{chunks_file}:{lineno}: the text of chunk "
                                     f"{bank._text_to_id[rec['text']]!r} under another chunk_id")
-                chunk = KnowledgeChunk(rec["chunk_id"], rec["text"])
-                bank.chunks[chunk.chunk_id] = chunk
-                bank._text_to_id[chunk.text] = chunk.chunk_id
+                bank.chunks[rec["chunk_id"]] = rec["text"]
+                bank._text_to_id[rec["text"]] = rec["chunk_id"]
         manifest = directory / "manifest.jsonl"
         if not manifest.exists():
             return bank
@@ -584,8 +564,7 @@ class KnowledgeBank:
                     or tensors.token_count != len(node.token_ids)):
                 log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
                 continue
-            node.tensors = tensors
-            bank.ledger.used_bytes += node.byte_size
+            bank._hold(node, tensors)
         bank._next_node_id = max(bank.nodes) + 1
         bank.set_limit(limit_bytes)  # a smaller budget than the bank holds evicts LFU
         return bank

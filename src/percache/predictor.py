@@ -67,7 +67,7 @@ class Predictor:
         self.buffer: deque[str] = deque(maxlen=config.buffer_size)  # recent user queries
         self.phase = "idle"
         self.parse_failures = 0
-        self._pending: list = []  # chunks awaiting summarization, a missed batch first
+        self._pending: list[str] = []  # chunk texts awaiting summarization, a missed batch first
         self._last_chunk_at: float | None = None
         self._last_query_at: float | None = None  # None once the history view predicted
 
@@ -77,8 +77,8 @@ class Predictor:
 
     # -- triggers ------------------------------------------------------------
 
-    def note_chunks(self, chunks, at: float) -> None:
-        self._pending.extend(chunks)
+    def note_chunks(self, texts: list[str], at: float) -> None:
+        self._pending.extend(texts)
         self._last_chunk_at = at
 
     def note_user_query(self, text: str, at: float) -> None:
@@ -102,7 +102,7 @@ class Predictor:
         self._assert_idle()
         if not self._pending or now - self._last_chunk_at < self.config.t_batch:
             return False
-        chunk_text = " ".join(c.text for c in self._pending)
+        chunk_text = " ".join(self._pending)
         response = self.backend.generate(TEMPLATE_SUMMARIZE, {"chunks": chunk_text}).strip()
         if not response:
             return False  # chunks noted later join the batch behind it

@@ -25,6 +25,7 @@ an answered insert gives it. Bars are not persisted.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from pathlib import Path
 from types import NoneType
@@ -164,12 +165,13 @@ class QaBank:
 
     def _evict_lfu(self, keep: int) -> list[QaEntry]:
         """Evict until at most keep entries remain; victims have the fewest
-        uses (ties: least-recent last_used, then oldest, then query)."""
-        evicted: list[QaEntry] = []
-        while len(self.entries) > max(keep, 0):
-            victim = min(self.entries, key=lambda e: (e.use_count, e.last_used, e.created_at, e.query))
+        uses (ties: least-recent last_used, then oldest, then query). The
+        key is unique, as the query is, so the victims and their order are
+        fixed."""
+        evicted = heapq.nsmallest(len(self.entries) - keep, self.entries,
+                                  key=lambda e: (e.use_count, e.last_used, e.created_at, e.query))
+        for victim in evicted:
             self._remove(victim)
-            evicted.append(victim)
         return evicted
 
     def set_limit(self, limit_bytes: int) -> list[QaEntry]:

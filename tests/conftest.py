@@ -15,6 +15,7 @@ from percache.textcore import FLOAT32_MAX_NORM2, Embedding, TokenizerVocab, toke
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
+DEFAULT_CONFIG = EngineConfig()
 
 # seconds any one test may run; far above the slowest test, so only a hang
 # reaches it
@@ -104,8 +105,17 @@ FAKE_HEADS = 1
 FAKE_HEAD_DIM = 2
 
 
-def fake_bank(tmp_path, limit_bytes=1 << 22, **kwargs) -> KnowledgeBank:
-    return KnowledgeBank(tmp_path, TokenizerVocab([]), limit_bytes=limit_bytes, **kwargs)
+def fake_bank(tmp_path, limit_bytes=1 << 22, vocab=None) -> KnowledgeBank:
+    """A new bank in tmp_path, with an empty vocabulary unless vocab is
+    given, and EngineConfig's default chunk size."""
+    vocab = TokenizerVocab([]) if vocab is None else vocab
+    return KnowledgeBank(tmp_path, vocab, limit_bytes, DEFAULT_CONFIG.chunk_words)
+
+
+def load_bank(directory, limit_bytes=DEFAULT_CONFIG.qkv_limit_bytes) -> KnowledgeBank:
+    """KnowledgeBank.load of directory with its own vocab.txt and
+    EngineConfig's default chunk size."""
+    return KnowledgeBank.load(directory, None, limit_bytes, DEFAULT_CONFIG.chunk_words)
 
 
 def path_segments(path: list[str], query: str = "q") -> list[Segment]:

@@ -24,7 +24,7 @@ from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
 from percache.textcore import TokenizerVocab, HashEmbedder, tokenize
 
-from conftest import DATA, fake_bank, insert_path, load_trace, path_tokens
+from conftest import DATA, fake_bank, insert_path, load_bank, load_trace, path_tokens
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -137,7 +137,7 @@ def test_acceptance_1_cached_prefill_equivalence():
     tree_checked = cut_cases = 0
     for cached_query in queries:
         with tempfile.TemporaryDirectory() as td:
-            bank = KnowledgeBank(td, BOUNDARY_VOCAB, limit_bytes=1 << 26)
+            bank = fake_bank(td, limit_bytes=1 << 26, vocab=BOUNDARY_VOCAB)
             segments = layout(cached_query)
             toks = tokenize("".join(s.text for s in segments), BOUNDARY_VOCAB)
             bank.slice_and_insert(segments, toks, small_model.prefill(toks).tensors, now=1)
@@ -260,7 +260,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
     orig_evict = KnowledgeBank._evict_node
 
     def checked_evict(node):
-        candidates = bank.evictable_nodes()
+        candidates = [n for n in bank.nodes.values() if n.present]
         assert _victim_key(node) == min(_victim_key(n) for n in candidates)
         orig_evict(bank, node)
 
@@ -280,9 +280,9 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
             bank.match_prefix(path, path_tokens(bank, path, f"q{step}"), now=step)
         else:
             bank.set_limit(int(rng.integers(3000, 9000)))
-        assert bank.ledger.used_bytes <= bank.ledger.limit_bytes
+        assert bank.used_bytes <= bank.limit_bytes
         shadow = sum(n.byte_size for n in bank.nodes.values() if n.present)
-        assert shadow == bank.ledger.used_bytes
+        assert shadow == bank.used_bytes
         cases += 1
 
     # qa bank side
@@ -504,9 +504,9 @@ def test_acceptance_9_persistence_round_trip(tmp_path):
     manifest = [json.loads(l) for l in (bank_dir / "manifest.jsonl").read_text().splitlines()]
     victim = next(r for r in manifest if r["slice_file"] and r["parent"] is not None)
     (bank_dir / "slices" / victim["slice_file"]).write_bytes(b"corrupt")
-    degraded = KnowledgeBank.load(bank_dir)
+    degraded = load_bank(bank_dir)
     assert not degraded.nodes[victim["id"]].present
-    assert degraded.ledger.used_bytes == sum(
+    assert degraded.used_bytes == sum(
         n.byte_size for n in degraded.nodes.values() if n.present
     )
     _elapsed_ok(t0, 10.0, 9)

@@ -367,7 +367,7 @@ def test_bank_in_slice_format_v1_opens_with_an_empty_tree(tmp_path, capsys, capl
         eng = Engine(EngineConfig.from_file(cfg), bank)
     assert not read
     assert not [r.getMessage() for r in caplog.records if "unreadable" in r.getMessage()]
-    assert list(eng.bank.nodes) == [0] and eng.bank.ledger.used_bytes == 0
+    assert list(eng.bank.nodes) == [0] and eng.bank.used_bytes == 0
     assert len(eng.bank.chunks) == chunks.count(b"\n") and queries
     assert [e.query for e in eng.qa.entries] == queries
     trace = _write(tmp_path / "t.trace", json.dumps(

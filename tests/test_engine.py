@@ -55,7 +55,7 @@ def test_reuse_disabled_never_matches(tmp_path):
     eng.handle_query(q, 1)
     second = eng.handle_query(q, 2)
     assert second.path == COLD_MISS and second.l_pre == 0
-    assert eng.bank.ledger.used_bytes == 0
+    assert eng.bank.used_bytes == 0
 
 
 def test_qa_disabled_never_hits(tmp_path):
@@ -211,7 +211,7 @@ def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_
     record = eng.apply_event({"at": 2, "kind": "config_change", "field": "system_prompt",
                               "value": new_prompt.replace("\n", "\\n")})
     assert eng.config.system_prompt == new_prompt
-    assert record["evicted_nodes"] == dropped and eng.bank.ledger.used_bytes == 0
+    assert record["evicted_nodes"] == dropped and eng.bank.used_bytes == 0
     first, repeat = eng.handle_query(q, 3), eng.handle_query(q, 4)
     assert (first.path, repeat.path) == (COLD_MISS, QKV_PARTIAL)
     assert min(set(eng.bank.nodes) - {0}) > max(dropped)  # node ids keep counting
@@ -266,7 +266,7 @@ def test_bank_reopened_under_another_model_shape_drops_its_tree(tmp_path, shape)
     fresh = make_engine(tmp_path / "fresh", qa_enabled=False, **shape)
     fresh.ingest_chunks([CORPUS], 0)
     reopened = make_engine(tmp_path / "bank", qa_enabled=False, **shape)
-    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.used_bytes == 0
     for at in (2, 3):
         got, want = reopened.handle_query(q, at), fresh.handle_query(q, at)
         assert (got.path, got.l_pre, got.answer) == (want.path, want.l_pre, want.answer)
@@ -285,7 +285,7 @@ def test_bank_reopened_under_another_seed_drops_its_tree(tmp_path):
     fresh = make_engine(tmp_path / "fresh", qa_enabled=False, seed=2)
     fresh.ingest_chunks([CORPUS], 0)
     reopened = make_engine(tmp_path / "bank", qa_enabled=False, seed=2)
-    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.used_bytes == 0
     assert reopened.bank.chunks == eng.bank.chunks and [e.query for e in reopened.qa.entries] == [q]
     for at in (2, 3):
         got, want = reopened.handle_query(q, at), fresh.handle_query(q, at)
@@ -311,7 +311,7 @@ def test_bank_with_kept_ids_outside_the_vocabulary_drops_its_tree(tmp_path, bad_
     deepest.update(slice_file=None, token_ids=[bad_id] * len(deepest["token_ids"]))
     manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     reopened = make_engine(tmp_path, qa_enabled=False)
-    assert list(reopened.bank.nodes) == [0] and reopened.bank.ledger.used_bytes == 0
+    assert list(reopened.bank.nodes) == [0] and reopened.bank.used_bytes == 0
     assert reopened.bank.chunks == eng.bank.chunks
     record = reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})
     assert record["qkv_used_bytes"] == 0
@@ -342,14 +342,14 @@ def _edit_manifest(bank_dir, edit) -> None:
 def test_restoration_charges_the_rows_it_writes(tmp_path):
     # an absent node's byte_size comes from manifest.jsonl unchecked; the
     # refill charges the restored slice's own size, so a damaged one cannot
-    # leave the ledger under-counting
+    # leave used_bytes under-counting
     _, node_id, _ = _persist_with_deepest_evicted(tmp_path)
     _edit_manifest(tmp_path, lambda r: r.update(byte_size=-1000) if r["id"] == node_id else None)
     reopened = make_engine(tmp_path, qa_enabled=False)
     assert reopened.apply_event({"at": 2, "kind": "idle_tick", "budget": 1e15})["restored_nodes"] == 1
     node = reopened.bank.nodes[node_id]
     assert node.present and node.byte_size == slice_size(node.tensors)
-    assert reopened.bank.ledger.used_bytes == sum(
+    assert reopened.bank.used_bytes == sum(
         slice_size(n.tensors) for n in reopened.bank.nodes.values() if n.present)
 
 
@@ -412,12 +412,12 @@ def test_config_change_shrink_evicts_immediately(tmp_path):
     eng = make_engine(tmp_path)
     eng.apply_event({"at": 0, "kind": "chunk_arrival", "text": CORPUS})
     eng.apply_event({"at": 1, "kind": "query_arrival", "text": "what is the budget review plan?"})
-    assert eng.bank.ledger.used_bytes > 0
+    assert eng.bank.used_bytes > 0
     record = eng.apply_event(
         {"at": 2, "kind": "config_change", "field": "qkv_limit_bytes", "value": 1024}
     )
     assert record["evicted_nodes"]
-    assert eng.bank.ledger.used_bytes <= 1024
+    assert eng.bank.used_bytes <= 1024
 
 
 @pytest.mark.parametrize("field,value", [("latency_scale", 0.5), ("flops_per_ms", 2e6)])
@@ -548,13 +548,13 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
         eng.handle_query(q, i + 1)
     eng.persist()
     reopened = make_engine(tmp_path / "bank", chunk_words=3)
-    chunks = list(reopened.bank.chunks.values())
+    chunks = list(reopened.bank.chunks.items())
     assert len(chunks) > 50
     rows, norm2 = reopened.retriever.rows.counts, reopened.retriever.rows.norm2.tolist()
-    assert reopened.retriever._ids == [c.chunk_id for c in chunks]
+    assert reopened.retriever._ids == [chunk_id for chunk_id, _ in chunks]
     assert len(rows) == len(norm2) == len(chunks)
-    for chunk, row, n2 in zip(chunks, rows, norm2):
-        e = reopened.embedder.embed(chunk.text)
+    for (_, text), row, n2 in zip(chunks, rows, norm2):
+        e = reopened.embedder.embed(text)
         assert (row.tobytes(), n2) == (e.counts.tobytes(), e.norm2)
     assert [e.query for e in reopened.qa.entries] == queries
     for entry in reopened.qa.entries:

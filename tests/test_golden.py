@@ -31,6 +31,7 @@ import percache
 from percache.backend import ToyModel
 from percache.cli import EXIT_OK, main
 from percache.engine import Engine
+from percache.knowledge import slice_size
 
 from conftest import DATA, checked_prefill
 
@@ -167,6 +168,28 @@ def test_cached_prefill_equals_recomputation(tmp_path, capsys, monkeypatch, trac
     assert len(seen) > sum(restoring), "no query reused a cached prefix"
     if trace in ("idle_work", "limit_relax"):
         assert sum(restoring) > 0, "no restoration prefilled from a cached prefix"
+
+
+@pytest.mark.parametrize("trace,cfg", PAIRS)
+def test_tree_bytes_match_present_slices_after_every_event(tmp_path, capsys, monkeypatch,
+                                                           trace, cfg):
+    # the tree's byte invariant through inserts, idle restoration and
+    # budget changes: used_bytes is the byte_size of the present nodes,
+    # within the budget, and each byte_size is its slice's serialized length
+    apply, held = Engine.apply_event, []
+
+    def checked(self, event):
+        record = apply(self, event)
+        bank = self.bank
+        present = [n for n in bank.nodes.values() if n.present]
+        assert bank.used_bytes == sum(n.byte_size for n in present) <= bank.limit_bytes, record
+        assert all(n.byte_size == slice_size(n.tensors) for n in present), record
+        held.append(len(present))
+        return record
+
+    monkeypatch.setattr(Engine, "apply_event", checked)
+    replay(trace, cfg, tmp_path)
+    assert max(held) > 1, "no event left a chunk slice in the tree"
 
 
 @pytest.mark.parametrize("trace,cfg", PAIRS)

@@ -10,7 +10,6 @@ import pytest
 from percache.backend import QkvTensors, ToyModel, ToyModelConfig
 from percache.knowledge import (
     BankError,
-    KnowledgeBank,
     LayoutError,
     Segment,
     StorageError,
@@ -22,7 +21,7 @@ from percache.knowledge import (
 )
 from percache.textcore import TokenizerVocab, tokenize
 
-from conftest import fake_bank, fake_tensors, insert_path, path_segments, path_tokens
+from conftest import fake_bank, fake_tensors, insert_path, load_bank, path_segments, path_tokens
 
 
 def test_chunk_words_split():
@@ -45,12 +44,12 @@ def test_ingest_dedupes_and_collision_suffix(tmp_path, monkeypatch):
     bank = fake_bank(tmp_path)
     first = bank.ingest_text("alpha beta")
     again = bank.ingest_text("alpha beta")
-    assert [c.chunk_id for c in first] == [c.chunk_id for c in again]
+    assert first == again
     # force an id collision: pre-seed the bank with a chunk occupying the id
     cid = content_hash("gamma delta").hex()[:16]
-    bank.chunks[cid] = first[0]
+    bank.chunks[cid] = bank.chunks[first[0]]
     new = bank.ingest_text("gamma delta")
-    assert new[0].chunk_id == f"{cid}-1"
+    assert new[0] == f"{cid}-1"
 
 
 def test_slice_round_trip():
@@ -65,7 +64,7 @@ def test_slice_round_trip():
     # round trip is byte-stable, and the result is a writable copy
     assert serialize_slice(back) == payload
     back.data.fill(0.0)
-    # the size the ledger charges is the serialized length, zero tokens
+    # the size the bank charges is the serialized length, zero tokens
     # too: a 16-byte header, then 4 bytes for each of K and V per layer,
     # token, head and dimension
     for layers, tokens, heads, head_dim in ((2, 4, 2, 3), (1, 0, 1, 2), (3, 7, 4, 16), (1, 1, 1, 1)):
@@ -92,7 +91,7 @@ def test_segment_token_spans_straddling(tmp_path):
     # multi-char vocab entry "ab" straddles the segment boundary between
     # "a" and "b"; the token belongs to the earlier segment (start byte)
     vocab = TokenizerVocab(["ab", "a", "b", "c"])
-    bank = KnowledgeBank(tmp_path, vocab)
+    bank = fake_bank(tmp_path, vocab=vocab)
     segments = [Segment("a"), Segment("bc", "c1"), Segment("")]
     toks = tokenize("abc", vocab)
     spans = bank.segment_token_spans(segments, toks)
@@ -110,7 +109,7 @@ def test_segment_token_spans_straddling(tmp_path):
 
 def test_segment_token_spans_layout_error(tmp_path):
     vocab = TokenizerVocab(["a", "b"])
-    bank = KnowledgeBank(tmp_path, vocab)
+    bank = fake_bank(tmp_path, vocab=vocab)
     toks = tokenize("ab", vocab)
     for layout in (["abc"], ["a"], ["a", "bc"], ["a", ""]):  # longer or shorter than the tokens
         with pytest.raises(LayoutError):
@@ -154,11 +153,11 @@ def test_reinsert_same_path_idempotent(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1", "c2"], now=1)
     nodes_before = set(bank.nodes)
-    used_before = bank.ledger.used_bytes
+    used_before = bank.used_bytes
     written = insert_path(bank, ["c1", "c2"], now=2)
     assert written == []
     assert set(bank.nodes) == nodes_before
-    assert bank.ledger.used_bytes == used_before
+    assert bank.used_bytes == used_before
 
 
 def _match(bank, path, now, query="q"):
@@ -219,7 +218,7 @@ def test_insert_writes_no_node_below_other_ids(tmp_path, evicted):
     # a b node written below the kept "a b c", present or evicted, would
     # hold a row computed after other ids, and [a, b, c] would reuse it
     # once its own b is gone
-    bank = KnowledgeBank(tmp_path, TokenizerVocab(["a b c", "a b"]))
+    bank = fake_bank(tmp_path, vocab=TokenizerVocab(["a b c", "a b"]))
     insert_path(bank, ["a", "b", "c"], now=1)
     a = next(n for n in bank.nodes.values() if n.chunk_id == "a")
     b = a.children[0]
@@ -271,7 +270,7 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     model.decode_ids(state, 5)
     assert np.array_equal(state.tensors.data, want)
     bank.slice_and_insert(segs, toks, state.tensors, now=1)
-    stored = {n.node_id: n.tensors.data.copy() for n in bank.evictable_nodes()}
+    stored = {n.node_id: n.tensors.data.copy() for n in [n for n in bank.nodes.values() if n.present]}
     prefix, matched, _ = _match(bank, ["c1", "c2"], now=2)
     assert matched == 2 and prefix.prefix_token_count < len(toks)
     prefix_data = prefix.tensors.data.copy()
@@ -279,7 +278,7 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     assert np.array_equal(prefix.tensors.data, prefix_data)
     model.decode_ids(cached, 5)
     assert np.array_equal(cached.tensors.data, want)
-    for node in bank.evictable_nodes():
+    for node in [n for n in bank.nodes.values() if n.present]:
         assert np.array_equal(node.tensors.data, stored[node.node_id])
 
 
@@ -307,11 +306,11 @@ def test_lfu_eviction_order(tmp_path):
     d1 = next(n for n in bank.nodes.values() if n.chunk_id == "d1")
     # shrink so exactly the two least-used chunk nodes must go; the root is
     # the most-used node (every match touches it)
-    target = bank.ledger.used_bytes - b1.byte_size - d1.byte_size
+    target = bank.used_bytes - b1.byte_size - d1.byte_size
     evicted = bank.set_limit(target)
     assert evicted == [b1.node_id, d1.node_id]
     assert not b1.present and not d1.present
-    assert bank.ledger.used_bytes <= target
+    assert bank.used_bytes <= target
 
 
 def test_oversized_item_and_nothing_evictable(tmp_path):
@@ -319,7 +318,7 @@ def test_oversized_item_and_nothing_evictable(tmp_path):
     with pytest.raises(StorageError):
         insert_path(bank, ["c1", "c2", "c3"], now=1)
     # nothing was written by the failed insert
-    assert bank.ledger.used_bytes == 0
+    assert bank.used_bytes == 0
     with pytest.raises(StorageError):
         bank.evict_to_fit(100)
 
@@ -358,9 +357,9 @@ def test_ledger_never_breached(tmp_path):
     paths = [["a1"], ["a1", "b1"], ["c1"], ["d1", "e1"], ["a1", "b2"]]
     for i, p in enumerate(paths):
         insert_path(bank, p, now=i, query=f"q{i}")
-        assert bank.ledger.used_bytes <= bank.ledger.limit_bytes
+        assert bank.used_bytes <= bank.limit_bytes
     recount = sum(n.byte_size for n in bank.nodes.values() if n.present)
-    assert recount == bank.ledger.used_bytes
+    assert recount == bank.used_bytes
 
 
 def test_persist_load_round_trip(tmp_path):
@@ -372,9 +371,9 @@ def test_persist_load_round_trip(tmp_path):
     bank.persist()
     snapshot = _dir_bytes(tmp_path)
 
-    loaded = KnowledgeBank.load(tmp_path)
+    loaded = load_bank(tmp_path)
     assert set(loaded.nodes) == set(bank.nodes)
-    assert loaded.ledger.used_bytes == bank.ledger.used_bytes
+    assert loaded.used_bytes == bank.used_bytes
     assert sorted(loaded.chunks) == sorted(bank.chunks)
     for nid, node in bank.nodes.items():
         other = loaded.nodes[nid]
@@ -395,8 +394,8 @@ def test_persist_load_round_trip(tmp_path):
 def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
     # a node id on two lines, a second root under another id, or a node
     # under the root's id would leave a node that no eviction reaches,
-    # charged to the ledger for good; a chunk_id on two lines would let
-    # ingest_text return the second text for the first, and a text under
+    # charged to used_bytes for good; a chunk_id on two lines would let
+    # ingest_text return the id of the second text for the first, and a text under
     # two chunk_ids would put it in one prompt twice
     bank = fake_bank(tmp_path)
     bank.ingest_text("one two three")
@@ -415,7 +414,7 @@ def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
         rec["chunk_id"] = "zz-copy"
     path.write_text("".join(lines) + json.dumps(rec) + "\n", encoding="utf-8")
     with pytest.raises(BankError, match=f"{path}:{len(lines) + 1}: "):
-        KnowledgeBank.load(tmp_path)
+        load_bank(tmp_path)
 
 
 def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog):
@@ -433,17 +432,17 @@ def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog)
         json.dumps({k: v for k, v in r.items() if k != "token_ids"}, sort_keys=True) + "\n"
         for r in records), encoding="utf-8")
     with caplog.at_level(logging.WARNING):
-        loaded = KnowledgeBank.load(tmp_path)
+        loaded = load_bank(tmp_path)
     assert len([r for r in caplog.records if "no token ids" in r.getMessage()]) == 3
     assert not any(n.present for n in loaded.nodes.values())
-    assert loaded.ledger.used_bytes == 0
+    assert loaded.used_bytes == 0
     assert _match(loaded, ["c1", "c2"], now=2) == (None, 0, 0)
     # the never-written root is written; its first child has no ids, so
     # the plan stops there
     assert insert_path(loaded, ["c1", "c2"], now=3) == [loaded.root.node_id]
     assert loaded.root.token_ids == bank.root.token_ids
     assert [n.token_ids for n in loaded.nodes.values() if n is not loaded.root] == [None, None]
-    assert loaded.ledger.used_bytes == loaded.root.byte_size
+    assert loaded.used_bytes == loaded.root.byte_size
     prefix, matched, _ = _match(loaded, ["c1", "c2"], now=4)
     assert matched == 0 and prefix.prefix_token_count == len(loaded.root.token_ids)
 
@@ -459,11 +458,11 @@ def test_manifest_with_damaged_token_ids_raises(tmp_path):
         lines[1] = json.dumps({**rec, "token_ids": bad}, sort_keys=True)
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(BankError, match=r"manifest.jsonl:2: token_ids"):
-            KnowledgeBank.load(tmp_path)
+            load_bank(tmp_path)
     # ids that do not fit the slice degrade it to evicted
     lines[1] = json.dumps({**rec, "token_ids": rec["token_ids"][:-1]}, sort_keys=True)
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    loaded = KnowledgeBank.load(tmp_path)
+    loaded = load_bank(tmp_path)
     assert loaded.root.present and not loaded.nodes[rec["id"]].present
 
 
@@ -477,12 +476,12 @@ def test_load_holds_slices_to_limit(tmp_path):
     insert_path(bank, ["c1", "c2"], now=1)
     insert_path(bank, ["c1", "c9"], now=2)
     bank.persist()
-    limit = bank.ledger.used_bytes // 2
+    limit = bank.used_bytes // 2
 
-    loaded = KnowledgeBank.load(tmp_path, limit_bytes=limit)
-    assert loaded.ledger.limit_bytes == limit
-    assert 0 < loaded.ledger.used_bytes <= limit
-    assert loaded.ledger.used_bytes == sum(n.byte_size for n in loaded.nodes.values() if n.present)
+    loaded = load_bank(tmp_path, limit_bytes=limit)
+    assert loaded.limit_bytes == limit
+    assert 0 < loaded.used_bytes <= limit
+    assert loaded.used_bytes == sum(n.byte_size for n in loaded.nodes.values() if n.present)
     evicted = [n for n in loaded.nodes.values() if not n.present]
     assert evicted
     # an evicted node keeps the ids a later restoration prefills
@@ -500,10 +499,10 @@ def test_load_degrades_corrupt_slice(tmp_path):
     bank.persist()
     c2 = next(n for n in bank.nodes.values() if n.chunk_id == "c2")
     (bank.slice_dir / f"node{c2.node_id}.qkv").write_bytes(b"garbage")
-    loaded = KnowledgeBank.load(tmp_path)
+    loaded = load_bank(tmp_path)
     assert not loaded.nodes[c2.node_id].present
     assert loaded.nodes[c2.node_id].token_ids == c2.token_ids
-    assert loaded.ledger.used_bytes == sum(
+    assert loaded.used_bytes == sum(
         n.byte_size for n in loaded.nodes.values() if n.present
     )
 
@@ -514,7 +513,7 @@ def test_load_degrades_missing_slice(tmp_path):
     bank.persist()
     c1 = next(n for n in bank.nodes.values() if n.chunk_id == "c1")
     (bank.slice_dir / f"node{c1.node_id}.qkv").unlink()
-    loaded = KnowledgeBank.load(tmp_path)
+    loaded = load_bank(tmp_path)
     assert not loaded.nodes[c1.node_id].present
     assert loaded.root.present
 
@@ -527,7 +526,7 @@ def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatc
     listed = {n.node_id for n in bank.nodes.values() if n.present}
     manifest = (tmp_path / "manifest.jsonl").read_bytes()
     # evict, insert new slices, then fail the manifest rename
-    assert bank.set_limit(bank.ledger.used_bytes // 2)
+    assert bank.set_limit(bank.used_bytes // 2)
     insert_path(bank, ["c4"], now=4)
     real_replace = os.replace
 
@@ -543,7 +542,7 @@ def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatc
     assert (tmp_path / "manifest.jsonl").read_bytes() == manifest
     assert not list(tmp_path.rglob("*.tmp"))
     with caplog.at_level(logging.WARNING):
-        loaded = KnowledgeBank.load(tmp_path)
+        loaded = load_bank(tmp_path)
     assert not caplog.records
     assert {n.node_id for n in loaded.nodes.values() if n.present} == listed
 
@@ -551,4 +550,4 @@ def test_persist_interrupted_before_manifest_keeps_old_bank(tmp_path, monkeypatc
 def test_set_limit_grow_no_eviction(tmp_path):
     bank = fake_bank(tmp_path)
     insert_path(bank, ["c1"], now=1)
-    assert bank.set_limit(bank.ledger.limit_bytes * 2) == []
+    assert bank.set_limit(bank.limit_bytes * 2) == []

@@ -11,12 +11,6 @@ from percache.predictor import (
 )
 
 
-class FakeChunk:
-    def __init__(self, chunk_id, text):
-        self.chunk_id = chunk_id
-        self.text = text
-
-
 class FakeBackend:
     """Returns queued responses per template; records every call."""
 
@@ -85,10 +79,10 @@ def test_update_abstract_no_chunks_noop():
 def test_update_abstract_appends_with_sources():
     be = FakeBackend({TEMPLATE_SUMMARIZE: ["Summary one.", "Summary two."]})
     p = _predictor(be)
-    p.note_chunks([FakeChunk("c1", "t1"), FakeChunk("c2", "t2")], at=0)
+    p.note_chunks(["t1", "t2"], at=0)
     assert p.update_abstract(100)
     assert p.abstract == ["Summary one."]
-    p.note_chunks([FakeChunk("c3", "t3")], at=100)
+    p.note_chunks(["t3"], at=100)
     assert p.update_abstract(200)
     assert " ".join(p.abstract) == "Summary one. Summary two."
     # each batch summarizes only the chunks noted since the last one
@@ -98,12 +92,12 @@ def test_update_abstract_appends_with_sources():
 def test_update_abstract_miss_requeues():
     be = FakeBackend({TEMPLATE_SUMMARIZE: ["", "Recovered."]})
     p = _predictor(be)
-    p.note_chunks([FakeChunk("c1", "t1")], at=0)
+    p.note_chunks(["t1"], at=0)
     assert p.update_abstract(50) is False
     assert p.abstract == []
     # the missed batch stays pending, and a chunk noted after the miss is
     # summarized after it
-    p.note_chunks([FakeChunk("c2", "t2")], at=55)
+    p.note_chunks(["t2"], at=55)
     assert p.update_abstract(70) is True
     assert p.abstract == ["Recovered."]
     assert be.calls[-1] == (TEMPLATE_SUMMARIZE, {"chunks": "t1 t2"})
@@ -115,7 +109,7 @@ def test_update_abstract_cap_resummarizes_once():
     be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "short merge."]})
     p = _predictor(be, abstract_cap_bytes=40)
     p.abstract = ["existing sentence."]
-    p.note_chunks([FakeChunk("c1", "t")], at=0)
+    p.note_chunks(["t"], at=0)
     assert p.update_abstract(10)
     # exactly two backend calls: the batch summary plus one re-summarize
     assert [t for t, _ in be.calls] == [TEMPLATE_SUMMARIZE, TEMPLATE_SUMMARIZE]
@@ -127,7 +121,7 @@ def test_update_abstract_cap_truncates_as_last_resort():
     long = "y" * 100
     be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "z" * 100]})
     p = _predictor(be, abstract_cap_bytes=40)
-    p.note_chunks([FakeChunk("c1", "t")], at=0)
+    p.note_chunks(["t"], at=0)
     assert p.update_abstract(10)
     assert len(" ".join(p.abstract).encode("utf-8")) <= 40
 
@@ -139,7 +133,7 @@ def test_update_abstract_empty_resummary_cuts_once():
     be = FakeBackend({TEMPLATE_SUMMARIZE: [first, second, ""]})
     p = _predictor(be, abstract_cap_bytes=100)
     for at in (0, 20):
-        p.note_chunks([FakeChunk(f"c{at}", "t")], at=at)
+        p.note_chunks(["t"], at=at)
         assert p.update_abstract(at + 10)
     assert p.abstract == [first + " " + "b" * 37]
     assert len(be.calls) == 3
@@ -151,7 +145,7 @@ def test_update_abstract_empty_resummary_cuts_once():
 def test_update_abstract_waits_for_t_batch():
     be = FakeBackend({TEMPLATE_SUMMARIZE: ["Summary."]})
     p = _predictor(be, t_batch=10)
-    p.note_chunks([FakeChunk("c", "t")], at=5)
+    p.note_chunks(["t"], at=5)
     assert p.update_abstract(14) is False and be.calls == []
     assert p.update_abstract(15) is True and p.abstract == ["Summary."]
 
@@ -210,7 +204,7 @@ def test_predict_from_history_requires_buffer():
 
 def test_phase_error_on_serving_path():
     p = _predictor(FakeBackend())
-    p.note_chunks([FakeChunk("c", "t")], at=0)
+    p.note_chunks(["t"], at=0)
     p.abstract = ["s."]
     p.note_user_query("q", at=0)
     p.phase = "serve"

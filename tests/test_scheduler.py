@@ -197,7 +197,7 @@ def test_prefill_only_leaves_entries_answerless(tmp_path):
     entry = eng.qa.get("when is the budget review due?")
     assert entry is not None and entry.answer is None
     # the QKV tree was populated even though no answer was decoded
-    assert eng.bank.ledger.used_bytes > 0
+    assert eng.bank.used_bytes > 0
     # repeat population of the same query is a no-op
     assert eng.populate_predicted("when is the budget review due?", decode=False) is None
 
