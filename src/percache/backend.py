@@ -18,8 +18,8 @@ advances in index order in an outer loop, from +0.0; with the summed axis
 innermost and contiguous, einsum's reduction loop would keep several
 partial sums and change the bits. The innermost axes are: the output
 column for a matmul (``"sk,kn->sn"``); the key for the scores
-(``"shd,dht->sht"``); and for the V sum, the longer of rows and head_dim
-(``"hts,dth->dhs"`` when rows are more, else ``"sht,thd->shd"``), which
+(``"shd,dht->sht"``); and for the V sum, rows once they reach 1.5
+head_dim (``"hts,dth->dhs"``), else head_dim (``"sht,thd->shd"``), which
 keeps the run being added to in cache. The softmax denominator is a
 ``np.add.reduce`` over the outermost axis of a key-major copy, and the
 RMSNorm sum of squares an ``np.add.accumulate`` along each row. Prefill and
@@ -221,10 +221,12 @@ class ToyModel:
                  else np.add.accumulate(e_keys, axis=0)[-1])
         e /= denom[:, :, None]
         # the V sum over key positions in index order: einsum walks the key
-        # axis outside its inner loop, which runs along the longer of rows
-        # and head_dim, contiguous in the output, and adds one product per
-        # step to a run of outputs that stays in cache
-        if s > dh:
+        # axis outside its inner loop, which runs along rows once they reach
+        # 1.5 head_dim, else along head_dim, contiguous in the output, and
+        # adds one product per step to a run of outputs that stays in cache.
+        # The rows-innermost layout, with the copy its transposed output
+        # costs _block_tail, overtakes at about that point (README)
+        if 2 * s >= 3 * dh:
             out = np.einsum("hts,dth->dhs", np.ascontiguousarray(e.transpose(1, 2, 0)),
                             np.ascontiguousarray(v_full.transpose(2, 0, 1)),
                             optimize=False).transpose(2, 1, 0)

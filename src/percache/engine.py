@@ -130,8 +130,7 @@ class Engine:
         # the retriever's matrix holds the only copy of each chunk's embedding
         self.retriever = Retriever(self.embedder, alpha=config.alpha_fusion)
         self.retriever.rows.reserve(len(self.bank.chunks))
-        for chunk_id, text in self.bank.chunks.items():
-            self.retriever.add_chunk(chunk_id, text, self.embedder.embed(text))
+        self.retriever.add_chunks(self.bank.chunks.items())
         self.eos_id = vocab.size
         model_cfg = ToyModelConfig(
             layers=config.model_layers,
@@ -259,20 +258,19 @@ class Engine:
     def ingest_chunks(self, texts: list[str], now: float) -> tuple[list[str], list[str]]:
         """Chunk and store new knowledge; returns (all chunk ids touched,
         QA entries marked stale by refresh)."""
-        new_texts = []
+        new: dict[str, str] = {}  # chunk id -> text, of chunks the retriever lacks
         all_ids = []
         since = len(self.retriever)
         for text in texts:
             for chunk_id in self.bank.ingest_text(text):
                 all_ids.append(chunk_id)
                 if chunk_id not in self.retriever:
-                    chunk = self.bank.chunks[chunk_id]
-                    self.retriever.add_chunk(chunk_id, chunk, self.embedder.embed(chunk))
-                    new_texts.append(chunk)
+                    new.setdefault(chunk_id, self.bank.chunks[chunk_id])
+        self.retriever.add_chunks(new.items())
         stale = []
-        if new_texts:
+        if new:
             stale = [e.query for e in self.qa.refresh(self.retriever, since, self.config.k_refresh)]
-            self.predictor.note_chunks(new_texts, now)
+            self.predictor.note_chunks(list(new.values()), now)
         return all_ids, stale
 
     # -- scheduler hooks ---------------------------------------------------------

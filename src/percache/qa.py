@@ -120,7 +120,7 @@ class QaBank:
         current corpus; None leaves the entry to be keyed at the next
         refresh.
         """
-        self._rows.check(embedding)
+        self._rows.check(embedding.dim)
         existing = self._by_query.get(query)
         if existing is not None:
             if answer is None and existing.answer is not None:
@@ -242,10 +242,13 @@ class QaBank:
             return bank
         fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
                   "last_used": (int,), "use_count": (int,), "stale": (bool,)}
+        records = {}  # query -> its record
         for lineno, rec in read_jsonl(path, fields):
-            if rec["query"] in bank._by_query:
+            if rec["query"] in records:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
-            bank._add(QaEntry(rec["query"], embedder.embed(rec["query"]), rec["answer"],
+            records[rec["query"]] = rec
+        for rec, embedding in zip(records.values(), embedder.embed_many(list(records))):
+            bank._add(QaEntry(rec["query"], embedding, rec["answer"],
                               rec["created_at"], rec["last_used"], rec["use_count"], rec["stale"]))
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)

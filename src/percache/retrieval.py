@@ -24,13 +24,15 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import math
 
 import numpy as np
 
-from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, split_words
+from .textcore import (EMBED_BLOCK, CountRows, Embedding, HashEmbedder, cosine_similarities,
+                       split_words)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -73,12 +75,18 @@ class Retriever:
     removed, so rows_since(size) gives the chunks added since a known corpus
     size, which QaBank.refresh scores against its entries.
 
+    add_chunks adds many chunks in blocks of EMBED_BLOCK: each text is
+    split into words once, for the block's count rows (one count_rows call,
+    one CountRows.extend) and for its postings, and only one block's words
+    and rows are held at a time. add_chunk adds one chunk with an embedding
+    made elsewhere; in any mix the two give the same state.
+
     bar gives a QA entry's refresh bar, a (cosine, chunk_id) key. Asked
     with the embedding object of the last retrieve_top_k call, it reuses
     the cosine row that call computed, so keying a just-answered query
     costs no second scan. That row is the only state a read keeps;
-    retrieve_top_k replaces it and add_chunk drops it, so neither is safe
-    beside another call.
+    retrieve_top_k replaces it and adding a chunk drops it, so neither is
+    safe beside another call.
     """
 
     def __init__(self, embedder: HashEmbedder | None = None, alpha: float = DEFAULT_ALPHA):
@@ -100,12 +108,34 @@ class Retriever:
     def __contains__(self, chunk_id: str) -> bool:
         return chunk_id in self._id_set
 
+    def add_chunks(self, chunks: Iterable[tuple[str, str]]) -> None:
+        """Add the (chunk_id, text) pairs whose id is new, in order, with
+        the rows and postings that add_chunk(chunk_id, text,
+        embedder.embed(text)) would give each."""
+        block: dict[str, str] = {}
+        for chunk_id, text in chunks:
+            if chunk_id not in self._id_set:
+                block.setdefault(chunk_id, text)
+                if len(block) == EMBED_BLOCK:
+                    self._add_block(block)
+                    block = {}
+        if block:
+            self._add_block(block)
+
+    def _add_block(self, block: dict[str, str]) -> None:
+        words = [split_words(text) for text in block.values()]
+        self.rows.extend(*self.embedder.count_rows(words))
+        for chunk_id, terms in zip(block, words):
+            self._index(chunk_id, terms)
+
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
-        if chunk_id in self._id_set:
-            return
+        if chunk_id not in self._id_set:
+            self.rows.append(embedding)
+            self._index(chunk_id, split_words(text))
+
+    def _index(self, chunk_id: str, terms: list[str]) -> None:
+        """Post the chunk whose count row was just appended, split into terms."""
         row = len(self._ids)
-        self.rows.append(embedding)
-        terms = split_words(text)
         for term, tf in Counter(terms).items():
             postings = self._postings.get(term)
             if postings is None:

@@ -167,6 +167,11 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 
 
 INITIAL_ROWS = 16
+# texts per HashEmbedder.count_rows call. A block's float64 counts, 64 KiB
+# at EMBED_DIM, stay below glibc's 128 KiB mmap threshold; blocks of 64
+# texts, which reach it, read slower QA hits and a higher peak RSS in pair
+# runs (CHANGES.md)
+EMBED_BLOCK = 32
 
 
 class CountRows:
@@ -175,13 +180,15 @@ class CountRows:
     beside a float64 vector of their squared norms; counts and norm2 view
     the held rows, for cosine_similarities and cosine_table.
 
-    The matrix is float32 until a float64 row (see Embedding) widens it for
-    good, copying the held rows only, never the unwritten capacity. The
-    capacity starts at INITIAL_ROWS and doubles when full; reserve grows it
-    in one step, which leaves no outgrown matrices in the allocator's heap,
-    and compact keeps a list of rows with room for as many again. check,
-    which append runs, refuses an embedding whose dim is not the rows':
-    the given one, or else the first row's.
+    extend appends a block of rows, as HashEmbedder.count_rows gives them,
+    in one copy; append is a block of one. The matrix is float32 until a
+    float64 block (see Embedding) widens it for good, copying the held
+    rows only, never the unwritten capacity. The capacity starts at
+    INITIAL_ROWS and doubles until the block fits; reserve grows it in one
+    step, which leaves no outgrown matrices in the allocator's heap, and
+    compact keeps a list of rows with room for as many again. check, which
+    extend runs, refuses rows whose dim is not the rows': the given one,
+    or else the first row's.
     """
 
     def __init__(self, dim: int | None = None):
@@ -202,18 +209,23 @@ class CountRows:
     def norm2(self) -> np.ndarray:
         return self._norm2[: self._n]
 
-    def check(self, e: Embedding) -> None:
-        if e.dim != self.dim and self.dim is not None:
-            raise ValueError(f"embedding dimension mismatch: {e.dim} != {self.dim}")
+    def check(self, dim: int) -> None:
+        if dim != self.dim and self.dim is not None:
+            raise ValueError(f"embedding dimension mismatch: {dim} != {self.dim}")
 
     def append(self, e: Embedding) -> None:
-        self.check(e)
-        n, counts = self._n, e.counts
-        if n == len(self._norm2) or counts.itemsize > self._counts.itemsize:
-            self.dim = e.dim
-            self._move(slice(0, n), n + 1, np.promote_types(self._counts.dtype, counts.dtype))
-        self._counts[n], self._norm2[n] = counts, e.norm2
-        self._n = n + 1
+        self.extend(e.counts[None], [e.norm2])
+
+    def extend(self, counts: np.ndarray, norm2: list[int]) -> None:
+        """Append the rows of counts, a (rows, dim) array, and their squared
+        norms."""
+        self.check(counts.shape[1])
+        n, end = self._n, self._n + len(counts)
+        if end > len(self._norm2) or counts.itemsize > self._counts.itemsize:
+            self.dim = counts.shape[1]
+            self._move(slice(0, n), end, np.promote_types(self._counts.dtype, counts.dtype))
+        self._counts[n:end], self._norm2[n:end] = counts, norm2
+        self._n = end
 
     def reserve(self, n: int) -> None:
         if n > len(self._norm2):
@@ -244,17 +256,22 @@ class HashEmbedder:
     +-1 terms, so the sum is never zero unless the text has no words; such
     a text counts [1, 0, ..., 0].
 
-    A text of fewer than 2**26 features (tens of millions of words) has
-    a squared norm below 2**53, so every count and the squared norm are
-    integers that float64 sums exactly in any order, and its cosines are
-    exact. values is then counts over the correctly rounded square root of
-    an exact integer, np.linalg.norm's result, divided elementwise. So
-    embed, which sums with one bincount, gives every text the bits of a
-    per-feature loop.
+    count_rows is the one embedding path: it hashes each text's features
+    once and sums a block of texts with one bincount, each feature's index
+    offset by its text's row. embed_many cuts its texts into blocks of
+    EMBED_BLOCK, so no temporary grows with their number, and embed is
+    count_rows of one text. A text of fewer than 2**26 features (tens of
+    millions of words) has a squared norm below 2**53, so every count and
+    the squared norm are integers that float64 sums exactly in any order:
+    a text's row has the same bits whichever block it is summed in, and
+    the bits of a per-feature loop. values is then counts over the
+    correctly rounded square root of an exact integer, np.linalg.norm's
+    result, divided elementwise.
 
     Deterministic across machines and runs. Real embedding models can be
-    plugged in behind the same embed(text) -> Embedding surface: the engine
-    embeds its chunks at open, and QaBank.load its queries, one embed each.
+    plugged in behind the same surface: embed(text) -> Embedding for a
+    query, embed_many for the queries QaBank.load reads, and count_rows for
+    the chunks Retriever.add_chunks adds at open.
     """
 
     def __init__(self, dim: int = EMBED_DIM, seed: int = EMBED_SEED):
@@ -266,21 +283,45 @@ class HashEmbedder:
         # gives blake2b(feature, key=..., digest_size=8)
         self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little", signed=False), digest_size=8)
 
-    def _digests(self, text: str) -> bytes:
-        """The digests of text's unigram and bigram features, concatenated."""
-        words = split_words(text)
+    def count_rows(self, word_lists: list[list[str]]) -> tuple[np.ndarray, list[int]]:
+        """The count rows of texts split into word_lists (by split_words), a
+        (len(word_lists), dim) array, and their squared norms. The rows are
+        float32, or float64 if a squared norm is above FLOAT32_MAX_NORM2,
+        as CountRows.extend takes them."""
+        keyed, digests, sizes = self._keyed, [], []  # sizes: each text's feature count
+        for words in word_lists:
+            start = len(digests)
+            words = " ".join(words).encode().split()  # one encode per text: no word holds a space
+            for feature in chain(words, map(b" ".join, zip(words, words[1:]))):
+                h = keyed.copy()
+                h.update(feature)
+                digests.append(h.digest())
+            if not words:
+                digests.append(bytes(8))  # index 0, sign +1: a wordless text's [1, 0, ..., 0]
+            sizes.append(len(digests) - start)
+        v = np.frombuffer(b"".join(digests), "<u8")
+        bins, dim = (v % self.dim).astype(np.intp), self.dim
+        if len(sizes) > 1:
+            bins += np.repeat(np.arange(0, len(sizes) * dim, dim), sizes)
+        flat = np.bincount(bins, np.where(v >> 63, -1.0, 1.0), len(sizes) * dim)
+        counts = flat.reshape(-1, dim)
+        # one text, as each query is: a plain dot, a microsecond cheaper
+        norm2 = ([int(flat @ flat)] if len(sizes) == 1
+                 else (counts[:, None] @ counts[:, :, None]).ravel().astype(np.int64).tolist())
+        return counts.astype(np.float64 if max(norm2, default=0) > FLOAT32_MAX_NORM2
+                             else np.float32), norm2
+
+    def embed_many(self, texts: list[str]) -> list[Embedding]:
+        """The embedding of each text, in order: its count_rows row, in the
+        dtype of its own squared norm."""
         out = []
-        for feature in chain(words, map(" ".join, zip(words, words[1:]))):
-            h = self._keyed.copy()
-            h.update(feature.encode("utf-8"))
-            out.append(h.digest())
-        return b"".join(out)
+        for start in range(0, len(texts), EMBED_BLOCK):
+            counts, norm2 = self.count_rows([split_words(t) for t in texts[start:start + EMBED_BLOCK]])
+            out += (Embedding(row.astype(np.float32 if n <= FLOAT32_MAX_NORM2 else np.float64), n)
+                    for row, n in zip(counts, norm2))
+        return out
 
     def embed(self, text: str) -> Embedding:
-        digests = self._digests(text)
-        if not digests:
-            return Embedding(np.eye(1, self.dim, dtype=np.float32).ravel(), 1)
-        v = np.frombuffer(digests, "<u8")
-        vec = np.bincount((v % self.dim).astype(np.intp), np.where(v >> 63, -1.0, 1.0), self.dim)
-        norm2 = int(vec @ vec)
-        return Embedding(vec.astype(np.float32) if norm2 <= FLOAT32_MAX_NORM2 else vec, norm2)
+        """embed_many([text])[0]: a block of one row has that row's dtype."""
+        counts, norm2 = self.count_rows([split_words(text)])
+        return Embedding(counts[0], norm2[0])

@@ -265,6 +265,20 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
         orig_evict(bank, node)
 
     bank._evict_node = checked_evict
+    orig_fit = KnowledgeBank.evict_to_fit
+    stops = 0
+
+    def checked_fit(incoming_bytes):
+        # eviction stops once the incoming bytes fit: with the last
+        # victim's bytes back, they would not
+        nonlocal stops
+        evicted = orig_fit(bank, incoming_bytes)
+        if evicted:
+            assert not bank.fits(incoming_bytes + bank.nodes[evicted[-1]].byte_size)
+            stops += 1
+        return evicted
+
+    bank.evict_to_fit = checked_fit
     cases = 0
     from percache.knowledge import StorageError
 
@@ -284,6 +298,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
         shadow = sum(n.byte_size for n in bank.nodes.values() if n.present)
         assert shadow == bank.used_bytes
         cases += 1
+    assert stops >= 20
 
     # qa bank side
     emb = HashEmbedder()

@@ -464,11 +464,11 @@ def _check_rmsnorm(rows, dim, seed):
 @example(rows=1, past=69, heads=4, half_dim=8, seed=3)  # prefix_reuse decode step
 @example(rows=45, past=25, heads=4, half_dim=8, seed=4)  # prefix_reuse suffix prefill
 @example(rows=1, past=40, heads=1, half_dim=2, seed=5)  # one row of one head
-# both sides of the V-sum layout rule (rows > head_dim) at head_dim 8 and 16
-@example(rows=8, past=20, heads=2, half_dim=4, seed=6)
-@example(rows=9, past=20, heads=2, half_dim=4, seed=7)
-@example(rows=16, past=20, heads=4, half_dim=8, seed=8)
-@example(rows=17, past=20, heads=4, half_dim=8, seed=9)
+# both sides of the V-sum layout rule (rows >= 1.5 head_dim) at head_dim 8 and 16
+@example(rows=11, past=20, heads=2, half_dim=4, seed=6)
+@example(rows=12, past=20, heads=2, half_dim=4, seed=7)
+@example(rows=23, past=20, heads=4, half_dim=8, seed=8)
+@example(rows=24, past=20, heads=4, half_dim=8, seed=9)
 @example(rows=34, past=100, heads=4, half_dim=8, seed=10)  # prefix_reuse prefill
 @example(rows=59, past=28, heads=2, half_dim=4, seed=11)  # qa_repeat prefill
 @example(rows=1, past=0, heads=4, half_dim=8, seed=12)  # one key position, head_dim 16

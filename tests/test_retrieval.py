@@ -18,6 +18,7 @@ from percache.retrieval import (
     top_k_rows,
 )
 from percache.textcore import (
+    EMBED_BLOCK,
     INITIAL_ROWS,
     CountRows,
     Embedding,
@@ -258,6 +259,39 @@ def test_add_chunk_idempotent():
     r.add_chunk("c1", "completely different text", r.embedder.embed("x"))
     assert r.retrieve_top_k("budget review", 4) == before
     assert len(r) == 4 and "c1" in r and "c9" not in r
+
+
+def _index_state(r: Retriever):
+    """Everything a retriever ranks from: the count rows, their squared
+    norms, the postings (bytes and term order), the word total and the ids."""
+    return (r.rows.counts.dtype, r.rows.counts.tobytes(), r.rows.norm2.tobytes(),
+            [(term, p.tobytes()) for term, p in r._postings.items()], r._total_len, r._ids)
+
+
+# one word 3,000 times embeds with float64 counts
+WIDE = " ".join(["review"] * 3000)
+BULK_TEXTS = st.sampled_from(["budget review", "Budget, review; budget!", "", "?!", WIDE,
+                              "team notes at noon", "café straße 12"]) | st.text(
+    alphabet="ab1 é?", max_size=16)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 150), BULK_TEXTS), max_size=3 * EMBED_BLOCK),
+       st.lists(st.integers(0, 3 * EMBED_BLOCK), max_size=3))
+# more distinct chunks than a block, a float64 row among them
+@example([(i, WIDE if i == EMBED_BLOCK - 1 else f"chunk {i} of {i % 7}") for i in range(EMBED_BLOCK + 2)],
+         [])
+# a repeated id (the first text wins), within one call and across calls
+@example([(0, "a"), (1, WIDE), (2, ""), (0, "b"), (3, "c d"), (1, "e")], [4])
+def test_a_retriever_built_in_bulk_equals_one_built_chunk_by_chunk(chunks, cuts):
+    pairs = [(f"c{i:03d}", text) for i, text in chunks]
+    bulk, single = Retriever(EMB), Retriever(EMB)
+    bounds = [0, *sorted(cuts), len(pairs)]
+    for start, end in zip(bounds, bounds[1:]):
+        bulk.add_chunks(iter(pairs[start:end]))
+    for chunk_id, text in pairs:
+        single.add_chunk(chunk_id, text, EMB.embed(text))
+    assert _index_state(bulk) == _index_state(single)
 
 
 def test_query_duplicate_chunk_top1():
@@ -756,6 +790,9 @@ class _PoolEmbedder:
 
     def embed(self, text):
         return self.pool[int(text[1:]) % len(self.pool)]
+
+    def embed_many(self, texts):
+        return [self.embed(text) for text in texts]
 
 
 def _check_probe(bank, embedding, tau, now):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from percache.knowledge import read_utf8
 from percache.textcore import (
+    EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
     Embedding,
@@ -165,6 +166,30 @@ ORACLE_TEXTS = (st.lists(st.sampled_from(ORACLE_WORDS), max_size=12).map(" ".joi
 def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
     got = HashEmbedder(dim, seed).embed(text).values
     assert got.tobytes() == _oracle_vector(text, dim, seed).tobytes()
+
+
+# one word 3,000 times: counts of about 3,000 and 2,999, a squared norm
+# above FLOAT32_MAX_NORM2, so its counts are float64
+WIDE_TEXT = " ".join(["budget"] * 3000)
+
+
+def _embedding_bits(e: Embedding):
+    return e.counts.dtype, e.counts.tobytes(), type(e.norm2), e.norm2
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(ORACLE_TEXTS | st.just(WIDE_TEXT), min_size=1, max_size=3 * EMBED_BLOCK),
+       st.sampled_from([7, 256]))
+@example([""], 256)  # a batch of one, wordless
+@example(["budget review"], 7)  # a batch of one
+@example(["a", WIDE_TEXT, "", "b c"], 256)  # float64 between float32 and wordless rows
+# a block boundary between two rows, one of them float64
+@example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!", "x"], 256)
+def test_embedding_many_texts_equals_embedding_each_alone(texts, dim):
+    embedder = HashEmbedder(dim)
+    assert embedder.embed(WIDE_TEXT).counts.dtype == np.float64
+    got = [_embedding_bits(e) for e in embedder.embed_many(texts)]
+    assert got == [_embedding_bits(embedder.embed(text)) for text in texts]
 
 
 def _dense(seed: int) -> Embedding:
