@@ -407,24 +407,6 @@ class ScriptedBackend:
 
 
 @dataclass
-class CostParams:
-    """Latency calibration: throughput plus per-item fixed costs.
-
-    Fixed-cost defaults follow the measured per-operation latencies of the
-    reference deployment (question match 1.61 s, QKV match 0.015 s, QKV
-    load 1.03 s) behind a single scale factor; values are model
-    milliseconds, never wall clock.
-    """
-
-    flops_per_ms: float = 1.0e6
-    latency_scale: float = 1.0
-    question_match_ms: float = 1610.0
-    qkv_match_ms: float = 15.0
-    qkv_load_ms: float = 1030.0
-    embed_ms: float = 40.0
-
-
-@dataclass
 class CostReport:
     prefill_flops: float = 0.0
     decode_flops: float = 0.0
@@ -493,9 +475,13 @@ def decode_macs(cfg: ToyModelConfig, l_total: int, gen_tokens: int,
 
 
 class CostModel:
-    def __init__(self, model_config: ToyModelConfig, params: CostParams | None = None):
+    """Modeled cost of inference at model_config's shape. params is the
+    engine's EngineConfig, read at each estimate, so a config_change of
+    flops_per_ms or latency_scale applies from the next one."""
+
+    def __init__(self, model_config: ToyModelConfig, params):
         self.model_config = model_config
-        self.params = params or CostParams()
+        self.params = params
 
     def estimate_cost(self, l_total: int, l_pre: int = 0, decode_tokens: int = 0,
                       loaded_slices: int = 0, qa_match: bool = False, qkv_match: bool = False,
@@ -503,9 +489,9 @@ class CostModel:
                       decode_passes: list[tuple[int, int]] | None = None) -> CostReport:
         """The cost of one inference over an l_total-token prompt whose
         first l_pre tokens are cached, decoding decode_tokens in
-        decode_passes (see decode_macs), plus the fixed charges:
-        loaded_slices slice loads, a QA and a QKV match, and embeds query
-        embeddings."""
+        decode_passes (see decode_macs), plus the fixed charges of
+        EngineConfig, each times latency_scale: loaded_slices slice loads,
+        a QA and a QKV match, and embeds query embeddings."""
         p = self.params
         pf = float(prefill_macs(self.model_config, l_total, l_pre))
         df = float(decode_macs(self.model_config, l_total, decode_tokens, decode_passes))

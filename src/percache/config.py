@@ -10,6 +10,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .knowledge import read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
@@ -55,6 +56,12 @@ class EngineConfig:
     # cost model
     flops_per_ms: float = 1e6
     latency_scale: float = 1.0
+    # fixed charges in model ms, not keys: the measured per-operation
+    # latencies of the reference deployment, scaled by latency_scale
+    question_match_ms: ClassVar[float] = 1610.0
+    qkv_match_ms: ClassVar[float] = 15.0
+    qkv_load_ms: ClassVar[float] = 1030.0
+    embed_ms: ClassVar[float] = 40.0
 
     def __post_init__(self):
         self.validate()

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .backend import (
     CostModel,
-    CostParams,
     CostReport,
     QkvPrefix,
     QkvTensors,
@@ -98,12 +97,11 @@ def load_script(path) -> ScriptedBackend:
 def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
     """Open the bank in bank_dir, or start an empty one there. The
     vocabulary is config.vocab_file if set, else the bank's own vocab.txt,
-    else the default."""
-    bank_dir = Path(bank_dir)
-    if config.vocab_file:
-        vocab = TokenizerVocab.from_text(read_utf8(config.vocab_file))
-    elif (bank_dir / "vocab.txt").exists():
-        vocab = None  # KnowledgeBank.load reads the bank's own
+    else the default; a vocabulary file that is not UTF-8 raises BankError
+    naming file:line."""
+    own = Path(bank_dir) / "vocab.txt"
+    if config.vocab_file or own.exists():
+        vocab = TokenizerVocab.from_text(read_utf8(config.vocab_file or own))
     else:
         vocab = TokenizerVocab(DEFAULT_VOCAB_TOKENS)
     return KnowledgeBank.load(bank_dir, vocab, config.qkv_limit_bytes, config.chunk_words)
@@ -151,10 +149,7 @@ class Engine:
                for n in self.bank.nodes.values()):
             self.bank.drop_tree()
         self._check_stamp()
-        self.cost_model = CostModel(
-            model_cfg,
-            CostParams(flops_per_ms=config.flops_per_ms, latency_scale=config.latency_scale),
-        )
+        self.cost_model = CostModel(model_cfg, config)
         self.qa = QaBank.load(self.bank.directory / "qa.jsonl", config.qa_limit_bytes, self.embedder)
         self.text_backend = (load_script(config.script_file)
                              if config.script_file else ScriptedBackend())
@@ -376,8 +371,6 @@ class Engine:
                 record["evicted_entries"] = [
                     e.query for e in self.qa.set_limit(self.config.qa_limit_bytes)
                 ]
-            elif field in ("latency_scale", "flops_per_ms"):
-                setattr(self.cost_model.params, field, getattr(self.config, field))
             record.update(field=field, value=value)
         elif kind == "idle_tick":
             budget = event.get("budget", 0.0)

@@ -482,26 +482,25 @@ class KnowledgeBank:
                 path.unlink()
 
     @classmethod
-    def load(cls, directory, vocab: TokenizerVocab | None, limit_bytes: int,
+    def load(cls, directory, vocab: TokenizerVocab, limit_bytes: int,
              chunk_words_count: int) -> "KnowledgeBank":
         """Open the bank persisted in directory (an empty bank if there is
-        none), with vocab, or with its own vocab.txt if vocab is None. Keys it does not read are ignored, such as the slice digest
-        of older banks. A damaged manifest.jsonl or chunks.jsonl, a node
-        id, chunk_id or chunk text on two of their lines, a root record (no
-        parent) whose id is not 0 or the reverse, or a vocab.txt that is
-        not UTF-8, raises BankError naming file:line; a missing or corrupt
-        slice degrades to evicted, and so does a slice whose record has no
-        token_ids (a bank written before they were kept), since its rows
-        cannot be checked against a prompt; nor is such a node refilled,
-        as refill goes by kept ids alone. An evicted node's byte_size is
-        not checked here, since refill charges the rows it writes. A root
-        record without a stamp key was written before the stamp and slice
-        format v2, so none of its tree's slices is read: every node opens
-        evicted, and Engine._check_stamp drops the tree. Slices beyond
-        limit_bytes are evicted as set_limit would."""
+        none) with vocab; engine.open_bank chooses it. Keys it does not
+        read are ignored, such as the slice digest of older banks. A
+        damaged manifest.jsonl or chunks.jsonl, a node id, chunk_id or
+        chunk text on two of their lines, or a root record (no parent)
+        whose id is not 0 or the reverse, raises BankError naming
+        file:line; a missing or corrupt slice degrades to evicted, and so
+        does a slice whose record has no token_ids (a bank written before
+        they were kept), since its rows cannot be checked against a prompt;
+        nor is such a node refilled, as refill goes by kept ids alone. An
+        evicted node's byte_size is not checked here, since refill charges
+        the rows it writes. A root record without a stamp key was written
+        before the stamp and slice format v2, so none of its tree's slices
+        is read: every node opens evicted, and Engine._check_stamp drops
+        the tree. Slices beyond limit_bytes are evicted as set_limit
+        would."""
         directory = Path(directory)
-        if vocab is None:
-            vocab = TokenizerVocab.from_text(read_utf8(directory / "vocab.txt"))
         bank = cls(directory, vocab, limit_bytes, chunk_words_count)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():

@@ -9,9 +9,11 @@ they are completed or re-decoded at idle ticks.
 Accounting is flat: every entry charges DEFAULT_ENTRY_BYTES, and eviction
 is LFU over per-entry use counts.
 
-The entries' embeddings are a textcore.CountRows, in insertion order. An
-evicted entry leaves a hole; when the rows are full, the holes are dropped
-before they grow. Beside the rows a mask marks the servable ones. Only
+The entries' embeddings are a textcore.CountRows, in insertion order, and
+are kept nowhere else: each entry holds its row, and QaBank.embedding
+rebuilds the Embedding from it. An evicted entry leaves a hole; when the
+rows are full, the holes are dropped before they grow and the rows
+renumbered. Beside the rows a mask marks the servable ones. Only
 QaBank's methods change an entry's answer or stale flag, and they keep the
 mask in step, so match scores the masked rows with one cosine_similarities
 call.
@@ -34,7 +36,8 @@ import numpy as np
 
 from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
 from .retrieval import Retriever
-from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, cosine_table
+from .textcore import (FLOAT32_MAX_NORM2, CountRows, Embedding, HashEmbedder, cosine_similarities,
+                       cosine_table)
 
 DEFAULT_ENTRY_BYTES = 4096
 
@@ -46,15 +49,15 @@ class QaEntry:
     """One bank entry. answer and stale are changed through QaBank only."""
 
     query: str
-    embedding: Embedding
     answer: str | None
     created_at: int
     last_used: int
     use_count: int = 0
     stale: bool = False
-    # the corpus's k_refresh-th key for embedding, (-inf, "") if it held
-    # fewer chunks; None if unknown or not servable
+    # the corpus's k_refresh-th key for its embedding, (-inf, "") if it
+    # held fewer chunks; None if unknown or not servable
     bar: Key | None = None
+    row: int = -1  # its row in QaBank's rows, set by QaBank._add
 
     @property
     def servable(self) -> bool:
@@ -67,7 +70,6 @@ class QaBank:
         self.limit_bytes = limit_bytes
         self._by_query: dict[str, QaEntry] = {}
         self.entries = self._by_query.values()  # in insertion order
-        self._row: dict[str, int] = {}  # query -> row
         self._held: list[QaEntry | None] = []  # row -> entry, None once evicted
         self._rows = CountRows()  # row -> embedding, its dimension the first one's
         self._servable = bytearray()  # row -> 1 if its entry is servable, else 0
@@ -78,6 +80,14 @@ class QaBank:
 
     def get(self, query: str) -> QaEntry | None:
         return self._by_query.get(query)
+
+    def embedding(self, entry: QaEntry) -> Embedding:
+        """The embedding of entry, one of this bank's entries, rebuilt from
+        its row: the counts in the dtype of its own squared norm, as
+        HashEmbedder.embed gives them."""
+        norm2 = int(self._rows.norm2[entry.row])
+        dtype = np.float32 if norm2 <= FLOAT32_MAX_NORM2 else np.float64
+        return Embedding(self._rows.counts[entry.row].astype(dtype), norm2)
 
     def match(self, embedding: Embedding, tau: float, now: int) -> tuple[QaEntry | None, float]:
         """Best servable entry strictly above tau.
@@ -130,11 +140,11 @@ class QaBank:
             if answer is not None:
                 existing.stale = False
                 existing.bar = bar
-            self._servable[self._row[query]] = existing.servable
+            self._servable[existing.row] = existing.servable
             return []
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
-        self._add(QaEntry(query, embedding, answer, now, now,
-                          bar=bar if answer is not None else None))
+        self._add(QaEntry(query, answer, now, now, bar=bar if answer is not None else None),
+                  embedding)
         return evicted
 
     def mark_stale(self, query: str) -> None:
@@ -142,26 +152,26 @@ class QaBank:
         bar goes with it."""
         entry = self._by_query[query]
         entry.stale, entry.bar = True, None
-        self._servable[self._row[query]] = False
+        self._servable[entry.row] = False
 
-    def _add(self, entry: QaEntry) -> None:
-        if self._rows.capacity == len(self._held) > len(self._row):  # full, with holes to drop
+    def _add(self, entry: QaEntry, embedding: Embedding) -> None:
+        if self._rows.capacity == len(self._held) > len(self._by_query):  # full, with holes to drop
             live = [row for row, held in enumerate(self._held) if held is not None]
             self._rows.compact(live)
             self._held = [self._held[row] for row in live]
             self._servable = bytearray(self._servable[row] for row in live)
-            self._row = {held.query: row for row, held in enumerate(self._held)}
-        self._rows.append(entry.embedding)
-        self._row[entry.query] = len(self._held)
+            for row, held in enumerate(self._held):
+                held.row = row
+        self._rows.append(embedding)
+        entry.row = len(self._held)
         self._held.append(entry)
         self._servable.append(entry.servable)
         self._by_query[entry.query] = entry
 
     def _remove(self, entry: QaEntry) -> None:
         del self._by_query[entry.query]
-        row = self._row.pop(entry.query)
-        self._held[row] = None
-        self._servable[row] = False
+        self._held[entry.row] = None
+        self._servable[entry.row] = False
 
     def _evict_lfu(self, keep: int) -> list[QaEntry]:
         """Evict until at most keep entries remain; victims have the fewest
@@ -202,7 +212,7 @@ class QaBank:
         for i, row in enumerate(rows):
             entry = self._held[row]
             if entry.bar is None:
-                entry.bar = retriever.bar(entry.embedding, k_refresh, since)
+                entry.bar = retriever.bar(self.embedding(entry), k_refresh, since)
             cos, bar_id = entry.bar
             if best_new[i] > cos or best_new[i] == cos and any(
                     ids[j] < bar_id for j in np.flatnonzero(sims[i] == cos).tolist()):
@@ -247,9 +257,9 @@ class QaBank:
             if rec["query"] in records:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
             records[rec["query"]] = rec
-        for rec, embedding in zip(records.values(), embedder.embed_many(list(records))):
-            bank._add(QaEntry(rec["query"], embedding, rec["answer"],
-                              rec["created_at"], rec["last_used"], rec["use_count"], rec["stale"]))
+        for rec in records.values():
+            bank._add(QaEntry(rec["query"], rec["answer"], rec["created_at"], rec["last_used"],
+                              rec["use_count"], rec["stale"]), embedder.embed(rec["query"]))
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)
         return bank

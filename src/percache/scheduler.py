@@ -81,14 +81,14 @@ class Scheduler:
                 del engine.deferred_queries[text]
                 report.deferred_answered += 1
             report.stale_reanswered = len(answer_all(
-                (e.query, e.embedding) for e in engine.qa.pending() if e.answer is not None
+                (e.query, engine.qa.embedding(e)) for e in engine.qa.pending() if e.answer is not None
             ))
 
         # (2) conversions: QKV->QA first (answer availability beats prefix depth)
         if engine.config.scheduler_enabled:
             if decodes:
                 report.converted_to_qa = len(answer_all(
-                    (e.query, e.embedding) for e in engine.qa.pending() if e.answer is None
+                    (e.query, engine.qa.embedding(e)) for e in engine.qa.pending() if e.answer is None
                 ))
             restored, cost = engine.restore_evicted_slices(work_budget - report.flops_spent)
             report.restored_nodes += len(restored)

@@ -258,20 +258,20 @@ class HashEmbedder:
 
     count_rows is the one embedding path: it hashes each text's features
     once and sums a block of texts with one bincount, each feature's index
-    offset by its text's row. embed_many cuts its texts into blocks of
-    EMBED_BLOCK, so no temporary grows with their number, and embed is
-    count_rows of one text. A text of fewer than 2**26 features (tens of
-    millions of words) has a squared norm below 2**53, so every count and
-    the squared norm are integers that float64 sums exactly in any order:
-    a text's row has the same bits whichever block it is summed in, and
-    the bits of a per-feature loop. values is then counts over the
+    offset by its text's row. Retriever.add_chunks cuts its chunks into
+    blocks of EMBED_BLOCK, so no temporary grows with their number, and
+    embed is count_rows of one text. A text of fewer than 2**26 features
+    (tens of millions of words) has a squared norm below 2**53, so every
+    count and the squared norm are integers that float64 sums exactly in
+    any order: a text's row has the same bits whichever block it is summed
+    in, and the bits of a per-feature loop. values is then counts over the
     correctly rounded square root of an exact integer, np.linalg.norm's
     result, divided elementwise.
 
     Deterministic across machines and runs. Real embedding models can be
     plugged in behind the same surface: embed(text) -> Embedding for a
-    query, embed_many for the queries QaBank.load reads, and count_rows for
-    the chunks Retriever.add_chunks adds at open.
+    query, the queries QaBank.load reads among them, and count_rows for the
+    chunks Retriever.add_chunks adds at open.
     """
 
     def __init__(self, dim: int = EMBED_DIM, seed: int = EMBED_SEED):
@@ -311,17 +311,7 @@ class HashEmbedder:
         return counts.astype(np.float64 if max(norm2, default=0) > FLOAT32_MAX_NORM2
                              else np.float32), norm2
 
-    def embed_many(self, texts: list[str]) -> list[Embedding]:
-        """The embedding of each text, in order: its count_rows row, in the
-        dtype of its own squared norm."""
-        out = []
-        for start in range(0, len(texts), EMBED_BLOCK):
-            counts, norm2 = self.count_rows([split_words(t) for t in texts[start:start + EMBED_BLOCK]])
-            out += (Embedding(row.astype(np.float32 if n <= FLOAT32_MAX_NORM2 else np.float64), n)
-                    for row, n in zip(counts, norm2))
-        return out
-
     def embed(self, text: str) -> Embedding:
-        """embed_many([text])[0]: a block of one row has that row's dtype."""
+        """count_rows of text alone: a block of one row has that row's dtype."""
         counts, norm2 = self.count_rows([split_words(text)])
         return Embedding(counts[0], norm2[0])

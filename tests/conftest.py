@@ -10,7 +10,7 @@ import pytest
 from percache.backend import QkvTensors, ToyModel
 from percache.config import EngineConfig
 from percache.engine import Engine
-from percache.knowledge import KnowledgeBank, Segment
+from percache.knowledge import KnowledgeBank, Segment, read_utf8
 from percache.textcore import FLOAT32_MAX_NORM2, Embedding, TokenizerVocab, tokenize
 
 REPO = Path(__file__).resolve().parent.parent
@@ -115,7 +115,8 @@ def fake_bank(tmp_path, limit_bytes=1 << 22, vocab=None) -> KnowledgeBank:
 def load_bank(directory, limit_bytes=DEFAULT_CONFIG.qkv_limit_bytes) -> KnowledgeBank:
     """KnowledgeBank.load of directory with its own vocab.txt and
     EngineConfig's default chunk size."""
-    return KnowledgeBank.load(directory, None, limit_bytes, DEFAULT_CONFIG.chunk_words)
+    vocab = TokenizerVocab.from_text(read_utf8(Path(directory) / "vocab.txt"))
+    return KnowledgeBank.load(directory, vocab, limit_bytes, DEFAULT_CONFIG.chunk_words)
 
 
 def path_segments(path: list[str], query: str = "q") -> list[Segment]:

@@ -416,7 +416,7 @@ def test_acceptance_7_cost_model_fidelity():
     rng = np.random.default_rng(0xACC7)
     cfg = ToyModelConfig(layers=2, heads=2, head_dim=8, vocab_size=64, seed=3)
     model = ToyModel(cfg)
-    cm = CostModel(cfg)
+    cm = CostModel(cfg, EngineConfig())
     for _ in range(100):
         l_total = int(rng.integers(2, 64))
         l_pre = int(rng.integers(0, l_total))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from percache.backend import (
     CostModel,
-    CostParams,
     CostReport,
     PrefillState,
     QkvPrefix,
@@ -24,6 +23,7 @@ from percache.backend import (
     decode_macs,
     prefill_macs,
 )
+from percache.config import ConfigError, EngineConfig
 from percache.engine import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -580,14 +580,18 @@ def test_kernels_match_reference_loops_on_baseline_simd():
 
 
 def test_cost_params_reference_defaults():
-    p = CostParams()
-    assert p.question_match_ms == 1610.0
-    assert p.qkv_match_ms == 15.0
-    assert p.qkv_load_ms == 1030.0
+    # fixed charges, not config keys: no config line or config_change sets one
+    assert EngineConfig.question_match_ms == 1610.0
+    assert EngineConfig.qkv_match_ms == 15.0
+    assert EngineConfig.qkv_load_ms == 1030.0
+    assert EngineConfig.embed_ms == 40.0
+    for key in ("question_match_ms", "qkv_match_ms", "qkv_load_ms", "embed_ms"):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            EngineConfig().apply(key, "1.0")
 
 
 def test_estimate_cost_totals_and_projection_reduction():
-    cm = CostModel(CFG)
+    cm = CostModel(CFG, EngineConfig())
     rep = cm.estimate_cost(l_total=20, l_pre=5, decode_tokens=3, loaded_slices=2,
                            qa_match=True, qkv_match=True, embeds=1)
     assert rep.prefill_flops == prefill_macs(CFG, 20, 5)
@@ -602,14 +606,16 @@ def test_estimate_cost_totals_and_projection_reduction():
 
 
 def test_estimate_cost_monotone_in_prefix():
-    cm = CostModel(CFG)
+    cm = CostModel(CFG, EngineConfig())
     costs = [cm.estimate_cost(l_total=30, l_pre=p).prefill_flops
              for p in range(0, 30, 5)]
     assert all(a > b for a, b in zip(costs, costs[1:]))
 
 
 def test_latency_scale():
-    cm = CostModel(CFG, CostParams(latency_scale=0.5))
+    config = EngineConfig()
+    cm = CostModel(CFG, config)
+    config.apply("latency_scale", "0.5")  # read at each estimate
     rep = cm.estimate_cost(l_total=5, qa_match=True, loaded_slices=1)
     assert rep.match_ms == 805.0 and rep.load_ms == 515.0
 

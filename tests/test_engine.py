@@ -103,8 +103,8 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
     assert len(scans) == 1  # retrieval's own
     entry = eng.qa.get(q)
     # another embedding object with the same counts is scanned afresh
-    assert entry.bar == eng.retriever.bar(embedding_from_counts(entry.embedding.counts),
-                                          eng.config.k_refresh)
+    counts = eng.qa.embedding(entry).counts
+    assert entry.bar == eng.retriever.bar(embedding_from_counts(counts), eng.config.k_refresh)
     assert len(scans) == 2
 
 
@@ -558,9 +558,10 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
         assert (row.tobytes(), n2) == (e.counts.tobytes(), e.norm2)
     assert [e.query for e in reopened.qa.entries] == queries
     for entry in reopened.qa.entries:
-        e = reopened.embedder.embed(entry.query)
-        assert (entry.embedding.counts.tobytes(), entry.embedding.norm2) == (e.counts.tobytes(), e.norm2)
-        assert entry.embedding.values.tobytes() == e.values.tobytes()
+        e, kept = reopened.embedder.embed(entry.query), reopened.qa.embedding(entry)
+        assert (kept.counts.dtype, kept.counts.tobytes(), kept.norm2) == (
+            e.counts.dtype, e.counts.tobytes(), e.norm2)
+        assert kept.values.tobytes() == e.values.tobytes()
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):

@@ -12,6 +12,9 @@ import json
 import sys
 
 from percache.cli import EXIT_OK, main
+from percache.config import EngineConfig
+from percache.engine import Engine
+from percache.knowledge import read_jsonl
 
 from conftest import DATA, REPO
 
@@ -83,6 +86,34 @@ def test_instrumented_names_record_spans(tmp_path):
     assert any(s.name == "scheduler.populate" and s.attrs["populated"] for s in t.spans)
     assert any(s.name == "scheduler.restore" and s.attrs["restored"] for s in t.spans)
     assert traced == plain
+
+
+def test_per_layer_metrics_read_a_live_engine(tmp_path):
+    # per_layer_metrics reads the engine's cost_model.params, its scripted
+    # backend's miss_count and its predictor's parse_failures, and the
+    # hooks read each written node's byte_size and QaBank.entries: renaming
+    # any of them fails here, not only in `perfbench/run.py --trace 1`
+    config = EngineConfig.from_file(DATA / "configs" / f"{CONFIG}.cfg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", "--corpus", str(DATA / "corpus.txt"), "--bank", str(tmp_path),
+                     "--config", str(DATA / "configs" / f"{CONFIG}.cfg")]) == EXIT_OK
+    eng = Engine(config, tmp_path)
+    events = [event for _, event in read_jsonl(DATA / "traces" / f"{TRACE}.trace")]
+    t = tracer.Tracer()
+    try:
+        layers.instrument(t)
+        records = eng.run_trace(events)
+    finally:
+        t.unpatch()
+    metrics = layers.per_layer_metrics(t, eng, records, 0.0)
+    assert list(metrics) == [name for name, _, _ in layers.PER_LAYER]
+    values = {name: m["value"] for name, m in metrics.items()}
+    assert values["backend.scripted.miss_count"] == eng.text_backend.miss_count
+    assert values["predictor.parse_failures"] == eng.predictor.parse_failures
+    for name in ("knowledge.breakeven_tokens_per_slice_model",
+                 "knowledge.slice_and_insert.bytes_written_per_call",
+                 "qa.match.entries_scanned_per_call", "qa.refresh.entries_checked"):
+        assert values[name] > 0, name
 
 
 def test_a_reopened_bank_reads_its_slices_in_load(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
-from percache.textcore import HashEmbedder
+from percache.textcore import FLOAT32_MAX_NORM2, INITIAL_ROWS, HashEmbedder
 
 from conftest import embedding_from_counts
 
@@ -114,6 +114,39 @@ def test_set_limit_shrink():
     evicted = bank.set_limit(2 * DEFAULT_ENTRY_BYTES)
     assert len(evicted) == 2 and bank.used_bytes <= bank.limit_bytes
     assert bank.get("q0") is not None  # the used entry survived
+
+
+def _check_rows(bank, now):
+    """Each entry's kept embedding is embed's, bit for bit, and a servable
+    entry matches its own embedding. Returns the next now."""
+    for e in bank.entries:
+        got, want = bank.embedding(e), EMB.embed(e.query)
+        assert (got.counts.dtype, got.counts.tobytes(), type(got.norm2), got.norm2) == (
+            want.counts.dtype, want.counts.tobytes(), type(want.norm2), want.norm2)
+        if e.servable:
+            now += 1
+            assert bank.match(got, 0.99, now)[0] is e
+    return now
+
+
+def test_rows_survive_compaction_and_widening():
+    # 8 entries over INITIAL_ROWS rows: evictions leave holes, which each
+    # insert into full rows drops, renumbering the rows; the 21st query's
+    # float64 counts widen the matrix for good
+    bank, now = _bank(entries=8), 0
+    wide = " ".join(["budget"] * 3000)
+    assert EMB.embed(wide).norm2 > FLOAT32_MAX_NORM2
+    queries = [f"note {i} for the week" for i in range(40)]
+    queries.insert(20, wide)
+    for i, query in enumerate(queries):
+        now += 1
+        _insert(bank, query, answer=None if i % 5 == 0 else "ans", now=now)
+        now = _check_rows(bank, now)
+        if i % 7 == 3:
+            bank.mark_stale(query)
+            now = _check_rows(bank, now)
+    assert bank._rows.counts.dtype == np.float64
+    assert len(bank._rows.norm2) <= INITIAL_ROWS < len(queries)  # the holes were dropped
 
 
 def _four_squares(n):

@@ -461,7 +461,7 @@ def _reference_match(bank, embedding):
     for entry in bank.entries:
         if not entry.servable:
             continue
-        sim = cosine_similarity(embedding, entry.embedding)
+        sim = cosine_similarity(embedding, bank.embedding(entry))
         if sim > best_sim or (sim == best_sim and best is not None and entry.created_at < best.created_at):
             best, best_sim = entry, sim
     return best, best_sim
@@ -553,16 +553,16 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in ids)
     want = []
     for e in bank.entries:
-        assert _bar_bits(r.bar(e.embedding, k_refresh, since)) == _bar_bits(
-            scan.bar(e.embedding, k_refresh, old_ids))
+        emb = bank.embedding(e)
+        assert _bar_bits(r.bar(emb, k_refresh, since)) == _bar_bits(scan.bar(emb, k_refresh, old_ids))
         if e.answer is not None and any(
-                cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k_refresh)):
+                cid in new_ids for _, cid in scan.cosine_keys(emb, k_refresh)):
             want.append(e.query)
     marked = bank.refresh(r, since, k_refresh)
     assert [e.query for e in marked] == want
     for e in bank.entries:
         assert e.stale == (e.query in want)
-        want_bar = scan.bar(e.embedding, k_refresh) if e.servable else None
+        want_bar = scan.bar(bank.embedding(e), k_refresh) if e.servable else None
         assert _bar_bits(e.bar) == _bar_bits(want_bar)
 
 
@@ -635,7 +635,7 @@ def test_new_rows_gathered_once_per_arrival():
             bank.refresh(r, since, 3)
             assert gathers == [since]
             for e in bank.entries:
-                want_bar = None if e.stale else scan.bar(e.embedding, 3)
+                want_bar = None if e.stale else scan.bar(bank.embedding(e), 3)
                 assert _bar_bits(e.bar) == _bar_bits(want_bar)
         for j, q in enumerate(queries):  # answered again: every entry is fresh
             bank.insert(f"q{j}", q, "ans", step, r.bar(q, 3))
@@ -708,7 +708,7 @@ def _scan_refresh(bank, scan, new_ids, k):
     marked = []
     for e in bank.entries:
         if e.answer is not None and not e.stale and any(
-                cid in new_ids for _, cid in scan.cosine_keys(e.embedding, k)):
+                cid in new_ids for _, cid in scan.cosine_keys(bank.embedding(e), k)):
             bank.mark_stale(e.query)
             marked.append(e)
     return marked
@@ -750,7 +750,7 @@ def _check_arrivals(steps, k, seed):
             assert [e.query for e in bank.refresh(r, since, k)] == want
             assert [e.stale for e in bank.entries] == [e.stale for e in ref.entries]
             for e in bank.entries:  # a bar only while servable
-                want_bar = scan.bar(e.embedding, k) if e.servable else None
+                want_bar = scan.bar(bank.embedding(e), k) if e.servable else None
                 assert _bar_bits(e.bar) == _bar_bits(want_bar)
 
 
@@ -790,9 +790,6 @@ class _PoolEmbedder:
 
     def embed(self, text):
         return self.pool[int(text[1:]) % len(self.pool)]
-
-    def embed_many(self, texts):
-        return [self.embed(text) for text in texts]
 
 
 def _check_probe(bank, embedding, tau, now):

@@ -12,6 +12,7 @@ from percache.textcore import (
     EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
+    FLOAT32_MAX_NORM2,
     Embedding,
     HashEmbedder,
     TokenizerVocab,
@@ -173,23 +174,26 @@ def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
 WIDE_TEXT = " ".join(["budget"] * 3000)
 
 
-def _embedding_bits(e: Embedding):
-    return e.counts.dtype, e.counts.tobytes(), type(e.norm2), e.norm2
-
-
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(st.lists(ORACLE_TEXTS | st.just(WIDE_TEXT), min_size=1, max_size=3 * EMBED_BLOCK),
        st.sampled_from([7, 256]))
-@example([""], 256)  # a batch of one, wordless
-@example(["budget review"], 7)  # a batch of one
+@example([""], 256)  # a block of one, wordless
+@example(["budget review"], 7)  # a block of one
 @example(["a", WIDE_TEXT, "", "b c"], 256)  # float64 between float32 and wordless rows
-# a block boundary between two rows, one of them float64
-@example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!", "x"], 256)
-def test_embedding_many_texts_equals_embedding_each_alone(texts, dim):
+# EMBED_BLOCK + 1 texts, the float64 one last but one
+@example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!"], 256)
+def test_count_rows_of_a_block_equal_each_text_alone(texts, dim):
+    # each row has its values and squared norm whichever block it is summed
+    # in; the block is float64 iff one of its squared norms needs it
     embedder = HashEmbedder(dim)
     assert embedder.embed(WIDE_TEXT).counts.dtype == np.float64
-    got = [_embedding_bits(e) for e in embedder.embed_many(texts)]
-    assert got == [_embedding_bits(embedder.embed(text)) for text in texts]
+    counts, norm2 = embedder.count_rows([split_words(text) for text in texts])
+    assert counts.shape == (len(texts), dim)
+    assert counts.dtype == (np.float64 if max(norm2) > FLOAT32_MAX_NORM2 else np.float32)
+    for text, row, n in zip(texts, counts, norm2):
+        alone, (alone_n,) = embedder.count_rows([split_words(text)])
+        assert row.tolist() == alone[0].tolist()
+        assert (type(n), n) == (type(alone_n), alone_n)
 
 
 def _dense(seed: int) -> Embedding:
