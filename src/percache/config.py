@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from .knowledge import read_utf8
+from .knowledge import encodes_utf8, read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
 
 
@@ -102,6 +102,9 @@ class EngineConfig:
             raise ConfigError("flops_per_ms must be positive")
         if not 0.0 <= self.latency_scale < math.inf:
             raise ConfigError("latency_scale must be finite and at least 0")
+        for key in ("script_file", "vocab_file", "system_prompt"):
+            if not encodes_utf8(getattr(self, key)):
+                raise ConfigError(f"{key} holds a lone surrogate, which UTF-8 cannot encode")
 
     def apply(self, key: str, raw: str) -> None:
         """Set one field from its textual form; used for config_change events."""

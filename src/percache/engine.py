@@ -33,7 +33,7 @@ from .backend import (
 )
 from .config import EngineConfig
 from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
-                        jsonl_bytes, read_utf8, slice_bytes)
+                        encodes_utf8, jsonl_bytes, read_utf8, slice_bytes)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -159,6 +159,10 @@ class Engine:
         # arrival order
         self.deferred_queries: dict[str, Embedding] = {}
         self.metrics: list[dict] = []
+        # the system prompt's text up to its last newline and that text's
+        # ids, which begin every prompt (see _tokenize): one entry, for the
+        # system prompt of the last prompt
+        self._head: tuple[str, tuple[int, ...]] = ("", ())
         # sequence numbers continue from the largest one the bank persisted
         self._op = max([n.last_used for n in self.bank.nodes.values()]
                        + [max(e.created_at, e.last_used) for e in self.qa.entries])
@@ -183,6 +187,18 @@ class Engine:
                 + [Segment(self.bank.chunks[cid] + " ", cid) for cid in chunk_ids]
                 + [Segment(query)])
 
+    def _tokenize(self, prompt: str) -> tuple[int, ...]:
+        """tokenize(prompt) for a prompt that begins with the system prompt.
+        No token holds a newline (TokenizerVocab), so the ids of the text up
+        to the system prompt's last newline are the same in every prompt:
+        they are tokenized once per system prompt, and the rest once per
+        prompt."""
+        system = self.config.system_prompt
+        head = system[: system.rfind("\n") + 1]
+        if head != self._head[0]:
+            self._head = (head, tokenize(head, self.vocab))
+        return self._head[1] + tokenize(prompt[len(head):], self.vocab)
+
     def answer(self, text: str, decode: bool = True,
                embedding: Embedding | None = None) -> QueryOutcome:
         """Serve text past the QA bank: retrieve (embedding is text's, or
@@ -198,7 +214,7 @@ class Engine:
         ranked = self.retriever.retrieve_top_k(text, self.config.retrieval_k, embedding=embedding)
         chunk_ids = [r.chunk_id for r in ranked]
         segments = self._assemble(text, chunk_ids)
-        tokens = tokenize("".join(s.text for s in segments), self.vocab)
+        tokens = self._tokenize("".join(s.text for s in segments))
         prefix, matched, discarded = (None, 0, 0)
         if self.config.reuse_enabled:
             prefix, matched, discarded = self.bank.match_prefix(chunk_ids, tokens, self._seq())
@@ -334,6 +350,8 @@ class Engine:
             raise TraceError(f"{kind} needs a string 'text'")
         if kind == "query_arrival" and not event["text"]:
             raise TraceError("query_arrival needs a non-empty 'text'")
+        if kind in ("query_arrival", "chunk_arrival") and not encodes_utf8(event["text"]):
+            raise TraceError(f"{kind} 'text' holds a lone surrogate, which UTF-8 cannot encode")
         if kind == "config_change" and (
             not isinstance(event.get("field"), str) or event["field"] in FIXED_CONFIG_KEYS
         ):

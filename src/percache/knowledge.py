@@ -87,6 +87,16 @@ def read_utf8(path: Path) -> str:
         raise BankError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
+def encodes_utf8(text: str) -> bool:
+    """Whether UTF-8 encodes text: not if it holds a lone surrogate, which
+    a JSON escape such as "\\ud800" gives."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 # the JSON types read_jsonl checks fields against, by the Python type that
 # json.loads gives each; exact types, so a boolean never passes for an integer
 JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", NoneType: "null"}

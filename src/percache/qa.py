@@ -15,12 +15,14 @@ rebuilds the Embedding from it. An evicted entry leaves a hole; when the
 rows are full, the holes are dropped before they grow and the rows
 renumbered. Beside the rows a mask marks the servable ones. Only
 QaBank's methods change an entry's answer or stale flag, and they keep the
-mask in step, so match scores the masked rows with one cosine_similarities
-call.
+mask in step, so match scans every held row with one cosine_similarities
+call, term at a time over the query's nonzero features, and keeps the
+masked ones.
 
 A servable entry keeps one bar, its k_refresh-th best (cosine, chunk_id)
 key over the corpus, so a chunk arrival scores only the new chunks
-(QaBank.refresh), all of them against every servable row in one call. An
+(QaBank.refresh), all of them against every held row in one cosine_table
+call, of which the masked rows count. An
 entry holds a bar only while it is servable: mark_stale drops it, and only
 an answered insert gives it. Bars are not persisted.
 """
@@ -96,10 +98,10 @@ class QaBank:
         the similarity is -1.0 when no entry is servable. A hit bumps
         use_count and last_used.
         """
-        rows, counts, norm2 = self._servable_rows()
-        if not rows:
+        rows = self._servable_rows()
+        if not len(rows):
             return None, -1.0
-        sims = cosine_similarities(counts, norm2, embedding)
+        sims = cosine_similarities(self._rows.counts, self._rows.norm2, embedding)[rows]
         # ties: the oldest entry, then the first inserted
         i = min(np.flatnonzero(sims == sims.max()).tolist(),
                 key=lambda i: self._held[rows[i]].created_at)
@@ -110,14 +112,8 @@ class QaBank:
             return best, best_sim
         return None, best_sim
 
-    def _servable_rows(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The servable rows, their counts and their squared norms, views
-        if every row is servable."""
-        rows = np.flatnonzero(np.frombuffer(self._servable, bool))
-        counts, norm2 = self._rows.counts, self._rows.norm2
-        if len(rows) == len(norm2):
-            return rows.tolist(), counts, norm2
-        return rows.tolist(), counts[rows], norm2[rows]
+    def _servable_rows(self) -> np.ndarray:
+        return np.flatnonzero(np.frombuffer(self._servable, bool))
 
     def insert(self, query: str, embedding: Embedding, answer: str | None, now: int,
                bar: Key | None = None) -> list[QaEntry]:
@@ -193,23 +189,24 @@ class QaBank:
         """Mark entries stale when newly ingested chunks displace their grounding.
 
         The retriever's chunks from row since on are new; rows_since gives
-        them, and one cosine_table call scores each against every servable
-        row. A servable entry goes stale iff the best new chunk ranks before
-        its bar by (-cosine, chunk_id); an entry without one is first keyed
-        over the old rows. As chunks are never removed and cosine_table
-        gives a pair the same bits whichever rows are scored with it, that
-        is iff a new chunk enters the top k_refresh of the whole corpus, and
+        them, and one cosine_table call scores each against every held row,
+        of which the servable ones count. A servable entry goes stale iff
+        the best new chunk ranks before its bar by (-cosine, chunk_id); an
+        entry without one is first keyed over the old rows. As chunks are
+        never removed and cosine_table gives a pair the same bits whichever
+        rows are scored with it, that is iff a new chunk enters the top
+        k_refresh of the whole corpus, and
         a bar that survives is still the corpus's k_refresh-th key. Returns
         the entries marked stale.
         """
-        rows, counts, norm2 = self._servable_rows()
-        if not rows:
+        rows = self._servable_rows()
+        if not len(rows):
             return []
         ids, chunk_counts, chunk_norm2 = retriever.rows_since(since)
-        sims = cosine_table(counts, norm2, chunk_counts, chunk_norm2)
+        sims = cosine_table(self._rows.counts, self._rows.norm2, chunk_counts, chunk_norm2)[rows]
         best_new = sims.max(axis=1, initial=-np.inf).tolist()
         marked = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows.tolist()):
             entry = self._held[row]
             if entry.bar is None:
                 entry.bar = retriever.bar(self.embedding(entry), k_refresh, since)

@@ -10,14 +10,17 @@ it, and a term's document frequency the length of its posting list.
 
 The scan is array code, and every score equals the per-chunk scalar
 formula bit for bit. The chunks' embeddings are a textcore.CountRows,
-whose cosines have exact integer dots. Each term's postings are one flat
-int64 array; BM25 gathers those of the query terms, in order of first
-occurrence, computes each posting's contribution with the scalar
-formula's operations, and sums them per chunk with one bincount, which
-adds in input order from +0.0, as the scalar loop does. Every score
-is elementwise in its row, so normalization and fusion run in row order;
-the chunk id enters only to break ties, through top_k_rows, which
-partitions rather than sorting the whole corpus.
+whose cosines have exact integer dots: a scan gathers the feature-major
+counts of the query's nonzero features only and sums them with no BLAS
+call, for retrieve_top_k and for bar's rescan alike. Each term's
+postings are one flat int64 array; BM25 gathers those of the query
+terms, in order of first occurrence, computes each posting's
+contribution with the scalar formula's operations, and sums them per
+chunk with one bincount, which adds in input order from +0.0, as the
+scalar loop does. Every score is elementwise in its row, so
+normalization and fusion run in row order; the chunk id enters only to
+break ties, through top_k_rows, which partitions rather than sorting the
+whole corpus.
 """
 
 from __future__ import annotations

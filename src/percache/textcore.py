@@ -4,7 +4,14 @@ The tokenizer is a greedy longest-match segmenter over an explicit
 vocabulary with a single-byte fallback, which makes it deliberately
 boundary-dependent: tokenize(a) ++ tokenize(b) need not equal
 tokenize(a ++ b). The rest of the system is built to stay correct in
-spite of that.
+spite of that. The one exception is a newline, which no token holds: the
+split is exact there, so the engine tokenizes its system prompt's lines
+once. At each offset tokenize tries only the token lengths the
+vocabulary lists for that byte.
+
+Embeddings are integer feature counts. CountRows keeps many of them
+feature-major, and a query's cosine scan over them gathers only the
+query's features, with exact integer dots and no BLAS call.
 """
 
 from __future__ import annotations
@@ -35,12 +42,20 @@ class TokenizerVocab:
 
     Explicit tokens get ids 0..n-1 in canonical order (descending byte
     length, then lexicographic); byte b gets id n + b. Every byte is thus
-    always representable and tokenization is total.
+    always representable and tokenization is total. Beside the ids, the
+    vocabulary keeps for each first byte the lengths of the tokens that
+    start with it, longest first, which are all tokenize tries there.
+
+    No explicit token holds a newline, and a token that does is refused: a
+    newline is always its own byte token, so no match crosses one and the
+    ids of a text up to a newline do not depend on what follows it.
     """
 
     def __init__(self, tokens: list[str]):
         seen: dict[bytes, int] = {}
         for t in tokens:
+            if "\n" in t:
+                raise ValueError(f"a token may not contain a newline: {t!r}")
             bt = t.encode("utf-8")
             if not bt:
                 continue
@@ -50,10 +65,11 @@ class TokenizerVocab:
         self._id_by_bytes: dict[bytes, int] = {b: i for i, b in enumerate(ordered)}
         self._bytes_by_id: list[bytes] = ordered + [bytes([b]) for b in range(256)]
         self._byte_base = len(ordered)
-        self._by_length: dict[int, dict[bytes, int]] = {}
-        for b, i in self._id_by_bytes.items():
-            self._by_length.setdefault(len(b), {})[b] = i
-        self._lengths = sorted(self._by_length, reverse=True)
+        lengths: list[list[int]] = [[] for _ in range(256)]
+        for b in ordered:  # longest first
+            if len(b) not in lengths[b[0]]:
+                lengths[b[0]].append(len(b))
+        self._lengths_at = [tuple(ls) for ls in lengths]  # first byte -> token lengths
 
     @property
     def size(self) -> int:
@@ -73,28 +89,30 @@ class TokenizerVocab:
     def token_bytes(self, token_id: int) -> bytes:
         return self._bytes_by_id[token_id]
 
-    def match_at(self, data: bytes, pos: int) -> tuple[int, int]:
-        """Longest vocabulary match at byte offset pos; falls back to one byte."""
-        remaining = len(data) - pos
-        for length in self._lengths:
-            if length > remaining:
-                continue
-            tid = self._by_length[length].get(data[pos : pos + length])
-            if tid is not None:
-                return tid, length
-        return self._byte_base + data[pos], 1
-
 
 def tokenize(text: str, vocab: TokenizerVocab) -> tuple[int, ...]:
     """Greedy longest-match segmentation over UTF-8 bytes. Deterministic and
-    total. The ids alone fix each token's bytes (vocab.token_bytes)."""
+    total. The ids alone fix each token's bytes (vocab.token_bytes).
+
+    At each position only the lengths of the tokens that start with its
+    byte are tried, longest first; none matching, the byte is its own
+    token. A length past the end slices the whole rest, so a match there is
+    the longest one and ends the text."""
     data = text.encode("utf-8")
+    ids, lengths_at, base = vocab._id_by_bytes, vocab._lengths_at, vocab._byte_base
     tokens: list[int] = []
-    pos = 0
-    while pos < len(data):
-        tid, length = vocab.match_at(data, pos)
-        tokens.append(tid)
-        pos += length
+    pos, end = 0, len(data)
+    while pos < end:
+        byte = data[pos]
+        for length in lengths_at[byte]:
+            tid = ids.get(data[pos : pos + length])
+            if tid is not None:
+                tokens.append(tid)
+                pos += length
+                break
+        else:
+            tokens.append(base + byte)
+            pos += 1
     return tuple(tokens)
 
 
@@ -129,36 +147,55 @@ class Embedding:
         return int(self.counts.shape[0])
 
 
-def cosine_table(counts: np.ndarray, norm2: np.ndarray,
-                 other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
-    """The cosine of each row of counts with each row of other_counts, a
-    (len(counts), len(other_counts)) array, of count rows and squared norms
-    as CountRows holds them.
-
-    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
-    dot. Two float32 operands have Na and Nb at most 2**24, so every
-    product and partial sum of the dot is an integer of magnitude at most
-    sqrt(Na * Nb) <= 2**24 (Cauchy-Schwarz on every subset of the terms),
-    which float32 holds. A float64 operand makes the product run in
-    float64, where the same argument holds for squared norms below 2**53.
-    So no BLAS kernel or summation order changes a bit, and
-    each cosine is symmetric in its two embeddings and the same whichever
-    other rows are scored with it. Na and Nb are exact in float64 and
-    their product is the correctly rounded integer product. A zero dot is
-    +0.0, as an integer dot gives.
-    """
-    if counts.shape[1] != other_counts.shape[1]:
-        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {other_counts.shape[1]}")
-    sims = np.divide(counts @ other_counts.T, np.sqrt(np.multiply.outer(norm2, other_norm2)),
-                     dtype=np.float64)
+def _cosines(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """clip(dots / norms, -1, 1) in float64, a zero as +0.0."""
+    sims = np.divide(dots, norms, dtype=np.float64)
     sims += 0.0  # -0.0 to +0.0
     np.minimum(sims, 1.0, out=sims)  # np.clip, at a third of its fixed cost
     return np.maximum(sims, -1.0, out=sims)
 
 
+def _check_dim(counts: np.ndarray, dim: int) -> None:
+    if counts.shape[1] != dim:
+        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {dim}")
+
+
+def cosine_table(counts: np.ndarray, norm2: np.ndarray,
+                 other_counts: np.ndarray, other_norm2: np.ndarray) -> np.ndarray:
+    """The cosine of each row of counts with each row of other_counts, a
+    (len(counts), len(other_counts)) array, of count rows and squared norms
+    as CountRows holds them. The dots are one np.einsum over every feature,
+    with no BLAS call: QaBank.refresh pairs chunk rows, which at the default
+    chunk_words of 100 hold about half the features, so a gather would copy
+    them for little.
+
+    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
+    dot. Two float32 operands have Na and Nb at most 2**24, so every
+    product and partial sum of the dot is an integer of magnitude at most
+    sqrt(Na * Nb) <= 2**24 (Cauchy-Schwarz on every subset of the terms),
+    which float32 holds. A float64 operand makes the sum run in float64,
+    where the same argument holds for squared norms below 2**53. So
+    neither the summation order nor the zero terms a scan skips change a
+    bit, and each cosine is symmetric in its two embeddings and the same
+    whichever other rows are scored with it, in a table or a scan. Na and
+    Nb are exact in float64 and their product is the correctly rounded
+    integer product. A zero dot is +0.0, as an integer dot gives.
+    """
+    _check_dim(counts, other_counts.shape[1])
+    dots = np.einsum("jm,jn->mn", counts.T, other_counts.T)
+    return _cosines(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)))
+
+
 def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> np.ndarray:
-    """The cosine of e with each row of counts: cosine_table's column for e."""
-    return cosine_table(counts, norm2, e.counts[None], np.array([float(e.norm2)]))[:, 0]
+    """The cosine of e with each row of counts: cosine_table's column for
+    e, scanned term at a time. e's nonzero features (a query has 16-19 of
+    256) gather their rows of counts.T, for CountRows.counts its own
+    feature-major matrix, and np.einsum sums them weighted, with no BLAS
+    call."""
+    _check_dim(counts, e.dim)
+    nonzero = e.counts.nonzero()[0]
+    dots = np.einsum("j,jn->n", e.counts[nonzero], counts.T[nonzero])
+    return _cosines(dots, np.sqrt(norm2 * float(e.norm2)))
 
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
@@ -180,20 +217,26 @@ class CountRows:
     beside a float64 vector of their squared norms; counts and norm2 view
     the held rows, for cosine_similarities and cosine_table.
 
+    The matrix is feature-major, (dim, capacity): each feature's counts
+    over the rows are one contiguous run, which a scan gathers for the
+    query's nonzero features only (cosine_similarities). counts is its
+    transpose, a (rows, dim) view, so counts[i] is row i and
+    counts.tobytes() the rows in order.
+
     extend appends a block of rows, as HashEmbedder.count_rows gives them,
-    in one copy; append is a block of one. The matrix is float32 until a
-    float64 block (see Embedding) widens it for good, copying the held
-    rows only, never the unwritten capacity. The capacity starts at
-    INITIAL_ROWS and doubles until the block fits; reserve grows it in one
-    step, which leaves no outgrown matrices in the allocator's heap, and
-    compact keeps a list of rows with room for as many again. check, which
-    extend runs, refuses rows whose dim is not the rows': the given one,
-    or else the first row's.
+    in one transposed copy; append is a block of one. The matrix is
+    float32 until a float64 block (see Embedding) widens it for good,
+    copying the held rows only, never the unwritten capacity. The capacity
+    starts at INITIAL_ROWS and doubles until the block fits; reserve grows
+    it in one step, which leaves no outgrown matrices in the allocator's
+    heap, and compact keeps a list of rows with room for as many again.
+    check, which extend runs, refuses rows whose dim is not the rows': the
+    given one, or else the first row's.
     """
 
     def __init__(self, dim: int | None = None):
         self.dim = dim
-        self._counts = np.empty((0, dim or 0), np.float32)
+        self._counts = np.empty((dim or 0, 0), np.float32)  # feature-major
         self._norm2 = np.empty(0)
         self._n = 0  # rows held
 
@@ -203,7 +246,7 @@ class CountRows:
 
     @property
     def counts(self) -> np.ndarray:
-        return self._counts[: self._n]
+        return self._counts[:, : self._n].T
 
     @property
     def norm2(self) -> np.ndarray:
@@ -224,7 +267,7 @@ class CountRows:
         if end > len(self._norm2) or counts.itemsize > self._counts.itemsize:
             self.dim = counts.shape[1]
             self._move(slice(0, n), end, np.promote_types(self._counts.dtype, counts.dtype))
-        self._counts[n:end], self._norm2[n:end] = counts, norm2
+        self._counts[:, n:end], self._norm2[n:end] = counts.T, norm2
         self._n = end
 
     def reserve(self, n: int) -> None:
@@ -239,11 +282,11 @@ class CountRows:
         capacity = max(len(self._norm2), INITIAL_ROWS)
         while capacity < room:
             capacity *= 2
-        counts, norm2 = self._counts[keep], self._norm2[keep]
-        self._counts, self._norm2 = np.empty((capacity, self.dim), dtype), np.empty(capacity)
+        counts, norm2 = self._counts[:, keep], self._norm2[keep]
+        self._counts, self._norm2 = np.empty((self.dim, capacity), dtype), np.empty(capacity)
         self._n = len(norm2)
         if self._n:  # a store without a row yet has (0, 0) counts
-            self._counts[: self._n], self._norm2[: self._n] = counts, norm2
+            self._counts[:, : self._n], self._norm2[: self._n] = counts, norm2
 
 
 class HashEmbedder:

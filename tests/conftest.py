@@ -59,6 +59,27 @@ def embedding_from_counts(counts) -> Embedding:
     return Embedding(c.astype(np.float32) if norm2 <= FLOAT32_MAX_NORM2 else c, norm2)
 
 
+def reference_tokenize(text: str, vocab: TokenizerVocab) -> tuple[int, ...]:
+    """The greedy longest match as a plain loop over the vocabulary's
+    explicit tokens: at each byte offset, every token length in descending
+    order that fits the rest, one slice and one lookup each; no match takes
+    the byte's own id."""
+    explicit = vocab.size - 256
+    ids = {vocab.token_bytes(i): i for i in range(explicit)}
+    lengths = sorted({len(b) for b in ids}, reverse=True)
+    data, tokens, pos = text.encode("utf-8"), [], 0
+    while pos < len(data):
+        for length in lengths:
+            if length <= len(data) - pos and data[pos : pos + length] in ids:
+                tokens.append(ids[data[pos : pos + length]])
+                pos += length
+                break
+        else:
+            tokens.append(explicit + data[pos])
+            pos += 1
+    return tuple(tokens)
+
+
 def load_trace(name: str) -> list[dict]:
     path = DATA / "traces" / name
     return [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]

@@ -167,6 +167,27 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     assert f"{trace}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("event", [
+    {"at": 1, "kind": "query_arrival", "text": "budget \ud800 review"},
+    {"at": 1, "kind": "chunk_arrival", "text": "budget \ud800 review"},
+    {"at": 1, "kind": "config_change", "field": "system_prompt", "value": "Notes \ud800:\\n"},
+], ids=["query", "chunk", "system_prompt"])
+def test_text_with_a_lone_surrogate_exit_2(tmp_path, capsys, event):
+    # JSON can escape a lone surrogate, which UTF-8 cannot encode: it would
+    # reach the query's prompt, the chunk's hash or every later prompt. The
+    # event is refused where it stands, before it changes anything
+    trace = _write(tmp_path / "t.trace", "".join(json.dumps(e) + "\n" for e in (
+        {"at": 0, "kind": "idle_tick"}, event,
+        {"at": 2, "kind": "query_arrival", "text": "what is the budget?"})))
+    assert "\\ud800" in trace.read_text(encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{trace}:2: " in err and "UTF-8" in err and "Traceback" not in err
+    metrics = out.with_suffix(".jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["kind"] for line in metrics] == ["idle_tick"]
+
+
 def test_replay_bad_config_exit_2(tmp_path, capsys):
     trace = _write(tmp_path / "t.trace", "")
     # an unknown key, an out-of-range value, a QA budget below one entry,

@@ -44,6 +44,9 @@ def test_validation():
     for scale in (float("nan"), -1.0, float("inf")):
         with pytest.raises(ConfigError):
             EngineConfig(latency_scale=scale)
+    for key in ("system_prompt", "vocab_file", "script_file"):  # a lone surrogate
+        with pytest.raises(ConfigError, match=f"{key} .*UTF-8"):
+            EngineConfig(**{key: "notes \udfff"})
 
 
 def test_apply_parses_by_type():

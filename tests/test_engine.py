@@ -4,6 +4,8 @@ import shutil
 from types import MethodType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percache import retrieval
 from percache.config import EngineConfig
@@ -13,7 +15,8 @@ from percache.predictor import PhaseError
 from percache.qa import DEFAULT_ENTRY_BYTES
 from percache.textcore import tokenize
 
-from conftest import DATA, checked_prefill, embedding_from_counts, load_trace, make_engine
+from conftest import (DATA, checked_prefill, embedding_from_counts, load_trace, make_engine,
+                      reference_tokenize)
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -225,6 +228,44 @@ def test_system_prompt_change_reuses_only_the_common_token_prefix(tmp_path, new_
     got, again = reopened.handle_query(q, 1), reopened.handle_query(q, 2)
     assert (got.path, got.l_pre, again.path) == (path, 0, QKV_PARTIAL)
     assert got.answer == again.answer == want
+
+
+def test_prompt_ids_equal_the_reference_as_the_system_prompt_changes(tmp_path):
+    # the engine tokenizes its system prompt's lines once per prompt value;
+    # every prompt it prefills must still get the ids of a whole-prompt
+    # greedy match, whether the system prompt has no newline, several, or
+    # text after its last one, and after each config_change of it. The
+    # prompts hold words of the default vocabulary's multi-word tokens
+    # ("on friday"), which straddle the system prompt where it ends
+    # without a newline
+    eng = make_engine(tmp_path, qa_enabled=False, reuse_enabled=False)
+    eng.ingest_chunks([CORPUS], 0)
+    prompts, prefilled = [], []
+    assemble, prefill = eng._assemble, eng.model.prefill
+    eng._assemble = lambda q, ids: prompts.append(assemble(q, ids)) or prompts[-1]
+    eng.model.prefill = lambda tokens, prefix=None: (prefilled.append(tokens)
+                                                     or prefill(tokens, prefix))
+    at = iter(range(1, 10**6))
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(st.text(alphabet="Aon fridy:\né", max_size=24),
+           st.text(alphabet="what is on friday? \né", min_size=1, max_size=20))
+    @example("Answer from personal notes:\n", "what is the budget review plan?")
+    @example("Notes taken on", "friday?")  # no newline: the whole prompt is tokenized
+    @example("Notes:\n\non\n friday\nNotes on", "when?")  # several, text after the last
+    @example("Answer from personal notes:\n", "what is the budget review plan?")  # changed back
+    def check(system_prompt, query):
+        eng.apply_event({"at": next(at), "kind": "config_change", "field": "system_prompt",
+                         "value": system_prompt.replace("\n", "\\n")})
+        assert eng.config.system_prompt == system_prompt
+        prompts.clear()
+        prefilled.clear()
+        eng.answer(query, decode=False)
+        text = "".join(segment.text for segment in prompts[0])
+        assert text.startswith(system_prompt)
+        assert prefilled == [reference_tokenize(text, eng.vocab)]
+
+    check()
 
 
 def test_unchanged_system_prompt_keeps_the_tree(tmp_path):

@@ -578,7 +578,7 @@ def test_a_float64_row_widens_the_count_matrices():
     rows, r, bank = CountRows(EMB.dim), Retriever(EMB), QaBank(limit_bytes=1 << 30)
     for i, e in enumerate(added):
         if e is big:  # unwritten capacity may hold a signalling NaN, which a cast would trap on
-            rows._counts[i:].view(np.uint32)[:] = 0x7F800001
+            rows._counts[:, i:].view(np.uint32)[:] = 0x7F800001
         rows.append(e)
         r.add_chunk(f"c{i:02d}", "", e)
         bank.insert(f"q{i:02d}", e, "a", i)

@@ -8,11 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percache.knowledge import read_utf8
+from percache.retrieval import Retriever
 from percache.textcore import (
     EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
     FLOAT32_MAX_NORM2,
+    INITIAL_ROWS,
+    CountRows,
     Embedding,
     HashEmbedder,
     TokenizerVocab,
@@ -24,7 +27,7 @@ from percache.textcore import (
     tokenize,
 )
 
-from conftest import embedding_from_counts
+from conftest import embedding_from_counts, reference_tokenize
 
 WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
 embed = HashEmbedder().embed
@@ -79,6 +82,34 @@ def test_tokenize_round_trip_and_spans(text):
     assert b"".join(data[s:e] for s, e in spans) == data
     assert detokenize(tokens, WITNESS) == text
     assert tokenize(text, WITNESS) == tokens  # determinism
+
+
+# one- to four-byte UTF-8 characters, some sharing a first byte (0xC3 for
+# "é" and "ü"), so that tokens are prefixes of others and a multi-byte
+# token competes with the byte fallbacks of its first byte
+TOKEN_ALPHABET = "ab éü€\U0001F600?"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=5), max_size=12),
+       st.text(alphabet=TOKEN_ALPHABET + "\nx", max_size=60))
+@example(["ab", "a", "abab", "b a"], "ababab a b a\nab")  # prefixes of prefixes
+@example(["é", "éü", "\U0001F600 "], "éüé \U0001F600 \U0001F600")  # multi-byte tokens
+@example(["ab", "a"], "?? \n ?!")  # wordless text
+@example([], "ab")  # no explicit token: every byte its own
+@example(["aaa", "aa"], "aaaa")  # a longer length runs past the end
+def test_tokenize_equals_the_reference_greedy_loop(tokens, text):
+    vocab = TokenizerVocab(tokens)
+    assert tokenize(text, vocab) == reference_tokenize(text, vocab)
+    assert b"".join(map(vocab.token_bytes, tokenize(text, vocab))) == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("token", ["\n", "a\n", "\nb", "on\nfriday"])
+def test_a_token_with_a_newline_is_refused(token):
+    # a newline is always its own byte token, which lets an engine tokenize
+    # its system prompt's lines once
+    with pytest.raises(ValueError, match="newline"):
+        TokenizerVocab(["a", token])
 
 
 def test_vocab_file_round_trip(tmp_path):
@@ -291,6 +322,88 @@ def test_cosines_equal_the_integer_reference_bit_for_bit(left, right):
         assert [float(s).hex() for s in by_left[i]] == want[i]
         assert [float(s).hex() for s in table[i]] == want[i]
         assert [float(cosine_similarity(a, b)).hex() for b in right] == want[i]
+
+
+def _block(embeddings):
+    """The count rows of embeddings as one block, float64 if one of them
+    is, and their squared norms: what CountRows.extend takes."""
+    wide = any(e.counts.dtype == np.float64 for e in embeddings)
+    return (np.array([e.counts for e in embeddings], np.float64 if wide else np.float32),
+            [e.norm2 for e in embeddings])
+
+
+_ROW_OPS = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6)),
+    st.tuples(st.just("reserve"), st.integers(0, 70)),
+    st.tuples(st.just("compact"), st.integers(0, 2**32 - 1)),  # seeds which rows to keep
+), max_size=10)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_ROW_OPS, st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=3))
+# appends past the first growth, holes dropped, a float64 row widening the
+# rows, then a reserve past several doublings and more holes
+@example([("extend", [_one(1 + i, i) for i in range(INITIAL_ROWS)]), ("compact", 0),
+          ("extend", [_one(3, 2)] * 5 + [_mixed(7)]), ("extend", [_one(1, 1), _full(257)]),
+          ("reserve", 70), ("compact", 1), ("extend", [embed("budget review")])],
+         [_one(2, 2), _full(256), embed("")])
+def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries):
+    # CountRows keeps its matrix feature-major; its row view, the views
+    # rows_since and bar take of it, and every scan over them must give the
+    # rows and the cosines of the Python-integer reference through appends,
+    # reserve, compaction with holes and the float64 widening
+    rows, held, wide = CountRows(EMBED_DIM), [], False  # held: each row's embedding
+    r, added = Retriever(HashEmbedder()), []  # the same rows, never compacted
+    memo = {}
+
+    def want(q, embeddings):
+        return [memo.setdefault((id(q), id(e)), float(_reference_cosine(q, e)).hex())
+                for e in embeddings]
+
+    def bar_bits(q, k, first):
+        """Retriever.bar's key, as the reference ranks the first rows."""
+        keys = sorted((-float.fromhex(c), f"c{i:03d}")
+                      for i, c in enumerate(want(q, added[:first])))
+        cos, cid = (-keys[k - 1][0], keys[k - 1][1]) if len(keys) >= k else (-math.inf, "")
+        return float(cos).hex(), cid
+
+    for kind, arg in ops:
+        if kind == "extend":
+            rows.extend(*_block(arg))
+            held += arg
+            for e in arg:
+                r.add_chunk(f"c{len(added):03d}", "", e)
+                added.append(e)
+            wide = wide or any(e.counts.dtype == np.float64 for e in arg)
+        elif kind == "reserve":
+            rows.reserve(arg)
+            r.rows.reserve(arg)
+        else:
+            rng = np.random.default_rng(arg)
+            keep = [i for i in range(len(held)) if rng.random() < 0.6]
+            rows.compact(keep)
+            held = [held[i] for i in keep]
+        dtype = np.float64 if wide else np.float32
+        assert rows.counts.dtype == dtype and len(rows.counts) == len(held)
+        assert rows.counts.tobytes() == np.array([e.counts for e in held], dtype).tobytes()
+        assert rows.norm2.tolist() == [e.norm2 for e in held]
+        since = len(held) // 2
+        for q in queries:
+            assert [s.hex() for s in cosine_similarities(rows.counts, rows.norm2, q).tolist()] \
+                == want(q, held)
+            assert [s.hex() for s in cosine_similarities(
+                rows.counts[since:], rows.norm2[since:], q).tolist()] == want(q, held[since:])
+            assert [s.hex() for s in cosine_similarities(
+                rows.counts[:since], rows.norm2[:since], q).tolist()] == want(q, held[:since])
+            for k, first in ((1, None), (3, len(added) // 2)):
+                cos, cid = r.bar(q, k, first)
+                assert (float(cos).hex(), cid) == bar_bits(q, k, first)
+        table = cosine_table(rows.counts, rows.norm2, *_rows(queries))
+        assert [[s.hex() for s in row] for row in table.T.tolist()] == [want(q, held)
+                                                                        for q in queries]
+        table = cosine_table(*_rows(queries), rows.counts[since:], rows.norm2[since:])
+        assert [[s.hex() for s in row] for row in table.tolist()] == [want(q, held[since:])
+                                                                      for q in queries]
 
 
 def test_embed_hash_oracle():
