@@ -5,9 +5,9 @@ working tree, and judge every end-to-end metric.
     python3 scripts/bench_pairs.py --base HEAD --workload prefix_reuse --seed 103 --pairs 10
 
 The base side runs in a ``git archive`` export of REV in a temporary
-directory, removed at the end, on error too, so nothing is written under
-``.git``; the change side runs in the working tree as it is, uncommitted
-edits included. Each run is ``perfbench/run.py --workload W
+directory, removed at the end, on error and on SIGTERM too, so nothing is
+written under ``.git``; the change side runs in the working tree as it is,
+uncommitted edits included. Each run is ``perfbench/run.py --workload W
 --seed S --seconds 30 --trace 0`` from that side's root. Pair i runs the
 base first when i is even and the change first when it is odd.
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -136,6 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         print("--pairs must be at least 1", file=sys.stderr)
         return 2
+    # SIGTERM's default action would end the process without the finally
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:
         archive = subprocess.run(["git", "archive", "--output", str(tmp / "base.tar"), args.base],
@@ -151,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, base {args.base} "
           "against the working tree")
     print("\n".join(table(runs, bench["end_to_end"])))

@@ -56,11 +56,11 @@ class ToyModelConfig:
     """Positive dimensions and an even head_dim, as Engine builds it from a
     validated EngineConfig; nothing here checks them again."""
 
-    layers: int = 2
-    heads: int = 2
-    head_dim: int = 8
-    vocab_size: int = 512
-    seed: int = 0x7031
+    layers: int
+    heads: int
+    head_dim: int
+    vocab_size: int
+    seed: int
 
     @property
     def dim(self) -> int:

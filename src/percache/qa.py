@@ -38,8 +38,7 @@ import numpy as np
 
 from .knowledge import BankError, jsonl_bytes, read_jsonl, write_atomic
 from .retrieval import Retriever
-from .textcore import (FLOAT32_MAX_NORM2, CountRows, Embedding, HashEmbedder, cosine_similarities,
-                       cosine_table)
+from .textcore import CountRows, Embedding, HashEmbedder, cosine_similarities, cosine_table
 
 DEFAULT_ENTRY_BYTES = 4096
 
@@ -73,7 +72,7 @@ class QaBank:
         self._by_query: dict[str, QaEntry] = {}
         self.entries = self._by_query.values()  # in insertion order
         self._held: list[QaEntry | None] = []  # row -> entry, None once evicted
-        self._rows = CountRows()  # row -> embedding, its dimension the first one's
+        self._rows = CountRows()  # row -> embedding
         self._servable = bytearray()  # row -> 1 if its entry is servable, else 0
 
     @property
@@ -85,11 +84,8 @@ class QaBank:
 
     def embedding(self, entry: QaEntry) -> Embedding:
         """The embedding of entry, one of this bank's entries, rebuilt from
-        its row: the counts in the dtype of its own squared norm, as
-        HashEmbedder.embed gives them."""
-        norm2 = int(self._rows.norm2[entry.row])
-        dtype = np.float32 if norm2 <= FLOAT32_MAX_NORM2 else np.float64
-        return Embedding(self._rows.counts[entry.row].astype(dtype), norm2)
+        its row."""
+        return self._rows.embedding(entry.row)
 
     def match(self, embedding: Embedding, tau: float, now: int) -> tuple[QaEntry | None, float]:
         """Best servable entry strictly above tau.
@@ -126,7 +122,6 @@ class QaBank:
         current corpus; None leaves the entry to be keyed at the next
         refresh.
         """
-        self._rows.check(embedding.dim)
         existing = self._by_query.get(query)
         if existing is not None:
             if answer is None and existing.answer is not None:

@@ -97,7 +97,7 @@ class Retriever:
         self.alpha = alpha
         self._ids: list[str] = []  # row -> chunk id
         self._id_set: set[str] = set()
-        self.rows = CountRows(self.embedder.dim)
+        self.rows = CountRows()
         # term -> row, tf, doc length of each chunk containing it, flat
         self._postings: dict[str, array] = {}
         self._total_len = 0  # words over all chunks

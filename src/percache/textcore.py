@@ -9,9 +9,11 @@ split is exact there, so the engine tokenizes its system prompt's lines
 once. At each offset tokenize tries only the token lengths the
 vocabulary lists for that byte.
 
-Embeddings are integer feature counts. CountRows keeps many of them
-feature-major, and a query's cosine scan over them gathers only the
-query's features, with exact integer dots and no BLAS call.
+Embeddings are integer feature counts in one format, fixed here: every
+embedding the system makes is EMBED_DIM wide and hashed with the key
+EMBED_SEED. CountRows keeps many of them feature-major, and a query's
+cosine scan over them gathers only the query's features, with exact
+integer dots and no BLAS call.
 """
 
 from __future__ import annotations
@@ -129,10 +131,10 @@ FLOAT32_MAX_NORM2 = 2**24
 class Embedding:
     """A feature-count vector and the unit vector it points along.
 
-    counts holds integers, as float32 when norm2, their squared norm (a
-    positive int), is at most FLOAT32_MAX_NORM2 and as float64 otherwise.
-    values, the unit vector counts / sqrt(norm2) in float64, is computed
-    on first use.
+    counts holds EMBED_DIM integers, as float32 when norm2, their squared
+    norm (a positive int), is at most FLOAT32_MAX_NORM2 and as float64
+    otherwise. values, the unit vector counts / sqrt(norm2) in float64, is
+    computed on first use.
     """
 
     counts: np.ndarray
@@ -142,10 +144,6 @@ class Embedding:
     def values(self) -> np.ndarray:
         return self.counts.astype(np.float64) / math.sqrt(self.norm2)
 
-    @property
-    def dim(self) -> int:
-        return int(self.counts.shape[0])
-
 
 def _cosines(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """clip(dots / norms, -1, 1) in float64, a zero as +0.0."""
@@ -153,11 +151,6 @@ def _cosines(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
     sims += 0.0  # -0.0 to +0.0
     np.minimum(sims, 1.0, out=sims)  # np.clip, at a third of its fixed cost
     return np.maximum(sims, -1.0, out=sims)
-
-
-def _check_dim(counts: np.ndarray, dim: int) -> None:
-    if counts.shape[1] != dim:
-        raise ValueError(f"embedding dimension mismatch: {counts.shape[1]} != {dim}")
 
 
 def cosine_table(counts: np.ndarray, norm2: np.ndarray,
@@ -181,7 +174,6 @@ def cosine_table(counts: np.ndarray, norm2: np.ndarray,
     Nb are exact in float64 and their product is the correctly rounded
     integer product. A zero dot is +0.0, as an integer dot gives.
     """
-    _check_dim(counts, other_counts.shape[1])
     dots = np.einsum("jm,jn->mn", counts.T, other_counts.T)
     return _cosines(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)))
 
@@ -192,7 +184,6 @@ def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> 
     256) gather their rows of counts.T, for CountRows.counts its own
     feature-major matrix, and np.einsum sums them weighted, with no BLAS
     call."""
-    _check_dim(counts, e.dim)
     nonzero = e.counts.nonzero()[0]
     dots = np.einsum("j,jn->n", e.counts[nonzero], counts.T[nonzero])
     return _cosines(dots, np.sqrt(norm2 * float(e.norm2)))
@@ -217,11 +208,12 @@ class CountRows:
     beside a float64 vector of their squared norms; counts and norm2 view
     the held rows, for cosine_similarities and cosine_table.
 
-    The matrix is feature-major, (dim, capacity): each feature's counts
-    over the rows are one contiguous run, which a scan gathers for the
-    query's nonzero features only (cosine_similarities). counts is its
-    transpose, a (rows, dim) view, so counts[i] is row i and
-    counts.tobytes() the rows in order.
+    The matrix is feature-major, (EMBED_DIM, capacity): each feature's
+    counts over the rows are one contiguous run, which a scan gathers for
+    the query's nonzero features only (cosine_similarities). counts is its
+    transpose, a (rows, EMBED_DIM) view, so counts[i] is row i and
+    counts.tobytes() the rows in order; embedding(i) gives row i back as
+    an Embedding.
 
     extend appends a block of rows, as HashEmbedder.count_rows gives them,
     in one transposed copy; append is a block of one. The matrix is
@@ -230,13 +222,10 @@ class CountRows:
     starts at INITIAL_ROWS and doubles until the block fits; reserve grows
     it in one step, which leaves no outgrown matrices in the allocator's
     heap, and compact keeps a list of rows with room for as many again.
-    check, which extend runs, refuses rows whose dim is not the rows': the
-    given one, or else the first row's.
     """
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
-        self._counts = np.empty((dim or 0, 0), np.float32)  # feature-major
+    def __init__(self):
+        self._counts = np.empty((EMBED_DIM, 0), np.float32)  # feature-major
         self._norm2 = np.empty(0)
         self._n = 0  # rows held
 
@@ -252,20 +241,21 @@ class CountRows:
     def norm2(self) -> np.ndarray:
         return self._norm2[: self._n]
 
-    def check(self, dim: int) -> None:
-        if dim != self.dim and self.dim is not None:
-            raise ValueError(f"embedding dimension mismatch: {dim} != {self.dim}")
+    def embedding(self, row: int) -> Embedding:
+        """The held row at index row as an Embedding: its counts in the
+        dtype of its own squared norm, as HashEmbedder.embed gives them."""
+        norm2 = int(self._norm2[row])
+        dtype = np.float32 if norm2 <= FLOAT32_MAX_NORM2 else np.float64
+        return Embedding(self._counts[:, row].astype(dtype), norm2)
 
     def append(self, e: Embedding) -> None:
         self.extend(e.counts[None], [e.norm2])
 
     def extend(self, counts: np.ndarray, norm2: list[int]) -> None:
-        """Append the rows of counts, a (rows, dim) array, and their squared
-        norms."""
-        self.check(counts.shape[1])
+        """Append the rows of counts, a (rows, EMBED_DIM) array, and their
+        squared norms."""
         n, end = self._n, self._n + len(counts)
         if end > len(self._norm2) or counts.itemsize > self._counts.itemsize:
-            self.dim = counts.shape[1]
             self._move(slice(0, n), end, np.promote_types(self._counts.dtype, counts.dtype))
         self._counts[:, n:end], self._norm2[n:end] = counts.T, norm2
         self._n = end
@@ -283,21 +273,21 @@ class CountRows:
         while capacity < room:
             capacity *= 2
         counts, norm2 = self._counts[:, keep], self._norm2[keep]
-        self._counts, self._norm2 = np.empty((self.dim, capacity), dtype), np.empty(capacity)
+        self._counts, self._norm2 = np.empty((EMBED_DIM, capacity), dtype), np.empty(capacity)
         self._n = len(norm2)
-        if self._n:  # a store without a row yet has (0, 0) counts
-            self._counts[:, : self._n], self._norm2[: self._n] = counts, norm2
+        self._counts[:, : self._n], self._norm2[: self._n] = counts, norm2
 
 
 class HashEmbedder:
-    """Seeded feature-hash of word unigrams and bigrams into a fixed dimension.
+    """Keyed feature-hash of word unigrams and bigrams into EMBED_DIM
+    features.
 
-    Each feature's keyed 8-byte BLAKE2b digest, read little-endian, gives its
-    index (the digest mod dim) and its sign (the top bit set: -1). The
-    counts are the sum of the signed features; values divides them by
-    their Euclidean norm. n words make 2n - 1 features, an odd number of
-    +-1 terms, so the sum is never zero unless the text has no words; such
-    a text counts [1, 0, ..., 0].
+    Each feature's 8-byte BLAKE2b digest keyed with EMBED_SEED, read
+    little-endian, gives its index (the digest mod EMBED_DIM) and its sign
+    (the top bit set: -1). The counts are the sum of the signed features;
+    values divides them by their Euclidean norm. n words make 2n - 1
+    features, an odd number of +-1 terms, so the sum is never zero unless
+    the text has no words; such a text counts [1, 0, ..., 0].
 
     count_rows is the one embedding path: it hashes each text's features
     once and sums a block of texts with one bincount, each feature's index
@@ -311,26 +301,23 @@ class HashEmbedder:
     correctly rounded square root of an exact integer, np.linalg.norm's
     result, divided elementwise.
 
-    Deterministic across machines and runs. Real embedding models can be
-    plugged in behind the same surface: embed(text) -> Embedding for a
-    query, the queries QaBank.load reads among them, and count_rows for the
-    chunks Retriever.add_chunks adds at open.
+    Deterministic across machines and runs. It is the system's one
+    embedder; Retriever and QaBank.load still take one as a parameter so
+    that tests can substitute a fake.
     """
 
-    def __init__(self, dim: int = EMBED_DIM, seed: int = EMBED_SEED):
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        self.dim = dim
-        self.seed = seed
+    dim = EMBED_DIM  # the width of every row and embedding it gives
+
+    def __init__(self):
         # the keyed state before any feature: a copy updated with a feature
         # gives blake2b(feature, key=..., digest_size=8)
-        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little", signed=False), digest_size=8)
+        self._keyed = hashlib.blake2b(key=EMBED_SEED.to_bytes(8, "little"), digest_size=8)
 
     def count_rows(self, word_lists: list[list[str]]) -> tuple[np.ndarray, list[int]]:
         """The count rows of texts split into word_lists (by split_words), a
-        (len(word_lists), dim) array, and their squared norms. The rows are
-        float32, or float64 if a squared norm is above FLOAT32_MAX_NORM2,
-        as CountRows.extend takes them."""
+        (len(word_lists), EMBED_DIM) array, and their squared norms. The
+        rows are float32, or float64 if a squared norm is above
+        FLOAT32_MAX_NORM2, as CountRows.extend takes them."""
         keyed, digests, sizes = self._keyed, [], []  # sizes: each text's feature count
         for words in word_lists:
             start = len(digests)
@@ -343,11 +330,11 @@ class HashEmbedder:
                 digests.append(bytes(8))  # index 0, sign +1: a wordless text's [1, 0, ..., 0]
             sizes.append(len(digests) - start)
         v = np.frombuffer(b"".join(digests), "<u8")
-        bins, dim = (v % self.dim).astype(np.intp), self.dim
+        bins = (v % EMBED_DIM).astype(np.intp)
         if len(sizes) > 1:
-            bins += np.repeat(np.arange(0, len(sizes) * dim, dim), sizes)
-        flat = np.bincount(bins, np.where(v >> 63, -1.0, 1.0), len(sizes) * dim)
-        counts = flat.reshape(-1, dim)
+            bins += np.repeat(np.arange(0, len(sizes) * EMBED_DIM, EMBED_DIM), sizes)
+        flat = np.bincount(bins, np.where(v >> 63, -1.0, 1.0), len(sizes) * EMBED_DIM)
+        counts = flat.reshape(-1, EMBED_DIM)
         # one text, as each query is: a plain dot, a microsecond cheaper
         norm2 = ([int(flat @ flat)] if len(sizes) == 1
                  else (counts[:, None] @ counts[:, :, None]).ravel().astype(np.int64).tolist())

@@ -1,11 +1,15 @@
 """scripts/bench_pairs.py: the claim and bound verdicts on synthetic runs,
-and the removal of the base export when a run or the export fails."""
+and the removal of the base export when a run or the export fails or the
+script is ended by SIGTERM."""
 
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -124,3 +128,29 @@ def test_unknown_base_revision_exit_2(tmp_path, monkeypatch, capsys):
                              "--pairs", "1"]) == 2
     assert "git archive failed" in capsys.readouterr().err
     assert not any(temp.iterdir())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_base_export_removed_on_sigterm(tmp_path, monkeypatch):
+    # SIGTERM's default action skips finally; the script's handler must not
+    temp = _bench_repo(tmp_path, monkeypatch)
+    script = (f"import sys, time; sys.path.insert(0, {str(REPO / 'scripts')!r}); "
+              "import bench_pairs; from pathlib import Path; "
+              "bench_pairs.ROOT = Path(sys.argv[1]); "
+              "bench_pairs.run_pairs = lambda *args: time.sleep(60); "
+              "sys.exit(bench_pairs.main(['--base', 'HEAD', '--workload', 'w', '--seed', '1', "
+              "'--pairs', '1']))")
+    proc = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                            env={**os.environ, "TMPDIR": str(temp)})
+    try:
+        deadline = time.monotonic() + 30
+        while not list(temp.glob("bench-base-*")) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert list(temp.glob("bench-base-*")), "the export never appeared"
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not list(temp.glob("bench-base-*"))
+    assert code == 128 + signal.SIGTERM

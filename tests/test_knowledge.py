@@ -261,7 +261,8 @@ def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     # state into the tree; prefill reads a prefix the bank copied out. So
     # neither may write to what it reads, nor reach the stored slices.
     bank = fake_bank(tmp_path)
-    model = ToyModel(ToyModelConfig(layers=2, heads=2, head_dim=4, vocab_size=bank.vocab.size))
+    model = ToyModel(ToyModelConfig(layers=2, heads=2, head_dim=4, vocab_size=bank.vocab.size,
+                                    seed=0x7031))
     segs = path_segments(["c1", "c2"])
     text = "".join(s.text for s in segs)
     toks = tokenize(text, bank.vocab)

@@ -5,7 +5,7 @@ import pytest
 
 from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
-from percache.textcore import FLOAT32_MAX_NORM2, INITIAL_ROWS, HashEmbedder
+from percache.textcore import EMBED_DIM, FLOAT32_MAX_NORM2, INITIAL_ROWS, HashEmbedder
 
 from conftest import embedding_from_counts
 
@@ -60,7 +60,7 @@ def test_match_skips_answerless_and_stale():
 
 def test_match_tie_prefers_older():
     bank = _bank()
-    a = embedding_from_counts(np.eye(4)[0])
+    a = embedding_from_counts(np.eye(EMBED_DIM)[0])
     bank.insert("newer", a, "x", 5)
     bank.insert("older", a, "y", 5)
     bank.get("older").created_at = 1

@@ -146,11 +146,6 @@ def test_cosine_identity_and_orthogonal():
     assert cosine_similarity(ax0, ax1) == 0.0
 
 
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError):
-        cosine_similarity(embedding_from_counts(np.ones(2)), embedding_from_counts(np.ones(3)))
-
-
 def test_embed_keeps_integer_counts_and_their_squared_norm():
     # the last text repeats two words 3,000 times: counts near 3,000 in
     # three or four dimensions, a squared norm above FLOAT32_MAX_NORM2
@@ -170,16 +165,16 @@ def test_cosine_symmetry(s, t):
     assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
 
-def _oracle_vector(text: str, dim: int = EMBED_DIM, seed: int = EMBED_SEED) -> np.ndarray:
+def _oracle_vector(text: str) -> np.ndarray:
     """Standalone re-derivation of the hashed embedding (oracle): one
     feature at a time, each hashed by its own keyed constructor."""
     words = split_words(text)
     feats = words + [f"{x} {y}" for x, y in zip(words, words[1:])]
-    vec = np.zeros(dim)
-    key = seed.to_bytes(8, "little")
+    vec = np.zeros(EMBED_DIM)
+    key = EMBED_SEED.to_bytes(8, "little")
     for f in feats:
         v = int.from_bytes(hashlib.blake2b(f.encode(), key=key, digest_size=8).digest(), "little")
-        vec[v % dim] += 1.0 if (v >> 63) & 1 == 0 else -1.0
+        vec[v % EMBED_DIM] += 1.0 if (v >> 63) & 1 == 0 else -1.0
     if not vec.any():
         vec[0] = 1.0
     return vec / np.linalg.norm(vec)
@@ -194,10 +189,9 @@ ORACLE_TEXTS = (st.lists(st.sampled_from(ORACLE_WORDS), max_size=12).map(" ".joi
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(ORACLE_TEXTS, st.sampled_from([7, 256]), st.sampled_from([1, EMBED_SEED]))
-def test_embed_equals_the_scalar_oracle_bit_for_bit(text, dim, seed):
-    got = HashEmbedder(dim, seed).embed(text).values
-    assert got.tobytes() == _oracle_vector(text, dim, seed).tobytes()
+@given(ORACLE_TEXTS)
+def test_embed_equals_the_scalar_oracle_bit_for_bit(text):
+    assert embed(text).values.tobytes() == _oracle_vector(text).tobytes()
 
 
 # one word 3,000 times: counts of about 3,000 and 2,999, a squared norm
@@ -206,20 +200,19 @@ WIDE_TEXT = " ".join(["budget"] * 3000)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(st.lists(ORACLE_TEXTS | st.just(WIDE_TEXT), min_size=1, max_size=3 * EMBED_BLOCK),
-       st.sampled_from([7, 256]))
-@example([""], 256)  # a block of one, wordless
-@example(["budget review"], 7)  # a block of one
-@example(["a", WIDE_TEXT, "", "b c"], 256)  # float64 between float32 and wordless rows
+@given(st.lists(ORACLE_TEXTS | st.just(WIDE_TEXT), min_size=1, max_size=3 * EMBED_BLOCK))
+@example([""])  # a block of one, wordless
+@example(["budget review"])  # a block of one
+@example(["a", WIDE_TEXT, "", "b c"])  # float64 between float32 and wordless rows
 # EMBED_BLOCK + 1 texts, the float64 one last but one
-@example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!"], 256)
-def test_count_rows_of_a_block_equal_each_text_alone(texts, dim):
+@example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!"])
+def test_count_rows_of_a_block_equal_each_text_alone(texts):
     # each row has its values and squared norm whichever block it is summed
     # in; the block is float64 iff one of its squared norms needs it
-    embedder = HashEmbedder(dim)
+    embedder = HashEmbedder()
     assert embedder.embed(WIDE_TEXT).counts.dtype == np.float64
     counts, norm2 = embedder.count_rows([split_words(text) for text in texts])
-    assert counts.shape == (len(texts), dim)
+    assert counts.shape == (len(texts), EMBED_DIM)
     assert counts.dtype == (np.float64 if max(norm2) > FLOAT32_MAX_NORM2 else np.float32)
     for text, row, n in zip(texts, counts, norm2):
         alone, (alone_n,) = embedder.count_rows([split_words(text)])
@@ -352,7 +345,7 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
     # rows_since and bar take of it, and every scan over them must give the
     # rows and the cosines of the Python-integer reference through appends,
     # reserve, compaction with holes and the float64 widening
-    rows, held, wide = CountRows(EMBED_DIM), [], False  # held: each row's embedding
+    rows, held, wide = CountRows(), [], False  # held: each row's embedding
     r, added = Retriever(HashEmbedder()), []  # the same rows, never compacted
     memo = {}
 
@@ -387,6 +380,9 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
         assert rows.counts.dtype == dtype and len(rows.counts) == len(held)
         assert rows.counts.tobytes() == np.array([e.counts for e in held], dtype).tobytes()
         assert rows.norm2.tolist() == [e.norm2 for e in held]
+        assert [(got.counts.dtype, got.counts.tobytes(), got.norm2) for got in map(
+            rows.embedding, range(len(held)))] == [(e.counts.dtype, e.counts.tobytes(), e.norm2)
+                                                   for e in held]
         since = len(held) // 2
         for q in queries:
             assert [s.hex() for s in cosine_similarities(rows.counts, rows.norm2, q).tolist()] \
@@ -406,6 +402,19 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
                                                                       for q in queries]
 
 
+def test_count_rows_before_their_first_row():
+    # a new store is EMBED_DIM features wide before it holds a row: it can
+    # be reserved, scanned, compacted and then appended to
+    rows, e = CountRows(), embed("budget review")
+    rows.reserve(3)
+    assert rows.capacity == INITIAL_ROWS and rows.counts.shape == (0, EMBED_DIM)
+    assert cosine_similarities(rows.counts, rows.norm2, e).tolist() == []
+    rows.compact([])
+    rows.append(e)
+    assert rows.counts.tobytes() == e.counts.tobytes() and rows.norm2.tolist() == [e.norm2]
+    assert cosine_similarities(rows.counts, rows.norm2, e).tolist() == [1.0]
+
+
 def test_embed_hash_oracle():
     s = "meeting at noon"
     a = _oracle_vector(s)
@@ -414,8 +423,3 @@ def test_embed_hash_oracle():
     got = cosine_similarity(embed(s), embed(s + " " + s))
     assert got == pytest.approx(expected, abs=1e-12)
 
-
-def test_hash_embedder_seed_sensitivity():
-    a = HashEmbedder(seed=1).embed("budget")
-    b = HashEmbedder(seed=2).embed("budget")
-    assert not np.array_equal(a.values, b.values)
