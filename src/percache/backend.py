@@ -406,34 +406,17 @@ class ScriptedBackend:
 # cost model
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
-    prefill_flops: float = 0.0
-    decode_flops: float = 0.0
-    prefill_ms: float = 0.0
-    decode_ms: float = 0.0
-    match_ms: float = 0.0
-    load_ms: float = 0.0
-    embed_ms: float = 0.0
+    """One estimate of CostModel: its FLOPs and its total modeled ms."""
+
+    prefill_flops: float
+    decode_flops: float
+    total_ms: float
 
     @property
     def total_flops(self) -> float:
         return self.prefill_flops + self.decode_flops
-
-    @property
-    def total_ms(self) -> float:
-        return self.prefill_ms + self.decode_ms + self.match_ms + self.load_ms + self.embed_ms
-
-    def add(self, other: "CostReport") -> "CostReport":
-        return CostReport(
-            self.prefill_flops + other.prefill_flops,
-            self.decode_flops + other.decode_flops,
-            self.prefill_ms + other.prefill_ms,
-            self.decode_ms + other.decode_ms,
-            self.match_ms + other.match_ms,
-            self.load_ms + other.load_ms,
-            self.embed_ms + other.embed_ms,
-        )
 
 
 def prefill_macs(cfg: ToyModelConfig, l_total: int, l_pre: int) -> int:
@@ -496,16 +479,8 @@ class CostModel:
         pf = float(prefill_macs(self.model_config, l_total, l_pre))
         df = float(decode_macs(self.model_config, l_total, decode_tokens, decode_passes))
         scale = p.latency_scale
-        match_ms = scale * (
-            (p.question_match_ms if qa_match else 0.0)
-            + (p.qkv_match_ms if qkv_match else 0.0)
-        )
-        return CostReport(
-            prefill_flops=pf,
-            decode_flops=df,
-            prefill_ms=pf / p.flops_per_ms,
-            decode_ms=df / p.flops_per_ms,
-            match_ms=match_ms,
-            load_ms=scale * p.qkv_load_ms * loaded_slices,
-            embed_ms=scale * p.embed_ms * embeds,
-        )
+        match_ms = ((scale * p.question_match_ms if qa_match else 0.0)
+                    + (scale * p.qkv_match_ms if qkv_match else 0.0))
+        total_ms = (pf / p.flops_per_ms + df / p.flops_per_ms + match_ms
+                    + scale * p.qkv_load_ms * loaded_slices + scale * p.embed_ms * embeds)
+        return CostReport(pf, df, total_ms)

@@ -47,6 +47,11 @@ def _load_config(path: str | None) -> EngineConfig:
     return EngineConfig.from_file(path)
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def cmd_ingest(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_file():
@@ -60,9 +65,31 @@ def cmd_ingest(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
     chunks = bank.ingest_text(text)
-    bank.persist()
+    try:
+        bank.persist()
+    except OSError as exc:
+        return _cannot_write(args.bank, exc)
     print(f"{len(chunks)} chunks")
     return EXIT_OK
+
+
+def _write_reports(engine: Engine, args) -> bool:
+    """Write the per-query CSV and the metrics JSONL of the events replayed
+    so far; False, having named the path, when one cannot be written."""
+    out = path = Path(args.out)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            for record in engine.metrics:
+                if record["kind"] == "query_arrival":
+                    writer.writerow(record)
+        path = Path(args.metrics) if args.metrics else out.with_suffix(".jsonl")
+        engine.write_metrics(path)
+    except OSError as exc:
+        _cannot_write(path, exc)
+        return False
+    return True
 
 
 def cmd_replay(args) -> int:
@@ -77,25 +104,24 @@ def cmd_replay(args) -> int:
     except (BankError, ConfigError, TraceError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA
+    failed = False
     try:
         for lineno, event in events:
             try:
                 engine.apply_event(event)
             except (TraceError, ConfigError) as exc:
                 print(f"{trace_path}:{lineno}: {exc}", file=sys.stderr)
-                return EXIT_DATA
+                failed = True
+                break
     finally:
-        out = Path(args.out)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-            writer.writeheader()
-            for record in engine.metrics:
-                if record["kind"] == "query_arrival":
-                    writer.writerow(record)
-        metrics_path = Path(args.metrics) if args.metrics else out.with_suffix(".jsonl")
-        engine.write_metrics(metrics_path)
+        reported = _write_reports(engine, args)
+    if failed or not reported:
+        return EXIT_DATA
     if args.persist:
-        engine.persist()
+        try:
+            engine.persist()
+        except OSError as exc:
+            return _cannot_write(args.bank, exc)
     queries = [r for r in engine.metrics if r["kind"] == "query_arrival"]
     hits = sum(1 for r in queries if r["path"] == "qa_hit")
     flops = sum(r.get("prefill_flops", 0) + r.get("decode_flops", 0) + r.get("flops_spent", 0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .backend import (
@@ -112,7 +112,7 @@ class QueryOutcome:
     answer: str | None  # None when answer was asked not to decode
     path: str  # QA_HIT | QKV_PARTIAL | COLD_MISS
     matched_count: int
-    best_similarity: float  # of the QA match; -1.0 from answer, which runs none
+    best_similarity: float  # of the QA match; -1.0 when none ran
     cost: CostReport
     l_total: int = 0
     l_pre: int = 0
@@ -199,8 +199,8 @@ class Engine:
             self._head = (head, tokenize(head, self.vocab))
         return self._head[1] + tokenize(prompt[len(head):], self.vocab)
 
-    def answer(self, text: str, decode: bool = True,
-               embedding: Embedding | None = None) -> QueryOutcome:
+    def answer(self, text: str, decode: bool = True, embedding: Embedding | None = None,
+               best_similarity: float | None = None) -> QueryOutcome:
         """Serve text past the QA bank: retrieve (embedding is text's, or
         text is embedded), prefill the prompt reusing the longest cached
         prefix of its token ids, and decode if decode. Then store its slices
@@ -208,7 +208,10 @@ class Engine:
         bank (when QA is enabled). An existing entry for text takes a
         decoded answer in place and is no longer stale; an answer-less
         result never replaces a decoded answer. The match updates the
-        reused nodes' LFU counts."""
+        reused nodes' LFU counts. best_similarity is that of the QA match
+        text missed, None when none ran (idle work, or QA off): the one
+        cost estimate charges that match, and the outcome reports it, or
+        -1.0."""
         if embedding is None:
             embedding = self.embedder.embed(text)
         ranked = self.retriever.retrieve_top_k(text, self.config.retrieval_k, embedding=embedding)
@@ -228,7 +231,8 @@ class Engine:
         cost = self.cost_model.estimate_cost(
             l_total=len(tokens), l_pre=l_pre, decode_tokens=len(ids),
             loaded_slices=matched + 1 if prefix is not None else 0,
-            qkv_match=self.config.reuse_enabled, embeds=1, decode_passes=passes,
+            qa_match=best_similarity is not None, qkv_match=self.config.reuse_enabled,
+            embeds=1, decode_passes=passes,
         )
         if self.config.reuse_enabled:
             try:
@@ -239,7 +243,8 @@ class Engine:
             # the bar from the cosine row that retrieval just computed: no second scan
             bar = self.retriever.bar(embedding, self.config.k_refresh) if answer is not None else None
             self.qa.insert(text, embedding, answer, self._seq(), bar)
-        return QueryOutcome(answer, QKV_PARTIAL if l_pre > 0 else COLD_MISS, matched, -1.0,
+        return QueryOutcome(answer, QKV_PARTIAL if l_pre > 0 else COLD_MISS, matched,
+                            -1.0 if best_similarity is None else best_similarity,
                             cost, len(tokens), l_pre, discarded)
 
     # -- serving path ---------------------------------------------------------
@@ -248,7 +253,7 @@ class Engine:
         self.predictor.phase = "serve"
         try:
             embedding = self.embedder.embed(text)
-            entry, best_sim = (None, -1.0)
+            entry, best_sim = (None, None)
             if self.config.qa_enabled:
                 entry, best_sim = self.qa.match(embedding, self.config.tau_query, self._seq())
             if entry is not None:
@@ -257,10 +262,9 @@ class Engine:
                 self.predictor.note_user_query(text, now)
                 cost = self.cost_model.estimate_cost(l_total=0, qa_match=True, embeds=1)
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
-            outcome = self.answer(text, embedding=embedding)
+            outcome = self.answer(text, embedding=embedding, best_similarity=best_sim)
             self.predictor.note_user_query(text, now)
-            return replace(outcome, best_similarity=best_sim, cost=outcome.cost.add(
-                self.cost_model.estimate_cost(l_total=0, qa_match=self.config.qa_enabled)))
+            return outcome
         finally:
             self.predictor.phase = "idle"
 
@@ -297,7 +301,7 @@ class Engine:
             return None
         return self.answer(query, decode).cost
 
-    def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], CostReport]:
+    def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], float]:
         """QA->QKV conversion, node by node, from each node's kept token
         ids. Absent nodes with kept ids go in LFU order, most retrieved
         first, which puts every ancestor before its descendants. A node is
@@ -305,17 +309,18 @@ class Engine:
         (not the manifest's byte_size) does not fit the free space, or its
         root path kept no ids or no token at all;
         otherwise its root path's ids are prefilled behind the present
-        ancestors' slices, and refill puts its rows back if they fit: they
-        equal the evicted rows bit for bit, as cached prefill equals
-        recomputation. Moves no LFU count. Stops once its own FLOPs reach
-        flops_left."""
-        bank, restored, total = self.bank, [], CostReport()
+        ancestors' slices, and the bank holds its rows again. They equal
+        the evicted rows bit for bit, as cached prefill equals
+        recomputation, so they have the size checked. Moves no LFU count.
+        Returns the restored ids and the FLOPs spent; stops once those
+        reach flops_left."""
+        bank, restored, flops = self.bank, [], 0.0
         cfg = self.model.config
         absent = sorted((n for n in bank.nodes.values()
                          if not n.present and n.token_ids is not None),
                         key=lambda n: (-n.retrieval_count, n.node_id))
         for node in absent:
-            if total.total_flops >= flops_left:
+            if flops >= flops_left:
                 break
             path = [node]  # root first
             while path[0].parent is not None:
@@ -330,12 +335,10 @@ class Engine:
             l_pre = sum(len(n.token_ids) for n in cached)
             state = self.model.prefill(ids, QkvPrefix(
                 QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
-            total = total.add(self.cost_model.estimate_cost(
-                l_total=len(ids), l_pre=l_pre, loaded_slices=len(cached)))
-            rows = state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids))
-            if bank.refill(node, rows):
-                restored.append(node.node_id)
-        return restored, total
+            flops += self.cost_model.estimate_cost(l_total=len(ids), l_pre=l_pre).total_flops
+            bank.hold(node, state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids)))
+            restored.append(node.node_id)
+        return restored, flops
 
     # -- trace replay ---------------------------------------------------------
 

@@ -22,13 +22,14 @@ evicted node keeps its metadata and token ids. Those ids are the only
 refill rule: a cached prefill equals recomputation bit for bit, so rows
 computed from the same root-path ids are the evicted rows. Idle
 restoration works node by node, so it counts no user retrieval: the
-engine prefills the node's root path's kept ids and refill writes the
+engine prefills the node's root path's kept ids and hold writes the
 rows back. A slice_and_insert of a prompt whose ids match the node's
 root path refills it the same way.
 
 used_bytes is the sum of byte_size over the present nodes, at most
-limit_bytes: only _hold charges a slice (slice_and_insert, refill and
-load call it), and only _evict_node and drop_tree release one.
+limit_bytes: only hold charges a slice (slice_and_insert, load and the
+engine's restoration call it), and only _evict_node and drop_tree
+release one.
 
 Nodes hold their slices as QkvTensors. The slice file format is only the
 bank's disk boundary: persist writes it and load reads and validates it.
@@ -209,7 +210,7 @@ class CacheTreeNode:
     children: list = field(default_factory=list)
     tensors: QkvTensors | None = field(default=None, repr=False)  # the slice; copied in and out
     # serialized slice length, kept past eviction; set with the slice by
-    # _hold, and counted in used_bytes while the node is present
+    # hold, and counted in used_bytes while the node is present
     byte_size: int = 0
     retrieval_count: int = 0
     last_used: int = 0
@@ -361,7 +362,7 @@ class KnowledgeBank:
             if node is None:
                 node = parent = self._new_node(parent, chunk_id)
             node.last_used, node.token_ids = now, ids
-            self._hold(node, tensors)
+            self.hold(node, tensors)
             written_ids.append(node.node_id)
         return written_ids
 
@@ -404,19 +405,10 @@ class KnowledgeBank:
         tensors = QkvTensors.concat(parts)  # a copy: stored arrays never leave the bank
         return QkvPrefix(tensors, l_pre), len(reached) - 1, cached - l_pre
 
-    def refill(self, node: CacheTreeNode, tensors: QkvTensors) -> bool:
-        """Put back the slice of an evicted node if it fits the free space.
-        The caller computes tensors from the node's root-path kept ids, so
-        they equal the evicted rows bit for bit. Checks and charges the
-        slice's own size, which becomes byte_size. Moves no LFU field."""
-        if not self.fits(slice_size(tensors)):
-            return False
-        self._hold(node, tensors)
-        return True
-
-    def _hold(self, node: CacheTreeNode, tensors: QkvTensors) -> None:
+    def hold(self, node: CacheTreeNode, tensors: QkvTensors) -> None:
         """The one charge point: node holds tensors, byte_size becomes
-        their serialized length, and used_bytes counts it."""
+        their serialized length, and used_bytes counts it. The caller has
+        checked that they fit. Moves no LFU field."""
         node.tensors, node.byte_size = tensors, slice_size(tensors)
         self.used_bytes += node.byte_size
 
@@ -503,8 +495,8 @@ class KnowledgeBank:
         file:line; a missing or corrupt slice degrades to evicted, and so
         does a slice whose record has no token_ids (a bank written before
         they were kept), since its rows cannot be checked against a prompt;
-        nor is such a node refilled, as refill goes by kept ids alone. An
-        evicted node's byte_size is not checked here, since refill charges
+        nor is such a node refilled, as a refill goes by kept ids alone. An
+        evicted node's byte_size is not checked here, since a refill charges
         the rows it writes. A root record without a stamp key was written
         before the stamp and slice format v2, so none of its tree's slices
         is read: every node opens evicted, and Engine._check_stamp drops
@@ -573,7 +565,7 @@ class KnowledgeBank:
                     or tensors.token_count != len(node.token_ids)):
                 log.warning("slice for node %d unreadable; treated as evicted", node.node_id)
                 continue
-            bank._hold(node, tensors)
+            bank.hold(node, tensors)
         bank._next_node_id = max(bank.nodes) + 1
         bank.set_limit(limit_bytes)  # a smaller budget than the bank holds evicts LFU
         return bank

@@ -90,9 +90,9 @@ class Scheduler:
                 report.converted_to_qa = len(answer_all(
                     (e.query, engine.qa.embedding(e)) for e in engine.qa.pending() if e.answer is None
                 ))
-            restored, cost = engine.restore_evicted_slices(work_budget - report.flops_spent)
+            restored, flops = engine.restore_evicted_slices(work_budget - report.flops_spent)
             report.restored_nodes += len(restored)
-            report.flops_spent += cost.total_flops
+            report.flops_spent += flops
 
         # (3) predictions and cache population. Summaries and predictions cost
         # no FLOPs, so one budget check covers them; the knowledge view

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from percache.backend import (
     CostModel,
-    CostReport,
     PrefillState,
     QkvPrefix,
     QkvTensors,
@@ -597,12 +596,14 @@ def test_estimate_cost_totals_and_projection_reduction():
     assert rep.prefill_flops == prefill_macs(CFG, 20, 5)
     assert rep.decode_flops == decode_macs(CFG, 20, 3)
     assert rep.total_flops == rep.prefill_flops + rep.decode_flops
-    assert rep.match_ms == 1610.0 + 15.0
-    assert rep.load_ms == 2 * 1030.0
-    assert rep.embed_ms == 40.0
-    assert rep.total_ms == pytest.approx(
-        rep.prefill_ms + rep.decode_ms + rep.match_ms + rep.load_ms + rep.embed_ms
-    )
+    f = EngineConfig().flops_per_ms
+    flops_ms = rep.prefill_flops / f + rep.decode_flops / f
+    assert rep.total_ms == flops_ms + (1610.0 + 15.0) + 2 * 1030.0 + 40.0
+    # each fixed charge alone, over the same FLOPs
+    for charge, ms in ((dict(qa_match=True), 1610.0), (dict(qkv_match=True), 15.0),
+                       (dict(loaded_slices=2), 2 * 1030.0), (dict(embeds=1), 40.0)):
+        assert cm.estimate_cost(l_total=20, l_pre=5, decode_tokens=3, **charge).total_ms \
+            == flops_ms + ms, charge
 
 
 def test_estimate_cost_monotone_in_prefix():
@@ -616,15 +617,10 @@ def test_latency_scale():
     config = EngineConfig()
     cm = CostModel(CFG, config)
     config.apply("latency_scale", "0.5")  # read at each estimate
-    rep = cm.estimate_cost(l_total=5, qa_match=True, loaded_slices=1)
-    assert rep.match_ms == 805.0 and rep.load_ms == 515.0
-
-
-def test_cost_report_add():
-    a = CostReport(prefill_flops=1, decode_flops=2, match_ms=3)
-    b = CostReport(prefill_flops=10, load_ms=4)
-    c = a.add(b)
-    assert (c.prefill_flops, c.decode_flops, c.match_ms, c.load_ms) == (11, 2, 3, 4)
+    flops_ms = cm.estimate_cost(l_total=5).prefill_flops / config.flops_per_ms
+    for charge, ms in ((dict(qa_match=True), 805.0), (dict(qkv_match=True), 7.5),
+                       (dict(loaded_slices=1), 515.0), (dict(embeds=1), 20.0)):
+        assert cm.estimate_cost(l_total=5, **charge).total_ms == flops_ms + ms, charge
 
 
 def test_scripted_backend_exact_and_wildcard():

@@ -224,6 +224,43 @@ def test_replay_reruns_byte_identical(tmp_path, capsys):
     assert all(set(r) == set(CSV_COLUMNS) for r in rows)
 
 
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+def test_replay_unwritable_output_exit_2(tmp_path, capsys, flag):
+    # the whole trace runs before the reports are written
+    trace = _write(tmp_path / "t.trace", '{"at": 0, "kind": "idle_tick"}\n')
+    paths = {"--out": tmp_path / "out.csv", "--metrics": tmp_path / "m.jsonl"}
+    paths[flag] = tmp_path / "missing" / paths[flag].name
+    argv = ["replay", "--trace", trace, "--bank", tmp_path / "b"]
+    for key, path in paths.items():
+        argv += [key, path]
+    assert run(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"cannot write {paths[flag]}: " in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_replay_trace_error_and_unwritable_output_exit_2(tmp_path, capsys):
+    # the output failure adds its message to the trace's; neither is lost
+    trace = _write(tmp_path / "bad.trace", '{"at": 0, "kind": "idle_tick"}\n{"at": 1, "kind": "wat"}\n')
+    out = tmp_path / "missing" / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{trace}:2: " in err and f"cannot write {out}: " in err
+
+
+def test_bank_that_is_a_file_exit_2_at_persist(tmp_path, capsys):
+    bank = _write(tmp_path / "bank", "not a directory")
+    corpus = _write(tmp_path / "c.txt", "alpha beta gamma delta")
+    assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
+    assert f"cannot write {bank}: " in capsys.readouterr().err
+    trace = _write(tmp_path / "t.trace", '{"at": 0, "kind": "idle_tick"}\n')
+    out = tmp_path / "out.csv"
+    assert run(["replay", "--trace", trace, "--bank", bank, "--out", out, "--persist"]) == EXIT_DATA
+    assert f"cannot write {bank}: " in capsys.readouterr().err
+    assert out.exists()  # the reports come before the persist
+    assert bank.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_replay_persist_then_reuse(tmp_path, capsys):
     trace = _write(
         tmp_path / "t.trace",

@@ -481,6 +481,29 @@ def test_config_change_cost_params_take_effect(tmp_path, field, value):
     assert changed["total_ms"] == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("qa_enabled", [True, False])
+def test_served_miss_total_ms_is_the_two_estimate_sum(tmp_path, qa_enabled):
+    # a served miss charges its QA match in its one estimate; the total
+    # equals, bit for bit, the field-by-field sum of the answer's estimate
+    # and the match's own that the engine once added. The goldens pin
+    # latency_scale 1 only
+    eng = make_engine(tmp_path, tau_query=1.0, latency_scale=0.3, qa_enabled=qa_enabled)
+    eng.apply_event({"at": 0, "kind": "chunk_arrival", "text": CORPUS})
+    c, s = eng.config, 0.3
+    for at, path in ((1, COLD_MISS), (2, QKV_PARTIAL)):
+        r = eng.apply_event({"at": at, "kind": "query_arrival", "text": "what is the budget review plan?"})
+        assert r["path"] == path
+        # the match missed the entry of the first ask only at tau_query 1.0
+        assert r["best_similarity"] == (pytest.approx(1.0) if qa_enabled and at == 2 else -1.0)
+        slices = r["matched_count"] + 1 if r["l_pre"] else 0
+        prefill_ms = r["prefill_flops"] / c.flops_per_ms + 0.0 / c.flops_per_ms
+        decode_ms = r["decode_flops"] / c.flops_per_ms + 0.0 / c.flops_per_ms
+        match_ms = s * (0.0 + c.qkv_match_ms) + s * ((c.question_match_ms if qa_enabled else 0.0) + 0.0)
+        load_ms = s * c.qkv_load_ms * slices + s * c.qkv_load_ms * 0
+        embed_ms = s * c.embed_ms * 1 + s * c.embed_ms * 0
+        assert r["total_ms"] == prefill_ms + decode_ms + match_ms + load_ms + embed_ms
+
+
 def test_config_change_tau_applies_immediately(tmp_path):
     eng = make_engine(tmp_path)
     eng.ingest_chunks([CORPUS], 0)
