@@ -165,7 +165,7 @@ class Engine:
         self._head: tuple[str, tuple[int, ...]] = ("", ())
         # sequence numbers continue from the largest one the bank persisted
         self._op = max([n.last_used for n in self.bank.nodes.values()]
-                       + [max(e.created_at, e.last_used) for e in self.qa.entries])
+                       + [e.last_used for e in self.qa.entries])
         self._last_at: float | None = None
 
     def _seq(self) -> int:

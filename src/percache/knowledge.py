@@ -501,8 +501,10 @@ class KnowledgeBank:
         before the stamp and slice format v2, so none of its tree's slices
         is read: every node opens evicted, and Engine._check_stamp drops
         the tree. Slices beyond limit_bytes are evicted as set_limit
-        would."""
+        would; a path that is a regular file raises BankError."""
         directory = Path(directory)
+        if directory.exists() and not directory.is_dir():
+            raise BankError(f"{directory}: not a directory")
         bank = cls(directory, vocab, limit_bytes, chunk_words_count)
         chunks_file = directory / "chunks.jsonl"
         if chunks_file.exists():

@@ -13,7 +13,8 @@ The entries' embeddings are a textcore.CountRows, in insertion order, and
 are kept nowhere else: each entry holds its row, and QaBank.embedding
 rebuilds the Embedding from it. An evicted entry leaves a hole; when the
 rows are full, the holes are dropped before they grow and the rows
-renumbered. Beside the rows a mask marks the servable ones. Only
+renumbered in the same order, so a row is its entry's age. Beside the
+rows a mask marks the servable ones. Only
 QaBank's methods change an entry's answer or stale flag, and they keep the
 mask in step, so match scans every held row with one cosine_similarities
 call, term at a time over the query's nonzero features, and keeps the
@@ -51,7 +52,6 @@ class QaEntry:
 
     query: str
     answer: str | None
-    created_at: int
     last_used: int
     use_count: int = 0
     stale: bool = False
@@ -92,15 +92,14 @@ class QaBank:
 
         Returns (entry or None, best similarity over servable entries);
         the similarity is -1.0 when no entry is servable. A hit bumps
-        use_count and last_used.
+        use_count and last_used. Of entries at the best similarity, the
+        first row wins, the oldest entry.
         """
         rows = self._servable_rows()
         if not len(rows):
             return None, -1.0
         sims = cosine_similarities(self._rows.counts, self._rows.norm2, embedding)[rows]
-        # ties: the oldest entry, then the first inserted
-        i = min(np.flatnonzero(sims == sims.max()).tolist(),
-                key=lambda i: self._held[rows[i]].created_at)
+        i = int(sims.argmax())
         best, best_sim = self._held[rows[i]], float(sims[i])
         if best_sim > tau and best_sim > -1.0:  # the -1.0 floor picks no entry, whatever tau is
             best.use_count += 1
@@ -116,11 +115,11 @@ class QaBank:
         """Insert or update; returns evicted entries.
 
         An exact-text duplicate is updated in place: its answer and
-        last_used change, its use_count and created_at stay. A decoded
+        last_used change, its use_count and row stay. A decoded
         answer is never replaced by an answer-less insert for the same
         text. An answered insert takes bar, from Retriever.bar over the
         current corpus; None leaves the entry to be keyed at the next
-        refresh.
+        refresh. A new query takes a new last row.
         """
         existing = self._by_query.get(query)
         if existing is not None:
@@ -134,7 +133,7 @@ class QaBank:
             self._servable[existing.row] = existing.servable
             return []
         evicted = self._evict_lfu(self.limit_bytes // DEFAULT_ENTRY_BYTES - 1)
-        self._add(QaEntry(query, answer, now, now, bar=bar if answer is not None else None),
+        self._add(QaEntry(query, answer, now, bar=bar if answer is not None else None),
                   embedding)
         return evicted
 
@@ -166,11 +165,10 @@ class QaBank:
 
     def _evict_lfu(self, keep: int) -> list[QaEntry]:
         """Evict until at most keep entries remain; victims have the fewest
-        uses (ties: least-recent last_used, then oldest, then query). The
-        key is unique, as the query is, so the victims and their order are
-        fixed."""
+        uses (ties: least-recent last_used, then query). The key is unique,
+        as the query is, so the victims and their order are fixed."""
         evicted = heapq.nsmallest(len(self.entries) - keep, self.entries,
-                                  key=lambda e: (e.use_count, e.last_used, e.created_at, e.query))
+                                  key=lambda e: (e.use_count, e.last_used, e.query))
         for victim in evicted:
             self._remove(victim)
         return evicted
@@ -214,9 +212,7 @@ class QaBank:
 
     def pending(self) -> list[QaEntry]:
         """Entries needing decode work (answer-less or stale), oldest first."""
-        todo = [e for e in self.entries if e.answer is None or e.stale]
-        todo.sort(key=lambda e: (e.created_at, e.query))
-        return todo
+        return [e for e in self.entries if e.answer is None or e.stale]
 
     # -- persistence --------------------------------------------------------
 
@@ -225,7 +221,6 @@ class QaBank:
             {
                 "query": e.query,
                 "answer": e.answer,
-                "created_at": e.created_at,
                 "last_used": e.last_used,
                 "use_count": e.use_count,
                 "stale": e.stale,
@@ -235,23 +230,24 @@ class QaBank:
 
     @classmethod
     def load(cls, path, limit_bytes: int, embedder: HashEmbedder | None = None) -> "QaBank":
-        """The bank persisted at path, or an empty one if there is none. A
-        query on two lines raises BankError naming the second."""
+        """The bank persisted at path in file order, or an empty one if there
+        is none. A query on two lines raises BankError naming the second.
+        Keys it does not read, such as older files' created_at, are ignored."""
         embedder = embedder or HashEmbedder()
         bank = cls(limit_bytes)
         path = Path(path)
         if not path.exists():
             return bank
-        fields = {"query": (str,), "answer": (str, NoneType), "created_at": (int,),
-                  "last_used": (int,), "use_count": (int,), "stale": (bool,)}
+        fields = {"query": (str,), "answer": (str, NoneType), "last_used": (int,),
+                  "use_count": (int,), "stale": (bool,)}
         records = {}  # query -> its record
         for lineno, rec in read_jsonl(path, fields):
             if rec["query"] in records:
                 raise BankError(f"{path}:{lineno}: duplicate query {rec['query']!r}")
             records[rec["query"]] = rec
         for rec in records.values():
-            bank._add(QaEntry(rec["query"], rec["answer"], rec["created_at"], rec["last_used"],
-                              rec["use_count"], rec["stale"]), embedder.embed(rec["query"]))
+            bank._add(QaEntry(rec["query"], rec["answer"], rec["last_used"], rec["use_count"],
+                              rec["stale"]), embedder.embed(rec["query"]))
         if bank.used_bytes > limit_bytes:
             bank.set_limit(limit_bytes)
         return bank

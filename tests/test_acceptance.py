@@ -306,7 +306,7 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
     orig_remove = QaBank._remove
 
     def checked_remove(entry):
-        key = lambda e: (e.use_count, e.last_used, e.created_at, e.query)
+        key = lambda e: (e.use_count, e.last_used, e.query)
         assert key(entry) == min(key(e) for e in qa.entries)
         orig_remove(qa, entry)
 

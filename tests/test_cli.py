@@ -248,16 +248,22 @@ def test_replay_trace_error_and_unwritable_output_exit_2(tmp_path, capsys):
     assert f"{trace}:2: " in err and f"cannot write {out}: " in err
 
 
-def test_bank_that_is_a_file_exit_2_at_persist(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--corpus", "c.txt"],
+    ["replay", "--trace", "t.trace", "--out", "out.csv"],
+    ["replay", "--trace", "t.trace", "--out", "out.csv", "--persist"],
+], ids=["ingest", "replay", "replay-persist"])
+def test_bank_that_is_a_file_exit_2_at_open(tmp_path, capsys, monkeypatch, argv):
+    # refused before any chunking, replay or report write
     bank = _write(tmp_path / "bank", "not a directory")
-    corpus = _write(tmp_path / "c.txt", "alpha beta gamma delta")
-    assert run(["ingest", "--corpus", corpus, "--bank", bank]) == EXIT_DATA
-    assert f"cannot write {bank}: " in capsys.readouterr().err
-    trace = _write(tmp_path / "t.trace", '{"at": 0, "kind": "idle_tick"}\n')
-    out = tmp_path / "out.csv"
-    assert run(["replay", "--trace", trace, "--bank", bank, "--out", out, "--persist"]) == EXIT_DATA
-    assert f"cannot write {bank}: " in capsys.readouterr().err
-    assert out.exists()  # the reports come before the persist
+    _write(tmp_path / "c.txt", "alpha beta gamma delta")
+    _write(tmp_path / "t.trace", '{"at": 0, "kind": "idle_tick"}\n')
+    monkeypatch.chdir(tmp_path)
+    for cls, name in ((knowledge.KnowledgeBank, "ingest_text"), (Engine, "apply_event")):
+        monkeypatch.setattr(cls, name, lambda *a, **k: pytest.fail("ran past the open"))
+    assert run(argv + ["--bank", bank]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"{bank}: not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bank", "c.txt", "t.trace"]
     assert bank.read_text(encoding="utf-8") == "not a directory"
 
 
@@ -358,7 +364,7 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
 
 
 @pytest.mark.parametrize("name,key,value", [
-    ("qa.jsonl", "created_at", "x"),
+    ("qa.jsonl", "last_used", "x"),
     ("qa.jsonl", "query", 7),
     ("qa.jsonl", "use_count", True),  # a boolean is not an integer
     ("qa.jsonl", "stale", 0),

@@ -629,8 +629,8 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):
-    # created_at and last_used order QA and LFU tie-breaks and restoration;
-    # a reopened bank must not reuse the numbers it persisted
+    # last_used orders LFU ties and restoration, and a new QA entry takes
+    # the last row; a reopened bank must not reuse the numbers it persisted
     eng = make_engine(tmp_path / "bank")
     eng.ingest_chunks([CORPUS], 0)
     for i, q in enumerate(("what is the budget review plan?", "when is the team meeting?",
@@ -638,12 +638,44 @@ def test_sequence_numbers_continue_after_reopen(tmp_path):
         eng.handle_query(q, i + 1)
     eng.persist()
     persisted = max([n.last_used for n in eng.bank.nodes.values()]
-                    + [max(e.created_at, e.last_used) for e in eng.qa.entries])
+                    + [e.last_used for e in eng.qa.entries])
     reopened = make_engine(tmp_path / "bank")
     q = "who wrote the agenda for monday?"
     assert reopened.handle_query(q, 10).path != QA_HIT
-    assert reopened.qa.get(q).created_at > persisted
+    assert reopened.qa.get(q).last_used > persisted
+    assert list(reopened.qa.entries)[-1] is reopened.qa.get(q)
     assert reopened.bank.root.last_used > persisted
+
+
+def test_qa_file_with_created_at_opens_and_persists_without_it(tmp_path):
+    # qa.jsonl once also held each entry's created_at, which rose with its
+    # line; the row order says the same, so load ignores the key
+    recs = [
+        {"query": "when is the team meeting?", "answer": "at noon", "created_at": 4,
+         "last_used": 9, "use_count": 2, "stale": False},
+        {"query": "what is the budget review plan?", "answer": "a plan", "created_at": 6,
+         "last_used": 6, "use_count": 0, "stale": True},
+        {"query": "who wrote the agenda?", "answer": None, "created_at": 7, "last_used": 7,
+         "use_count": 0, "stale": False},
+        {"query": "where is the report?", "answer": "on the drive", "created_at": 8,
+         "last_used": 12, "use_count": 1, "stale": False},
+    ]
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    (bank / "qa.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+    eng = make_engine(bank)
+    fields = ("query", "answer", "stale", "use_count", "last_used")
+    assert [tuple(getattr(e, f) for f in fields) for e in eng.qa.entries] == [
+        tuple(r[f] for f in fields) for r in recs]
+    assert [e.query for e in eng.qa.pending()] == [recs[1]["query"], recs[2]["query"]]
+    hit = eng.handle_query(recs[0]["query"], 1)
+    assert (hit.path, hit.answer) == (QA_HIT, "at noon")
+    assert eng.qa.get(recs[0]["query"]).last_used == 13  # the next past the file's largest
+    eng.persist()
+    recs[0].update(use_count=3, last_used=13)
+    lines = (bank / "qa.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {k: v for k, v in r.items() if k != "created_at"} for r in recs]
 
 
 def test_bank_with_write_only_keys_opens_and_persists_without_them(tmp_path):

@@ -59,11 +59,13 @@ def test_match_skips_answerless_and_stale():
 
 
 def test_match_tie_prefers_older():
+    # the first inserted wins, though its query sorts last and an answer
+    # update made it the most recently used
     bank = _bank()
     a = embedding_from_counts(np.eye(EMBED_DIM)[0])
-    bank.insert("newer", a, "x", 5)
-    bank.insert("older", a, "y", 5)
-    bank.get("older").created_at = 1
+    bank.insert("older", a, "x", 1)
+    bank.insert("newer", a, "y", 2)
+    bank.insert("older", a, "z", 3)
     entry, _ = bank.match(a, 0.5, now=9)
     assert entry.query == "older"
 
@@ -244,12 +246,14 @@ def test_keys_kept_only_for_answered_inserts():
 
 
 def test_pending_order():
+    # oldest first, whatever the query text or the last use
     bank = _bank()
-    _insert(bank, "b later", answer=None, now=5)
-    _insert(bank, "a early", answer=None, now=1)
+    _insert(bank, "b early", answer=None, now=1)
     _insert(bank, "answered", now=2)
+    _insert(bank, "a later", answer=None, now=3)
+    _insert(bank, "b early", answer=None, now=4)
     bank.mark_stale("answered")
-    assert [e.query for e in bank.pending()] == ["a early", "answered", "b later"]
+    assert [e.query for e in bank.pending()] == ["b early", "answered", "a later"]
 
 
 def test_persistence_round_trip(tmp_path):
@@ -271,7 +275,9 @@ def test_persistence_round_trip(tmp_path):
     loaded = QaBank.load(path, bank.limit_bytes)
     assert len(loaded.entries) == 2
     got = loaded.get("decoded q")
-    assert got.answer == "the answer" and got.stale and got.created_at == 1
+    assert got.answer == "the answer" and got.stale and (got.last_used, got.use_count) == (1, 0)
+    assert [e.query for e in loaded.entries] == ["decoded q", "pending q"]
+    assert all("created_at" not in json.loads(line) for line in lines)
     # embeddings recomputed, matching still works once answered again
     loaded.insert("decoded q", EMB.embed("decoded q"), "the answer", now=9)
     hit, sim = loaded.match(EMB.embed("decoded q"), 0.99, now=9)

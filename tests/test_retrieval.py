@@ -456,13 +456,14 @@ def _check_retrieve(ops):
 
 
 def _reference_match(bank, embedding):
-    """QaBank.match's scalar loop, without the hit bookkeeping."""
+    """QaBank.match's scalar loop, without the hit bookkeeping: of equal
+    similarities, the entry inserted first."""
     best, best_sim = None, -1.0
     for entry in bank.entries:
         if not entry.servable:
             continue
         sim = cosine_similarity(embedding, bank.embedding(entry))
-        if sim > best_sim or (sim == best_sim and best is not None and entry.created_at < best.created_at):
+        if sim > best_sim:
             best, best_sim = entry, sim
     return best, best_sim
 
@@ -470,16 +471,16 @@ def _reference_match(bank, embedding):
 @EXACT_SETTINGS
 @given(
     entries=st.lists(
-        st.tuples(st.integers(0, 7), st.booleans(), st.booleans(), st.integers(0, 3)), max_size=24
+        st.tuples(st.integers(0, 7), st.booleans(), st.booleans()), max_size=24
     ),
     query=st.integers(0, 7),
     tau=st.sampled_from(["best", -2.0, -1.0, 0.0, 0.5, 0.99]),
     seed=st.integers(0, 2**32 - 1),
 )
 # every servable similarity exactly -1.0: no entry, even below tau
-@example(entries=[(7, True, False, 0), (7, True, False, 1)], query=6, tau=-2.0, seed=0)
-# an exact three-way tie: the oldest, then the first in list order
-@example(entries=[(0, True, False, 2), (0, True, False, 1), (0, True, False, 1)], query=0,
+@example(entries=[(7, True, False), (7, True, False)], query=6, tau=-2.0, seed=0)
+# an exact three-way tie after a stale entry: the first servable one
+@example(entries=[(0, True, True), (0, True, False), (0, True, False), (0, True, False)], query=0,
          tau=-2.0, seed=1)
 def _check_match(entries, query, tau, seed):
     # pool: dense vectors, a hashed text, the degenerate vector and its
@@ -488,8 +489,8 @@ def _check_match(entries, query, tau, seed):
     pool = dense + [_negated(dense[0]), EMB.embed("budget review"),
                     DEGENERATE, _negated(DEGENERATE)]
     bank = QaBank(limit_bytes=1 << 30)
-    for i, (idx, answered, stale, created_at) in enumerate(entries):
-        bank.insert(f"q{i}", pool[idx], "ans" if answered else None, created_at)
+    for i, (idx, answered, stale) in enumerate(entries):
+        bank.insert(f"q{i}", pool[idx], "ans" if answered else None, i)
         if stale:
             bank.mark_stale(f"q{i}")
     want, want_sim = _reference_match(bank, pool[query])
@@ -499,7 +500,7 @@ def _check_match(entries, query, tau, seed):
     assert float(sim).hex() == float(want_sim).hex()
     assert hit is (want if want is not None and want_sim > tau else None)
     assert [(e.use_count, e.last_used) for e in bank.entries] == [
-        (1, 99) if e is hit else (0, e.created_at) for e in bank.entries
+        (1, 99) if e is hit else (0, i) for i, e in enumerate(bank.entries)
     ]
 
 
@@ -745,8 +746,8 @@ def test_incremental_refresh_matches_full_scan():
 
 BANK_K = 2
 _bank_step = st.one_of(
-    # a new query, or an answer update of a known one; created_at ties
-    st.tuples(st.just("insert"), st.integers(0, 23), st.booleans(), st.integers(0, 3)),
+    # a new query, or an answer update of a known one
+    st.tuples(st.just("insert"), st.integers(0, 23), st.booleans()),
     st.tuples(st.just("arrive"),
               st.lists(st.tuples(st.integers(0, 29), st.integers(0, 8)), min_size=1, max_size=3)),
     st.tuples(st.just("limit"), st.integers(1, 24)),
@@ -756,11 +757,11 @@ _probe = st.tuples(st.integers(0, 8), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.9
 # past the first growth, holes from a shrink, rows appended after them, and
 # a reload and an arrival in between
 _HOLES_AND_GROWTH = (
-    [("insert", q, True, q % 4) for q in range(20)] + [("limit", 6)]
-    + [("insert", q, q % 2 == 0, 1) for q in range(20, 24)]
-    + [("insert", q, True, 2) for q in range(12)] + [("arrive", [(1, 0), (2, 4)]), ("reload",),
-                                                    ("limit", 24)]
-    + [("insert", q, True, 3) for q in range(24)] + [("arrive", [(3, 1)])]
+    [("insert", q, True) for q in range(20)] + [("limit", 6)]
+    + [("insert", q, q % 2 == 0) for q in range(20, 24)]
+    + [("insert", q, True) for q in range(12)] + [("arrive", [(1, 0), (2, 4)]), ("reload",),
+                                                 ("limit", 24)]
+    + [("insert", q, True) for q in range(24)] + [("arrive", [(3, 1)])]
 )
 
 
@@ -800,10 +801,10 @@ def _check_kept_matrix(steps, probes, limit, seed):
         for now, step in enumerate(steps, start=10):
             evicted = []
             if step[0] == "insert":
-                _, q, answered, created = step
+                _, q, answered = step
                 emb = embedder.embed(f"q{q}")
                 bar = r.bar(emb, BANK_K) if answered else None
-                evicted = bank.insert(f"q{q}", emb, "ans" if answered else None, created, bar)
+                evicted = bank.insert(f"q{q}", emb, "ans" if answered else None, now, bar)
             elif step[0] == "arrive":
                 since = len(r)
                 for cid, j in step[1]:
@@ -817,6 +818,8 @@ def _check_kept_matrix(steps, probes, limit, seed):
                 bank = QaBank.load(f"{tmp}/qa.jsonl", bank.limit_bytes, embedder)
             assert all(bank.get(e.query) is not e for e in evicted)
             assert all(e.bar is None or e.servable for e in bank.entries)
+            rows = [e.row for e in bank.entries]  # insertion order is row order
+            assert all(a < b for a, b in zip(rows, rows[1:]))
             query, tau = probes[now % len(probes)]
             _check_probe(bank, pool[query], tau, now)
 
