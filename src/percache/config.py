@@ -14,6 +14,7 @@ from typing import ClassVar
 
 from .knowledge import encodes_utf8, read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
+from .textcore import split_lines
 
 
 class ConfigError(ValueError):
@@ -142,7 +143,7 @@ class EngineConfig:
     def from_file(cls, path) -> "EngineConfig":
         cfg = cls()
         path = Path(path)
-        for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+        for lineno, line in enumerate(split_lines(read_utf8(path)), 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -39,7 +39,6 @@ Only persist writes the bank directory and only load reads it.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import math
@@ -55,7 +54,7 @@ import numpy as np
 
 from .backend import QkvPrefix, QkvTensors
 # unused here, but perfbench patches knowledge.tokenize through this module's globals
-from .textcore import TokenizerVocab, tokenize  # noqa: F401
+from .textcore import TokenizerVocab, split_lines, tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -110,8 +109,7 @@ def read_jsonl(path: Path,
     holds it with a type not in fields[key], raises BankError naming
     file:line."""
     out = []
-    # newline=None splits lines as a file opened in text mode does
-    for lineno, line in enumerate(io.StringIO(read_utf8(path), newline=None), 1):
+    for lineno, line in enumerate(split_lines(read_utf8(path)), 1):
         if not line.strip():
             continue
         try:
@@ -501,9 +499,11 @@ class KnowledgeBank:
         before the stamp and slice format v2, so none of its tree's slices
         is read: every node opens evicted, and Engine._check_stamp drops
         the tree. Slices beyond limit_bytes are evicted as set_limit
-        would; a path that is a regular file raises BankError."""
+        would; a path that is a regular file, or lies below one, raises
+        BankError."""
         directory = Path(directory)
-        if directory.exists() and not directory.is_dir():
+        # the path itself, or its nearest existing ancestor, which persist would create it in
+        if not next(p for p in (directory, *directory.parents) if p.exists()).is_dir():
             raise BankError(f"{directory}: not a directory")
         bank = cls(directory, vocab, limit_bytes, chunk_words_count)
         chunks_file = directory / "chunks.jsonl"
@@ -577,6 +577,10 @@ def _slice_name(node_id: int) -> str:
     return f"node{node_id}.qkv"
 
 
+# json.dumps(r, sort_keys=True) builds an encoder per record; this one is shared
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def jsonl_bytes(records) -> bytes:
     """One sorted-key JSON object per line, as the bank files hold them."""
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode("utf-8")
+    return "".join(_SORTED_JSON.encode(r) + "\n" for r in records).encode("utf-8")

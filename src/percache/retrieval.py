@@ -81,8 +81,12 @@ class Retriever:
     add_chunks adds many chunks in blocks of EMBED_BLOCK: each text is
     split into words once, for the block's count rows (one count_rows call,
     one CountRows.extend) and for its postings, and only one block's words
-    and rows are held at a time. add_chunk adds one chunk with an embedding
-    made elsewhere; in any mix the two give the same state.
+    and rows are held at a time. Its blocks share one memo of word digests,
+    so a call (an open, or an arrival) hashes each distinct word of its
+    chunks once; the memo is dropped with the call. The call gathers its
+    postings per term, in row order, and appends each term's to its list
+    once. add_chunk adds one chunk with an embedding made elsewhere,
+    through the same posting path; in any mix the two give the same state.
 
     bar gives a QA entry's refresh bar, a (cosine, chunk_id) key. Asked
     with the embedding object of the last retrieve_top_k call, it reuses
@@ -115,39 +119,58 @@ class Retriever:
         """Add the (chunk_id, text) pairs whose id is new, in order, with
         the rows and postings that add_chunk(chunk_id, text,
         embedder.embed(text)) would give each."""
+        memo: dict[bytes, bytes] = {}  # word -> digest, for this call alone
+        gathered: dict[str, array] = {}
         block: dict[str, str] = {}
         for chunk_id, text in chunks:
             if chunk_id not in self._id_set:
                 block.setdefault(chunk_id, text)
                 if len(block) == EMBED_BLOCK:
-                    self._add_block(block)
+                    self._add_block(block, memo, gathered)
                     block = {}
         if block:
-            self._add_block(block)
+            self._add_block(block, memo, gathered)
+        self._post(gathered)
 
-    def _add_block(self, block: dict[str, str]) -> None:
+    def _add_block(self, block: dict[str, str], memo: dict[bytes, bytes],
+                   gathered: dict[str, array]) -> None:
         words = [split_words(text) for text in block.values()]
-        self.rows.extend(*self.embedder.count_rows(words))
+        self.rows.extend(*self.embedder.count_rows(words, memo))
         for chunk_id, terms in zip(block, words):
-            self._index(chunk_id, terms)
+            self._gather(chunk_id, terms, gathered)
 
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
         if chunk_id not in self._id_set:
             self.rows.append(embedding)
-            self._index(chunk_id, split_words(text))
+            gathered: dict[str, array] = {}
+            self._gather(chunk_id, split_words(text), gathered)
+            self._post(gathered)
 
-    def _index(self, chunk_id: str, terms: list[str]) -> None:
-        """Post the chunk whose count row was just appended, split into terms."""
+    def _gather(self, chunk_id: str, terms: list[str], gathered: dict[str, array]) -> None:
+        """Take the chunk whose count row was just appended, split into
+        terms, and add its postings to gathered, term -> postings of the
+        call's chunks. A term new to the corpus enters the postings dict at
+        once, with its gathered array as its list: filling the dict only at
+        the end of a call read a higher peak RSS in pair runs."""
         row = len(self._ids)
         for term, tf in Counter(terms).items():
-            postings = self._postings.get(term)
+            postings = gathered.get(term)
             if postings is None:
-                postings = self._postings[term] = array("q")
+                postings = gathered[term] = array("q")
+                self._postings.setdefault(term, postings)
             postings.extend((row, tf, len(terms)))
         self._total_len += len(terms)
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
         self._last_cosine = None
+
+    def _post(self, gathered: dict[str, array]) -> None:
+        """Append each term's gathered postings to its list with one extend,
+        unless the list is the gathered array itself (a new term)."""
+        for term, postings in gathered.items():
+            held = self._postings[term]
+            if held is not postings:
+                held.extend(postings)
 
     def _bm25(self, query: str) -> np.ndarray:
         """BM25 of every chunk, in row order; the corpus is not empty. A

@@ -19,12 +19,10 @@ integer dots and no BLAS call.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -37,6 +35,15 @@ _WORD_RE = re.compile(r"[0-9a-z]+")
 def split_words(text: str) -> list[str]:
     """Lowercase word split shared by the embedder and BM25 term extraction."""
     return _WORD_RE.findall(text.lower())
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of a text input (config, vocabulary, JSONL), split at
+    "\n", "\r\n" and "\r" as a file read in text mode splits them, and at
+    no other boundary str.splitlines knows (form feed, U+2028, ...): a
+    value may hold those, and a line's number counts these line ends alone.
+    A final line end leaves an empty last line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class TokenizerVocab:
@@ -63,7 +70,8 @@ class TokenizerVocab:
                 continue
             if bt not in seen:
                 seen[bt] = len(seen)
-        ordered = sorted(seen, key=lambda b: (-len(b), b))
+        ordered = sorted(seen)
+        ordered.sort(key=len, reverse=True)  # stable: equal lengths stay in byte order
         self._id_by_bytes: dict[bytes, int] = {b: i for i, b in enumerate(ordered)}
         self._bytes_by_id: list[bytes] = ordered + [bytes([b]) for b in range(256)]
         self._byte_base = len(ordered)
@@ -79,10 +87,8 @@ class TokenizerVocab:
 
     @classmethod
     def from_text(cls, text: str) -> "TokenizerVocab":
-        """One token per non-empty line; line ends split as in a file read
-        in text mode."""
-        lines = (line.rstrip("\n") for line in io.StringIO(text, newline=None))
-        return cls([line for line in lines if line])
+        """One token per non-empty line (split_lines)."""
+        return cls([line for line in split_lines(text) if line])
 
     def to_text(self) -> str:
         """The explicit tokens, one per line, as from_text reads them."""
@@ -290,10 +296,14 @@ class HashEmbedder:
     the text has no words; such a text counts [1, 0, ..., 0].
 
     count_rows is the one embedding path: it hashes each text's features
-    once and sums a block of texts with one bincount, each feature's index
+    and sums a block of texts with one bincount, each feature's index
     offset by its text's row. Retriever.add_chunks cuts its chunks into
     blocks of EMBED_BLOCK, so no temporary grows with their number, and
-    embed is count_rows of one text. A text of fewer than 2**26 features
+    embed is count_rows of one text. A word's digest is kept in a memo that
+    the caller passes and drops: add_chunks keeps one for its own call, so
+    an open hashes each distinct word once and every bigram, and embed a
+    fresh one. No memo outlives its call, and none holds bigrams, which
+    mostly occur once. A text of fewer than 2**26 features
     (tens of millions of words) has a squared norm below 2**53, so every
     count and the squared norm are integers that float64 sums exactly in
     any order: a text's row has the same bits whichever block it is summed
@@ -313,18 +323,29 @@ class HashEmbedder:
         # gives blake2b(feature, key=..., digest_size=8)
         self._keyed = hashlib.blake2b(key=EMBED_SEED.to_bytes(8, "little"), digest_size=8)
 
-    def count_rows(self, word_lists: list[list[str]]) -> tuple[np.ndarray, list[int]]:
+    def count_rows(self, word_lists: list[list[str]],
+                   memo: dict[bytes, bytes] | None = None) -> tuple[np.ndarray, list[int]]:
         """The count rows of texts split into word_lists (by split_words), a
         (len(word_lists), EMBED_DIM) array, and their squared norms. The
         rows are float32, or float64 if a squared norm is above
-        FLOAT32_MAX_NORM2, as CountRows.extend takes them."""
+        FLOAT32_MAX_NORM2, as CountRows.extend takes them. memo maps each
+        word (UTF-8) hashed so far to its digest; a word in it is not hashed
+        again, and each new word is added. None: a fresh memo."""
         keyed, digests, sizes = self._keyed, [], []  # sizes: each text's feature count
+        memo = {} if memo is None else memo
         for words in word_lists:
             start = len(digests)
             words = " ".join(words).encode().split()  # one encode per text: no word holds a space
-            for feature in chain(words, map(b" ".join, zip(words, words[1:]))):
+            for word in words:
+                digest = memo.get(word)
+                if digest is None:
+                    h = keyed.copy()
+                    h.update(word)
+                    digest = memo[word] = h.digest()
+                digests.append(digest)
+            for bigram in map(b" ".join, zip(words, words[1:])):
                 h = keyed.copy()
-                h.update(feature)
+                h.update(bigram)
                 digests.append(h.digest())
             if not words:
                 digests.append(bytes(8))  # index 0, sign +1: a wordless text's [1, 0, ..., 0]

@@ -248,21 +248,27 @@ def test_replay_trace_error_and_unwritable_output_exit_2(tmp_path, capsys):
     assert f"{trace}:2: " in err and f"cannot write {out}: " in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["ingest", "--corpus", "c.txt"],
-    ["replay", "--trace", "t.trace", "--out", "out.csv"],
-    ["replay", "--trace", "t.trace", "--out", "out.csv", "--persist"],
-], ids=["ingest", "replay", "replay-persist"])
-def test_bank_that_is_a_file_exit_2_at_open(tmp_path, capsys, monkeypatch, argv):
-    # refused before any chunking, replay or report write
+INGEST = ["ingest", "--corpus", "c.txt"]
+REPLAY = ["replay", "--trace", "t.trace", "--out", "out.csv"]
+
+
+@pytest.mark.parametrize("argv, below", [
+    (INGEST, False), (REPLAY, False), (REPLAY + ["--persist"], False),
+    (INGEST, True), (REPLAY, True), (REPLAY + ["--persist"], True),
+], ids=["ingest", "replay", "replay-persist",
+        "ingest-below-file", "replay-below-file", "replay-persist-below-file"])
+def test_bank_that_is_a_file_exit_2_at_open(tmp_path, capsys, monkeypatch, argv, below):
+    # a bank path that is a regular file, or lies below one, is refused
+    # before any chunking, replay or report write
     bank = _write(tmp_path / "bank", "not a directory")
+    path = bank / "bank" if below else bank
     _write(tmp_path / "c.txt", "alpha beta gamma delta")
     _write(tmp_path / "t.trace", '{"at": 0, "kind": "idle_tick"}\n')
     monkeypatch.chdir(tmp_path)
     for cls, name in ((knowledge.KnowledgeBank, "ingest_text"), (Engine, "apply_event")):
         monkeypatch.setattr(cls, name, lambda *a, **k: pytest.fail("ran past the open"))
-    assert run(argv + ["--bank", bank]) == EXIT_DATA
-    assert capsys.readouterr() == ("", f"{bank}: not a directory\n")
+    assert run(argv + ["--bank", path]) == EXIT_DATA
+    assert capsys.readouterr() == ("", f"{path}: not a directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bank", "c.txt", "t.trace"]
     assert bank.read_text(encoding="utf-8") == "not a directory"
 

@@ -96,3 +96,21 @@ def test_from_file_errors(tmp_path):
     path.write_text("unknown_key=1\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         EngineConfig.from_file(path)
+
+
+# every line boundary str.splitlines knows beyond "\n", "\r\n" and "\r"
+OTHER_BOUNDARIES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_from_file_splits_lines_at_line_ends_only(tmp_path, end):
+    # a prompt holding the other boundaries loads intact, and the line
+    # after it is numbered as an editor shows it
+    prompt = "Notes:" + OTHER_BOUNDARIES + "answer."
+    path = tmp_path / "engine.cfg"
+    path.write_bytes(f"system_prompt={prompt}\\n{end}tau_query=0.9{end}".encode("utf-8"))
+    cfg = EngineConfig.from_file(path)
+    assert cfg.system_prompt == prompt + "\n" and cfg.tau_query == 0.9
+    path.write_bytes(f"system_prompt={prompt}{end}bogus_key=1{end}".encode("utf-8"))
+    with pytest.raises(ConfigError, match=f"^{path}:2: unknown config key: bogus_key$"):
+        EngineConfig.from_file(path)

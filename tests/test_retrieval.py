@@ -283,6 +283,12 @@ BULK_TEXTS = st.sampled_from(["budget review", "Budget, review; budget!", "", "?
          [])
 # a repeated id (the first text wins), within one call and across calls
 @example([(0, "a"), (1, WIDE), (2, ""), (0, "b"), (3, "c d"), (1, "e")], [4])
+# terms in every block of one call: an open of several blocks
+@example([(i, f"budget review {i % 5} team {i % 3}") for i in range(3 * EMBED_BLOCK + 5)], [])
+# then an arrival: a second call extends terms of the first and adds new ones
+@example([(i, f"budget review {i % 5} team {i % 3}") for i in range(3 * EMBED_BLOCK + 5)]
+         + [(200 + i, f"review {i} noon budget budget") for i in range(EMBED_BLOCK + 2)],
+         [3 * EMBED_BLOCK + 5])
 def test_a_retriever_built_in_bulk_equals_one_built_chunk_by_chunk(chunks, cuts):
     pairs = [(f"c{i:03d}", text) for i, text in chunks]
     bulk, single = Retriever(EMB), Retriever(EMB)

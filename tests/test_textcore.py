@@ -1,6 +1,7 @@
 import hashlib
 import math
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -165,8 +166,8 @@ def test_cosine_symmetry(s, t):
     assert cosine_similarity(a, b) == cosine_similarity(b, a)
 
 
-def _oracle_vector(text: str) -> np.ndarray:
-    """Standalone re-derivation of the hashed embedding (oracle): one
+def _oracle_counts(text: str) -> np.ndarray:
+    """Standalone re-derivation of the hashed feature counts (oracle): one
     feature at a time, each hashed by its own keyed constructor."""
     words = split_words(text)
     feats = words + [f"{x} {y}" for x, y in zip(words, words[1:])]
@@ -177,6 +178,12 @@ def _oracle_vector(text: str) -> np.ndarray:
         vec[v % EMBED_DIM] += 1.0 if (v >> 63) & 1 == 0 else -1.0
     if not vec.any():
         vec[0] = 1.0
+    return vec
+
+
+def _oracle_vector(text: str) -> np.ndarray:
+    """The oracle's counts as a unit vector: the hashed embedding."""
+    vec = _oracle_counts(text)
     return vec / np.linalg.norm(vec)
 
 
@@ -218,6 +225,58 @@ def test_count_rows_of_a_block_equal_each_text_alone(texts):
         alone, (alone_n,) = embedder.count_rows([split_words(text)])
         assert row.tolist() == alone[0].tolist()
         assert (type(n), n) == (type(alone_n), alone_n)
+
+
+class _LoggedKey:
+    """A keyed BLAKE2b state whose copies log each digest they give, as the
+    bytes it is the digest of."""
+
+    def __init__(self, keyed, log: list[bytes], data: bytes = b""):
+        self._keyed, self._log, self._data = keyed, log, data
+
+    def copy(self) -> "_LoggedKey":
+        return _LoggedKey(self._keyed.copy(), self._log, self._data)
+
+    def update(self, data: bytes) -> None:
+        self._keyed.update(data)
+        self._data += data
+
+    def digest(self) -> bytes:
+        self._log.append(self._data)
+        return self._keyed.digest()
+
+
+# a small pool, so words repeat within a text, across blocks and across calls
+POOL_TEXTS = st.lists(st.sampled_from(("budget", "review", "noon", "caf\u00e9", "\u212aelvin", "12", "?!")),
+                      max_size=12).map(" ".join)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.lists(POOL_TEXTS, min_size=EMBED_BLOCK + 1, max_size=3 * EMBED_BLOCK),
+       st.integers(0, 3 * EMBED_BLOCK))
+# the same text in three blocks, a word twice in it, then a wordless text;
+# one call, then the same words again in a second call
+@example(["budget budget review"] * (2 * EMBED_BLOCK + 1) + ["", "noon budget"], 3 * EMBED_BLOCK)
+@example(["budget budget review"] * (2 * EMBED_BLOCK + 1) + ["", "noon budget"], EMBED_BLOCK)
+def test_an_add_hashes_each_distinct_word_once_and_every_bigram(texts, cut):
+    # each add_chunks call (an open, then an arrival) takes one digest per
+    # distinct word of its own chunks and one per bigram occurrence, and
+    # every count row is the per-feature oracle's, bit for bit
+    embedder, log = HashEmbedder(), []
+    embedder._keyed = _LoggedKey(embedder._keyed, log)
+    retriever, want = Retriever(embedder), Counter()
+    pairs = [(f"c{i:03d}", text) for i, text in enumerate(texts)]
+    for call in (pairs[:cut], pairs[cut:]):
+        retriever.add_chunks(call)
+        words = [[w.encode() for w in split_words(text)] for _, text in call]
+        want.update(set(chain.from_iterable(words)))
+        want.update(b" ".join(pair) for ws in words for pair in zip(ws, ws[1:]))
+    assert Counter(log) == want
+    assert len(retriever) == len(texts)
+    for text, row, norm2 in zip(texts, retriever.rows.counts, retriever.rows.norm2):
+        oracle = _oracle_counts(text)
+        assert row.astype(np.float64).tobytes() == oracle.tobytes()
+        assert norm2 == oracle @ oracle
 
 
 def _dense(seed: int) -> Embedding:
