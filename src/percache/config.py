@@ -149,9 +149,10 @@ class EngineConfig:
                 continue
             if "=" not in stripped:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = stripped.partition("=")
+            # only spaces and tabs pad a key or value; "\f", U+00A0 and U+2028 stay
+            key, _, raw = line.partition("=")
             try:
-                cfg.apply(key.strip(), raw.strip())
+                cfg.apply(key.strip(" \t"), raw.strip(" \t"))
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         # file paths in a config are relative to the config's directory

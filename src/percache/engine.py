@@ -273,19 +273,14 @@ class Engine:
     def ingest_chunks(self, texts: list[str], now: float) -> tuple[list[str], list[str]]:
         """Chunk and store new knowledge; returns (all chunk ids touched,
         QA entries marked stale by refresh)."""
-        new: dict[str, str] = {}  # chunk id -> text, of chunks the retriever lacks
-        all_ids = []
+        all_ids = [chunk_id for text in texts for chunk_id in self.bank.ingest_text(text)]
         since = len(self.retriever)
-        for text in texts:
-            for chunk_id in self.bank.ingest_text(text):
-                all_ids.append(chunk_id)
-                if chunk_id not in self.retriever:
-                    new.setdefault(chunk_id, self.bank.chunks[chunk_id])
-        self.retriever.add_chunks(new.items())
+        self.retriever.add_chunks((chunk_id, self.bank.chunks[chunk_id]) for chunk_id in all_ids)
+        new_ids = self.retriever.rows_since(since)[0]  # the retriever skips known chunks
         stale = []
-        if new:
+        if new_ids:
             stale = [e.query for e in self.qa.refresh(self.retriever, since, self.config.k_refresh)]
-            self.predictor.note_chunks(list(new.values()), now)
+            self.predictor.note_chunks([self.bank.chunks[chunk_id] for chunk_id in new_ids], now)
         return all_ids, stale
 
     # -- scheduler hooks ---------------------------------------------------------

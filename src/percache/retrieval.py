@@ -83,10 +83,11 @@ class Retriever:
     one CountRows.extend) and for its postings, and only one block's words
     and rows are held at a time. Its blocks share one memo of word digests,
     so a call (an open, or an arrival) hashes each distinct word of its
-    chunks once; the memo is dropped with the call. The call gathers its
-    postings per term, in row order, and appends each term's to its list
-    once. add_chunk adds one chunk with an embedding made elsewhere,
-    through the same posting path; in any mix the two give the same state.
+    chunks once; the memo is dropped with the call. Each chunk's postings
+    are appended to its terms' lists as its row is added. add_chunk adds
+    one chunk with an embedding made elsewhere, through the same posting
+    path; in any mix the two give the same state. Both skip a chunk id
+    the retriever already holds, so the caller need not check.
 
     bar gives a QA entry's refresh bar, a (cosine, chunk_id) key. Asked
     with the embedding object of the last retrieve_top_k call, it reuses
@@ -112,65 +113,45 @@ class Retriever:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, chunk_id: str) -> bool:
-        return chunk_id in self._id_set
-
     def add_chunks(self, chunks: Iterable[tuple[str, str]]) -> None:
         """Add the (chunk_id, text) pairs whose id is new, in order, with
         the rows and postings that add_chunk(chunk_id, text,
         embedder.embed(text)) would give each."""
         memo: dict[bytes, bytes] = {}  # word -> digest, for this call alone
-        gathered: dict[str, array] = {}
         block: dict[str, str] = {}
         for chunk_id, text in chunks:
             if chunk_id not in self._id_set:
                 block.setdefault(chunk_id, text)
                 if len(block) == EMBED_BLOCK:
-                    self._add_block(block, memo, gathered)
+                    self._add_block(block, memo)
                     block = {}
         if block:
-            self._add_block(block, memo, gathered)
-        self._post(gathered)
+            self._add_block(block, memo)
 
-    def _add_block(self, block: dict[str, str], memo: dict[bytes, bytes],
-                   gathered: dict[str, array]) -> None:
+    def _add_block(self, block: dict[str, str], memo: dict[bytes, bytes]) -> None:
         words = [split_words(text) for text in block.values()]
         self.rows.extend(*self.embedder.count_rows(words, memo))
         for chunk_id, terms in zip(block, words):
-            self._gather(chunk_id, terms, gathered)
+            self._index(chunk_id, terms)
 
     def add_chunk(self, chunk_id: str, text: str, embedding: Embedding) -> None:
         if chunk_id not in self._id_set:
             self.rows.append(embedding)
-            gathered: dict[str, array] = {}
-            self._gather(chunk_id, split_words(text), gathered)
-            self._post(gathered)
+            self._index(chunk_id, split_words(text))
 
-    def _gather(self, chunk_id: str, terms: list[str], gathered: dict[str, array]) -> None:
+    def _index(self, chunk_id: str, terms: list[str]) -> None:
         """Take the chunk whose count row was just appended, split into
-        terms, and add its postings to gathered, term -> postings of the
-        call's chunks. A term new to the corpus enters the postings dict at
-        once, with its gathered array as its list: filling the dict only at
-        the end of a call read a higher peak RSS in pair runs."""
+        terms, and append its (row, tf, length) to each term's postings."""
         row = len(self._ids)
         for term, tf in Counter(terms).items():
-            postings = gathered.get(term)
+            postings = self._postings.get(term)
             if postings is None:
-                postings = gathered[term] = array("q")
-                self._postings.setdefault(term, postings)
+                postings = self._postings[term] = array("q")
             postings.extend((row, tf, len(terms)))
         self._total_len += len(terms)
         self._ids.append(chunk_id)
         self._id_set.add(chunk_id)
         self._last_cosine = None
-
-    def _post(self, gathered: dict[str, array]) -> None:
-        """Append each term's gathered postings to its list with one extend,
-        unless the list is the gathered array itself (a new term)."""
-        for term, postings in gathered.items():
-            held = self._postings[term]
-            if held is not postings:
-                held.extend(postings)
 
     def _bm25(self, query: str) -> np.ndarray:
         """BM25 of every chunk, in row order; the corpus is not empty. A

@@ -122,6 +122,37 @@ def test_base_export_removed_when_a_run_fails(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_change_side_runs_in_a_copy_of_the_working_tree(tmp_path, monkeypatch, capsys):
+    # both sides import from paths of the same length, and the change side
+    # holds the uncommitted edit and untracked files, not ignored ones
+    temp = _bench_repo(tmp_path, monkeypatch)
+    (tmp_path / ".gitignore").write_text("built/\n", encoding="utf-8")
+    (tmp_path / "built").mkdir()
+    (tmp_path / "built" / "out.bin").write_bytes(b"x")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "new.py").write_text("NEW = 1\n", encoding="utf-8")
+    edited = json.dumps({"workloads": [{"name": "w"}], "end_to_end": [], "edited": True})
+    (tmp_path / "BENCHMARK.json").write_text(edited, encoding="utf-8")
+    sides = []
+
+    def recording_run(side, workload, seed):
+        sides.append((side, (side / "BENCHMARK.json").read_text(encoding="utf-8"),
+                      (side / "src" / "new.py").exists(), (side / "built").exists()))
+        return {}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", recording_run)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w", "--seed", "1",
+                             "--pairs", "1"]) == 0
+    capsys.readouterr()
+    (base, base_json, base_new, _), (change, change_json, change_new, change_built) = sides
+    assert base.is_relative_to(temp) and change.is_relative_to(temp)
+    assert len(str(base)) == len(str(change)) and base != change
+    assert "edited" not in base_json and not base_new
+    assert change_json == edited and change_new and not change_built
+    assert not any(temp.iterdir())
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_unknown_base_revision_exit_2(tmp_path, monkeypatch, capsys):
     temp = _bench_repo(tmp_path, monkeypatch)
     assert bench_pairs.main(["--base", "no-such-rev", "--workload", "w", "--seed", "1",

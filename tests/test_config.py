@@ -98,6 +98,17 @@ def test_from_file_errors(tmp_path):
         EngineConfig.from_file(path)
 
 
+def test_from_file_strips_only_spaces_and_tabs(tmp_path):
+    path = tmp_path / "engine.cfg"
+    for pad in ("\f", "\u00a0", "\u2028"):
+        prompt = f"{pad}Notes:{pad}"
+        # a line of that character alone is still blank
+        path.write_text(f"{pad}\nsystem_prompt={prompt}\n", encoding="utf-8")
+        assert EngineConfig.from_file(path).system_prompt == prompt
+    path.write_text(" \tsystem_prompt\t =  Notes  \t\n", encoding="utf-8")
+    assert EngineConfig.from_file(path).system_prompt == "Notes"
+
+
 # every line boundary str.splitlines knows beyond "\n", "\r\n" and "\r"
 OTHER_BOUNDARIES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 

@@ -81,6 +81,33 @@ def test_ingest_chunking_and_idempotence(tmp_path):
     assert len(eng.retriever) == 3
 
 
+def test_arrival_indexes_refreshes_and_notes_only_new_chunks(tmp_path, monkeypatch):
+    # one arrival chunks into a known chunk, a new chunk twice and another
+    # new chunk: the retriever alone decides which are new
+    eng = make_engine(tmp_path, chunk_words=3)
+    (known,), _ = eng.ingest_chunks(["alpha beta gamma"], 0)
+    refreshes, noted = [], []
+    refresh, note = eng.qa.refresh, eng.predictor.note_chunks
+    monkeypatch.setattr(eng.qa, "refresh", lambda *a: refreshes.append(a[1]) or refresh(*a))
+    monkeypatch.setattr(eng.predictor, "note_chunks",
+                        lambda texts, at: noted.append(list(texts)) or note(texts, at))
+    rows = len(eng.retriever)
+    text = "alpha beta gamma delta eps zeta delta eps zeta eta theta iota"
+    record = eng.apply_event({"at": 1, "kind": "chunk_arrival", "text": text})
+    ids = record["chunk_ids"]
+    assert len(ids) == 4 and ids[0] == known and ids[1] == ids[2] and len(set(ids)) == 3
+    assert [eng.bank.chunks[c] for c in ids[1:]] == [
+        "delta eps zeta", "delta eps zeta", "eta theta iota"]
+    assert len(eng.retriever) == rows + 2
+    assert eng.retriever.rows_since(rows)[0] == [ids[1], ids[3]]
+    assert refreshes == [rows] and noted == [["delta eps zeta", "eta theta iota"]]
+    # an arrival of known chunks alone refreshes nothing and notes nothing
+    text = "eta theta iota alpha beta gamma"
+    record = eng.apply_event({"at": 2, "kind": "chunk_arrival", "text": text})
+    assert record["chunk_ids"] == [ids[3], known]
+    assert len(eng.retriever) == rows + 2 and refreshes == [rows] and len(noted) == 1
+
+
 def test_refresh_marks_matching_entry_stale(tmp_path):
     eng = make_engine(tmp_path)
     eng.ingest_chunks([CORPUS], 0)
