@@ -199,7 +199,7 @@ def check_idle_work_replay(trace: Path, config: Path, corpus: Path) -> None:
                              "--config", str(config)])
         assert code == 0
         eng = Engine(EngineConfig.from_file(config), bank)
-        ticks = [r for r in eng.run_trace(events) if r["kind"] == "idle_tick"]
+        ticks = [r for r in map(eng.apply_event, events) if r["kind"] == "idle_tick"]
     for counter in IDLE_COUNTERS:
         assert any(t[counter] > 0 for t in ticks), f"idle work: {counter} never above zero"
     assert any(t["populated"] and t["predicted_decode_flops"] > 0 for t in ticks)

@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, EngineConfig
-from .engine import Engine, TraceError, open_bank
-from .knowledge import BankError, read_jsonl, read_utf8
+from .engine import QA_HIT, QKV_PARTIAL, Engine, TraceError, open_bank
+from .knowledge import BankError, is_number, read_jsonl, read_utf8
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,7 +123,7 @@ def cmd_replay(args) -> int:
         except OSError as exc:
             return _cannot_write(args.bank, exc)
     queries = [r for r in engine.metrics if r["kind"] == "query_arrival"]
-    hits = sum(1 for r in queries if r["path"] == "qa_hit")
+    hits = sum(1 for r in queries if r["path"] == QA_HIT)
     flops = sum(r.get("prefill_flops", 0) + r.get("decode_flops", 0) + r.get("flops_spent", 0)
                 for r in engine.metrics)
     print(f"{len(queries)} queries, {hits} qa hits, total flops {flops:.0f}")
@@ -145,9 +145,7 @@ def cmd_report(args) -> int:
     for lineno, r in lines:
         if r.get("kind") != "query_arrival":
             continue
-        total_ms = r.get("total_ms")
-        numeric = isinstance(total_ms, (int, float)) and not isinstance(total_ms, bool)
-        if not (isinstance(r.get("path"), str) and numeric):
+        if not (isinstance(r.get("path"), str) and is_number(r.get("total_ms"))):
             print(f"{path}:{lineno}: query_arrival needs a string path and a numeric total_ms",
                   file=sys.stderr)
             return EXIT_DATA
@@ -155,8 +153,8 @@ def cmd_report(args) -> int:
     by_path: dict[str, list[dict]] = {}
     for r in queries:
         by_path.setdefault(r["path"], []).append(r)
-    qa_hit_rate = len(by_path.get("qa_hit", [])) / len(queries) if queries else 0.0
-    qkv_hit_rate = len(by_path.get("qkv_partial", [])) / len(queries) if queries else 0.0
+    qa_hit_rate = len(by_path.get(QA_HIT, [])) / len(queries) if queries else 0.0
+    qkv_hit_rate = len(by_path.get(QKV_PARTIAL, [])) / len(queries) if queries else 0.0
     rows = [("queries", len(queries)), ("qa_hit_rate", f"{qa_hit_rate:.4f}"),
             ("qkv_hit_rate", f"{qkv_hit_rate:.4f}")]
     for pathname in sorted(by_path):

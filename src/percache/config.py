@@ -14,6 +14,7 @@ from typing import ClassVar
 
 from .knowledge import encodes_utf8, read_utf8
 from .qa import DEFAULT_ENTRY_BYTES
+from .retrieval import DEFAULT_ALPHA
 from .textcore import split_lines
 
 
@@ -34,8 +35,6 @@ class EngineConfig:
     abstract_cap_bytes: int = 4096
     # retrieval
     retrieval_k: int = 3
-    k_refresh: int = 3
-    alpha_fusion: float = 0.5
     chunk_words: int = 100
     # cache tree
     qkv_limit_bytes: int = 1 << 34
@@ -63,6 +62,10 @@ class EngineConfig:
     qkv_match_ms: ClassVar[float] = 15.0
     qkv_load_ms: ClassVar[float] = 1030.0
     embed_ms: ClassVar[float] = 40.0
+    # not keys either, as nothing sets another value: the rank of every QA
+    # entry's refresh bar, and the weight of BM25 in the fused retrieval score
+    k_refresh: ClassVar[int] = 3
+    alpha_fusion: ClassVar[float] = DEFAULT_ALPHA
 
     def __post_init__(self):
         self.validate()
@@ -72,13 +75,10 @@ class EngineConfig:
             raise ConfigError("tau_query must be in [0, 1]")
         if not 0.0 <= self.tau_scheduler <= 1.0:
             raise ConfigError("tau_scheduler must be in [0, 1]")
-        if not 0.0 <= self.alpha_fusion <= 1.0:
-            raise ConfigError("alpha_fusion must be in [0, 1]")
         for key in (
             "prediction_stride",
             "buffer_size",
             "retrieval_k",
-            "k_refresh",
             "chunk_words",
             "max_decode_tokens",
             "model_layers",

@@ -33,7 +33,7 @@ from .backend import (
 )
 from .config import EngineConfig
 from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
-                        encodes_utf8, jsonl_bytes, read_utf8, slice_bytes)
+                        encodes_utf8, is_number, jsonl_bytes, read_utf8, slice_bytes)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -62,19 +62,13 @@ class TraceError(ValueError):
     """Malformed or out-of-order trace event."""
 
 
-def _is_number(value) -> bool:
-    """A JSON number a trace can order or budget by: not NaN, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
-
-
 # keys a config_change may not set. Engine builds the model, vocabulary, text
 # backend, chunker and retriever from theirs once; Predictor reads the
-# prediction keys as it goes, but they too stay as the trace began; every
-# QA entry's refresh bar is ranked by k_refresh
+# prediction keys as it goes, but they too stay as the trace began
 FIXED_CONFIG_KEYS = frozenset({
     "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
-    "chunk_words", "alpha_fusion", "prediction_stride", "buffer_size",
-    "t_batch", "t_quiet", "abstract_cap_bytes", "k_refresh",
+    "chunk_words", "prediction_stride", "buffer_size",
+    "t_batch", "t_quiet", "abstract_cap_bytes",
 })
 
 
@@ -109,6 +103,8 @@ def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
 
 @dataclass(frozen=True)
 class QueryOutcome:
+    """A served query; its fields, the cost's in place of cost, are its metrics record."""
+
     answer: str | None  # None when answer was asked not to decode
     path: str  # QA_HIT | QKV_PARTIAL | COLD_MISS
     matched_count: int
@@ -340,7 +336,7 @@ class Engine:
     def apply_event(self, event: dict) -> dict:
         at = event.get("at")
         kind = event.get("kind")
-        if not _is_number(at) or kind is None:
+        if not is_number(at) or kind is None:
             raise TraceError("event needs numeric 'at' and 'kind'")
         if self._last_at is not None and at < self._last_at:
             raise TraceError(f"out-of-order event at {at} after {self._last_at}")
@@ -359,20 +355,8 @@ class Engine:
         self._last_at = at
         record: dict = {"at": at, "kind": kind}
         if kind == "query_arrival":
-            outcome = self.handle_query(event["text"], at)
-            record.update(
-                text=event["text"],
-                path=outcome.path,
-                answer=outcome.answer,
-                best_similarity=outcome.best_similarity,
-                matched_count=outcome.matched_count,
-                discarded=outcome.discarded,
-                l_total=outcome.l_total,
-                l_pre=outcome.l_pre,
-                prefill_flops=outcome.cost.prefill_flops,
-                decode_flops=outcome.cost.decode_flops,
-                total_ms=outcome.cost.total_ms,
-            )
+            record.update(vars(self.handle_query(event["text"], at)), text=event["text"])
+            record.update(vars(record.pop("cost")))
         elif kind == "chunk_arrival":
             ids, stale = self.ingest_chunks([event["text"]], at)
             record.update(chunk_ids=ids, stale_marked=stale)
@@ -390,10 +374,10 @@ class Engine:
             record.update(field=field, value=value)
         elif kind == "idle_tick":
             budget = event.get("budget", 0.0)
-            if not _is_number(budget):
+            if not is_number(budget):
                 raise TraceError(f"idle_tick budget must be a number: {budget!r}")
             report = self.scheduler.idle_tick(budget, at)
-            record.update(asdict(report))
+            record.update(vars(report))
         else:
             raise TraceError(f"unknown event kind: {kind}")
         record.update(
@@ -403,9 +387,6 @@ class Engine:
         )
         self.metrics.append(record)
         return record
-
-    def run_trace(self, events: list[dict]) -> list[dict]:
-        return [self.apply_event(e) for e in events]
 
     def persist(self) -> None:
         self.bank.persist()

@@ -41,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import struct
 from bisect import bisect_left
@@ -100,6 +99,12 @@ def encodes_utf8(text: str) -> bool:
 # the JSON types read_jsonl checks fields against, by the Python type that
 # json.loads gives each; exact types, so a boolean never passes for an integer
 JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", NoneType: "null"}
+
+
+def is_number(value) -> bool:
+    """A JSON number a trace can order or budget by, or a report can average:
+    not NaN, not a boolean. Infinity passes."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 def read_jsonl(path: Path,
@@ -180,7 +185,7 @@ def deserialize_slice(data: bytes) -> QkvTensors:
     if magic != SLICE_MAGIC or version != SLICE_VERSION:
         raise ValueError("bad slice magic/version")
     shape = (layers, 2, tokens, heads, head_dim)
-    if len(data) != _HEADER.size + 4 * math.prod(shape):
+    if len(data) != slice_bytes(layers, tokens, heads, head_dim):
         raise ValueError("slice payload length mismatch")
     payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(shape)
     return QkvTensors(payload.astype(np.float32))

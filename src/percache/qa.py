@@ -212,7 +212,7 @@ class QaBank:
 
     def pending(self) -> list[QaEntry]:
         """Entries needing decode work (answer-less or stale), oldest first."""
-        return [e for e in self.entries if e.answer is None or e.stale]
+        return [e for e in self.entries if not e.servable]
 
     # -- persistence --------------------------------------------------------
 

@@ -180,12 +180,14 @@ def test_acceptance_2_answer_invariance(tmp_path):
             EngineConfig.from_file(DATA / "configs" / cfg_name),
             tmp_path / f"cached_{trace_name}",
         )
-        cached.run_trace(events)
+        for event in events:
+            cached.apply_event(event)
         free = Engine(
             EngineConfig.from_file(DATA / "configs" / "cachefree.cfg"),
             tmp_path / f"free_{trace_name}",
         )
-        free.run_trace(events)
+        for event in events:
+            free.apply_event(event)
         pairs = list(zip(cached.metrics, free.metrics))
         assert len(pairs) == len(events)
         checked = 0
@@ -334,7 +336,8 @@ def test_acceptance_4_ledger_safety_lfu(tmp_path):
 
 def _run(trace_name, cfg_name, bank_dir):
     engine = Engine(EngineConfig.from_file(DATA / "configs" / cfg_name), bank_dir)
-    engine.run_trace(load_trace(trace_name))
+    for event in load_trace(trace_name):
+        engine.apply_event(event)
     return engine
 
 
@@ -401,7 +404,8 @@ def test_acceptance_6_threshold_monotonicity(tmp_path):
         cfg = EngineConfig.from_file(DATA / "configs" / "default.cfg")
         cfg.tau_query = tau
         engine = Engine(cfg, tmp_path / f"tau{int(tau * 100)}")
-        engine.run_trace(events)
+        for event in events:
+            engine.apply_event(event)
         hits.append(sum(r.get("path") == QA_HIT for r in engine.metrics))
     assert all(a >= b for a, b in zip(hits, hits[1:])), hits
     assert hits[0] > hits[-1], hits  # the sweep actually separates thresholds

@@ -155,7 +155,7 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "system_prompt"},
     # an empty system prompt and no chunk would leave no token to prefill
     {"at": 1, "kind": "query_arrival", "text": ""},
-    # every kept QA bar was ranked by the trace's k_refresh
+    # a constant, not a key: every kept QA bar was ranked by it
     {"at": 1, "kind": "config_change", "field": "k_refresh", "value": 2},
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
@@ -193,9 +193,11 @@ def test_replay_bad_config_exit_2(tmp_path, capsys):
     # an unknown key, an out-of-range value, a QA budget below one entry,
     # the text backend selector, which no longer exists, an odd head
     # dimension, which rotary position pairs cannot split, a seed the model's
-    # generator refuses, and timers that would never fire or always fire
+    # generator refuses, timers that would never fire or always fire, and
+    # k_refresh and alpha_fusion, which are constants, not keys
     for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy",
-                 "model_head_dim=3", "seed=-1", "t_quiet=nan", "t_batch=-1"):
+                 "model_head_dim=3", "seed=-1", "t_quiet=nan", "t_batch=-1",
+                 "k_refresh=3", "alpha_fusion=0.5"):
         cfg = _write(tmp_path / "c.cfg", line + "\n")
         assert run([
             "replay", "--trace", trace, "--bank", tmp_path / "b",
@@ -203,6 +205,8 @@ def test_replay_bad_config_exit_2(tmp_path, capsys):
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{cfg}:1: " in err and "Traceback" not in err
+        if line.startswith(("k_refresh=", "alpha_fusion=")):
+            assert "unknown config key" in err
 
 
 def test_replay_reruns_byte_identical(tmp_path, capsys):
@@ -271,6 +275,22 @@ def test_bank_that_is_a_file_exit_2_at_open(tmp_path, capsys, monkeypatch, argv,
     assert capsys.readouterr() == ("", f"{path}: not a directory\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bank", "c.txt", "t.trace"]
     assert bank.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [INGEST, REPLAY + ["--persist"]], ids=["ingest", "replay-persist"])
+def test_unwritable_bank_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # the bank opens, but a regular file stands where its slices/ directory
+    # goes, so the persist fails, and nothing of the bank is written
+    bank = tmp_path / "bank"
+    bank.mkdir()
+    _write(bank / "slices", "not a directory")
+    _write(tmp_path / "c.txt", "alpha beta gamma delta")
+    _write(tmp_path / "t.trace", json.dumps({"at": 0, "kind": "chunk_arrival", "text": "alpha"}))
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--bank", bank]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {bank}: ") and "Traceback" not in err
+    assert [p.name for p in bank.iterdir()] == ["slices"]
 
 
 def test_replay_persist_then_reuse(tmp_path, capsys):
@@ -473,7 +493,8 @@ def test_duplicate_qa_query_exit_2(tmp_path, capsys):
     (b'{"entries": {"template": "t", "response": "r"}}', None),
     (b'{"entries": [{"template": "t", "slots_digest": "*"}]}', None),
     (b'{"entries": [{"template": "t", "slots_digest": "0123abcd", "response": "r"}]}', None),
-], ids=["not_utf8", "truncated", "entries_not_list", "no_response", "exact_digest"])
+    (b'[{"template": "t", "response": "r"}]', None),
+], ids=["not_utf8", "truncated", "entries_not_list", "no_response", "exact_digest", "not_object"])
 def test_damaged_script_file_exit_2(tmp_path, capsys, content, lineno):
     script = tmp_path / "script.json"
     script.write_bytes(content)
@@ -534,10 +555,20 @@ def test_report_plain_output(tmp_path, capsys):
         '{"at": 0, "kind": "query_arrival", "total_ms": 1.0}',
         '{"at": 0, "kind": "query_arrival", "path": "qa_hit"}',
         '{"at": 0, "kind": "query_arrival", "path": "qa_hit", "total_ms": "1"}',
+        '{"at": 0, "kind": "query_arrival", "path": "qa_hit", "total_ms": NaN}',
     ],
-    ids=["not_json", "not_object", "missing_path", "missing_total_ms", "text_total_ms"],
+    ids=["not_json", "not_object", "missing_path", "missing_total_ms", "text_total_ms",
+         "nan_total_ms"],
 )
 def test_report_malformed_metrics(tmp_path, capsys, bad_line):
     path = _write(tmp_path / "m.jsonl", "{}\n" + bad_line + "\n")
     assert run(["report", "--metrics", path]) == EXIT_DATA
     assert f"{path}:2" in capsys.readouterr().err
+
+
+def test_report_accepts_an_infinite_total_ms(tmp_path, capsys):
+    # the engine writes Infinity for a query under a tiny flops_per_ms
+    path = _write(tmp_path / "m.jsonl", '{"at": 0, "kind": "query_arrival", '
+                  '"path": "cold_miss", "total_ms": Infinity}\n')
+    assert run(["report", "--metrics", path]) == EXIT_OK
+    assert "mean_ms[cold_miss]: inf" in capsys.readouterr().out

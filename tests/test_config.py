@@ -13,7 +13,7 @@ def test_defaults():
     assert cfg.t_quiet == 300.0
     assert cfg.retrieval_k == 3
     assert cfg.chunk_words == 100
-    assert cfg.alpha_fusion == 0.5
+    assert cfg.alpha_fusion == 0.5 and cfg.k_refresh == 3  # constants, not keys
 
 
 def test_validation():
@@ -54,9 +54,14 @@ def test_apply_parses_by_type():
     cfg.apply("tau_query", "0.9")
     cfg.apply("retrieval_k", "5")
     cfg.apply("qa_enabled", "false")
+    cfg.apply("reuse_enabled", "0")
     cfg.apply("system_prompt", "Hi:\\n")
     assert cfg.tau_query == 0.9 and cfg.retrieval_k == 5
-    assert cfg.qa_enabled is False and cfg.system_prompt == "Hi:\n"
+    assert cfg.qa_enabled is False and cfg.reuse_enabled is False
+    assert cfg.system_prompt == "Hi:\n"
+    cfg.apply("qa_enabled", "true")
+    cfg.apply("reuse_enabled", "1")
+    assert cfg.qa_enabled is True and cfg.reuse_enabled is True
 
 
 def test_apply_rejects_bad_input():

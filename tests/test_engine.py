@@ -573,7 +573,8 @@ def test_trace_replay_deterministic(tmp_path):
         eng = Engine(
             EngineConfig.from_file(DATA / "configs" / "scenario.cfg"), tmp_path / run
         )
-        eng.run_trace(events)
+        for event in events:
+            eng.apply_event(event)
         out = tmp_path / f"{run}.jsonl"
         eng.write_metrics(out)
         outputs.append(out.read_bytes())
@@ -744,7 +745,7 @@ def _dir_bytes(directory):
 def test_run_trace_records_all_events(tmp_path):
     eng = make_engine(tmp_path)
     events = load_trace("monotonicity.trace")
-    records = eng.run_trace(events)
+    records = [eng.apply_event(event) for event in events]
     assert len(records) == len(events)
     assert [r["at"] for r in records] == [e["at"] for e in events]
     for rec in records:

@@ -418,6 +418,21 @@ def test_load_refuses_a_repeated_record(tmp_path, name, repeat):
         load_bank(tmp_path)
 
 
+def test_load_refuses_an_unknown_parent(tmp_path):
+    # a node whose parent is on no line would hang from no tree
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1"], now=1)
+    bank.persist()
+    path = tmp_path / "manifest.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[-1])
+    rec["parent"] = 99
+    lines[-1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(BankError, match=f"{path}:{len(lines)}: unknown parent 99"):
+        load_bank(tmp_path)
+
+
 def test_manifest_without_token_ids_reuses_no_unverifiable_row(tmp_path, caplog):
     # a bank persisted before token ids were kept: its slices open as
     # evicted, with a warning, and nothing below the root is refilled,

@@ -102,7 +102,7 @@ def test_per_layer_metrics_read_a_live_engine(tmp_path):
     t = tracer.Tracer()
     try:
         layers.instrument(t)
-        records = eng.run_trace(events)
+        records = [eng.apply_event(event) for event in events]
     finally:
         t.unpatch()
     metrics = layers.per_layer_metrics(t, eng, records, 0.0)

@@ -58,15 +58,17 @@ def test_tick_report_as_dict_keys(tmp_path):
 
 class _SummaryQueue:
     """Text backend giving each summarize prompt the next queued summary
-    and every prediction prompt one question; records the templates."""
+    and every prediction prompt the questions given (one by default);
+    records the templates."""
 
-    def __init__(self, summaries):
+    def __init__(self, summaries, questions="1. who is on the team?"):
         self.summaries = list(summaries)
+        self.questions = questions
         self.templates = []
 
     def generate(self, template, slots):
         self.templates.append(template)
-        return self.summaries.pop(0) if template == TEMPLATE_SUMMARIZE else "1. who is on the team?"
+        return self.summaries.pop(0) if template == TEMPLATE_SUMMARIZE else self.questions
 
 
 def test_knowledge_view_predicts_once_per_abstract_update(tmp_path):
@@ -88,6 +90,19 @@ def test_knowledge_view_predicts_once_per_abstract_update(tmp_path):
         else:
             eng.apply_event({"at": at, "kind": "chunk_arrival", "text": f"note number {at} of the day"})
     assert backend.templates.count(TEMPLATE_KNOWLEDGE) == 2
+
+
+@pytest.mark.parametrize("budget, populated", [(1e-9, 1), (1e15, 2)])
+def test_budget_caps_population(tmp_path, budget, populated):
+    # the budget check runs before each predicted query: a budget that the
+    # first population exhausts stops the tick before the second
+    eng = make_engine(tmp_path, t_batch=0)
+    eng.predictor.backend = _SummaryQueue(
+        ["a."], "1. who is on the team?; 2. when is the budget review?")
+    eng.apply_event({"at": 0, "kind": "chunk_arrival", "text": "the team plans the budget review"})
+    record = eng.apply_event({"at": 1, "kind": "idle_tick", "budget": budget})
+    assert record["predicted_knowledge"] == 2
+    assert record["populated"] == populated and record["flops_spent"] > 0
 
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
@@ -230,7 +245,8 @@ def test_qa_disabled_idle_work_fills_no_qa_bank(tmp_path):
     # population still prefills into the QKV tree but never decodes, and
     # nothing reaches the QA bank
     eng = _bundled_engine(tmp_path / "bank", "idle_work", qa_enabled="false")
-    ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
+    ticks = [r for r in map(eng.apply_event, load_trace("idle_work.trace"))
+             if r["kind"] == "idle_tick"]
     assert ticks and sum(r["populated"] for r in ticks) > 0
     for r in ticks:
         assert r["qa_entries"] == 0
@@ -244,7 +260,8 @@ def test_caches_off_idle_work_populates_nothing(tmp_path):
     # and counts nothing
     eng = _bundled_engine(tmp_path / "bank", "idle_work", qa_enabled="false",
                           reuse_enabled="false")
-    ticks = [r for r in eng.run_trace(load_trace("idle_work.trace")) if r["kind"] == "idle_tick"]
+    ticks = [r for r in map(eng.apply_event, load_trace("idle_work.trace"))
+             if r["kind"] == "idle_tick"]
     assert ticks and sum(r["predicted_knowledge"] + r["predicted_history"] for r in ticks) > 0
     for r in ticks:
         assert r["populated"] == 0
@@ -325,7 +342,9 @@ def test_restored_slices_equal_the_evicted_ones(tmp_path, monkeypatch):
     monkeypatch.setattr(Engine, "restore_evicted_slices", checked)
     for trace, cfg in (("idle_work", "idle_work"), ("limit_relax", "scenario_c")):
         evicted.clear()
-        _bundled_engine(tmp_path / trace, cfg).run_trace(load_trace(f"{trace}.trace"))
+        eng = _bundled_engine(tmp_path / trace, cfg)
+        for event in load_trace(f"{trace}.trace"):
+            eng.apply_event(event)
     assert restored
 
 
