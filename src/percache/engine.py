@@ -338,6 +338,8 @@ class Engine:
         kind = event.get("kind")
         if not is_number(at) or kind is None:
             raise TraceError("event needs numeric 'at' and 'kind'")
+        if kind not in ("query_arrival", "chunk_arrival", "config_change", "idle_tick"):
+            raise TraceError(f"unknown event kind: {kind}")
         if self._last_at is not None and at < self._last_at:
             raise TraceError(f"out-of-order event at {at} after {self._last_at}")
         if kind in ("query_arrival", "chunk_arrival") and not isinstance(event.get("text"), str):
@@ -352,7 +354,9 @@ class Engine:
             raise TraceError(f"config key {event.get('field')!r} cannot change mid-trace")
         if kind == "config_change" and type(event.get("value")) not in (str, int, float, bool):
             raise TraceError("config_change needs a string, number or boolean 'value'")
-        self._last_at = at
+        budget = event.get("budget", 0.0)
+        if kind == "idle_tick" and not is_number(budget):
+            raise TraceError(f"idle_tick budget must be a number: {budget!r}")
         record: dict = {"at": at, "kind": kind}
         if kind == "query_arrival":
             record.update(vars(self.handle_query(event["text"], at)), text=event["text"])
@@ -372,19 +376,14 @@ class Engine:
                     e.query for e in self.qa.set_limit(self.config.qa_limit_bytes)
                 ]
             record.update(field=field, value=value)
-        elif kind == "idle_tick":
-            budget = event.get("budget", 0.0)
-            if not is_number(budget):
-                raise TraceError(f"idle_tick budget must be a number: {budget!r}")
-            report = self.scheduler.idle_tick(budget, at)
-            record.update(vars(report))
         else:
-            raise TraceError(f"unknown event kind: {kind}")
+            record.update(vars(self.scheduler.idle_tick(budget, at)))
         record.update(
             qa_entries=len(self.qa.entries),
             qa_used_bytes=self.qa.used_bytes,
             qkv_used_bytes=self.bank.used_bytes,
         )
+        self._last_at = at  # a refused event leaves the clock where it was
         self.metrics.append(record)
         return record
 

@@ -11,9 +11,9 @@ vocabulary lists for that byte.
 
 Embeddings are integer feature counts in one format, fixed here: every
 embedding the system makes is EMBED_DIM wide and hashed with the key
-EMBED_SEED. CountRows keeps many of them feature-major, and a query's
-cosine scan over them gathers only the query's features, with exact
-integer dots and no BLAS call.
+EMBED_SEED. CountRows keeps many of them feature-major, in int8 while
+every row's counts fit, and a query's cosine scan over them gathers only
+the query's features, with exact integer dots and no BLAS call.
 """
 
 from __future__ import annotations
@@ -131,6 +131,9 @@ def detokenize(tokens, vocab: TokenizerVocab) -> str:
 # an embedding whose squared norm is at most this keeps its counts in
 # float32; see cosine_table
 FLOAT32_MAX_NORM2 = 2**24
+# a row whose squared norm is at most this has every count within +-127,
+# so CountRows can hold it in int8 without reading its counts
+INT8_MAX_NORM2 = 127**2
 
 
 @dataclass(frozen=True)
@@ -166,20 +169,29 @@ def cosine_table(counts: np.ndarray, norm2: np.ndarray,
     as CountRows holds them. The dots are one np.einsum over every feature,
     with no BLAS call: QaBank.refresh pairs chunk rows, which at the default
     chunk_words of 100 hold about half the features, so a gather would copy
-    them for little.
+    them for little. An einsum of two int8 operands would sum in int8 and
+    wrap, so both are cast to int16 first, which casts and sums faster than
+    float32 at the sizes a refresh sees, and far faster than an einsum that
+    casts inside the sum (dtype=). A float operand promotes an int8 one in
+    the sum itself.
 
     Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
     dot. Two float32 operands have Na and Nb at most 2**24, so every
     product and partial sum of the dot is an integer of magnitude at most
     sqrt(Na * Nb) <= 2**24 (Cauchy-Schwarz on every subset of the terms),
-    which float32 holds. A float64 operand makes the sum run in float64,
-    where the same argument holds for squared norms below 2**53. So
-    neither the summation order nor the zero terms a scan skips change a
-    bit, and each cosine is symmetric in its two embeddings and the same
-    whichever other rows are scored with it, in a table or a scan. Na and
-    Nb are exact in float64 and their product is the correctly rounded
-    integer product. A zero dot is +0.0, as an integer dot gives.
+    which float32 holds. Two int8 rows have Na and Nb at most
+    INT8_MAX_NORM2, so the same bound is 127**2 < 2**15, which int16
+    holds; an int8 count beside a float32 one is exact in float32. A
+    float64 operand makes the sum run in float64, where the same argument
+    holds for squared norms below 2**53. So neither the summation order nor
+    the zero terms a scan skips change a bit, and each cosine is symmetric
+    in its two embeddings and the same whichever other rows are scored with
+    it, in a table or a scan. Na and Nb are exact in float64 and their
+    product is the correctly rounded integer product. A zero dot is +0.0,
+    as an integer dot gives.
     """
+    if counts.dtype == other_counts.dtype == np.int8:
+        counts, other_counts = counts.astype(np.int16), other_counts.astype(np.int16)
     dots = np.einsum("jm,jn->mn", counts.T, other_counts.T)
     return _cosines(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)))
 
@@ -189,7 +201,8 @@ def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> 
     e, scanned term at a time. e's nonzero features (a query has 16-19 of
     256) gather their rows of counts.T, for CountRows.counts its own
     feature-major matrix, and np.einsum sums them weighted, with no BLAS
-    call."""
+    call. e's counts are float32 or float64, so the sum runs in that dtype
+    over int8 rows too, with no cast of its own."""
     nonzero = e.counts.nonzero()[0]
     dots = np.einsum("j,jn->n", e.counts[nonzero], counts.T[nonzero])
     return _cosines(dots, np.sqrt(norm2 * float(e.norm2)))
@@ -222,16 +235,18 @@ class CountRows:
     an Embedding.
 
     extend appends a block of rows, as HashEmbedder.count_rows gives them,
-    in one transposed copy; append is a block of one. The matrix is
-    float32 until a float64 block (see Embedding) widens it for good,
-    copying the held rows only, never the unwritten capacity. The capacity
-    starts at INITIAL_ROWS and doubles until the block fits; reserve grows
+    in one transposed copy; append is a block of one. The matrix is int8
+    while every held row's squared norm is at most INT8_MAX_NORM2, a rule
+    that needs no scan of the counts. A block with a row past it widens the
+    matrix for good to the block's own dtype, float32 or float64 (see
+    Embedding), copying the held rows only, never the unwritten capacity.
+    The capacity starts at INITIAL_ROWS and doubles until the block fits; reserve grows
     it in one step, which leaves no outgrown matrices in the allocator's
     heap, and compact keeps a list of rows with room for as many again.
     """
 
     def __init__(self):
-        self._counts = np.empty((EMBED_DIM, 0), np.float32)  # feature-major
+        self._counts = np.empty((EMBED_DIM, 0), np.int8)  # feature-major
         self._norm2 = np.empty(0)
         self._n = 0  # rows held
 
@@ -259,10 +274,12 @@ class CountRows:
 
     def extend(self, counts: np.ndarray, norm2: list[int]) -> None:
         """Append the rows of counts, a (rows, EMBED_DIM) array, and their
-        squared norms."""
+        squared norms. The counts are integers, float32 or float64 as
+        HashEmbedder.count_rows gives them."""
         n, end = self._n, self._n + len(counts)
-        if end > len(self._norm2) or counts.itemsize > self._counts.itemsize:
-            self._move(slice(0, n), end, np.promote_types(self._counts.dtype, counts.dtype))
+        dtype = np.dtype(np.int8 if max(norm2, default=0) <= INT8_MAX_NORM2 else counts.dtype)
+        if end > len(self._norm2) or dtype.itemsize > self._counts.itemsize:
+            self._move(slice(0, n), end, np.promote_types(self._counts.dtype, dtype))
         self._counts[:, n:end], self._norm2[n:end] = counts.T, norm2
         self._n = end
 

@@ -45,6 +45,11 @@ def data_dir() -> Path:
     return DATA
 
 
+def count_ints(counts) -> list:
+    """Counts as Python integers, whichever dtype holds them."""
+    return np.asarray(counts).astype(np.int64).tolist()
+
+
 def embedding_from_counts(counts) -> Embedding:
     """The embedding of an integer count vector, as HashEmbedder.embed
     builds one: its squared norm summed in Python integers, the counts in

@@ -3,20 +3,21 @@ import json
 import shutil
 from types import MethodType
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percache import retrieval
-from percache.config import EngineConfig
+from percache.config import ConfigError, EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
 from percache.qa import DEFAULT_ENTRY_BYTES
-from percache.textcore import tokenize
+from percache.textcore import EMBED_DIM, tokenize
 
-from conftest import (DATA, checked_prefill, embedding_from_counts, load_trace, make_engine,
-                      reference_tokenize)
+from conftest import (DATA, checked_prefill, count_ints, embedding_from_counts, load_trace,
+                      make_engine, reference_tokenize)
 
 CORPUS = (DATA / "corpus.txt").read_text(encoding="utf-8")
 
@@ -476,6 +477,23 @@ def test_trace_unknown_kind_and_missing_fields(tmp_path):
         eng.apply_event({"at": "zero", "kind": "idle_tick"})
 
 
+@pytest.mark.parametrize("refused", [
+    {"kind": "config_change", "field": "tau_query", "value": 7},
+    {"kind": "idle_tick", "budget": "x"},
+    {"kind": "nonsense"},
+], ids=["invalid-config-value", "non-numeric-budget", "unknown-kind"])
+def test_a_refused_event_leaves_the_trace_clock(tmp_path, refused):
+    # the event at 5 is refused and records nothing, so an event at 3 is
+    # still in order
+    eng = make_engine(tmp_path)
+    eng.apply_event({"at": 1, "kind": "chunk_arrival", "text": "alpha beta"})
+    with pytest.raises((TraceError, ConfigError)):
+        eng.apply_event({"at": 5, **refused})
+    assert len(eng.metrics) == 1
+    record = eng.apply_event({"at": 3, "kind": "chunk_arrival", "text": "gamma"})
+    assert record["at"] == 3 and len(eng.metrics) == 2
+
+
 def test_config_change_shrink_evicts_immediately(tmp_path):
     eng = make_engine(tmp_path)
     eng.apply_event({"at": 0, "kind": "chunk_arrival", "text": CORPUS})
@@ -644,16 +662,36 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
     assert len(chunks) > 50
     rows, norm2 = reopened.retriever.rows.counts, reopened.retriever.rows.norm2.tolist()
     assert reopened.retriever._ids == [chunk_id for chunk_id, _ in chunks]
-    assert len(rows) == len(norm2) == len(chunks)
+    assert len(rows) == len(norm2) == len(chunks) and rows.dtype == np.int8
     for (_, text), row, n2 in zip(chunks, rows, norm2):
         e = reopened.embedder.embed(text)
-        assert (row.tobytes(), n2) == (e.counts.tobytes(), e.norm2)
+        assert (count_ints(row), n2) == (count_ints(e.counts), e.norm2)
     assert [e.query for e in reopened.qa.entries] == queries
     for entry in reopened.qa.entries:
         e, kept = reopened.embedder.embed(entry.query), reopened.qa.embedding(entry)
         assert (kept.counts.dtype, kept.counts.tobytes(), kept.norm2) == (
             e.counts.dtype, e.counts.tobytes(), e.norm2)
         assert kept.values.tobytes() == e.values.tobytes()
+
+
+def test_count_rows_of_a_2000_chunk_bank_take_a_byte_a_count(tmp_path):
+    # after an open of 2,000 chunks and one arrival, the retriever's and the
+    # QA bank's count rows are int8, a byte per count of capacity; a row past
+    # INT8_MAX_NORM2 then widens the retriever's to float32, every count kept
+    eng = make_engine(tmp_path / "bank", chunk_words=3)
+    eng.ingest_chunks([" ".join(f"w{i}" for i in range(6000))], 0)
+    eng.handle_query("what is w7 next to?", 1)
+    eng.persist()
+    reopened = make_engine(tmp_path / "bank", chunk_words=3)
+    assert len(reopened.retriever) == 2000
+    reopened.apply_event({"at": 2, "kind": "chunk_arrival", "text": "alpha beta gamma"})
+    rows = reopened.retriever.rows
+    assert len(rows.counts) == 2001 and len(reopened.qa.entries) == 1
+    assert rows.counts.itemsize == reopened.qa._rows.counts.itemsize == 1
+    assert rows._counts.nbytes <= EMBED_DIM * rows.capacity
+    held = rows.counts.tolist()
+    reopened.retriever.add_chunk("wide", "", embedding_from_counts(np.eye(EMBED_DIM)[0] * 128))
+    assert rows.counts.dtype == np.float32 and rows.counts[:-1].tolist() == held
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):

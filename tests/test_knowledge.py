@@ -256,6 +256,24 @@ def test_stored_slices_never_alias(tmp_path):
         assert np.array_equal(again.tensors.data, want)
 
 
+def test_insert_refuses_tensors_one_token_short(tmp_path):
+    # tensors that do not cover every token of the prompt are a layout
+    # error, and nothing is written: not the tree, not the ledger, no file
+    bank = fake_bank(tmp_path)
+    insert_path(bank, ["c1"], now=1)
+    state = lambda: ([(n.node_id, n.chunk_id, n.token_ids, n.present, n.retrieval_count,
+                       n.last_used, len(n.children)) for n in bank.nodes.values()],
+                     bank.used_bytes, _dir_bytes(tmp_path))
+    before = state()
+    segs = path_segments(["c1", "c2"])
+    text = "".join(s.text for s in segs)
+    toks = tokenize(text, bank.vocab)
+    short = fake_tensors(text, toks, bank.vocab).slice_tokens(0, len(toks) - 1)
+    with pytest.raises(LayoutError, match="token count"):
+        bank.slice_and_insert(segs, toks, short, now=2)
+    assert state() == before and len(before[0]) == 2  # the root and c1
+
+
 def test_prefill_and_decode_leave_their_inputs_unchanged(tmp_path):
     # Engine.answer decodes from a prefill state and then slices that same
     # state into the tree; prefill reads a prefix the bank copied out. So

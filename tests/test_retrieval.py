@@ -20,6 +20,7 @@ from percache.retrieval import (
 from percache.textcore import (
     EMBED_BLOCK,
     INITIAL_ROWS,
+    INT8_MAX_NORM2,
     CountRows,
     Embedding,
     HashEmbedder,
@@ -28,7 +29,7 @@ from percache.textcore import (
     split_words,
 )
 
-from conftest import embedding_from_counts
+from conftest import count_ints, embedding_from_counts
 
 EMB = HashEmbedder()
 
@@ -367,6 +368,16 @@ def _negated(e: Embedding) -> Embedding:
     return embedding_from_counts(-e.counts)
 
 
+def _ladder(embeddings) -> np.dtype:
+    """The dtype of count rows that appended embeddings one at a time:
+    int8, widened for good by each row past INT8_MAX_NORM2 to its own."""
+    dtype = np.dtype(np.int8)
+    for e in embeddings:
+        if e.norm2 > INT8_MAX_NORM2:
+            dtype = np.promote_types(dtype, e.counts.dtype)
+    return dtype
+
+
 def _embedding(rng) -> Embedding:
     """Dense counts, a hashed text, or the degenerate fallback."""
     kind = rng.integers(4)
@@ -401,7 +412,8 @@ def _check_cosine(n, reserve, seed):
             r.rows.reserve(reserve)  # one step past several doublings, rows kept
         r.add_chunk(f"c{i:03d}", "", e)
     counts, norm2 = r.rows.counts, r.rows.norm2
-    assert counts.tobytes() == b"".join(e.counts.tobytes() for e in embeddings)
+    assert counts.dtype == _ladder(embeddings)
+    assert count_ints(counts) == [count_ints(e.counts) for e in embeddings]
     assert norm2.tolist() == [e.norm2 for e in embeddings]
     queries = [_embedding(rng) for _ in range(3)] + [DEGENERATE, _negated(DEGENERATE)]
     if embeddings:
@@ -515,12 +527,12 @@ def _bar_bits(bar) -> tuple[str, str] | None:
     return None if bar is None else (float(bar[0]).hex(), bar[1])
 
 
-def _rows_bits(counts, norm2) -> list[tuple[bytes, float]]:
-    return list(zip((row.tobytes() for row in counts), norm2.tolist()))
+def _rows_ints(counts, norm2) -> list[tuple[list[int], float]]:
+    return list(zip(count_ints(counts), norm2.tolist()))
 
 
-def _count_bits(embeddings) -> list[tuple[bytes, float]]:
-    return [(e.counts.tobytes(), e.norm2) for e in embeddings]
+def _count_ints(embeddings) -> list[tuple[list[int], float]]:
+    return [(count_ints(e.counts), e.norm2) for e in embeddings]
 
 
 @EXACT_SETTINGS
@@ -558,7 +570,8 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
     new_ids = set(scan.docs) - old_ids
     ids, counts, norm2 = r.rows_since(since)
     assert ids == list(scan.docs)[since:]
-    assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in ids)
+    assert counts.dtype == _ladder(emb for _, _, emb in scan.docs.values())
+    assert _rows_ints(counts, norm2) == _count_ints(scan.docs[cid][2] for cid in ids)
     want = []
     for e in bank.entries:
         emb = bank.embedding(e)
@@ -575,16 +588,19 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
 
 
 def test_a_float64_row_widens_the_count_matrices():
-    # a count beyond float32's integers reaches the count rows unrounded,
-    # past their growth, beside float32 rows; the retriever and the QA bank
-    # rank through such rows
+    # a count of 128 widens the int8 count rows to float32, and a count
+    # beyond float32's integers reaches them unrounded, past their growth,
+    # beside the narrower rows; the retriever and the QA bank rank through
+    # such rows
     big = embedding_from_counts(np.eye(EMB.dim)[0] * (2**24 + 1))
+    wide = embedding_from_counts(np.eye(EMB.dim)[8] * 128)
     small = [embedding_from_counts(np.eye(EMB.dim)[1 + i % 7] * (1 + i)) for i in range(80)]
     axis = embedding_from_counts(np.eye(EMB.dim)[0])
     assert (big.counts.dtype, axis.counts.dtype) == (np.float64, np.float32)
-    added = small[:3] + [big] + small[3:]
+    added = small[:1] + [wide] + small[1:2] + [big] + small[2:]
     rows, r, bank = CountRows(), Retriever(EMB), QaBank(limit_bytes=1 << 30)
     for i, e in enumerate(added):
+        assert rows.counts.dtype == (np.int8 if i <= 1 else np.float32 if i <= 3 else np.float64)
         if e is big:  # unwritten capacity may hold a signalling NaN, which a cast would trap on
             rows._counts[:, i:].view(np.uint32)[:] = 0x7F800001
         rows.append(e)
@@ -594,7 +610,8 @@ def test_a_float64_row_widens_the_count_matrices():
     assert rows.counts.tobytes() == np.array([e.counts for e in added], np.float64).tobytes()
     assert rows.norm2.tolist() == [e.norm2 for e in added]
     assert (r.bar(axis, 1), r.bar(axis, 2)) == ((1.0, "c03"), (0.0, "c00"))
-    assert (r.bar(axis, 1, 3), r.bar(small[1], 1)) == ((0.0, "c00"), (1.0, "c01"))
+    assert (r.bar(axis, 1, 3), r.bar(small[1], 1)) == ((0.0, "c00"), (1.0, "c02"))
+    assert r.bar(wide, 1) == (1.0, "c01")
     entry, sim = bank.match(axis, 0.99, 99)
     assert (entry.query, sim) == ("q03", 1.0)
 
@@ -621,7 +638,8 @@ def test_new_rows_gathered_once_per_arrival():
             assert new_ids
             ids, counts, norm2 = rows_since(since)
             assert ids == new_ids
-            assert _rows_bits(counts, norm2) == _count_bits(scan.docs[cid][2] for cid in new_ids)
+            assert counts.dtype == np.float32  # dense rows are past INT8_MAX_NORM2
+            assert _rows_ints(counts, norm2) == _count_ints(scan.docs[cid][2] for cid in new_ids)
             gathers.clear()
             bank.refresh(r, since, 3)
             assert gathers == [since]

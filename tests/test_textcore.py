@@ -16,6 +16,7 @@ from percache.textcore import (
     EMBED_SEED,
     FLOAT32_MAX_NORM2,
     INITIAL_ROWS,
+    INT8_MAX_NORM2,
     CountRows,
     Embedding,
     HashEmbedder,
@@ -28,7 +29,7 @@ from percache.textcore import (
     tokenize,
 )
 
-from conftest import embedding_from_counts, reference_tokenize
+from conftest import count_ints, embedding_from_counts, reference_tokenize
 
 WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
 embed = HashEmbedder().embed
@@ -50,6 +51,15 @@ def test_witness_vocab_ids():
     assert tokenize("ab", WITNESS) == (0,)
     assert tokenize("bc", WITNESS) == (1,)
     assert tokenize("a", WITNESS) == (2,)
+
+
+def test_an_empty_token_is_skipped():
+    # an empty string is no token: the vocabulary is that of the rest
+    with_empty, plain = TokenizerVocab(["", "ab"]), TokenizerVocab(["ab"])
+    assert with_empty.size == plain.size == 257
+    assert [with_empty.token_bytes(i) for i in range(with_empty.size)] == [
+        plain.token_bytes(i) for i in range(plain.size)]
+    assert tokenize("abc", with_empty) == tokenize("abc", plain) == (0, 1 + ord("c"))
 
 
 def test_boundary_dependence_witness():
@@ -384,6 +394,21 @@ def _block(embeddings):
             [e.norm2 for e in embeddings])
 
 
+def _held_dtype(dtype, embeddings):
+    """The dtype of CountRows's matrix, dtype before, after it extends by
+    the block of embeddings: int8 while every squared norm is at most
+    INT8_MAX_NORM2, else widened for good to the block's own dtype."""
+    if max(e.norm2 for e in embeddings) <= INT8_MAX_NORM2:
+        return dtype
+    return np.promote_types(dtype, _block(embeddings)[0].dtype)
+
+
+# a squared norm just past INT8_MAX_NORM2, 127**2 + 1, from counts that int8
+# would hold
+_edge = embedding_from_counts(np.eye(EMBED_DIM, dtype=np.int64)[0] * 127
+                              + np.eye(EMBED_DIM, dtype=np.int64)[1])
+
+
 _ROW_OPS = st.lists(st.one_of(
     st.tuples(st.just("extend"), st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6)),
     st.tuples(st.just("reserve"), st.integers(0, 70)),
@@ -399,12 +424,24 @@ _ROW_OPS = st.lists(st.one_of(
           ("extend", [_one(3, 2)] * 5 + [_mixed(7)]), ("extend", [_one(1, 1), _full(257)]),
           ("reserve", 70), ("compact", 1), ("extend", [embed("budget review")])],
          [_one(2, 2), _full(256), embed("")])
+# an int8 matrix scored against itself, with dots up to 256 * 7**2, which an
+# int8 sum would wrap
+@example([("extend", [_full(7), _mixed(7), _one(127), _one(-127, 3)]),
+          ("extend", [_one(7, 1), _full(-7), embed("budget review")])],
+         [_full(7), _one(-127), embed("")])
+# counts at +-127 and +-128, a norm at INT8_MAX_NORM2 and one just past it,
+# which widens the int8 rows to float32, then a float64 row
+@example([("extend", [_one(127), _one(-127, 2), _full(7)]), ("extend", [_edge]),
+          ("extend", [_one(-128, 2), _one(128)]), ("compact", 0), ("extend", [_one(3, 1)]),
+          ("extend", [_one(2**12 + 1)])],
+         [_one(128), _one(-127, 2), _edge])
 def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries):
     # CountRows keeps its matrix feature-major; its row view, the views
     # rows_since and bar take of it, and every scan over them must give the
     # rows and the cosines of the Python-integer reference through appends,
-    # reserve, compaction with holes and the float64 widening
-    rows, held, wide = CountRows(), [], False  # held: each row's embedding
+    # reserve, compaction with holes and the widenings from int8
+    rows, held = CountRows(), []  # held: each row's embedding
+    dtype = np.dtype(np.int8)  # the ladder's: widened for good, also by rows compacted away
     r, added = Retriever(HashEmbedder()), []  # the same rows, never compacted
     memo = {}
 
@@ -426,7 +463,7 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
             for e in arg:
                 r.add_chunk(f"c{len(added):03d}", "", e)
                 added.append(e)
-            wide = wide or any(e.counts.dtype == np.float64 for e in arg)
+            dtype = _held_dtype(dtype, arg)
         elif kind == "reserve":
             rows.reserve(arg)
             r.rows.reserve(arg)
@@ -435,9 +472,8 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
             keep = [i for i in range(len(held)) if rng.random() < 0.6]
             rows.compact(keep)
             held = [held[i] for i in keep]
-        dtype = np.float64 if wide else np.float32
         assert rows.counts.dtype == dtype and len(rows.counts) == len(held)
-        assert rows.counts.tobytes() == np.array([e.counts for e in held], dtype).tobytes()
+        assert count_ints(rows.counts) == [count_ints(e.counts) for e in held]
         assert rows.norm2.tolist() == [e.norm2 for e in held]
         assert [(got.counts.dtype, got.counts.tobytes(), got.norm2) for got in map(
             rows.embedding, range(len(held)))] == [(e.counts.dtype, e.counts.tobytes(), e.norm2)
@@ -459,6 +495,9 @@ def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries)
         table = cosine_table(*_rows(queries), rows.counts[since:], rows.norm2[since:])
         assert [[s.hex() for s in row] for row in table.tolist()] == [want(q, held[since:])
                                                                       for q in queries]
+        table = cosine_table(rows.counts, rows.norm2, rows.counts[since:], rows.norm2[since:])
+        assert [[s.hex() for s in row] for row in table.tolist()] == [want(e, held[since:])
+                                                                      for e in held]
 
 
 def test_count_rows_before_their_first_row():
@@ -470,7 +509,8 @@ def test_count_rows_before_their_first_row():
     assert cosine_similarities(rows.counts, rows.norm2, e).tolist() == []
     rows.compact([])
     rows.append(e)
-    assert rows.counts.tobytes() == e.counts.tobytes() and rows.norm2.tolist() == [e.norm2]
+    assert rows.counts.dtype == np.int8 and count_ints(rows.counts) == [count_ints(e.counts)]
+    assert rows.norm2.tolist() == [e.norm2]
     assert cosine_similarities(rows.counts, rows.norm2, e).tolist() == [1.0]
 
 
