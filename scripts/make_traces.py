@@ -234,7 +234,6 @@ def main() -> int:
     base_cfg = (
         "chunk_words=12\n"
         "max_decode_tokens=6\n"
-        "retrieval_k=3\n"
     )
     write(
         DATA / "configs" / "scenario.cfg",

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textcore import encodes_utf8
+
 MLP_MULT = 4
 ONE = np.float32(1.0)
 RMS_EPS = np.float32(1e-5)
@@ -371,21 +373,23 @@ class ScriptedBackend:
     (template and slots) takes the next queued response and memoizes it, so
     the same prompt always gets the same response; an empty queue gives the
     fallback string and counts a miss. Every entry is a wildcard: one whose
-    slots_digest is not "*" is refused as damaged.
+    slots_digest is not "*" is refused as damaged, as is a template,
+    response or fallback that UTF-8 cannot encode.
     """
 
     def __init__(self, entries: list[dict] | None = None, fallback: str = ""):
         entries = [] if entries is None else entries
-        if not isinstance(entries, list) or not isinstance(fallback, str):
-            raise ValueError("need a list of entries and a string fallback")
+        if not (isinstance(entries, list) and isinstance(fallback, str) and encodes_utf8(fallback)):
+            raise ValueError("need a list of entries and a string fallback UTF-8 can encode")
         self.fallback = fallback
         self.miss_count = 0
         self._memo: dict[tuple[str, str], str] = {}
         self._queues: dict[str, list[str]] = {}
         for i, e in enumerate(entries):
             if not (isinstance(e, dict) and isinstance(e.get("template"), str)
-                    and isinstance(e.get("response"), str)):
-                raise ValueError(f"entry {i} needs a string template and response")
+                    and isinstance(e.get("response"), str)
+                    and encodes_utf8(e["template"]) and encodes_utf8(e["response"])):
+                raise ValueError(f"entry {i} needs a string template and response UTF-8 can encode")
             if e.get("slots_digest", "*") != "*":
                 raise ValueError(f"entry {i}: slots_digest must be \"*\"")
             self._queues.setdefault(e["template"], []).append(e["response"])

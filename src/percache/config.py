@@ -24,17 +24,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class EngineConfig:
-    # matching thresholds
+    # QA match threshold
     tau_query: float = 0.85
-    tau_scheduler: float = 0.88
     # prediction
     prediction_stride: int = 5
-    buffer_size: int = 20
     t_batch: float = 600.0
     t_quiet: float = 300.0
-    abstract_cap_bytes: int = 4096
-    # retrieval
-    retrieval_k: int = 3
+    # chunking
     chunk_words: int = 100
     # cache tree
     qkv_limit_bytes: int = 1 << 34
@@ -62,10 +58,13 @@ class EngineConfig:
     qkv_match_ms: ClassVar[float] = 15.0
     qkv_load_ms: ClassVar[float] = 1030.0
     embed_ms: ClassVar[float] = 40.0
-    # not keys either, as nothing sets another value: the rank of every QA
-    # entry's refresh bar, and the weight of BM25 in the fused retrieval score
-    k_refresh: ClassVar[int] = 3
-    alpha_fusion: ClassVar[float] = DEFAULT_ALPHA
+    # not keys either, as nothing sets another value
+    k_refresh: ClassVar[int] = 3  # the rank of every QA entry's refresh bar
+    alpha_fusion: ClassVar[float] = DEFAULT_ALPHA  # BM25's weight in the fused retrieval score
+    retrieval_k: ClassVar[int] = 3  # the chunks each query retrieves
+    tau_scheduler: ClassVar[float] = 0.88  # population_decodes' cutoff for tau_query
+    buffer_size: ClassVar[int] = 20  # the recent queries the history view prompts over
+    abstract_cap_bytes: ClassVar[int] = 4096  # the abstract's cap in UTF-8 bytes
 
     def __post_init__(self):
         self.validate()
@@ -73,12 +72,8 @@ class EngineConfig:
     def validate(self) -> None:
         if not 0.0 <= self.tau_query <= 1.0:
             raise ConfigError("tau_query must be in [0, 1]")
-        if not 0.0 <= self.tau_scheduler <= 1.0:
-            raise ConfigError("tau_scheduler must be in [0, 1]")
         for key in (
             "prediction_stride",
-            "buffer_size",
-            "retrieval_k",
             "chunk_words",
             "max_decode_tokens",
             "model_layers",
@@ -89,9 +84,8 @@ class EngineConfig:
                 raise ConfigError(f"{key} must be a positive integer")
         if self.model_head_dim % 2:
             raise ConfigError("model_head_dim must be even (rotary pairs)")
-        for key in ("qkv_limit_bytes", "abstract_cap_bytes"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive")
+        if self.qkv_limit_bytes < 1:
+            raise ConfigError("qkv_limit_bytes must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be at least 0")
         for key in ("t_batch", "t_quiet"):

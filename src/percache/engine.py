@@ -67,8 +67,7 @@ class TraceError(ValueError):
 # prediction keys as it goes, but they too stay as the trace began
 FIXED_CONFIG_KEYS = frozenset({
     "model_layers", "model_heads", "model_head_dim", "seed", "vocab_file", "script_file",
-    "chunk_words", "prediction_stride", "buffer_size",
-    "t_batch", "t_quiet", "abstract_cap_bytes",
+    "chunk_words", "prediction_stride", "t_batch", "t_quiet",
 })
 
 

@@ -53,7 +53,7 @@ import numpy as np
 
 from .backend import QkvPrefix, QkvTensors
 # unused here, but perfbench patches knowledge.tokenize through this module's globals
-from .textcore import TokenizerVocab, split_lines, tokenize  # noqa: F401
+from .textcore import TokenizerVocab, encodes_utf8, split_lines, tokenize  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -86,16 +86,6 @@ def read_utf8(path: Path) -> str:
         raise BankError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
 
 
-def encodes_utf8(text: str) -> bool:
-    """Whether UTF-8 encodes text: not if it holds a lone surrogate, which
-    a JSON escape such as "\\ud800" gives."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 # the JSON types read_jsonl checks fields against, by the Python type that
 # json.loads gives each; exact types, so a boolean never passes for an integer
 JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", NoneType: "null"}
@@ -110,9 +100,9 @@ def is_number(value) -> bool:
 def read_jsonl(path: Path,
                fields: dict[str, tuple[type, ...]] | None = None) -> list[tuple[int, dict]]:
     """(line number, record) for each non-blank line of a JSONL file. A line
-    that is not UTF-8 or not a JSON object, or that lacks a key of fields or
-    holds it with a type not in fields[key], raises BankError naming
-    file:line."""
+    that is not UTF-8 or not a JSON object, that lacks a key of fields or
+    holds it with a type not in fields[key], or whose string under such a
+    key UTF-8 cannot encode, raises BankError naming file:line."""
     out = []
     for lineno, line in enumerate(split_lines(read_utf8(path)), 1):
         if not line.strip():
@@ -127,6 +117,8 @@ def read_jsonl(path: Path,
             if key not in rec or type(rec[key]) not in types:
                 names = " or ".join(JSON_TYPES[t] for t in types)
                 raise BankError(f"{path}:{lineno}: need {key!r} as {names}")
+            if type(rec[key]) is str and not encodes_utf8(rec[key]):
+                raise BankError(f"{path}:{lineno}: {key!r} is a string UTF-8 cannot encode")
         out.append((lineno, rec))
     return out
 

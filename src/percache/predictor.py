@@ -50,9 +50,9 @@ class Predictor:
     """Owns the abstract, the query buffer, and the two prediction views.
 
     config is the engine's EngineConfig, read where each value is used:
-    prediction_stride, buffer_size (the buffer's length, at construction),
-    t_batch, t_quiet and abstract_cap_bytes. EngineConfig.validate holds
-    their rules, and a config_change of any of them is refused.
+    prediction_stride, t_batch and t_quiet, which EngineConfig.validate
+    checks and a config_change may not set, and the constants buffer_size
+    (the buffer's length) and abstract_cap_bytes.
 
     Mutating operations run only while the engine is in its background
     phase (single writer). `phase` is the engine's only serve/idle flag:
@@ -94,10 +94,10 @@ class Predictor:
         abstract is unchanged. If the cap would be exceeded, the whole
         abstract is re-summarized through the same prompt exactly once. If
         it is still over the cap, its text is cut once to cap - 1 bytes,
-        dropping a partial character, and kept as the only sentence (none
-        if the cut leaves nothing). Returns True if it changed, and then the
-        knowledge view has a new abstract to predict from. Does nothing
-        unless chunks are pending and none arrived for t_batch.
+        dropping a partial character, and kept as the only sentence.
+        Returns True if it changed, and then the knowledge view has a new
+        abstract to predict from. Does nothing unless chunks are pending
+        and none arrived for t_batch.
         """
         self._assert_idle()
         if not self._pending or now - self._last_chunk_at < self.config.t_batch:
@@ -116,7 +116,7 @@ class Predictor:
                 self.abstract, text = [merged], merged
             if len(text.encode("utf-8")) > cap:
                 cut = text.encode("utf-8")[: cap - 1].decode("utf-8", errors="ignore")
-                self.abstract = [cut] if cut else []
+                self.abstract = [cut]
         return True
 
     # -- prediction views ------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Whether idle work decodes is one function of the config,
 population_decodes: when the QA match threshold tau_query sits at or
-above the cutoff tau_scheduler, predicted queries rarely hit, so
+above the constant cutoff tau_scheduler, predicted queries rarely hit, so
 population stops at prefill (PrefillOnly); below the cutoff it also
 decodes answers (PrefillAndDecode). Idle ticks run deferred answering,
 cross-layer conversions between the QA bank and the QKV tree, and
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 def population_decodes(config) -> bool:
     """Whether idle work decodes answers for the QA bank. Nothing does with
     QA off, since no answer could be stored; without the adaptive scheduler
-    population always decodes; with it, only while tau_query sits below
-    tau_scheduler (at equality the cheaper PrefillOnly wins)."""
+    population always decodes; with it, only while tau_query sits below the
+    constant tau_scheduler (at equality the cheaper PrefillOnly wins)."""
     return config.qa_enabled and (
         not config.scheduler_enabled or config.tau_query < config.tau_scheduler
     )

@@ -46,6 +46,16 @@ def split_lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+def encodes_utf8(text: str) -> bool:
+    """Whether UTF-8 encodes text: not if it holds a lone surrogate, which
+    a JSON escape such as "\\ud800" gives."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class TokenizerVocab:
     """Greedy-matcher vocabulary: explicit tokens plus implicit byte fallbacks.
 

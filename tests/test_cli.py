@@ -16,6 +16,11 @@ from percache.knowledge import deserialize_slice
 from conftest import DATA
 
 
+# EngineConfig constants, not keys: neither a config file nor a trace sets them
+CONSTANTS = ("k_refresh", "alpha_fusion", "retrieval_k", "tau_scheduler", "buffer_size",
+             "abstract_cap_bytes")
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -155,8 +160,8 @@ def test_replay_bad_event_names_line(tmp_path, capsys):
     {"at": 1, "kind": "config_change", "field": "system_prompt"},
     # an empty system prompt and no chunk would leave no token to prefill
     {"at": 1, "kind": "query_arrival", "text": ""},
-    # a constant, not a key: every kept QA bar was ranked by it
-    {"at": 1, "kind": "config_change", "field": "k_refresh", "value": 2},
+    # constants, not keys: every kept QA bar was ranked by k_refresh, for one
+    *({"at": 1, "kind": "config_change", "field": key, "value": 2} for key in CONSTANTS),
 ])
 def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     trace = _write(
@@ -164,7 +169,10 @@ def test_replay_bad_event_value_exit_2(tmp_path, capsys, event):
     )
     out = tmp_path / "out.csv"
     assert run(["replay", "--trace", trace, "--bank", tmp_path / "b", "--out", out]) == EXIT_DATA
-    assert f"{trace}:2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{trace}:2" in err
+    if event.get("field") in CONSTANTS:
+        assert "unknown config key" in err
 
 
 @pytest.mark.parametrize("event", [
@@ -194,10 +202,10 @@ def test_replay_bad_config_exit_2(tmp_path, capsys):
     # the text backend selector, which no longer exists, an odd head
     # dimension, which rotary position pairs cannot split, a seed the model's
     # generator refuses, timers that would never fire or always fire, and
-    # k_refresh and alpha_fusion, which are constants, not keys
+    # each constant, set to its own value
     for line in ("unknown_key=1", "tau_query=7", "qa_limit_bytes=100", "backend=toy",
                  "model_head_dim=3", "seed=-1", "t_quiet=nan", "t_batch=-1",
-                 "k_refresh=3", "alpha_fusion=0.5"):
+                 *(f"{key}={getattr(EngineConfig, key)}" for key in CONSTANTS)):
         cfg = _write(tmp_path / "c.cfg", line + "\n")
         assert run([
             "replay", "--trace", trace, "--bank", tmp_path / "b",
@@ -205,7 +213,7 @@ def test_replay_bad_config_exit_2(tmp_path, capsys):
         ]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"{cfg}:1: " in err and "Traceback" not in err
-        if line.startswith(("k_refresh=", "alpha_fusion=")):
+        if line.partition("=")[0] in CONSTANTS:
             assert "unknown config key" in err
 
 
@@ -358,7 +366,8 @@ def test_replay_without_persist_leaves_bank_untouched(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize("name", ["manifest.jsonl", "chunks.jsonl", "qa.jsonl"])
-@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_utf8", "duplicate"])
+@pytest.mark.parametrize("damage", ["truncate", "drop_field", "not_utf8", "duplicate",
+                                    "lone_surrogate"])
 def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     bank = _persisted_bank(tmp_path)
     path = bank / name
@@ -373,6 +382,13 @@ def test_damaged_bank_file_exit_2(tmp_path, capsys, name, damage):
     elif damage == "duplicate":  # a second record of one node id, chunk_id or query
         path.write_text("".join(lines + lines[1:2]), encoding="utf-8")
         lineno = len(lines) + 1
+    elif damage == "lone_surrogate":  # a JSON escape, which UTF-8 cannot encode
+        rec = json.loads(lines[1])
+        key = {"manifest.jsonl": "chunk_id", "chunks.jsonl": "text", "qa.jsonl": "query"}[name]
+        rec[key] = rec[key][:3] + "\ud800" + rec[key][3:]
+        lines[1] = json.dumps(rec) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        lineno = 2
     else:
         rec = json.loads(lines[1])
         del rec[{"manifest.jsonl": "id", "chunks.jsonl": "text", "qa.jsonl": "query"}[name]]
@@ -494,7 +510,12 @@ def test_duplicate_qa_query_exit_2(tmp_path, capsys):
     (b'{"entries": [{"template": "t", "slots_digest": "*"}]}', None),
     (b'{"entries": [{"template": "t", "slots_digest": "0123abcd", "response": "r"}]}', None),
     (b'[{"template": "t", "response": "r"}]', None),
-], ids=["not_utf8", "truncated", "entries_not_list", "no_response", "exact_digest", "not_object"])
+    # JSON escapes a lone surrogate; a summary holding one would crash the abstract's cap check
+    (b'{"entries": [{"template": "summarize", "response": "notes \\ud800 here."}]}', None),
+    (b'{"entries": [{"template": "summ\\udfffarize", "response": "r"}]}', None),
+    (b'{"fallback": "\\ud800"}', None),
+], ids=["not_utf8", "truncated", "entries_not_list", "no_response", "exact_digest", "not_object",
+        "surrogate_response", "surrogate_template", "surrogate_fallback"])
 def test_damaged_script_file_exit_2(tmp_path, capsys, content, lineno):
     script = tmp_path / "script.json"
     script.write_bytes(content)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from percache.config import ConfigError, EngineConfig
@@ -6,21 +8,20 @@ from percache.config import ConfigError, EngineConfig
 def test_defaults():
     cfg = EngineConfig()
     assert cfg.tau_query == 0.85
-    assert cfg.tau_scheduler == 0.88
     assert cfg.prediction_stride == 5
-    assert cfg.buffer_size == 20
     assert cfg.t_batch == 600.0
     assert cfg.t_quiet == 300.0
-    assert cfg.retrieval_k == 3
     assert cfg.chunk_words == 100
-    assert cfg.alpha_fusion == 0.5 and cfg.k_refresh == 3  # constants, not keys
+    # constants, not keys
+    assert cfg.alpha_fusion == 0.5 and cfg.k_refresh == 3
+    assert (cfg.retrieval_k, cfg.tau_scheduler, cfg.buffer_size, cfg.abstract_cap_bytes) == (
+        3, 0.88, 20, 4096)
+    assert len(dataclasses.fields(EngineConfig)) == 20
 
 
 def test_validation():
     with pytest.raises(ConfigError):
         EngineConfig(tau_query=1.5)
-    with pytest.raises(ConfigError):
-        EngineConfig(tau_scheduler=-0.1)
     with pytest.raises(ConfigError):
         EngineConfig(qkv_limit_bytes=0)
     with pytest.raises(ConfigError):
@@ -28,10 +29,10 @@ def test_validation():
     with pytest.raises(ConfigError):
         EngineConfig(qa_limit_bytes=100)  # below one QA entry
     with pytest.raises(ConfigError):
-        EngineConfig(retrieval_k=0)
+        EngineConfig(chunk_words=0)
     with pytest.raises(ConfigError):
         EngineConfig(model_head_dim=3)  # rotary encoding rotates dimension pairs
-    for key in ("model_layers", "buffer_size"):
+    for key in ("model_layers", "prediction_stride"):
         with pytest.raises(ConfigError):
             EngineConfig(**{key: 0})
     with pytest.raises(ConfigError):
@@ -52,11 +53,11 @@ def test_validation():
 def test_apply_parses_by_type():
     cfg = EngineConfig()
     cfg.apply("tau_query", "0.9")
-    cfg.apply("retrieval_k", "5")
+    cfg.apply("chunk_words", "5")
     cfg.apply("qa_enabled", "false")
     cfg.apply("reuse_enabled", "0")
     cfg.apply("system_prompt", "Hi:\\n")
-    assert cfg.tau_query == 0.9 and cfg.retrieval_k == 5
+    assert cfg.tau_query == 0.9 and cfg.chunk_words == 5
     assert cfg.qa_enabled is False and cfg.reuse_enabled is False
     assert cfg.system_prompt == "Hi:\n"
     cfg.apply("qa_enabled", "true")
@@ -69,7 +70,7 @@ def test_apply_rejects_bad_input():
     with pytest.raises(ConfigError):
         cfg.apply("no_such_key", "1")
     with pytest.raises(ConfigError):
-        cfg.apply("retrieval_k", "three")
+        cfg.apply("chunk_words", "three")
     with pytest.raises(ConfigError):
         cfg.apply("qa_enabled", "maybe")
     with pytest.raises(ConfigError):

@@ -181,7 +181,7 @@ def _fixed_retrieval_engine(tmp_path, order: dict[str, list[str]], **overrides) 
     """An engine with QA and the scheduler off whose retrieval returns, for
     each query, the chunks order[query] in that order; every reuse asserts
     that its prefill equals a prefill of the whole prompt."""
-    eng = make_engine(tmp_path, chunk_words=100, retrieval_k=2, qa_enabled=False,
+    eng = make_engine(tmp_path, chunk_words=100, qa_enabled=False,
                       scheduler_enabled=False, max_decode_tokens=8, **overrides)
     ids = {text: eng.ingest_chunks([text], 0)[0][0] for text in (CHUNK_A, CHUNK_B, CHUNK_C, CHUNK_F)}
     eng.retriever.retrieve_top_k = lambda query, k, embedding=None: [

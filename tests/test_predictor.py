@@ -53,18 +53,20 @@ def test_parse_is_total_on_arbitrary_text():
 
 
 def _predictor(backend, **kw):
-    defaults = dict(prediction_stride=3, buffer_size=5, t_batch=10, t_quiet=10)
+    defaults = dict(prediction_stride=3, t_batch=10, t_quiet=10)
     return Predictor(backend, EngineConfig(**(defaults | kw)))
 
 
 def test_query_buffer_ring():
+    # the buffer keeps the last EngineConfig.buffer_size (20) queries
     be = FakeBackend({TEMPLATE_HISTORY: ["1. next?"]})
-    p = _predictor(be, buffer_size=3)
-    for i in range(5):
+    p = _predictor(be)
+    for i in range(25):
         p.note_user_query(f"q{i}", i)
-    assert list(p.buffer) == ["q2", "q3", "q4"]
-    p.predict_from_history(14, lambda q: False)
-    assert be.calls[0][1]["history"] == "q2; q3; q4"
+    kept = [f"q{i}" for i in range(5, 25)]
+    assert list(p.buffer) == kept
+    p.predict_from_history(34, lambda q: False)
+    assert be.calls[0][1]["history"] == "; ".join(kept)
 
 
 # -- abstract maintenance ------------------------------------------------------
@@ -104,38 +106,42 @@ def test_update_abstract_miss_requeues():
     assert p.update_abstract(100) is False and len(be.calls) == 2
 
 
+CAP = EngineConfig.abstract_cap_bytes  # 4096
+
+
 def test_update_abstract_cap_resummarizes_once():
-    long = "x" * 50
+    long = "x" * CAP
     be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "short merge."]})
-    p = _predictor(be, abstract_cap_bytes=40)
+    p = _predictor(be)
     p.abstract = ["existing sentence."]
     p.note_chunks(["t"], at=0)
     assert p.update_abstract(10)
     # exactly two backend calls: the batch summary plus one re-summarize
     assert [t for t, _ in be.calls] == [TEMPLATE_SUMMARIZE, TEMPLATE_SUMMARIZE]
     assert p.abstract == ["short merge."]
-    assert len(" ".join(p.abstract).encode("utf-8")) <= 40
 
 
 def test_update_abstract_cap_truncates_as_last_resort():
-    long = "y" * 100
-    be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "z" * 100]})
-    p = _predictor(be, abstract_cap_bytes=40)
+    long = "y" * (CAP + 1)
+    be = FakeBackend({TEMPLATE_SUMMARIZE: [long, "z" * (CAP + 1)]})
+    p = _predictor(be)
     p.note_chunks(["t"], at=0)
     assert p.update_abstract(10)
-    assert len(" ".join(p.abstract).encode("utf-8")) <= 40
+    assert p.abstract == ["z" * (CAP - 1)]
 
 
 def test_update_abstract_empty_resummary_cuts_once():
     # two sentences over the cap and an empty re-summarize: the joined text
     # is cut once to cap - 1 bytes, and the "é" straddling the cut is dropped
-    first, second = "a" * 59 + ".", "b" * 37 + "é" + "c" * 21  # 60 bytes each
+    # "é" is bytes cap - 2 and cap - 1 (0-based) of the joined text
+    first = "a" * (CAP // 2 - 1) + "."
+    second = "b" * (CAP // 2 - 3) + "é" + "c" * 21
     be = FakeBackend({TEMPLATE_SUMMARIZE: [first, second, ""]})
-    p = _predictor(be, abstract_cap_bytes=100)
+    p = _predictor(be)
     for at in (0, 20):
         p.note_chunks(["t"], at=at)
         assert p.update_abstract(at + 10)
-    assert p.abstract == [first + " " + "b" * 37]
+    assert p.abstract == [first + " " + "b" * (CAP // 2 - 3)]
     assert len(be.calls) == 3
 
 

@@ -17,8 +17,9 @@ from conftest import DATA, load_trace, make_engine
         (0.90, 0.88, True, True, False),  # PrefillOnly above the cutoff
         (0.85, 0.88, True, True, True),  # PrefillAndDecode below it
         (0.88, 0.88, True, True, False),  # boundary: equality is PrefillOnly
-        (0.0, 0.0, True, True, False),
-        (0.0, 1.0, True, True, True),
+        (0.8799, 0.88, True, True, True),
+        (0.0, 0.88, True, True, True),
+        (1.0, 0.88, True, True, False),
         (0.90, 0.88, True, False, True),  # no adaptive scheduler: always decodes
         (0.85, 0.88, True, False, True),
         (0.85, 0.88, False, True, False),  # QA off: nothing decodes
@@ -27,17 +28,16 @@ from conftest import DATA, load_trace, make_engine
     ],
 )
 def test_population_decodes_table(tau_q, tau_s, qa, scheduler, expected):
-    config = EngineConfig(tau_query=tau_q, tau_scheduler=tau_s, qa_enabled=qa,
-                          scheduler_enabled=scheduler)
+    # tau_s is the constant cutoff each row's expectation assumes
+    config = EngineConfig(tau_query=tau_q, qa_enabled=qa, scheduler_enabled=scheduler)
+    assert config.tau_scheduler == tau_s
     assert population_decodes(config) is expected
 
 
 def test_scheduler_config_validation():
-    # The scheduler's thresholds and QKV budget are validated where they live.
+    # The scheduler's threshold and QKV budget are validated where they live.
     with pytest.raises(ValueError):
         EngineConfig(tau_query=1.5)
-    with pytest.raises(ValueError):
-        EngineConfig(tau_scheduler=-0.1)
     with pytest.raises(ValueError):
         EngineConfig(qkv_limit_bytes=-1)
 
@@ -73,16 +73,14 @@ class _SummaryQueue:
 
 def test_knowledge_view_predicts_once_per_abstract_update(tmp_path):
     # the knowledge view predicts in the tick that changed the abstract and
-    # not again until the next change: not after a backend miss, not on a
-    # tick with no new chunk, and not from an abstract a cut emptied
-    eng = make_engine(tmp_path, t_batch=0, abstract_cap_bytes=2)
-    # the third summary overflows the cap; its re-summary, "é." (3 bytes),
-    # is cut to 1 byte, half a character, which leaves no sentence
-    eng.predictor.backend = backend = _SummaryQueue(["", "a.", "é", "é.", "b."])
+    # not again until the next change: not after a backend miss, and not on
+    # a tick with no new chunk
+    eng = make_engine(tmp_path, t_batch=0)
+    eng.predictor.backend = backend = _SummaryQueue(["", "a.", "b."])
     # tick time -> abstract_updates, predicted_knowledge, the abstract after
     expected = {1: (0, 0, []), 2: (1, 1, ["a."]), 3: (0, 0, ["a."]),
-                5: (1, 0, []), 6: (0, 0, []), 8: (1, 1, ["b."])}
-    for at in range(9):
+                5: (1, 1, ["a.", "b."]), 6: (0, 0, ["a.", "b."])}
+    for at in range(7):
         if at in expected:
             record = eng.apply_event({"at": at, "kind": "idle_tick", "budget": 1e15})
             got = (record["abstract_updates"], record["predicted_knowledge"], eng.predictor.abstract)
