@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .config import ConfigError, EngineConfig
 from .engine import QA_HIT, QKV_PARTIAL, Engine, TraceError, open_bank
-from .knowledge import BankError, is_number, read_jsonl, read_utf8
+from .knowledge import BankError, encodes_utf8, is_number, read_jsonl, read_utf8
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,6 +143,12 @@ def cmd_report(args) -> int:
     records = [record for _, record in lines]
     queries = []
     for lineno, r in lines:
+        # a string the report prints must encode, or print would fail mid-output
+        bad = [key for key in ("at", "path", "qa_used_bytes", "qkv_used_bytes")
+               if isinstance(r.get(key), str) and not encodes_utf8(r[key])]
+        if bad:
+            print(f"{path}:{lineno}: {bad[0]!r} is a string UTF-8 cannot encode", file=sys.stderr)
+            return EXIT_DATA
         if r.get("kind") != "query_arrival":
             continue
         if not (isinstance(r.get("path"), str) and is_number(r.get("total_ms"))):

@@ -4,8 +4,9 @@ Serving path: embed the query, try the QA bank at tau_query, otherwise
 retrieve top-k chunks, reuse the longest cached QKV prefix, prefill the
 remainder, decode, and populate both cache layers. Background work
 (prediction, deferred answering, conversions) runs only on idle ticks
-via the scheduler. The QA->QKV conversion restores evicted tree nodes
-one by one from their kept token ids, running no retrieval or match, so
+via the scheduler. The QA->QKV conversion admits evicted tree nodes one
+by one, each charged as if restored alone, and prefills their kept token
+ids chain by chain down root paths. It runs no retrieval or match, so
 idle work never counts as a user retrieval in the LFU counts. A tree is
 kept only under the stamp of the slice format, model and system prompt
 its rows were computed for.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import takewhile
 from pathlib import Path
 
 from .backend import (
@@ -32,8 +34,8 @@ from .backend import (
     ToyModelConfig,
 )
 from .config import EngineConfig
-from .knowledge import (SLICE_VERSION, BankError, KnowledgeBank, Segment, StorageError,
-                        encodes_utf8, is_number, jsonl_bytes, read_utf8, slice_bytes)
+from .knowledge import (SLICE_VERSION, BankError, CacheTreeNode, KnowledgeBank, Segment,
+                        StorageError, encodes_utf8, is_number, jsonl_bytes, read_utf8, slice_bytes)
 from .predictor import Predictor
 from .qa import QaBank
 from .retrieval import Retriever
@@ -85,6 +87,13 @@ def load_script(path) -> ScriptedBackend:
         return ScriptedBackend(data.get("entries", []), data.get("fallback", ""))
     except ValueError as exc:
         raise BankError(f"{path}: {exc}") from exc
+
+
+def _root_path(node: CacheTreeNode) -> list[CacheTreeNode]:
+    path = [node]
+    while path[0].parent is not None:
+        path.insert(0, path[0].parent)
+    return path
 
 
 def open_bank(config: EngineConfig, bank_dir) -> KnowledgeBank:
@@ -292,43 +301,65 @@ class Engine:
         return self.answer(query, decode).cost
 
     def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], float]:
-        """QA->QKV conversion, node by node, from each node's kept token
-        ids. Absent nodes with kept ids go in LFU order, most retrieved
-        first, which puts every ancestor before its descendants. A node is
-        skipped while its parent is absent, the slice its kept ids make
-        (not the manifest's byte_size) does not fit the free space, or its
-        root path kept no ids or no token at all;
-        otherwise its root path's ids are prefilled behind the present
-        ancestors' slices, and the bank holds its rows again. They equal
-        the evicted rows bit for bit, as cached prefill equals
-        recomputation, so they have the size checked. Moves no LFU count.
-        Returns the restored ids and the FLOPs spent; stops once those
-        reach flops_left."""
-        bank, restored, flops = self.bank, [], 0.0
-        cfg = self.model.config
+        """QA->QKV conversion from each node's kept token ids, admitted node
+        by node and run chain by chain. Absent nodes with kept ids go in LFU
+        order, most retrieved first, which puts every ancestor before its
+        descendants. A node is skipped while its parent is neither present
+        nor admitted, the slice its kept ids make (not the manifest's
+        byte_size) does not fit the space the admitted nodes leave free, or
+        its root path kept no ids or no token at all; otherwise it is charged
+        its root path's prefill behind the present or admitted ancestors, as
+        if restored alone. Admission stops once the charges reach flops_left.
+        A node joins its admitted parent's chain unless the parent already
+        continued with another child. Each chain is one prefill of its
+        deepest node's root path behind the present ancestors' slices, and
+        each node holds its own rows, equal to the evicted ones bit for bit,
+        as cached prefill equals recomputation. Moves no LFU count. Returns
+        the restored ids, in admission order, and the FLOPs charged."""
+        bank, cfg = self.bank, self.model.config
+        admitted: dict[int, CacheTreeNode] = {}
+        chains: list[list[CacheTreeNode]] = []  # admitted nodes, each below the one before
+        tails: dict[int, list[CacheTreeNode]] = {}  # chains by their last node's id
+        held, flops = 0, 0.0
+
+        def ready(node: CacheTreeNode) -> bool:
+            return node.present or node.node_id in admitted
+
         absent = sorted((n for n in bank.nodes.values()
                          if not n.present and n.token_ids is not None),
                         key=lambda n: (-n.retrieval_count, n.node_id))
         for node in absent:
             if flops >= flops_left:
                 break
-            path = [node]  # root first
-            while path[0].parent is not None:
-                path.insert(0, path[0].parent)
+            path = _root_path(node)
             kept = [n.token_ids for n in path]
             size = slice_bytes(cfg.layers, len(node.token_ids), cfg.heads, cfg.head_dim)
-            if (None in kept or (node.parent is not None and not node.parent.present)
-                    or not bank.fits(size) or not any(kept)):
+            if (None in kept or (node.parent is not None and not ready(node.parent))
+                    or not bank.fits(held + size) or not any(kept)):
                 continue
-            ids = sum(kept, ())
-            cached = path[: [n.present for n in path].index(False)]
+            l_pre = sum(len(n.token_ids) for n in takewhile(ready, path))
+            flops += self.cost_model.estimate_cost(l_total=sum(map(len, kept)),
+                                                   l_pre=l_pre).total_flops
+            held += size
+            admitted[node.node_id] = node
+            chain = tails.pop(node.parent.node_id, None) if node.parent is not None else None
+            if chain is None:
+                chains.append(chain := [])
+            chain.append(node)
+            tails[node.node_id] = chain
+        for chain in chains:
+            path = _root_path(chain[-1])
+            ids = sum((n.token_ids for n in path), ())
+            cached = list(takewhile(lambda n: n.present, path))
             l_pre = sum(len(n.token_ids) for n in cached)
             state = self.model.prefill(ids, QkvPrefix(
                 QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
-            flops += self.cost_model.estimate_cost(l_total=len(ids), l_pre=l_pre).total_flops
-            bank.hold(node, state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids)))
-            restored.append(node.node_id)
-        return restored, flops
+            end = len(ids)
+            for node in reversed(chain):
+                start = end - len(node.token_ids)
+                bank.hold(node, state.tensors.slice_tokens(start, end))
+                end = start
+        return list(admitted), flops
 
     # -- trace replay ---------------------------------------------------------
 

@@ -21,10 +21,11 @@ Eviction is LFU over per-node retrieval counts under a byte budget; an
 evicted node keeps its metadata and token ids. Those ids are the only
 refill rule: a cached prefill equals recomputation bit for bit, so rows
 computed from the same root-path ids are the evicted rows. Idle
-restoration works node by node, so it counts no user retrieval: the
-engine prefills the node's root path's kept ids and hold writes the
-rows back. A slice_and_insert of a prompt whose ids match the node's
-root path refills it the same way.
+restoration reads only kept ids, so it counts no user retrieval: the
+engine admits nodes one by one, each charged as if restored alone, and
+prefills the kept ids of each chain of admitted nodes down a root path
+at once; hold gives each node its own rows. A slice_and_insert of a
+prompt whose ids match the node's root path refills it the same way.
 
 used_bytes is the sum of byte_size over the present nodes, at most
 limit_bytes: only hold charges a slice (slice_and_insert, load and the

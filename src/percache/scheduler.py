@@ -11,7 +11,8 @@ prediction view checks its own trigger (Predictor), and a tick asks the
 knowledge view only when it has just changed the abstract. The QA->QKV
 conversion (Engine.restore_evicted_slices) restores evicted tree nodes
 from their kept token ids, not QA entries from their retrieved paths, so
-it moves no LFU count and runs with QA off too.
+it moves no LFU count and runs with QA off too; it admits nodes one by
+one, each charged as if restored alone, and prefills them chain by chain.
 """
 
 from __future__ import annotations

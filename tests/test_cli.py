@@ -587,6 +587,20 @@ def test_report_malformed_metrics(tmp_path, capsys, bad_line):
     assert f"{path}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("csv_flag", [[], ["--csv"]], ids=["plain", "csv"])
+@pytest.mark.parametrize("record", [
+    '{"at": 0, "kind": "query_arrival", "path": "\\ud800", "total_ms": 1.0}',
+    '{"at": 0, "kind": "chunk_arrival", "qa_used_bytes": "\\ud800", "qkv_used_bytes": 0}',
+], ids=["path", "qa_used_bytes"])
+def test_report_refuses_a_string_it_cannot_print(tmp_path, capsys, record, csv_flag):
+    # a lone surrogate, which no stdout encoding takes, in a value the
+    # report prints: the query's path, or the last record's qa_used_bytes
+    path = _write(tmp_path / "m.jsonl", "{}\n" + record + "\n")
+    assert run(["report", "--metrics", path, *csv_flag]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and f"{path}:2" in err
+
+
 def test_report_accepts_an_infinite_total_ms(tmp_path, capsys):
     # the engine writes Infinity for a query under a tiny flops_per_ms
     path = _write(tmp_path / "m.jsonl", '{"at": 0, "kind": "query_arrival", '

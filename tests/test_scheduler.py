@@ -2,6 +2,7 @@ import pytest
 
 from percache import engine as engine_module
 from percache import knowledge, textcore
+from percache.backend import QkvPrefix, QkvTensors
 from percache.config import EngineConfig
 from percache.engine import Engine, open_bank
 from percache.predictor import TEMPLATE_KNOWLEDGE, TEMPLATE_SUMMARIZE
@@ -267,14 +268,17 @@ def test_caches_off_idle_work_populates_nothing(tmp_path):
         assert r["flops_spent"] == 0
 
 
-def _engine_with_evicted_paths(tmp_path, slices=None, **overrides):
-    """Engine that cached the retrieval paths of four answered queries in
-    the QKV tree, after which every slice was evicted and the budget was
-    restored to the default. slices, if given, takes each node's array
-    as it was before the eviction."""
+QUERIES = ("what is the budget review plan?", "where is the project report stored?",
+           "when is the training workshop at noon?", "who wrote the agenda for monday?")
+
+
+def _engine_with_evicted_paths(tmp_path, slices=None, queries=QUERIES, **overrides):
+    """Engine that cached the retrieval paths of the answered queries (by
+    default four) in the QKV tree, after which every slice was evicted and
+    the budget was restored to the default. slices, if given, takes each
+    node's array as it was before the eviction."""
     eng = _engine_with_pending(tmp_path, n=0, **overrides)
-    for query in ("what is the budget review plan?", "where is the project report stored?",
-                  "when is the training workshop at noon?", "who wrote the agenda for monday?"):
+    for query in queries:
         eng.answer(query)
     if slices is not None:
         slices.update((n.node_id, n.tensors.data.copy()) for n in eng.bank.nodes.values())
@@ -294,7 +298,9 @@ def test_restoration_counts_its_own_flops_against_the_budget(tmp_path):
     full = _engine_with_evicted_paths(tmp_path / "full")
     prefills = _count_prefills(full)
     assert full.scheduler.idle_tick(1e15, now=10).restored_nodes > 0
-    assert len(prefills) > 1
+    # one prefill per chain: the root with its first child's path, then
+    # each other child's path behind the restored root
+    assert len(prefills) == len(full.bank.root.children) == 4
 
     probe = _engine_with_evicted_paths(tmp_path / "probe")
     one_prefill = probe.scheduler.idle_tick(1.0, now=10).flops_spent
@@ -403,3 +409,108 @@ def test_restoration_skips_a_root_path_without_tokens(tmp_path):
     eng.answer("what is the budget review plan?")
     assert eng.bank.root.present
     assert eng.scheduler.idle_tick(1e15, now=11).restored_nodes > 0
+
+
+def _restore_node_by_node(eng, flops_left):
+    """The reference for Engine.restore_evicted_slices: one prefill per
+    node, in the same order, under the same skip rules and charges."""
+    bank, cfg, restored, flops = eng.bank, eng.model.config, [], 0.0
+    absent = sorted((n for n in bank.nodes.values() if not n.present and n.token_ids is not None),
+                    key=lambda n: (-n.retrieval_count, n.node_id))
+    for node in absent:
+        if flops >= flops_left:
+            break
+        path = [node]
+        while path[0].parent is not None:
+            path.insert(0, path[0].parent)
+        kept = [n.token_ids for n in path]
+        size = knowledge.slice_bytes(cfg.layers, len(node.token_ids), cfg.heads, cfg.head_dim)
+        if (None in kept or (node.parent is not None and not node.parent.present)
+                or not bank.fits(size) or not any(kept)):
+            continue
+        ids = sum(kept, ())
+        cached = path[: [n.present for n in path].index(False)]
+        l_pre = sum(len(n.token_ids) for n in cached)
+        state = eng.model.prefill(ids, QkvPrefix(
+            QkvTensors.concat([n.tensors for n in cached]), l_pre) if cached else None)
+        flops += eng.cost_model.estimate_cost(l_total=len(ids), l_pre=l_pre).total_flops
+        bank.hold(node, state.tensors.slice_tokens(len(ids) - len(node.token_ids), len(ids)))
+        restored.append(node.node_id)
+    return restored, flops
+
+
+def _restore_against_reference(tmp_path, flops_left, queries=QUERIES, prepare=None):
+    """Restore on one engine and, node by node, on its twin, after calling
+    prepare(engine) on both; both must restore the same ids in the same
+    order, charge the same FLOPs and hold the same bytes, and every
+    restored slice must equal the evicted array bit for bit. Returns the
+    engine, the restored ids and its prefills."""
+    slices = {}
+    ref = _engine_with_evicted_paths(tmp_path / "ref", queries=queries)
+    eng = _engine_with_evicted_paths(tmp_path / "run", slices, queries=queries)
+    for twin in (ref, eng) if prepare else ():
+        prepare(twin)
+    expected = _restore_node_by_node(ref, flops_left)
+    prefills = _count_prefills(eng)
+    assert eng.restore_evicted_slices(flops_left) == expected
+    assert eng.bank.used_bytes == ref.bank.used_bytes
+    for node_id, node in eng.bank.nodes.items():
+        assert node.present == ref.bank.nodes[node_id].present, node_id
+        assert node.present == (node_id in expected[0]), node_id
+        if node.present:
+            assert node.tensors.data.tobytes() == slices[node_id].tobytes(), node_id
+    return eng, expected[0], prefills
+
+
+def test_a_fully_evicted_root_path_restores_with_one_prefill(tmp_path):
+    eng, restored, prefills = _restore_against_reference(tmp_path, 1e15, QUERIES[:1])
+    assert len(restored) == 4 and len(prefills) == 1  # the root and three chunks
+    ids, prefix = prefills[0]
+    assert prefix is None and len(ids) == sum(len(n.token_ids) for n in eng.bank.nodes.values())
+
+
+@pytest.mark.parametrize("share", [0.01, 1.0])
+def test_a_budget_into_the_second_charge_restores_two_nodes_with_one_prefill(tmp_path, share):
+    # the first node's charge is below the budget, so the second is
+    # admitted, and the two charges reach it, so no third is
+    first = _restore_node_by_node(
+        _engine_with_evicted_paths(tmp_path / "one", queries=QUERIES[:1]), 1.0)[1]
+    both = _restore_node_by_node(
+        _engine_with_evicted_paths(tmp_path / "two", queries=QUERIES[:1]), first + 1)[1]
+    _, restored, prefills = _restore_against_reference(
+        tmp_path, first + (both - first) * share, QUERIES[:1])
+    assert len(restored) == 2 and len(prefills) == 1
+
+
+def test_evicted_siblings_take_one_prefill_each_behind_the_restored_parent(tmp_path):
+    eng, restored, prefills = _restore_against_reference(tmp_path, 1e15, QUERIES[:2])
+    root = eng.bank.root
+    assert len(root.children) == 2 and len(restored) == len(eng.bank.nodes)
+    assert len(prefills) == 2
+    assert prefills[0][1] is None
+    assert prefills[1][1].prefix_token_count == len(root.token_ids)
+
+
+
+def test_a_chain_grows_after_a_sibling_chain_starts(tmp_path):
+    # LFU order admits the root, its first child, then its second child
+    # (a chain of its own), and only then the first child's child, which
+    # still joins the first chain; that chain runs first
+    def counts(eng):
+        eng.bank.nodes[1].retrieval_count, eng.bank.nodes[4].retrieval_count = 2, 1
+
+    eng, restored, prefills = _restore_against_reference(tmp_path, 1e15, prepare=counts)
+    assert restored[:4] == [0, 1, 4, 2]
+    assert len(prefills) == len(eng.bank.root.children) == 4
+    assert prefills[0][1] is None
+    assert all(p[1].prefix_token_count == len(eng.bank.root.token_ids) for p in prefills[1:])
+
+
+def test_admitted_slices_use_up_the_free_space(tmp_path):
+    # room for the root and its first child only: every later node finds
+    # the space the two admitted before it took
+    def limit(eng):
+        eng.bank.set_limit(eng.bank.nodes[0].byte_size + eng.bank.nodes[1].byte_size)
+
+    _, restored, prefills = _restore_against_reference(tmp_path, 1e15, prepare=limit)
+    assert restored == [0, 1] and len(prefills) == 1
