@@ -2,14 +2,18 @@
 
 Serving path: embed the query, try the QA bank at tau_query, otherwise
 retrieve top-k chunks, reuse the longest cached QKV prefix, prefill the
-remainder, decode, and populate both cache layers. Background work
-(prediction, deferred answering, conversions) runs only on idle ticks
-via the scheduler. The QA->QKV conversion admits evicted tree nodes one
-by one, each charged as if restored alone, and prefills their kept token
-ids chain by chain down root paths. It runs no retrieval or match, so
-idle work never counts as a user retrieval in the LFU counts. A tree is
-kept only under the stamp of the slice format, model and system prompt
-its rows were computed for.
+remainder, decode, and populate both cache layers. An exact repeat of a
+held query is not embedded: its entry's row is its embedding, bit for bit.
+Nor is it scanned: the scan's winner is the oldest servable entry of the
+row's direction (a positive multiple), at exactly 1.0, which no row of
+another direction reaches while the rows fit float32 (QaBank.match_repeat).
+Background work (prediction, deferred answering, conversions) runs only on
+idle ticks via the scheduler. The QA->QKV conversion admits evicted tree
+nodes one by one, each charged as if restored alone, and prefills their
+kept token ids chain by chain down root paths. It runs no retrieval or
+match, so idle work never counts as a user retrieval in the LFU counts. A
+tree is kept only under the stamp of the slice format, model and system
+prompt its rows were computed for.
 
 Everything is deterministic: one engine instance processes events
 strictly sequentially, and identical traces, configs, and seeds yield
@@ -256,16 +260,23 @@ class Engine:
     def handle_query(self, text: str, now: float) -> QueryOutcome:
         self.predictor.phase = "serve"
         try:
-            embedding = self.embedder.embed(text)
+            # an exact repeat of a held query: its entry's row is its
+            # embedding, and match_repeat finds the winner without a scan
+            held = self.qa.get(text)
+            embedding = self.embedder.embed(text) if held is None else None
             entry, best_sim = (None, None)
             if self.config.qa_enabled:
-                entry, best_sim = self.qa.match(embedding, self.config.tau_query, self._seq())
+                seq, tau = self._seq(), self.config.tau_query
+                entry, best_sim = (self.qa.match(embedding, tau, seq) if held is None
+                                   else self.qa.match_repeat(held, tau, seq))
             if entry is not None:
-                if self.qa.get(text) is None:
+                if held is None:
                     self.deferred_queries.setdefault(text, embedding)
                 self.predictor.note_user_query(text, now)
                 cost = self.cost_model.estimate_cost(l_total=0, qa_match=True, embeds=1)
                 return QueryOutcome(entry.answer, QA_HIT, 0, best_sim, cost)
+            if held is not None:
+                embedding = self.qa.embedding(held)
             outcome = self.answer(text, embedding=embedding, best_similarity=best_sim)
             self.predictor.note_user_query(text, now)
             return outcome
@@ -298,7 +309,9 @@ class Engine:
         existing = self.qa.get(query)
         if existing is not None and (existing.answer is not None or not decode):
             return None
-        return self.answer(query, decode).cost
+        # an answer-less entry's row is its query's embedding
+        return self.answer(query, decode,
+                           None if existing is None else self.qa.embedding(existing)).cost
 
     def restore_evicted_slices(self, flops_left: float) -> tuple[list[int], float]:
         """QA->QKV conversion from each node's kept token ids, admitted node

@@ -20,6 +20,13 @@ mask in step, so match scans every held row with one cosine_similarities
 call, term at a time over the query's nonzero features, and keeps the
 masked ones.
 
+An exact repeat of a held query needs no scan (match_repeat). The entries
+are indexed by their row's primitive direction, its counts over their gcd,
+in row order. A row's cosine with itself or with a positive multiple of it
+is exactly 1.0, and with any other row of int8 or float32 counts below 1.0,
+so the first servable entry of the direction is the scan's winner. Rows
+widened to float64 are scanned.
+
 A servable entry keeps one bar, its k_refresh-th best (cosine, chunk_id)
 key over the corpus, so a chunk arrival scores only the new chunks
 (QaBank.refresh), all of them against every held row in one cosine_table
@@ -31,6 +38,7 @@ an answered insert gives it. Bars are not persisted.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import NoneType
@@ -59,10 +67,22 @@ class QaEntry:
     # held fewer chunks; None if unknown or not servable
     bar: Key | None = None
     row: int = -1  # its row in QaBank's rows, set by QaBank._add
+    direction: bytes = b""  # its row's primitive direction (_direction), set by QaBank._add
 
     @property
     def servable(self) -> bool:
         return self.answer is not None and not self.stale
+
+
+def _direction(e: Embedding) -> bytes:
+    """The primitive direction of e's counts, the counts over their gcd, as
+    a compact key: the ids of the nonzero features, a byte each, then their
+    quotients as int32, which holds any count of a squared norm below 2**53.
+    Two embeddings share it iff one's counts are a positive multiple of the
+    other's."""
+    ids = e.counts.nonzero()[0]
+    counts = e.counts[ids].astype(np.int32)
+    return ids.astype(np.uint8).tobytes() + (counts // math.gcd(*counts.tolist())).tobytes()
 
 
 class QaBank:
@@ -74,6 +94,7 @@ class QaBank:
         self._held: list[QaEntry | None] = []  # row -> entry, None once evicted
         self._rows = CountRows()  # row -> embedding
         self._servable = bytearray()  # row -> 1 if its entry is servable, else 0
+        self._groups: dict[bytes, list[QaEntry]] = {}  # direction -> its entries, in row order
 
     @property
     def used_bytes(self) -> int:
@@ -100,7 +121,34 @@ class QaBank:
             return None, -1.0
         sims = cosine_similarities(self._rows.counts, self._rows.norm2, embedding)[rows]
         i = int(sims.argmax())
-        best, best_sim = self._held[rows[i]], float(sims[i])
+        return self._serve(self._held[rows[i]], float(sims[i]), tau, now)
+
+    def match_repeat(self, entry: QaEntry, tau: float, now: int) -> tuple[QaEntry | None, float]:
+        """match(self.embedding(entry), tau, now) for entry, one of this
+        bank's: the lookup of an exact repeat of its query. While the rows
+        are int8 or float32, the first servable entry of entry's direction
+        (_direction) wins at similarity 1.0, with no scan; with no servable
+        entry there, or with float64 rows, match scans. Either way the
+        result and the bump are match's, bit for bit:
+
+        - cosines clip at 1.0, and a row's cosine with itself or with a
+          positive multiple of it, a row of its direction, is exactly 1.0;
+        - int8 and float32 rows have squared norms of at most
+          FLOAT32_MAX_NORM2, so every other pair has an exact integer dot
+          with dot**2 <= Na * Nb - 1, and its float64 quotient stays below
+          1.0;
+        - match takes the first row at the best similarity, and a
+          direction's entries are in row order, which compaction keeps.
+        """
+        if self._rows.counts.dtype != np.float64:
+            best = next((e for e in self._groups[entry.direction] if e.servable), None)
+            if best is not None:
+                return self._serve(best, 1.0, tau, now)
+        return self.match(self.embedding(entry), tau, now)
+
+    def _serve(self, best: QaEntry, best_sim: float, tau: float,
+               now: int) -> tuple[QaEntry | None, float]:
+        """best, bumped, if best_sim is above tau; else no entry."""
         if best_sim > tau and best_sim > -1.0:  # the -1.0 floor picks no entry, whatever tau is
             best.use_count += 1
             best.last_used = now
@@ -153,7 +201,8 @@ class QaBank:
             for row, held in enumerate(self._held):
                 held.row = row
         self._rows.append(embedding)
-        entry.row = len(self._held)
+        entry.row, entry.direction = len(self._held), _direction(embedding)
+        self._groups.setdefault(entry.direction, []).append(entry)
         self._held.append(entry)
         self._servable.append(entry.servable)
         self._by_query[entry.query] = entry
@@ -162,6 +211,10 @@ class QaBank:
         del self._by_query[entry.query]
         self._held[entry.row] = None
         self._servable[entry.row] = False
+        group = self._groups[entry.direction]
+        group.remove(entry)
+        if not group:
+            del self._groups[entry.direction]
 
     def _evict_lfu(self, keep: int) -> list[QaEntry]:
         """Evict until at most keep entries remain; victims have the fewest

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percache import retrieval
+from percache import qa, retrieval, textcore
 from percache.config import ConfigError, EngineConfig
 from percache.engine import COLD_MISS, QA_HIT, QKV_PARTIAL, Engine, TraceError
 from percache.knowledge import serialize_slice, slice_size
 from percache.predictor import PhaseError
 from percache.qa import DEFAULT_ENTRY_BYTES
-from percache.textcore import EMBED_DIM, tokenize
+from percache.textcore import EMBED_DIM, HashEmbedder, tokenize
 
 from conftest import (DATA, checked_prefill, count_ints, embedding_from_counts, load_trace,
                       make_engine, reference_tokenize)
@@ -137,6 +137,76 @@ def test_answer_keys_entry_without_a_second_scan(tmp_path, monkeypatch):
     counts = eng.qa.embedding(entry).counts
     assert entry.bar == eng.retriever.bar(embedding_from_counts(counts), eng.config.k_refresh)
     assert len(scans) == 2
+
+
+def _counted(monkeypatch, owners, name) -> list:
+    """A list that grows by one at each call of the function name, wrapped
+    in each of owners, where its callers look it up."""
+    calls = []
+    for owner in owners:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    return calls
+
+
+def _embeds_and_scans(monkeypatch) -> tuple[list, list]:
+    return (_counted(monkeypatch, [HashEmbedder], "embed"),
+            _counted(monkeypatch, [textcore, qa, retrieval], "cosine_similarities"))
+
+
+def test_exact_repeat_hit_neither_embeds_nor_scans(tmp_path, monkeypatch):
+    eng = make_engine(tmp_path)
+    eng.ingest_chunks([CORPUS], 0)
+    q = "what is the budget review plan?"
+    first = eng.handle_query(q, 1)
+    embeds, scans = _embeds_and_scans(monkeypatch)
+    second = eng.handle_query(q, 2)
+    assert (len(embeds), len(scans)) == (0, 0)
+    assert second.path == QA_HIT and second.answer == first.answer
+    assert float(second.best_similarity).hex() == (1.0).hex()
+    entry = eng.qa.get(q)
+    assert (entry.use_count, entry.last_used) == (1, eng._op)
+    # still charged as an embedding and a match
+    assert second.cost == eng.cost_model.estimate_cost(l_total=0, qa_match=True, embeds=1)
+
+
+def test_paraphrase_hit_embeds_and_scans_once(tmp_path, monkeypatch):
+    eng = make_engine(tmp_path)
+    eng.ingest_chunks([CORPUS], 0)
+    eng.handle_query("what is the budget review plan?", 1)
+    embeds, scans = _embeds_and_scans(monkeypatch)
+    hit = eng.handle_query("so what is the budget review plan?", 2)
+    assert hit.path == QA_HIT and hit.best_similarity < 1.0
+    assert (len(embeds), len(scans)) == (1, 1)
+
+
+def test_exact_repeat_is_served_by_the_oldest_entry_of_its_direction(tmp_path, monkeypatch):
+    # the two texts embed alike: the scan serves the older entry at 1.0, and
+    # so does the repeat of the newer text
+    eng = make_engine(tmp_path)
+    eng.ingest_chunks([CORPUS], 0)
+    older, newer = "When is the budget review?", "when is the budget review"
+    eng.handle_query(older, 1)
+    eng.answer(newer)
+    a, b = eng.qa.get(older), eng.qa.get(newer)
+    assert a.servable and b.servable and a.row < b.row and a.direction == b.direction
+    embeds, scans = _embeds_and_scans(monkeypatch)
+    out = eng.handle_query(newer, 2)
+    assert (len(embeds), len(scans)) == (0, 0)
+    assert out.path == QA_HIT and out.answer == a.answer
+    assert float(out.best_similarity).hex() == (1.0).hex()
+    assert (a.use_count, b.use_count) == (1, 0)
+
+
+def test_population_of_an_answerless_entry_takes_its_row(tmp_path, monkeypatch):
+    eng = make_engine(tmp_path)
+    eng.ingest_chunks([CORPUS], 0)
+    q = "what is the budget review plan?"
+    eng.populate_predicted(q, decode=False)
+    assert eng.qa.get(q).answer is None
+    embeds = _counted(monkeypatch, [HashEmbedder], "embed")
+    eng.populate_predicted(q, decode=True)
+    assert len(embeds) == 0 and eng.qa.get(q).servable
 
 
 def test_arrival_after_reopen_marks_what_an_open_engine_marks(tmp_path):

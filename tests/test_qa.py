@@ -70,6 +70,59 @@ def test_match_tie_prefers_older():
     assert entry.query == "older"
 
 
+# "review" n times puts n unigrams and n - 1 bigrams on one feature: 65 times
+# is past int8 (129**2), 2,049 times past float32 (4097**2 > 2**24)
+@pytest.mark.parametrize("queries, dtype", [
+    (["when is the budget review due?", "?!", ""], np.int8),
+    (["when is the budget review due?", "review " * 65, "?!"], np.float32),
+    (["when is the budget review due?", "review " * 2049, "?!", "review " * 65], np.float64),
+])
+def test_rebuilt_embedding_is_embed_bit_for_bit(queries, dtype):
+    bank = _bank()
+    for now, query in enumerate(queries):
+        _insert(bank, query, now=now)
+    assert bank._rows.counts.dtype == dtype
+    for entry in bank.entries:
+        kept, e = bank.embedding(entry), HashEmbedder().embed(entry.query)
+        assert (kept.counts.dtype, kept.counts.tobytes(), kept.norm2) == (
+            e.counts.dtype, e.counts.tobytes(), e.norm2)
+
+
+def test_repeat_lookup_takes_the_first_servable_multiple():
+    # "pending" is twice "a" and "stale" thrice: one direction, in row order
+    bank = _bank()
+    axis = np.eye(EMBED_DIM)[0]
+    bank.insert("pending", embedding_from_counts(2 * axis), None, 1)
+    bank.insert("stale", embedding_from_counts(3 * axis), "x", 2)
+    bank.mark_stale("stale")
+    bank.insert("a", embedding_from_counts(axis), "y", 3)
+    bank.insert("other", embedding_from_counts(np.eye(EMBED_DIM)[1]), "z", 4)
+    hit, sim = bank.match_repeat(bank.get("pending"), 0.99, now=9)
+    assert hit is bank.get("a") and float(sim).hex() == (1.0).hex()
+    assert (hit.use_count, hit.last_used) == (1, 9)
+    # at tau 1.0 even a repeat misses, with nothing bumped
+    assert bank.match_repeat(bank.get("stale"), 1.0, now=10) == (None, 1.0)
+    assert (hit.use_count, hit.last_used) == (1, 9)
+    # with no servable entry in the direction the repeat scans
+    bank.mark_stale("a")
+    hit, sim = bank.match_repeat(bank.get("pending"), -2.0, now=11)
+    assert hit is bank.get("other") and sim == 0.0
+    # evicted entries leave their direction
+    bank.set_limit(DEFAULT_ENTRY_BYTES)
+    assert list(bank._groups) == [hit.direction] and bank._groups[hit.direction] == [hit]
+
+
+def test_repeat_lookup_of_float64_rows_scans(monkeypatch):
+    bank = _bank()
+    _insert(bank, "when is the budget review due?", now=1)
+    _insert(bank, "review " * 2049, now=2)
+    scans = []
+    match = QaBank.match
+    monkeypatch.setattr(QaBank, "match", lambda *a: scans.append(1) or match(*a))
+    hit, sim = bank.match_repeat(bank.get("when is the budget review due?"), 0.5, now=3)
+    assert hit is bank.get("when is the budget review due?") and sim == 1.0 and len(scans) == 1
+
+
 def test_insert_never_downgrades():
     bank = _bank()
     _insert(bank, "q", answer="decoded", now=1)

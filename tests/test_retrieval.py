@@ -770,15 +770,25 @@ def test_incremental_refresh_matches_full_scan():
 # -- the QA bank's kept matrix against a scan over its entries -----------------
 
 BANK_K = 2
+# the query "q24" is wider than float32 and widens the bank's rows to float64
+# for good; the other queries take the pool's embeddings. Its cosine with the
+# first axis rounds to 1.0 in float64 (2**26 / sqrt(2**52 + 1)), though it
+# is no multiple of it, so only a scan finds the oldest entry at 1.0
+WIDE_QUERY = 24
+WIDE = embedding_from_counts(2**26 * np.eye(EMB.dim)[0] + np.eye(EMB.dim)[1])
 _bank_step = st.one_of(
     # a new query, or an answer update of a known one
-    st.tuples(st.just("insert"), st.integers(0, 23), st.booleans()),
+    st.tuples(st.just("insert"), st.integers(0, WIDE_QUERY), st.booleans()),
     st.tuples(st.just("arrive"),
               st.lists(st.tuples(st.integers(0, 29), st.integers(0, 8)), min_size=1, max_size=3)),
     st.tuples(st.just("limit"), st.integers(1, 24)),
     st.tuples(st.just("reload")),
 )
-_probe = st.tuples(st.integers(0, 8), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.99]))
+# a pool index, or one past it for WIDE
+_probe = st.tuples(st.integers(0, 10), st.sampled_from([-2.0, -1.0, 0.0, 0.5, 0.99]))
+# the thresholds of the exact-repeat lookups, taken in turn: at 1.0 even a
+# repeat misses
+REPEAT_TAUS = (-2.0, -1.0, 0.0, 0.5, 0.99, 1.0)
 # past the first growth, holes from a shrink, rows appended after them, and
 # a reload and an arrival in between
 _HOLES_AND_GROWTH = (
@@ -790,21 +800,47 @@ _HOLES_AND_GROWTH = (
 )
 
 
+# exact-repeat directions: DEGENERATE and the first axis are one row, and
+# twice the axis a positive multiple of it, with answer-less entries and
+# evictions among them
+_MULTIPLES = [
+    ("insert", 0, False), ("insert", 9, True), ("insert", 8, True), ("insert", 19, False),
+    ("insert", 1, True), ("insert", 0, True), ("limit", 3), ("insert", 2, True),
+    ("insert", 9, True), ("reload",), ("limit", 12), ("insert", 11, True),
+]
+# WIDE before the first axis's servable entries: their repeats are WIDE's
+# hits at 1.0, from the scan
+_WIDENING = [
+    ("insert", 10, False), ("insert", WIDE_QUERY, True), ("insert", 0, True),
+    ("insert", 9, True), ("insert", 10, True), ("reload",), ("limit", 2), ("insert", 1, True),
+]
+
+
+def _bank_pool(seed: int) -> list[Embedding]:
+    """_pool and, last, twice its first axis."""
+    return _pool(seed) + [embedding_from_counts(2 * np.eye(EMB.dim)[0])]
+
+
 class _PoolEmbedder:
-    """Embeds the query "q<i>" as the pool's entry i, so a reloaded bank
-    keeps every embedding."""
+    """Embeds the query "q<i>" as the pool's entry i, modulo its length, and
+    "q24" as WIDE, so a reloaded bank keeps every embedding."""
 
     def __init__(self, pool):
         self.pool = pool
 
     def embed(self, text):
-        return self.pool[int(text[1:]) % len(self.pool)]
+        i = int(text[1:])
+        return WIDE if i == WIDE_QUERY else self.pool[i % len(self.pool)]
 
 
-def _check_probe(bank, embedding, tau, now):
+def _check_probe(bank, embedding, tau, now, held=None):
+    """bank.match(embedding, tau, now), or the exact-repeat lookup
+    bank.match_repeat(held, tau, now) of held, an entry of bank whose
+    embedding is embedding, against the reference scan: the same entry, the
+    same similarity bits and the same bump."""
     want, want_sim = _reference_match(bank, embedding)
     uses = {e.query: (e.use_count, e.last_used) for e in bank.entries}
-    hit, sim = bank.match(embedding, tau, now)
+    hit, sim = bank.match(embedding, tau, now) if held is None else bank.match_repeat(held, tau, now)
     assert float(sim).hex() == float(want_sim).hex()
     assert hit is (want if want is not None and want_sim > tau else None)
     assert hit is None or (bank.get(hit.query) is hit and hit.servable)
@@ -817,8 +853,10 @@ def _check_probe(bank, embedding, tau, now):
 @given(steps=st.lists(_bank_step, max_size=30), probes=st.lists(_probe, min_size=1, max_size=4),
        limit=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 @example(steps=_HOLES_AND_GROWTH, probes=[(0, -2.0), (3, 0.5), (7, 0.99)], limit=24, seed=0)
+@example(steps=_MULTIPLES, probes=[(9, 0.5), (8, 0.99)], limit=5, seed=1)
+@example(steps=_WIDENING, probes=[(10, -2.0), (0, 0.5)], limit=5, seed=2)
 def _check_kept_matrix(steps, probes, limit, seed):
-    pool = _pool(seed)
+    pool = _bank_pool(seed)
     embedder = _PoolEmbedder(pool)
     r = Retriever(EMB)
     bank = QaBank(limit_bytes=limit * DEFAULT_ENTRY_BYTES)
@@ -846,7 +884,15 @@ def _check_kept_matrix(steps, probes, limit, seed):
             rows = [e.row for e in bank.entries]  # insertion order is row order
             assert all(a < b for a, b in zip(rows, rows[1:]))
             query, tau = probes[now % len(probes)]
-            _check_probe(bank, pool[query], tau, now)
+            _check_probe(bank, (pool + [WIDE])[query], tau, now)
+            # an exact repeat of every held query; each bump is put back, so
+            # the steps evict what they would without these lookups
+            for i, e in enumerate(list(bank.entries)):
+                uses = [(x.use_count, x.last_used) for x in bank.entries]
+                _check_probe(bank, bank.embedding(e), REPEAT_TAUS[(now + i) % len(REPEAT_TAUS)],
+                             now, held=e)
+                for x, (count, last) in zip(bank.entries, uses):
+                    x.use_count, x.last_used = count, last
 
 
 def test_qa_matrix_matches_an_entry_scan():
