@@ -6,7 +6,7 @@ remainder, decode, and populate both cache layers. An exact repeat of a
 held query is not embedded: its entry's row is its embedding, bit for bit.
 Nor is it scanned: the scan's winner is the oldest servable entry of the
 row's direction (a positive multiple), at exactly 1.0, which no row of
-another direction reaches while the rows fit float32 (QaBank.match_repeat).
+another direction reaches while the rows are int8 (QaBank.match_repeat).
 Background work (prediction, deferred answering, conversions) runs only on
 idle ticks via the scheduler. The QA->QKV conversion admits evicted tree
 nodes one by one, each charged as if restored alone, and prefills their

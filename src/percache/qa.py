@@ -23,9 +23,9 @@ masked ones.
 An exact repeat of a held query needs no scan (match_repeat). The entries
 are indexed by their row's primitive direction, its counts over their gcd,
 in row order. A row's cosine with itself or with a positive multiple of it
-is exactly 1.0, and with any other row of int8 or float32 counts below 1.0,
-so the first servable entry of the direction is the scan's winner. Rows
-widened to float64 are scanned.
+is exactly 1.0, and with any other row of int8 counts below 1.0, so the
+first servable entry of the direction is the scan's winner. Rows widened
+past int8 are scanned.
 
 A servable entry keeps one bar, its k_refresh-th best (cosine, chunk_id)
 key over the corpus, so a chunk arrival scores only the new chunks
@@ -126,21 +126,20 @@ class QaBank:
     def match_repeat(self, entry: QaEntry, tau: float, now: int) -> tuple[QaEntry | None, float]:
         """match(self.embedding(entry), tau, now) for entry, one of this
         bank's: the lookup of an exact repeat of its query. While the rows
-        are int8 or float32, the first servable entry of entry's direction
+        are int8, the first servable entry of entry's direction
         (_direction) wins at similarity 1.0, with no scan; with no servable
-        entry there, or with float64 rows, match scans. Either way the
+        entry there, or with wider rows, match scans. Either way the
         result and the bump are match's, bit for bit:
 
         - cosines clip at 1.0, and a row's cosine with itself or with a
           positive multiple of it, a row of its direction, is exactly 1.0;
-        - int8 and float32 rows have squared norms of at most
-          FLOAT32_MAX_NORM2, so every other pair has an exact integer dot
-          with dot**2 <= Na * Nb - 1, and its float64 quotient stays below
-          1.0;
+        - int8 rows have Na * Nb <= 127**4, so every other pair has an
+          exact integer dot with dot**2 <= Na * Nb - 1, and its float64
+          quotient stays below 1.0;
         - match takes the first row at the best similarity, and a
           direction's entries are in row order, which compaction keeps.
         """
-        if self._rows.counts.dtype != np.float64:
+        if self._rows.counts.dtype == np.int8:
             best = next((e for e in self._groups[entry.direction] if e.servable), None)
             if best is not None:
                 return self._serve(best, 1.0, tau, now)

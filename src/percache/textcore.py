@@ -11,9 +11,11 @@ vocabulary lists for that byte.
 
 Embeddings are integer feature counts in one format, fixed here: every
 embedding the system makes is EMBED_DIM wide and hashed with the key
-EMBED_SEED. CountRows keeps many of them feature-major, in int8 while
-every row's counts fit, and a query's cosine scan over them gathers only
-the query's features, with exact integer dots and no BLAS call.
+EMBED_SEED. One rule, count_dtype, picks the integer dtype of every count
+and every dot's sum. CountRows keeps many embeddings feature-major, in
+int8 while every row's counts fit, and a query's cosine scan over them
+gathers only the query's features, with exact integer dots and no BLAS
+call.
 """
 
 from __future__ import annotations
@@ -138,22 +140,30 @@ def detokenize(tokens, vocab: TokenizerVocab) -> str:
     return b"".join(vocab.token_bytes(t) for t in tokens).decode("utf-8", errors="replace")
 
 
-# an embedding whose squared norm is at most this keeps its counts in
-# float32; see cosine_table
-FLOAT32_MAX_NORM2 = 2**24
-# a row whose squared norm is at most this has every count within +-127,
-# so CountRows can hold it in int8 without reading its counts
-INT8_MAX_NORM2 = 127**2
+# the count dtypes, narrowest first, each with the largest squared norm of
+# the count vectors it holds: a count is at most sqrt(norm2), and an
+# embedding's squared norm is below 2**53 (HashEmbedder)
+MAX_NORM2 = {np.dtype(np.int8): 127**2, np.dtype(np.int16): 32767**2, np.dtype(np.int64): 2**53}
+
+
+def count_dtype(norm2: int) -> np.dtype:
+    """The first dtype of MAX_NORM2 whose bound norm2 is within, else int64.
+    For norm2 = Na * Nb it holds every partial sum of the dot of count
+    vectors of squared norms Na and Nb, at most sqrt(Na * Nb) by
+    Cauchy-Schwarz, so a dot summed in it is exact in any order."""
+    for dtype, max_norm2 in MAX_NORM2.items():
+        if norm2 <= max_norm2:
+            return dtype
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
 class Embedding:
     """A feature-count vector and the unit vector it points along.
 
-    counts holds EMBED_DIM integers, as float32 when norm2, their squared
-    norm (a positive int), is at most FLOAT32_MAX_NORM2 and as float64
-    otherwise. values, the unit vector counts / sqrt(norm2) in float64, is
-    computed on first use.
+    counts holds EMBED_DIM integers in count_dtype(norm2), of norm2 their
+    squared norm (a positive int). values, the unit vector counts /
+    sqrt(norm2) in float64, is computed on first use.
     """
 
     counts: np.ndarray
@@ -179,29 +189,22 @@ def cosine_table(counts: np.ndarray, norm2: np.ndarray,
     as CountRows holds them. The dots are one np.einsum over every feature,
     with no BLAS call: QaBank.refresh pairs chunk rows, which at the default
     chunk_words of 100 hold about half the features, so a gather would copy
-    them for little. An einsum of two int8 operands would sum in int8 and
-    wrap, so both are cast to int16 first, which casts and sums faster than
-    float32 at the sizes a refresh sees, and far faster than an einsum that
-    casts inside the sum (dtype=). A float operand promotes an int8 one in
-    the sum itself.
+    them for little. An einsum sums in its operands' dtype, so both are
+    cast first to count_dtype of the product of their dtypes' MAX_NORM2,
+    which bounds Na * Nb: int16 for two int8 operands, int64 past them.
+    That casts and sums faster than an einsum that casts inside the sum
+    (dtype=).
 
-    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with an exact integer
-    dot. Two float32 operands have Na and Nb at most 2**24, so every
-    product and partial sum of the dot is an integer of magnitude at most
-    sqrt(Na * Nb) <= 2**24 (Cauchy-Schwarz on every subset of the terms),
-    which float32 holds. Two int8 rows have Na and Nb at most
-    INT8_MAX_NORM2, so the same bound is 127**2 < 2**15, which int16
-    holds; an int8 count beside a float32 one is exact in float32. A
-    float64 operand makes the sum run in float64, where the same argument
-    holds for squared norms below 2**53. So neither the summation order nor
-    the zero terms a scan skips change a bit, and each cosine is symmetric
-    in its two embeddings and the same whichever other rows are scored with
-    it, in a table or a scan. Na and Nb are exact in float64 and their
-    product is the correctly rounded integer product. A zero dot is +0.0,
-    as an integer dot gives.
+    Every pair is clip(dot / sqrt(Na * Nb), -1, 1) with the dot an exact
+    integer (count_dtype), converted exactly to float64 (below 2**53). So
+    neither the summation order nor the zero terms a scan skips change a
+    bit, and each cosine is symmetric in its two embeddings and the same
+    whichever other rows are scored with it, in a table or a scan. Na and
+    Nb are exact in float64 and their product is the correctly rounded
+    integer product. A zero dot is +0.0, as an integer dot gives.
     """
-    if counts.dtype == other_counts.dtype == np.int8:
-        counts, other_counts = counts.astype(np.int16), other_counts.astype(np.int16)
+    dtype = count_dtype(MAX_NORM2[counts.dtype] * MAX_NORM2[other_counts.dtype])
+    counts, other_counts = counts.astype(dtype, copy=False), other_counts.astype(dtype, copy=False)
     dots = np.einsum("jm,jn->mn", counts.T, other_counts.T)
     return _cosines(dots, np.sqrt(np.multiply.outer(norm2, other_norm2)))
 
@@ -211,10 +214,12 @@ def cosine_similarities(counts: np.ndarray, norm2: np.ndarray, e: Embedding) -> 
     e, scanned term at a time. e's nonzero features (a query has 16-19 of
     256) gather their rows of counts.T, for CountRows.counts its own
     feature-major matrix, and np.einsum sums them weighted, with no BLAS
-    call. e's counts are float32 or float64, so the sum runs in that dtype
-    over int8 rows too, with no cast of its own."""
+    call. The sum runs in the dtype of e's gathered counts, cast to
+    count_dtype of e.norm2 times the rows' dtype's MAX_NORM2: int16 over
+    int8 rows for any e.norm2 up to 66,568, that is (32767 / 127)**2."""
     nonzero = e.counts.nonzero()[0]
-    dots = np.einsum("j,jn->n", e.counts[nonzero], counts.T[nonzero])
+    query = e.counts[nonzero].astype(count_dtype(e.norm2 * MAX_NORM2[counts.dtype]))
+    dots = np.einsum("j,jn->n", query, counts.T[nonzero])
     return _cosines(dots, np.sqrt(norm2 * float(e.norm2)))
 
 
@@ -224,7 +229,7 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 
 
 INITIAL_ROWS = 16
-# texts per HashEmbedder.count_rows call. A block's float64 counts, 64 KiB
+# texts per HashEmbedder.count_rows call. A block's float64 sums, 64 KiB
 # at EMBED_DIM, stay below glibc's 128 KiB mmap threshold; blocks of 64
 # texts, which reach it, read slower QA hits and a higher peak RSS in pair
 # runs (CHANGES.md)
@@ -245,11 +250,11 @@ class CountRows:
     an Embedding.
 
     extend appends a block of rows, as HashEmbedder.count_rows gives them,
-    in one transposed copy; append is a block of one. The matrix is int8
-    while every held row's squared norm is at most INT8_MAX_NORM2, a rule
-    that needs no scan of the counts. A block with a row past it widens the
-    matrix for good to the block's own dtype, float32 or float64 (see
-    Embedding), copying the held rows only, never the unwritten capacity.
+    in one transposed copy; append is a block of one. The matrix's dtype is
+    count_dtype of the largest squared norm it has held, a rule that needs
+    no scan of the counts: int8, then int16, then int64. A block that needs
+    a wider one widens the matrix for good, copying the held rows only,
+    never the unwritten capacity.
     The capacity starts at INITIAL_ROWS and doubles until the block fits; reserve grows
     it in one step, which leaves no outgrown matrices in the allocator's
     heap, and compact keeps a list of rows with room for as many again.
@@ -276,18 +281,16 @@ class CountRows:
         """The held row at index row as an Embedding: its counts in the
         dtype of its own squared norm, as HashEmbedder.embed gives them."""
         norm2 = int(self._norm2[row])
-        dtype = np.float32 if norm2 <= FLOAT32_MAX_NORM2 else np.float64
-        return Embedding(self._counts[:, row].astype(dtype), norm2)
+        return Embedding(self._counts[:, row].astype(count_dtype(norm2)), norm2)
 
     def append(self, e: Embedding) -> None:
         self.extend(e.counts[None], [e.norm2])
 
     def extend(self, counts: np.ndarray, norm2: list[int]) -> None:
         """Append the rows of counts, a (rows, EMBED_DIM) array, and their
-        squared norms. The counts are integers, float32 or float64 as
-        HashEmbedder.count_rows gives them."""
+        squared norms, as HashEmbedder.count_rows gives them."""
         n, end = self._n, self._n + len(counts)
-        dtype = np.dtype(np.int8 if max(norm2, default=0) <= INT8_MAX_NORM2 else counts.dtype)
+        dtype = count_dtype(max(norm2, default=0))
         if end > len(self._norm2) or dtype.itemsize > self._counts.itemsize:
             self._move(slice(0, n), end, np.promote_types(self._counts.dtype, dtype))
         self._counts[:, n:end], self._norm2[n:end] = counts.T, norm2
@@ -353,11 +356,10 @@ class HashEmbedder:
     def count_rows(self, word_lists: list[list[str]],
                    memo: dict[bytes, bytes] | None = None) -> tuple[np.ndarray, list[int]]:
         """The count rows of texts split into word_lists (by split_words), a
-        (len(word_lists), EMBED_DIM) array, and their squared norms. The
-        rows are float32, or float64 if a squared norm is above
-        FLOAT32_MAX_NORM2, as CountRows.extend takes them. memo maps each
-        word (UTF-8) hashed so far to its digest; a word in it is not hashed
-        again, and each new word is added. None: a fresh memo."""
+        (len(word_lists), EMBED_DIM) array in count_dtype of the largest
+        squared norm, and the squared norms, as CountRows.extend takes them.
+        memo maps each word (UTF-8) hashed so far to its digest; a word in it
+        is not hashed again, and each new word is added. None: a fresh memo."""
         keyed, digests, sizes = self._keyed, [], []  # sizes: each text's feature count
         memo = {} if memo is None else memo
         for words in word_lists:
@@ -386,8 +388,7 @@ class HashEmbedder:
         # one text, as each query is: a plain dot, a microsecond cheaper
         norm2 = ([int(flat @ flat)] if len(sizes) == 1
                  else (counts[:, None] @ counts[:, :, None]).ravel().astype(np.int64).tolist())
-        return counts.astype(np.float64 if max(norm2, default=0) > FLOAT32_MAX_NORM2
-                             else np.float32), norm2
+        return counts.astype(count_dtype(max(norm2, default=0))), norm2
 
     def embed(self, text: str) -> Embedding:
         """count_rows of text alone: a block of one row has that row's dtype."""

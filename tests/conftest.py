@@ -11,7 +11,7 @@ from percache.backend import QkvTensors, ToyModel
 from percache.config import EngineConfig
 from percache.engine import Engine
 from percache.knowledge import KnowledgeBank, Segment, read_utf8
-from percache.textcore import FLOAT32_MAX_NORM2, Embedding, TokenizerVocab, tokenize
+from percache.textcore import Embedding, TokenizerVocab, count_dtype, tokenize
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -53,15 +53,20 @@ def count_ints(counts) -> list:
 def embedding_from_counts(counts) -> Embedding:
     """The embedding of an integer count vector, as HashEmbedder.embed
     builds one: its squared norm summed in Python integers, the counts in
-    float32 if that is at most FLOAT32_MAX_NORM2. The counts must be
-    integers and the squared norm in (0, 2**53), where the cosines are
-    exact."""
+    count_dtype of it. The counts must be integers and the squared norm in
+    (0, 2**53), where the cosines are exact."""
     c = np.asarray(counts, dtype=np.float64)
     ints = [int(x) for x in c.ravel().tolist()]
     assert c.ndim == 1 and ints == c.tolist(), "counts must be a vector of integers"
     norm2 = sum(x * x for x in ints)
     assert 0 < norm2 < 2**53, f"squared norm {norm2} is not in (0, 2**53)"
-    return Embedding(c.astype(np.float32) if norm2 <= FLOAT32_MAX_NORM2 else c, norm2)
+    return Embedding(c.astype(count_dtype(norm2)), norm2)
+
+
+def ladder_dtype(norm2: int) -> np.dtype:
+    """The count dtype of a squared norm, spelled out: int8 up to 127**2,
+    int16 up to 32767**2, int64 above; a count is at most sqrt(norm2)."""
+    return np.dtype(np.int8 if norm2 <= 127**2 else np.int16 if norm2 <= 32767**2 else np.int64)
 
 
 def reference_tokenize(text: str, vocab: TokenizerVocab) -> tuple[int, ...]:

@@ -747,7 +747,8 @@ def test_open_embeds_every_chunk_and_query_as_embed_does(tmp_path):
 def test_count_rows_of_a_2000_chunk_bank_take_a_byte_a_count(tmp_path):
     # after an open of 2,000 chunks and one arrival, the retriever's and the
     # QA bank's count rows are int8, a byte per count of capacity; a row past
-    # INT8_MAX_NORM2 then widens the retriever's to float32, every count kept
+    # int8's squared norm, 127**2, then widens the retriever's to int16, two
+    # bytes a count, every count kept
     eng = make_engine(tmp_path / "bank", chunk_words=3)
     eng.ingest_chunks([" ".join(f"w{i}" for i in range(6000))], 0)
     eng.handle_query("what is w7 next to?", 1)
@@ -761,7 +762,8 @@ def test_count_rows_of_a_2000_chunk_bank_take_a_byte_a_count(tmp_path):
     assert rows._counts.nbytes <= EMBED_DIM * rows.capacity
     held = rows.counts.tolist()
     reopened.retriever.add_chunk("wide", "", embedding_from_counts(np.eye(EMBED_DIM)[0] * 128))
-    assert rows.counts.dtype == np.float32 and rows.counts[:-1].tolist() == held
+    assert rows.counts.itemsize == 2 and rows._counts.nbytes <= 2 * EMBED_DIM * rows.capacity
+    assert rows.counts[:-1].tolist() == held
 
 
 def test_sequence_numbers_continue_after_reopen(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from percache.qa import DEFAULT_ENTRY_BYTES, QaBank
 from percache.retrieval import Retriever
-from percache.textcore import EMBED_DIM, FLOAT32_MAX_NORM2, INITIAL_ROWS, HashEmbedder
+from percache.textcore import EMBED_DIM, INITIAL_ROWS, MAX_NORM2, HashEmbedder
 
 from conftest import embedding_from_counts
 
@@ -71,11 +71,11 @@ def test_match_tie_prefers_older():
 
 
 # "review" n times puts n unigrams and n - 1 bigrams on one feature: 65 times
-# is past int8 (129**2), 2,049 times past float32 (4097**2 > 2**24)
+# is past int8 (129**2), 16,385 times past int16 (32769**2)
 @pytest.mark.parametrize("queries, dtype", [
     (["when is the budget review due?", "?!", ""], np.int8),
-    (["when is the budget review due?", "review " * 65, "?!"], np.float32),
-    (["when is the budget review due?", "review " * 2049, "?!", "review " * 65], np.float64),
+    (["when is the budget review due?", "review " * 65, "?!"], np.int16),
+    (["when is the budget review due?", "review " * 16385, "?!", "review " * 65], np.int64),
 ])
 def test_rebuilt_embedding_is_embed_bit_for_bit(queries, dtype):
     bank = _bank()
@@ -112,15 +112,37 @@ def test_repeat_lookup_takes_the_first_servable_multiple():
     assert list(bank._groups) == [hit.direction] and bank._groups[hit.direction] == [hit]
 
 
-def test_repeat_lookup_of_float64_rows_scans(monkeypatch):
-    bank = _bank()
-    _insert(bank, "when is the budget review due?", now=1)
-    _insert(bank, "review " * 2049, now=2)
+def test_repeat_lookup_of_rows_past_int8_scans(monkeypatch):
+    # rows past int8 may pair to Na * Nb past 127**4, where a cosine of
+    # two directions can round to 1.0, so every exact repeat scans; it must
+    # give match of the entry's rebuilt embedding, entry, similarity bits
+    # and bump. 2**26 * e0 + e1 is such a row: its cosine with e0 rounds to
+    # 1.0, and as the older entry it is the scan's winner for e0's repeat
+    axis = np.eye(EMBED_DIM, dtype=np.int64)
+    wide = embedding_from_counts(2**26 * axis[0] + axis[1])
     scans = []
     match = QaBank.match
     monkeypatch.setattr(QaBank, "match", lambda *a: scans.append(1) or match(*a))
-    hit, sim = bank.match_repeat(bank.get("when is the budget review due?"), 0.5, now=3)
-    assert hit is bank.get("when is the budget review due?") and sim == 1.0 and len(scans) == 1
+    for first, dtype in ((EMB.embed("review " * 65), np.int16), (wide, np.int64)):
+        bank = _bank()
+        bank.insert("first", first, "w", 1)
+        bank.insert("axis", embedding_from_counts(axis[0]), "a", 2)
+        _insert(bank, "when is the budget review due?", now=3)
+        bank.insert("pending", embedding_from_counts(2 * axis[0]), None, 4)
+        assert bank._rows.counts.dtype == dtype
+        for now, entry in enumerate(list(bank.entries) * 3, start=5):
+            tau = (-2.0, 0.5, 1.0)[now % 3]
+            uses = {e.query: (e.use_count, e.last_used) for e in bank.entries}
+            want, want_sim = match(bank, bank.embedding(entry), tau, now)
+            bumped = {e.query: (e.use_count, e.last_used) for e in bank.entries}
+            for e in bank.entries:
+                e.use_count, e.last_used = uses[e.query]
+            scans.clear()
+            hit, sim = bank.match_repeat(entry, tau, now)
+            assert hit is want and (float(sim).hex(), len(scans)) == (float(want_sim).hex(), 1)
+            assert {e.query: (e.use_count, e.last_used) for e in bank.entries} == bumped
+        hit, sim = bank.match_repeat(bank.get("axis"), 0.5, now=99)
+        assert (hit.query, sim) == ("first" if first is wide else "axis", 1.0)
 
 
 def test_insert_never_downgrades():
@@ -187,10 +209,10 @@ def _check_rows(bank, now):
 def test_rows_survive_compaction_and_widening():
     # 8 entries over INITIAL_ROWS rows: evictions leave holes, which each
     # insert into full rows drops, renumbering the rows; the 21st query's
-    # float64 counts widen the matrix for good
+    # int16 counts widen the matrix for good
     bank, now = _bank(entries=8), 0
     wide = " ".join(["budget"] * 3000)
-    assert EMB.embed(wide).norm2 > FLOAT32_MAX_NORM2
+    assert MAX_NORM2[np.dtype(np.int8)] < EMB.embed(wide).norm2 <= MAX_NORM2[np.dtype(np.int16)]
     queries = [f"note {i} for the week" for i in range(40)]
     queries.insert(20, wide)
     for i, query in enumerate(queries):
@@ -200,7 +222,7 @@ def test_rows_survive_compaction_and_widening():
         if i % 7 == 3:
             bank.mark_stale(query)
             now = _check_rows(bank, now)
-    assert bank._rows.counts.dtype == np.float64
+    assert bank._rows.counts.dtype == np.int16
     assert len(bank._rows.norm2) <= INITIAL_ROWS < len(queries)  # the holes were dropped
 
 

@@ -20,7 +20,6 @@ from percache.retrieval import (
 from percache.textcore import (
     EMBED_BLOCK,
     INITIAL_ROWS,
-    INT8_MAX_NORM2,
     CountRows,
     Embedding,
     HashEmbedder,
@@ -29,7 +28,7 @@ from percache.textcore import (
     split_words,
 )
 
-from conftest import count_ints, embedding_from_counts
+from conftest import count_ints, embedding_from_counts, ladder_dtype
 
 EMB = HashEmbedder()
 
@@ -270,7 +269,7 @@ def _index_state(r: Retriever):
             [(term, p.tobytes()) for term, p in r._postings.items()], r._total_len, r._ids)
 
 
-# one word 3,000 times embeds with float64 counts
+# one word 3,000 times embeds with int16 counts
 WIDE = " ".join(["review"] * 3000)
 BULK_TEXTS = st.sampled_from(["budget review", "Budget, review; budget!", "", "?!", WIDE,
                               "team notes at noon", "café straße 12"]) | st.text(
@@ -280,7 +279,7 @@ BULK_TEXTS = st.sampled_from(["budget review", "Budget, review; budget!", "", "?
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(st.lists(st.tuples(st.integers(0, 150), BULK_TEXTS), max_size=3 * EMBED_BLOCK),
        st.lists(st.integers(0, 3 * EMBED_BLOCK), max_size=3))
-# more distinct chunks than a block, a float64 row among them
+# more distinct chunks than a block, an int16 row among them
 @example([(i, WIDE if i == EMBED_BLOCK - 1 else f"chunk {i} of {i % 7}") for i in range(EMBED_BLOCK + 2)],
          [])
 # a repeated id (the first text wins), within one call and across calls
@@ -370,12 +369,8 @@ def _negated(e: Embedding) -> Embedding:
 
 def _ladder(embeddings) -> np.dtype:
     """The dtype of count rows that appended embeddings one at a time:
-    int8, widened for good by each row past INT8_MAX_NORM2 to its own."""
-    dtype = np.dtype(np.int8)
-    for e in embeddings:
-        if e.norm2 > INT8_MAX_NORM2:
-            dtype = np.promote_types(dtype, e.counts.dtype)
-    return dtype
+    that of their largest squared norm."""
+    return ladder_dtype(max((e.norm2 for e in embeddings), default=0))
 
 
 def _embedding(rng) -> Embedding:
@@ -587,27 +582,24 @@ def _check_refresh(chunks, queries, new_share, k_refresh, seed):
         assert _bar_bits(e.bar) == _bar_bits(want_bar)
 
 
-def test_a_float64_row_widens_the_count_matrices():
-    # a count of 128 widens the int8 count rows to float32, and a count
-    # beyond float32's integers reaches them unrounded, past their growth,
-    # beside the narrower rows; the retriever and the QA bank rank through
-    # such rows
+def test_an_int64_row_widens_the_count_matrices():
+    # a count of 128 widens the int8 count rows to int16, and a count
+    # beyond int16's widens them to int64, past their growth, beside the
+    # narrower rows; the retriever and the QA bank rank through such rows
     big = embedding_from_counts(np.eye(EMB.dim)[0] * (2**24 + 1))
     wide = embedding_from_counts(np.eye(EMB.dim)[8] * 128)
     small = [embedding_from_counts(np.eye(EMB.dim)[1 + i % 7] * (1 + i)) for i in range(80)]
     axis = embedding_from_counts(np.eye(EMB.dim)[0])
-    assert (big.counts.dtype, axis.counts.dtype) == (np.float64, np.float32)
+    assert (big.counts.dtype, wide.counts.dtype, axis.counts.dtype) == (np.int64, np.int16, np.int8)
     added = small[:1] + [wide] + small[1:2] + [big] + small[2:]
     rows, r, bank = CountRows(), Retriever(EMB), QaBank(limit_bytes=1 << 30)
     for i, e in enumerate(added):
-        assert rows.counts.dtype == (np.int8 if i <= 1 else np.float32 if i <= 3 else np.float64)
-        if e is big:  # unwritten capacity may hold a signalling NaN, which a cast would trap on
-            rows._counts[:, i:].view(np.uint32)[:] = 0x7F800001
+        assert rows.counts.dtype == (np.int8 if i <= 1 else np.int16 if i <= 3 else np.int64)
         rows.append(e)
         r.add_chunk(f"c{i:02d}", "", e)
         bank.insert(f"q{i:02d}", e, "a", i)
-    assert rows.counts.dtype == np.float64
-    assert rows.counts.tobytes() == np.array([e.counts for e in added], np.float64).tobytes()
+    assert rows.counts.dtype == np.int64
+    assert rows.counts.tobytes() == np.array([e.counts for e in added], np.int64).tobytes()
     assert rows.norm2.tolist() == [e.norm2 for e in added]
     assert (r.bar(axis, 1), r.bar(axis, 2)) == ((1.0, "c03"), (0.0, "c00"))
     assert (r.bar(axis, 1, 3), r.bar(small[1], 1)) == ((0.0, "c00"), (1.0, "c02"))
@@ -638,7 +630,7 @@ def test_new_rows_gathered_once_per_arrival():
             assert new_ids
             ids, counts, norm2 = rows_since(since)
             assert ids == new_ids
-            assert counts.dtype == np.float32  # dense rows are past INT8_MAX_NORM2
+            assert counts.dtype == np.int16  # dense rows are past int8's 127**2
             assert _rows_ints(counts, norm2) == _count_ints(scan.docs[cid][2] for cid in new_ids)
             gathers.clear()
             bank.refresh(r, since, 3)
@@ -770,7 +762,7 @@ def test_incremental_refresh_matches_full_scan():
 # -- the QA bank's kept matrix against a scan over its entries -----------------
 
 BANK_K = 2
-# the query "q24" is wider than float32 and widens the bank's rows to float64
+# the query "q24" is wider than int16 and widens the bank's rows to int64
 # for good; the other queries take the pool's embeddings. Its cosine with the
 # first axis rounds to 1.0 in float64 (2**26 / sqrt(2**52 + 1)), though it
 # is no multiple of it, so only a scan finds the oldest entry at 1.0

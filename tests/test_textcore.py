@@ -14,9 +14,7 @@ from percache.textcore import (
     EMBED_BLOCK,
     EMBED_DIM,
     EMBED_SEED,
-    FLOAT32_MAX_NORM2,
     INITIAL_ROWS,
-    INT8_MAX_NORM2,
     CountRows,
     Embedding,
     HashEmbedder,
@@ -24,12 +22,13 @@ from percache.textcore import (
     cosine_similarities,
     cosine_similarity,
     cosine_table,
+    count_dtype,
     detokenize,
     split_words,
     tokenize,
 )
 
-from conftest import count_ints, embedding_from_counts, reference_tokenize
+from conftest import count_ints, embedding_from_counts, ladder_dtype, reference_tokenize
 
 WITNESS = TokenizerVocab(["ab", "a", "b", "c", "bc"])
 embed = HashEmbedder().embed
@@ -159,14 +158,14 @@ def test_cosine_identity_and_orthogonal():
 
 def test_embed_keeps_integer_counts_and_their_squared_norm():
     # the last text repeats two words 3,000 times: counts near 3,000 in
-    # three or four dimensions, a squared norm above FLOAT32_MAX_NORM2
+    # three or four dimensions, a squared norm past int8's, within int16's
     texts = ("", "budget review budget review budget", "a b c d e f g h", "a b " * 3000)
     for text in texts:
         e, want = embed(text), embedding_from_counts(embed(text).counts)
         assert (e.counts.dtype, e.counts.tobytes(), e.norm2) == (want.counts.dtype, want.counts.tobytes(),
                                                                  want.norm2)
         assert e.values.tobytes() == want.values.tobytes() == _oracle_vector(text).tobytes()
-    assert [embed(t).counts.dtype for t in texts] == [np.float32] * 3 + [np.float64]
+    assert [embed(t).counts.dtype for t in texts] == [np.int8] * 3 + [np.int16]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -212,7 +211,7 @@ def test_embed_equals_the_scalar_oracle_bit_for_bit(text):
 
 
 # one word 3,000 times: counts of about 3,000 and 2,999, a squared norm
-# above FLOAT32_MAX_NORM2, so its counts are float64
+# past int8's, so its counts are int16
 WIDE_TEXT = " ".join(["budget"] * 3000)
 
 
@@ -220,17 +219,17 @@ WIDE_TEXT = " ".join(["budget"] * 3000)
 @given(st.lists(ORACLE_TEXTS | st.just(WIDE_TEXT), min_size=1, max_size=3 * EMBED_BLOCK))
 @example([""])  # a block of one, wordless
 @example(["budget review"])  # a block of one
-@example(["a", WIDE_TEXT, "", "b c"])  # float64 between float32 and wordless rows
-# EMBED_BLOCK + 1 texts, the float64 one last but one
+@example(["a", WIDE_TEXT, "", "b c"])  # int16 between int8 and wordless rows
+# EMBED_BLOCK + 1 texts, the int16 one last but one
 @example([f"item {i}" for i in range(EMBED_BLOCK - 1)] + [WIDE_TEXT, "?!"])
 def test_count_rows_of_a_block_equal_each_text_alone(texts):
     # each row has its values and squared norm whichever block it is summed
-    # in; the block is float64 iff one of its squared norms needs it
+    # in; the block's dtype is that of its largest squared norm
     embedder = HashEmbedder()
-    assert embedder.embed(WIDE_TEXT).counts.dtype == np.float64
+    assert embedder.embed(WIDE_TEXT).counts.dtype == np.int16
     counts, norm2 = embedder.count_rows([split_words(text) for text in texts])
     assert counts.shape == (len(texts), EMBED_DIM)
-    assert counts.dtype == (np.float64 if max(norm2) > FLOAT32_MAX_NORM2 else np.float32)
+    assert counts.dtype == ladder_dtype(max(norm2))
     for text, row, n in zip(texts, counts, norm2):
         alone, (alone_n,) = embedder.count_rows([split_words(text)])
         assert row.tolist() == alone[0].tolist()
@@ -351,8 +350,8 @@ def _sparse(scale: int, nonzero: int, seed: int) -> Embedding:
 
 
 # squared norms from 1 (the wordless text, a single count) to about 2**52,
-# on both sides of FLOAT32_MAX_NORM2, so that dots reach past 2**24, where
-# a float32 dot would round, to about 2**52, still exact in float64
+# on every rung of the count dtypes, so that dots reach past 2**15, where an
+# int16 sum would wrap, to about 2**52, still exact in float64
 COUNT_EMBEDDINGS = st.one_of(
     ORACLE_TEXTS.map(embed),
     st.just(embed("")),
@@ -362,14 +361,14 @@ COUNT_EMBEDDINGS = st.one_of(
 _one = lambda count, i=0: embedding_from_counts(np.eye(EMBED_DIM, dtype=np.int64)[i] * count)
 _full = lambda count: embedding_from_counts(np.full(EMBED_DIM, count))
 _mixed = lambda count: embedding_from_counts(np.where(np.arange(EMBED_DIM) % 2, count, -count))
+_lead = lambda *counts: embedding_from_counts(list(counts) + [0] * (EMBED_DIM - len(counts)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6),
        st.lists(COUNT_EMBEDDINGS, min_size=1, max_size=6))
-# squared norms at FLOAT32_MAX_NORM2 (float32 counts) and just above it
-# (float64), with dots just past 2**24, which a float32 dot would round
-# (4097**2 and 256 * 257**2 are odd), and near 2**52
+# int16 counts with dots past 2**15, which an int16 sum would wrap, and
+# int64 counts with dots near 2**52
 @example([_one(4096), _one(4097), _one(1, 1)], [_one(4096), _one(-4097), _one(3, 1)])
 @example([_full(256), _full(257), _mixed(257)], [_full(256), _full(257), _mixed(256), embed("")])
 @example([_full(2**22), _mixed(2**22 - 1), _one(2**26 - 1)],
@@ -387,24 +386,20 @@ def test_cosines_equal_the_integer_reference_bit_for_bit(left, right):
 
 
 def _block(embeddings):
-    """The count rows of embeddings as one block, float64 if one of them
-    is, and their squared norms: what CountRows.extend takes."""
-    wide = any(e.counts.dtype == np.float64 for e in embeddings)
-    return (np.array([e.counts for e in embeddings], np.float64 if wide else np.float32),
-            [e.norm2 for e in embeddings])
+    """The count rows of embeddings as one block, in the widest of their
+    dtypes, and their squared norms: what CountRows.extend takes."""
+    return np.array([e.counts for e in embeddings]), [e.norm2 for e in embeddings]
 
 
 def _held_dtype(dtype, embeddings):
     """The dtype of CountRows's matrix, dtype before, after it extends by
-    the block of embeddings: int8 while every squared norm is at most
-    INT8_MAX_NORM2, else widened for good to the block's own dtype."""
-    if max(e.norm2 for e in embeddings) <= INT8_MAX_NORM2:
-        return dtype
-    return np.promote_types(dtype, _block(embeddings)[0].dtype)
+    the block of embeddings: widened for good to the dtype of the block's
+    largest squared norm."""
+    return np.promote_types(dtype, ladder_dtype(max(e.norm2 for e in embeddings)))
 
 
-# a squared norm just past INT8_MAX_NORM2, 127**2 + 1, from counts that int8
-# would hold
+# a squared norm just past int8's, 127**2 + 1, from counts that int8 would
+# hold
 _edge = embedding_from_counts(np.eye(EMBED_DIM, dtype=np.int64)[0] * 127
                               + np.eye(EMBED_DIM, dtype=np.int64)[1])
 
@@ -429,17 +424,31 @@ _ROW_OPS = st.lists(st.one_of(
 @example([("extend", [_full(7), _mixed(7), _one(127), _one(-127, 3)]),
           ("extend", [_one(7, 1), _full(-7), embed("budget review")])],
          [_full(7), _one(-127), embed("")])
-# counts at +-127 and +-128, a norm at INT8_MAX_NORM2 and one just past it,
-# which widens the int8 rows to float32, then a float64 row
+# counts at +-127 and +-128, a norm at 127**2 and one just past it, which
+# widens the int8 rows to int16, a count at 32767, then an int64 row, a
+# count at 32768
 @example([("extend", [_one(127), _one(-127, 2), _full(7)]), ("extend", [_edge]),
           ("extend", [_one(-128, 2), _one(128)]), ("compact", 0), ("extend", [_one(3, 1)]),
-          ("extend", [_one(2**12 + 1)])],
+          ("extend", [_one(32767, 1)]), ("extend", [_one(2**15)])],
          [_one(128), _one(-127, 2), _edge])
+# the sum rule's edge over int8 rows: queries of squared norm 66,568 (258**2
+# + 2**2), summed in int16, and 66,569, summed in int64, with dots up to
+# 258 * 127
+@example([("extend", [_one(127), _one(-127, 1), _lead(125, 22), _lead(-125, -22), _mixed(7)])],
+         [_lead(258, 2), _lead(258, 2, 1), _lead(-258, 2, 1)])
+# two int16 stores, rows and queries, with dots up to 2**24, which an int16
+# sum would wrap
+@example([("extend", [_full(181), _mixed(181), _one(4096), _one(-300, 3)])],
+         [_full(181), _one(4096), _mixed(-181)])
 def test_feature_major_count_rows_scan_equal_the_integer_reference(ops, queries):
     # CountRows keeps its matrix feature-major; its row view, the views
     # rows_since and bar take of it, and every scan over them must give the
     # rows and the cosines of the Python-integer reference through appends,
-    # reserve, compaction with holes and the widenings from int8
+    # reserve, compaction with holes and the widenings from int8 to int16
+    # and int64. A query sums in int16 over int8 rows up to a squared norm
+    # of 66,568, past which Cauchy-Schwarz no longer bounds its partial sums
+    # within int16
+    assert [count_dtype(n * 127**2) for n in (66568, 66569)] == [np.int16, np.int64]
     rows, held = CountRows(), []  # held: each row's embedding
     dtype = np.dtype(np.int8)  # the ladder's: widened for good, also by rows compacted away
     r, added = Retriever(HashEmbedder()), []  # the same rows, never compacted
